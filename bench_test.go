@@ -17,7 +17,6 @@ import (
 	"hopi/internal/core"
 	"hopi/internal/experiments"
 	"hopi/internal/gen"
-	"hopi/internal/storage"
 	"hopi/internal/xmlmodel"
 )
 
@@ -231,7 +230,7 @@ func BenchmarkInsertDocument(b *testing.B) { // §6.1
 	}
 }
 
-// --- query latency (in-memory cover vs page store) ------------------------
+// --- query latency (in-memory cover vs sealed store) ----------------------
 
 func BenchmarkReachQuery(b *testing.B) {
 	c := benchDBLP(200)
@@ -268,29 +267,27 @@ func BenchmarkDescendantsQuery(b *testing.B) {
 	}
 }
 
-func BenchmarkStoredReachQuery(b *testing.B) { // §3.4 database-backed mode
+func BenchmarkStoredReachQuery(b *testing.B) { // §3.4 stored mode: sealed segments read through mmap
 	c := benchDBLP(200)
-	ix := mustBuild(b, c, core.Options{Partitioner: core.PartNodeCapped, NodeCap: 130, Join: core.JoinNewHBar, Seed: benchSeed})
+	opts := DefaultOptions()
+	opts.Partitioner, opts.NodeCap, opts.Seed = NodeCapped, 130, benchSeed
+	ix, err := Build(WrapCollection(c), opts)
+	if err != nil {
+		b.Fatal(err)
+	}
 	path := filepath.Join(b.TempDir(), "bench.hopi")
-	fp, err := storage.CreateFilePager(path)
+	if err := ix.Save(path); err != nil {
+		b.Fatal(err)
+	}
+	st, err := Open(path)
 	if err != nil {
 		b.Fatal(err)
 	}
-	st, err := storage.CreateCoverStore(fp, 256, c.NumAllocatedIDs(), false)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := st.FromCover(ix.Cover()); err != nil {
-		b.Fatal(err)
-	}
-	defer st.Close()
 	n := int32(c.NumAllocatedIDs())
 	rng := rand.New(rand.NewSource(benchSeed))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := st.Reaches(rng.Int31n(n), rng.Int31n(n)); err != nil {
-			b.Fatal(err)
-		}
+		st.Reaches(rng.Int31n(n), rng.Int31n(n))
 	}
 }
 

@@ -1,8 +1,9 @@
 package hopi
 
-// End-to-end test of the command-line pipeline: hopigen → hopibuild →
-// hopiquery/hopistats, exercising the same binaries a user would run.
-// Skipped under -short (it compiles the commands).
+// Tests that shell out to the go tool, skipped under -short: the
+// command-line pipeline hopigen → hopibuild → hopiquery/hopistats end
+// to end, exercising the same binaries a user would run, and a vet of
+// the nested benchmark module.
 
 import (
 	"os"
@@ -79,5 +80,25 @@ func TestCLIPipeline(t *testing.T) {
 	out = runTool(t, hopistats, "-in", corpus, "-closure=false")
 	if !strings.Contains(out, "# docs:     40") {
 		t.Fatalf("hopistats output: %s", out)
+	}
+}
+
+// TestBenchmarkModuleVets type-checks the nested gate module
+// (benchmark/, which imports hopi/internal/* and is invisible to the
+// root module's ./...), so tier-1 fails when a deleted or changed
+// symbol would break the benchmark the driver builds from source.
+// -mod=mod and GOWORK=off match benchmark/run.sh.
+func TestBenchmarkModuleVets(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiles the benchmark module")
+	}
+	if _, err := exec.LookPath("go"); err != nil {
+		t.Skip("go is not on PATH")
+	}
+	cmd := exec.Command("go", "vet", "./...")
+	cmd.Dir = "benchmark"
+	cmd.Env = append(os.Environ(), "GOFLAGS=-mod=mod", "GOWORK=off")
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("go vet ./... in benchmark/: %v\n%s", err, out)
 	}
 }

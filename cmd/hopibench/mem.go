@@ -37,9 +37,9 @@ type memResult struct {
 	FlatHeapBytes uint64 // heap after GC with only the flat index live
 	SegHeapBytes  uint64 // same with only the segmented index live
 
-	FlatLabelBytes int64 // in-memory label accounting (16 B/entry)
-	SealedBytes    int64 // on-disk sealed stack
-	Segments       int
+	FlatLabelBytes   int64 // in-memory label accounting (16 B/entry)
+	SealedBytes      int64 // on-disk sealed stack
+	Segments         int
 	SegBytesPerLabel float64
 	CompressionRatio float64 // FlatLabelBytes / SealedBytes
 	Mmapped          bool
@@ -50,7 +50,7 @@ type memResult struct {
 
 	// write-stall check: max single Apply latency on the primary while
 	// the follower bootstraps, vs the same writer undisturbed
-	ApplyBaselineMs  float64
+	ApplyBaselineMs   float64
 	ApplyDuringBootMs float64
 
 	FlatP50us, FlatP99us float64
@@ -135,7 +135,7 @@ func runMem(cfg memConfig) (memResult, error) {
 	// the second WrapCollection keeps the segmented index from sharing
 	// (and thus hiding) the flat run's collection allocations
 	coll2 := hopi.WrapCollection(gen.DBLP(gen.DefaultDBLP(cfg.docs, cfg.seed)))
-	seg, err := hopi.Create(path, coll2, opts, hopi.Segments())
+	seg, err := hopi.Create(path, coll2, opts)
 	if err != nil {
 		return r, fmt.Errorf("segment create: %w", err)
 	}

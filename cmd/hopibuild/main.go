@@ -1,5 +1,5 @@
-// Command hopibuild builds a HOPI index and persists it to a
-// page-based cover store.
+// Command hopibuild builds a HOPI index and persists it as a store of
+// sealed, compressed label segments.
 //
 // Input is either a directory of XML files (id/xml:id anchors, idref
 // and href links are recognized) or a synthetic collection:
@@ -8,8 +8,8 @@
 //	hopibuild -synthetic dblp -docs 620 -out dblp.hopi -distance
 //	hopibuild -synthetic inex -docs 122 -out inex.hopi -partitioner single
 //
-// The index file is written to -out, the collection snapshot to
-// -out.coll; query both with hopiquery.
+// The segment store is written to -out.segs, the collection snapshot
+// to -out.coll; query both with hopiquery -index <out>.
 package main
 
 import (
@@ -91,11 +91,15 @@ func main() {
 	if err := ix.Save(*out); err != nil {
 		fail(err)
 	}
-	fi, err := os.Stat(*out)
+	// reopen what was written: proves the files load and reports the
+	// sealed size from the store itself
+	saved, err := hopi.Open(*out)
 	if err != nil {
 		fail(err)
 	}
-	fmt.Printf("saved %s (%d KB) and %s.coll\n", *out, fi.Size()/1024, *out)
+	seg := saved.SegmentStats()
+	fmt.Printf("saved %s.segs (%d KB sealed, %.2f B/label) and %s.coll\n",
+		*out, seg.SealedBytes/1024, seg.BytesPerLabel, *out)
 }
 
 func loadCollection(in, synth string, docs int, seed int64) (*hopi.Collection, error) {

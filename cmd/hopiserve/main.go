@@ -85,9 +85,8 @@ func main() {
 		distance   = flag.Bool("distance", true, "build a distance-aware index (enables ranked queries)")
 		maxLimit   = flag.Int("max-limit", defaultMaxLimit, "server-side ceiling for the query limit parameter (limit<=0 is rejected)")
 		readyLag   = flag.Int("ready-max-lag", defaultReadyMaxLag, "replica lag ceiling (batches) for /readyz; beyond it the node reports unready")
-		segments   = flag.Bool("segments", false, "with -store on first start: back the store with immutable compressed segments (LSM) instead of the page B-tree; reopens auto-detect the layout")
-		segThresh  = flag.Int("segment-threshold", 0, "with -segments: in-memory delta entries that trigger a background seal (0 uses the built-in default, <0 disables auto-sealing)")
-		segMax     = flag.Int("max-segments", 0, "with -segments: sealed stack size that triggers background compaction (0 uses the built-in default)")
+		segThresh  = flag.Int("segment-threshold", 0, "with -store: in-memory delta entries at which a write seals a new segment (0 uses the built-in default, <0 disables auto-sealing)")
+		segMax     = flag.Int("max-segments", 0, "with -store: sealed stack size that triggers background compaction (0 uses the built-in default)")
 		watchHB    = flag.Duration("watch-heartbeat", defaultWatchHeartbeat, "idle heartbeat interval on /watch streams")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address, on its own listener (\":6060\" binds loopback only); empty disables")
 		accessLog  = flag.Bool("access-log", false, "log one structured line per HTTP request (method, path, status, duration, bytes, trace ID)")
@@ -101,9 +100,6 @@ func main() {
 	}
 
 	var segOpts []hopi.OpenOption
-	if *segments {
-		segOpts = append(segOpts, hopi.Segments())
-	}
 	if *segThresh != 0 {
 		segOpts = append(segOpts, hopi.SegmentThreshold(*segThresh))
 	}
@@ -218,15 +214,10 @@ func loadIndex(path, store, replicaOf string, docs int, seed int64, distance boo
 		return hopi.Open(path)
 	}
 	if store != "" {
-		// a B-tree store lives at the path itself; a segment store has
-		// only sidecars (.coll/.wal/.segs), so probe the collection file
-		// too before concluding the store is new
-		_, err := os.Stat(store)
-		if errors.Is(err, fs.ErrNotExist) {
-			if _, cerr := os.Stat(store + ".coll"); cerr == nil {
-				err = nil
-			}
-		}
+		// nothing lives at the path itself (the store is its .segs, .coll
+		// and .wal siblings); the collection sidecar is written last by
+		// Create, so its presence marks a completely created store
+		_, err := os.Stat(store + ".coll")
 		switch {
 		case err == nil:
 			log.Printf("reopening durable store %s", store)

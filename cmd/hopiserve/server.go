@@ -490,8 +490,8 @@ type statsResponse struct {
 	Connected       bool   `json:"connected,omitempty"`
 	FollowerStreams int64  `json:"followerStreams,omitempty"`
 	BatchesShipped  uint64 `json:"batchesShipped,omitempty"`
-	// segment-backed stores (-segments) report the LSM storage tier:
-	// sealed stack shape, live-vs-delta split, compaction progress, and
+	// servers reading from a segment store (-store, -index, or a
+	// replica) report the sealed tier: stack shape, live-vs-delta split, compaction progress, and
 	// whether reads go through mmap or the ReadAt fallback
 	Segments *hopi.SegmentStats `json:"segments,omitempty"`
 	// live-query activity: watch sessions, queued deltas, coalesced

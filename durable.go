@@ -3,6 +3,7 @@ package hopi
 import (
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"time"
@@ -12,47 +13,47 @@ import (
 	"hopi/internal/replication"
 	"hopi/internal/segment"
 	"hopi/internal/storage"
+	"hopi/internal/twohop"
 	"hopi/internal/xmlmodel"
 )
 
 // Durable attach mode
 //
-// A durable index keeps the on-disk cover store (path), the collection
-// snapshot (path+".coll"), and a write-ahead log (path+".wal") attached
-// for its whole lifetime. Apply commits every maintenance batch to the
-// WAL — collection ops plus cover label deltas, fsynced — before the
-// new snapshot is published, then applies the deltas to the store's
-// B-trees in memory. Store pages only reach disk through checkpoints
-// (Checkpoint, periodic in hopiserve, and Close), which journal the
-// dirty page images into the WAL before overwriting the store, write
-// the collection sidecar, and truncate the log. Opening a durable
-// index replays any WAL tail left by a crash, so every batch whose
-// Apply returned is visible after a restart — the §4 incremental
-// maintenance of the stored index, made restartable.
+// A durable index keeps three things attached for its whole lifetime:
+// the segment store (path+".segs": a stack of immutable, sorted,
+// compressed segment files — varint-delta blocks with per-block CRCs,
+// read through mmap — named by a MANIFEST), the collection sidecar
+// (path+".coll"), and a write-ahead log (path+".wal"). The in-memory
+// cover is the sealed stack plus a delta layer. Apply commits every
+// maintenance batch to the WAL — collection ops plus cover label
+// deltas, fsynced — before the new snapshot is published; nothing else
+// is written per batch. A checkpoint (Checkpoint, periodic in
+// hopiserve, the delta threshold inside Apply, and Close) seals the
+// delta into one new segment in a single streaming pass, rewrites the
+// sidecar and truncates the log; sealed files are never modified. A
+// background compactor folds the stack back to one segment when it
+// grows past SegmentMaxStack, dropping tombstones. The manifest records
+// the WAL sequence the sealed state reflects, so replay after a crash
+// (or after a checkpoint that died between sealing and truncating the
+// log) skips batches the seal already covers. Opening a durable index
+// replays any WAL tail left by a crash, so every batch whose Apply
+// returned is visible after a restart — the §4 incremental maintenance
+// of the stored index, made restartable.
 
 const (
 	collSuffix = ".coll"
 	walSuffix  = ".wal"
+	segsSuffix = ".segs"
 
-	// durablePoolPages sizes the attached store's buffer pool. With the
-	// no-steal policy the pool can temporarily exceed this while a
-	// checkpoint is pending; checkpoints return it to bounds.
-	durablePoolPages = 1024
+	// defaultSegmentThreshold is the delta size (adds + tombstones) at
+	// which Apply seals automatically when SegmentThreshold is not set.
+	defaultSegmentThreshold = 1 << 16
 )
 
-// Pager construction seams; tests substitute fault-injecting or
-// counting pagers to exercise crash recovery and write amplification.
-var (
-	createPagerFn = func(path string) (storage.Pager, error) { return storage.CreateFilePager(path) }
-	openPagerFn   = func(path string) (storage.Pager, error) { return storage.OpenFilePager(path) }
-)
-
-// durableState is the persistent backend attached to an Index: either
-// a page-based B-tree store (store != nil) or an LSM-style segment
-// store (segs != nil) — never both.
+// durableState is the persistent backend attached to an Index.
 type durableState struct {
 	path    string
-	store   *storage.CoverStore
+	segs    *segment.Store
 	wal     *storage.WAL
 	nextSeq uint64
 	// err poisons the attachment after a failed commit: the in-memory
@@ -61,17 +62,28 @@ type durableState struct {
 	// recovers from the files).
 	err error
 
-	// Segment backend (see durable_segments.go). segThreshold is the
-	// delta size at which Apply seals synchronously; 0 disables
-	// auto-sealing (explicit Checkpoint only).
-	segs         *segment.Store
+	// segThreshold is the delta size at which Apply seals synchronously;
+	// 0 disables auto-sealing (explicit Checkpoint only).
 	segThreshold int
 	compactKick  chan struct{} // buffered(1) wake-up for the compactor
 	compactDone  chan struct{} // closed when the compactor exits
 	// maint receives compaction durations from the compactor goroutine
-	// (set before startCompactor; the checkpoint/seal paths record
-	// through the index's own handle instead).
+	// (the checkpoint path records through the index's own handle).
 	maint *obs.HistogramVec
+
+	// failpoint, nil in production, lets tests fail the durable protocol
+	// at a named step: "wal-append", "seal", "sidecar", "wal-truncate"
+	// here, "manifest" inside the segment store. A non-nil error is
+	// returned as if the step's I/O had failed. Read under ix.mu's write
+	// side.
+	failpoint func(step string) error
+}
+
+func (d *durableState) failAt(step string) error {
+	if d.failpoint == nil {
+		return nil
+	}
+	return d.failpoint(step)
 }
 
 // OpenOption configures Open and Create.
@@ -79,7 +91,6 @@ type OpenOption func(*openConfig)
 
 type openConfig struct {
 	durable      bool
-	segments     bool
 	segThreshold int
 	segMaxStack  int
 }
@@ -95,31 +106,26 @@ func (c *openConfig) threshold() int {
 }
 
 // Durable makes Open attach the on-disk store as the index's live
-// backend: maintenance batches are write-ahead logged and applied to
+// backend: maintenance batches are write-ahead logged and sealed into
 // the store incrementally, and any WAL tail from a previous run is
 // replayed (crash recovery) before the index starts serving. Without
-// this option Open loads the cover into memory and leaves the files
+// this option Open reads the sealed labels and leaves the files
 // untouched.
 func Durable() OpenOption {
 	return func(c *openConfig) { c.durable = true }
 }
 
-// Segments makes Create back the index with immutable compressed
-// posting segments (an LSM-style store at path+".segs") instead of the
-// page-based B-tree file at path: reads go through a sealed mmap'd
-// base plus an in-memory delta, checkpoints seal the delta into a new
-// segment instead of double-writing dirty pages, and a background
-// compactor folds the stack. Open auto-detects the backend from the
-// files on disk, so Segments is only consulted at creation time.
+// Segments has no effect: the segment store is the only durable
+// backend, so Create and Open always use it. The option remains so
+// callers written when it selected between two backends keep compiling.
 func Segments() OpenOption {
-	return func(c *openConfig) { c.segments = true }
+	return func(*openConfig) {}
 }
 
 // SegmentThreshold sets the in-memory delta size (label adds plus
-// tombstones) at which a segment-backed index seals automatically
-// during Apply (default 65536). n < 0 disables auto-sealing; the delta
-// then grows until an explicit Checkpoint. Implies nothing on B-tree
-// backed indexes.
+// tombstones) at which a durable index seals automatically during
+// Apply (default 65536). n < 0 disables auto-sealing; the delta then
+// grows until an explicit Checkpoint.
 func SegmentThreshold(n int) OpenOption {
 	return func(c *openConfig) {
 		if n < 0 {
@@ -137,12 +143,11 @@ func SegmentMaxStack(k int) OpenOption {
 }
 
 // Create builds a HOPI index for the collection and attaches it to a
-// freshly created durable store at path (plus path+".coll" and
-// path+".wal"). By default the store is the page-based B-tree file at
-// path; with the Segments option it is an immutable-segment store at
-// path+".segs" instead. Create itself is not crash-atomic: a crash
-// mid-create leaves an incomplete store that must be recreated. Once
-// Create returns, every committed Apply survives crashes.
+// freshly created durable store: the segment store at path+".segs",
+// the collection sidecar path+".coll" and the log path+".wal". Create
+// itself is not crash-atomic: a crash mid-create leaves an incomplete
+// store that must be recreated. Once Create returns, every committed
+// Apply survives crashes.
 func Create(path string, coll *Collection, opts Options, open ...OpenOption) (*Index, error) {
 	var cfg openConfig
 	for _, o := range open {
@@ -152,107 +157,106 @@ func Create(path string, coll *Collection, opts Options, open ...OpenOption) (*I
 	if err != nil {
 		return nil, err
 	}
-	if cfg.segments {
-		if err := ix.attachNewSegments(path, &cfg); err != nil {
-			return nil, err
-		}
-		return ix, nil
-	}
-	if err := ix.attachNew(path); err != nil {
+	if err := ix.attachNew(path, &cfg); err != nil {
 		return nil, err
 	}
 	return ix, nil
 }
 
-func (ix *Index) attachNew(path string) error {
-	fp, err := createPagerFn(path)
+// sealFull creates the segment store at path+".segs" with the cover's
+// complete label set sealed as its one segment, stamped sequence 0.
+func sealFull(path string, cov *twohop.Cover, opts segment.Options) (*segment.Store, *segment.Stack, error) {
+	store, err := segment.CreateStore(path+segsSuffix, cov.WithDist, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	st, err := store.Seal(0, cov.N(), int64(cov.Size()), cov.FullRecords())
+	if err != nil {
+		return nil, nil, err
+	}
+	return store, st, nil
+}
+
+// attachNew creates the store files for a freshly built index and
+// adopts the sealed segment as the cover's base (the flat slices are
+// dropped).
+func (ix *Index) attachNew(path string, cfg *openConfig) error {
+	cov := ix.ix.Cover()
+	store, st, err := sealFull(path, cov, segment.Options{MaxStack: cfg.segMaxStack})
 	if err != nil {
 		return err
 	}
-	st, err := storage.CreateCoverStore(fp, durablePoolPages, ix.coll.c.NumAllocatedIDs(), ix.ix.Cover().WithDist)
-	if err != nil {
-		fp.Close()
-		return err
-	}
-	if err := st.FromCover(ix.ix.Cover()); err != nil {
-		st.Close()
-		return err
-	}
-	if err := st.Flush(); err != nil {
-		st.Close()
-		return err
-	}
-	st.SetNoSteal(true)
+	ix.ix.AdoptSegmentBase(twohop.NewBase(st), cov.N(), cov.Size())
 	wal, _, err := storage.OpenWAL(path + walSuffix)
 	if err != nil {
-		st.Close()
 		return err
 	}
 	// a stale log from an earlier store at the same path must not be
 	// replayed into this one
 	if err := wal.Reset(); err != nil {
 		wal.Close()
-		st.Close()
 		return err
 	}
+	// The replication scope minted at Build time is persisted with the
+	// sidecar so restarts and replicas share it.
 	if err := writeCollFile(path+collSuffix, ix.coll.c, 0, ix.scope); err != nil {
 		wal.Close()
-		st.Close()
 		return err
 	}
-	ix.wireWAL(wal)
-	ix.dur = &durableState{path: path, store: st, wal: wal, nextSeq: 1}
 	// With a store attached the epoch becomes the durable WAL sequence
 	// (0 = the freshly created state) so resume tokens are portable
-	// across replicas and restarts; see Snapshot.Epoch. The replication
-	// scope minted at Build time is persisted with the sidecar (above,
-	// via writeCollFile) so restarts and replicas share it.
-	ix.seqEpoch = true
-	ix.epoch.Store(0)
+	// across replicas and restarts; see Snapshot.Epoch.
+	ix.attach(path, store, wal, 0, cfg)
 	return nil
 }
 
-// openDurable opens a durable index, auto-detecting the backend: a
-// segment store directory routes to the sealed-segment open path; a
-// B-tree file repairs any torn checkpoint flush from the journaled
-// page images. Either way, committed WAL batches the checkpointed
-// state doesn't include yet are replayed before the index serves.
-func openDurable(path string, cfg *openConfig) (*Index, error) {
-	if segment.IsStore(path + segsSuffix) {
-		return openDurableSegments(path, cfg)
-	}
-	if cfg.segments {
-		return nil, fmt.Errorf("hopi: %s has no segment store; it was created without Segments (conversion is not supported)", path)
-	}
-	return openDurableBTree(path)
+// attach wires an opened store and log into the index as its durable
+// backend at committed sequence seq and starts the compactor.
+func (ix *Index) attach(path string, store *segment.Store, wal *storage.WAL, seq uint64, cfg *openConfig) {
+	d := &durableState{path: path, segs: store, wal: wal, nextSeq: seq + 1, segThreshold: cfg.threshold()}
+	ix.wireWAL(wal)
+	d.maint = ix.metrics().maintSeconds
+	d.startCompactor()
+	ix.dur = d
+	ix.seqEpoch = true
+	ix.epoch.Store(seq)
 }
 
-func openDurableBTree(path string) (*Index, error) {
+// openStore opens the segment store of the index at path. A missing
+// store is reported for what it is: a regular file at path is an index
+// written by the retired page-store backend.
+func openStore(path string, opts segment.Options) (*segment.Store, error) {
+	if !segment.IsStore(path + segsSuffix) {
+		if fi, err := os.Stat(path); err == nil && fi.Mode().IsRegular() {
+			return nil, fmt.Errorf("hopi: %s is a page-store index file of an older version, a format no longer read; the index is derived data: rebuild with hopibuild", path)
+		}
+		return nil, fmt.Errorf("hopi: no segment store at %s: %w", path+segsSuffix, fs.ErrNotExist)
+	}
+	return segment.OpenStore(path+segsSuffix, opts)
+}
+
+// sealedCover returns a segment-mode cover over the store's current
+// stack with an empty delta.
+func sealedCover(store *segment.Store) *twohop.Cover {
+	_, n, withDist, live := store.Info()
+	cover := &twohop.Cover{WithDist: withDist}
+	cover.AdoptBase(twohop.NewBase(store.Current()), n, int(live))
+	return cover
+}
+
+// openDurable opens a durable index: adopt the sealed stack, replay
+// the WAL tail past the manifest's sequence, and fold the tail back
+// into a segment so the next crash recovers fast.
+func openDurable(path string, cfg *openConfig) (*Index, error) {
+	store, err := openStore(path, segment.Options{MaxStack: cfg.segMaxStack})
+	if err != nil {
+		return nil, err
+	}
 	wal, recs, err := storage.OpenWAL(path + walSuffix)
 	if err != nil {
 		return nil, err
 	}
-	fp, err := openPagerFn(path)
-	if err != nil {
-		wal.Close()
-		return nil, err
-	}
-	if _, err := storage.ReplayCheckpoint(fp, recs); err != nil {
-		fp.Close()
-		wal.Close()
-		return nil, err
-	}
-	st, err := storage.OpenCoverStore(fp, durablePoolPages)
-	if err != nil {
-		fp.Close()
-		wal.Close()
-		return nil, err
-	}
-	st.SetNoSteal(true)
 	fail := func(err error) (*Index, error) {
-		// abandon, not close: a failed recovery must not flush
-		// partially replayed pages over the store
-		st.Abandon()
 		wal.Close()
 		return nil, err
 	}
@@ -270,18 +274,15 @@ func openDurableBTree(path string) (*Index, error) {
 		// below persists it
 		scope = newEpoch()
 	}
-	maxSeq := collSeq
-	if s := st.AppliedSeq(); s > maxSeq {
-		maxSeq = s
-	}
+	segSeq := store.Seq()
+	cover := sealedCover(store)
+	maxSeq := max(collSeq, segSeq)
 	for _, rec := range recs {
-		if rec.IsCheckpoint() {
-			continue
-		}
-		if rec.Seq > st.AppliedSeq() {
-			if err := st.ApplyDelta(rec.Seq, rec.Ops); err != nil {
-				return fail(fmt.Errorf("hopi: wal replay (batch %d): %w", rec.Seq, err))
-			}
+		if rec.Seq > segSeq {
+			// batches the seal already covers are skipped, so a
+			// checkpoint that crashed between sealing and truncating the
+			// WAL replays cleanly
+			cover.Apply(rec.Ops)
 		}
 		if rec.Seq > collSeq {
 			ops, err := core.DecodeCollOps(rec.Coll)
@@ -292,23 +293,16 @@ func openDurableBTree(path string) (*Index, error) {
 				return fail(fmt.Errorf("hopi: wal replay (batch %d): %w", rec.Seq, err))
 			}
 		}
-		if rec.Seq > maxSeq {
-			maxSeq = rec.Seq
-		}
+		maxSeq = max(maxSeq, rec.Seq)
 	}
-	cover, err := st.ToCover()
-	if err != nil {
-		return fail(err)
-	}
-	coll := &Collection{c: c}
-	ix := &Index{coll: coll, ix: core.NewFromCover(c, cover), scope: scope}
-	ix.seqEpoch = true
-	ix.epoch.Store(maxSeq)
-	ix.wireWAL(wal)
-	ix.dur = &durableState{path: path, store: st, wal: wal, nextSeq: maxSeq + 1}
-	// fold the replayed tail into the store files and truncate the log,
-	// so the next crash has a short recovery again
-	if err := ix.doCheckpoint(maxSeq); err != nil {
+	ix := &Index{coll: &Collection{c: c}, ix: core.NewFromCover(c, cover), scope: scope}
+	ix.attach(path, store, wal, maxSeq, cfg)
+	// Fold the replayed tail into a sealed segment and truncate the
+	// log; with an empty tail this only restamps the manifest. A
+	// replayed Rebuild batch cleared the sealed base and left the cover
+	// flat, which only a full reseal can express.
+	if err := ix.doCheckpoint(maxSeq, !cover.Seg()); err != nil {
+		ix.dur.stopCompactor()
 		ix.dur = nil
 		return fail(err)
 	}
@@ -335,12 +329,12 @@ func (ix *Index) WALSize() (bytes int64, lastSeq uint64, ok bool) {
 	return d.wal.Size(), d.nextSeq - 1, true
 }
 
-// Checkpoint makes every committed batch durable in the store itself
-// and truncates the WAL: dirty store pages are journaled (double-
-// write) and flushed, and the collection sidecar is rewritten
-// atomically. A no-op when nothing was committed since the last
-// checkpoint. Crashing anywhere inside Checkpoint is safe — recovery
-// either replays the old WAL or re-applies the journaled images.
+// Checkpoint makes every committed batch durable in the segment store
+// and truncates the WAL: the in-memory delta is sealed into one new
+// segment and the collection sidecar is rewritten atomically. A no-op
+// when nothing was committed since the last checkpoint. Crashing
+// anywhere inside Checkpoint is safe — recovery replays whatever part
+// of the WAL the manifest's sequence does not cover.
 func (ix *Index) Checkpoint() error {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
@@ -354,47 +348,71 @@ func (ix *Index) Checkpoint() error {
 	if d.wal.Empty() {
 		return nil
 	}
-	if err := ix.doCheckpoint(d.nextSeq - 1); err != nil {
+	if err := ix.doCheckpoint(d.nextSeq-1, false); err != nil {
 		d.err = err
 		return err
 	}
 	return nil
 }
 
-// doCheckpoint runs the checkpoint protocol for the attached backend.
-// The caller either holds ix.mu exclusively or has sole access to the
-// index. On a B-tree backend dirty pages are journaled (double-write)
-// and flushed; on a segment backend the in-memory delta is sealed into
-// a new immutable segment instead — no page images, no double-write.
-func (ix *Index) doCheckpoint(seq uint64) error {
+// doCheckpoint folds every batch through seq into the segment store:
+// seal the in-memory delta as one new segment (manifest-only when the
+// delta is empty), swap the cover onto the new base, rewrite the
+// collection sidecar, and truncate the WAL. With full set — after a
+// Rebuild swapped in a wholesale flat cover, which delta tombstones
+// cannot express — the complete label set replaces the whole stack as
+// one segment instead and the cover re-adopts it. The logical state is
+// unchanged, so the epoch is not bumped and published snapshots,
+// cursors and resume tokens all stay valid. The caller either holds
+// ix.mu exclusively or has sole access to the index.
+func (ix *Index) doCheckpoint(seq uint64, full bool) error {
 	d := ix.dur
-	m := ix.metrics()
 	start := time.Now()
-	if d.segs != nil {
-		if err := ix.sealCheckpoint(seq); err != nil {
+	cov := ix.ix.Cover()
+	if err := d.failAt("seal"); err != nil {
+		return err
+	}
+	if full {
+		st, err := d.segs.Reset(seq, cov.N(), int64(cov.Size()), cov.FullRecords())
+		if err != nil {
 			return err
 		}
-		m.maintSeconds.With("seal").ObserveSince(start)
-		return nil
+		ix.ix.AdoptSegmentBase(twohop.NewBase(st), cov.N(), cov.Size())
+	} else {
+		if !cov.Seg() {
+			return fmt.Errorf("hopi: segment checkpoint on a flat cover")
+		}
+		st, err := d.segs.Seal(seq, cov.N(), int64(cov.Size()), cov.DeltaRecords())
+		if err != nil {
+			return err
+		}
+		ix.ix.SealSwapBase(twohop.NewBase(st))
 	}
-	if err := d.store.CheckpointInto(d.wal); err != nil {
+	// the seal is durable: from here on a crash replays nothing of the
+	// delta (the manifest sequence guards the WAL tail), so having
+	// swapped the in-memory view is safe even if the steps below fail
+	if err := d.failAt("sidecar"); err != nil {
 		return err
 	}
 	if err := writeCollFile(d.path+collSuffix, ix.coll.c, seq, ix.scope); err != nil {
 		return err
 	}
+	if err := d.failAt("wal-truncate"); err != nil {
+		return err
+	}
 	if err := d.wal.Reset(); err != nil {
 		return err
 	}
-	m.maintSeconds.With("checkpoint").ObserveSince(start)
+	d.kickCompactor()
+	ix.metrics().maintSeconds.With("seal").ObserveSince(start)
 	return nil
 }
 
 // Close tears down replication (stopping a follower's stream, closing
 // a publisher's follower streams), then checkpoints (when healthy) and
-// detaches the durable backend, closing the store and the WAL. Closing
-// a plain in-memory index is a no-op. The index must not be used for
-// maintenance afterwards.
+// detaches the durable backend, stopping the compactor and closing the
+// WAL. Closing a plain in-memory index is a no-op. The index must not
+// be used for maintenance afterwards.
 func (ix *Index) Close() error {
 	// Stop the live-query notifier first: its rounds take snapshots
 	// (read lock) and its sessions' consumers may be blocked in Next.
@@ -425,37 +443,18 @@ func (ix *Index) Close() error {
 	if d == nil {
 		return nil
 	}
-	var errs []error
-	clean := d.err == nil
-	if clean && !d.wal.Empty() {
-		if err := ix.doCheckpoint(d.nextSeq - 1); err != nil {
-			errs = append(errs, err)
-			clean = false
-		}
+	// a poisoned backend is left at its last seal; the next open
+	// recovers from the WAL
+	var ckptErr error
+	if d.err == nil && !d.wal.Empty() {
+		ckptErr = ix.doCheckpoint(d.nextSeq-1, false)
 	}
 	ix.dur = nil
 	d.stopCompactor()
-	if err := d.wal.Close(); err != nil {
-		errs = append(errs, err)
-	}
-	switch {
-	case d.segs != nil:
-		// nothing to flush: sealed segments are immutable and already
-		// fsynced; their mappings are reclaimed by the runtime
-	case clean:
-		if err := d.store.Close(); err != nil {
-			errs = append(errs, err)
-		}
-	default:
-		// the pool may hold partially-applied, un-journaled pages;
-		// flushing them would bypass the double-write protocol, so
-		// leave the file at its last checkpoint and let the next open
-		// recover from the WAL
-		if err := d.store.Abandon(); err != nil {
-			errs = append(errs, err)
-		}
-	}
-	return errors.Join(errs...)
+	// the store itself has nothing to flush: sealed segments are
+	// immutable and already fsynced; their mappings are reclaimed by the
+	// runtime
+	return errors.Join(ckptErr, d.wal.Close())
 }
 
 // commitDurable persists one applied batch. The caller holds ix.mu and
@@ -475,45 +474,21 @@ func (ix *Index) commitDurable(log *core.ChangeLog) error {
 		// replays it through the same path as any other batch.
 		cover = ix.ix.Cover().SnapshotDeltas()
 	}
-	// WAL first: the batch is committed once AppendBatch's fsync
-	// returns. Applying the deltas to the store's B-trees afterwards
-	// only touches the buffer pool (no-steal), never the file. On a
-	// segment backend there is nothing to apply at all — the in-memory
-	// cover (base + delta) is the authority, and checkpoints seal it.
+	// The batch is committed once AppendBatch's fsync returns. Nothing
+	// is applied to the store per batch — the in-memory cover (sealed
+	// base + delta) is the authority, and checkpoints seal it.
+	if err := d.failAt("wal-append"); err != nil {
+		return err
+	}
 	if err := d.wal.AppendBatch(seq, collBytes, cover); err != nil {
 		return err
 	}
-	switch {
-	case d.segs != nil:
-	case log.Rebuilt:
-		// bulk-load instead of entry-by-entry inserts; logically
-		// identical to replaying the snapshot deltas
-		if err := d.store.FromCover(ix.ix.Cover()); err != nil {
-			return err
-		}
-		d.store.SetAppliedSeq(seq)
-	default:
-		if err := d.store.ApplyDelta(seq, cover); err != nil {
-			return err
-		}
-	}
 	d.nextSeq = seq + 1
-	// Fold the snapshot-sized WAL record into the store right away so
-	// the log returns to O(delta) size. A rebuild on a segment backend
-	// swapped in a wholesale flat cover, which tombstones cannot
-	// express — reseal the complete state as a fresh single-segment
-	// stack and re-adopt it.
-	if log.Rebuilt {
-		if d.segs != nil {
-			if err := ix.resealAll(seq); err != nil {
-				return err
-			}
-		} else if err := ix.doCheckpoint(seq); err != nil {
-			return err
-		}
-	} else if d.segs != nil && d.segThreshold > 0 && ix.ix.Cover().DeltaEntries() >= d.segThreshold {
-		// auto-seal: fold the grown delta (and the WAL) into a segment
-		if err := ix.doCheckpoint(seq); err != nil {
+	// A rebuild is resealed right away so the snapshot-sized WAL record
+	// is folded and the log returns to O(delta) size; otherwise seal
+	// when the delta has grown past the threshold.
+	if log.Rebuilt || (d.segThreshold > 0 && ix.ix.Cover().DeltaEntries() >= d.segThreshold) {
+		if err := ix.doCheckpoint(seq, log.Rebuilt); err != nil {
 			return err
 		}
 	}
@@ -563,3 +538,144 @@ func writeCollFile(path string, c *xmlmodel.Collection, seq, scope uint64) error
 // core.EncodeCollOps — shared between the WAL (here) and the
 // replication wire protocol, so log replay and log shipping see
 // identical bytes.
+
+// --- background compactor ---------------------------------------------
+
+// startCompactor launches the store's compaction goroutine: each kick
+// folds the stack while it exceeds MaxStack. Compaction never takes
+// ix.mu — it merges a pinned immutable stack and swaps it in under the
+// store's own locks, so Apply and queries proceed concurrently; the
+// live cover keeps reading its pinned (possibly unlinked) segments
+// until the next seal swaps it forward.
+func (d *durableState) startCompactor() {
+	d.compactKick = make(chan struct{}, 1)
+	d.compactDone = make(chan struct{})
+	go func() {
+		defer close(d.compactDone)
+		for range d.compactKick {
+			for d.segs.NeedsCompaction() {
+				start := time.Now()
+				if ok, err := d.segs.Compact(); err != nil || !ok {
+					break
+				}
+				d.maint.With("compact").ObserveSince(start)
+			}
+		}
+	}()
+}
+
+func (d *durableState) kickCompactor() {
+	select {
+	case d.compactKick <- struct{}{}:
+	default: // a kick is already pending
+	}
+}
+
+// stopCompactor drains the compactor and waits for it to exit.
+func (d *durableState) stopCompactor() {
+	close(d.compactKick)
+	<-d.compactDone
+}
+
+// --- observability ----------------------------------------------------
+
+// SegmentStats describes the sealed segment tier for /stats endpoints.
+// Zero-valued with Enabled=false on indexes that never touched a
+// store (Build without Create).
+type SegmentStats struct {
+	// Enabled reports whether the index reads from a segment store.
+	Enabled bool `json:"enabled"`
+	// Segments is the sealed segment file count in the current stack.
+	Segments int `json:"segments"`
+	// SealedBytes is the total on-disk size of the sealed stack.
+	SealedBytes int64 `json:"sealedBytes"`
+	// SealedPosts counts label postings in sealed files, including
+	// entries shadowed by newer segments (compaction removes those).
+	SealedPosts int64 `json:"sealedPosts"`
+	// SealedTombs counts tombstones awaiting compaction.
+	SealedTombs int64 `json:"sealedTombs"`
+	// LiveEntries is the logical live label count |L|.
+	LiveEntries int64 `json:"liveEntries"`
+	// DeltaEntries is the in-memory delta size (adds + tombstones);
+	// sealing resets it to 0.
+	DeltaEntries int `json:"deltaEntries"`
+	// SealedSeq is the WAL sequence the sealed state reflects.
+	SealedSeq uint64 `json:"sealedSeq"`
+	// Compactions counts completed stack compactions.
+	Compactions uint64 `json:"compactions"`
+	// CompactionBacklog is how many segments the stack is over the
+	// compaction threshold (0 when within bounds).
+	CompactionBacklog int `json:"compactionBacklog"`
+	// Mmapped reports whether every sealed segment reads through mmap
+	// (false when any fell back to pread).
+	Mmapped bool `json:"mmapped"`
+	// ReadErrors counts sealed reads that hit an I/O error and were
+	// served as empty (0 in mmap mode; post-open validation makes
+	// corruption unreachable, so this tracks pread failures only).
+	ReadErrors uint64 `json:"readErrors"`
+	// BytesPerLabel is SealedBytes / LiveEntries — compare against the
+	// 16 bytes/entry of the flat in-memory layout (§3.4 accounting).
+	BytesPerLabel float64 `json:"bytesPerLabel"`
+}
+
+// SegmentStats reports the segment tier's shape and health. Safe to
+// call concurrently with Apply and queries.
+func (ix *Index) SegmentStats() SegmentStats {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	d := ix.dur
+	if d == nil {
+		// no attached store, but the cover may still read from adopted
+		// segment files (a replica bootstrapped from a primary, or a
+		// plain Open): report the stack shape directly
+		cov := ix.ix.Cover()
+		if !cov.Seg() {
+			return SegmentStats{}
+		}
+		out := SegmentStats{Enabled: true, Mmapped: true}
+		for _, seg := range cov.Base().Stack().Segs {
+			m := seg.Meta()
+			out.Segments++
+			out.SealedBytes += seg.SizeBytes()
+			out.SealedPosts += m.Posts
+			out.SealedTombs += m.Tombs
+			if m.Seq > out.SealedSeq {
+				out.SealedSeq = m.Seq
+			}
+			if !seg.Mmapped() {
+				out.Mmapped = false
+			}
+		}
+		out.LiveEntries = int64(cov.Size())
+		out.DeltaEntries = cov.DeltaEntries()
+		out.ReadErrors = cov.Base().Errors()
+		if out.LiveEntries > 0 {
+			out.BytesPerLabel = float64(out.SealedBytes) / float64(out.LiveEntries)
+		}
+		return out
+	}
+	st := d.segs.Stats()
+	out := SegmentStats{
+		Enabled:     true,
+		Segments:    st.Segments,
+		SealedBytes: st.SealedBytes,
+		SealedPosts: st.SealedPosts,
+		SealedTombs: st.SealedTombs,
+		LiveEntries: st.LiveEntries,
+		SealedSeq:   st.Seq,
+		Compactions: st.Compactions,
+		Mmapped:     st.Mmapped,
+	}
+	cov := ix.ix.Cover()
+	if cov.Seg() {
+		out.DeltaEntries = cov.DeltaEntries()
+		out.ReadErrors = cov.Base().Errors()
+	}
+	if over := st.Segments - d.segs.MaxStack(); over > 0 {
+		out.CompactionBacklog = over
+	}
+	if st.LiveEntries > 0 {
+		out.BytesPerLabel = float64(st.SealedBytes) / float64(st.LiveEntries)
+	}
+	return out
+}

@@ -4,31 +4,93 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io/fs"
 	"math/rand"
 	"os"
 	"path/filepath"
-	"sync/atomic"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
-	"hopi/internal/storage"
+	"hopi/internal/segment"
 	"hopi/internal/twohop"
 )
 
 // --- helpers ----------------------------------------------------------
 
 // crash simulates a process death: file handles close, nothing is
-// flushed or checkpointed. The on-disk state is whatever the WAL and
+// sealed or checkpointed. The on-disk state is whatever the WAL and
 // the last checkpoint left behind.
 func crash(ix *Index) {
 	if ix.dur != nil {
 		d := ix.dur
 		d.stopCompactor()
 		d.wal.Close()
-		if d.store != nil {
-			d.store.Abandon()
-		}
 		ix.dur = nil
 	}
+}
+
+// createDurable creates a distance-aware durable index over the base
+// collection.
+func createDurable(t *testing.T, path string, open ...OpenOption) (*Index, []string) {
+	t.Helper()
+	coll, base := baseCollection(t)
+	opts := DefaultOptions()
+	opts.WithDistance = true
+	opts.Seed = 1
+	ix, err := Create(path, coll, opts, open...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ix, base
+}
+
+// setFailpoint installs fn at every step of the durable protocol: the
+// index's own steps and the segment store's manifest commit.
+func setFailpoint(ix *Index, fn func(step string) error) {
+	ix.mu.Lock()
+	ix.dur.failpoint = fn
+	ix.dur.segs.SetFailpoint(fn)
+	ix.mu.Unlock()
+}
+
+var errDiskDied = errors.New("injected store failure")
+
+// dyingDisk is a failpoint that records every protocol step it is
+// consulted at and, once armed, lets failAfter more steps through and
+// then fails every later one — a disk that died and stays dead.
+type dyingDisk struct {
+	mu        sync.Mutex
+	steps     []string
+	armed     bool
+	failAfter int
+}
+
+func (d *dyingDisk) step(name string) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.steps = append(d.steps, name)
+	if !d.armed {
+		return nil
+	}
+	if d.failAfter > 0 {
+		d.failAfter--
+		return nil
+	}
+	return fmt.Errorf("%s: %w", name, errDiskDied)
+}
+
+func (d *dyingDisk) arm(failAfter int) {
+	d.mu.Lock()
+	d.armed, d.failAfter = true, failAfter
+	d.mu.Unlock()
+}
+
+func (d *dyingDisk) seen() []string {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return append([]string(nil), d.steps...)
 }
 
 // scriptOp is one deterministic maintenance step; materialized into a
@@ -189,26 +251,26 @@ func assertSameAnswers(t *testing.T, got, want *Index, label string) {
 
 // --- round trip and restart ------------------------------------------
 
+// TestDurableCreateApplyReopen: create, churn (including rebuilds,
+// which reseal the whole stack), close, reopen durable and plain,
+// compare against a purely in-memory oracle.
 func TestDurableCreateApplyReopen(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "ix.hopi")
-	coll, base := baseCollection(t)
-	opts := DefaultOptions()
-	opts.WithDistance = true
-	opts.Seed = 1
-	ix, err := Create(path, coll, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	path := filepath.Join(t.TempDir(), "ix.hopi")
+	ix, base := createDurable(t, path)
 	if !ix.Durable() {
 		t.Fatal("Create returned a non-durable index")
 	}
-	ops := randomScript(rand.New(rand.NewSource(7)), base, 30, true)
+	if st := ix.SegmentStats(); !st.Enabled || st.Segments != 1 {
+		t.Fatalf("fresh segment stats = %+v", st)
+	}
+	ops := randomScript(rand.New(rand.NewSource(7)), base, 40, true)
 	for i, op := range ops {
 		if _, err := ix.Apply(context.Background(), buildScriptBatch(op)); err != nil {
 			t.Fatalf("op %d: %v", i, err)
 		}
 	}
+	want := oracle(t, ops, len(ops), true)
+	assertSameAnswers(t, ix, want, "live durable")
 	if err := ix.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -217,15 +279,23 @@ func TestDurableCreateApplyReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer re.Close()
-	assertSameAnswers(t, re, oracle(t, ops, len(ops), true), "clean reopen")
+	assertSameAnswers(t, re, want, "clean reopen")
+	if st := re.SegmentStats(); !st.Enabled {
+		t.Fatal("reopened index lost its segment store")
+	}
+	if err := re.Close(); err != nil {
+		t.Fatal(err)
+	}
 
-	// the files also still load in plain (in-memory) mode
+	// the files also still load in plain mode, untouched and unattached
 	mem, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameAnswers(t, mem, oracle(t, ops, len(ops), true), "plain reopen")
+	assertSameAnswers(t, mem, want, "plain reopen")
+	if mem.Durable() {
+		t.Fatal("plain open attached a backend")
+	}
 }
 
 func TestDurableCrashRecoversEveryCommittedBatch(t *testing.T) {
@@ -253,12 +323,22 @@ func TestDurableCrashRecoversEveryCommittedBatch(t *testing.T) {
 			}
 			crash(ix) // no Close, no final checkpoint
 
+			want := oracle(t, ops, len(ops), false)
 			re, err := Open(path, Durable())
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer re.Close()
-			assertSameAnswers(t, re, oracle(t, ops, len(ops), false), "crash reopen")
+			assertSameAnswers(t, re, want, "crash reopen")
+			// Die again without a clean close. The first reopen's final
+			// checkpoint sealed the tail, so the second exercises the
+			// manifest-sequence guard: nothing may be applied twice.
+			crash(re)
+			re2, err := Open(path, Durable())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re2.Close()
+			assertSameAnswers(t, re2, want, "second reopen")
 		})
 	}
 }
@@ -299,137 +379,98 @@ func TestDurableTornWALTailDropsOnlyLastBatch(t *testing.T) {
 	assertSameAnswers(t, re, oracle(t, ops, len(ops)-1, false), "torn tail")
 }
 
-// --- randomized crash recovery under injected store failures ----------
+// --- crash recovery at every step of the durable protocol -------------
 
-// dyingPager wraps a real pager and, once armed and exhausted, fails
-// every subsequent operation — a disk that died and stays dead.
-type dyingPager struct {
-	inner     storage.Pager
-	remaining atomic.Int64 // ops until death; negative = disarmed
-}
-
-var errDiskDied = errors.New("injected store failure")
-
-func (p *dyingPager) tick() error {
-	if p.remaining.Load() < 0 {
-		return nil
+// runCrashScript is one run of the crash-recovery workload: create,
+// apply the script with a small seal threshold (so some Applies seal
+// inside the commit) and an explicit checkpoint every fourth op, with
+// disk consulted at every protocol step. It returns the index and how
+// many batches were acknowledged before the first failure.
+func runCrashScript(t *testing.T, path string, ops []scriptOp, disk *dyingDisk) (ix *Index, acked int) {
+	t.Helper()
+	coll, _ := baseCollection(t)
+	opts := DefaultOptions()
+	opts.Seed = 1
+	// a stack bound the script never reaches keeps the compactor — and
+	// with it the step order — out of the picture
+	ix, err := Create(path, coll, opts, SegmentThreshold(24), SegmentMaxStack(1<<20))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if p.remaining.Add(-1) < 0 {
-		p.remaining.Store(0) // stay dead
-		return errDiskDied
+	setFailpoint(ix, disk.step)
+	for i, op := range ops {
+		if _, err := ix.Apply(context.Background(), buildScriptBatch(op)); err != nil {
+			if !errors.Is(err, errDiskDied) {
+				t.Fatalf("op %d: unexpected error: %v", i, err)
+			}
+			return ix, acked
+		}
+		acked = i + 1
+		if i%4 == 3 {
+			if err := ix.Checkpoint(); err != nil {
+				if !errors.Is(err, errDiskDied) {
+					t.Fatalf("checkpoint after op %d: %v", i, err)
+				}
+				return ix, acked
+			}
+		}
 	}
-	return nil
+	return ix, acked
 }
-
-func (p *dyingPager) ReadPage(id storage.PageID, buf []byte) error {
-	if err := p.tick(); err != nil {
-		return err
-	}
-	return p.inner.ReadPage(id, buf)
-}
-
-func (p *dyingPager) WritePage(id storage.PageID, buf []byte) error {
-	if err := p.tick(); err != nil {
-		return err
-	}
-	return p.inner.WritePage(id, buf)
-}
-
-func (p *dyingPager) Allocate() (storage.PageID, error) {
-	if err := p.tick(); err != nil {
-		return storage.InvalidPage, err
-	}
-	return p.inner.Allocate()
-}
-
-func (p *dyingPager) NumPages() uint32 { return p.inner.NumPages() }
-func (p *dyingPager) Sync() error {
-	if err := p.tick(); err != nil {
-		return err
-	}
-	return p.inner.Sync()
-}
-func (p *dyingPager) Close() error { return p.inner.Close() }
 
 // TestDurableCrashRecoveryRandomized drives randomized maintenance
-// through a store pager that dies mid-run, reopens from the surviving
-// files, and checks every batch the WAL committed against an in-memory
-// oracle rebuilt from the same operation log. The store failure point
-// sweeps across the workload so batches die during delta application
-// and during checkpoint flushes alike.
+// (rebuilds included) through the durable protocol, kills the disk at
+// each step the protocol takes in turn — every WAL append, seal,
+// manifest commit, sidecar rename and WAL truncate of the run —
+// reopens from the surviving files, and checks every batch the WAL
+// committed against an in-memory oracle rebuilt from the same script.
 func TestDurableCrashRecoveryRandomized(t *testing.T) {
-	for trial := 0; trial < 6; trial++ {
-		t.Run(fmt.Sprintf("trial=%d", trial), func(t *testing.T) {
-			dir := t.TempDir()
-			path := filepath.Join(dir, "ix.hopi")
+	_, base := baseCollection(t)
+	ops := randomScript(rand.New(rand.NewSource(100)), base, 24, true)
 
-			dp := &dyingPager{}
-			dp.remaining.Store(-1)
-			origCreate := createPagerFn
-			createPagerFn = func(p string) (storage.Pager, error) {
-				inner, err := storage.CreateFilePager(p)
-				if err != nil {
-					return nil, err
-				}
-				dp.inner = inner
-				return dp, nil
-			}
-			defer func() { createPagerFn = origCreate }()
+	// a clean run first: which steps does the script take?
+	var clean dyingDisk
+	ix, acked := runCrashScript(t, filepath.Join(t.TempDir(), "ix.hopi"), ops, &clean)
+	crash(ix)
+	if acked != len(ops) {
+		t.Fatalf("clean run acknowledged %d of %d batches", acked, len(ops))
+	}
+	steps := clean.seen()
+	hit := map[string]int{}
+	for _, s := range steps {
+		hit[s]++
+	}
+	for _, s := range []string{"wal-append", "seal", "manifest", "sidecar", "wal-truncate"} {
+		if hit[s] == 0 {
+			t.Fatalf("the script never reaches step %q (steps taken: %v)", s, hit)
+		}
+	}
 
-			coll, base := baseCollection(t)
-			opts := DefaultOptions()
-			opts.Seed = 1
-			ix, err := Create(path, coll, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			createPagerFn = origCreate
-
-			rng := rand.New(rand.NewSource(int64(100 + trial)))
-			ops := randomScript(rng, base, 20, false)
-			// arm the failure: die after a trial-dependent number of
-			// pager operations so the death lands in different phases
-			dp.remaining.Store(int64(50 + trial*211))
-
-			committed := 0
-			for i, op := range ops {
-				_, err := ix.Apply(context.Background(), buildScriptBatch(op))
-				if err != nil {
-					if !errors.Is(err, errDiskDied) {
-						t.Fatalf("op %d: unexpected error: %v", i, err)
-					}
-					break
-				}
-				committed = i + 1
-				if i%4 == 3 {
-					if err := ix.Checkpoint(); err != nil {
-						if !errors.Is(err, errDiskDied) {
-							t.Fatalf("checkpoint after op %d: %v", i, err)
-						}
-						break
-					}
-				}
-			}
-			crash(ix)
-			dp.remaining.Store(-1) // the replacement disk works
+	for k, name := range steps {
+		t.Run(fmt.Sprintf("die@%d-%s", k, name), func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "ix.hopi")
+			var disk dyingDisk
+			disk.arm(k)
+			ix, acked := runCrashScript(t, path, ops, &disk)
+			crash(ix) // the replacement disk works: reopen has no failpoint
 
 			re, err := Open(path, Durable())
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer re.Close()
-			// every batch whose Apply returned success must be visible;
-			// a batch whose store application died may additionally have
-			// been committed by the WAL before the failure
+			// every batch whose Apply returned success must be visible; the
+			// batch that died past its WAL append (in a seal inside the
+			// commit) is committed too, though it was never acknowledged
 			_, lastSeq, ok := re.WALSize()
 			if !ok {
 				t.Fatal("reopened index is not durable")
 			}
-			if int(lastSeq) < committed {
-				t.Fatalf("recovered %d batches, but %d were acknowledged", lastSeq, committed)
+			if int(lastSeq) < acked {
+				t.Fatalf("recovered %d batches, but %d were acknowledged", lastSeq, acked)
 			}
-			if int(lastSeq) > len(ops) {
-				t.Fatalf("recovered %d batches out of %d applied", lastSeq, len(ops))
+			if int(lastSeq) > acked+1 {
+				t.Fatalf("recovered %d batches, only %d were even attempted", lastSeq, acked+1)
 			}
 			assertSameAnswers(t, re, oracle(t, ops, int(lastSeq), false), "recovered")
 		})
@@ -492,46 +533,35 @@ func TestDurableIntraLinkInInsertBatchNotDuplicated(t *testing.T) {
 // --- store/memory equivalence ----------------------------------------
 
 // TestDurableStoreMatchesMemoryLabels asserts the strongest form of
-// the ApplyDelta contract: after every random batch, the attached
-// store holds byte-identical Lin/Lout labels to the in-memory cover.
+// the delta contract: after every random batch the durable cover — the
+// sealed base merged with the in-memory delta — holds byte-identical
+// Lin/Lout labels to a flat in-memory twin fed the same script, and
+// after every checkpoint so do the sealed files alone, read back
+// through an independent plain Open.
 func TestDurableStoreMatchesMemoryLabels(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "ix.hopi")
-	coll, base := baseCollection(t)
-	opts := DefaultOptions()
-	opts.WithDistance = true
-	opts.Seed = 1
-	ix, err := Create(path, coll, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	path := filepath.Join(t.TempDir(), "ix.hopi")
+	ix, base := createDurable(t, path)
 	defer ix.Close()
+	twin := oracle(t, nil, 0, true)
 
 	ops := randomScript(rand.New(rand.NewSource(23)), base, 40, true)
 	for i, op := range ops {
 		if _, err := ix.Apply(context.Background(), buildScriptBatch(op)); err != nil {
 			t.Fatalf("op %d: %v", i, err)
 		}
-		cover := ix.ix.Cover()
-		st := ix.dur.store
-		if st.NumNodes() != cover.N() {
-			t.Fatalf("after op %d: store has %d nodes, cover %d", i, st.NumNodes(), cover.N())
+		if _, err := twin.Apply(context.Background(), buildScriptBatch(op)); err != nil {
+			t.Fatalf("twin op %d: %v", i, err)
 		}
-		for v := int32(0); v < int32(cover.N()); v++ {
-			sin, err := st.Lin(v)
+		assertLabelEquality(t, ix, twin, fmt.Sprintf("after op %d (%+v)", i, op))
+		if i%5 == 4 {
+			if err := ix.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			sealed, err := Open(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sout, err := st.Lout(v)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !equalEntries(sin, cover.In[v]) {
-				t.Fatalf("after op %d (%+v): Lin(%d) store %v, memory %v", i, op, v, sin, cover.In[v])
-			}
-			if !equalEntries(sout, cover.Out[v]) {
-				t.Fatalf("after op %d (%+v): Lout(%d) store %v, memory %v", i, op, v, sout, cover.Out[v])
-			}
+			assertLabelEquality(t, sealed, twin, fmt.Sprintf("sealed files after op %d", i))
 		}
 	}
 }
@@ -550,42 +580,30 @@ func equalEntries(a, b []twohop.Entry) bool {
 
 // --- write amplification ---------------------------------------------
 
-// countingPager counts page writes and written bytes.
-type countingPager struct {
-	inner  storage.Pager
-	writes atomic.Int64
-}
-
-func (p *countingPager) ReadPage(id storage.PageID, buf []byte) error {
-	return p.inner.ReadPage(id, buf)
-}
-func (p *countingPager) WritePage(id storage.PageID, buf []byte) error {
-	p.writes.Add(1)
-	return p.inner.WritePage(id, buf)
-}
-func (p *countingPager) Allocate() (storage.PageID, error) { return p.inner.Allocate() }
-func (p *countingPager) NumPages() uint32                  { return p.inner.NumPages() }
-func (p *countingPager) Sync() error                       { return p.inner.Sync() }
-func (p *countingPager) Close() error                      { return p.inner.Close() }
-
-// TestDurableApplyIsIncremental asserts the acceptance criterion that
-// a single-document insert writes O(delta) WAL bytes and store pages,
-// not a full FromCover rewrite.
-func TestDurableApplyIsIncremental(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "ix.hopi")
-
-	cp := &countingPager{}
-	origCreate := createPagerFn
-	createPagerFn = func(p string) (storage.Pager, error) {
-		inner, err := storage.CreateFilePager(p)
-		if err != nil {
-			return nil, err
-		}
-		cp.inner = inner
-		return cp, nil
+// segFiles lists the segment store's directory: name → size.
+func segFiles(t *testing.T, path string) map[string]int64 {
+	t.Helper()
+	entries, err := os.ReadDir(path + segsSuffix)
+	if err != nil {
+		t.Fatal(err)
 	}
-	defer func() { createPagerFn = origCreate }()
+	out := map[string]int64{}
+	for _, e := range entries {
+		fi, err := e.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = fi.Size()
+	}
+	return out
+}
+
+// TestDurableApplyIsIncremental asserts that a single-document insert
+// writes O(delta) WAL bytes and touches no file of the segment store,
+// and that the checkpoint after it seals O(delta) bytes into one new
+// segment — not a reseal of the full label set.
+func TestDurableApplyIsIncremental(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ix.hopi")
 
 	// a base collection big enough that a full rewrite dwarfs a delta
 	coll := NewCollection()
@@ -607,72 +625,77 @@ func TestDurableApplyIsIncremental(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ix.Close()
-	createPagerFn = origCreate
+	var disk dyingDisk // never armed: records the steps taken
+	setFailpoint(ix, disk.step)
 
-	totalPages := int64(cp.inner.NumPages())
+	fullBytes := ix.SegmentStats().SealedBytes
+	filesBefore := segFiles(t, path)
 	walBefore, _, _ := ix.WALSize()
-	cp.writes.Store(0)
 
 	op := scriptOp{kind: 0, name: "delta.xml", target: "base030.xml"}
 	if _, err := ix.Apply(context.Background(), buildScriptBatch(op)); err != nil {
 		t.Fatal(err)
 	}
 
-	// the apply itself must not write store pages: deltas go to the WAL
-	// (fsynced) and the buffer pool only
-	if w := cp.writes.Load(); w != 0 {
-		t.Errorf("durable Apply wrote %d store pages; want 0 (WAL-only)", w)
+	// the apply itself must not write to the store: deltas go to the WAL
+	// (fsynced) and the in-memory delta layer only
+	if got := disk.seen(); len(got) != 1 || got[0] != "wal-append" {
+		t.Errorf("durable Apply took steps %v; want the WAL append only", got)
+	}
+	filesAfter := segFiles(t, path)
+	if len(filesAfter) != len(filesBefore) {
+		t.Errorf("durable Apply changed the segment directory: %v → %v", filesBefore, filesAfter)
+	}
+	for name, size := range filesBefore {
+		if filesAfter[name] != size {
+			t.Errorf("durable Apply rewrote %s (%d → %d bytes)", name, size, filesAfter[name])
+		}
 	}
 	walAfter, _, _ := ix.WALSize()
 	walDelta := walAfter - walBefore
-	storeBytes := totalPages * storage.PageSize
 	if walDelta <= 0 {
 		t.Fatal("apply appended nothing to the WAL")
 	}
-	if walDelta > storeBytes/4 {
-		t.Errorf("single-doc insert logged %d WAL bytes vs %d store bytes — not O(delta)", walDelta, storeBytes)
+	// 13 bytes per label is what the log pays to carry the full set (a
+	// Rebuild's snapshot record)
+	if fullRecord := int64(13 * ix.Size()); walDelta > fullRecord/4 {
+		t.Errorf("single-doc insert logged %d WAL bytes vs %d for the full label set — not O(delta)", walDelta, fullRecord)
 	}
 
-	// checkpoint writes only the dirtied pages, not the whole store
+	// the checkpoint seals only the delta: one new small segment beside
+	// the untouched first one
 	if err := ix.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if w := cp.writes.Load(); w == 0 || w >= totalPages {
-		t.Errorf("checkpoint wrote %d pages of %d — want an incremental subset", w, totalPages)
+	st := ix.SegmentStats()
+	if st.Segments != 2 {
+		t.Fatalf("checkpoint left %d segments, want the base plus one delta segment", st.Segments)
+	}
+	if sealed := st.SealedBytes - fullBytes; sealed <= 0 || sealed >= fullBytes/4 {
+		t.Errorf("checkpoint sealed %d bytes beside a %d-byte base — want an incremental segment", sealed, fullBytes)
+	}
+	filesSealed := segFiles(t, path)
+	for name, size := range filesBefore {
+		if name != "MANIFEST" && filesSealed[name] != size {
+			t.Errorf("checkpoint rewrote sealed file %s", name)
+		}
 	}
 }
 
 // --- poisoning --------------------------------------------------------
 
 func TestDurablePoisonedAfterCommitFailure(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "ix.hopi")
-
-	dp := &dyingPager{}
-	dp.remaining.Store(-1)
-	origCreate := createPagerFn
-	createPagerFn = func(p string) (storage.Pager, error) {
-		inner, err := storage.CreateFilePager(p)
-		if err != nil {
-			return nil, err
-		}
-		dp.inner = inner
-		return dp, nil
-	}
-	defer func() { createPagerFn = origCreate }()
-
-	coll, base := baseCollection(t)
-	ix, err := Create(path, coll, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	path := filepath.Join(t.TempDir(), "ix.hopi")
+	ix, base := createDurable(t, path)
 	for i := 0; i < 5; i++ {
 		op := scriptOp{kind: 0, name: fmt.Sprintf("p%03d.xml", i), target: base[0]}
 		if _, err := ix.Apply(context.Background(), buildScriptBatch(op)); err != nil {
 			t.Fatalf("op %d: %v", i, err)
 		}
 	}
-	dp.remaining.Store(0) // die on the next pager op: the checkpoint flush
+	var disk dyingDisk
+	disk.arm(0) // die on the next step: the checkpoint's seal
+	setFailpoint(ix, disk.step)
 	firstErr := ix.Checkpoint()
 	if firstErr == nil {
 		t.Fatal("store death never surfaced")
@@ -681,9 +704,387 @@ func TestDurablePoisonedAfterCommitFailure(t *testing.T) {
 		t.Fatalf("unexpected error: %v", firstErr)
 	}
 	// every further write is refused fast, with the original cause
-	_, err = ix.Apply(context.Background(), buildScriptBatch(scriptOp{kind: 0, name: "late.xml", target: base[0]}))
+	_, err := ix.Apply(context.Background(), buildScriptBatch(scriptOp{kind: 0, name: "late.xml", target: base[0]}))
 	if err == nil || !errors.Is(err, errDiskDied) {
 		t.Fatalf("poisoned index accepted a write (err=%v)", err)
 	}
 	crash(ix)
+}
+
+// TestDurableManifestFsyncFailure fails exactly the fsync of the
+// segment store's manifest during a checkpoint. The seal must not be
+// taken for durable: the WAL keeps every batch, the index is poisoned,
+// the manifest still names the previous state, and a reopen recovers
+// every acknowledged batch from the log.
+func TestDurableManifestFsyncFailure(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ix.hopi")
+	ix, base := createDurable(t, path)
+	var ops []scriptOp
+	for i := 0; i < 5; i++ {
+		ops = append(ops, scriptOp{kind: 0, name: fmt.Sprintf("m%03d.xml", i), target: base[i%len(base)]})
+		if _, err := ix.Apply(context.Background(), buildScriptBatch(ops[i])); err != nil {
+			t.Fatalf("op %d: %v", i, err)
+		}
+	}
+	walBefore, lastSeq, _ := ix.WALSize()
+	if walBefore == 0 || lastSeq != 5 {
+		t.Fatalf("WAL holds %d bytes through batch %d before the checkpoint", walBefore, lastSeq)
+	}
+	setFailpoint(ix, func(step string) error {
+		if step == "manifest" {
+			return errDiskDied
+		}
+		return nil
+	})
+	if err := ix.Checkpoint(); !errors.Is(err, errDiskDied) {
+		t.Fatalf("checkpoint over a failing manifest fsync: %v", err)
+	}
+	if walAfter, _, _ := ix.WALSize(); walAfter != walBefore {
+		t.Fatalf("WAL went from %d to %d bytes although the seal never became durable", walBefore, walAfter)
+	}
+	if _, err := ix.Apply(context.Background(), buildScriptBatch(scriptOp{kind: 0, name: "late.xml", target: base[0]})); !errors.Is(err, errDiskDied) {
+		t.Fatalf("index not poisoned after the failed checkpoint (err=%v)", err)
+	}
+	// Close on a poisoned index must not retry the checkpoint
+	if err := ix.Close(); err != nil {
+		t.Fatal(err)
+	}
+	store, err := segment.OpenStore(path+segsSuffix, segment.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seq := store.Seq(); seq != 0 {
+		t.Fatalf("manifest on disk advanced to batch %d through a failed fsync", seq)
+	}
+
+	re, err := Open(path, Durable())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if _, seq, _ := re.WALSize(); seq != 5 {
+		t.Fatalf("recovered through batch %d, want 5", seq)
+	}
+	assertSameAnswers(t, re, oracle(t, ops, len(ops), true), "after the failed checkpoint")
+}
+
+// TestSaveConcurrentWithClose: Save decides between "checkpoint the
+// attached store" and "write a full copy" from ix.dur, which Close
+// clears; both must look at it under the index lock (run with -race).
+// The copy's sidecar goes through the same atomic replace as the
+// attached one, so no temp file is left behind.
+func TestSaveConcurrentWithClose(t *testing.T) {
+	dir := t.TempDir()
+	ix, base := createDurable(t, filepath.Join(dir, "ix.hopi"))
+	op := scriptOp{kind: 0, name: "s000.xml", target: base[0]}
+	if _, err := ix.Apply(context.Background(), buildScriptBatch(op)); err != nil {
+		t.Fatal(err)
+	}
+	backup := filepath.Join(dir, "backup.hopi")
+	saved := make(chan error, 1)
+	go func() { saved <- ix.Save(backup) }()
+	if err := ix.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-saved; err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(backup + collSuffix + ".tmp"); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("Save left its sidecar temp file behind (err %v)", err)
+	}
+	re, err := Open(backup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameAnswers(t, re, oracle(t, []scriptOp{op}, 1, true), "backup")
+}
+
+// --- files that are not a store ----------------------------------------
+
+// TestOpenRejectsLegacyPageStoreFile: an index written by the retired
+// page-store backend is a regular file at path with a sidecar and no
+// path.segs. Both open modes must say so and point at hopibuild — not
+// panic, and not come up as an empty index.
+func TestOpenRejectsLegacyPageStoreFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "old.hopi")
+	if err := os.WriteFile(path, make([]byte, 3*4096), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	coll, _ := baseCollection(t)
+	if err := writeCollFile(path+collSuffix, coll.c, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range [][]OpenOption{nil, {Durable()}} {
+		ix, err := Open(path, opts...)
+		if err == nil {
+			t.Fatalf("Open(%d options) of a page-store file succeeded with %d labels", len(opts), ix.Size())
+		}
+		if !strings.Contains(err.Error(), "rebuild with hopibuild") {
+			t.Fatalf("Open(%d options): error does not say how to recover: %v", len(opts), err)
+		}
+	}
+	// a path with nothing at all is plain not-found
+	if _, err := Open(filepath.Join(t.TempDir(), "none.hopi"), Durable()); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("Open of a missing store: %v", err)
+	}
+}
+
+// --- seals, compaction and readers ---------------------------------------
+
+// TestDurableAutoSealAndCompaction drives enough churn through a tiny
+// seal threshold and stack bound that Apply seals mid-script and the
+// background compactor folds the stack, all while the index keeps
+// serving correct answers and previously issued resume tokens stay
+// valid (checkpoints do not advance the epoch).
+func TestDurableAutoSealAndCompaction(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ix.hopi")
+	ix, base := createDurable(t, path, SegmentThreshold(16), SegmentMaxStack(2))
+	defer ix.Close()
+
+	ops := randomScript(rand.New(rand.NewSource(3)), base, 50, false)
+	half := len(ops) / 2
+	for i := 0; i < half; i++ {
+		if _, err := ix.Apply(context.Background(), buildScriptBatch(ops[i])); err != nil {
+			t.Fatalf("op %d: %v", i, err)
+		}
+	}
+
+	// issue a cursor mid-churn, then checkpoint explicitly: the token
+	// must survive the seal (same logical state, same epoch)
+	snap := ix.Snapshot()
+	pq, err := Prepare("//article//author")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur, err := snap.Run(context.Background(), pq, QueryLimit(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur.Next()
+	token := cur.Token()
+	if err := ix.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if token != "" {
+		if _, err := ix.Snapshot().Run(context.Background(), pq, QueryResume(token)); err != nil {
+			t.Fatalf("resume token died across a seal checkpoint: %v", err)
+		}
+	}
+
+	for i := half; i < len(ops); i++ {
+		if _, err := ix.Apply(context.Background(), buildScriptBatch(ops[i])); err != nil {
+			t.Fatalf("op %d: %v", i, err)
+		}
+	}
+	assertSameAnswers(t, ix, oracle(t, ops, len(ops), true), "after auto-seals")
+
+	st := ix.SegmentStats()
+	if st.SealedSeq == 0 {
+		t.Fatalf("threshold never sealed: %+v", st)
+	}
+	// drain the compactor: with MaxStack 2 the stack must eventually
+	// fold back under the bound
+	deadline := time.Now().Add(10 * time.Second)
+	for time.Now().Before(deadline) {
+		st = ix.SegmentStats()
+		if st.CompactionBacklog == 0 {
+			break
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if st.CompactionBacklog != 0 {
+		t.Fatalf("compaction backlog never drained: %+v", st)
+	}
+	if st.Compactions == 0 {
+		t.Fatalf("no compaction ran despite MaxStack 2: %+v", st)
+	}
+}
+
+// TestDurableQueryEquivalenceUnderChurn runs the durable index and
+// a flat in-memory twin through the same script while readers verify,
+// on identical snapshots, that boolean, ranked, and resume-token page
+// walks return identical results. Run with -race this also exercises
+// reads against the mmap'd base concurrent with seals and compactions.
+func TestDurableQueryEquivalenceUnderChurn(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ix.hopi")
+	seg, base := createDurable(t, path, SegmentThreshold(8), SegmentMaxStack(2))
+	defer seg.Close()
+	coll2, _ := baseCollection(t)
+	bopts := DefaultOptions()
+	bopts.WithDistance = true
+	bopts.Seed = 1
+	flat, err := Build(coll2, bopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	exprs := []string{"//article//author", "//bib//title", "/article/cite", "//book//author"}
+	compare := func(stage int) {
+		t.Helper()
+		ss, fs := seg.Snapshot(), flat.Snapshot()
+		for _, expr := range exprs {
+			sres, err := ss.Query(expr)
+			if err != nil {
+				t.Fatalf("stage %d %q seg: %v", stage, expr, err)
+			}
+			fres, err := fs.Query(expr)
+			if err != nil {
+				t.Fatalf("stage %d %q flat: %v", stage, expr, err)
+			}
+			if len(sres) != len(fres) {
+				t.Fatalf("stage %d %q: %d vs %d results", stage, expr, len(sres), len(fres))
+			}
+			for i := range sres {
+				if sres[i].Element != fres[i].Element || sres[i].Doc != fres[i].Doc {
+					t.Fatalf("stage %d %q result %d: %+v vs %+v", stage, expr, i, sres[i], fres[i])
+				}
+			}
+			// ranked: scores must match exactly (same distances)
+			srk, err := ss.QueryRanked(expr)
+			if err != nil {
+				t.Fatalf("stage %d ranked %q seg: %v", stage, expr, err)
+			}
+			frk, err := fs.QueryRanked(expr)
+			if err != nil {
+				t.Fatalf("stage %d ranked %q flat: %v", stage, expr, err)
+			}
+			if len(srk) != len(frk) {
+				t.Fatalf("stage %d ranked %q: %d vs %d", stage, expr, len(srk), len(frk))
+			}
+			for i := range srk {
+				if srk[i].Element != frk[i].Element || srk[i].Score != frk[i].Score {
+					t.Fatalf("stage %d ranked %q result %d: %+v vs %+v", stage, expr, i, srk[i], frk[i])
+				}
+			}
+			// page walk: 2-at-a-time cursor over the segmented snapshot
+			// must enumerate exactly the full result set
+			pq, err := Prepare(expr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var walked []QueryResult
+			token := ""
+			for {
+				opts := []QueryOption{QueryLimit(2)}
+				if token != "" {
+					opts = append(opts, QueryResume(token))
+				}
+				cur, err := ss.Run(context.Background(), pq, opts...)
+				if err != nil {
+					t.Fatalf("stage %d walk %q: %v", stage, expr, err)
+				}
+				got := 0
+				for cur.Next() {
+					walked = append(walked, cur.Result())
+					got++
+				}
+				if err := cur.Err(); err != nil {
+					t.Fatalf("stage %d walk %q: %v", stage, expr, err)
+				}
+				token = cur.Token()
+				if got < 2 || token == "" {
+					break
+				}
+			}
+			if len(walked) != len(fres) {
+				t.Fatalf("stage %d walk %q: %d walked, %d expected", stage, expr, len(walked), len(fres))
+			}
+			for i := range walked {
+				if walked[i].Element != fres[i].Element {
+					t.Fatalf("stage %d walk %q item %d: %v vs %v", stage, expr, i, walked[i].Element, fres[i].Element)
+				}
+			}
+		}
+	}
+
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	readErr := make(chan error, 1)
+	wg.Add(1)
+	go func() {
+		// concurrent reader on the segmented side only: races against
+		// seals and compactions, correctness checked by the main loop
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			snap := seg.Snapshot()
+			if _, err := snap.Query("//article//author"); err != nil {
+				select {
+				case readErr <- fmt.Errorf("concurrent query: %w", err):
+				default:
+				}
+				return
+			}
+		}
+	}()
+
+	ops := randomScript(rand.New(rand.NewSource(11)), base, 60, true)
+	for i, op := range ops {
+		if _, err := seg.Apply(context.Background(), buildScriptBatch(op)); err != nil {
+			t.Fatalf("seg op %d: %v", i, err)
+		}
+		if _, err := flat.Apply(context.Background(), buildScriptBatch(op)); err != nil {
+			t.Fatalf("flat op %d: %v", i, err)
+		}
+		if i%10 == 9 {
+			compare(i)
+		}
+	}
+	compare(len(ops))
+	close(stop)
+	wg.Wait()
+	select {
+	case err := <-readErr:
+		t.Fatal(err)
+	default:
+	}
+}
+
+// TestDurableReplication bootstraps a follower from the primary's
+// sealed files, converges it under churn, and checks label
+// equality — the verbatim-file bootstrap path end to end.
+func TestDurableReplication(t *testing.T) {
+	dir := t.TempDir()
+	ix, base := createDurable(t, filepath.Join(dir, "p.hopi"), SegmentThreshold(16))
+	defer ix.Close()
+	// churn before the follower exists so the image has sealed segments
+	// and a non-empty residual delta
+	ops := randomScript(rand.New(rand.NewSource(5)), base, 40, true)
+	half := len(ops) / 2
+	for i := 0; i < half; i++ {
+		if _, err := ix.Apply(context.Background(), buildScriptBatch(ops[i])); err != nil {
+			t.Fatalf("op %d: %v", i, err)
+		}
+	}
+	p := startReplPrimary(t, ix, "", PublishTail(4), PublishHeartbeat(20*time.Millisecond))
+	defer p.stop()
+
+	fol, err := Follow(p.streamURL(),
+		FollowTimeout(15*time.Second),
+		FollowDir(dir),
+		FollowReconnect(5*time.Millisecond, 100*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fol.Close()
+	if !fol.ix.Cover().Seg() {
+		t.Fatal("follower did not adopt the primary's segment files")
+	}
+	waitCaughtUp(t, fol, ix)
+	assertLabelEquality(t, fol, ix, "after bootstrap")
+
+	// keep churning (including rebuilds, which ship as wholesale
+	// ClearAll snapshots and flip the follower back to flat mode)
+	for i := half; i < len(ops); i++ {
+		if _, err := ix.Apply(context.Background(), buildScriptBatch(ops[i])); err != nil {
+			t.Fatalf("op %d: %v", i, err)
+		}
+	}
+	waitCaughtUp(t, fol, ix)
+	assertLabelEquality(t, fol, ix, "after churn")
+	assertSameAnswers(t, fol, oracle(t, ops, len(ops), true), "follower vs oracle")
 }

@@ -2,7 +2,7 @@
 // engine — the query //book//author should rank an author sitting
 // directly under a book higher than one that is only reachable over a
 // long chain of links. The example also demonstrates querying the
-// persisted, database-backed index (§3.4) through the page store.
+// persisted index (§3.4) straight from its sealed segment files.
 package main
 
 import (
@@ -59,7 +59,8 @@ func main() {
 	fmt.Println()
 
 	// The same distances back the SQL-style MIN(LOUT.DIST+LIN.DIST)
-	// lookups on the persisted store.
+	// lookups on the persisted store: Open reads the sealed LIN/LOUT
+	// segments through mmap without inflating them into memory.
 	dir, err := os.MkdirTemp("", "hopi-ranked")
 	if err != nil {
 		log.Fatal(err)
@@ -69,21 +70,21 @@ func main() {
 	if err := ix.Save(path); err != nil {
 		log.Fatal(err)
 	}
-	store, err := hopi.OpenStore(path)
+	stored, err := hopi.Open(path)
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer store.Close()
 
 	catalog, _ := coll.DocByName("catalog.xml")
 	people, _ := coll.DocByName("people.xml")
 	xmlBook, _ := coll.Anchor(catalog, "xml")
 	committee, _ := coll.Anchor(people, "committee")
-	d, err := store.Distance(xmlBook, committee)
+	d, err := stored.Distance(xmlBook, committee)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("page-store distance book#xml → people#committee: %d\n", d)
-	fmt.Printf("store holds %d label entries (%d integers incl. backward indexes)\n",
-		store.Entries(), store.StoredIntegers())
+	fmt.Printf("stored distance book#xml → people#committee: %d\n", d)
+	st := stored.SegmentStats()
+	fmt.Printf("store holds %d label entries in %d sealed bytes (%.2f B/label incl. backward indexes)\n",
+		st.LiveEntries, st.SealedBytes, st.BytesPerLabel)
 }

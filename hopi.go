@@ -52,12 +52,14 @@
 // built on snapshots, with an LRU prepared-statement cache, paginated
 // and NDJSON-streaming query endpoints, and GET /explain.
 //
-// The index can be persisted to a page-based store with Save/Open —
-// or, with Create / Open(path, Durable()), kept attached to the store
-// as a live, crash-recoverable backend: Apply write-ahead logs every
-// maintenance batch before publishing it and updates the stored cover
-// incrementally, Checkpoint folds the log into the store, and a
-// restart replays any log tail a crash left behind.
+// The index can be persisted with Save/Open as a store of immutable
+// compressed label segments (path+".segs") beside the encoded
+// collection (path+".coll") — or, with Create / Open(path, Durable()),
+// kept attached to that store as a live, crash-recoverable backend:
+// Apply write-ahead logs every maintenance batch (path+".wal") before
+// publishing it, Checkpoint seals the logged changes into a new segment
+// and truncates the log, and a restart replays any log tail a crash
+// left behind.
 package hopi
 
 import (
@@ -72,7 +74,6 @@ import (
 	"hopi/internal/partition"
 	"hopi/internal/replication"
 	"hopi/internal/segment"
-	"hopi/internal/storage"
 )
 
 // Infinite is the distance reported for unreachable element pairs.
@@ -425,51 +426,36 @@ func (ix *Index) Rebuild() error {
 
 // --- persistence ------------------------------------------------------
 
-// Save persists the index to path (a page-based cover store with
-// forward and backward indexes, as in the paper's database deployment)
-// and the collection to path+".coll". It takes the read lock, so it is
-// safe to call concurrently with Apply.
+// Save persists the index as a segment store at path+".segs" — the
+// complete label set sealed as one compressed segment, the LIN/LOUT
+// tables with their forward and backward indexes of the paper's
+// database deployment (§3.4) — and the collection to path+".coll".
+// Save holds the read lock while it writes, so it is safe to call
+// concurrently with Apply.
 //
 // On a durable index saving to its attached path, Save is a
-// Checkpoint — an incremental flush of the pages dirtied since the
-// last one, not a full rewrite. Saving to any other path writes an
+// Checkpoint — one new segment holding the changes since the last
+// one, not a full rewrite. Saving to any other path writes an
 // independent full copy (a cold backup).
 func (ix *Index) Save(path string) error {
+	ix.mu.RLock()
 	if ix.dur != nil && path == ix.dur.path {
+		ix.mu.RUnlock()
 		return ix.Checkpoint()
 	}
-	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	fp, err := storage.CreateFilePager(path)
-	if err != nil {
+	if _, _, err := sealFull(path, ix.ix.Cover(), segment.Options{}); err != nil {
 		return err
 	}
-	st, err := storage.CreateCoverStore(fp, 1024, ix.coll.c.NumAllocatedIDs(), ix.ix.Cover().WithDist)
-	if err != nil {
-		fp.Close()
-		return err
-	}
-	if err := st.FromCover(ix.ix.Cover()); err != nil {
-		st.Close()
-		return err
-	}
-	if err := st.Close(); err != nil {
-		return err
-	}
-	f, err := os.Create(path + ".coll")
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return ix.coll.Encode(f)
+	return writeCollFile(path+collSuffix, ix.coll.c, 0, 0)
 }
 
 // Open loads an index saved with Save or Create. By default the
-// returned index answers queries from the in-memory cover and leaves
-// the files untouched; with the Durable option the store stays
-// attached as the live backend — maintenance batches are write-ahead
-// logged and applied to the store in place, and a WAL tail left by a
-// crash is replayed first (see Create, Checkpoint, Close).
+// returned index answers queries from the sealed segments (read
+// through mmap) and leaves the files untouched; with the Durable
+// option the store stays attached as the live backend — maintenance
+// batches are write-ahead logged and sealed into it, and a WAL tail
+// left by a crash is replayed first (see Create, Checkpoint, Close).
 func Open(path string, opts ...OpenOption) (*Index, error) {
 	var cfg openConfig
 	for _, o := range opts {
@@ -478,7 +464,11 @@ func Open(path string, opts ...OpenOption) (*Index, error) {
 	if cfg.durable {
 		return openDurable(path, &cfg)
 	}
-	f, err := os.Open(path + ".coll")
+	store, err := openStore(path, segment.Options{})
+	if err != nil {
+		return nil, err
+	}
+	f, err := os.Open(path + collSuffix)
 	if err != nil {
 		return nil, fmt.Errorf("hopi: open collection: %w", err)
 	}
@@ -487,43 +477,7 @@ func Open(path string, opts ...OpenOption) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	if segment.IsStore(path + segsSuffix) {
-		// segment-backed store: no B-tree file exists at path; load the
-		// sealed labels into memory and leave the files untouched
-		return openFromSegments(path, coll)
-	}
-	fp, err := storage.OpenFilePager(path)
-	if err != nil {
-		return nil, err
-	}
-	st, err := storage.OpenCoverStore(fp, 1024)
-	if err != nil {
-		fp.Close()
-		return nil, err
-	}
-	cover, err := st.ToCover()
-	st.Close()
-	if err != nil {
-		return nil, err
-	}
-	cix := core.NewFromCover(coll.c, cover)
-	h := &Index{coll: coll, ix: cix, scope: newEpoch()}
+	h := &Index{coll: coll, ix: core.NewFromCover(coll.c, sealedCover(store)), scope: newEpoch()}
 	h.epoch.Store(newEpoch())
 	return h, nil
-}
-
-// OpenStore opens the on-disk cover store directly for query-only
-// access without materializing the cover in memory — the §3.4
-// deployment mode where every lookup is an index scan.
-func OpenStore(path string) (*storage.CoverStore, error) {
-	fp, err := storage.OpenFilePager(path)
-	if err != nil {
-		return nil, err
-	}
-	st, err := storage.OpenCoverStore(fp, 1024)
-	if err != nil {
-		fp.Close()
-		return nil, err
-	}
-	return st, nil
 }

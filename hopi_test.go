@@ -167,6 +167,12 @@ func TestSaveOpenRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if re.Size() != ix.Size() {
+		t.Errorf("stored index holds %d label entries, built one %d", re.Size(), ix.Size())
+	}
+	if st := re.SegmentStats(); !st.Enabled || st.Segments != 1 || st.LiveEntries != int64(ix.Size()) {
+		t.Errorf("Save did not write a one-segment store: %+v", st)
+	}
 	coll2 := re.Collection()
 	a2, ok := coll2.DocByName("a.xml")
 	if !ok {
@@ -193,33 +199,6 @@ func TestSaveOpenRoundTrip(t *testing.T) {
 	}
 	if err := re.Validate(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestOpenStoreQueries(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "demo.hopi")
-	ix := demoIndex(t, false)
-	coll := ix.Collection()
-	if err := ix.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	st, err := OpenStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	a, _ := coll.DocByName("a.xml")
-	b, _ := coll.DocByName("b.xml")
-	got, err := st.Reaches(coll.ElemID(a, 0), coll.ElemID(b, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got {
-		t.Error("store query disagrees with in-memory index")
-	}
-	if int64(ix.Size()) != st.Entries() {
-		t.Errorf("entries: %d vs %d", ix.Size(), st.Entries())
 	}
 }
 

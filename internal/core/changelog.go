@@ -42,7 +42,8 @@ type CollOp struct {
 // within each stream. The two streams are independent — cover deltas
 // carry global IDs and explicit grow sizes, so they never consult the
 // collection — which lets recovery replay them against different
-// backends (the collection in memory, the cover into a CoverStore).
+// backends (the collection in memory, the cover into a segment-mode
+// cover over its sealed base).
 type ChangeLog struct {
 	Coll  []CollOp
 	Cover []twohop.CoverDelta

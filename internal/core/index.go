@@ -64,9 +64,9 @@ func DefaultOptions() Options {
 	}
 }
 
-// NewFromCover wraps an existing cover (for example one loaded from a
-// storage.CoverStore) as a queryable, maintainable index. The options
-// are used for future Rebuild calls.
+// NewFromCover wraps an existing cover (for example one adopting the
+// sealed segments of a store) as a queryable, maintainable index. The
+// options are used for future Rebuild calls.
 func NewFromCover(c *xmlmodel.Collection, cover *twohop.Cover) *Index {
 	return newIndex(c, cover, DefaultOptions(), BuildStats{})
 }

@@ -49,12 +49,12 @@ type SegFile struct {
 
 // Image is a full state snapshot used to bootstrap an empty follower
 // (or reset one that lagged past the retained history): the encoded
-// collection plus the cover state, consistent as of Seq. A primary
-// with a flat cover flattens it into the replayable Ops delta stream;
-// a segmented primary ships its sealed segment files verbatim in
-// Files (with N and Live describing the adopted shape) — the bytes
-// come straight from the primary's mappings, cut without holding the
-// index lock across the encode. Scope is the primary's replication-
+// collection plus the cover state, consistent as of Seq. The primary
+// ships its sealed segment files verbatim in Files (with N and Live
+// describing the adopted shape) — the bytes come straight from the
+// primary's mappings, cut without holding the index lock across the
+// encode — and its unsealed in-memory delta as the replayable Ops
+// stream on top. Scope is the primary's replication-
 // scope identity, which followers adopt so resume tokens are honored
 // only within one replication group.
 type Image struct {

@@ -1,6 +1,8 @@
 package segment
 
 import (
+	"bytes"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -11,7 +13,7 @@ import (
 func randPosts(rng *rand.Rand, n int, withDist, withTombs bool) []Post {
 	vals := map[int32]bool{}
 	for len(vals) < n {
-		vals[int32(rng.Intn(n * 8))] = true
+		vals[int32(rng.Intn(n*8))] = true
 	}
 	posts := make([]Post, 0, n)
 	for v := range vals {
@@ -215,6 +217,66 @@ func TestSealEmptyAdvancesSeq(t *testing.T) {
 	}
 }
 
+var errInjected = errors.New("injected manifest failure")
+
+// TestManifestCommitFailureLeavesStoreUnchanged fails the manifest
+// fsync under Seal, Reset and Compact: each must report the error and
+// leave the in-memory manifest, the stack and the MANIFEST file at the
+// last committed state — a caller that sees the error must not find a
+// sequence the disk never recorded.
+func TestManifestCommitFailureLeavesStoreUnchanged(t *testing.T) {
+	dir := t.TempDir()
+	s, err := CreateStore(dir, false, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var f1, f2 [NumFamilies][]Rec
+	f1[FamLin] = []Rec{{Key: 1, Posts: []Post{{Val: 4}}}}
+	f2[FamLin] = []Rec{{Key: 1, Posts: []Post{{Val: 5}}}}
+	if _, err := s.Seal(1, 10, 1, f1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Seal(2, 10, 2, f2); err != nil {
+		t.Fatal(err)
+	}
+	committed, err := os.ReadFile(filepath.Join(dir, manifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stack := s.Current()
+
+	s.SetFailpoint(func(string) error { return errInjected })
+	mutations := map[string]func() error{
+		"Seal":    func() error { _, err := s.Seal(3, 10, 3, f1); return err },
+		"Reset":   func() error { _, err := s.Reset(3, 10, 1, f1); return err },
+		"Compact": func() error { _, err := s.Compact(); return err },
+	}
+	for name, mutate := range mutations {
+		if err := mutate(); !errors.Is(err, errInjected) {
+			t.Fatalf("%s over a failing manifest commit: %v", name, err)
+		}
+		if seq, _, _, live := s.Info(); seq != 2 || live != 2 {
+			t.Fatalf("%s: failed commit moved the manifest to seq %d live %d", name, seq, live)
+		}
+		if s.Current() != stack {
+			t.Fatalf("%s: failed commit swapped the stack", name)
+		}
+		onDisk, err := os.ReadFile(filepath.Join(dir, manifestName))
+		if err != nil || !bytes.Equal(onDisk, committed) {
+			t.Fatalf("%s: MANIFEST changed on disk (err %v)", name, err)
+		}
+	}
+
+	// the store recovers once the disk does
+	s.SetFailpoint(nil)
+	if _, err := s.Seal(3, 10, 3, f1); err != nil {
+		t.Fatal(err)
+	}
+	if s.Seq() != 3 {
+		t.Fatalf("Seq = %d after the retried seal", s.Seq())
+	}
+}
+
 func TestCrashMidCompaction(t *testing.T) {
 	dir := t.TempDir()
 	s, err := CreateStore(dir, false, Options{})
@@ -232,15 +294,11 @@ func TestCrashMidCompaction(t *testing.T) {
 	}
 	wantLive, _ := s.Current().Live(FamLout, 3)
 
-	// crash after the compacted file lands but before the manifest
-	testCompactCrash = func() { panic("crash") }
-	defer func() { testCompactCrash = nil }()
-	func() {
-		defer func() { recover() }()
-		s.Compact()
-		t.Fatal("compact did not crash")
-	}()
-	testCompactCrash = nil
+	// die after the compacted file lands but before the manifest commits
+	s.SetFailpoint(func(string) error { return errInjected })
+	if _, err := s.Compact(); !errors.Is(err, errInjected) {
+		t.Fatalf("compact over a failing manifest commit: %v", err)
+	}
 
 	// the orphan compacted file exists on disk
 	entries, _ := os.ReadDir(dir)

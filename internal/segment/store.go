@@ -28,6 +28,19 @@ type Store struct {
 
 	compactMu   sync.Mutex // at most one compaction at a time
 	compactions atomic.Uint64
+
+	// failpoint, when set (tests only), is consulted before the
+	// manifest temp file is fsynced; a non-nil error fails the commit
+	// exactly like a failed fsync. Guarded by mu.
+	failpoint func(step string) error
+}
+
+// SetFailpoint installs fn (nil removes it) as the store's fault
+// injector; see the failpoint field. Production code never calls it.
+func (s *Store) SetFailpoint(fn func(step string) error) {
+	s.mu.Lock()
+	s.failpoint = fn
+	s.mu.Unlock()
 }
 
 // Options tunes a Store.
@@ -69,9 +82,8 @@ func CreateStore(dir string, withDist bool, opts Options) (*Store, error) {
 		return nil, err
 	}
 	s := &Store{dir: dir, opts: opts}
-	s.man = manifest{Version: 1, WithDist: withDist, NextID: 1}
 	s.stack.Store(&Stack{})
-	if err := s.writeManifest(); err != nil {
+	if err := s.commitManifest(manifest{Version: 1, WithDist: withDist, NextID: 1}); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -124,23 +136,43 @@ func (s *Store) cleanupOrphans() {
 	}
 }
 
-func (s *Store) writeManifest() error {
-	raw, err := json.Marshal(&s.man)
+// commitManifest makes man the store's durable manifest — temp file,
+// fsync, rename, directory sync, every error checked before the rename
+// — and only then the in-memory one: a failed commit leaves s.man (and
+// the MANIFEST file) at the previous state. The caller holds s.mu or
+// has sole access to the store.
+func (s *Store) commitManifest(man manifest) error {
+	raw, err := json.Marshal(&man)
 	if err != nil {
 		return err
 	}
 	tmp := filepath.Join(s.dir, manifestName+".tmp")
-	if err := os.WriteFile(tmp, raw, 0o644); err != nil {
+	f, err := os.Create(tmp)
+	if err != nil {
 		return err
 	}
-	if f, err := os.Open(tmp); err == nil {
-		f.Sync()
-		f.Close()
+	_, err = f.Write(raw)
+	if err == nil && s.failpoint != nil {
+		err = s.failpoint("manifest")
 	}
-	if err := os.Rename(tmp, filepath.Join(s.dir, manifestName)); err != nil {
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, filepath.Join(s.dir, manifestName))
+	}
+	if err != nil {
+		os.Remove(tmp)
 		return err
 	}
-	return syncDir(s.dir)
+	if err := syncDir(s.dir); err != nil {
+		return err
+	}
+	s.man = man
+	return nil
 }
 
 func syncDir(dir string) error {
@@ -173,15 +205,10 @@ func (s *Store) Info() (seq uint64, n int, withDist bool, live int64) {
 // Dir returns the store directory.
 func (s *Store) Dir() string { return s.dir }
 
-// Seal writes one new segment from the given per-family records
-// (sorted by key; posts sorted by Val) and commits a manifest naming
-// it, advancing the sealed sequence to seq and the live label count
-// to live. When every family is empty no file is written but the
-// manifest still advances — a checkpoint with an empty delta must
-// still fold the WAL idempotently. Returns the new stack.
-func (s *Store) Seal(seq uint64, n int, live int64, fams [NumFamilies][]Rec) (*Stack, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// writeRecs writes the given per-family records (sorted by key; posts
+// sorted by Val) as segment file number id and opens it. An all-empty
+// record set writes nothing and returns a nil segment.
+func (s *Store) writeRecs(id, seq uint64, n int, fams [NumFamilies][]Rec) (*Segment, error) {
 	empty := true
 	for _, recs := range fams {
 		if len(recs) > 0 {
@@ -189,44 +216,53 @@ func (s *Store) Seal(seq uint64, n int, live int64, fams [NumFamilies][]Rec) (*S
 			break
 		}
 	}
-	if !empty {
-		name := fmt.Sprintf("seg-%06d.seg", s.man.NextID)
-		path := filepath.Join(s.dir, name)
-		meta := Meta{N: n, WithDist: s.man.WithDist, Seq: seq}
-		_, err := WriteFile(path, meta, func(w *Writer) error {
-			for fam := Family(0); fam < NumFamilies; fam++ {
-				for _, r := range fams[fam] {
-					if err := w.Append(fam, r.Key, r.Posts); err != nil {
-						return err
-					}
+	if empty {
+		return nil, nil
+	}
+	path := filepath.Join(s.dir, fmt.Sprintf("seg-%06d.seg", id))
+	meta := Meta{N: n, WithDist: s.man.WithDist, Seq: seq}
+	_, err := WriteFile(path, meta, func(w *Writer) error {
+		for fam := Family(0); fam < NumFamilies; fam++ {
+			for _, r := range fams[fam] {
+				if err := w.Append(fam, r.Key, r.Posts); err != nil {
+					return err
 				}
 			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
 		}
-		seg, err := Open(path)
-		if err != nil {
-			return nil, err
-		}
-		man := s.man
-		man.NextID++
-		man.Seq, man.N, man.Live = seq, n, live
-		man.Segments = append(append([]string(nil), s.man.Segments...), name)
-		s.man = man
-		if err := s.writeManifest(); err != nil {
-			return nil, err
-		}
-		next := s.stack.Load().Push(seg)
-		s.stack.Store(next)
-		return next, nil
-	}
-	s.man.Seq, s.man.N, s.man.Live = seq, n, live
-	if err := s.writeManifest(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	return s.stack.Load(), nil
+	return Open(path)
+}
+
+// Seal writes one new segment from the given per-family records and
+// commits a manifest naming it, advancing the sealed sequence to seq
+// and the live label count to live. When every family is empty no
+// file is written but the manifest still advances — a checkpoint with
+// an empty delta must still fold the WAL idempotently. Returns the new
+// stack; on error the manifest and the stack are unchanged.
+func (s *Store) Seal(seq uint64, n int, live int64, fams [NumFamilies][]Rec) (*Stack, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	seg, err := s.writeRecs(s.man.NextID, seq, n, fams)
+	if err != nil {
+		return nil, err
+	}
+	man := s.man
+	man.Seq, man.N, man.Live = seq, n, live
+	next := s.stack.Load()
+	if seg != nil {
+		man.NextID++
+		man.Segments = append(append([]string(nil), s.man.Segments...), filepath.Base(seg.path))
+		next = next.Push(seg)
+	}
+	if err := s.commitManifest(man); err != nil {
+		return nil, err
+	}
+	s.stack.Store(next)
+	return next, nil
 }
 
 // MaxStack returns the effective compaction threshold.
@@ -239,11 +275,6 @@ func (s *Store) NeedsCompaction() bool {
 
 // Compactions returns how many compactions have completed.
 func (s *Store) Compactions() uint64 { return s.compactions.Load() }
-
-// testCompactCrash, when set (tests only), is called between writing
-// the compacted segment file and committing the manifest, simulating
-// a crash at the most interesting point.
-var testCompactCrash func()
 
 // Compact folds the entire current stack into one segment, dropping
 // tombstones, and atomically replaces the stack prefix with it.
@@ -283,9 +314,6 @@ func (s *Store) Compact() (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	if testCompactCrash != nil {
-		testCompactCrash()
-	}
 	merged, err := Open(path)
 	if err != nil {
 		return false, err
@@ -303,8 +331,7 @@ func (s *Store) Compact() (bool, error) {
 	}
 	man := s.man
 	man.Segments = names
-	s.man = man
-	if err := s.writeManifest(); err != nil {
+	if err := s.commitManifest(man); err != nil {
 		s.mu.Unlock()
 		return false, err
 	}
@@ -321,7 +348,8 @@ func (s *Store) Compact() (bool, error) {
 // Reset replaces the entire stack with one segment built from the
 // given complete record set — the wholesale swap behind an index
 // Rebuild, where incremental tombstones cannot express the change.
-// Crash-atomic like Seal; replaced files are unlinked after the
+// Crash-atomic like Seal, and like Seal it leaves the manifest and the
+// stack unchanged on error; replaced files are unlinked after the
 // manifest commit (pinned stacks keep reading them through their
 // mappings). An all-empty record set resets to an empty stack.
 func (s *Store) Reset(seq uint64, n int, live int64, fams [NumFamilies][]Rec) (*Stack, error) {
@@ -330,59 +358,25 @@ func (s *Store) Reset(seq uint64, n int, live int64, fams [NumFamilies][]Rec) (*
 	s.compactMu.Lock()
 	defer s.compactMu.Unlock()
 
-	empty := true
-	for _, recs := range fams {
-		if len(recs) > 0 {
-			empty = false
-			break
-		}
-	}
-	var (
-		segs  []*Segment
-		names []string
-	)
-	if !empty {
-		s.mu.Lock()
-		id := s.man.NextID
-		s.man.NextID++
-		s.mu.Unlock()
-		name := fmt.Sprintf("seg-%06d.seg", id)
-		path := filepath.Join(s.dir, name)
-		meta := Meta{N: n, WithDist: s.man.WithDist, Seq: seq}
-		_, err := WriteFile(path, meta, func(w *Writer) error {
-			for fam := Family(0); fam < NumFamilies; fam++ {
-				for _, r := range fams[fam] {
-					if err := w.Append(fam, r.Key, r.Posts); err != nil {
-						return err
-					}
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		seg, err := Open(path)
-		if err != nil {
-			return nil, err
-		}
-		segs, names = []*Segment{seg}, []string{name}
-	}
-
 	s.mu.Lock()
-	old := s.stack.Load()
-	man := s.man
-	man.Seq, man.N, man.Live = seq, n, live
-	man.Segments = names
-	s.man = man
-	if err := s.writeManifest(); err != nil {
-		s.mu.Unlock()
+	defer s.mu.Unlock()
+	seg, err := s.writeRecs(s.man.NextID, seq, n, fams)
+	if err != nil {
 		return nil, err
 	}
-	next := &Stack{Segs: segs}
-	s.stack.Store(next)
-	s.mu.Unlock()
-
+	man := s.man
+	man.Seq, man.N, man.Live = seq, n, live
+	man.Segments = nil
+	next := &Stack{}
+	if seg != nil {
+		man.NextID++
+		man.Segments = []string{filepath.Base(seg.path)}
+		next = next.Push(seg)
+	}
+	if err := s.commitManifest(man); err != nil {
+		return nil, err
+	}
+	old := s.stack.Swap(next)
 	for _, sg := range old.Segs {
 		os.Remove(sg.path)
 	}
@@ -483,8 +477,8 @@ func InstallStore(dir string, seq uint64, n int, withDist bool, live int64, file
 	if err := s.install(files); err != nil {
 		return nil, err
 	}
-	s.man = manifest{Version: 1, Seq: seq, N: n, WithDist: withDist, Live: live, NextID: nextID, Segments: names}
-	if err := s.writeManifest(); err != nil {
+	man := manifest{Version: 1, Seq: seq, N: n, WithDist: withDist, Live: live, NextID: nextID, Segments: names}
+	if err := s.commitManifest(man); err != nil {
 		return nil, err
 	}
 	st := &Stack{}

@@ -170,9 +170,10 @@ func (c *rpcCache) do(key any, fetch func() (any, error)) (any, error) {
 	c.mu.Lock()
 	if el, ok := c.items[key]; ok {
 		c.ll.MoveToFront(el)
+		val := el.Value.(*cacheEntry).val // put may overwrite it once unlocked
 		c.mu.Unlock()
 		c.hits.Add(1)
-		return el.Value.(*cacheEntry).val, nil
+		return val, nil
 	}
 	if fl, ok := c.flights[key]; ok {
 		c.mu.Unlock()

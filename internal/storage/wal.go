@@ -1,44 +1,41 @@
+// Package storage holds the batch write-ahead log of the durable index
+// (the sealed label data itself lives in internal/segment).
 package storage
 
 import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"time"
 
 	"hopi/internal/twohop"
 )
 
-// WAL is the write-ahead log that makes CoverStore maintenance durable
-// and incremental: HOPI's §4 updates the stored cover in place, and the
-// log is what lets a crash-interrupted sequence of updates be replayed
-// instead of rebuilding the index (the paper's motivation for
-// incremental maintenance at database scale).
+// WAL is the write-ahead log that makes incremental maintenance of the
+// durable index restartable: HOPI's §4 updates the cover batch by
+// batch, and the log is what lets a crash-interrupted sequence of
+// updates be replayed over the last sealed segment state instead of
+// rebuilding the index (the paper's motivation for incremental
+// maintenance at database scale).
 //
 // The file is a sequence of length- and CRC-framed records:
 //
 //	record  := payloadLen u32 | crc32(payload) u32 | payload
-//	payload := recBatch | recCheckpoint
+//	payload := 0x01 | seq u64 | collLen u32 | coll bytes
+//	                | numOps u32 | { kind u8, node u32, center u32, dist u32 }*
 //
-//	recBatch      := 0x01 | seq u64 | collLen u32 | coll bytes
-//	                      | numOps u32 | { kind u8, node u32, center u32, dist u32 }*
-//	recCheckpoint := 0x02 | seq u64 | numPages u32 | { pageID u32, PageSize bytes }*
-//
-// All integers little endian. A batch record carries one maintenance
-// batch: an opaque collection-op payload (the caller's encoding) plus
-// the cover's label deltas. A checkpoint record carries the images of
-// every store page dirtied since the previous checkpoint — the
-// double-write journal that makes flushing those pages to the store
-// file atomic: the images are forced to the log first, so a crash
-// mid-flush recovers by re-applying them (ReplayCheckpoint).
+// All integers little endian. A record carries one maintenance batch:
+// an opaque collection-op payload (the caller's encoding) plus the
+// cover's label deltas. Any other record kind is rejected as
+// undecodable.
 //
 // Appends are forced to stable storage (fsync) before they are
-// reported committed. Reset truncates the log after a completed
-// checkpoint. A torn tail (short or CRC-mismatched final record, from
-// a crash mid-append) is detected on open and truncated away; every
-// record before it is intact by construction.
+// reported committed. Reset truncates the log after a checkpoint has
+// sealed its batches into a segment. A torn tail (short or
+// CRC-mismatched final record, from a crash mid-append) is detected on
+// open and truncated away; every record before it is intact by
+// construction.
 type WAL struct {
 	f    *os.File
 	path string
@@ -54,32 +51,18 @@ type WAL struct {
 }
 
 const (
-	walRecBatch      = 0x01
-	walRecCheckpoint = 0x02
+	walRecBatch = 0x01
 
-	// walMaxRecord bounds a single record (64 MiB for batches; checkpoint
-	// records are additionally bounded by the page count field).
+	// walMaxRecord bounds a single record (64 MiB).
 	walMaxRecord = 64 << 20
 )
 
-// PageImage is the content of one store page at checkpoint time.
-type PageImage struct {
-	ID   PageID
-	Data []byte // PageSize bytes
-}
-
-// WALRecord is one decoded log record. Exactly one of the batch fields
-// (Coll/Ops) or Pages is meaningful, discriminated by IsCheckpoint.
+// WALRecord is one decoded batch record.
 type WALRecord struct {
-	Seq        uint64
-	Coll       []byte              // batch: opaque collection-op payload
-	Ops        []twohop.CoverDelta // batch: cover label deltas
-	Pages      []PageImage         // checkpoint: dirty page images
-	checkpoint bool
+	Seq  uint64
+	Coll []byte              // opaque collection-op payload
+	Ops  []twohop.CoverDelta // cover label deltas
 }
-
-// IsCheckpoint reports whether the record is a checkpoint-image record.
-func (r *WALRecord) IsCheckpoint() bool { return r.checkpoint }
 
 // OpenWAL opens (creating if absent) the log at path, scans it, and
 // returns the intact records in order. A torn tail is truncated so the
@@ -154,58 +137,37 @@ func decodeWALPayload(p []byte) (WALRecord, error) {
 	if len(p) < 9 {
 		return rec, fmt.Errorf("storage: wal record too short")
 	}
-	typ := p[0]
+	if typ := p[0]; typ != walRecBatch {
+		return rec, fmt.Errorf("storage: unknown wal record type %d", typ)
+	}
 	rec.Seq = binary.LittleEndian.Uint64(p[1:])
 	p = p[9:]
-	switch typ {
-	case walRecBatch:
-		if len(p) < 4 {
-			return rec, fmt.Errorf("storage: truncated wal batch")
+	if len(p) < 4 {
+		return rec, fmt.Errorf("storage: truncated wal batch")
+	}
+	collLen := binary.LittleEndian.Uint32(p)
+	p = p[4:]
+	if uint64(len(p)) < uint64(collLen)+4 {
+		return rec, fmt.Errorf("storage: truncated wal batch")
+	}
+	if collLen > 0 {
+		rec.Coll = append([]byte(nil), p[:collLen]...)
+	}
+	p = p[collLen:]
+	nOps := binary.LittleEndian.Uint32(p)
+	p = p[4:]
+	if uint64(len(p)) != uint64(nOps)*13 {
+		return rec, fmt.Errorf("storage: wal batch op count mismatch")
+	}
+	rec.Ops = make([]twohop.CoverDelta, nOps)
+	for i := range rec.Ops {
+		rec.Ops[i] = twohop.CoverDelta{
+			Kind:   twohop.DeltaKind(p[0]),
+			Node:   int32(binary.LittleEndian.Uint32(p[1:])),
+			Center: int32(binary.LittleEndian.Uint32(p[5:])),
+			Dist:   binary.LittleEndian.Uint32(p[9:]),
 		}
-		collLen := binary.LittleEndian.Uint32(p)
-		p = p[4:]
-		if uint32(len(p)) < collLen+4 {
-			return rec, fmt.Errorf("storage: truncated wal batch")
-		}
-		if collLen > 0 {
-			rec.Coll = append([]byte(nil), p[:collLen]...)
-		}
-		p = p[collLen:]
-		nOps := binary.LittleEndian.Uint32(p)
-		p = p[4:]
-		if uint64(len(p)) != uint64(nOps)*13 {
-			return rec, fmt.Errorf("storage: wal batch op count mismatch")
-		}
-		rec.Ops = make([]twohop.CoverDelta, nOps)
-		for i := range rec.Ops {
-			rec.Ops[i] = twohop.CoverDelta{
-				Kind:   twohop.DeltaKind(p[0]),
-				Node:   int32(binary.LittleEndian.Uint32(p[1:])),
-				Center: int32(binary.LittleEndian.Uint32(p[5:])),
-				Dist:   binary.LittleEndian.Uint32(p[9:]),
-			}
-			p = p[13:]
-		}
-	case walRecCheckpoint:
-		rec.checkpoint = true
-		if len(p) < 4 {
-			return rec, fmt.Errorf("storage: truncated wal checkpoint")
-		}
-		nPages := binary.LittleEndian.Uint32(p)
-		p = p[4:]
-		if uint64(len(p)) != uint64(nPages)*(4+PageSize) {
-			return rec, fmt.Errorf("storage: wal checkpoint size mismatch")
-		}
-		rec.Pages = make([]PageImage, nPages)
-		for i := range rec.Pages {
-			rec.Pages[i] = PageImage{
-				ID:   PageID(binary.LittleEndian.Uint32(p)),
-				Data: append([]byte(nil), p[4:4+PageSize]...),
-			}
-			p = p[4+PageSize:]
-		}
-	default:
-		return rec, fmt.Errorf("storage: unknown wal record type %d", typ)
+		p = p[13:]
 	}
 	return rec, nil
 }
@@ -224,23 +186,6 @@ func (w *WAL) AppendBatch(seq uint64, coll []byte, ops []twohop.CoverDelta) erro
 		payload = binary.LittleEndian.AppendUint32(payload, uint32(op.Node))
 		payload = binary.LittleEndian.AppendUint32(payload, uint32(op.Center))
 		payload = binary.LittleEndian.AppendUint32(payload, op.Dist)
-	}
-	return w.append(payload)
-}
-
-// AppendCheckpoint journals the dirty page images that the following
-// store flush will write, forced to disk before returning.
-func (w *WAL) AppendCheckpoint(seq uint64, pages []PageImage) error {
-	payload := make([]byte, 0, 9+4+len(pages)*(4+PageSize))
-	payload = append(payload, walRecCheckpoint)
-	payload = binary.LittleEndian.AppendUint64(payload, seq)
-	payload = binary.LittleEndian.AppendUint32(payload, uint32(len(pages)))
-	for _, pg := range pages {
-		if len(pg.Data) != PageSize {
-			return fmt.Errorf("storage: checkpoint image for page %d has %d bytes", pg.ID, len(pg.Data))
-		}
-		payload = binary.LittleEndian.AppendUint32(payload, uint32(pg.ID))
-		payload = append(payload, pg.Data...)
 	}
 	return w.append(payload)
 }
@@ -288,7 +233,7 @@ func (w *WAL) BatchesFrom(from uint64) ([]WALRecord, bool, error) {
 	}
 	var out []WALRecord
 	for _, r := range recs {
-		if r.IsCheckpoint() || r.Seq < from {
+		if r.Seq < from {
 			continue
 		}
 		out = append(out, r)
@@ -305,7 +250,7 @@ func (w *WAL) BatchesFrom(from uint64) ([]WALRecord, bool, error) {
 }
 
 // Reset truncates the log to empty — called after a checkpoint has
-// made every logged change durable in the store itself.
+// made every logged change durable in the segment store.
 func (w *WAL) Reset() error {
 	if err := w.f.Truncate(0); err != nil {
 		return err
@@ -325,36 +270,3 @@ func (w *WAL) Empty() bool { return w.size == 0 }
 
 // Close closes the log file without truncating it.
 func (w *WAL) Close() error { return w.f.Close() }
-
-// ReplayCheckpoint finds the last complete checkpoint record in recs
-// and writes its page images back to the pager — repairing a store
-// file whose checkpoint flush was interrupted. It reports whether a
-// checkpoint record was applied. Page images are idempotent, so
-// re-applying an already-flushed checkpoint is harmless.
-func ReplayCheckpoint(p Pager, recs []WALRecord) (bool, error) {
-	var ckpt *WALRecord
-	for i := range recs {
-		if recs[i].IsCheckpoint() {
-			ckpt = &recs[i]
-		}
-	}
-	if ckpt == nil {
-		return false, nil
-	}
-	for _, pg := range ckpt.Pages {
-		for uint32(pg.ID) >= p.NumPages() {
-			if _, err := p.Allocate(); err != nil {
-				return false, err
-			}
-		}
-		if err := p.WritePage(pg.ID, pg.Data); err != nil {
-			return false, err
-		}
-	}
-	if err := p.Sync(); err != nil {
-		return false, err
-	}
-	return true, nil
-}
-
-var _ io.Closer = (*WAL)(nil)

@@ -35,9 +35,8 @@ const (
 // CoverDelta is one observable label mutation. Every change a
 // maintenance operation makes to a recording Cover — entry adds and
 // removes on Lin/Lout plus node allocation — is emitted as exactly one
-// delta, so replaying the stream with Apply (or
-// storage.CoverStore.ApplyDelta) onto a copy of the pre-batch state
-// reproduces the post-batch labels byte for byte.
+// delta, so replaying the stream with Apply onto a copy of the
+// pre-batch state reproduces the post-batch labels byte for byte.
 type CoverDelta struct {
 	Kind   DeltaKind
 	Node   int32 // labeled node; for DeltaGrow the new node count

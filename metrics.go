@@ -26,7 +26,7 @@ type indexMetrics struct {
 	// produced the results (see query.Plan.DominantMode).
 	queryLatency *obs.HistogramVec
 	applySeconds *obs.Histogram
-	maintSeconds *obs.HistogramVec // op: checkpoint | seal | compact
+	maintSeconds *obs.HistogramVec // op: seal | compact
 	walAppend    *obs.Histogram
 	walFsync     *obs.Histogram
 	walBytes     *obs.Counter
@@ -62,7 +62,7 @@ func newIndexMetrics(ix *Index) *indexMetrics {
 			"Maintenance batch latency through Apply, commit included.",
 			obs.DefLatencyBuckets),
 		maintSeconds: r.HistogramVec("hopi_maintenance_seconds",
-			"Durable maintenance durations: B-tree checkpoints, segment seals, stack compactions.",
+			"Durable maintenance durations: segment seals (checkpoints) and stack compactions.",
 			obs.DefLatencyBuckets, "op"),
 		walAppend: r.Histogram("hopi_wal_append_seconds",
 			"WAL record append latency, fsync included.",
@@ -105,7 +105,8 @@ func newIndexMetrics(ix *Index) *indexMetrics {
 		"Batches handed to follower streams by the publisher.",
 		func() float64 { return float64(ix.shippedBatches()) })
 
-	// Segment store shape; all zero on B-tree or in-memory indexes.
+	// Segment store shape; all zero on an index that never touched a
+	// store (Build without Create).
 	r.GaugeFunc("hopi_segment_stack_depth",
 		"Sealed segment files in the current stack.",
 		func() float64 { return float64(ix.SegmentStats().Segments) })

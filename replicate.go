@@ -125,46 +125,41 @@ func (s *replSource) Image() (*replication.Image, error) {
 	if d == nil {
 		return nil, errors.New("hopi: publisher detached from its store")
 	}
+	if d.err != nil {
+		// the in-memory state may be ahead of, or differently shaped from,
+		// what the store and the log hold: no consistent image exists
+		return nil, fmt.Errorf("hopi: durable backend failed earlier, reopen the index: %w", d.err)
+	}
 	seq := d.nextSeq - 1
 	var buf bytes.Buffer
 	if err := ix.coll.c.EncodeWithMeta(&buf, seq, ix.scope); err != nil {
 		return nil, err
 	}
-	cover := ix.ix.Cover()
-	if d.segs != nil && cover.Seg() {
-		// Segmented primary: ship the sealed segment files verbatim plus
-		// the unsealed in-memory delta as a replayable op tail. The lock
-		// is held only for the collection encode and the O(delta)
-		// flattening — the label payload is the mmap'd bytes themselves,
-		// captured by reference here and serialized by the stream writer
-		// after the lock is released. Compaction may unlink the files
-		// meanwhile; the pinned mappings keep the bytes alive.
-		st := d.segs.Current()
-		_, n, withDist, live, files, err := d.segs.ImageFiles(st)
-		if err != nil {
-			return nil, err
-		}
-		segFiles := make([]replication.SegFile, len(files))
-		for i, f := range files {
-			segFiles[i] = replication.SegFile{Name: f.Name, Data: f.Data}
-		}
-		return &replication.Image{
-			Seq:      seq,
-			Scope:    ix.scope,
-			WithDist: withDist,
-			Coll:     buf.Bytes(),
-			Ops:      cover.DeltaOps(),
-			N:        n,
-			Live:     live,
-			Files:    segFiles,
-		}, nil
+	// Ship the sealed segment files verbatim plus the unsealed in-memory
+	// delta as a replayable op tail. The lock is held only for the
+	// collection encode and the O(delta) flattening — the label payload
+	// is the mmap'd bytes themselves, captured by reference here and
+	// serialized by the stream writer after the lock is released.
+	// Compaction may unlink the files meanwhile; the pinned mappings keep
+	// the bytes alive. A healthy primary's cover is always in segment
+	// mode here: a Rebuild reseals before its Apply returns.
+	_, n, withDist, live, files, err := d.segs.ImageFiles(d.segs.Current())
+	if err != nil {
+		return nil, err
+	}
+	segFiles := make([]replication.SegFile, len(files))
+	for i, f := range files {
+		segFiles[i] = replication.SegFile{Name: f.Name, Data: f.Data}
 	}
 	return &replication.Image{
 		Seq:      seq,
 		Scope:    ix.scope,
-		WithDist: cover.WithDist,
+		WithDist: withDist,
 		Coll:     buf.Bytes(),
-		Ops:      cover.SnapshotDeltas(),
+		Ops:      ix.ix.Cover().DeltaOps(),
+		N:        n,
+		Live:     live,
+		Files:    segFiles,
 	}, nil
 }
 
@@ -204,8 +199,8 @@ func FollowTimeout(d time.Duration) FollowOption {
 }
 
 // FollowDir sets the directory under which a follower materializes
-// segment stores shipped by a segmented primary (one fresh
-// subdirectory per bootstrap). Defaults to the system temp directory;
+// the segment store its primary ships (one fresh subdirectory per
+// bootstrap). Defaults to the system temp directory;
 // the follower removes its subdirectories on Close.
 func FollowDir(dir string) FollowOption {
 	return func(c *followConfig) { c.dir = dir }
@@ -265,7 +260,7 @@ func Follow(url string, opts ...FollowOption) (*Index, error) {
 type replTarget struct {
 	ix    *Index
 	dir   string         // base directory for adopted segment stores
-	store *segment.Store // adopted sealed store, nil for flat bootstraps
+	store *segment.Store // adopted sealed store; nil once a local seal failed
 }
 
 func (t *replTarget) Bootstrap(img *replication.Image) error {
@@ -273,37 +268,26 @@ func (t *replTarget) Bootstrap(img *replication.Image) error {
 	if err != nil {
 		return err
 	}
-	var (
-		cover *twohop.Cover
-		store *segment.Store
-		clean func()
-	)
-	if len(img.Files) > 0 {
-		// Segmented primary: materialize the shipped files as a local
-		// store and adopt them by mmap — no label is re-encoded on
-		// either side. The residual Ops tail (the primary's unsealed
-		// delta) replays on top, bringing the cover to img.Seq.
-		dir, err := os.MkdirTemp(t.dir, "hopi-follower-*")
-		if err != nil {
-			return err
-		}
-		files := make([]segment.NamedFile, len(img.Files))
-		for i, f := range img.Files {
-			files[i] = segment.NamedFile{Name: f.Name, Data: f.Data}
-		}
-		store, err = segment.InstallStore(dir, img.Seq, img.N, img.WithDist, img.Live, files, segment.Options{})
-		if err != nil {
-			os.RemoveAll(dir)
-			return err
-		}
-		cover = &twohop.Cover{WithDist: img.WithDist}
-		cover.AdoptBase(twohop.NewBase(store.Current()), img.N, int(img.Live))
-		cover.Apply(img.Ops)
-		clean = func() { os.RemoveAll(dir) }
-	} else {
-		cover = twohop.NewCover(c.NumAllocatedIDs(), img.WithDist)
-		cover.Apply(img.Ops)
+	// Materialize the shipped files as a local store and adopt them by
+	// mmap — no label is re-encoded on either side. The residual Ops
+	// tail (the primary's unsealed delta) replays on top, bringing the
+	// cover to img.Seq.
+	dir, err := os.MkdirTemp(t.dir, "hopi-follower-*")
+	if err != nil {
+		return err
 	}
+	clean := func() { os.RemoveAll(dir) }
+	files := make([]segment.NamedFile, len(img.Files))
+	for i, f := range img.Files {
+		files[i] = segment.NamedFile{Name: f.Name, Data: f.Data}
+	}
+	store, err := segment.InstallStore(dir, img.Seq, img.N, img.WithDist, img.Live, files, segment.Options{})
+	if err != nil {
+		clean()
+		return err
+	}
+	cover := sealedCover(store)
+	cover.Apply(img.Ops)
 	cix := core.NewFromCover(c, cover)
 	ix := t.ix
 	ix.mu.Lock()

@@ -55,19 +55,6 @@ func (p *replPrimary) stop() {
 	p.srv.Close()
 }
 
-func createPrimary(t *testing.T, path string) (*Index, []string) {
-	t.Helper()
-	coll, base := baseCollection(t)
-	opts := DefaultOptions()
-	opts.WithDistance = true
-	opts.Seed = 1
-	ix, err := Create(path, coll, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ix, base
-}
-
 func followFast(t *testing.T, url string) *Index {
 	t.Helper()
 	fol, err := Follow(url,
@@ -131,7 +118,7 @@ func assertLabelEquality(t *testing.T, fol, primary *Index, label string) {
 // converges to byte-identical cover labels once the stream quiesces.
 func TestReplicationFollowerConvergesUnderLoad(t *testing.T) {
 	dir := t.TempDir()
-	ix, base := createPrimary(t, filepath.Join(dir, "p.hopi"))
+	ix, base := createDurable(t, filepath.Join(dir, "p.hopi"))
 	defer ix.Close()
 	// small tail + a mid-script checkpoint: exercises the tail, WAL,
 	// and snapshot-reset feed paths
@@ -214,7 +201,7 @@ func TestReplicationFollowerConvergesUnderLoad(t *testing.T) {
 // nothing — in-memory replicas hold no local state) converges again.
 func TestReplicationFollowerRestartCatchesUp(t *testing.T) {
 	dir := t.TempDir()
-	ix, base := createPrimary(t, filepath.Join(dir, "p.hopi"))
+	ix, base := createDurable(t, filepath.Join(dir, "p.hopi"))
 	defer ix.Close()
 	p := startReplPrimary(t, ix, "", PublishHeartbeat(20*time.Millisecond))
 	defer p.stop()
@@ -251,7 +238,7 @@ func TestReplicationFollowerRestartCatchesUp(t *testing.T) {
 func TestReplicationPrimaryCrashRestart(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "p.hopi")
-	ix, base := createPrimary(t, path)
+	ix, base := createDurable(t, path)
 	p := startReplPrimary(t, ix, "", PublishHeartbeat(20*time.Millisecond))
 
 	ops := randomScript(rand.New(rand.NewSource(13)), base, 24, false)
@@ -290,7 +277,7 @@ func TestReplicationPrimaryCrashRestart(t *testing.T) {
 
 func TestReplicationFollowerIsReadOnly(t *testing.T) {
 	dir := t.TempDir()
-	ix, _ := createPrimary(t, filepath.Join(dir, "p.hopi"))
+	ix, _ := createDurable(t, filepath.Join(dir, "p.hopi"))
 	defer ix.Close()
 	p := startReplPrimary(t, ix, "")
 	defer p.stop()
@@ -317,7 +304,7 @@ func TestReplicationFollowerIsReadOnly(t *testing.T) {
 // the continued pages are identical.
 func TestReplicationTokenPortability(t *testing.T) {
 	dir := t.TempDir()
-	ix, _ := createPrimary(t, filepath.Join(dir, "p.hopi"))
+	ix, _ := createDurable(t, filepath.Join(dir, "p.hopi"))
 	defer ix.Close()
 	p := startReplPrimary(t, ix, "")
 	defer p.stop()
@@ -397,7 +384,7 @@ func TestReplicationTokenPortability(t *testing.T) {
 // in-memory random epochs are never retryable.
 func TestStaleTokenRetryable(t *testing.T) {
 	dir := t.TempDir()
-	ix, _ := createPrimary(t, filepath.Join(dir, "p.hopi"))
+	ix, _ := createDurable(t, filepath.Join(dir, "p.hopi"))
 	defer ix.Close()
 
 	ctx := context.Background()

@@ -649,7 +649,7 @@ func TestRouterRetryableStaleOnLaggingShard(t *testing.T) {
 	oldDir := filepath.Join(dir, "old")
 	oldCopy := filepath.Join(oldDir, "shard0")
 	if out, err := exec.Command("sh", "-c",
-		fmt.Sprintf("mkdir -p %s && cp %s* %s/", oldDir, paths[0], oldDir)).CombinedOutput(); err != nil {
+		fmt.Sprintf("mkdir -p %s && cp -r %s* %s/", oldDir, paths[0], oldDir)).CombinedOutput(); err != nil {
 		t.Fatalf("cp: %v: %s", err, out)
 	}
 

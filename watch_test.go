@@ -239,7 +239,7 @@ func TestWatchOracleEquivalence(t *testing.T) {
 // Quiesce).
 func TestWatchFollowerOracleEquivalence(t *testing.T) {
 	dir := t.TempDir()
-	ix, _ := createPrimary(t, dir+"/primary.hopi")
+	ix, _ := createDurable(t, dir+"/primary.hopi")
 	t.Cleanup(func() { ix.Close() })
 	p := startReplPrimary(t, ix, "", PublishHeartbeat(20*time.Millisecond))
 	t.Cleanup(p.stop)
