@@ -17,6 +17,10 @@ import (
 	"hopi/internal/core"
 	"hopi/internal/experiments"
 	"hopi/internal/gen"
+	"hopi/internal/graph"
+	"hopi/internal/partition"
+	"hopi/internal/psg"
+	"hopi/internal/twohop"
 	"hopi/internal/xmlmodel"
 )
 
@@ -101,6 +105,37 @@ func BenchmarkBuildNewJoinN10(b *testing.B) {
 
 func BenchmarkBuildNewJoinN100(b *testing.B) {
 	benchBuild(b, core.Options{Partitioner: core.PartClosureBudget, ClosureBudget: 100_000, Join: core.JoinNewHBar, Seed: benchSeed})
+}
+
+// --- build phases around the cover kernel, 1,000 documents ----------------
+
+func BenchmarkPartitionClosureBudget(b *testing.B) { // §4.3 incremental closure
+	c := benchDBLP(1000)
+	b.ResetTimer()
+	var parts int
+	for i := 0; i < b.N; i++ {
+		parts = partition.ClosureBudget(c, 1_000_000, nil, benchSeed).NumParts()
+	}
+	b.ReportMetric(float64(parts), "parts")
+}
+
+func BenchmarkJoinNew(b *testing.B) { // §4.1 join alone, partition covers prebuilt
+	c := benchDBLP(1000)
+	p := partition.ClosureBudget(c, 1_000_000, nil, benchSeed)
+	links := partition.NewLinkIndex(c)
+	parts := make([]*psg.PartitionData, p.NumParts())
+	for pi, docs := range p.Parts {
+		g, globals := links.ElementSubgraph(docs)
+		cov, _ := twohop.Build(graph.NewClosure(g), twohop.Options{Seed: benchSeed + int64(pi)})
+		parts[pi] = psg.NewPartitionData(docs, g, globals, cov)
+	}
+	partOf := func(id int32) int { return p.PartOfID(c, id) }
+	b.ResetTimer()
+	var size int
+	for i := 0; i < b.N; i++ {
+		size = psg.JoinNew(c, p.CrossLinks, partOf, parts, psg.NewJoinOptions{Seed: benchSeed}).Size()
+	}
+	b.ReportMetric(float64(size), "entries")
 }
 
 // --- ablations (DESIGN.md §6) -------------------------------------------

@@ -91,65 +91,54 @@ func Build(c *xmlmodel.Collection, opts Options) (*Index, error) {
 
 // buildPartitionCovers computes the per-partition 2-hop covers
 // concurrently ("all these computations can be done concurrently",
-// §4.1) with a bounded worker pool.
+// §4.1): opts.Workers goroutines pull partition indices from a channel.
 func buildPartitionCovers(c *xmlmodel.Collection, p *partition.Partitioning, opts Options) ([]*psg.PartitionData, int, int, error) {
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	// cross-link targets per partition for §4.2 preselection
-	targetsByPart := map[int][]int32{}
+	var targetsByPart map[int][]int32
 	if opts.PreselectCenters {
+		targetsByPart = map[int][]int32{}
 		for _, l := range p.CrossLinks {
 			pi := p.PartOfID(c, l.To)
 			targetsByPart[pi] = append(targetsByPart[pi], l.To)
 		}
 	}
+	links := partition.NewLinkIndex(c)
 	parts := make([]*psg.PartitionData, p.NumParts())
-	var (
-		wg          sync.WaitGroup
-		mu          sync.Mutex
-		preselected int
-		largest     int
-	)
-	sem := make(chan struct{}, workers)
-	for pi := range p.Parts {
+	next := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(pi int) {
+		go func() {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			docs := p.Parts[pi]
-			g, globals := partition.ElementSubgraph(c, docs)
-			local := make(map[int32]int32, len(globals))
-			for i, id := range globals {
-				local[id] = int32(i)
-			}
-			var pre []int32
-			for _, t := range targetsByPart[pi] {
-				if li, ok := local[t]; ok {
-					pre = append(pre, li)
+			for pi := range next {
+				g, globals := links.ElementSubgraph(p.Parts[pi])
+				pd := psg.NewPartitionData(p.Parts[pi], g, globals, nil)
+				tOpts := twohop.Options{Seed: opts.Seed + int64(pi)}
+				for _, t := range targetsByPart[pi] {
+					tOpts.Preselect = append(tOpts.Preselect, pd.Local[t])
 				}
+				if opts.WithDistance {
+					pd.Cover, _ = twohop.BuildDistanceAware(graph.NewDistanceMatrix(g), tOpts)
+				} else {
+					pd.Cover, _ = twohop.Build(graph.NewClosure(g), tOpts)
+				}
+				parts[pi] = pd
 			}
-			tOpts := twohop.Options{Preselect: pre, Seed: opts.Seed + int64(pi)}
-			var cov *twohop.Cover
-			if opts.WithDistance {
-				dm := graph.NewDistanceMatrix(g)
-				cov, _ = twohop.BuildDistanceAware(dm, tOpts)
-			} else {
-				cl := graph.NewClosure(g)
-				cov, _ = twohop.Build(cl, tOpts)
-			}
-			pd := psg.NewPartitionData(docs, g, globals, cov)
-			mu.Lock()
-			parts[pi] = pd
-			preselected += len(pre)
-			if len(globals) > largest {
-				largest = len(globals)
-			}
-			mu.Unlock()
-		}(pi)
+		}()
 	}
+	for pi := range p.Parts {
+		next <- pi
+	}
+	close(next)
 	wg.Wait()
+	preselected, largest := 0, 0
+	for pi, pd := range parts {
+		preselected += len(targetsByPart[pi])
+		largest = max(largest, len(pd.Globals))
+	}
 	return parts, preselected, largest, nil
 }

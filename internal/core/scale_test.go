@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"hopi/internal/gen"
@@ -107,6 +108,38 @@ func TestLargeScaleMaintenanceSpotCheck(t *testing.T) {
 			if got := ix.Reaches(u, v); got != want {
 				t.Fatalf("after maintenance: Reaches(%d,%d) = %v, want %v", u, v, got, want)
 			}
+		}
+	}
+}
+
+// TestLargeScaleBuildValidates checks the whole pipeline — incremental
+// partitioner, worker-pool covers, gather join — against the full
+// closure (and distance matrix) of the 620-document collection, and
+// that the number of workers does not change a single label.
+func TestLargeScaleBuildValidates(t *testing.T) {
+	if testing.Short() {
+		t.Skip("large collection")
+	}
+	c := gen.DBLP(gen.DefaultDBLP(620, 42))
+	for _, withDist := range []bool{false, true} {
+		opts := Options{
+			Partitioner: PartClosureBudget, ClosureBudget: 1_000_000,
+			Join: JoinNewHBar, WithDistance: withDist, Seed: 42, Workers: 1,
+		}
+		one, err := Build(c, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := one.Validate(); err != nil {
+			t.Fatalf("withDist=%v: %v", withDist, err)
+		}
+		opts.Workers = 4
+		four, err := Build(c, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(one.Cover().Out, four.Cover().Out) || !reflect.DeepEqual(one.Cover().In, four.Cover().In) {
+			t.Fatalf("withDist=%v: covers built with 1 and 4 workers differ", withDist)
 		}
 	}
 }

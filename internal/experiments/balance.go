@@ -44,12 +44,13 @@ func Balance(cfg Config) ([]BalanceRow, error) {
 		{"node-capped (P10)", partition.NodeCapped(c, 1000, nil, cfg.Seed)},
 		{"closure-budget (N10)", partition.ClosureBudget(c, int64(1_000_000*scale), nil, cfg.Seed)},
 	}
+	links := partition.NewLinkIndex(c)
 	var rows []BalanceRow
 	for _, pc := range parts {
 		row := BalanceRow{Partitioner: pc.name, Partitions: pc.p.NumParts()}
 		var totalClosure int64
 		for _, docs := range pc.p.Parts {
-			g, _ := partition.ElementSubgraph(c, docs)
+			g, _ := links.ElementSubgraph(docs)
 			t0 := time.Now()
 			cl := graph.NewClosure(g)
 			sz := cl.Connections()

@@ -10,19 +10,35 @@ type Closure struct {
 }
 
 // NewClosure computes the transitive closure via a dynamic program on
-// the SCC condensation: components are processed in the reverse
-// topological order Tarjan emits, each component's reach set is the
-// union of its successor components' reach sets plus those components
-// themselves, and members of a non-trivial component reach each other.
+// the SCC condensation (componentReach); members of a non-trivial
+// component share its reach set minus themselves.
 func NewClosure(g *Digraph) *Closure {
+	scc, compReach := componentReach(g)
+	reach := make([]Bitset, g.N())
+	for u := range reach {
+		c := scc.Comp[u]
+		if len(scc.Comps[c]) == 1 {
+			reach[u] = compReach[c]
+		} else {
+			r := compReach[c].Clone()
+			r.Clear(u) // irreflexive
+			reach[u] = r
+		}
+	}
+	return &Closure{Reach: reach}
+}
+
+// componentReach returns, per strongly connected component, the set of
+// nodes reachable from it, its own members included only when it is
+// cyclic. Components are processed in the reverse topological order
+// Tarjan emits: a component's reach set is the union of its successor
+// components' reach sets plus those components themselves.
+func componentReach(g *Digraph) (*SCCResult, []Bitset) {
 	n := g.N()
 	scc := SCC(g)
 	dag := scc.Condensation(g)
-	nc := dag.N()
-	// compReach[c] = set of *nodes* reachable from component c,
-	// excluding c's own members unless c is cyclic.
-	compReach := make([]Bitset, nc)
-	for c := 0; c < nc; c++ { // Tarjan order: successors first
+	compReach := make([]Bitset, dag.N())
+	for c := range compReach { // Tarjan order: successors first
 		r := NewBitset(n)
 		for _, sc := range dag.Succ(int32(c)) {
 			r.Or(compReach[sc])
@@ -39,18 +55,7 @@ func NewClosure(g *Digraph) *Closure {
 		}
 		compReach[c] = r
 	}
-	reach := make([]Bitset, n)
-	for u := 0; u < n; u++ {
-		c := scc.Comp[u]
-		if len(scc.Comps[c]) == 1 {
-			reach[u] = compReach[c]
-		} else {
-			r := compReach[c].Clone()
-			r.Clear(u) // irreflexive
-			reach[u] = r
-		}
-	}
-	return &Closure{Reach: reach}
+	return scc, compReach
 }
 
 // N returns the number of nodes.
@@ -71,11 +76,21 @@ func (c *Closure) Connections() int64 {
 	return total
 }
 
-// CountConnections computes the closure size of g without materializing
-// per-node bitsets for callers that only need the number. It still uses
-// the condensation DP, so the cost is one closure computation.
+// CountConnections computes the closure size of g straight off the
+// condensation DP, with one reach set per component and none per node:
+// every member of a component reaches the component's reach set, minus
+// itself when the component is cyclic.
 func CountConnections(g *Digraph) int64 {
-	return NewClosure(g).Connections()
+	scc, compReach := componentReach(g)
+	var total int64
+	for c, members := range scc.Comps {
+		size := int64(len(members))
+		total += size * int64(compReach[c].Count())
+		if size > 1 {
+			total -= size
+		}
+	}
+	return total
 }
 
 // DistanceMatrix holds all-pairs shortest-path lengths for a (small)

@@ -98,6 +98,9 @@ func TestClosureQuickVsNaive(t *testing.T) {
 		n := 2 + rng.Intn(35)
 		g := randomGraph(rng, n, rng.Intn(3*n))
 		c := NewClosure(g)
+		if CountConnections(g) != c.Connections() {
+			return false
+		}
 		for u := int32(0); u < int32(n); u++ {
 			want := naiveReach(g, u)
 			for v := 0; v < n; v++ {

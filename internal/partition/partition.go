@@ -16,9 +16,7 @@ package partition
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
-	"hopi/internal/graph"
 	"hopi/internal/xmlmodel"
 )
 
@@ -124,41 +122,42 @@ func Single(c *xmlmodel.Collection) *Partitioning {
 // partition. Seed order is randomized (deterministically, from seed),
 // matching the paper's randomized partitioner.
 func NodeCapped(c *xmlmodel.Collection, maxNodes int, w map[[2]int32]float64, seed int64) *Partitioning {
-	return grow(c, w, seed, func(st *growState, doc int) bool {
-		return st.nodes+c.Docs[doc].Len() <= maxNodes || len(st.docs) == 0
-	}, nil)
+	nodes := 0
+	return grow(c, w, seed,
+		func(doc int) { nodes = c.Docs[doc].Len() },
+		func(doc int) bool {
+			nodes += c.Docs[doc].Len()
+			return nodes <= maxNodes
+		})
 }
 
 // ClosureBudget is the §4.3 partitioner: grow a partition while the
 // number of connections in its transitive closure stays within
-// maxConnections. The closure is recomputed as the partition grows,
-// which is exactly the "computes, while incrementally building the
-// partition, the transitive closure of the partition" step of the
-// paper (we recompute rather than update incrementally; the observable
-// behaviour — partitions filled up to the closure budget — is the
-// same).
+// maxConnections. The closure is maintained "while incrementally
+// building the partition" (closureState): a candidate document costs
+// the rows its edges touch, not a recomputation. The first document
+// that overflows the budget seals the partition, so the state never
+// has to take a document back out.
 func ClosureBudget(c *xmlmodel.Collection, maxConnections int64, w map[[2]int32]float64, seed int64) *Partitioning {
-	return grow(c, w, seed, nil, func(st *growState, doc int) bool {
-		if len(st.docs) == 0 {
-			return true
-		}
-		docs := append(append([]int(nil), st.docs...), doc)
-		g, _ := ElementSubgraph(c, docs)
-		return graph.CountConnections(g) <= maxConnections
-	})
-}
-
-type growState struct {
-	docs  []int
-	nodes int
+	st := newClosureState(c)
+	return grow(c, w, seed,
+		func(doc int) {
+			st.reset()
+			st.addDoc(doc)
+		},
+		func(doc int) bool {
+			st.addDoc(doc)
+			return st.conns <= maxConnections
+		})
 }
 
 // grow implements the shared greedy growth: repeatedly start a
-// partition from the next unassigned seed and absorb the unassigned
-// neighbor with the heaviest connecting weight until accept rejects it.
-// Exactly one of acceptFast (cheap, pre-add) and acceptFull may be nil.
+// partition from the next unassigned seed (always accepted: a
+// one-document partition is legal whatever its size) and absorb the
+// unassigned neighbor with the heaviest connecting weight until accept
+// rejects it, which seals the partition.
 func grow(c *xmlmodel.Collection, w map[[2]int32]float64,
-	seed int64, acceptFast func(*growState, int) bool, acceptFull func(*growState, int) bool) *Partitioning {
+	seed int64, start func(seedDoc int), accept func(doc int) bool) *Partitioning {
 
 	live := c.LiveDocIndexes()
 	rng := rand.New(rand.NewSource(seed))
@@ -177,59 +176,40 @@ func grow(c *xmlmodel.Collection, w map[[2]int32]float64,
 		return float64(linkCount[[2]int32{a, b}])
 	}
 
-	assigned := make([]bool, len(c.Docs))
 	var parts [][]int
 	for _, seedDoc := range order {
-		if assigned[seedDoc] {
+		if partOf[seedDoc] >= 0 {
 			continue
 		}
-		st := &growState{}
 		pi := len(parts)
-		add := func(d int) {
-			assigned[d] = true
-			partOf[d] = pi
-			st.docs = append(st.docs, d)
-			st.nodes += c.Docs[d].Len()
-		}
-		accept := func(d int) bool {
-			if acceptFast != nil {
-				return acceptFast(st, d)
-			}
-			return acceptFull(st, d)
-		}
-		add(seedDoc) // a seed is always accepted: one-document partitions are legal
+		var docs []int
 		// frontier: unassigned neighbor → accumulated edge weight
 		frontier := map[int]float64{}
-		addNeighbors := func(d int) {
+		add := func(d int) {
+			partOf[d] = pi
+			docs = append(docs, d)
 			for _, nb := range docG.Succ(int32(d)) {
-				if !assigned[nb] {
+				if partOf[nb] < 0 {
 					frontier[int(nb)] += weight(int32(d), nb) + 1e-9
 				}
 			}
 			for _, nb := range docG.Pred(int32(d)) {
-				if !assigned[nb] {
+				if partOf[nb] < 0 {
 					frontier[int(nb)] += weight(nb, int32(d)) + 1e-9
 				}
 			}
 		}
-		addNeighbors(seedDoc)
+		start(seedDoc)
+		add(seedDoc)
 		for len(frontier) > 0 {
-			// deterministic max-weight pick (ties by doc index)
+			// heaviest neighbor, ties to the lowest document index
 			best, bestW := -1, -1.0
-			keys := make([]int, 0, len(frontier))
-			for d := range frontier {
-				keys = append(keys, d)
-			}
-			sort.Ints(keys)
-			for _, d := range keys {
-				if fw := frontier[d]; fw > bestW {
+			for d, fw := range frontier {
+				if fw > bestW || fw == bestW && d < best {
 					best, bestW = d, fw
 				}
 			}
 			delete(frontier, best)
-			if assigned[best] {
-				continue
-			}
 			if !accept(best) {
 				// partition sealed — paper: "continues with the next
 				// partition when the transitive closure is as large as
@@ -237,48 +217,10 @@ func grow(c *xmlmodel.Collection, w map[[2]int32]float64,
 				break
 			}
 			add(best)
-			addNeighbors(best)
 		}
-		parts = append(parts, st.docs)
+		parts = append(parts, docs)
 	}
 	p := &Partitioning{Parts: parts, PartOf: partOf}
 	p.CrossLinks = crossLinks(c, partOf)
 	return p
-}
-
-// ElementSubgraph builds the element-level graph of a partition: the
-// elements of the given documents with tree edges, intra-document
-// links, and the inter-document links that stay inside the document
-// set. It returns the graph over local indices plus the local→global
-// ID mapping (sorted ascending).
-func ElementSubgraph(c *xmlmodel.Collection, docs []int) (*graph.Digraph, []int32) {
-	var globals []int32
-	local := map[int32]int32{}
-	inSet := map[int]bool{}
-	sorted := append([]int(nil), docs...)
-	sort.Ints(sorted)
-	for _, d := range sorted {
-		inSet[d] = true
-		for _, id := range c.DocIDs(d) {
-			local[id] = int32(len(globals))
-			globals = append(globals, id)
-		}
-	}
-	g := graph.NewDigraph(len(globals))
-	for _, di := range sorted {
-		d := c.Docs[di]
-		base := c.GlobalID(di, 0)
-		for li := 1; li < d.Len(); li++ {
-			g.AddEdge(local[base+d.Elements[li].Parent], local[base+int32(li)])
-		}
-		for _, l := range d.IntraLinks {
-			g.AddEdge(local[base+l[0]], local[base+l[1]])
-		}
-	}
-	for _, l := range c.Links {
-		if inSet[c.DocOfID(l.From)] && inSet[c.DocOfID(l.To)] {
-			g.AddEdge(local[l.From], local[l.To])
-		}
-	}
-	return g, globals
 }

@@ -2,8 +2,12 @@ package partition
 
 import (
 	"math/rand"
+	"reflect"
+	"runtime"
+	"sort"
 	"testing"
 
+	"hopi/internal/gen"
 	"hopi/internal/graph"
 	"hopi/internal/xmlmodel"
 )
@@ -216,5 +220,168 @@ func TestPartitionCoverageOfElements(t *testing.T) {
 	}
 	if len(seen) != c.NumElements() {
 		t.Errorf("covered %d elements, want %d", len(seen), c.NumElements())
+	}
+}
+
+// cyclicCollection builds a random collection whose documents carry
+// intra links in both tree directions and whose inter-document links
+// run both ways, so cycles within and across documents are common.
+func cyclicCollection(rng *rand.Rand, nDocs, maxElems, nLinks int) *xmlmodel.Collection {
+	c := randomCollection(rng, nDocs, maxElems, nLinks)
+	for _, d := range c.Docs {
+		for i := rng.Intn(3); i > 0 && d.Len() > 1; i-- {
+			d.AddIntraLink(int32(rng.Intn(d.Len())), int32(rng.Intn(d.Len())))
+		}
+	}
+	for i := 0; i < nLinks/2 && len(c.Links) > 0; i++ {
+		l := c.Links[rng.Intn(len(c.Links))]
+		fd, td := c.DocOfID(l.To), c.DocOfID(l.From)
+		from := c.GlobalID(fd, int32(rng.Intn(c.Docs[fd].Len())))
+		to := c.GlobalID(td, int32(rng.Intn(c.Docs[td].Len())))
+		if err := c.AddLink(from, to); err != nil {
+			panic(err)
+		}
+	}
+	return c
+}
+
+// TestIncrementalClosureMatchesRecompute adds documents one at a time
+// and checks the maintained rows and connection count against a fresh
+// closure of the element subgraph after every addition.
+func TestIncrementalClosureMatchesRecompute(t *testing.T) {
+	for seed := int64(0); seed < 250; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		c := cyclicCollection(rng, 2+rng.Intn(9), 1+rng.Intn(12), rng.Intn(25))
+		st := newClosureState(c)
+		order := rng.Perm(len(c.Docs))
+		if seed%5 == 0 { // the state is reused across partitions
+			st.addDoc(order[len(order)-1])
+			st.reset()
+		}
+		for k, d := range order {
+			st.addDoc(d)
+			g, globals := ElementSubgraph(c, order[:k+1])
+			want := graph.NewClosure(g)
+			if st.conns != want.Connections() {
+				t.Fatalf("seed %d after %d docs: conns = %d, want %d", seed, k+1, st.conns, want.Connections())
+			}
+			local := func(id int32) int32 {
+				di := c.DocOfID(id)
+				return st.base[di] + id - c.GlobalID(di, 0)
+			}
+			for u, gu := range globals {
+				for v, gv := range globals {
+					if u != v && st.row(local(gu)).Has(int(local(gv))) != want.Has(int32(u), int32(v)) {
+						t.Fatalf("seed %d after %d docs: reach(%d,%d) = %v, want %v",
+							seed, k+1, gu, gv, !want.Has(int32(u), int32(v)), want.Has(int32(u), int32(v)))
+					}
+				}
+			}
+		}
+	}
+}
+
+// referenceClosureBudget is the recompute-per-candidate partitioner
+// ClosureBudget replaced, kept as its oracle: every candidate costs a
+// fresh ElementSubgraph and a full closure, and every frontier pick
+// sorts the keys.
+func referenceClosureBudget(c *xmlmodel.Collection, maxConnections int64, w map[[2]int32]float64, seed int64) *Partitioning {
+	rng := rand.New(rand.NewSource(seed))
+	order := append([]int(nil), c.LiveDocIndexes()...)
+	rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+	partOf := make([]int, len(c.Docs))
+	for i := range partOf {
+		partOf[i] = -1
+	}
+	docG, linkCount := c.DocGraph()
+	weight := func(a, b int32) float64 {
+		if w != nil {
+			return w[[2]int32{a, b}]
+		}
+		return float64(linkCount[[2]int32{a, b}])
+	}
+	assigned := make([]bool, len(c.Docs))
+	var parts [][]int
+	for _, seedDoc := range order {
+		if assigned[seedDoc] {
+			continue
+		}
+		var docs []int
+		frontier := map[int]float64{}
+		add := func(d int) {
+			assigned[d] = true
+			partOf[d] = len(parts)
+			docs = append(docs, d)
+			for _, nb := range docG.Succ(int32(d)) {
+				if !assigned[nb] {
+					frontier[int(nb)] += weight(int32(d), nb) + 1e-9
+				}
+			}
+			for _, nb := range docG.Pred(int32(d)) {
+				if !assigned[nb] {
+					frontier[int(nb)] += weight(nb, int32(d)) + 1e-9
+				}
+			}
+		}
+		add(seedDoc)
+		for len(frontier) > 0 {
+			keys := make([]int, 0, len(frontier))
+			for d := range frontier {
+				keys = append(keys, d)
+			}
+			sort.Ints(keys)
+			best, bestW := -1, -1.0
+			for _, d := range keys {
+				if fw := frontier[d]; fw > bestW {
+					best, bestW = d, fw
+				}
+			}
+			delete(frontier, best)
+			g, _ := ElementSubgraph(c, append(append([]int(nil), docs...), best))
+			if graph.NewClosure(g).Connections() > maxConnections {
+				break
+			}
+			add(best)
+		}
+		parts = append(parts, docs)
+	}
+	return &Partitioning{Parts: parts, PartOf: partOf, CrossLinks: crossLinks(c, partOf)}
+}
+
+func TestClosureBudgetMatchesReference(t *testing.T) {
+	for seed := int64(0); seed < 12; seed++ {
+		rng := rand.New(rand.NewSource(100 + seed))
+		c := cyclicCollection(rng, 25, 10, 45)
+		for _, scheme := range []WeightScheme{WeightLinks, WeightAtimesD, WeightAplusD} {
+			var w map[[2]int32]float64
+			if scheme != WeightLinks {
+				w = DocEdgeWeights(c, scheme, DefaultSkeletonDepth)
+			}
+			for _, budget := range []int64{1, 40, 200, 1000, 1 << 40} {
+				got := ClosureBudget(c, budget, w, seed)
+				want := referenceClosureBudget(c, budget, w, seed)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d %v budget %d:\n got %v\nwant %v", seed, scheme, budget, got.Parts, want.Parts)
+				}
+			}
+		}
+	}
+}
+
+// TestClosureBudgetStaysIncremental is the non-timing guard against
+// per-candidate recomputation: on the 1,000-document DBLP shape the
+// recompute-based partitioner allocated ~2 GB; the incremental one
+// reuses one closure state.
+func TestClosureBudgetStaysIncremental(t *testing.T) {
+	c := gen.DBLP(gen.DefaultDBLP(1000, 42))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	p := ClosureBudget(c, 1_000_000, nil, 42)
+	runtime.ReadMemStats(&after)
+	if mb := (after.TotalAlloc - before.TotalAlloc) >> 20; mb >= 200 {
+		t.Errorf("ClosureBudget allocated %d MB, want < 200", mb)
+	}
+	if p.NumParts() != 203 || len(p.CrossLinks) != 1085 {
+		t.Errorf("parts = %d, cross links = %d, want 203 and 1085", p.NumParts(), len(p.CrossLinks))
 	}
 }

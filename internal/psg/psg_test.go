@@ -2,6 +2,7 @@ package psg
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"hopi/internal/graph"
@@ -293,5 +294,132 @@ func BenchmarkJoinOldChain40(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		JoinOld(c, p.CrossLinks, parts, false)
+	}
+}
+
+// joinNewScatter is the join JoinNew replaced, kept as its oracle: it
+// pushes every (element, PSG node, center) triple through
+// Cover.AddOut/AddIn, one sorted insert each.
+func joinNewScatter(c *xmlmodel.Collection, cross []xmlmodel.Link, partOfID func(int32) int,
+	parts []*PartitionData, opts NewJoinOptions) *twohop.Cover {
+
+	global := twohop.NewCover(c.NumAllocatedIDs(), opts.WithDist)
+	for _, pd := range parts {
+		for local, gid := range pd.Globals {
+			for _, e := range pd.Cover.Out[local] {
+				global.AddOut(gid, pd.Globals[e.Center], e.Dist)
+			}
+			for _, e := range pd.Cover.In[local] {
+				global.AddIn(gid, pd.Globals[e.Center], e.Dist)
+			}
+		}
+	}
+	if len(cross) == 0 {
+		return global
+	}
+	s := Build(c, cross, partOfID, parts, opts.WithDist)
+	hbarOut := map[int32][]twohop.Entry{}
+	hIn := map[int32][]twohop.Entry{}
+	if opts.FullPSGCover {
+		hcov := fullPSGCover(s, opts)
+		for li := int32(0); li < int32(len(s.Nodes)); li++ {
+			gid := s.Nodes[li]
+			for _, e := range hcov.Out[li] {
+				global.AddOut(gid, s.Nodes[e.Center], e.Dist)
+			}
+			for _, e := range hcov.In[li] {
+				global.AddIn(gid, s.Nodes[e.Center], e.Dist)
+			}
+			if s.IsSource[li] {
+				hbarOut[li] = append([]twohop.Entry{{Center: gid}}, remap(hcov.Out[li], s.Nodes)...)
+			}
+			if s.IsTarget[li] {
+				hIn[li] = append([]twohop.Entry{{Center: gid}}, remap(hcov.In[li], s.Nodes)...)
+			}
+		}
+	} else {
+		for li, entries := range ComputeHBar(s, opts.WithDist).OutTargets {
+			hbarOut[li] = remap(entries, s.Nodes)
+		}
+		for li := int32(0); li < int32(len(s.Nodes)); li++ {
+			if s.IsTarget[li] {
+				hIn[li] = []twohop.Entry{{Center: s.Nodes[li]}}
+			}
+		}
+	}
+	for li := int32(0); li < int32(len(s.Nodes)); li++ {
+		gid := s.Nodes[li]
+		pd := parts[partOfID(gid)]
+		local := pd.Local[gid]
+		if out := hbarOut[li]; len(out) > 0 {
+			for a, da := range pd.G.ReverseBFSFrom(local) {
+				if da == graph.InfDist {
+					continue
+				}
+				for _, e := range out {
+					global.AddOut(pd.Globals[a], e.Center, da+e.Dist)
+				}
+			}
+		}
+		if in := hIn[li]; len(in) > 0 {
+			for d, dd := range pd.G.BFSFrom(local) {
+				if dd == graph.InfDist {
+					continue
+				}
+				for _, e := range in {
+					global.AddIn(pd.Globals[d], e.Center, e.Dist+dd)
+				}
+			}
+		}
+	}
+	return global
+}
+
+func sameLabels(t *testing.T, what string, got, want [][]twohop.Entry) {
+	t.Helper()
+	for v := range want {
+		if !slices.Equal(got[v], want[v]) {
+			t.Fatalf("%s(%d) = %v, want %v", what, v, got[v], want[v])
+		}
+		if len(got[v]) != cap(got[v]) {
+			t.Fatalf("%s(%d): capacity %d for %d entries", what, v, cap(got[v]), len(got[v]))
+		}
+	}
+}
+
+// Property: the gather join writes the labels of the scatter join,
+// entry for entry and distance for distance, on random partitionings
+// of collections with cyclic cross links.
+func TestJoinNewMatchesScatterJoin(t *testing.T) {
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		c := randomCollection(rng, 4+rng.Intn(10), 7, 6+rng.Intn(20))
+		for _, l := range c.Links[:len(c.Links)/2] { // close cycles across documents
+			if err := c.AddLink(l.To, l.From); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var p *partition.Partitioning
+		switch seed % 3 {
+		case 0:
+			p = partition.Single(c)
+		case 1:
+			p = partition.NodeCapped(c, 6+rng.Intn(20), nil, seed)
+		default:
+			p = partition.ClosureBudget(c, int64(20+rng.Intn(200)), nil, seed)
+		}
+		for _, withDist := range []bool{false, true} {
+			parts := buildParts(c, p, withDist)
+			for _, full := range []bool{false, true} {
+				opts := NewJoinOptions{WithDist: withDist, FullPSGCover: full, Seed: seed}
+				got := JoinNew(c, p.CrossLinks, partOfFunc(c, p), parts, opts)
+				want := joinNewScatter(c, p.CrossLinks, partOfFunc(c, p), parts, opts)
+				if got.N() != want.N() || got.WithDist != want.WithDist {
+					t.Fatalf("seed %d: cover shape differs", seed)
+				}
+				sameLabels(t, "Lout", got.Out, want.Out)
+				sameLabels(t, "Lin", got.In, want.In)
+			}
+		}
 	}
 }
