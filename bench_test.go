@@ -138,6 +138,44 @@ func BenchmarkJoinNew(b *testing.B) { // §4.1 join alone, partition covers preb
 	b.ReportMetric(float64(size), "entries")
 }
 
+// largestPartitionGraph returns the element graph of the biggest
+// partition the default closure budget makes of the 620-document
+// collection: the greedy cover kernel's share of a build, small enough
+// to track without a paper-scale run.
+func largestPartitionGraph() *graph.Digraph {
+	c := benchDBLP(620)
+	links := partition.NewLinkIndex(c)
+	var largest *graph.Digraph
+	for _, docs := range partition.ClosureBudget(c, 1_000_000, nil, benchSeed).Parts {
+		if g, _ := links.ElementSubgraph(docs); largest == nil || g.N() > largest.N() {
+			largest = g
+		}
+	}
+	return largest
+}
+
+func BenchmarkCoverKernelPlain(b *testing.B) { // §3.2 greedy cover of one partition
+	cl := graph.NewClosure(largestPartitionGraph())
+	b.ReportAllocs()
+	b.ResetTimer()
+	var st twohop.Stats
+	for i := 0; i < b.N; i++ {
+		_, st = twohop.Build(cl, twohop.Options{Seed: benchSeed})
+	}
+	b.ReportMetric(float64(st.Pops), "pops")
+}
+
+func BenchmarkCoverKernelDistance(b *testing.B) { // §5.2 distance-aware cover of one partition
+	dm := graph.NewDistanceMatrix(largestPartitionGraph())
+	b.ReportAllocs()
+	b.ResetTimer()
+	var st twohop.Stats
+	for i := 0; i < b.N; i++ {
+		_, st = twohop.BuildDistanceAware(dm, twohop.Options{Seed: benchSeed})
+	}
+	b.ReportMetric(float64(st.Pops), "pops")
+}
+
 // --- ablations (DESIGN.md §6) -------------------------------------------
 
 func BenchmarkBuildFullPSGJoin(b *testing.B) {

@@ -83,9 +83,10 @@ func main() {
 	st := ix.Stats()
 	fmt.Printf("built in %s: %d partitions, %d cross links, %d label entries\n",
 		time.Since(t0).Round(time.Millisecond), st.Partitions, st.CrossLinks, ix.Size())
-	fmt.Printf("phases: partition %s, covers %s, join %s\n",
+	fmt.Printf("phases: partition %s, covers %s (%d centers, %d pops, %d recomputes), join %s\n",
 		st.PartitionTime.Round(time.Millisecond),
 		st.CoverTime.Round(time.Millisecond),
+		st.CoverCenters, st.CoverPops, st.CoverRecomputes,
 		st.JoinTime.Round(time.Millisecond))
 
 	if err := ix.Save(*out); err != nil {

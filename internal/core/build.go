@@ -46,10 +46,7 @@ func Build(c *xmlmodel.Collection, opts Options) (*Index, error) {
 
 	// Step 3: per-partition covers.
 	tCov := time.Now()
-	parts, preselected, largest, err := buildPartitionCovers(c, p, opts)
-	if err != nil {
-		return nil, err
-	}
+	parts, kernel, preselected, largest := buildPartitionCovers(c, p, opts)
 	covTime := time.Since(tCov)
 	partEntries := 0
 	for _, pd := range parts {
@@ -86,13 +83,19 @@ func Build(c *xmlmodel.Collection, opts Options) (*Index, error) {
 			TotalTime:         time.Since(start),
 			LargestPartition:  largest,
 			PreselectedCenter: preselected,
+			CoverCenters:      kernel.Centers,
+			CoverPops:         kernel.Pops,
+			CoverRecomputes:   kernel.Recomputes,
 		}), nil
 }
 
 // buildPartitionCovers computes the per-partition 2-hop covers
 // concurrently ("all these computations can be done concurrently",
 // §4.1): opts.Workers goroutines pull partition indices from a channel.
-func buildPartitionCovers(c *xmlmodel.Collection, p *partition.Partitioning, opts Options) ([]*psg.PartitionData, int, int, error) {
+// Beside the covers it returns the greedy kernel's counters summed over
+// the partitions, the number of preselected centers and the element
+// count of the largest partition.
+func buildPartitionCovers(c *xmlmodel.Collection, p *partition.Partitioning, opts Options) ([]*psg.PartitionData, twohop.Stats, int, int) {
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -108,6 +111,7 @@ func buildPartitionCovers(c *xmlmodel.Collection, p *partition.Partitioning, opt
 	}
 	links := partition.NewLinkIndex(c)
 	parts := make([]*psg.PartitionData, p.NumParts())
+	stats := make([]twohop.Stats, p.NumParts())
 	next := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -122,9 +126,9 @@ func buildPartitionCovers(c *xmlmodel.Collection, p *partition.Partitioning, opt
 					tOpts.Preselect = append(tOpts.Preselect, pd.Local[t])
 				}
 				if opts.WithDistance {
-					pd.Cover, _ = twohop.BuildDistanceAware(graph.NewDistanceMatrix(g), tOpts)
+					pd.Cover, stats[pi] = twohop.BuildDistanceAware(graph.NewDistanceMatrix(g), tOpts)
 				} else {
-					pd.Cover, _ = twohop.Build(graph.NewClosure(g), tOpts)
+					pd.Cover, stats[pi] = twohop.Build(graph.NewClosure(g), tOpts)
 				}
 				parts[pi] = pd
 			}
@@ -135,10 +139,14 @@ func buildPartitionCovers(c *xmlmodel.Collection, p *partition.Partitioning, opt
 	}
 	close(next)
 	wg.Wait()
+	var kernel twohop.Stats
 	preselected, largest := 0, 0
 	for pi, pd := range parts {
+		kernel.Centers += stats[pi].Centers
+		kernel.Pops += stats[pi].Pops
+		kernel.Recomputes += stats[pi].Recomputes
 		preselected += len(targetsByPart[pi])
 		largest = max(largest, len(pd.Globals))
 	}
-	return parts, preselected, largest, nil
+	return parts, kernel, preselected, largest
 }

@@ -134,4 +134,10 @@ type BuildStats struct {
 	TotalTime         time.Duration
 	LargestPartition  int // elements
 	PreselectedCenter int // number of preselected centers across partitions
+	// What the greedy cover kernel did, summed over the partition
+	// covers (twohop.Stats). Fixed by collection, options and seed: a
+	// changed count means a changed selection order.
+	CoverCenters    int
+	CoverPops       int
+	CoverRecomputes int
 }

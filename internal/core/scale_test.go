@@ -143,3 +143,33 @@ func TestLargeScaleBuildValidates(t *testing.T) {
 		}
 	}
 }
+
+// TestPaperScaleCoverUnchanged builds the benchmark's build-dblp index
+// (6,210 documents, default options) and pins what a change to the
+// partitioner, the greedy cover kernel or the join must not move: the
+// partition count, the cover size, and the kernel's counters — the
+// counters change with any change of selection order, even one that
+// happens to land on a cover of the same size.
+func TestPaperScaleCoverUnchanged(t *testing.T) {
+	if testing.Short() {
+		t.Skip("paper-scale collection")
+	}
+	opts := DefaultOptions()
+	opts.Seed = 42
+	ix, err := Build(gen.DBLP(gen.DefaultDBLP(6210, 42)), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := ix.Stats()
+	want := BuildStats{
+		Partitions: 993, CoverEntries: 13_698_658,
+		CoverCenters: 25_433, CoverPops: 191_776, CoverRecomputes: 68_868,
+	}
+	got := BuildStats{
+		Partitions: st.Partitions, CoverEntries: st.CoverEntries,
+		CoverCenters: st.CoverCenters, CoverPops: st.CoverPops, CoverRecomputes: st.CoverRecomputes,
+	}
+	if got != want {
+		t.Errorf("paper-scale build:\n got %+v\nwant %+v", got, want)
+	}
+}

@@ -143,9 +143,11 @@ func (b Bitset) ForEach(fn func(i int) bool) {
 
 // Elements appends all members in ascending order to dst and returns it.
 func (b Bitset) Elements(dst []int32) []int32 {
-	b.ForEach(func(i int) bool {
-		dst = append(dst, int32(i))
-		return true
-	})
+	for wi, w := range b {
+		for w != 0 {
+			dst = append(dst, int32(wi*wordBits+bits.TrailingZeros64(w)))
+			w &= w - 1
+		}
+	}
 	return dst
 }

@@ -64,7 +64,7 @@ const (
 	// bitset container heuristics: a posting list qualifies when it has
 	// no tombstones, carries no distances, is long enough, and is dense
 	// enough that the bitset beats the varint-delta encoding.
-	bitsetMinCount = 32
+	bitsetMinCount       = 32
 	bitsetMaxSpanPerPost = 16 // span/count ≤ 16 → bitset is smaller
 )
 

@@ -180,4 +180,3 @@ func (t *QueryTrace) Format() string {
 	}
 	return b.String()
 }
-

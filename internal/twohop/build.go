@@ -1,7 +1,6 @@
 package twohop
 
 import (
-	"container/heap"
 	"math"
 	"math/bits"
 	"math/rand"
@@ -56,59 +55,116 @@ func BuildDistanceAware(dm *graph.DistanceMatrix, opts Options) (*Cover, Stats) 
 
 func closureFromMatrix(dm *graph.DistanceMatrix) *graph.Closure {
 	n := len(dm.Dist)
-	reach := make([]graph.Bitset, n)
+	reach := bitRows(n)
 	for u := 0; u < n; u++ {
-		r := graph.NewBitset(n)
+		r := reach[u]
 		for v, d := range dm.Dist[u] {
 			if d != graph.InfDist && v != u {
 				r.Set(v)
 			}
 		}
-		reach[u] = r
 	}
 	return &graph.Closure{Reach: reach}
 }
 
-type builder struct {
-	n     int
-	cl    *graph.Closure
-	dm    *graph.DistanceMatrix // nil for plain covers
-	anc   []graph.Bitset        // transpose of cl.Reach
-	unc   []graph.Bitset        // not-yet-covered connections, per source
-	uncN  int64
-	cover *Cover
-	rng   *rand.Rand
-	stats Stats
+// bitRows returns n empty bitsets of capacity n cut from one allocation.
+func bitRows(n int) []graph.Bitset {
+	words := (n + 63) / 64
+	slab := make([]uint64, n*words)
+	rows := make([]graph.Bitset, n)
+	for i := range rows {
+		rows[i] = slab[i*words : (i+1)*words : (i+1)*words]
+	}
+	return rows
+}
 
-	// scratch buffers reused across densest-subgraph computations
-	outSet graph.Bitset
+type builder struct {
+	n      int
+	cl     *graph.Closure
+	dm     *graph.DistanceMatrix // nil for plain covers
+	anc    []graph.Bitset        // transpose of cl.Reach
+	unc    []graph.Bitset        // not-yet-covered connections, per source
+	uncRow []int32               // |unc[u]|, so a fully covered row is skipped without a word scan
+	uncN   int64
+	cover  *Cover
+	rng    *rand.Rand
+	stats  Stats
+	s      scratch
+}
+
+// scratch is the arena one Build call does all its center-graph work
+// in. Every slice is reused from pop to pop and grows only while the
+// center graphs still get bigger, so a warmed-up pop allocates nothing.
+// It lives and dies with its builder: nothing is pooled across builds.
+type scratch struct {
+	outSet  graph.Bitset // Cout(w) ∪ {w}
+	coutSet graph.Bitset // the chosen Cout while apply clears it from rows; empty between calls
+
+	// The center graph under work, in local vertex numbers: in-side
+	// vertex i is inNodes[i], out-side vertex t is outNodes[t]. Both
+	// sides are CSR: i's neighbours are inAdj[inOff[i]:inOff[i+1]]
+	// (out-side numbers), t's are outAdj[outOff[t]:outOff[t+1]].
+	inNodes, outNodes []int32
+	inOff, inAdj      []int32
+	outOff, outAdj    []int32
+	outLocal          []int32 // global id → out-side number, -1 when unseen; all -1 between calls
+	perOut            []int32 // per out-side vertex: finishGraph's fill cursors, remainder's new numbers
+	outSpare          []int32 // remainder lists the new outNodes here, then swaps the two
+
+	// Peel state over vertices 0..ni+no (in-side first): cut marks the
+	// vertices outside the chosen subgraph (none before a peel), and
+	// head[d] is the top of degree d's bucket, a stack threaded through
+	// stack.
+	cut   []bool
+	deg   []int32
+	order []int32
+	head  []int32
+	stack []bucketEntry
+
+	ins, outs []int32 // sampledDensity's candidate endpoints
 }
 
 func newBuilder(cl *graph.Closure, dm *graph.DistanceMatrix, opts Options) *builder {
 	n := len(cl.Reach)
 	b := &builder{
-		n:     n,
-		cl:    cl,
-		dm:    dm,
-		cover: NewCover(n, dm != nil),
-		rng:   rand.New(rand.NewSource(opts.Seed)),
+		n:      n,
+		cl:     cl,
+		dm:     dm,
+		anc:    bitRows(n),
+		unc:    bitRows(n),
+		uncRow: make([]int32, n),
+		cover:  NewCover(n, dm != nil),
+		rng:    rand.New(rand.NewSource(opts.Seed)),
 	}
-	b.anc = make([]graph.Bitset, n)
-	for i := range b.anc {
-		b.anc[i] = graph.NewBitset(n)
-	}
-	b.unc = make([]graph.Bitset, n)
 	for u := 0; u < n; u++ {
-		b.unc[u] = cl.Reach[u].Clone()
-		b.uncN += int64(cl.Reach[u].Count())
-		cl.Reach[u].ForEach(func(v int) bool {
-			b.anc[v].Set(u)
-			return true
-		})
+		copy(b.unc[u], cl.Reach[u])
+		for wi, word := range b.unc[u] {
+			b.uncRow[u] += int32(bits.OnesCount64(word))
+			for word != 0 {
+				v := wi<<6 + bits.TrailingZeros64(word)
+				word &= word - 1
+				b.anc[v].Set(u)
+			}
+		}
+		b.uncN += int64(b.uncRow[u])
 	}
-	b.outSet = graph.NewBitset(n)
+	b.s.outSet = graph.NewBitset(n)
+	b.s.coutSet = graph.NewBitset(n)
+	b.s.outLocal = make([]int32, n)
+	for i := range b.s.outLocal {
+		b.s.outLocal[i] = -1
+	}
 	b.preselect(opts.Preselect)
 	return b
+}
+
+// grown returns s resized to n elements, reallocating (with headroom)
+// only when its capacity is short. The contents are unspecified.
+func grown[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n, n+n/2)
+	}
+	return s[:n]
 }
 
 // preselect applies the §4.2 optimization: use the given nodes (link
@@ -119,120 +175,230 @@ func (b *builder) preselect(centers []int32) {
 		if b.uncN == 0 {
 			return
 		}
-		cin, cout, _ := b.fullCenterSets(w)
-		if len(cin) == 0 || len(cout) == 0 {
-			continue
-		}
-		b.apply(w, cin, cout)
-	}
-}
-
-// fullCenterSets returns all of Cin(w) and Cout(w) (self included) that
-// still have uncovered connections through w, plus the number of
-// uncovered center-graph edges.
-func (b *builder) fullCenterSets(w int32) (cin, cout []int32, edges int64) {
-	out := b.outSetFor(w)
-	coutSeen := graph.NewBitset(b.n)
-	inCands := b.inCandsFor(w)
-	for _, u := range inCands {
-		cnt := 0
-		b.eachCenterEdge(u, w, out, func(v int32) {
-			cnt++
-			coutSeen.Set(int(v))
-		})
-		if cnt > 0 {
-			cin = append(cin, u)
-			edges += int64(cnt)
+		// An unpeeled center graph has no vertex cut, so apply takes
+		// all of Cin(w) × Cout(w).
+		if b.centerGraph(w) {
+			b.apply(w)
 		}
 	}
-	cout = coutSeen.Elements(nil)
-	return cin, cout, edges
 }
 
-// outSetFor fills the scratch bitset with Cout(w) ∪ {w}.
-func (b *builder) outSetFor(w int32) graph.Bitset {
-	b.outSet.Reset()
-	b.outSet.Or(b.cl.Reach[w])
-	b.outSet.Set(int(w))
-	return b.outSet
-}
-
-func (b *builder) inCandsFor(w int32) []int32 {
-	cands := b.anc[w].Elements(nil)
-	return append(cands, w)
-}
-
-// eachCenterEdge calls fn for every v such that (u,v) is an uncovered
-// connection that center w may cover. For plain covers that is every
-// uncovered (u,v) with v ∈ out (= Cout(w)∪{w}); for distance-aware
-// covers w must additionally lie on a shortest u→v path (§5.2).
-func (b *builder) eachCenterEdge(u, w int32, out graph.Bitset, fn func(v int32)) {
-	row := b.unc[u]
-	for wi, word := range row {
-		if wi < len(out) {
-			word &= out[wi]
-		} else {
-			word = 0
+// outSetFor fills the scratch bitset with Cout(w) ∪ {w} and returns the
+// range of its non-zero words.
+func (b *builder) outSetFor(w int32) (lo, hi int) {
+	out := b.s.outSet
+	clear(out[copy(out, b.cl.Reach[w]):])
+	out.Set(int(w))
+	lo = len(out)
+	for wi, word := range out {
+		if word != 0 {
+			lo = min(lo, wi)
+			hi = wi
 		}
+	}
+	return lo, hi
+}
+
+// centerGraph materializes w's current center graph in the arena: the
+// uncovered connections (u,v) that w may cover, u ∈ Cin(w) ∪ {w} and
+// v ∈ Cout(w) ∪ {w}. Vertices are numbered as discovered — in-side by
+// ascending u with w last, out-side as the rows first name them, each
+// row listing its targets by ascending v — and the peel's tie-breaks,
+// hence the cover, depend on exactly that order. It reports whether
+// the graph has any edge.
+func (b *builder) centerGraph(w int32) bool {
+	s := &b.s
+	s.inNodes, s.outNodes = s.inNodes[:0], s.outNodes[:0]
+	s.inOff, s.inAdj = s.inOff[:0], s.inAdj[:0]
+	lo, hi := b.outSetFor(w)
+	for wi, word := range b.anc[w] {
 		for word != 0 {
-			bit := bits.TrailingZeros64(word)
-			v := int32(wi*64 + bit)
+			u := int32(wi<<6 + bits.TrailingZeros64(word))
 			word &= word - 1
-			if v == u {
+			b.scanRow(u, w, lo, hi)
+		}
+	}
+	b.scanRow(w, w, lo, hi)
+	for _, v := range s.outNodes {
+		s.outLocal[v] = -1
+	}
+	return b.finishGraph()
+}
+
+// scanRow appends u's center-graph edges to the in-side CSR: every
+// uncovered (u,v) with v in the out set (whose non-zero words are
+// lo..hi); for distance-aware covers w must additionally lie on a
+// shortest u→v path (§5.2).
+func (b *builder) scanRow(u, w int32, lo, hi int) {
+	if b.uncRow[u] == 0 {
+		return
+	}
+	s := &b.s
+	row := b.unc[u][lo : hi+1]
+	out := s.outSet[lo : hi+1][:len(row)]
+	adj, outNodes, outLocal := s.inAdj, s.outNodes, s.outLocal
+	start := len(adj)
+	var du, dw []uint32
+	var duw uint32
+	if b.dm != nil {
+		// u reaches w and w reaches every v in out, so all three
+		// distances are finite and the sum cannot saturate.
+		du, dw = b.dm.Dist[u], b.dm.Dist[w]
+		duw = du[w]
+	}
+	for k, word := range row {
+		word &= out[k]
+		for word != 0 {
+			v := int32((lo+k)<<6 + bits.TrailingZeros64(word))
+			word &= word - 1
+			if du != nil && du[v] != duw+dw[v] {
 				continue
 			}
-			if b.dm != nil {
-				if b.dm.D(u, v) != satAdd(b.dm.D(u, w), b.dm.D(w, v)) {
-					continue
-				}
+			t := outLocal[v]
+			if t < 0 {
+				t = int32(len(outNodes))
+				outLocal[v] = t
+				outNodes = append(outNodes, v)
 			}
-			fn(v)
+			adj = append(adj, t)
 		}
 	}
+	if len(adj) > start {
+		s.inNodes = append(s.inNodes, u)
+		s.inOff = append(s.inOff, int32(start))
+	}
+	s.inAdj, s.outNodes = adj, outNodes
 }
 
-func satAdd(a, b uint32) uint32 {
-	if a == graph.InfDist || b == graph.InfDist {
-		return graph.InfDist
+// finishGraph closes the in-side CSR, derives the out-side CSR from a
+// degree count (so each out-side vertex lists its sources in ascending
+// in-side number) and clears the cut marks. It reports whether the
+// graph has any edge.
+func (b *builder) finishGraph() bool {
+	s := &b.s
+	ni, no := len(s.inNodes), len(s.outNodes)
+	if ni == 0 {
+		return false
 	}
-	return a + b
+	edges := len(s.inAdj)
+	s.inOff = append(s.inOff, int32(edges))
+	s.outOff = grown(s.outOff, no+1)
+	clear(s.outOff)
+	for _, t := range s.inAdj {
+		s.outOff[t+1]++
+	}
+	for t := 0; t < no; t++ {
+		s.outOff[t+1] += s.outOff[t]
+	}
+	s.outAdj = grown(s.outAdj, edges)
+	s.perOut = grown(s.perOut, no)
+	fill := s.perOut
+	copy(fill, s.outOff)
+	for i := 0; i < ni; i++ {
+		for _, t := range s.inAdj[s.inOff[i]:s.inOff[i+1]] {
+			s.outAdj[fill[t]] = int32(i)
+			fill[t]++
+		}
+	}
+	s.cut = grown(s.cut, ni+no)
+	clear(s.cut)
+	return true
 }
 
-// apply installs w as center for all pairs in cin × cout, adds the
-// label entries and removes the covered connections from unc.
-func (b *builder) apply(w int32, cin, cout []int32) {
-	coutSet := graph.NewBitset(b.n)
-	for _, v := range cout {
-		coutSet.Set(int(v))
-		if b.dm != nil {
-			b.cover.AddIn(v, w, b.dm.D(w, v))
-		} else {
-			b.cover.AddIn(v, w, 0)
-		}
+// apply installs w as center for the part of its center graph that is
+// not cut: adds the label entries for that Cin × Cout and takes the
+// connections it covers out of unc.
+func (b *builder) apply(w int32) {
+	s := &b.s
+	ni := len(s.inNodes)
+	var dw []uint32
+	if b.dm != nil {
+		dw = b.dm.Dist[w]
 	}
-	for _, u := range cin {
-		if b.dm != nil {
-			b.cover.AddOut(u, w, b.dm.D(u, w))
-		} else {
-			b.cover.AddOut(u, w, 0)
-		}
-		row := b.unc[u]
-		if b.dm == nil {
-			removed := row.IntersectionCount(coutSet)
-			row.AndNot(coutSet)
-			b.uncN -= int64(removed)
+	cout := s.coutSet
+	lo, hi := len(cout), 0
+	for t, v := range s.outNodes {
+		if s.cut[ni+t] {
 			continue
 		}
-		// Distance-aware: only connections for which w lies on a
-		// shortest path are actually covered at the right distance.
-		var toClear []int32
-		b.eachCenterEdge(u, w, coutSet, func(v int32) { toClear = append(toClear, v) })
-		for _, v := range toClear {
-			row.Clear(int(v))
+		cout.Set(int(v))
+		lo, hi = min(lo, int(v)>>6), max(hi, int(v)>>6)
+		var d uint32
+		if dw != nil {
+			d = dw[v]
 		}
-		b.uncN -= int64(len(toClear))
+		b.cover.AddIn(v, w, d)
+	}
+	for i, u := range s.inNodes {
+		if s.cut[i] {
+			continue
+		}
+		row := b.unc[u]
+		var d uint32
+		cleared := 0
+		if b.dm == nil {
+			for wi := lo; wi <= hi; wi++ {
+				cleared += bits.OnesCount64(row[wi] & cout[wi])
+				row[wi] &^= cout[wi]
+			}
+		} else {
+			// Only connections with w on a shortest path are covered at
+			// the right distance: u's edges in the center graph.
+			d = b.dm.Dist[u][w]
+			for _, t := range s.inAdj[s.inOff[i]:s.inOff[i+1]] {
+				if !s.cut[ni+int(t)] {
+					row.Clear(int(s.outNodes[t]))
+					cleared++
+				}
+			}
+		}
+		b.cover.AddOut(u, w, d)
+		b.uncRow[u] -= int32(cleared)
+		b.uncN -= int64(cleared)
+	}
+	if lo <= hi {
+		clear(cout[lo : hi+1])
 	}
 	b.stats.Centers++
+}
+
+// remainder reduces the arena's center graph to the edges apply left
+// uncovered — those with an endpoint that was cut — renumbering the
+// vertices as centerGraph would on enumerating them afresh. It reports
+// whether any edge is left.
+func (b *builder) remainder() bool {
+	s := &b.s
+	ni, no := len(s.inNodes), len(s.outNodes)
+	s.perOut = grown(s.perOut, no)
+	renum, outNodes := s.perOut, s.outSpare[:0]
+	for t := range renum {
+		renum[t] = -1
+	}
+	// Both CSR arrays are compacted in place: the write positions never
+	// pass the read positions.
+	kept, edges := 0, int32(0)
+	for i := 0; i < ni; i++ {
+		start := edges
+		for _, t := range s.inAdj[s.inOff[i]:s.inOff[i+1]] {
+			if !s.cut[i] && !s.cut[ni+int(t)] {
+				continue
+			}
+			if renum[t] < 0 {
+				renum[t] = int32(len(outNodes))
+				outNodes = append(outNodes, s.outNodes[t])
+			}
+			s.inAdj[edges] = renum[t]
+			edges++
+		}
+		if edges > start {
+			s.inNodes[kept] = s.inNodes[i]
+			s.inOff[kept] = start
+			kept++
+		}
+	}
+	s.inNodes, s.inOff, s.inAdj = s.inNodes[:kept], s.inOff[:kept], s.inAdj[:edges]
+	s.outNodes, s.outSpare = outNodes, s.outNodes
+	return b.finishGraph()
 }
 
 // run executes the greedy main loop: pop the candidate center with the
@@ -246,27 +412,29 @@ func (b *builder) run() (*Cover, Stats) {
 			pq = append(pq, candidate{node: w, density: d})
 		}
 	}
-	heap.Init(&pq)
-	for b.uncN > 0 && pq.Len() > 0 {
-		top := heap.Pop(&pq).(candidate)
+	pq.init()
+	for b.uncN > 0 && len(pq) > 0 {
+		top := pq.pop()
 		b.stats.Pops++
-		density, cin, cout := b.densestSubgraph(top.node)
-		if density <= 0 {
+		if !b.centerGraph(top.node) {
 			continue
 		}
+		density, ncut := b.peel()
 		// Lazy invariant: priorities are upper bounds. If the fresh
 		// density fell below the next candidate's (stale) priority,
 		// push back and try the next one.
-		if pq.Len() > 0 && density < pq[0].density {
+		if len(pq) > 0 && density < pq[0].density {
 			b.stats.Recomputes++
-			heap.Push(&pq, candidate{node: top.node, density: density})
+			pq.push(candidate{node: top.node, density: density})
 			continue
 		}
-		b.apply(top.node, cin, cout)
+		b.apply(top.node)
 		// The node may serve as center again for connections the chosen
-		// subgraph did not include.
-		if d2, _, _ := b.densityOnly(top.node); d2 > 0 {
-			heap.Push(&pq, candidate{node: top.node, density: d2})
+		// subgraph did not include; when it took the whole center graph
+		// there are none.
+		if ncut > 0 && b.remainder() {
+			d2, _ := b.peel()
+			pq.push(candidate{node: top.node, density: d2})
 		}
 	}
 	b.cover.Finish()
@@ -289,33 +457,31 @@ func (b *builder) initialDensity(w int32) float64 {
 		edges := float64(a+1)*float64(d+1) - float64(x) - 1
 		return edges / float64(a+d+2)
 	}
-	return b.sampledDensity(w, a, d)
+	return b.sampledDensity(w)
 }
 
 // sampledDensity implements §5.2: test at most SampleBudget random
 // candidate edges of the initial center graph, compute the upper bound
 // of the 98% confidence interval for the fraction of edges present, and
 // estimate the maximal subgraph density as sqrt(E)/2.
-func (b *builder) sampledDensity(w int32, a, d int) float64 {
-	ins := b.inCandsFor(w)
-	out := b.outSetFor(w)
-	outs := out.Elements(nil)
+func (b *builder) sampledDensity(w int32) float64 {
+	s := &b.s
+	b.outSetFor(w)
+	s.ins = append(b.anc[w].Elements(s.ins[:0]), w)
+	s.outs = s.outSet.Elements(s.outs[:0])
+	ins, outs := s.ins, s.outs
 	total := int64(len(ins)) * int64(len(outs))
-	if total == 0 {
-		return 0
-	}
-	valid := func(u, v int32) bool {
-		if u == v {
-			return false
-		}
-		return b.dm.D(u, v) == satAdd(b.dm.D(u, w), b.dm.D(w, v))
-	}
+	// Every u in ins reaches w and w reaches every v in outs, so w lies
+	// on a shortest u→v path iff the finite sum below is D(u,v).
+	dist, dw := b.dm.Dist, b.dm.Dist[w]
 	var edges float64
 	if total <= SampleBudget {
 		cnt := 0
 		for _, u := range ins {
+			du := dist[u]
+			duw := du[w]
 			for _, v := range outs {
-				if valid(u, v) {
+				if u != v && du[v] == duw+dw[v] {
 					cnt++
 				}
 			}
@@ -323,10 +489,10 @@ func (b *builder) sampledDensity(w int32, a, d int) float64 {
 		edges = float64(cnt)
 	} else {
 		hit := 0
-		for s := 0; s < SampleBudget; s++ {
+		for i := 0; i < SampleBudget; i++ {
 			u := ins[b.rng.Intn(len(ins))]
 			v := outs[b.rng.Intn(len(outs))]
-			if valid(u, v) {
+			if u != v && dist[u][v] == dist[u][w]+dw[v] {
 				hit++
 			}
 		}
@@ -345,176 +511,174 @@ func (b *builder) sampledDensity(w int32, a, d int) float64 {
 	return math.Sqrt(edges) / 2
 }
 
-// densestSubgraph materializes w's current center graph (uncovered
-// connections only), runs the linear-time 2-approximation (repeatedly
-// peel a minimum-degree vertex, keep the densest prefix) and returns
-// the chosen density and center sets.
-func (b *builder) densestSubgraph(w int32) (float64, []int32, []int32) {
-	return b.peel(w, false)
-}
-
-// densityOnly recomputes just the density for re-queueing.
-func (b *builder) densityOnly(w int32) (float64, []int32, []int32) {
-	return b.peel(w, true)
-}
-
-func (b *builder) peel(w int32, densityOnly bool) (float64, []int32, []int32) {
-	out := b.outSetFor(w)
-	inCands := b.inCandsFor(w)
-	// Local vertex numbering: in-side first, then out-side.
-	outIdx := make(map[int32]int32)
-	var inNodes, outNodes []int32
-	var adjIn [][]int32 // per in-node: out-side local ids
-	for _, u := range inCands {
-		var targets []int32
-		b.eachCenterEdge(u, w, out, func(v int32) {
-			li, ok := outIdx[v]
-			if !ok {
-				li = int32(len(outNodes))
-				outIdx[v] = li
-				outNodes = append(outNodes, v)
-			}
-			targets = append(targets, li)
-		})
-		if len(targets) > 0 {
-			inNodes = append(inNodes, u)
-			adjIn = append(adjIn, targets)
-		}
+// peel runs the linear-time 2-approximation of the densest subgraph on
+// the arena's center graph: repeatedly remove a minimum-degree vertex,
+// keep the densest prefix. It returns that density and how many
+// vertices were cut off to reach it, and marks exactly those vertices
+// in s.cut.
+func (b *builder) peel() (density float64, ncut int) {
+	s := &b.s
+	ni, no := len(s.inNodes), len(s.outNodes)
+	nv, edges := ni+no, len(s.inAdj)
+	density = float64(edges) / float64(nv)
+	if edges == ni*no {
+		// Complete bipartite: removing vertices only lowers the
+		// density, so the peel would keep the whole graph.
+		return density, 0
 	}
-	ni, no := len(inNodes), len(outNodes)
-	if ni == 0 || no == 0 {
-		return 0, nil, nil
+	s.deg = grown(s.deg, nv)
+	deg := s.deg // -1 once the vertex is peeled
+	maxDeg := int32(0)
+	for i := 0; i < ni; i++ {
+		deg[i] = s.inOff[i+1] - s.inOff[i]
+		maxDeg = max(maxDeg, deg[i])
 	}
-	adjOut := make([][]int32, no)
-	for i, targets := range adjIn {
-		for _, t := range targets {
-			adjOut[t] = append(adjOut[t], int32(i))
-		}
+	for t := 0; t < no; t++ {
+		deg[ni+t] = s.outOff[t+1] - s.outOff[t]
+		maxDeg = max(maxDeg, deg[ni+t])
 	}
-	nv := ni + no
-	deg := make([]int, nv)
-	edges := 0
-	for i, targets := range adjIn {
-		deg[i] = len(targets)
-		edges += len(targets)
+	// Bucket-based min-degree peeling. A vertex is pushed on its new
+	// bucket at every degree change and never unlinked from the old
+	// one: a popped entry counts only if it still tells the truth.
+	s.head = grown(s.head, int(maxDeg)+1)
+	s.stack = grown(s.stack, nv+edges)
+	head, stack := s.head, s.stack
+	for d := range head {
+		head[d] = -1
 	}
-	for t, srcs := range adjOut {
-		deg[ni+t] = len(srcs)
+	top := int32(0)
+	for v := int32(0); v < int32(nv); v++ {
+		stack[top] = bucketEntry{vert: v, next: head[deg[v]]}
+		head[deg[v]] = top
+		top++
 	}
-	// Bucket-based min-degree peeling.
-	maxDeg := 0
-	for _, d := range deg {
-		if d > maxDeg {
-			maxDeg = d
-		}
-	}
-	buckets := make([][]int32, maxDeg+1)
-	for v := 0; v < nv; v++ {
-		buckets[deg[v]] = append(buckets[deg[v]], int32(v))
-	}
-	removed := make([]bool, nv)
-	order := make([]int32, 0, nv)
-	bestDensity := float64(edges) / float64(nv)
-	bestStep := 0
+	order := s.order[:0]
 	curEdges, curVerts := edges, nv
-	cur := 0
+	cur := int32(0)
 	for step := 0; step < nv; step++ {
 		// find the minimum-degree live vertex (lazy buckets)
 		var v int32 = -1
 		for {
-			for cur <= maxDeg && len(buckets[cur]) == 0 {
+			for cur <= maxDeg && head[cur] < 0 {
 				cur++
 			}
 			if cur > maxDeg {
 				break
 			}
-			cand := buckets[cur][len(buckets[cur])-1]
-			buckets[cur] = buckets[cur][:len(buckets[cur])-1]
-			if removed[cand] || deg[cand] != cur {
+			e := stack[head[cur]]
+			head[cur] = e.next
+			if deg[e.vert] != cur {
 				continue
 			}
-			v = cand
+			v = e.vert
 			break
 		}
 		if v < 0 {
 			break
 		}
-		removed[v] = true
 		order = append(order, v)
-		curEdges -= deg[v]
+		curEdges -= int(deg[v])
 		curVerts--
+		deg[v] = -1
 		var neigh []int32
 		var off int32
 		if int(v) < ni {
-			neigh = adjIn[v]
+			neigh = s.inAdj[s.inOff[v]:s.inOff[v+1]]
 			off = int32(ni)
 		} else {
-			neigh = adjOut[v-int32(ni)]
+			t := v - int32(ni)
+			neigh = s.outAdj[s.outOff[t]:s.outOff[t+1]]
 		}
 		for _, t := range neigh {
-			nvtx := t + off
-			if removed[nvtx] {
-				continue
+			x := t + off
+			nd := deg[x] - 1
+			if nd < 0 {
+				continue // peeled earlier
 			}
-			deg[nvtx]--
-			nd := deg[nvtx]
-			buckets[nd] = append(buckets[nd], nvtx)
+			deg[x] = nd
+			stack[top] = bucketEntry{vert: x, next: head[nd]}
+			head[nd] = top
+			top++
 			if nd < cur {
 				cur = nd
 			}
 		}
 		if curVerts > 0 {
-			if d := float64(curEdges) / float64(curVerts); d > bestDensity {
-				bestDensity = d
-				bestStep = step + 1
+			if d := float64(curEdges) / float64(curVerts); d > density {
+				density = d
+				ncut = step + 1
 			}
 		}
 	}
-	if densityOnly {
-		return bestDensity, nil, nil
+	// Survivors after ncut removals form the densest prefix.
+	for _, v := range order[:ncut] {
+		s.cut[v] = true
 	}
-	// Survivors after bestStep removals form the densest prefix.
-	var cin, cout []int32
-	survivor := make([]bool, nv)
-	for v := 0; v < nv; v++ {
-		survivor[v] = true
-	}
-	for _, v := range order[:bestStep] {
-		survivor[v] = false
-	}
-	for i := 0; i < ni; i++ {
-		if survivor[i] {
-			cin = append(cin, inNodes[i])
-		}
-	}
-	for t := 0; t < no; t++ {
-		if survivor[ni+t] {
-			cout = append(cout, outNodes[t])
-		}
-	}
-	if len(cin) == 0 || len(cout) == 0 {
-		return 0, nil, nil
-	}
-	return bestDensity, cin, cout
+	s.order = order
+	return density, ncut
 }
+
+// bucketEntry is one element of a degree bucket: a vertex and the index
+// of the entry below it, -1 at the bottom.
+type bucketEntry struct{ vert, next int32 }
 
 type candidate struct {
 	node    int32
 	density float64
 }
 
+// candidateQueue is a max-heap of candidates by density. It sifts
+// exactly as container/heap does, so equal densities pop in the same
+// order, without boxing every candidate into an interface.
 type candidateQueue []candidate
 
-func (q candidateQueue) Len() int           { return len(q) }
-func (q candidateQueue) Less(i, j int) bool { return q[i].density > q[j].density }
-func (q candidateQueue) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
+func (q candidateQueue) less(i, j int) bool { return q[i].density > q[j].density }
 
-func (q *candidateQueue) Push(x any) { *q = append(*q, x.(candidate)) }
+func (q candidateQueue) init() {
+	n := len(q)
+	for i := n/2 - 1; i >= 0; i-- {
+		q.down(i, n)
+	}
+}
 
-func (q *candidateQueue) Pop() any {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	*q = old[:n-1]
-	return it
+func (q *candidateQueue) push(c candidate) {
+	*q = append(*q, c)
+	q.up(len(*q) - 1)
+}
+
+func (q *candidateQueue) pop() candidate {
+	h := *q
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	h.down(0, n)
+	*q = h[:n]
+	return h[n]
+}
+
+func (q candidateQueue) up(j int) {
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !q.less(j, i) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
+}
+
+func (q candidateQueue) down(i, n int) {
+	for {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && q.less(r, j) {
+			j = r
+		}
+		if !q.less(j, i) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
 }

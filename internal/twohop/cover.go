@@ -48,11 +48,11 @@ type Cover struct {
 	rec func(CoverDelta)
 
 	// segment mode (see segcover.go); base == nil means flat mode.
-	base       *Base
-	dIn, dOut  map[int32][]Entry
-	tIn, tOut  map[int32]map[int32]struct{}
-	nSeg       int
-	sizeSeg    int
+	base      *Base
+	dIn, dOut map[int32][]Entry
+	tIn, tOut map[int32]map[int32]struct{}
+	nSeg      int
+	sizeSeg   int
 }
 
 // NewCover returns an empty cover for n nodes.
