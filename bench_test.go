@@ -415,6 +415,47 @@ func BenchmarkDurableApply(b *testing.B) {
 	}
 }
 
+// BenchmarkDurableInsertLink measures one §6.1 link insert (Fig. 2) on
+// a sealed distance-aware store at the maintain-segments scale: the
+// citing documents are inserted and sealed before the clock starts, so
+// every ancestor and descendant label the insert reads comes out of a
+// segment block, and the seals the growing delta triggers are included.
+func BenchmarkDurableInsertLink(b *testing.B) {
+	const docs = 620
+	opts := DefaultOptions()
+	opts.Seed = benchSeed
+	opts.WithDistance = true
+	ix, err := Create(filepath.Join(b.TempDir(), "bench.hopi"), WrapCollection(benchDBLP(docs)), opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ix.Close()
+	ctx := context.Background()
+	name := func(i int) string { return fmt.Sprintf("bench%06d.xml", i) }
+	for i := 0; i < b.N; i++ {
+		nd := NewDocument(name(i), "article")
+		nd.AddElement(nd.Root(), "cite")
+		batch := NewBatch()
+		batch.InsertDocument(nd)
+		if _, err := ix.Apply(ctx, batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := ix.Checkpoint(); err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(benchSeed))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		batch := NewBatch()
+		batch.InsertLink(name(i), 1, fmt.Sprintf("pub%05d.xml", rng.Intn(docs)), 0)
+		if _, err := ix.Apply(ctx, batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkDurableCheckpoint measures folding a fixed number of
 // batches into the store.
 func BenchmarkDurableCheckpoint(b *testing.B) {

@@ -83,6 +83,8 @@ func TestMetricsExposition(t *testing.T) {
 		"hopi_wal_fsync_seconds",
 		"hopi_replication_lag_batches",
 		"hopi_segment_stack_depth",
+		"hopi_segment_cache_misses_total",
+		"hopi_segment_block_records_scanned_total",
 		"hopi_watch_sessions",
 		// serving families registered by newServer
 		"hopi_serve_queries_total",

@@ -613,6 +613,11 @@ type SegmentStats struct {
 	// served as empty (0 in mmap mode; post-open validation makes
 	// corruption unreachable, so this tracks pread failures only).
 	ReadErrors uint64 `json:"readErrors"`
+	// CacheMisses counts label and owner lookups that missed the decode
+	// cache above the sealed stack and went to the segment blocks;
+	// RecordsScanned counts the block records those lookups walked.
+	CacheMisses    uint64 `json:"cacheMisses"`
+	RecordsScanned uint64 `json:"recordsScanned"`
 	// BytesPerLabel is SealedBytes / LiveEntries — compare against the
 	// 16 bytes/entry of the flat in-memory layout (§3.4 accounting).
 	BytesPerLabel float64 `json:"bytesPerLabel"`
@@ -649,6 +654,8 @@ func (ix *Index) SegmentStats() SegmentStats {
 		out.LiveEntries = int64(cov.Size())
 		out.DeltaEntries = cov.DeltaEntries()
 		out.ReadErrors = cov.Base().Errors()
+		out.CacheMisses = cov.Base().CacheMisses()
+		out.RecordsScanned = cov.Base().RecordsScanned()
 		if out.LiveEntries > 0 {
 			out.BytesPerLabel = float64(out.SealedBytes) / float64(out.LiveEntries)
 		}
@@ -670,6 +677,8 @@ func (ix *Index) SegmentStats() SegmentStats {
 	if cov.Seg() {
 		out.DeltaEntries = cov.DeltaEntries()
 		out.ReadErrors = cov.Base().Errors()
+		out.CacheMisses = cov.Base().CacheMisses()
+		out.RecordsScanned = cov.Base().RecordsScanned()
 	}
 	if over := st.Segments - d.segs.MaxStack(); over > 0 {
 		out.CompactionBacklog = over

@@ -871,12 +871,33 @@ func TestDurableAutoSealAndCompaction(t *testing.T) {
 		}
 	}
 
+	// every seal and compaction from here on swaps the sealed base; the
+	// decode-cache counters are an index's, not a base's, and only grow
+	prev := ix.SegmentStats()
+	if prev.CacheMisses == 0 || prev.RecordsScanned == 0 {
+		t.Fatalf("maintenance over a sealed base counted no decode-cache miss: %+v", prev)
+	}
 	for i := half; i < len(ops); i++ {
 		if _, err := ix.Apply(context.Background(), buildScriptBatch(ops[i])); err != nil {
 			t.Fatalf("op %d: %v", i, err)
 		}
+		st := ix.SegmentStats()
+		if st.CacheMisses < prev.CacheMisses || st.RecordsScanned < prev.RecordsScanned {
+			t.Fatalf("op %d: cache counters went backwards: %d/%d misses, %d/%d records", i,
+				prev.CacheMisses, st.CacheMisses, prev.RecordsScanned, st.RecordsScanned)
+		}
+		prev = st
 	}
 	assertSameAnswers(t, ix, oracle(t, ops, len(ops), true), "after auto-seals")
+	var text strings.Builder
+	if err := ix.Metrics().WritePrometheus(&text); err != nil {
+		t.Fatal(err)
+	}
+	for _, fam := range []string{"hopi_segment_cache_misses_total", "hopi_segment_block_records_scanned_total"} {
+		if !strings.Contains(text.String(), "# TYPE "+fam+" counter") {
+			t.Errorf("%s missing from the index registry", fam)
+		}
+	}
 
 	st := ix.SegmentStats()
 	if st.SealedSeq == 0 {

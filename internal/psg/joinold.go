@@ -189,14 +189,7 @@ func (ix *CoverIndex) IntegrateLink(u, v int32) {
 	descs := ix.Descendants(v)
 	if ix.cov.WithDist {
 		// snapshot distances before mutating the labels
-		ad := make([]uint32, len(ancs))
-		for i, a := range ancs {
-			ad[i] = ix.cov.Distance(a, u)
-		}
-		dd := make([]uint32, len(descs))
-		for i, d := range descs {
-			dd[i] = ix.cov.Distance(v, d)
-		}
+		ad, dd := ix.linkDistances(u, v, ancs, descs)
 		for i, a := range ancs {
 			if ad[i] != graph.InfDist {
 				ix.AddOut(a, v, ad[i]+1)
@@ -215,4 +208,23 @@ func (ix *CoverIndex) IntegrateLink(u, v int32) {
 	for _, d := range descs {
 		ix.AddIn(d, v, 0)
 	}
+}
+
+// linkDistances returns dist(a, u) for every a in ancs and dist(v, d)
+// for every d in descs. Each loop holds its fixed side — Lin(u), then
+// Lout(v) — and reads the varying side through one reused buffer, so on
+// a segment-mode cover it allocates the same whatever the fan-out.
+func (ix *CoverIndex) linkDistances(u, v int32, ancs, descs []int32) (ad, dd []uint32) {
+	var buf []twohop.Entry
+	ad = make([]uint32, len(ancs))
+	linU := ix.cov.Lin(u)
+	for i, a := range ancs {
+		ad[i] = twohop.ListDistance(a, ix.cov.LoutBuf(a, &buf), u, linU)
+	}
+	dd = make([]uint32, len(descs))
+	loutV := ix.cov.Lout(v)
+	for i, d := range descs {
+		dd[i] = twohop.ListDistance(v, loutV, d, ix.cov.LinBuf(d, &buf))
+	}
+	return ad, dd
 }

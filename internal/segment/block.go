@@ -1,6 +1,9 @@
 package segment
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
 // Block payload encoding. A block holds 1..n consecutive records of a
 // single family:
@@ -86,6 +89,7 @@ func decodePostings(b []byte, i int, dst []Post) ([]Post, int, bool) {
 			return nil, i, false
 		}
 		i = j
+		dst = slices.Grow(dst, int(cnt)) // one growth, not a chain of them
 		prev := int64(-1)
 		for k := uint64(0); k < cnt; k++ {
 			d, j, ok := uvarint(b, i)
@@ -145,10 +149,11 @@ func decodePostings(b []byte, i int, dst []Post) ([]Post, int, bool) {
 }
 
 // decodeBlock walks every record of a block payload, invoking fn for
-// each (key, postings) pair in order. It never panics on corrupt
-// input; any structural violation returns an error. The posts slice
-// passed to fn is only valid during the call.
-func decodeBlock(b []byte, e blockEntry, fn func(key int32, posts []Post) error) error {
+// each (key, postings) pair in order; off is where the record's
+// postings start in b. It never panics on corrupt input; any
+// structural violation returns an error. The posts slice passed to fn
+// is only valid during the call.
+func decodeBlock(b []byte, e blockEntry, fn func(key int32, off int, posts []Post) error) error {
 	i := 0
 	key := e.firstKey
 	var scratch []Post
@@ -165,12 +170,13 @@ func decodeBlock(b []byte, e blockEntry, fn func(key int32, posts []Post) error)
 			}
 			key = int32(nk)
 		}
+		off := i
 		var ok bool
 		scratch, i, ok = decodePostings(b, i, scratch[:0])
 		if !ok {
 			return corruptf("block postings for key %d", key)
 		}
-		if err := fn(key, scratch); err != nil {
+		if err := fn(key, off, scratch); err != nil {
 			return err
 		}
 	}
@@ -183,39 +189,59 @@ func decodeBlock(b []byte, e blockEntry, fn func(key int32, posts []Post) error)
 	return nil
 }
 
-// findInBlock scans a block payload for one key, appending its posts
-// to dst. found=false when the key is absent; ok=false on corruption.
-func findInBlock(b []byte, e blockEntry, want int32, dst []Post) (res []Post, found, ok bool) {
-	i := 0
-	key := e.firstKey
-	for k := 0; k < e.nKeys; k++ {
-		if k > 0 {
-			d, j, okv := uvarint(b, i)
-			if !okv || d == 0 {
-				return dst, false, false
-			}
-			i = j
-			nk := int64(key) + int64(d)
-			if nk > 1<<31-1 {
-				return dst, false, false
-			}
-			key = int32(nk)
+// indexBlock verifies a block payload structurally and appends its
+// restart directory (blockEntry.restarts) to dir.
+func indexBlock(b []byte, e blockEntry, dir []restart) ([]restart, error) {
+	k := 0
+	err := decodeBlock(b, e, func(key int32, off int, _ []Post) error {
+		if k%restartEvery == 0 {
+			dir = append(dir, restart{key: key, off: uint32(off)})
 		}
-		if key == want {
-			res, _, okv := decodePostings(b, i, dst)
-			return res, okv, okv
-		}
-		if key > want {
-			return dst, false, true
-		}
-		// skip postings without materializing
-		var okv bool
-		i, okv = skipPostings(b, i)
-		if !okv {
-			return dst, false, false
+		k++
+		return nil
+	})
+	return dir, err
+}
+
+// findInBlock looks one key up in a block payload, appending its posts
+// to dst: a binary search of the block's restart directory for the last
+// restart at or before want, then a walk of at most restartEvery
+// records. found=false when the key is absent; ok=false on corruption;
+// scanned is the number of records the walk looked at.
+func findInBlock(b []byte, e blockEntry, want int32, dst []Post) (res []Post, found bool, scanned int, ok bool) {
+	lo, hi := 0, len(e.restarts) // → first restart past want
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); e.restarts[m].key <= want {
+			lo = m + 1
+		} else {
+			hi = m
 		}
 	}
-	return dst, false, true
+	if lo == 0 {
+		return dst, false, 0, true
+	}
+	key, i := e.restarts[lo-1].key, int(e.restarts[lo-1].off)
+	end := min(lo*restartEvery, e.nKeys)
+	for k := (lo - 1) * restartEvery; k < end; k++ {
+		scanned++
+		if key == want {
+			res, _, okv := decodePostings(b, i, dst)
+			return res, okv, scanned, okv
+		}
+		if key > want || k+1 == end {
+			break
+		}
+		var okv bool
+		if i, okv = skipPostings(b, i); !okv {
+			return dst, false, scanned, false
+		}
+		d, j, okv := uvarint(b, i)
+		if !okv || d == 0 || int64(key)+int64(d) > 1<<31-1 {
+			return dst, false, scanned, false
+		}
+		key, i = key+int32(d), j
+	}
+	return dst, false, scanned, true
 }
 
 // skipPostings advances past one posting list without decoding values.
@@ -250,7 +276,7 @@ func skipPostings(b []byte, i int) (int, bool) {
 			return i, false
 		}
 		nWords, j2, ok := uvarint(b, j)
-		if !ok || j2+int(nWords)*8 > len(b) || int(nWords) < 0 {
+		if !ok || nWords > uint64(len(b)-j2)/8 { // bounded before the multiply can wrap
 			return i, false
 		}
 		return j2 + int(nWords)*8, true

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -87,9 +88,80 @@ func FuzzSegment(f *testing.F) {
 		var buf []Post
 		m := s.Meta()
 		for key := int32(0); key < int32(m.N)+4; key++ {
-			if _, _, err := s.Posts(FamLin, key, buf); err != nil {
+			if _, _, _, err := s.Posts(FamLin, key, buf); err != nil {
 				t.Fatalf("Posts(FamLin, %d) failed on a validated segment: %v", key, err)
 			}
+		}
+	})
+}
+
+// FuzzFindInBlock feeds an arbitrary payload and index entry to the
+// block lookup. It must never panic, and whenever the linear walk
+// (decodeBlock) accepts the block, the lookup must agree with it on
+// every key the walk saw, on both neighbours of each, and on the
+// fuzzer's own key — within restartEvery records.
+func FuzzFindInBlock(f *testing.F) {
+	rng := rand.New(rand.NewSource(3))
+	var valid []byte
+	key := int32(7)
+	for k := 0; k < 9; k++ {
+		if k > 0 {
+			d := int32(1 + rng.Intn(3))
+			valid = putUvarint(valid, uint64(d))
+			key += d
+		}
+		valid = appendPostings(valid, randPosts(rng, 1+rng.Intn(6), true, true))
+	}
+	f.Add(valid, int32(7), uint16(9), key)
+	f.Add(valid[:len(valid)/2], int32(7), uint16(9), int32(9))
+	f.Add(valid, int32(7), uint16(5), int32(8))
+	dense := make([]Post, 64)
+	for i := range dense {
+		dense[i].Val = int32(100 + i)
+	}
+	f.Add(appendPostings(append(appendPostings(nil, dense), 2), []Post{{Val: 3, Dist: 1}}), int32(0), uint16(2), int32(2))
+	wrap := putUvarint(putUvarint([]byte{postBitset}, 0), 1<<60)
+	f.Add(appendPostings(putUvarint(wrap, 5), []Post{{Val: 1}}), int32(0), uint16(2), int32(5))
+
+	f.Fuzz(func(t *testing.T, payload []byte, firstKey int32, nKeys uint16, want int32) {
+		if firstKey < 0 {
+			t.Skip()
+		}
+		e := blockEntry{firstKey: firstKey, nKeys: int(nKeys), length: len(payload)}
+		var recs []Rec
+		walk := func() error {
+			recs = recs[:0]
+			return decodeBlock(payload, e, func(key int32, _ int, posts []Post) error {
+				recs = append(recs, Rec{Key: key, Posts: append([]Post(nil), posts...)})
+				return nil
+			})
+		}
+		if walk(); len(recs) > 0 { // learn the last key the index entry must name
+			e.lastKey = recs[len(recs)-1].Key
+		}
+		accepted := walk() == nil
+		e.restarts, _ = indexBlock(payload, e, nil)
+		probe := func(key int32) {
+			got, found, scanned, ok := findInBlock(payload, e, key, nil)
+			if !accepted {
+				return
+			}
+			var wantPosts []Post
+			present := false
+			for _, r := range recs {
+				if r.Key == key {
+					wantPosts, present = r.Posts, true
+				}
+			}
+			if !ok || found != present || scanned > restartEvery || (present && !reflect.DeepEqual(got, wantPosts)) || (!present && len(got) != 0) {
+				t.Fatalf("key %d: posts=%v found=%v scanned=%d ok=%v; the walk says present=%v posts=%v", key, got, found, scanned, ok, present, wantPosts)
+			}
+		}
+		probe(want)
+		for _, r := range recs {
+			probe(r.Key - 1)
+			probe(r.Key)
+			probe(r.Key + 1)
 		}
 	})
 }

@@ -3,21 +3,16 @@ package segment
 import (
 	"encoding/binary"
 	"hash/crc32"
+	"math"
 	"os"
 	"runtime"
 	"sort"
 	"sync/atomic"
 )
 
-// forceFallback disables mmap for newly opened segments (tests, and
-// the HOPI_SEGMENT_NO_MMAP=1 environment override read by Open).
+// forceFallback disables mmap for newly opened segments (tests only;
+// Open falls back on its own when mmapFile fails).
 var forceFallback atomic.Bool
-
-func init() {
-	if os.Getenv("HOPI_SEGMENT_NO_MMAP") == "1" {
-		forceFallback.Store(true)
-	}
-}
 
 // Segment is an open, validated, immutable segment file. Reads are
 // zero-copy from the mmap'd file where supported, or per-block ReadAt
@@ -26,13 +21,12 @@ func init() {
 // Segment (or a snapshot holding one) is alive is safe on Linux: the
 // mapping and the open descriptor keep the bytes readable.
 type Segment struct {
-	path   string
-	size   int64
-	data   []byte   // whole file when mmapped, else nil
-	f      *os.File // retained only in fallback mode
-	meta   Meta
-	fams   [NumFamilies][]blockEntry // each sorted by firstKey
-	nPosts [NumFamilies]int64
+	path string
+	size int64
+	data []byte   // whole file when mmapped, else nil
+	f    *os.File // retained only in fallback mode
+	meta Meta
+	fams [NumFamilies][]blockEntry // each sorted by firstKey
 }
 
 // Open maps and validates a segment file: header and footer magic,
@@ -226,11 +220,26 @@ func (s *Segment) parseRegion(region []byte, regionOff int64) error {
 }
 
 // verifyBlocks CRC-checks and structurally decodes every block in one
-// sequential pass, so post-Open reads cannot hit corruption.
+// sequential pass, so post-Open reads cannot hit corruption, and notes
+// each block's restart directory on the way.
 func (s *Segment) verifyBlocks() error {
-	var scratch []byte
-	for fam := 0; fam < NumFamilies; fam++ {
+	// One slab holds every block's directory. A record takes at least a
+	// byte, which bounds the slab by the file size whatever the index
+	// region claims; directory offsets are 32-bit.
+	total := 0
+	for fam := range s.fams {
 		for _, e := range s.fams[fam] {
+			if e.nKeys > e.length || uint64(e.length) > math.MaxUint32 {
+				return corruptf("%s: block at %d: %d records in %d bytes", s.path, e.off, e.nKeys, e.length)
+			}
+			total += (e.nKeys + restartEvery - 1) / restartEvery
+		}
+	}
+	slab := make([]restart, 0, total)
+	var scratch []byte
+	for fam := range s.fams {
+		for bi := range s.fams[fam] {
+			e := &s.fams[fam][bi]
 			b, err := s.readRange(e.off, e.length, scratch)
 			if err != nil {
 				return err
@@ -242,11 +251,11 @@ func (s *Segment) verifyBlocks() error {
 			if crc32.ChecksumIEEE(b) != e.crc {
 				return corruptf("%s: block at %d CRC mismatch", s.path, e.off)
 			}
-			n := int64(0)
-			if err := decodeBlock(b, e, func(int32, []Post) error { n++; return nil }); err != nil {
+			start := len(slab)
+			if slab, err = indexBlock(b, *e, slab); err != nil {
 				return err
 			}
-			s.nPosts[fam] += n
+			e.restarts = slab[start:len(slab):len(slab)]
 		}
 	}
 	return nil
@@ -276,28 +285,30 @@ func (s *Segment) Bytes() ([]byte, error) {
 }
 
 // Posts appends the posting list for (fam, key) to dst. found=false
-// when the segment has no record for the key.
-func (s *Segment) Posts(fam Family, key int32, dst []Post) (res []Post, found bool, err error) {
+// when the segment has no record for the key; scanned is the number of
+// block records the lookup walked.
+func (s *Segment) Posts(fam Family, key int32, dst []Post) (res []Post, found bool, scanned int, err error) {
 	blocks := s.fams[fam]
 	i := sort.Search(len(blocks), func(i int) bool { return blocks[i].lastKey >= key })
 	if i == len(blocks) || blocks[i].firstKey > key {
-		return dst, false, nil
+		return dst, false, 0, nil
 	}
 	e := blocks[i]
 	b, err := s.readRange(e.off, e.length, nil)
 	if err != nil {
-		return dst, false, err
+		return dst, false, 0, err
 	}
-	res, found, ok := findInBlock(b, e, key, dst)
+	res, found, scanned, ok := findInBlock(b, e, key, dst)
 	if !ok {
-		return dst, false, corruptf("%s: block at %d", s.path, e.off)
+		return dst, false, scanned, corruptf("%s: block at %d", s.path, e.off)
 	}
-	return res, found, nil
+	return res, found, scanned, nil
 }
 
 // Iter walks every (key, postings) record of a family in key order.
 // The posts slice is reused across calls.
 func (s *Segment) Iter(fam Family, fn func(key int32, posts []Post) error) error {
+	rec := func(key int32, _ int, posts []Post) error { return fn(key, posts) }
 	var scratch []byte
 	for _, e := range s.fams[fam] {
 		b, err := s.readRange(e.off, e.length, scratch)
@@ -307,7 +318,7 @@ func (s *Segment) Iter(fam Family, fn func(key int32, posts []Post) error) error
 		if s.f != nil {
 			scratch = b
 		}
-		if err := decodeBlock(b, e, fn); err != nil {
+		if err := decodeBlock(b, e, rec); err != nil {
 			return err
 		}
 	}

@@ -16,7 +16,10 @@
 // entry (family, key range, offset, length, CRC32) per block in an
 // index region referenced by a fixed-size footer. Dense tombstone-free
 // owner postings switch to a bitset container (roaring-style) when the
-// bitset is smaller than the delta encoding.
+// bitset is smaller than the delta encoding. Records carry no length,
+// so Open derives a restart directory per block (key and offset of
+// every 4th record, kept in memory only) and a point lookup walks at
+// most four records.
 //
 // Segments are immutable once sealed: the live index layers an
 // in-memory delta (adds + tombstones) on top of a stack of segments,
@@ -112,6 +115,25 @@ type blockEntry struct {
 	off      int64
 	length   int
 	crc      uint32
+	// restarts is the block's restart directory: record 0 and every
+	// restartEvery-th record after it, so a point lookup
+	// binary-searches keys and then walks at most restartEvery records
+	// (findInBlock). It is derived at Open by the pass that verifies the
+	// block and is not part of the file: an offset per record on disk
+	// would add 5% to a sealed store, whose size per label is what it is
+	// judged by; 8 bytes per restartEvery records of heap are as many
+	// bytes, beside a decode cache many times that.
+	restarts []restart
+}
+
+// restartEvery is the spacing of restart points within a block.
+const restartEvery = 4
+
+// restart locates one record in a block payload: its key and the
+// offset of its postings.
+type restart struct {
+	key int32
+	off uint32
 }
 
 // uvarint reads one unsigned varint from b at position i, returning

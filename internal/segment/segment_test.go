@@ -38,6 +38,12 @@ func sortPosts(p []Post) {
 	}
 }
 
+// liveOf is Stack.Live into a fresh slice, without the scan count.
+func liveOf(st *Stack, fam Family, key int32) ([]Post, error) {
+	posts, _, err := st.Live(fam, key, nil)
+	return posts, err
+}
+
 func writeSeg(t *testing.T, path string, meta Meta, fams [NumFamilies][]Rec) {
 	t.Helper()
 	_, err := WriteFile(path, meta, func(w *Writer) error {
@@ -113,7 +119,7 @@ func TestSegmentRoundTrip(t *testing.T) {
 				}
 				// point lookups, including misses
 				for _, r := range fams[fam] {
-					got, found, err := seg.Posts(fam, r.Key, nil)
+					got, found, _, err := seg.Posts(fam, r.Key, nil)
 					if err != nil || !found {
 						t.Fatalf("Posts(%d,%d): found=%v err=%v", fam, r.Key, found, err)
 					}
@@ -121,7 +127,7 @@ func TestSegmentRoundTrip(t *testing.T) {
 						t.Fatalf("Posts(%d,%d) mismatch", fam, r.Key)
 					}
 				}
-				if _, found, _ := seg.Posts(fam, 1<<30, nil); found {
+				if _, found, _, _ := seg.Posts(fam, 1<<30, nil); found {
 					t.Fatal("found nonexistent key")
 				}
 			}
@@ -153,7 +159,7 @@ func TestStackShadowing(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := s.Current()
-	live, err := st.Live(FamLin, 1)
+	live, err := liveOf(st, FamLin, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,11 +176,11 @@ func TestStackShadowing(t *testing.T) {
 	if len(st2.Segs) != 1 {
 		t.Fatalf("stack depth %d after compact", len(st2.Segs))
 	}
-	live2, _ := st2.Live(FamLin, 1)
+	live2, _ := liveOf(st2, FamLin, 1)
 	if !reflect.DeepEqual(live2, want) {
 		t.Fatalf("post-compact Live = %v, want %v", live2, want)
 	}
-	if got, _ := st2.Live(FamLin, 2); !reflect.DeepEqual(got, []Post{{Val: 30, Dist: 1}}) {
+	if got, _ := liveOf(st2, FamLin, 2); !reflect.DeepEqual(got, []Post{{Val: 30, Dist: 1}}) {
 		t.Fatalf("key 2 = %v", got)
 	}
 	// compacted segment has no tombstones
@@ -185,7 +191,7 @@ func TestStackShadowing(t *testing.T) {
 	if _, err := os.Stat(st.Segs[0].Path()); !os.IsNotExist(err) {
 		t.Fatalf("old segment not unlinked: %v", err)
 	}
-	old, err := st.Live(FamLin, 1)
+	old, err := liveOf(st, FamLin, 1)
 	if err != nil || !reflect.DeepEqual(old, want) {
 		t.Fatalf("pinned stack read after unlink: %v %v", old, err)
 	}
@@ -292,7 +298,7 @@ func TestCrashMidCompaction(t *testing.T) {
 	if _, err := s.Seal(2, 50, 2, f2); err != nil {
 		t.Fatal(err)
 	}
-	wantLive, _ := s.Current().Live(FamLout, 3)
+	wantLive, _ := liveOf(s.Current(), FamLout, 3)
 
 	// die after the compacted file lands but before the manifest commits
 	s.SetFailpoint(func(string) error { return errInjected })
@@ -317,7 +323,7 @@ func TestCrashMidCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := s2.Current().Live(FamLout, 3)
+	got, err := liveOf(s2.Current(), FamLout, 3)
 	if err != nil || !reflect.DeepEqual(got, wantLive) {
 		t.Fatalf("post-crash Live = %v (err %v), want %v", got, err, wantLive)
 	}
@@ -335,8 +341,25 @@ func TestCrashMidCompaction(t *testing.T) {
 	if ok, err := s2.Compact(); err != nil || !ok {
 		t.Fatalf("retry compact: %v %v", ok, err)
 	}
-	got, _ = s2.Current().Live(FamLout, 3)
+	got, _ = liveOf(s2.Current(), FamLout, 3)
 	if !reflect.DeepEqual(got, wantLive) {
 		t.Fatalf("post-retry Live = %v, want %v", got, wantLive)
+	}
+}
+
+// A bitset word count ≥ 2⁶⁰ used to wrap int(nWords)*8 to 0, so the
+// skip "succeeded" and the lookup went on reading inside the record.
+func TestFindInBlockRejectsWrappingBitsetLength(t *testing.T) {
+	b := []byte{postBitset}
+	b = putUvarint(b, 0)     // firstVal
+	b = putUvarint(b, 1<<60) // nWords: ×8 wraps to 0
+	b = putUvarint(b, 5)     // read as the next record's key delta
+	b = appendPostings(b, []Post{{Val: 1}})
+	e := blockEntry{firstKey: 0, lastKey: 5, nKeys: 2, length: len(b), restarts: []restart{{key: 0, off: 0}}}
+	if got, found, _, ok := findInBlock(b, e, 5, nil); ok || found || len(got) != 0 {
+		t.Fatalf("lookup past a damaged bitset record: posts=%v found=%v ok=%v, want corruption", got, found, ok)
+	}
+	if _, err := indexBlock(b, e, nil); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("indexBlock accepted the block: %v", err)
 	}
 }

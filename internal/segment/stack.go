@@ -40,44 +40,42 @@ func mergePatch(older, newer []Post, dst []Post) []Post {
 	return dst
 }
 
-// Posts returns the folded posting list for (fam, key), tombstones
-// retained. The result is freshly allocated.
-func (st *Stack) Posts(fam Family, key int32) ([]Post, error) {
-	var acc []Post
-	var scratch []Post
-	first := true
+// Live appends the folded posting list for (fam, key) to dst,
+// tombstones dropped, and returns how many block records the lookups
+// walked. A key held by one segment only — nearly every key: the layers
+// above the bottom one are small — decodes straight into dst; only a
+// key that several layers hold pays for a merge.
+func (st *Stack) Live(fam Family, key int32, dst []Post) (res []Post, scanned int, err error) {
+	base := len(dst)
+	var newer []Post
 	for _, s := range st.Segs {
-		posts, found, err := s.Posts(fam, key, scratch[:0])
-		if err != nil {
-			return nil, err
+		first := len(dst) == base // nothing found yet: decode in place
+		into := newer[:0]
+		if first {
+			into = dst
 		}
-		scratch = posts
-		if !found {
-			continue
+		posts, found, n, err := s.Posts(fam, key, into)
+		scanned += n
+		if err != nil {
+			return dst[:base], scanned, err
 		}
 		if first {
-			acc = append([]Post(nil), posts...)
-			first = false
+			dst = posts
 			continue
 		}
-		acc = mergePatch(acc, posts, make([]Post, 0, len(acc)+len(posts)))
+		newer = posts
+		if found {
+			merged := mergePatch(dst[base:], newer, make([]Post, 0, len(dst)-base+len(newer)))
+			dst = append(dst[:base], merged...)
+		}
 	}
-	return acc, nil
-}
-
-// Live returns the folded posting list with tombstones filtered out.
-func (st *Stack) Live(fam Family, key int32) ([]Post, error) {
-	posts, err := st.Posts(fam, key)
-	if err != nil {
-		return nil, err
-	}
-	out := posts[:0]
-	for _, p := range posts {
+	out := dst[:base]
+	for _, p := range dst[base:] {
 		if !p.Tomb {
 			out = append(out, p)
 		}
 	}
-	return out, nil
+	return out, scanned, nil
 }
 
 // Iter walks the folded view of a family in key order, newest-wins,

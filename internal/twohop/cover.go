@@ -214,26 +214,35 @@ func (c *Cover) Distance(u, v int32) uint32 {
 	if u == v {
 		return 0
 	}
-	a, b := c.Lout(u), c.Lin(v)
-	best := graph.InfDist
-	if i := findCenter(a, v); i >= 0 {
-		best = a[i].Dist
+	return ListDistance(u, c.Lout(u), v, c.Lin(v))
+}
+
+// ListDistance is Distance over labels the caller already fetched:
+// lout is Lout(u) and lin is Lin(v). A caller measuring many pairs
+// that share an endpoint fetches that endpoint's list once.
+func ListDistance(u int32, lout []Entry, v int32, lin []Entry) uint32 {
+	if u == v {
+		return 0
 	}
-	if i := findCenter(b, u); i >= 0 {
-		if d := b[i].Dist; d < best {
+	best := graph.InfDist
+	if i := findCenter(lout, v); i >= 0 {
+		best = lout[i].Dist
+	}
+	if i := findCenter(lin, u); i >= 0 {
+		if d := lin[i].Dist; d < best {
 			best = d
 		}
 	}
 	// Merge-intersect the two sorted lists, minimizing the distance sum.
 	i, j := 0, 0
-	for i < len(a) && j < len(b) {
+	for i < len(lout) && j < len(lin) {
 		switch {
-		case a[i].Center < b[j].Center:
+		case lout[i].Center < lin[j].Center:
 			i++
-		case a[i].Center > b[j].Center:
+		case lout[i].Center > lin[j].Center:
 			j++
 		default:
-			if d := a[i].Dist + b[j].Dist; d < best {
+			if d := lout[i].Dist + lin[j].Dist; d < best {
 				best = d
 			}
 			i++

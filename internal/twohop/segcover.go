@@ -25,11 +25,20 @@ import (
 // counts it, rather than poisoning the query path with panics.
 type Base struct {
 	stack *segment.Stack
-	errs  *atomic.Uint64
+	stats *baseStats
 
 	mu     sync.RWMutex
 	labelC map[uint64][]Entry // (fam,key) → merged live entries
 	ownerC map[uint64][]int32 // (fam,key) → merged live owners
+}
+
+// baseStats are a Base's read counters. A Base that replaces another
+// under the same cover takes over its counters (Cover.setBase), so the
+// totals keep growing across seals and compactions.
+type baseStats struct {
+	errs    atomic.Uint64
+	misses  atomic.Uint64 // decode-cache misses
+	scanned atomic.Uint64 // block records walked to serve them
 }
 
 // baseCacheMax bounds each decoded-list cache; on overflow the map is
@@ -41,7 +50,7 @@ const baseCacheMax = 1 << 15
 func NewBase(st *segment.Stack) *Base {
 	return &Base{
 		stack:  st,
-		errs:   new(atomic.Uint64),
+		stats:  new(baseStats),
 		labelC: make(map[uint64][]Entry),
 		ownerC: make(map[uint64][]int32),
 	}
@@ -55,7 +64,33 @@ func cacheKey(fam segment.Family, v int32) uint64 {
 func (b *Base) Stack() *segment.Stack { return b.stack }
 
 // Errors returns the number of decode errors swallowed by reads.
-func (b *Base) Errors() uint64 { return b.errs.Load() }
+func (b *Base) Errors() uint64 { return b.stats.errs.Load() }
+
+// CacheMisses returns how many lookups missed the decode cache and
+// went to the segment blocks.
+func (b *Base) CacheMisses() uint64 { return b.stats.misses.Load() }
+
+// RecordsScanned returns how many block records those misses walked.
+func (b *Base) RecordsScanned() uint64 { return b.stats.scanned.Load() }
+
+// postScratch holds the decode buffers of cache misses: a miss decodes
+// into one of them and copies out at exact size, its only allocation.
+var postScratch = sync.Pool{New: func() any { return new([]segment.Post) }}
+
+// fetch decodes the live postings of (fam, key) into a pooled buffer,
+// which the caller copies from and then returns to postScratch.
+// ok=false on a read error, which is counted; the buffer is then empty.
+func (b *Base) fetch(fam segment.Family, key int32) (buf *[]segment.Post, ok bool) {
+	b.stats.misses.Add(1)
+	buf = postScratch.Get().(*[]segment.Post)
+	posts, scanned, err := b.stack.Live(fam, key, (*buf)[:0])
+	b.stats.scanned.Add(uint64(scanned))
+	*buf = posts
+	if err != nil {
+		b.stats.errs.Add(1)
+	}
+	return buf, err == nil
+}
 
 func (b *Base) labelList(fam segment.Family, v int32) []Entry {
 	k := cacheKey(fam, v)
@@ -65,16 +100,16 @@ func (b *Base) labelList(fam segment.Family, v int32) []Entry {
 	if ok {
 		return out
 	}
-	posts, err := b.stack.Live(fam, v)
-	if err != nil {
-		b.errs.Add(1)
-		return nil // not cached: errors are counted per read
-	}
-	if len(posts) > 0 {
+	buf, ok := b.fetch(fam, v)
+	if posts := *buf; len(posts) > 0 {
 		out = make([]Entry, len(posts))
 		for i, p := range posts {
 			out[i] = Entry{Center: p.Val, Dist: p.Dist}
 		}
+	}
+	postScratch.Put(buf)
+	if !ok {
+		return nil // not cached: errors are counted per read
 	}
 	b.mu.Lock()
 	if len(b.labelC) >= baseCacheMax {
@@ -100,16 +135,16 @@ func (b *Base) owners(fam segment.Family, center int32) []int32 {
 	if ok {
 		return out
 	}
-	posts, err := b.stack.Live(fam, center)
-	if err != nil {
-		b.errs.Add(1)
-		return nil
-	}
-	if len(posts) > 0 {
+	buf, ok := b.fetch(fam, center)
+	if posts := *buf; len(posts) > 0 {
 		out = make([]int32, len(posts))
 		for i, p := range posts {
 			out[i] = p.Val
 		}
+	}
+	postScratch.Put(buf)
+	if !ok {
+		return nil
 	}
 	b.mu.Lock()
 	if len(b.ownerC) >= baseCacheMax {
@@ -156,33 +191,48 @@ func (c *Cover) Base() *Base { return c.base }
 // Lin returns Lin(v), sorted by center. In flat mode this is the
 // backing slice itself (callers must not mutate it); in segment mode
 // the merged base+delta view.
-func (c *Cover) Lin(v int32) []Entry {
+func (c *Cover) Lin(v int32) []Entry { return c.LinBuf(v, nil) }
+
+// Lout returns Lout(u); see Lin.
+func (c *Cover) Lout(u int32) []Entry { return c.LoutBuf(u, nil) }
+
+// LinBuf is Lin for a caller that reads one list at a time: where Lin
+// would allocate a merged view, LinBuf builds it in *buf (grown as
+// needed), so the result is only valid until buf's next use. A nil buf
+// allocates like Lin.
+func (c *Cover) LinBuf(v int32, buf *[]Entry) []Entry {
 	if c.base == nil {
 		return c.In[v]
 	}
-	return mergeView(c.base.Lin(v), c.dIn[v], c.tIn[v])
+	return mergeView(c.base.Lin(v), c.dIn[v], c.tIn[v], buf)
 }
 
-// Lout returns Lout(u); see Lin.
-func (c *Cover) Lout(u int32) []Entry {
+// LoutBuf is Lout with LinBuf's buffer contract.
+func (c *Cover) LoutBuf(u int32, buf *[]Entry) []Entry {
 	if c.base == nil {
 		return c.Out[u]
 	}
-	return mergeView(c.base.Lout(u), c.dOut[u], c.tOut[u])
+	return mergeView(c.base.Lout(u), c.dOut[u], c.tOut[u], buf)
 }
 
 // mergeView overlays sorted delta entries on sorted base entries,
-// dropping tombstoned centers. Delta wins on equal centers.
-func mergeView(base, delta []Entry, tombs map[int32]struct{}) []Entry {
+// dropping tombstoned centers. Delta wins on equal centers. The merge
+// goes into *buf when one is given, else into a fresh slice.
+func mergeView(base, delta []Entry, tombs map[int32]struct{}, buf *[]Entry) []Entry {
 	if len(delta) == 0 && len(tombs) == 0 {
 		return base
 	}
-	out := make([]Entry, 0, len(base)+len(delta))
+	var out []Entry
+	if buf != nil {
+		out = (*buf)[:0]
+	} else {
+		out = make([]Entry, 0, len(base)+len(delta))
+	}
 	i, j := 0, 0
 	for i < len(base) && j < len(delta) {
 		switch {
 		case base[i].Center < delta[j].Center:
-			if _, dead := tombs[base[i].Center]; !dead {
+			if !dead(tombs, base[i].Center) {
 				out = append(out, base[i])
 			}
 			i++
@@ -196,22 +246,36 @@ func mergeView(base, delta []Entry, tombs map[int32]struct{}) []Entry {
 		}
 	}
 	for ; i < len(base); i++ {
-		if _, dead := tombs[base[i].Center]; !dead {
+		if !dead(tombs, base[i].Center) {
 			out = append(out, base[i])
 		}
 	}
 	out = append(out, delta[j:]...)
+	if buf != nil {
+		*buf = out
+	}
 	if len(out) == 0 {
 		return nil
 	}
 	return out
 }
 
+// dead reports whether center is tombstoned. Most nodes have no
+// tombstones at all, and for them this is a length check, not a map
+// probe per base entry.
+func dead(tombs map[int32]struct{}, center int32) bool {
+	if len(tombs) == 0 {
+		return false
+	}
+	_, ok := tombs[center]
+	return ok
+}
+
 // AdoptBase switches the cover to segment mode over b: the sealed
 // layer holds every label, the delta starts empty. n is the node-ID
 // space, size the live label count (Σ|Lin|+|Lout|).
 func (c *Cover) AdoptBase(b *Base, n int, size int) {
-	c.base = b
+	c.setBase(b)
 	c.In, c.Out = nil, nil
 	c.dIn = map[int32][]Entry{}
 	c.dOut = map[int32][]Entry{}
@@ -221,12 +285,21 @@ func (c *Cover) AdoptBase(b *Base, n int, size int) {
 	c.sizeSeg = size
 }
 
+// setBase installs b as the sealed layer; b continues the read
+// counters of the base it replaces.
+func (c *Cover) setBase(b *Base) {
+	if c.base != nil {
+		b.stats = c.base.stats
+	}
+	c.base = b
+}
+
 // SealSwap installs a new sealed base that already folds the current
 // delta (a checkpoint sealed it into a segment) and resets the delta
 // maps. The logical label set is unchanged. Clones taken before the
 // swap keep the old base + delta and stay consistent.
 func (c *Cover) SealSwap(b *Base) {
-	c.base = b
+	c.setBase(b)
 	c.dIn = map[int32][]Entry{}
 	c.dOut = map[int32][]Entry{}
 	c.tIn = map[int32]map[int32]struct{}{}

@@ -292,3 +292,34 @@ func TestSegPostingIndexShare(t *testing.T) {
 		}
 	}
 }
+
+// A decode-cache miss costs one allocation, the exact-size entry list;
+// the decode itself runs in a pooled buffer. (The cache map's own
+// growth is amortized over the misses and stays under one more.)
+func TestBaseLinMissAllocs(t *testing.T) {
+	const n = 4000
+	flat := NewCover(n, true)
+	for v := int32(0); v < n; v++ {
+		for k := int32(1); k <= 6; k++ {
+			flat.AddIn(v, (v+k*17)%n, uint32(k))
+		}
+	}
+	seg, _ := sealCover(t, filepath.Join(t.TempDir(), "segs"), flat)
+	base := seg.Base()
+	next := int32(0)
+	allocs := testing.AllocsPerRun(n/2, func() {
+		if len(base.Lin(next)) != 6 {
+			t.Fatalf("Lin(%d) = %v", next, base.Lin(next))
+		}
+		next++
+	})
+	if got := base.CacheMisses(); got != uint64(next) {
+		t.Fatalf("%d lookups of distinct keys, %d cache misses", next, got)
+	}
+	if allocs > 2 {
+		t.Fatalf("a Base.Lin cache miss allocates %.0f objects, want ≤ 2", allocs)
+	}
+	if scanned := base.RecordsScanned(); scanned < uint64(next) || scanned > 4*uint64(next) {
+		t.Fatalf("%d misses walked %d block records", next, scanned)
+	}
+}

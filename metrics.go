@@ -123,6 +123,15 @@ func newIndexMetrics(ix *Index) *indexMetrics {
 		"Completed stack compactions.",
 		func() float64 { return float64(ix.SegmentStats().Compactions) })
 
+	// The decode cache above the sealed stack. Both move only on a miss;
+	// misses per query is this over hopi_query_seconds_count.
+	r.CounterFunc("hopi_segment_cache_misses_total",
+		"Label and owner lookups that missed the decode cache and read a segment block.",
+		func() float64 { return float64(ix.SegmentStats().CacheMisses) })
+	r.CounterFunc("hopi_segment_block_records_scanned_total",
+		"Block records walked by the lookups that missed the decode cache.",
+		func() float64 { return float64(ix.SegmentStats().RecordsScanned) })
+
 	// Live-query watch rates.
 	r.GaugeFunc("hopi_watch_sessions",
 		"Live watch subscriptions.",
