@@ -1,11 +1,11 @@
 package hopi
 
 // One benchmark per table/figure of the paper's evaluation (§7), plus
-// ablation benches for the design choices DESIGN.md calls out. The
-// experiment harness (cmd/hopibench) produces the paper-style tables;
-// these testing.B benches regenerate the same measurements under
-// `go test -bench`. Collections are scaled so a full -bench=. run
-// completes in minutes; cmd/hopibench uses the larger default scale.
+// ablation benches for the design choices DESIGN.md calls out.
+// cmd/hopibench prints the paper-style tables (§7 only, at its larger
+// default scale); these testing.B benches regenerate the same
+// measurements under `go test -bench`, scaled so a full -bench=. run
+// completes in minutes. Serving-path costs are measured by benchmark/.
 
 import (
 	"context"

@@ -2,10 +2,11 @@ package hopi
 
 // Tests that shell out to the go tool, skipped under -short: the
 // command-line pipeline hopigen → hopibuild → hopiquery/hopistats end
-// to end, exercising the same binaries a user would run, and a vet of
-// the nested benchmark module.
+// to end and hopibench's paper tables, exercising the same binaries a
+// user would run, and a vet of the nested benchmark module.
 
 import (
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -80,6 +81,28 @@ func TestCLIPipeline(t *testing.T) {
 	out = runTool(t, hopistats, "-in", corpus, "-closure=false")
 	if !strings.Contains(out, "# docs:     40") {
 		t.Fatalf("hopistats output: %s", out)
+	}
+
+	hopibench := buildTool(t, dir, "hopibench")
+	out = runTool(t, hopibench, "-exp", "table1,table2,maintenance", "-docs", "60", "-seed", "7")
+	for _, want := range []string{
+		"=== Table 1: collection features ===", "DBLP (synthetic, 1/104)  60 ",
+		"=== Table 2: index build time and size ===", "\nbaseline ", "\nN100 ",
+		"=== §7.3: index maintenance ===", "separating documents (INEX):  100%",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("hopibench output lacks %q:\n%s", want, out)
+		}
+	}
+	// an unknown experiment must fail and name the valid ones, not run
+	// nothing and exit 0
+	bad, err := exec.Command(hopibench, "-exp", "load").CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Errorf("hopibench -exp load: err = %v, want exit status 2", err)
+	}
+	if !strings.Contains(string(bad), "table1,centralized,table2,maintenance") {
+		t.Errorf("hopibench -exp load does not name the valid experiments: %s", bad)
 	}
 }
 

@@ -1,9 +1,10 @@
 // Command hopibench regenerates the paper's evaluation (§7): Table 1,
 // the §7.2 centralized baseline, Table 2, the §7.3 maintenance
-// experiments, the INEX build, and the distance/preselection/weights
-// ablations — on synthetic collections shaped like the originals. It
-// also carries a load-generator mode measuring queries/sec under
-// concurrent maintenance, in-process or against a running hopiserve.
+// experiments, the INEX build, and the distance/preselection/weights/
+// balance ablations — on synthetic collections shaped like the
+// originals. Serving, durability, replication, watch and sharding
+// costs are not measured here: benchmark/ (bash benchmark/run.sh) is
+// the one harness for those.
 //
 // Usage:
 //
@@ -11,533 +12,101 @@
 //	hopibench -exp table2            # one experiment
 //	hopibench -exp all -docs 620     # includes centralized (~2 min)
 //	hopibench -docs 300 -seed 7      # smaller, different seed
-//	hopibench -exp load              # mixed query+maintenance workload, in-process
-//	hopibench -exp load -url http://localhost:8080   # same, against hopiserve
-//	hopibench -exp load -store /tmp/bench.hopi       # durable vs in-memory comparison
-//	hopibench -exp load -json BENCH_load.json        # machine-readable results
-//
-// Experiments: table1, centralized, table2, maintenance, inex,
-// distance, preselect, weights, balance, query, load, repl, shard,
-// mem, watch, all, default. The watch experiment (hopibench -exp
-// watch -json BENCH_watch.json) sweeps subscriber counts and batch
-// pacing for the live-query tier and compares per-notification delta
-// bytes against polling a full re-read, with notify latency
-// percentiles. The repl experiment sweeps follower counts for
-// the WAL-shipping replication tier (see -repl-followers) and records
-// queries/sec and p50/p99 replication lag per count. The mem
-// experiment (hopibench -exp mem -json BENCH_mem.json) indexes the
-// same collection flat and segment-backed and compares resident
-// bytes, bytes/label, seal/reopen/bootstrap wall time, and query
-// latency percentiles.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
-	"runtime"
-	"sort"
-	"strconv"
 	"strings"
-	"time"
 
 	"hopi/internal/experiments"
-	"hopi/internal/loadgen"
 )
 
-// benchResult is one machine-readable measurement, appended to the
-// file given with -json so performance can be tracked across commits.
-type benchResult struct {
-	Name      string  `json:"name"`
-	NsPerOp   float64 `json:"nsPerOp,omitempty"`
-	QPS       float64 `json:"qps,omitempty"`
-	BatchesPS float64 `json:"batchesPerSec,omitempty"`
-	CoverSize int     `json:"coverSize,omitempty"`
-	WALBytes  int64   `json:"walBytes,omitempty"`
-	Durable   bool    `json:"durable,omitempty"`
-	// Speedup relates a measurement to its baseline (e.g. the
-	// set-at-a-time evaluator vs the pairwise one on the same query).
-	Speedup float64 `json:"speedup,omitempty"`
-	// replication experiment: follower count and replication lag
-	Followers  int     `json:"followers,omitempty"`
-	LagP50Ms   float64 `json:"lagP50Ms,omitempty"`
-	LagP99Ms   float64 `json:"lagP99Ms,omitempty"`
-	LagSamples int     `json:"lagSamples,omitempty"`
-	// sharding experiment: shard count and query latency percentiles
-	Shards     int     `json:"shards,omitempty"`
-	QueryP50Ms float64 `json:"queryP50Ms,omitempty"`
-	QueryP99Ms float64 `json:"queryP99Ms,omitempty"`
-	// sharding read-only window: router closure-cache hit rate
-	CacheHitRate float64 `json:"closureCacheHitRate,omitempty"`
-	// storage experiment (-exp mem): resident heap attributable to the
-	// index, label bytes (in-memory accounting or sealed files),
-	// bytes/label, and the segment life-cycle wall times
-	HeapBytes     int64   `json:"heapBytes,omitempty"`
-	LabelBytes    int64   `json:"labelBytes,omitempty"`
-	BytesPerLabel float64 `json:"bytesPerLabel,omitempty"`
-	CheckpointMs  float64 `json:"checkpointMs,omitempty"`
-	ReopenMs      float64 `json:"reopenMs,omitempty"`
-	BootstrapMs   float64 `json:"bootstrapMs,omitempty"`
-	MaxApplyMs    float64 `json:"maxApplyDuringBootstrapMs,omitempty"`
-	// live-query experiment (-exp watch): subscriber count, delta
-	// notifications delivered, notify latency (Apply → event receipt),
-	// and the payload comparison against polling a full re-read
-	Subscribers         int     `json:"subscribers,omitempty"`
-	Notifications       int64   `json:"notifications,omitempty"`
-	CoalescedBatches    int64   `json:"coalescedBatches,omitempty"`
-	NotifyP50Ms         float64 `json:"notifyP50Ms,omitempty"`
-	NotifyP99Ms         float64 `json:"notifyP99Ms,omitempty"`
-	DeltaBytesPerNotify float64 `json:"deltaBytesPerNotify,omitempty"`
-	FullResultBytes     int64   `json:"fullResultBytes,omitempty"`
-	IncrementalRounds   uint64  `json:"incrementalRounds,omitempty"`
-	FullRerunRounds     uint64  `json:"fullRerunRounds,omitempty"`
-	// Runtime is the Go heap at the moment the row was recorded, so a
-	// throughput regression can be told apart from a memory regression
-	// in the same BENCH_*.json history.
-	Runtime runtimeStats `json:"runtime"`
+// experiment is one paper table or paragraph. byDefault is false only
+// for the centralized baseline, which is too slow to run unasked.
+type experiment struct {
+	name, title string
+	byDefault   bool
+	run         func(experiments.Config) (string, error)
 }
 
-// runtimeStats is a runtime.ReadMemStats snapshot taken when a result
-// row is recorded (i.e. right after its experiment finished).
-type runtimeStats struct {
-	HeapInuseBytes  uint64  `json:"heapInuseBytes"`
-	TotalAllocBytes uint64  `json:"totalAllocBytes"`
-	NumGC           uint32  `json:"numGC"`
-	GCPauseP99Ms    float64 `json:"gcPauseP99Ms"`
+var all = []experiment{
+	{"table1", "Table 1: collection features", true, func(cfg experiments.Config) (string, error) {
+		return experiments.RenderTable1(experiments.Table1(cfg)), nil
+	}},
+	{"centralized", "§7.2: centralized cover (no partitioning; slow)", false,
+		rendered(experiments.Centralized, experiments.RenderCentralized)},
+	{"table2", "Table 2: index build time and size", true,
+		rendered(experiments.Table2, experiments.RenderTable2)},
+	{"maintenance", "§7.3: index maintenance", true,
+		rendered(experiments.Maintenance, experiments.RenderMaintenance)},
+	{"inex", "§7.2: INEX build", true,
+		rendered(experiments.INEXBuild, experiments.RenderINEX)},
+	{"distance", "§5: distance-aware index overhead", true,
+		rendered(experiments.DistanceOverhead, experiments.RenderDistance)},
+	{"preselect", "§4.2: center preselection", true,
+		rendered(experiments.Preselect, experiments.RenderPreselect)},
+	{"weights", "§4.3: edge-weight schemes", true,
+		rendered(experiments.WeightsAblation, experiments.RenderWeights)},
+	{"balance", "§4.3: partition balance / parallel speedup bound", true,
+		rendered(experiments.Balance, experiments.RenderBalance)},
 }
 
-// readRuntimeStats samples the runtime. The pause p99 comes from the
-// runtime's ring of the last 256 GC pauses — enough history to cover
-// one experiment between recordings.
-func readRuntimeStats() runtimeStats {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return runtimeStats{
-		HeapInuseBytes:  ms.HeapInuse,
-		TotalAllocBytes: ms.TotalAlloc,
-		NumGC:           ms.NumGC,
-		GCPauseP99Ms:    gcPauseP99(&ms),
+// rendered chains an experiment to the function that formats its result.
+func rendered[T any](measure func(experiments.Config) (T, error), render func(T) string) func(experiments.Config) (string, error) {
+	return func(cfg experiments.Config) (string, error) {
+		r, err := measure(cfg)
+		if err != nil {
+			return "", err
+		}
+		return render(r), nil
 	}
-}
-
-func gcPauseP99(ms *runtime.MemStats) float64 {
-	n := int(ms.NumGC)
-	if n == 0 {
-		return 0
-	}
-	if n > len(ms.PauseNs) {
-		n = len(ms.PauseNs)
-	}
-	pauses := make([]uint64, 0, n)
-	for i := 0; i < n; i++ {
-		pauses = append(pauses, ms.PauseNs[(int(ms.NumGC)-1-i)%len(ms.PauseNs)])
-	}
-	sort.Slice(pauses, func(i, j int) bool { return pauses[i] < pauses[j] })
-	idx := len(pauses) * 99 / 100
-	if idx >= len(pauses) {
-		idx = len(pauses) - 1
-	}
-	return float64(pauses[idx]) / 1e6
 }
 
 func main() {
-	var (
-		exp      = flag.String("exp", "default", "comma-separated experiments (table1,centralized,table2,maintenance,inex,distance,preselect,weights,balance,query,load,repl,shard,mem,watch,all,default)")
-		docs     = flag.Int("docs", 620, "DBLP-like document count (paper: 6210)")
-		inexDocs = flag.Int("inexdocs", 122, "INEX-like document count (paper: 12232)")
-		inexEls  = flag.Int("inexels", 950, "INEX-like mean elements per document (paper: ~986)")
-		seed     = flag.Int64("seed", 42, "generator and build seed")
+	var names []string
+	for _, e := range all {
+		names = append(names, e.name)
+	}
+	valid := strings.Join(append(names, "all", "default"), ",")
 
-		url       = flag.String("url", "", "comma-separated node URLs for -exp load (first takes writes: a hopiserve primary or hopirouter; the rest serve reads; empty: run in-process)")
-		loadDur   = flag.Duration("load-dur", 3*time.Second, "load-generator duration")
-		readers   = flag.Int("load-readers", 4, "concurrent query workers")
-		writers   = flag.Int("load-writers", 2, "concurrent maintenance workers")
-		loadExpr  = flag.String("load-expr", "//article//author", "path expression the query workers evaluate")
-		store     = flag.String("store", "", "for -exp load: also run the workload against a durable store at this path and report both")
-		replFols  = flag.String("repl-followers", "0,1,2,4", "for -exp repl: comma-separated follower counts to sweep (0 = single-node baseline)")
-		shardCnts = flag.String("shard-counts", "1,2,4", "for -exp shard: comma-separated shard counts to sweep (1 = unsharded baseline)")
-		replWrite = flag.Duration("repl-write-interval", 10*time.Millisecond, "for -exp repl: pacing between a writer's batches (0 = write as fast as possible and measure queue growth)")
-		jsonOut   = flag.String("json", "", "write machine-readable results (name, ns/op, qps, cover size) to this file")
-		memDocs   = flag.Int("mem-docs", 10000, "for -exp mem: DBLP-like document count (the storage comparison needs scale to matter)")
-		memChurn  = flag.Int("mem-churn", 200, "for -exp mem: maintenance batches applied before the timed seal checkpoint")
-		memQs     = flag.Int("mem-queries", 200, "for -exp mem: query latency samples per storage mode")
-
-		watchChurn   = flag.String("watch-churn", "10ms,2ms,0s", "for -exp watch: comma-separated batch pacing intervals, loosest (low churn) to tightest (0 = apply as fast as possible)")
-		watchSubs    = flag.String("watch-subs", "1,8", "for -exp watch: comma-separated subscriber counts to sweep")
-		watchBatches = flag.Int("watch-batches", 200, "for -exp watch: maintenance batches applied per cell")
-	)
+	exp := flag.String("exp", "default", "comma-separated experiments ("+valid+")")
+	docs := flag.Int("docs", 620, "DBLP-like document count (paper: 6210)")
+	inexDocs := flag.Int("inexdocs", 122, "INEX-like document count (paper: 12232)")
+	inexEls := flag.Int("inexels", 950, "INEX-like mean elements per document (paper: ~986)")
+	seed := flag.Int64("seed", 42, "generator and build seed")
 	flag.Parse()
 
-	var jsonResults []benchResult
-	// record stamps each row with the runtime snapshot of the moment it
-	// was produced, then appends it to the -json output.
-	record := func(rows ...benchResult) {
-		rt := readRuntimeStats()
-		for i := range rows {
-			rows[i].Runtime = rt
+	want := map[string]bool{}
+	for _, s := range strings.Split(*exp, ",") {
+		s = strings.TrimSpace(s)
+		known := false
+		for _, e := range all {
+			if s == e.name || s == "all" || s == "default" && e.byDefault {
+				want[e.name] = true
+				known = true
+			}
 		}
-		jsonResults = append(jsonResults, rows...)
+		if !known {
+			fmt.Fprintf(os.Stderr, "hopibench: unknown experiment %q; valid: %s\n", s, valid)
+			os.Exit(2)
+		}
 	}
 
 	cfg := experiments.Config{
 		DBLPDocs: *docs, INEXDocs: *inexDocs, INEXMeanElements: *inexEls, Seed: *seed,
 	}
-	want := map[string]bool{}
-	for _, e := range strings.Split(*exp, ",") {
-		want[strings.TrimSpace(e)] = true
-	}
-	if want["all"] {
-		for _, e := range []string{"table1", "centralized", "table2", "maintenance", "inex", "distance", "preselect", "weights", "balance", "query", "load", "repl", "shard", "mem", "watch"} {
-			want[e] = true
+	for _, e := range all {
+		if !want[e.name] {
+			continue
 		}
-	}
-	if want["default"] {
-		for _, e := range []string{"table1", "table2", "maintenance", "inex", "distance", "preselect", "weights", "balance", "query"} {
-			want[e] = true
-		}
-	}
-
-	run := func(name, title string, fn func() (string, error)) {
-		if !want[name] {
-			return
-		}
-		fmt.Printf("=== %s ===\n", title)
-		out, err := fn()
+		fmt.Printf("=== %s ===\n", e.title)
+		out, err := e.run(cfg)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "hopibench: %s: %v\n", name, err)
+			fmt.Fprintf(os.Stderr, "hopibench: %s: %v\n", e.name, err)
 			os.Exit(1)
 		}
 		fmt.Println(out)
 	}
-
-	run("table1", "Table 1: collection features", func() (string, error) {
-		return experiments.RenderTable1(experiments.Table1(cfg)), nil
-	})
-	run("centralized", "§7.2: centralized cover (no partitioning; slow)", func() (string, error) {
-		r, err := experiments.Centralized(cfg)
-		if err != nil {
-			return "", err
-		}
-		return experiments.RenderCentralized(r), nil
-	})
-	run("table2", "Table 2: index build time and size", func() (string, error) {
-		rows, err := experiments.Table2(cfg)
-		if err != nil {
-			return "", err
-		}
-		return experiments.RenderTable2(rows), nil
-	})
-	run("maintenance", "§7.3: index maintenance", func() (string, error) {
-		r, err := experiments.Maintenance(cfg)
-		if err != nil {
-			return "", err
-		}
-		return experiments.RenderMaintenance(r), nil
-	})
-	run("inex", "§7.2: INEX build", func() (string, error) {
-		r, err := experiments.INEXBuild(cfg)
-		if err != nil {
-			return "", err
-		}
-		return experiments.RenderINEX(r), nil
-	})
-	run("distance", "§5: distance-aware index overhead", func() (string, error) {
-		r, err := experiments.DistanceOverhead(cfg)
-		if err != nil {
-			return "", err
-		}
-		return experiments.RenderDistance(r), nil
-	})
-	run("preselect", "§4.2: center preselection", func() (string, error) {
-		r, err := experiments.Preselect(cfg)
-		if err != nil {
-			return "", err
-		}
-		return experiments.RenderPreselect(r), nil
-	})
-	run("weights", "§4.3: edge-weight schemes", func() (string, error) {
-		r, err := experiments.WeightsAblation(cfg)
-		if err != nil {
-			return "", err
-		}
-		return experiments.RenderWeights(r), nil
-	})
-	run("balance", "§4.3: partition balance / parallel speedup bound", func() (string, error) {
-		rows, err := experiments.Balance(cfg)
-		if err != nil {
-			return "", err
-		}
-		return experiments.RenderBalance(rows), nil
-	})
-	run("query", "query micro-benchmark (extension)", func() (string, error) {
-		r, err := experiments.QueryMicro(cfg)
-		if err != nil {
-			return "", err
-		}
-		record(
-			benchResult{Name: "query/reaches", NsPerOp: 1e9 / r.ReachPerSec, QPS: r.ReachPerSec},
-			benchResult{Name: "query/distance", NsPerOp: 1e9 / r.DistPerSec, QPS: r.DistPerSec})
-		qe, err := experiments.QueryEval(cfg)
-		if err != nil {
-			return "", err
-		}
-		for _, row := range qe.Rows {
-			name := row.Expr
-			if row.Ranked {
-				name += "(ranked)"
-			}
-			record(
-				benchResult{Name: "query/pairwise:" + name, QPS: row.PairQPS, NsPerOp: 1e9 / row.PairQPS},
-				benchResult{Name: "query/semijoin:" + name, QPS: row.SemiQPS, NsPerOp: 1e9 / row.SemiQPS, Speedup: row.Speedup})
-		}
-		for _, row := range qe.LimitRows {
-			name := row.Expr
-			if row.Ranked {
-				name += "(ranked)"
-			}
-			// speedup relates the limit-pushdown cursor to the same
-			// query fully materialized on the same engine
-			record(
-				benchResult{Name: fmt.Sprintf("query/limit%d:%s", row.Limit, name),
-					QPS: row.LimitQPS, NsPerOp: 1e9 / row.LimitQPS, Speedup: row.Speedup})
-		}
-		return experiments.RenderQueryMicro(r) + experiments.RenderQueryEval(qe), nil
-	})
-	run("load", "mixed query + maintenance workload (extension)", func() (string, error) {
-		lc := loadgen.Config{
-			Docs: *docs, Seed: *seed,
-			Readers: *readers, Writers: *writers,
-			Duration: *loadDur, Expr: *loadExpr,
-		}
-		if *url != "" {
-			r, err := httpLoad(*url, lc)
-			if err != nil {
-				return "", err
-			}
-			record(loadJSON("load/http", r))
-			return loadgen.Render(r), nil
-		}
-		mem, err := loadgen.ServeLoad(lc)
-		if err != nil {
-			return "", err
-		}
-		record(loadJSON("load/memory", mem))
-		out := loadgen.Render(mem)
-		if *store != "" {
-			dc := lc
-			dc.StorePath = *store
-			dur, err := loadgen.ServeLoad(dc)
-			if err != nil {
-				return "", err
-			}
-			record(loadJSON("load/durable", dur))
-			out += loadgen.Render(dur)
-			if dur.BatchesPerS > 0 {
-				out += fmt.Sprintf("  durability cost: %.2fx batch throughput (%.1f → %.1f batches/s), %.2fx query throughput\n",
-					mem.BatchesPerS/dur.BatchesPerS, mem.BatchesPerS, dur.BatchesPerS,
-					safeRatio(mem.QueriesPerS, dur.QueriesPerS))
-			}
-		}
-		return out, nil
-	})
-	run("shard", "write scaling: sharded primaries behind a router (extension)", func() (string, error) {
-		var counts []int
-		for _, s := range strings.Split(*shardCnts, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil || n < 1 {
-				return "", fmt.Errorf("bad -shard-counts entry %q", s)
-			}
-			counts = append(counts, n)
-		}
-		out, rows, err := shardExperiment(shardConfig{
-			docs: *docs, seed: *seed,
-			duration: *loadDur,
-			writers:  *writers, readers: *readers,
-			expr:        *loadExpr,
-			shardCounts: counts,
-		})
-		if err != nil {
-			return "", err
-		}
-		for _, r := range rows {
-			record(benchResult{
-				Name:       fmt.Sprintf("shard/shards=%d", r.Shards),
-				QPS:        r.QueriesPerS,
-				BatchesPS:  r.BatchesPerS,
-				Shards:     r.Shards,
-				QueryP50Ms: float64(r.QueryP50.Microseconds()) / 1000,
-				QueryP99Ms: float64(r.QueryP99.Microseconds()) / 1000,
-			})
-			record(benchResult{
-				Name:         fmt.Sprintf("shard/readonly/shards=%d", r.Shards),
-				QPS:          r.ROQueriesPerS,
-				Shards:       r.Shards,
-				QueryP50Ms:   float64(r.ROQueryP50.Microseconds()) / 1000,
-				QueryP99Ms:   float64(r.ROQueryP99.Microseconds()) / 1000,
-				CacheHitRate: r.ClosureHitRate,
-			})
-		}
-		return out, nil
-	})
-	run("mem", "storage footprint: flat in-memory vs compressed segments (extension)", func() (string, error) {
-		r, err := runMem(memConfig{
-			docs: *memDocs, seed: *seed, expr: *loadExpr,
-			churn: *memChurn, queries: *memQs,
-		})
-		if err != nil {
-			return "", err
-		}
-		record(
-			benchResult{Name: "mem/flat", CoverSize: r.CoverSize,
-				HeapBytes: int64(r.FlatHeapBytes), LabelBytes: r.FlatLabelBytes,
-				BytesPerLabel: 16,
-				QueryP50Ms:    r.FlatP50us / 1000, QueryP99Ms: r.FlatP99us / 1000},
-			benchResult{Name: "mem/segments", CoverSize: r.CoverSize,
-				HeapBytes: int64(r.SegHeapBytes), LabelBytes: r.SealedBytes,
-				BytesPerLabel: r.SegBytesPerLabel, Speedup: r.CompressionRatio,
-				QueryP50Ms: r.SegP50us / 1000, QueryP99Ms: r.SegP99us / 1000,
-				CheckpointMs: r.CheckpointMs, ReopenMs: r.ReopenMs,
-				BootstrapMs: r.BootstrapMs, MaxApplyMs: r.ApplyDuringBootMs})
-		return renderMem(r), nil
-	})
-	run("watch", "live queries: delta notifications vs polling (extension)", func() (string, error) {
-		var intervals []time.Duration
-		for _, s := range strings.Split(*watchChurn, ",") {
-			d, err := time.ParseDuration(strings.TrimSpace(s))
-			if err != nil || d < 0 {
-				return "", fmt.Errorf("bad -watch-churn entry %q", s)
-			}
-			intervals = append(intervals, d)
-		}
-		var subs []int
-		for _, s := range strings.Split(*watchSubs, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil || n < 1 {
-				return "", fmt.Errorf("bad -watch-subs entry %q", s)
-			}
-			subs = append(subs, n)
-		}
-		var (
-			out           strings.Builder
-			totalNotified int64
-		)
-		for _, iv := range intervals {
-			for _, ns := range subs {
-				r, err := loadgen.WatchLoad(loadgen.WatchConfig{
-					Docs: *docs, Seed: *seed, Expr: *loadExpr,
-					Subscribers: ns, Batches: *watchBatches, Interval: iv,
-				})
-				if err != nil {
-					return "", fmt.Errorf("churn=%s subs=%d: %w", iv, ns, err)
-				}
-				totalNotified += r.Notifications
-				fmt.Fprintf(&out, "churn interval %s:\n%s", iv, loadgen.RenderWatch(r))
-				perNotify := 0.0
-				if r.Notifications > 0 {
-					perNotify = float64(r.DeltaBytes) / float64(r.Notifications)
-				}
-				record(benchResult{
-					Name:                fmt.Sprintf("watch/churn=%s/subs=%d", iv, ns),
-					Subscribers:         ns,
-					Notifications:       r.Notifications,
-					CoalescedBatches:    r.Coalesced,
-					NotifyP50Ms:         float64(r.NotifyP50.Microseconds()) / 1000,
-					NotifyP99Ms:         float64(r.NotifyP99.Microseconds()) / 1000,
-					DeltaBytesPerNotify: perNotify,
-					FullResultBytes:     r.FullResultBytes,
-					IncrementalRounds:   r.Incremental,
-					FullRerunRounds:     r.FullRuns,
-				})
-			}
-		}
-		// a live-query tier that never delivers a delta is broken, not slow
-		if totalNotified == 0 {
-			return "", fmt.Errorf("zero delta notifications delivered across all cells")
-		}
-		return out.String(), nil
-	})
-	run("repl", "read scaling: primary + N replication followers (extension)", func() (string, error) {
-		var counts []int
-		for _, s := range strings.Split(*replFols, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil || n < 0 {
-				return "", fmt.Errorf("bad -repl-followers entry %q", s)
-			}
-			counts = append(counts, n)
-		}
-		out, rows, err := replExperiment(replConfig{
-			docs: *docs, seed: *seed,
-			duration: *loadDur,
-			writers:  *writers, readersPerNode: *readers,
-			expr:           *loadExpr,
-			followerCounts: counts,
-			writeInterval:  *replWrite,
-		})
-		if err != nil {
-			return "", err
-		}
-		for _, r := range rows {
-			record(benchResult{
-				Name:       fmt.Sprintf("repl/followers=%d", r.Followers),
-				QPS:        r.QueriesPerS,
-				BatchesPS:  r.BatchesPerS,
-				Followers:  r.Followers,
-				LagP50Ms:   float64(r.LagP50.Microseconds()) / 1000,
-				LagP99Ms:   float64(r.LagP99.Microseconds()) / 1000,
-				LagSamples: r.LagSamples,
-			})
-		}
-		return out, nil
-	})
-
-	if *jsonOut != "" && len(jsonResults) > 0 {
-		if err := writeJSONResults(*jsonOut, jsonResults); err != nil {
-			fmt.Fprintf(os.Stderr, "hopibench: write %s: %v\n", *jsonOut, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %d results to %s\n", len(jsonResults), *jsonOut)
-	}
-}
-
-func safeRatio(a, b float64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return a / b
-}
-
-func loadJSON(name string, r loadgen.Result) benchResult {
-	res := benchResult{
-		Name:      name,
-		QPS:       r.QueriesPerS,
-		BatchesPS: r.BatchesPerS,
-		CoverSize: r.CoverSize,
-		WALBytes:  r.WALBytes,
-		Durable:   r.Durable,
-	}
-	if r.QueriesPerS > 0 {
-		res.NsPerOp = 1e9 / r.QueriesPerS // inverse aggregate query throughput
-	}
-	return res
-}
-
-func writeJSONResults(path string, results []benchResult) error {
-	if dir := filepath.Dir(path); dir != "." && dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(results); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

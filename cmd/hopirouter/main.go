@@ -35,7 +35,7 @@
 // lagging shard will accept the token once caught up (same contract as
 // hopiserve replicas). A shard that is down or restarting also answers
 // 503 with Retry-After; clients retry against the router with capped
-// backoff (internal/loadgen does this).
+// backoff.
 package main
 
 import (

@@ -17,7 +17,7 @@ import (
 // hopiserve primary exposes the router's Conn RPCs (step, deliver,
 // closure, resolve) over HTTP, so a hopirouter can own it as one
 // shard of a sharded deployment. The handlers delegate to the same
-// in-process shard adapter the tests and hopibench use — the HTTP
+// in-process shard adapter the tests and benchmark/ use — the HTTP
 // layer is only a codec. The hot RPCs speak both codecs: JSON (the
 // debug format and cross-version bridge) and the binary frames of
 // shardrouter's codec, chosen per request by Content-Type and Accept.

@@ -63,13 +63,31 @@ type Table1Row struct {
 	SizeMB   float64
 }
 
+// Document counts of the paper's two collections (Table 1).
+const (
+	paperDBLPDocs = 6210
+	paperINEXDocs = 12232
+)
+
+// scaleLabel names a collection's size relative to the paper's:
+// "1/10" for a tenth of its documents, "2.0x" for twice as many.
+func scaleLabel(docs, paperDocs int) string {
+	if docs >= paperDocs {
+		return fmt.Sprintf("%.1fx", float64(docs)/float64(paperDocs))
+	}
+	return fmt.Sprintf("1/%.0f", float64(paperDocs)/float64(docs))
+}
+
 // Table1 reports the features of both synthetic collections.
 func Table1(cfg Config) []Table1Row {
 	rows := make([]Table1Row, 0, 2)
 	for _, c := range []struct {
 		name string
 		coll *xmlmodel.Collection
-	}{{"DBLP (synthetic, 1/10)", cfg.dblp()}, {"INEX (synthetic, 1/100)", cfg.inex()}} {
+	}{
+		{"DBLP (synthetic, " + scaleLabel(cfg.DBLPDocs, paperDBLPDocs) + ")", cfg.dblp()},
+		{"INEX (synthetic, " + scaleLabel(cfg.INEXDocs, paperINEXDocs) + ")", cfg.inex()},
+	} {
 		rows = append(rows, Table1Row{
 			Name:     c.name,
 			Docs:     c.coll.NumDocs(),

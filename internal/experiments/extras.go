@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 	"time"
 
@@ -174,55 +173,4 @@ func RenderWeights(r WeightsResult) string {
 		t.row(row.Algorithm, fmt.Sprintf("%.1fs", row.Time.Seconds()), fmt.Sprint(row.Size), fmt.Sprint(row.Partitions))
 	}
 	return t.String()
-}
-
-// QueryMicroResult measures query latency on the built index — not a
-// paper table (the paper defers query performance to [26]) but part of
-// the harness for completeness.
-type QueryMicroResult struct {
-	ReachChecks   int
-	ReachPerSec   float64
-	DistChecks    int
-	DistPerSec    float64
-	AvgLabelBytes float64
-}
-
-// QueryMicro runs random reachability and distance probes.
-func QueryMicro(cfg Config) (QueryMicroResult, error) {
-	c := cfg.dblp()
-	ix, err := core.Build(c, core.Options{
-		Partitioner: core.PartNodeCapped, NodeCap: 1000, Join: core.JoinNewHBar,
-		WithDistance: true, Seed: cfg.Seed,
-	})
-	if err != nil {
-		return QueryMicroResult{}, err
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	n := int32(c.NumAllocatedIDs())
-	const probes = 200_000
-	t0 := time.Now()
-	for i := 0; i < probes; i++ {
-		ix.Reaches(rng.Int31n(n), rng.Int31n(n))
-	}
-	reachTime := time.Since(t0)
-	t1 := time.Now()
-	for i := 0; i < probes; i++ {
-		if _, err := ix.Distance(rng.Int31n(n), rng.Int31n(n)); err != nil {
-			return QueryMicroResult{}, err
-		}
-	}
-	distTime := time.Since(t1)
-	return QueryMicroResult{
-		ReachChecks:   probes,
-		ReachPerSec:   float64(probes) / reachTime.Seconds(),
-		DistChecks:    probes,
-		DistPerSec:    float64(probes) / distTime.Seconds(),
-		AvgLabelBytes: 8 * float64(ix.Size()) / float64(n),
-	}, nil
-}
-
-// RenderQueryMicro formats the probe rates.
-func RenderQueryMicro(r QueryMicroResult) string {
-	return fmt.Sprintf("reachability probes: %.0f/s\ndistance probes:     %.0f/s\navg label bytes/elem: %.1f\n",
-		r.ReachPerSec, r.DistPerSec, r.AvgLabelBytes)
 }

@@ -223,9 +223,9 @@ const (
 	// EvalAuto (the default) uses the set-at-a-time semijoin and falls
 	// back to pairwise probing when frontier×candidates is tiny.
 	EvalAuto EvalMode = iota
-	// EvalPairwise forces the tuple-at-a-time evaluator everywhere —
-	// the pre-semijoin behavior, kept for equivalence tests and the
-	// before/after benchmark.
+	// EvalPairwise forces the tuple-at-a-time evaluator everywhere:
+	// the reference the equivalence tests and the Go benchmarks of
+	// this package compare the semijoin against.
 	EvalPairwise
 	// EvalSemijoin forces the semijoin even below the fallback cutoff.
 	EvalSemijoin
@@ -240,10 +240,10 @@ func NewEngine(coll *xmlmodel.Collection, ix *core.Index) *Engine {
 	return e
 }
 
-// SetEvalMode pins the descendant-step evaluator. Benchmark/test hook:
-// it lets the equivalence suite and hopibench compare the semijoin
-// against the old tuple-at-a-time path on identical state. Set it
-// before sharing the engine with concurrent readers.
+// SetEvalMode pins the descendant-step evaluator. Its only callers are
+// the equivalence tests and Go benchmarks of this package, which run
+// the semijoin and the reference evaluator (EvalPairwise) on identical
+// state. Set it before sharing the engine with concurrent readers.
 func (e *Engine) SetEvalMode(m EvalMode) { e.mode = m }
 
 // Refresh rebuilds the tag index after collection maintenance. It

@@ -10,7 +10,7 @@ import (
 // snapshot-pinned evaluation primitives (one location step at a time),
 // closure probes between cross-link endpoints, element resolution, and
 // the write operations the router routes by shard key. Implementations
-// exist in-process (hopi.NewLocalShard, used by tests and hopibench)
+// exist in-process (hopi.NewLocalShard, used by tests and benchmark/)
 // and over HTTP against a hopiserve primary (NewHTTPShard).
 //
 // Every read request carries the snapshot epoch the router pinned at

@@ -18,9 +18,9 @@ import (
 const retainSnapshots = 32
 
 // localShard adapts an in-process Index to the router's Conn
-// interface. It is how tests and hopibench run a whole shard tier in
-// one process, and the reference implementation the HTTP transport
-// mirrors.
+// interface. It is how the tests and benchmark/ run a whole shard tier
+// in one process, what hopiserve's shard handlers delegate to, and the
+// reference implementation the HTTP transport mirrors.
 type localShard struct {
 	name string
 	ix   *Index
