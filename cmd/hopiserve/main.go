@@ -34,7 +34,7 @@
 //	GET    /explain?expr=...&limit=10     (per-step execution plan)
 //	GET    /reach?from=pub00005.xml&to=pub00002.xml&distance=1
 //	GET    /stats
-//	GET    /repl/stream?from=N           (NDJSON log-shipping stream)
+//	GET    /repl/stream?from=N           (log shipping: the WAL's CRC-framed records)
 //	POST   /docs?name=new.xml            (body: the XML document)
 //	DELETE /docs/{name}
 //	POST   /links                        {"from":"a.xml:3","to":"b.xml"}

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -10,6 +12,7 @@ import (
 	"testing"
 
 	"hopi"
+	"hopi/internal/shardrouter"
 )
 
 func testServer(t *testing.T) (*httptest.Server, *hopi.Index) {
@@ -200,6 +203,49 @@ func TestServerLinkEndpoint(t *testing.T) {
 	getJSON(t, srv.URL+"/reach?from=c.xml&to=a.xml", http.StatusOK, &reach)
 	if !reach.Reachable {
 		t.Error("c.xml should reach a.xml after the new link")
+	}
+}
+
+// TestServerShardRPCBinaryOnly: the hot shard RPCs take binary frames
+// only. A JSON request is refused with 415 and a malformed frame with
+// 400, both with JSON error bodies; a binary frame gets a binary answer.
+func TestServerShardRPCBinaryOnly(t *testing.T) {
+	srv, _ := testServer(t)
+	post := func(ctype string, body []byte) (*http.Response, []byte) {
+		t.Helper()
+		resp, err := http.Post(srv.URL+"/shard/step", ctype, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		out, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp, out
+	}
+	for _, c := range []struct {
+		ctype string
+		body  []byte
+		want  int
+	}{
+		{"application/json", []byte(`{"axis":"//","tag":"author","seed":true}`), http.StatusUnsupportedMediaType},
+		{shardrouter.BinaryContentType, []byte("HB garbage"), http.StatusBadRequest},
+	} {
+		resp, body := post(c.ctype, c.body)
+		var eb errorBody
+		if resp.StatusCode != c.want || json.Unmarshal(body, &eb) != nil || eb.Error == "" {
+			t.Fatalf("%s request: %s %q, want %d with a JSON error", c.ctype, resp.Status, body, c.want)
+		}
+	}
+
+	req := shardrouter.EncodeStepRequest(&shardrouter.StepRequest{Axis: "//", Tag: "author", Seed: true})
+	resp, body := post(shardrouter.BinaryContentType, req)
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != shardrouter.BinaryContentType {
+		t.Fatalf("binary step: %s, Content-Type %q", resp.Status, resp.Header.Get("Content-Type"))
+	}
+	if sr, err := shardrouter.DecodeStepResponse(body); err != nil || len(sr.Frontier) == 0 {
+		t.Fatalf("binary step response: %+v, %v", sr, err)
 	}
 }
 

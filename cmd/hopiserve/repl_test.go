@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/binary"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"hopi"
+	"hopi/internal/storage"
 )
 
 // durableServer creates a durable primary index (which newServer
@@ -207,12 +209,13 @@ func TestServerReplicaBehindTokenIs503(t *testing.T) {
 	}
 }
 
-// TestServerReplicationStreamEndpoint sanity-checks the raw NDJSON
-// endpoint: a bootstrap request opens with a heartbeat and a snapshot
-// frame.
+// TestServerReplicationStreamEndpoint sanity-checks the raw record
+// stream: a bootstrap request opens with a CRC-framed heartbeat record
+// carrying the primary's committed sequence, then the image header.
 func TestServerReplicationStreamEndpoint(t *testing.T) {
 	dir := t.TempDir()
 	primary, _ := durableServer(t, filepath.Join(dir, "p.hopi"))
+	postDoc(t, primary.URL, "one.xml", `<bib><book><author/></book></bib>`, http.StatusCreated)
 	resp, err := http.Get(primary.URL + "/repl/stream?from=0")
 	if err != nil {
 		t.Fatal(err)
@@ -221,19 +224,19 @@ func TestServerReplicationStreamEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("stream: %s", resp.Status)
 	}
-	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
+	if ct := resp.Header.Get("Content-Type"); ct != "application/x-hopi-wal" {
 		t.Fatalf("stream content type %q", ct)
 	}
-	buf := make([]byte, 1)
-	line := ""
-	for !strings.Contains(line, "\n") {
-		if _, err := resp.Body.Read(buf); err != nil {
-			t.Fatalf("reading first frame: %v (got %q)", err, line)
-		}
-		line += string(buf)
+	hb, err := storage.ReadRecord(resp.Body)
+	if err != nil {
+		t.Fatalf("reading first record: %v", err)
 	}
-	if !strings.Contains(line, `"type":"hb"`) {
-		t.Fatalf("first frame %q, want a heartbeat", line)
+	if p := hb[storage.RecordHeader:]; len(p) != 9 || p[0] != 0x10 || binary.LittleEndian.Uint64(p[1:]) != 1 {
+		t.Fatalf("first record payload %x, want a heartbeat at seq 1", p)
+	}
+	img, err := storage.ReadRecord(resp.Body)
+	if err != nil || img[storage.RecordHeader] != 0x11 {
+		t.Fatalf("second record %x (%v), want an image header", img, err)
 	}
 
 	// bad from parameter

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -18,10 +19,10 @@ import (
 // closure, resolve) over HTTP, so a hopirouter can own it as one
 // shard of a sharded deployment. The handlers delegate to the same
 // in-process shard adapter the tests and benchmark/ use — the HTTP
-// layer is only a codec. The hot RPCs speak both codecs: JSON (the
-// debug format and cross-version bridge) and the binary frames of
-// shardrouter's codec, chosen per request by Content-Type and Accept.
-// Errors always travel as JSON, whatever codec the payloads used.
+// layer is only a codec. The hot RPCs (step, deliver, closure) speak
+// only the binary frames of shardrouter's codec; any other
+// Content-Type is refused with 415. Errors travel as JSON, and so does
+// the cold resolve RPC.
 
 // defaultReadyMaxLag is how many batches a replica may trail its
 // primary and still report ready (flag-configurable via -ready-max-lag).
@@ -42,172 +43,84 @@ func shardErr(w http.ResponseWriter, err error) {
 	writeErr(w, statusFor(err), err)
 }
 
-func decodeShardReq(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := json.NewDecoder(io.LimitReader(r.Body, maxDocBytes)).Decode(v); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad shard request: %w", err))
-		return false
-	}
-	return true
-}
-
-// isBinaryReq reports whether the request's payload is a binary shard
-// frame; wantBinaryResp whether the client can consume one in return.
-func isBinaryReq(r *http.Request) bool {
-	return strings.HasPrefix(r.Header.Get("Content-Type"), shardrouter.BinaryContentType)
-}
-
-func wantBinaryResp(r *http.Request) bool {
-	return isBinaryReq(r) || strings.Contains(r.Header.Get("Accept"), shardrouter.BinaryContentType)
-}
-
-// readShardBody reads one shard-RPC payload (bounded like document
-// ingest).
-func readShardBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxDocBytes))
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad shard request: %w", err))
-		return nil, false
-	}
-	return body, true
-}
-
-// spanFor builds the per-RPC span a traced shard request gets back:
-// queue is the time spent reading and decoding the request body, eval
-// the time inside the shard engine. The trace ID prefers the in-band
-// request field and falls back to the X-Hopi-Trace header, so JSON
-// clients that only set the header still get timed. Untraced requests
-// get nil — the response stays byte-identical to the pre-tracing wire
-// format.
-func spanFor(r *http.Request, trace string, t0, t1, t2 time.Time) *shardrouter.Span {
-	if trace == "" {
-		trace = r.Header.Get(shardrouter.TraceHeader)
-	}
-	if trace == "" {
-		return nil
-	}
-	return &shardrouter.Span{
-		Trace:   trace,
-		QueueUs: t1.Sub(t0).Microseconds(),
-		EvalUs:  t2.Sub(t1).Microseconds(),
-	}
-}
-
-// writeShardResp answers in the binary codec when the client asked for
-// it, JSON otherwise. A traced binary response gets its encode time
-// stamped into the span's trailing EncodeUs field after serialization —
-// the span is the frame's final four bytes exactly so the measurement
-// can include the encoding it describes. JSON spans report EncodeUs=0:
-// there the span travels inside the body being encoded.
-func writeShardResp(w http.ResponseWriter, r *http.Request, frame func() []byte, v any, sp *shardrouter.Span) {
-	if wantBinaryResp(r) {
-		w.Header().Set("Content-Type", shardrouter.BinaryContentType)
-		t0 := time.Now()
-		b := frame()
-		if sp != nil {
-			shardrouter.StampEncodeUs(b, time.Since(t0))
-		}
-		w.WriteHeader(http.StatusOK)
-		w.Write(b)
+// serveShardRPC runs one hot shard RPC: decode the binary request
+// frame (415 for any other Content-Type, 400 for a malformed frame),
+// evaluate it, and answer with the encoded response frame. A traced
+// request gets a span back: queue is the time spent reading and
+// decoding the body, eval the time inside the shard engine, and the
+// encode time is stamped into the span's trailing EncodeUs field after
+// serialization — the span is the frame's final four bytes exactly so
+// the measurement can include the encoding it describes. Untraced
+// responses stay byte-identical to the pre-tracing wire format.
+func serveShardRPC[Req, Resp any](w http.ResponseWriter, r *http.Request,
+	decode func([]byte) (*Req, error), trace func(*Req) string,
+	eval func(context.Context, *Req) (*Resp, error), encode func(*Resp, *shardrouter.Span) []byte) {
+	t0 := time.Now()
+	if !strings.HasPrefix(r.Header.Get("Content-Type"), shardrouter.BinaryContentType) {
+		writeErr(w, http.StatusUnsupportedMediaType, fmt.Errorf("shard RPCs take %s frames", shardrouter.BinaryContentType))
 		return
 	}
-	writeJSON(w, http.StatusOK, v)
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxDocBytes))
+	var req *Req
+	if err == nil {
+		req, err = decode(body)
+	}
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad shard request: %w", err))
+		return
+	}
+	t1 := time.Now()
+	resp, err := eval(r.Context(), req)
+	if err != nil {
+		shardErr(w, err)
+		return
+	}
+	var sp *shardrouter.Span
+	if id := trace(req); id != "" {
+		sp = &shardrouter.Span{Trace: id, QueueUs: t1.Sub(t0).Microseconds(), EvalUs: time.Since(t1).Microseconds()}
+	}
+	t2 := time.Now()
+	frame := encode(resp, sp)
+	if sp != nil {
+		shardrouter.StampEncodeUs(frame, time.Since(t2))
+	}
+	w.Header().Set("Content-Type", shardrouter.BinaryContentType)
+	w.Write(frame)
 }
 
 func (s *server) handleShardStep(w http.ResponseWriter, r *http.Request) {
 	s.shardRPCs.With("step").Inc()
-	t0 := time.Now()
-	var req shardrouter.StepRequest
-	if isBinaryReq(r) {
-		body, ok := readShardBody(w, r)
-		if !ok {
-			return
-		}
-		p, err := shardrouter.DecodeStepRequest(body)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("bad shard request: %w", err))
-			return
-		}
-		req = *p
-	} else if !decodeShardReq(w, r, &req) {
-		return
-	}
-	t1 := time.Now()
-	resp, err := s.shard.Step(r.Context(), &req)
-	if err != nil {
-		shardErr(w, err)
-		return
-	}
-	if sp := spanFor(r, req.Trace, t0, t1, time.Now()); sp != nil {
-		resp.Span = sp
-	}
-	writeShardResp(w, r, func() []byte { return shardrouter.EncodeStepResponse(resp) }, resp, resp.Span)
+	serveShardRPC(w, r, shardrouter.DecodeStepRequest, func(q *shardrouter.StepRequest) string { return q.Trace },
+		s.shard.Step, func(p *shardrouter.StepResponse, sp *shardrouter.Span) []byte {
+			p.Span = sp
+			return shardrouter.EncodeStepResponse(p)
+		})
 }
 
 func (s *server) handleShardDeliver(w http.ResponseWriter, r *http.Request) {
 	s.shardRPCs.With("deliver").Inc()
-	t0 := time.Now()
-	var req shardrouter.DeliverRequest
-	if isBinaryReq(r) {
-		body, ok := readShardBody(w, r)
-		if !ok {
-			return
-		}
-		p, err := shardrouter.DecodeDeliverRequest(body)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("bad shard request: %w", err))
-			return
-		}
-		req = *p
-	} else if !decodeShardReq(w, r, &req) {
-		return
-	}
-	t1 := time.Now()
-	resp, err := s.shard.Deliver(r.Context(), &req)
-	if err != nil {
-		shardErr(w, err)
-		return
-	}
-	if sp := spanFor(r, req.Trace, t0, t1, time.Now()); sp != nil {
-		resp.Span = sp
-	}
-	writeShardResp(w, r, func() []byte { return shardrouter.EncodeDeliverResponse(resp) }, resp, resp.Span)
+	serveShardRPC(w, r, shardrouter.DecodeDeliverRequest, func(q *shardrouter.DeliverRequest) string { return q.Trace },
+		s.shard.Deliver, func(p *shardrouter.DeliverResponse, sp *shardrouter.Span) []byte {
+			p.Span = sp
+			return shardrouter.EncodeDeliverResponse(p)
+		})
 }
 
 func (s *server) handleShardClosure(w http.ResponseWriter, r *http.Request) {
 	s.shardRPCs.With("closure").Inc()
-	t0 := time.Now()
-	var req shardrouter.ClosureRequest
-	if isBinaryReq(r) {
-		body, ok := readShardBody(w, r)
-		if !ok {
-			return
-		}
-		p, err := shardrouter.DecodeClosureRequest(body)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("bad shard request: %w", err))
-			return
-		}
-		req = *p
-	} else if !decodeShardReq(w, r, &req) {
-		return
-	}
-	t1 := time.Now()
-	resp, err := s.shard.Closure(r.Context(), &req)
-	if err != nil {
-		shardErr(w, err)
-		return
-	}
-	if sp := spanFor(r, req.Trace, t0, t1, time.Now()); sp != nil {
-		resp.Span = sp
-	}
-	writeShardResp(w, r, func() []byte { return shardrouter.EncodeClosureResponse(resp) }, resp, resp.Span)
+	serveShardRPC(w, r, shardrouter.DecodeClosureRequest, func(q *shardrouter.ClosureRequest) string { return q.Trace },
+		s.shard.Closure, func(p *shardrouter.ClosureResponse, sp *shardrouter.Span) []byte {
+			p.Span = sp
+			return shardrouter.EncodeClosureResponse(p)
+		})
 }
 
 func (s *server) handleShardResolve(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Specs []string `json:"specs"`
 	}
-	if !decodeShardReq(w, r, &req) {
+	if err := json.NewDecoder(io.LimitReader(r.Body, maxDocBytes)).Decode(&req); err != nil {
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad shard request: %w", err))
 		return
 	}
 	res, err := s.shard.Resolve(r.Context(), req.Specs)

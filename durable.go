@@ -10,7 +10,6 @@ import (
 
 	"hopi/internal/core"
 	"hopi/internal/obs"
-	"hopi/internal/replication"
 	"hopi/internal/segment"
 	"hopi/internal/storage"
 	"hopi/internal/twohop"
@@ -474,29 +473,30 @@ func (ix *Index) commitDurable(log *core.ChangeLog) error {
 		// replays it through the same path as any other batch.
 		cover = ix.ix.Cover().SnapshotDeltas()
 	}
-	// The batch is committed once AppendBatch's fsync returns. Nothing
-	// is applied to the store per batch — the in-memory cover (sealed
-	// base + delta) is the authority, and checkpoints seal it.
+	// The batch is committed once Append's fsync returns. Nothing is
+	// applied to the store per batch — the in-memory cover (sealed base +
+	// delta) is the authority, and checkpoints seal it.
 	if err := d.failAt("wal-append"); err != nil {
 		return err
 	}
-	if err := d.wal.AppendBatch(seq, collBytes, cover); err != nil {
+	rec := storage.EncodeBatch(seq, collBytes, cover)
+	if err := d.wal.Append(rec); err != nil {
 		return err
 	}
 	d.nextSeq = seq + 1
+	// Ship the logged record to any attached replication publisher before
+	// anything else can fail: a committed batch must reach followers even
+	// when the seal below does not. Publish never blocks on slow followers
+	// (they fall back to the WAL or a snapshot image), so holding ix.mu
+	// here is fine.
+	if ix.pub != nil {
+		ix.pub.Publish(storage.WALRecord{Seq: seq, Raw: rec})
+	}
 	// A rebuild is resealed right away so the snapshot-sized WAL record
 	// is folded and the log returns to O(delta) size; otherwise seal
 	// when the delta has grown past the threshold.
 	if log.Rebuilt || (d.segThreshold > 0 && ix.ix.Cover().DeltaEntries() >= d.segThreshold) {
-		if err := ix.doCheckpoint(seq, log.Rebuilt); err != nil {
-			return err
-		}
-	}
-	// The batch is committed: ship it to any attached replication
-	// publisher. Publish never blocks on slow followers (they fall back
-	// to the WAL or a snapshot image), so holding ix.mu here is fine.
-	if ix.pub != nil {
-		ix.pub.Publish(replication.Batch{Seq: seq, Coll: collBytes, Ops: cover})
+		return ix.doCheckpoint(seq, log.Rebuilt)
 	}
 	return nil
 }
@@ -533,11 +533,6 @@ func writeCollFile(path string, c *xmlmodel.Collection, seq, scope uint64) error
 	}
 	return nil
 }
-
-// The collection side of a batch is encoded as an opaque payload by
-// core.EncodeCollOps — shared between the WAL (here) and the
-// replication wire protocol, so log replay and log shipping see
-// identical bytes.
 
 // --- background compactor ---------------------------------------------
 

@@ -176,33 +176,3 @@ func TestCollOpWireRoundTrip(t *testing.T) {
 		t.Fatalf("DecodeCollOps(nil) = %v, %v", ops, err)
 	}
 }
-
-// TestCoverDeltaWireRoundTrip pins the 13-byte binary delta records.
-func TestCoverDeltaWireRoundTrip(t *testing.T) {
-	ops := []twohop.CoverDelta{
-		{Kind: twohop.DeltaGrow, Node: 12},
-		{Kind: twohop.DeltaAddIn, Node: 3, Center: 7, Dist: 2},
-		{Kind: twohop.DeltaAddOut, Node: 2147483647, Center: 0, Dist: 4294967295},
-		{Kind: twohop.DeltaRemoveOut, Node: 0, Center: 5},
-		{Kind: twohop.DeltaClearAll},
-	}
-	b := EncodeCoverDeltas(ops)
-	if len(b) != 13*len(ops) {
-		t.Fatalf("encoded %d bytes, want %d", len(b), 13*len(ops))
-	}
-	got, err := DecodeCoverDeltas(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range ops {
-		if got[i] != ops[i] {
-			t.Fatalf("delta %d = %+v, want %+v", i, got[i], ops[i])
-		}
-	}
-	if _, err := DecodeCoverDeltas(b[:5]); err == nil {
-		t.Fatal("truncated delta stream decoded without error")
-	}
-	if b := EncodeCoverDeltas(nil); b != nil {
-		t.Fatalf("EncodeCoverDeltas(nil) = %v", b)
-	}
-}

@@ -2,9 +2,7 @@ package core
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/gob"
-	"fmt"
 
 	"hopi/internal/twohop"
 	"hopi/internal/xmlmodel"
@@ -14,10 +12,10 @@ import (
 //
 // A recorded maintenance batch travels in two independent streams: the
 // collection ops (document bodies inlined) and the cover label deltas.
-// The encodings here are the canonical ones — the write-ahead log
-// frames them on disk (storage.WAL) and the replication subsystem
-// ships the identical bytes to followers, so a batch replayed from the
-// log and a batch applied over the wire are indistinguishable.
+// The collection side is encoded here; storage.EncodeBatch frames it
+// with the deltas as one write-ahead log record, and the replication
+// subsystem ships that record's bytes to followers, so a batch replayed
+// from the log and a batch applied over the wire are indistinguishable.
 
 // walCollOp is the flat DTO one collection op serializes as. The type
 // name is part of the gob stream (and therefore of the WAL bytes) —
@@ -71,47 +69,6 @@ func DecodeCollOps(b []byte) ([]CollOp, error) {
 			op.Doc = xmlmodel.NewDocumentFromParts(dto.Name, dto.Elements, dto.Intra)
 		}
 		ops[i] = op
-	}
-	return ops, nil
-}
-
-// coverDeltaSize is the fixed record size of one encoded CoverDelta —
-// the same 13-byte layout the WAL uses inside its batch records.
-const coverDeltaSize = 13
-
-// EncodeCoverDeltas serializes a cover delta stream: kind u8, node u32,
-// center u32, dist u32, little endian, 13 bytes per delta.
-func EncodeCoverDeltas(ops []twohop.CoverDelta) []byte {
-	if len(ops) == 0 {
-		return nil
-	}
-	out := make([]byte, 0, coverDeltaSize*len(ops))
-	for _, op := range ops {
-		out = append(out, byte(op.Kind))
-		out = binary.LittleEndian.AppendUint32(out, uint32(op.Node))
-		out = binary.LittleEndian.AppendUint32(out, uint32(op.Center))
-		out = binary.LittleEndian.AppendUint32(out, op.Dist)
-	}
-	return out
-}
-
-// DecodeCoverDeltas reverses EncodeCoverDeltas.
-func DecodeCoverDeltas(b []byte) ([]twohop.CoverDelta, error) {
-	if len(b) == 0 {
-		return nil, nil
-	}
-	if len(b)%coverDeltaSize != 0 {
-		return nil, fmt.Errorf("core: cover delta stream of %d bytes is not a multiple of %d", len(b), coverDeltaSize)
-	}
-	ops := make([]twohop.CoverDelta, len(b)/coverDeltaSize)
-	for i := range ops {
-		ops[i] = twohop.CoverDelta{
-			Kind:   twohop.DeltaKind(b[0]),
-			Node:   int32(binary.LittleEndian.Uint32(b[1:])),
-			Center: int32(binary.LittleEndian.Uint32(b[5:])),
-			Dist:   binary.LittleEndian.Uint32(b[9:]),
-		}
-		b = b[coverDeltaSize:]
 	}
 	return ops, nil
 }

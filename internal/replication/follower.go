@@ -1,14 +1,16 @@
 package replication
 
 import (
+	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"sync"
 	"time"
+
+	"hopi/internal/storage"
 )
 
 // Target is the follower-side state the stream is replayed into.
@@ -16,13 +18,13 @@ import (
 // establishes state at Image.Seq, each ApplyBatch advances it by
 // exactly one sequence. Another Bootstrap may arrive at any time (the
 // publisher resets followers that lag past its retained history).
-// Quiesce is called whenever no further frame is already buffered on
+// Quiesce is called whenever no further record is already buffered on
 // the connection — the moment to publish derived state (snapshots)
 // once per burst instead of once per batch, so replay keeps pace with
 // the primary under write storms.
 type Target interface {
 	Bootstrap(img *Image) error
-	ApplyBatch(b Batch) error
+	ApplyBatch(rec storage.WALRecord) error
 	Quiesce()
 }
 
@@ -54,14 +56,14 @@ type Status struct {
 	// AppliedSeq is the last batch sequence replayed into the target.
 	AppliedSeq uint64
 	// PrimarySeq is the primary's last committed sequence as of the
-	// most recent frame; PrimarySeq - AppliedSeq is the replication lag
+	// most recent record; PrimarySeq - AppliedSeq is the replication lag
 	// in batches.
 	PrimarySeq uint64
 	// Bootstrapped reports that the target holds a consistent state.
 	Bootstrapped bool
 	// Connected reports a currently open stream.
 	Connected bool
-	// LastContact is the arrival time of the most recent frame.
+	// LastContact is the arrival time of the most recent record.
 	LastContact time.Time
 	// LastError is the most recent stream failure ("" when none).
 	LastError string
@@ -76,7 +78,7 @@ func (s Status) Lag() uint64 {
 }
 
 // Follower connects to a primary's /repl/stream endpoint, replays the
-// frames into its Target, and reconnects with exponential backoff,
+// records into its Target, and reconnects with exponential backoff,
 // resuming after the last applied sequence. Start it once; Stop tears
 // it down and waits for the replay goroutine to exit.
 type Follower struct {
@@ -152,7 +154,7 @@ func (f *Follower) run() {
 	defer close(f.done)
 	backoff := f.opts.BackoffMin
 	for f.ctx.Err() == nil {
-		frames, err := f.streamOnce()
+		n, err := f.streamOnce()
 		if f.ctx.Err() != nil {
 			return
 		}
@@ -162,7 +164,7 @@ func (f *Follower) run() {
 			f.st.LastError = err.Error()
 		}
 		f.mu.Unlock()
-		if frames > 0 {
+		if n > 0 {
 			// The stream was healthy before it broke: forget the
 			// accumulated backoff, or one early outage would ratchet
 			// every future reconnect to BackoffMax forever.
@@ -181,10 +183,11 @@ func (f *Follower) run() {
 }
 
 // streamOnce runs one connection: request the stream from the next
-// needed sequence and replay frames until the stream breaks. It
-// returns how many frames were processed (a healthy-stream signal for
-// the backoff) alongside the terminal error.
-func (f *Follower) streamOnce() (frames int, err error) {
+// needed sequence and replay records until the stream breaks. It
+// returns how many records were processed (a healthy-stream signal for
+// the backoff) alongside the terminal error. A record that fails its
+// checksum or has an unknown kind ends the stream: nothing is skipped.
+func (f *Follower) streamOnce() (n int, err error) {
 	f.mu.Lock()
 	from := uint64(0)
 	if f.st.Bootstrapped {
@@ -211,57 +214,46 @@ func (f *Follower) streamOnce() (frames int, err error) {
 	f.st.LastError = ""
 	f.mu.Unlock()
 
-	dec := json.NewDecoder(resp.Body)
+	r := bufio.NewReaderSize(resp.Body, 64<<10)
 	for {
-		var fr frame
-		if err := dec.Decode(&fr); err != nil {
-			if errors.Is(err, io.EOF) {
-				return frames, errors.New("replication: stream closed by primary")
-			}
-			return frames, err
+		rec, err := storage.ReadRecord(r)
+		if err == io.EOF {
+			return n, errors.New("replication: stream closed by primary")
 		}
-		if err := f.handleFrame(&fr); err != nil {
-			return frames, err
+		if err != nil {
+			return n, fmt.Errorf("replication: %w", err)
 		}
-		frames++
+		if err := f.handle(rec, r); err != nil {
+			return n, err
+		}
+		n++
 		// Quiesce only once a consistent state exists — the stream leads
 		// with a heartbeat, which precedes the bootstrap image.
 		f.mu.Lock()
 		booted := f.st.Bootstrapped
 		f.mu.Unlock()
-		if booted && !hasBufferedFrame(dec) {
+		if booted && r.Buffered() == 0 {
 			f.target.Quiesce()
 		}
 	}
 }
 
-// hasBufferedFrame reports whether the decoder already holds the start
-// of another frame, i.e. the stream is mid-burst. Reading the buffered
-// view does not consume decoder state.
-func hasBufferedFrame(dec *json.Decoder) bool {
-	buf := make([]byte, 64)
-	n, _ := dec.Buffered().Read(buf)
-	for _, c := range buf[:n] {
-		switch c {
-		case ' ', '\t', '\r', '\n':
-		default:
-			return true
-		}
-	}
-	return false
-}
-
-func (f *Follower) handleFrame(fr *frame) error {
+// handle applies one record; an image's chunk records are read from r.
+func (f *Follower) handle(rec []byte, r io.Reader) error {
 	now := time.Now()
-	switch fr.Type {
-	case frameHeartbeat:
+	switch rec[storage.RecordHeader] {
+	case kindHeartbeat:
+		seq, err := decodeHeartbeat(rec)
+		if err != nil {
+			return err
+		}
 		f.mu.Lock()
-		f.st.PrimarySeq = fr.Seq
+		f.st.PrimarySeq = seq
 		f.st.LastContact = now
 		f.mu.Unlock()
 		return nil
-	case frameSnapshot:
-		img, err := fr.image()
+	case kindImage:
+		img, err := readImage(rec, r)
 		if err != nil {
 			return err
 		}
@@ -278,39 +270,35 @@ func (f *Follower) handleFrame(fr *frame) error {
 		f.mu.Unlock()
 		f.signalReady()
 		return nil
-	case frameBatch:
-		f.mu.Lock()
-		applied, booted := f.st.AppliedSeq, f.st.Bootstrapped
-		f.st.LastContact = now
-		f.mu.Unlock()
-		if !booted {
-			return fmt.Errorf("replication: batch %d before bootstrap", fr.Seq)
-		}
-		if fr.Seq <= applied {
-			return nil // duplicate after a reconnect race; already applied
-		}
-		if fr.Seq != applied+1 {
-			return fmt.Errorf("replication: sequence gap: got %d after %d", fr.Seq, applied)
-		}
-		b, err := fr.batch()
-		if err != nil {
-			return err
-		}
-		if err := f.target.ApplyBatch(b); err != nil {
-			return fmt.Errorf("replication: apply batch %d: %w", b.Seq, err)
-		}
-		f.mu.Lock()
-		f.st.AppliedSeq = b.Seq
-		if f.st.PrimarySeq < b.Seq {
-			f.st.PrimarySeq = b.Seq
-		}
-		f.mu.Unlock()
-		return nil
-	case frameError:
-		return fmt.Errorf("replication: primary error: %s", fr.Msg)
-	default:
-		// Unknown frame types are skipped so the protocol can grow
-		// without breaking old followers.
-		return nil
+	case kindError:
+		return fmt.Errorf("replication: primary error: %s", rec[storage.RecordHeader+1:])
 	}
+	// anything else must be a batch record: DecodeBatch rejects other kinds
+	b, err := storage.DecodeBatch(rec)
+	if err != nil {
+		return fmt.Errorf("replication: %w", err)
+	}
+	f.mu.Lock()
+	applied, booted := f.st.AppliedSeq, f.st.Bootstrapped
+	f.st.LastContact = now
+	f.mu.Unlock()
+	if !booted {
+		return fmt.Errorf("replication: batch %d before bootstrap", b.Seq)
+	}
+	if b.Seq <= applied {
+		return nil // duplicate after a reconnect race; already applied
+	}
+	if b.Seq != applied+1 {
+		return fmt.Errorf("replication: sequence gap: got %d after %d", b.Seq, applied)
+	}
+	if err := f.target.ApplyBatch(b); err != nil {
+		return fmt.Errorf("replication: apply batch %d: %w", b.Seq, err)
+	}
+	f.mu.Lock()
+	f.st.AppliedSeq = b.Seq
+	if f.st.PrimarySeq < b.Seq {
+		f.st.PrimarySeq = b.Seq
+	}
+	f.mu.Unlock()
+	return nil
 }

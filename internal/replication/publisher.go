@@ -1,12 +1,13 @@
 package replication
 
 import (
-	"encoding/json"
 	"net/http"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"hopi/internal/storage"
 )
 
 // Source is the primary-side state the Publisher draws on beyond its
@@ -15,11 +16,11 @@ import (
 type Source interface {
 	// Image returns a full state snapshot for bootstrapping a follower.
 	Image() (*Image, error)
-	// WALTail returns the committed batches with sequence >= from when
-	// the durable log still covers from contiguously; ok=false when a
-	// checkpoint has folded them away (the publisher then falls back to
-	// Image).
-	WALTail(from uint64) ([]Batch, bool, error)
+	// WALTail returns the committed batch records with sequence >=
+	// from, as the durable log framed them, when the log still covers
+	// from contiguously; ok=false when a checkpoint has folded them away
+	// (the publisher then falls back to Image).
+	WALTail(from uint64) ([]storage.WALRecord, bool, error)
 }
 
 // PublisherOptions tunes a Publisher; the zero value picks defaults.
@@ -52,13 +53,13 @@ type Publisher struct {
 	opts PublisherOptions
 
 	mu      sync.Mutex
-	tail    []Batch // contiguous run of the most recent batches
-	lastSeq uint64  // highest committed sequence (0 = only the initial image exists)
+	tail    []storage.WALRecord // contiguous run of the most recent batches
+	lastSeq uint64              // highest committed sequence (0 = only the initial image exists)
 	notify  chan struct{}
 	closed  bool
 
 	active  atomic.Int64  // currently connected follower streams
-	shipped atomic.Uint64 // batch frames written across all streams
+	shipped atomic.Uint64 // batch records written across all streams
 }
 
 // NewPublisher returns a publisher whose history starts after lastSeq
@@ -69,23 +70,25 @@ func NewPublisher(src Source, lastSeq uint64, opts PublisherOptions) *Publisher 
 	return &Publisher{src: src, opts: opts, lastSeq: lastSeq, notify: make(chan struct{})}
 }
 
-// Publish hands the publisher one committed batch. Batches must arrive
-// in sequence order; the call never blocks on slow followers (they
-// fall behind into the WAL/snapshot paths instead).
-func (p *Publisher) Publish(b Batch) {
+// Publish hands the publisher one committed batch record; followers
+// receive rec.Raw, the bytes the WAL fsynced, and only Seq and Raw need
+// be set. Records must arrive in sequence order; the call never blocks
+// on slow followers (they fall behind into the WAL/snapshot paths
+// instead).
+func (p *Publisher) Publish(rec storage.WALRecord) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
 		return
 	}
-	p.tail = append(p.tail, b)
+	p.tail = append(p.tail, rec)
 	if len(p.tail) > p.opts.TailBatches {
 		// copy instead of re-slicing so the evicted prefix can be freed
-		keep := make([]Batch, p.opts.TailBatches)
+		keep := make([]storage.WALRecord, p.opts.TailBatches)
 		copy(keep, p.tail[len(p.tail)-p.opts.TailBatches:])
 		p.tail = keep
 	}
-	p.lastSeq = b.Seq
+	p.lastSeq = rec.Seq
 	close(p.notify)
 	p.notify = make(chan struct{})
 }
@@ -101,13 +104,13 @@ func (p *Publisher) LastSeq() uint64 {
 // streams.
 func (p *Publisher) ActiveStreams() int64 { return p.active.Load() }
 
-// Shipped returns the total number of batch frames written to
+// Shipped returns the total number of batch records written to
 // followers.
 func (p *Publisher) Shipped() uint64 { return p.shipped.Load() }
 
 // Close wakes every idle stream so it can terminate; subsequent
 // Publish calls are dropped. Streams already writing finish their
-// current frame and exit.
+// current record and exit.
 func (p *Publisher) Close() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -124,7 +127,7 @@ func (p *Publisher) Close() {
 // true), or nothing yet (wait on notify). It never calls the Source
 // while holding the publisher lock — the source takes the index's read
 // lock, which a writer mid-Publish may hold exclusively.
-func (p *Publisher) take(pos uint64) (batches []Batch, notify chan struct{}, snapshot, closed bool) {
+func (p *Publisher) take(pos uint64) (batches []storage.WALRecord, notify chan struct{}, snapshot, closed bool) {
 	p.mu.Lock()
 	notify = p.notify
 	closed = p.closed
@@ -142,7 +145,7 @@ func (p *Publisher) take(pos uint64) (batches []Batch, notify chan struct{}, sna
 	}
 	if n := len(p.tail); n > 0 && p.tail[0].Seq <= pos {
 		i := int(pos - p.tail[0].Seq)
-		batches = append([]Batch(nil), p.tail[i:]...)
+		batches = append([]storage.WALRecord(nil), p.tail[i:]...)
 		p.mu.Unlock()
 		return batches, notify, false, closed
 	}
@@ -156,9 +159,9 @@ func (p *Publisher) take(pos uint64) (batches []Batch, notify chan struct{}, sna
 }
 
 // ServeHTTP implements GET /repl/stream?from=<seq>: an unbounded
-// NDJSON response of snapshot/batch/heartbeat frames. from is the
-// first sequence the follower needs (0 = bootstrap). The stream runs
-// until the client disconnects or the publisher closes.
+// response of image, batch and heartbeat records. from is the first
+// sequence the follower needs (0 = bootstrap). The stream runs until
+// the client disconnects or the publisher closes.
 func (p *Publisher) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	var from uint64
 	if v := r.URL.Query().Get("from"); v != "" {
@@ -169,21 +172,24 @@ func (p *Publisher) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 		from = n
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.Header().Set("Content-Type", streamContentType)
 	flusher, _ := w.(http.Flusher)
 	flush := func() {
 		if flusher != nil {
 			flusher.Flush()
 		}
 	}
-	enc := json.NewEncoder(w)
+	write := func(rec []byte) bool {
+		_, err := w.Write(rec)
+		return err == nil
+	}
 	p.active.Add(1)
 	defer p.active.Add(-1)
 	ctx := r.Context()
 
 	// Lead with a heartbeat so the follower learns the primary's
 	// position (and its own lag) before the first batch arrives.
-	if enc.Encode(frame{Type: frameHeartbeat, Seq: p.LastSeq()}) != nil {
+	if !write(heartbeat(p.LastSeq())) {
 		return
 	}
 	flush()
@@ -197,17 +203,17 @@ func (p *Publisher) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		case snapshot:
 			img, err := p.src.Image()
 			if err != nil {
-				enc.Encode(frame{Type: frameError, Msg: err.Error()})
+				write(record(kindError, []byte(err.Error())))
 				return
 			}
-			if enc.Encode(imageFrame(img)) != nil {
+			if writeImage(w, img) != nil {
 				return
 			}
 			flush()
 			pos = img.Seq + 1
 		case len(batches) > 0:
 			for _, b := range batches {
-				if enc.Encode(batchFrame(b)) != nil {
+				if !write(b.Raw) {
 					return
 				}
 				p.shipped.Add(1)
@@ -232,7 +238,7 @@ func (p *Publisher) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 				return
 			case <-notify:
 			case <-timer.C:
-				if enc.Encode(frame{Type: frameHeartbeat, Seq: p.LastSeq()}) != nil {
+				if !write(heartbeat(p.LastSeq())) {
 					return
 				}
 				flush()

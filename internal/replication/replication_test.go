@@ -3,15 +3,17 @@ package replication
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"hopi/internal/storage"
 	"hopi/internal/twohop"
 )
 
@@ -20,9 +22,10 @@ import (
 // covers (simulating a checkpoint truncation).
 type fakeSource struct {
 	mu       sync.Mutex
-	batches  []Batch // batches[i].Seq == uint64(i+1)
-	walFloor uint64  // WALTail covers sequences >= walFloor
-	images   int     // Image() calls served
+	batches  []storage.WALRecord // batches[i].Seq == uint64(i+1)
+	walFloor uint64              // WALTail covers sequences >= walFloor
+	files    []SegFile           // shipped with every image
+	images   int                 // Image() calls served
 }
 
 func (s *fakeSource) lastSeq() uint64 {
@@ -37,7 +40,7 @@ func (s *fakeSource) Image() (*Image, error) {
 	s.images++
 	// The "state" is just the set of applied sequences, encoded as one
 	// grow delta per batch — enough to verify replay order and seq.
-	img := &Image{Seq: uint64(len(s.batches))}
+	img := &Image{Seq: uint64(len(s.batches)), Files: s.files}
 	img.Coll = []byte(fmt.Sprintf("state@%d", len(s.batches)))
 	for i := range s.batches {
 		img.Ops = append(img.Ops, twohop.CoverDelta{Kind: twohop.DeltaGrow, Node: int32(i + 1)})
@@ -45,38 +48,41 @@ func (s *fakeSource) Image() (*Image, error) {
 	return img, nil
 }
 
-func (s *fakeSource) WALTail(from uint64) ([]Batch, bool, error) {
+func (s *fakeSource) WALTail(from uint64) ([]storage.WALRecord, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if from < s.walFloor || from > uint64(len(s.batches)) {
 		return nil, false, nil
 	}
-	return append([]Batch(nil), s.batches[from-1:]...), true, nil
+	return append([]storage.WALRecord(nil), s.batches[from-1:]...), true, nil
 }
 
-func mkBatch(seq uint64) Batch {
-	return Batch{
-		Seq:  seq,
-		Coll: []byte(fmt.Sprintf("coll%d", seq)),
-		Ops:  []twohop.CoverDelta{{Kind: twohop.DeltaAddIn, Node: int32(seq), Center: 1, Dist: uint32(seq)}},
+func mkBatch(seq uint64) storage.WALRecord {
+	rec, err := storage.DecodeBatch(storage.EncodeBatch(seq, []byte(fmt.Sprintf("coll%d", seq)),
+		[]twohop.CoverDelta{{Kind: twohop.DeltaAddIn, Node: int32(seq), Center: 1, Dist: uint32(seq)}}))
+	if err != nil {
+		panic(err)
 	}
+	return rec
 }
 
 // fakeTarget records the replay calls.
 type fakeTarget struct {
 	mu      sync.Mutex
 	boots   []uint64
-	applied []Batch
+	images  []*Image
+	applied []storage.WALRecord
 }
 
 func (t *fakeTarget) Bootstrap(img *Image) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.boots = append(t.boots, img.Seq)
+	t.images = append(t.images, img)
 	return nil
 }
 
-func (t *fakeTarget) ApplyBatch(b Batch) error {
+func (t *fakeTarget) ApplyBatch(b storage.WALRecord) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.applied = append(t.applied, b)
@@ -119,8 +125,8 @@ func newTestFollower(t *testing.T, url string, target Target) *Follower {
 }
 
 // TestBootstrapAndLiveStream: a fresh follower bootstraps from the
-// image and then receives live batches in order, with exact frame
-// content surviving the wire round trip.
+// image and then receives live batches in order, each the exact record
+// bytes the publisher was handed.
 func TestBootstrapAndLiveStream(t *testing.T) {
 	src := &fakeSource{walFloor: 1}
 	pub := NewPublisher(src, 0, PublisherOptions{Heartbeat: 20 * time.Millisecond})
@@ -156,7 +162,7 @@ func TestBootstrapAndLiveStream(t *testing.T) {
 	}
 	for i, b := range target.applied {
 		want := mkBatch(uint64(i + 1))
-		if b.Seq != want.Seq || string(b.Coll) != string(want.Coll) || len(b.Ops) != 1 || b.Ops[0] != want.Ops[0] {
+		if b.Seq != want.Seq || string(b.Coll) != string(want.Coll) || len(b.Ops) != 1 || b.Ops[0] != want.Ops[0] || !bytes.Equal(b.Raw, want.Raw) {
 			t.Fatalf("applied[%d] = %+v, want %+v", i, b, want)
 		}
 	}
@@ -295,7 +301,7 @@ type quiesceTarget struct {
 func (t *quiesceTarget) Quiesce() { t.quiesces.Add(1) }
 
 // TestQuiesceOncePerBufferedBurst scripts the wire directly: a burst of
-// batch frames flushed as one chunk must replay fully before a single
+// batch records flushed as one chunk must replay fully before a single
 // Quiesce fires — one quiesce per burst, not one per batch. This is
 // the contract follower-side fan-out (snapshot republish, live-query
 // notification) relies on to stay off the per-batch replay path.
@@ -303,21 +309,17 @@ func TestQuiesceOncePerBufferedBurst(t *testing.T) {
 	release := make(chan struct{})
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		fl := w.(http.Flusher)
-		enc := json.NewEncoder(w)
-		if err := enc.Encode(imageFrame(&Image{Seq: 1, Coll: []byte("img@1")})); err != nil {
+		if err := writeImage(w, &Image{Seq: 1, Coll: []byte("img@1")}); err != nil {
 			return
 		}
 		fl.Flush()
 		// wait until the test has observed the post-bootstrap quiesce,
-		// then deliver the whole burst in one write so the decoder
-		// buffers every frame before the follower's next read
+		// then deliver the whole burst in one write so the reader
+		// buffers every record before the follower's next read
 		<-release
 		var buf bytes.Buffer
-		benc := json.NewEncoder(&buf)
 		for seq := uint64(2); seq <= 6; seq++ {
-			if err := benc.Encode(batchFrame(mkBatch(seq))); err != nil {
-				return
-			}
+			buf.Write(mkBatch(seq).Raw)
 		}
 		w.Write(buf.Bytes())
 		fl.Flush()
@@ -339,5 +341,121 @@ func TestQuiesceOncePerBufferedBurst(t *testing.T) {
 	}
 	if seqs := target.appliedSeqs(); len(seqs) != 5 || seqs[0] != 2 || seqs[4] != 6 {
 		t.Fatalf("applied sequences %v", seqs)
+	}
+}
+
+// TestBadRecordNeverSkipped streams a batch record with one payload
+// byte flipped, and a record of a kind the follower does not know. The
+// follower must neither apply nor skip past either: the record ends the
+// stream, shows in LastError, and the reconnect asks for the same
+// sequence again, which then applies from intact bytes.
+func TestBadRecordNeverSkipped(t *testing.T) {
+	good := mkBatch(2)
+	flipped := bytes.Clone(good.Raw)
+	flipped[len(flipped)-1] ^= 0x40
+	for _, c := range []struct {
+		name, why string
+		bad       []byte
+	}{
+		{"flipped byte", "checksum", flipped},
+		{"unknown kind", "unknown record kind", storage.AppendRecord(nil, []byte{0x7f}, good.Raw[storage.RecordHeader+1:])},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var conns atomic.Int32
+			froms := make(chan string, 4)
+			release := make(chan struct{})
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				froms <- r.URL.Query().Get("from")
+				if conns.Add(1) == 1 {
+					writeImage(w, &Image{Seq: 1})
+					w.Write(c.bad)
+				} else {
+					// hold the reconnect until the test has read LastError,
+					// which a successful connect clears
+					<-release
+					w.Write(good.Raw)
+				}
+				w.(http.Flusher).Flush()
+				<-r.Context().Done()
+			}))
+			t.Cleanup(srv.Close)
+			t.Cleanup(func() {
+				select {
+				case <-release:
+				default:
+					close(release)
+				}
+			})
+
+			target := &fakeTarget{}
+			f := newTestFollower(t, srv.URL, target)
+			waitFor(t, c.why+" reported", func() bool {
+				return strings.Contains(f.Status().LastError, c.why)
+			})
+			if got := target.appliedSeqs(); len(got) != 0 {
+				t.Fatalf("bad record applied: %v", got)
+			}
+			if first, again := <-froms, <-froms; first != "0" || again != "2" {
+				t.Fatalf("stream requests from=%s then from=%s, want 0 then 2", first, again)
+			}
+			close(release)
+			waitFor(t, "batch 2 from intact bytes", func() bool { return f.Status().AppliedSeq == 2 })
+			target.mu.Lock()
+			defer target.mu.Unlock()
+			if len(target.applied) != 1 || !bytes.Equal(target.applied[0].Raw, good.Raw) {
+				t.Fatalf("applied %+v", target.applied)
+			}
+		})
+	}
+}
+
+// TestImageStreamsInChunks lowers the chunk size below the shipped
+// files' sizes: the image must cross the wire as a header plus chunk
+// records none larger than the bound, and reassemble exactly.
+func TestImageStreamsInChunks(t *testing.T) {
+	// restored last, once the server has waited out its handlers
+	old := imageChunk
+	t.Cleanup(func() { imageChunk = old })
+	imageChunk = 64
+	files := []SegFile{
+		{Name: "000001.seg", Data: bytes.Repeat([]byte("sealed-"), 50)},
+		{Name: "000002.seg", Data: []byte("one chunk")},
+		{Name: "000003.seg", Data: bytes.Repeat([]byte{0xab}, 3*64)},
+	}
+	src := &fakeSource{walFloor: 1, files: files}
+	for seq := uint64(1); seq <= 20; seq++ {
+		src.batches = append(src.batches, mkBatch(seq))
+	}
+	want, _ := src.Image()
+
+	var wire bytes.Buffer
+	if err := writeImage(&wire, want); err != nil {
+		t.Fatal(err)
+	}
+	for records := 0; wire.Len() > 0; records++ {
+		rec, err := storage.ReadRecord(&wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if records > 0 && (rec[storage.RecordHeader] != kindChunk || len(rec)-storage.RecordHeader-1 > imageChunk) {
+			t.Fatalf("record %d: kind %#x, %d data bytes (chunk bound %d)", records, rec[storage.RecordHeader], len(rec)-storage.RecordHeader-1, imageChunk)
+		}
+	}
+
+	pub := NewPublisher(src, 20, PublisherOptions{Heartbeat: 20 * time.Millisecond})
+	srv := httptest.NewServer(pub)
+	t.Cleanup(srv.Close)
+	t.Cleanup(pub.Close)
+	target := &fakeTarget{}
+	f := newTestFollower(t, srv.URL, target)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := f.WaitReady(ctx); err != nil {
+		t.Fatal(err)
+	}
+	target.mu.Lock()
+	defer target.mu.Unlock()
+	if got := target.images[0]; !reflect.DeepEqual(got, want) {
+		t.Fatalf("reassembled image %+v, want %+v", got, want)
 	}
 }

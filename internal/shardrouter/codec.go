@@ -8,16 +8,12 @@ import (
 	"time"
 )
 
-// Binary wire codec for the hot shard RPCs (Step, Deliver, Closure).
-// Frontier, arrival, and closure payloads are arrays of small fixed
-// records; encoding them as length-prefixed little-endian frames
-// avoids the JSON costs (number formatting, field names, escaping)
-// that dominate large fan-out rounds. The codec is negotiated via
-// Content-Type: a router sends binary with an Accept fallback, a
-// server answers in the request's codec, and either side can fall
-// back to JSON (the debug format and the cross-version bridge —
-// unknown JSON fields are ignored, unknown binary frames are
-// rejected, so version skew degrades to JSON, never to corruption).
+// Binary wire codec for the hot shard RPCs (Step, Deliver, Closure),
+// their only encoding in both directions (Content-Type
+// BinaryContentType). Frontier, arrival, and closure payloads are
+// arrays of small fixed records; length-prefixed little-endian frames
+// carry them without number formatting, field names or escaping.
+// Unknown or malformed frames are rejected, never guessed at.
 //
 // Frame layout: a 4-byte header "HB" + version + message kind, then
 // the message fields in fixed order. Integers are little-endian
@@ -28,14 +24,9 @@ import (
 // Tracing adds an OPTIONAL TRAILING SECTION to every message: a
 // request's trace ID, a response's Span. The base fields are fully
 // length-determined, so a decoder knows a frame carries the section
-// exactly when bytes remain after them — no flag day. Negotiation
-// falls out of the existing rules: an untraced frame is byte-identical
-// to the pre-tracing format, so untagged peers interoperate unchanged
-// in binary; an old server receiving a trace-extended request rejects
-// the trailing bytes (ErrBadFrame → 400) and the router's one-time
-// JSON fallback takes over, where the trace travels as an ignored
-// unknown field. A shard only appends a Span when the request carried
-// a trace, so an old router can never receive an extended response.
+// exactly when bytes remain after them, and an untraced frame is
+// byte-identical to the base format. A shard only appends a Span when
+// the request carried a trace.
 
 // BinaryContentType labels the binary shard-RPC codec in
 // Content-Type/Accept headers.

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -21,18 +20,13 @@ import (
 // circuit breaker); a 412 from a pinned request is decoded back into
 // the *EpochMismatchError the shard raised.
 //
-// The hot RPCs (Step, Deliver, Closure) are sent in the binary codec
-// (see codec.go) with a JSON Accept fallback: a server that rejects
-// the binary Content-Type flips the connection to JSON-only for its
-// lifetime, so a router talking to an older hopiserve degrades to the
-// debug format after one extra round trip, ever.
+// The hot RPCs (Step, Deliver, Closure) travel as binary frames (see
+// codec.go) both ways; errors and the cold endpoints are JSON.
 type HTTPConn struct {
 	base string
 	name string
 	hc   *http.Client
 
-	// jsonOnly latches after a shard rejects a binary frame.
-	jsonOnly atomic.Bool
 	// wire, when attached by a Router, counts request/response payload
 	// bytes for the /stats wireBytesIn/Out counters.
 	wire atomic.Pointer[WireStats]
@@ -75,10 +69,6 @@ func (c *HTTPConn) countIn(n int) {
 	}
 }
 
-// errBinaryRejected reports that the server refused the binary codec;
-// the caller retries in JSON and latches jsonOnly.
-var errBinaryRejected = errors.New("shardrouter: shard rejected binary codec")
-
 // mapError turns a non-2xx response into the router tier's error
 // vocabulary.
 func (c *HTTPConn) mapError(status int, body []byte) error {
@@ -109,156 +99,108 @@ func (c *HTTPConn) mapError(status int, body []byte) error {
 	return fmt.Errorf("shard %s: status %d: %s", c.name, status, eb.Error)
 }
 
-// post sends one RPC payload and returns the response body and its
-// Content-Type. When binary, a 400 or 415 is reported as
-// errBinaryRejected — an older server that cannot parse the frame —
-// rather than a terminal error.
-func (c *HTTPConn) post(ctx context.Context, path, ctype, trace string, payload []byte, binary bool) ([]byte, string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(payload))
+// request builds one request to the shard, counting its body as
+// outbound wire bytes.
+func (c *HTTPConn) request(ctx context.Context, method, path, ctype string, body []byte) (*http.Request, error) {
+	req, err := http.NewRequestWithContext(ctx, method, c.base+path, bytes.NewReader(body))
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
-	req.Header.Set("Content-Type", ctype)
+	if ctype != "" {
+		req.Header.Set("Content-Type", ctype)
+	}
+	c.countOut(len(body))
+	return req, nil
+}
+
+// rpc posts one hot-path request frame and returns the response
+// frame. trace, when set, also travels as the X-Hopi-Trace header so
+// access logs correlate.
+func (c *HTTPConn) rpc(ctx context.Context, path, trace string, frame []byte) ([]byte, error) {
+	req, err := c.request(ctx, http.MethodPost, path, BinaryContentType, frame)
+	if err != nil {
+		return nil, err
+	}
 	if trace != "" {
 		req.Header.Set(TraceHeader, trace)
 	}
-	if binary {
-		req.Header.Set("Accept", BinaryContentType+", application/json")
-	}
-	c.countOut(len(payload))
+	return c.send(req)
+}
+
+// send issues one request and returns the body of a 2xx response;
+// other statuses map to the router tier's errors.
+func (c *HTTPConn) send(req *http.Request) ([]byte, error) {
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return nil, "", &ShardUnavailableError{Shard: c.name, Err: err}
+		return nil, &ShardUnavailableError{Shard: c.name, Err: err}
 	}
 	defer resp.Body.Close()
 	body, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
 	if err != nil {
-		return nil, "", &ShardUnavailableError{Shard: c.name, Err: err}
+		return nil, &ShardUnavailableError{Shard: c.name, Err: err}
 	}
 	c.countIn(len(body))
-	if resp.StatusCode >= 200 && resp.StatusCode < 300 {
-		return body, resp.Header.Get("Content-Type"), nil
+	if resp.StatusCode < 200 || resp.StatusCode >= 300 {
+		return nil, c.mapError(resp.StatusCode, body)
 	}
-	if binary && (resp.StatusCode == http.StatusBadRequest || resp.StatusCode == http.StatusUnsupportedMediaType) {
-		return nil, "", errBinaryRejected
-	}
-	return nil, "", c.mapError(resp.StatusCode, body)
+	return body, nil
 }
 
-// rpc runs one hot-path RPC, preferring the binary codec. decode is
-// handed the response body and whether it is binary. trace, when set,
-// also travels as the X-Hopi-Trace header so access logs correlate.
-func (c *HTTPConn) rpc(ctx context.Context, path, trace string, jsonIn any, bin []byte, decode func(body []byte, binary bool) error) error {
-	if !c.jsonOnly.Load() {
-		body, ctype, err := c.post(ctx, path, BinaryContentType, trace, bin, true)
-		if err == nil {
-			return decode(body, strings.HasPrefix(ctype, BinaryContentType))
-		}
-		if !errors.Is(err, errBinaryRejected) {
+// do runs one request on the cold endpoints (Info, writes, Resolve):
+// in, when non-nil, is sent as a JSON body, and the JSON response is
+// decoded into out when out is non-nil.
+func (c *HTTPConn) do(ctx context.Context, method, path string, in, out any) error {
+	var payload []byte
+	ctype := ""
+	if in != nil {
+		var err error
+		if payload, err = json.Marshal(in); err != nil {
 			return err
 		}
-		c.jsonOnly.Store(true)
+		ctype = "application/json"
 	}
-	payload, err := json.Marshal(jsonIn)
+	req, err := c.request(ctx, method, path, ctype, payload)
 	if err != nil {
 		return err
 	}
-	body, _, err := c.post(ctx, path, "application/json", trace, payload, false)
-	if err != nil {
-		return err
-	}
-	return decode(body, false)
+	return c.sendJSON(req, out)
 }
 
-// do sends one request and decodes the JSON response into out (when
-// out is non-nil and the status is 2xx) — the path for the cold
-// endpoints (Info, writes, Resolve).
-func (c *HTTPConn) do(req *http.Request, out any) error {
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return &ShardUnavailableError{Shard: c.name, Err: err}
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	if err != nil {
-		return &ShardUnavailableError{Shard: c.name, Err: err}
-	}
-	c.countIn(len(body))
-	if resp.StatusCode >= 200 && resp.StatusCode < 300 {
-		if out == nil {
-			return nil
-		}
-		if err := json.Unmarshal(body, out); err != nil {
-			return fmt.Errorf("shard %s: bad response: %w", c.name, err)
-		}
-		return nil
-	}
-	return c.mapError(resp.StatusCode, body)
-}
-
-func (c *HTTPConn) postJSON(ctx context.Context, path string, in, out any) error {
-	payload, err := json.Marshal(in)
-	if err != nil {
+// sendJSON sends req and decodes its JSON response into out (when out is
+// non-nil).
+func (c *HTTPConn) sendJSON(req *http.Request, out any) error {
+	body, err := c.send(req)
+	if err != nil || out == nil {
 		return err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(payload))
-	if err != nil {
-		return err
+	if err := json.Unmarshal(body, out); err != nil {
+		return fmt.Errorf("shard %s: bad response: %w", c.name, err)
 	}
-	req.Header.Set("Content-Type", "application/json")
-	c.countOut(len(payload))
-	return c.do(req, out)
+	return nil
 }
 
 func (c *HTTPConn) Step(ctx context.Context, sr *StepRequest) (*StepResponse, error) {
-	var out *StepResponse
-	err := c.rpc(ctx, "/shard/step", sr.Trace, sr, EncodeStepRequest(sr), func(body []byte, binary bool) error {
-		if binary {
-			var derr error
-			out, derr = DecodeStepResponse(body)
-			return derr
-		}
-		out = &StepResponse{}
-		return json.Unmarshal(body, out)
-	})
+	body, err := c.rpc(ctx, "/shard/step", sr.Trace, EncodeStepRequest(sr))
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	return DecodeStepResponse(body)
 }
 
 func (c *HTTPConn) Deliver(ctx context.Context, dr *DeliverRequest) (*DeliverResponse, error) {
-	var out *DeliverResponse
-	err := c.rpc(ctx, "/shard/deliver", dr.Trace, dr, EncodeDeliverRequest(dr), func(body []byte, binary bool) error {
-		if binary {
-			var derr error
-			out, derr = DecodeDeliverResponse(body)
-			return derr
-		}
-		out = &DeliverResponse{}
-		return json.Unmarshal(body, out)
-	})
+	body, err := c.rpc(ctx, "/shard/deliver", dr.Trace, EncodeDeliverRequest(dr))
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	return DecodeDeliverResponse(body)
 }
 
 func (c *HTTPConn) Closure(ctx context.Context, cr *ClosureRequest) (*ClosureResponse, error) {
-	var out *ClosureResponse
-	err := c.rpc(ctx, "/shard/closure", cr.Trace, cr, EncodeClosureRequest(cr), func(body []byte, binary bool) error {
-		if binary {
-			var derr error
-			out, derr = DecodeClosureResponse(body)
-			return derr
-		}
-		out = &ClosureResponse{}
-		return json.Unmarshal(body, out)
-	})
+	body, err := c.rpc(ctx, "/shard/closure", cr.Trace, EncodeClosureRequest(cr))
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	return DecodeClosureResponse(body)
 }
 
 func (c *HTTPConn) Resolve(ctx context.Context, specs []string) ([]ResolveResult, error) {
@@ -268,17 +210,13 @@ func (c *HTTPConn) Resolve(ctx context.Context, specs []string) ([]ResolveResult
 	in := struct {
 		Specs []string `json:"specs"`
 	}{Specs: specs}
-	if err := c.postJSON(ctx, "/shard/resolve", in, &out); err != nil {
+	if err := c.do(ctx, http.MethodPost, "/shard/resolve", in, &out); err != nil {
 		return nil, err
 	}
 	return out.Results, nil
 }
 
 func (c *HTTPConn) Info(ctx context.Context) (*ShardInfo, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/stats", nil)
-	if err != nil {
-		return nil, err
-	}
 	var st struct {
 		Epoch           uint64       `json:"epoch"`
 		Scope           uint64       `json:"scope"`
@@ -291,7 +229,7 @@ func (c *HTTPConn) Info(ctx context.Context) (*ShardInfo, error) {
 		Segments        *SegmentInfo `json:"segments"`
 		Watch           *WatchInfo   `json:"watch"`
 	}
-	if err := c.do(req, &st); err != nil {
+	if err := c.do(ctx, http.MethodGet, "/stats", nil, &st); err != nil {
 		return nil, err
 	}
 	return &ShardInfo{
@@ -307,23 +245,15 @@ func (c *HTTPConn) Write(ctx context.Context, wr *WriteRequest) (*WriteResult, e
 	var out WriteResult
 	switch wr.Op {
 	case OpInsertDoc:
-		u := c.base + "/docs?name=" + url.QueryEscape(wr.Name)
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, strings.NewReader(wr.XML))
+		req, err := c.request(ctx, http.MethodPost, "/docs?name="+url.QueryEscape(wr.Name), "application/xml", []byte(wr.XML))
 		if err != nil {
 			return nil, err
 		}
-		req.Header.Set("Content-Type", "application/xml")
-		c.countOut(len(wr.XML))
-		if err := c.do(req, &out); err != nil {
+		if err := c.sendJSON(req, &out); err != nil {
 			return nil, err
 		}
 	case OpDeleteDoc:
-		u := c.base + "/docs/" + url.PathEscape(wr.Name)
-		req, err := http.NewRequestWithContext(ctx, http.MethodDelete, u, nil)
-		if err != nil {
-			return nil, err
-		}
-		if err := c.do(req, &out); err != nil {
+		if err := c.do(ctx, http.MethodDelete, "/docs/"+url.PathEscape(wr.Name), nil, &out); err != nil {
 			return nil, err
 		}
 	case OpInsertLink, OpDeleteLink:
@@ -331,20 +261,11 @@ func (c *HTTPConn) Write(ctx context.Context, wr *WriteRequest) (*WriteResult, e
 		if wr.Op == OpDeleteLink {
 			method = http.MethodDelete
 		}
-		payload, err := json.Marshal(struct {
+		link := struct {
 			From string `json:"from"`
 			To   string `json:"to"`
-		}{From: wr.From, To: wr.To})
-		if err != nil {
-			return nil, err
-		}
-		req, err := http.NewRequestWithContext(ctx, method, c.base+"/links", bytes.NewReader(payload))
-		if err != nil {
-			return nil, err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		c.countOut(len(payload))
-		if err := c.do(req, &out); err != nil {
+		}{From: wr.From, To: wr.To}
+		if err := c.do(ctx, method, "/links", link, &out); err != nil {
 			return nil, err
 		}
 	default:

@@ -36,8 +36,8 @@ func NewTraceID() string {
 // Span is the shard-side timing breakdown of one RPC, returned only
 // when the request carried a trace ID. Queue covers request read and
 // decode, Eval the snapshot pin plus evaluation, Encode the response
-// serialization (0 on the JSON debug codec, where the span is part of
-// the serialized body and cannot time its own serialization).
+// frame's serialization (0 for in-process shards, which have neither
+// a queue nor an encode leg).
 type Span struct {
 	// Trace echoes the request's trace ID, proving end-to-end
 	// propagation through whatever transport carried the RPC.

@@ -1,16 +1,111 @@
 // Package storage holds the batch write-ahead log of the durable index
-// (the sealed label data itself lives in internal/segment).
+// (the sealed label data itself lives in internal/segment) and the
+// record framing the log shares with the replication stream.
 package storage
 
 import (
+	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"time"
 
 	"hopi/internal/twohop"
 )
+
+// Records
+//
+// The log file and the replication stream are both sequences of
+// length- and CRC-framed records:
+//
+//	record := payloadLen u32 | crc32(payload) u32 | payload
+//
+// All integers little endian. The first payload byte is the record
+// kind; the log holds only batch records (kind 0x01), and the
+// replication stream adds kinds of its own around them. A batch on the
+// wire is the very record the log fsynced.
+
+const (
+	// RecordHeader is the size of a record's length and checksum.
+	RecordHeader = 8
+	// MaxRecord bounds a record's payload (64 MiB).
+	MaxRecord = 64 << 20
+
+	recBatch = 0x01
+	// deltaSize is one cover delta inside a batch: kind u8, node u32,
+	// center u32, dist u32.
+	deltaSize = 13
+)
+
+var (
+	// ErrTruncated is wrapped by ReadRecord when the input ends inside a
+	// record.
+	ErrTruncated = errors.New("storage: truncated record")
+	// ErrCorrupt is wrapped by ReadRecord for an out-of-range length or
+	// a checksum mismatch.
+	ErrCorrupt = errors.New("storage: corrupt record")
+)
+
+// AppendRecord appends to dst one record whose payload is the
+// concatenation of parts.
+func AppendRecord(dst []byte, parts ...[]byte) []byte {
+	start := len(dst)
+	dst = append(dst, make([]byte, RecordHeader)...)
+	for _, p := range parts {
+		dst = append(dst, p...)
+	}
+	sealRecord(dst[start:])
+	return dst
+}
+
+// sealRecord fills in the header of rec, whose payload already follows
+// RecordHeader reserved bytes.
+func sealRecord(rec []byte) {
+	binary.LittleEndian.PutUint32(rec[0:], uint32(len(rec)-RecordHeader))
+	binary.LittleEndian.PutUint32(rec[4:], crc32.ChecksumIEEE(rec[RecordHeader:]))
+}
+
+// ReadRecord reads the next record from r and returns it whole, header
+// included, once its checksum verifies. It returns io.EOF at a clean
+// record boundary, an error wrapping ErrTruncated when r ends inside a
+// record, and one wrapping ErrCorrupt for a bad length or checksum. The
+// buffer grows with the bytes that actually arrive, so a corrupt length
+// costs no more memory than the input behind it.
+func ReadRecord(r io.Reader) ([]byte, error) {
+	var hdr [RecordHeader]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		if err == io.ErrUnexpectedEOF {
+			return nil, fmt.Errorf("%w: short header", ErrTruncated)
+		}
+		return nil, err
+	}
+	n := int(binary.LittleEndian.Uint32(hdr[0:]))
+	if n == 0 || n > MaxRecord {
+		return nil, fmt.Errorf("%w: payload length %d", ErrCorrupt, n)
+	}
+	want := RecordHeader + n
+	rec := append(make([]byte, 0, min(want, 64<<10)), hdr[:]...)
+	for len(rec) < want {
+		if len(rec) == cap(rec) {
+			rec = append(make([]byte, 0, min(want, 2*cap(rec))), rec...)
+		}
+		m, err := io.ReadFull(r, rec[len(rec):cap(rec)])
+		rec = rec[:len(rec)+m]
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			return nil, fmt.Errorf("%w: %d of %d payload bytes", ErrTruncated, len(rec)-RecordHeader, n)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	if crc32.ChecksumIEEE(rec[RecordHeader:]) != binary.LittleEndian.Uint32(hdr[4:]) {
+		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
+	}
+	return rec, nil
+}
 
 // WAL is the write-ahead log that makes incremental maintenance of the
 // durable index restartable: HOPI's §4 updates the cover batch by
@@ -19,23 +114,15 @@ import (
 // rebuilding the index (the paper's motivation for incremental
 // maintenance at database scale).
 //
-// The file is a sequence of length- and CRC-framed records:
-//
-//	record  := payloadLen u32 | crc32(payload) u32 | payload
-//	payload := 0x01 | seq u64 | collLen u32 | coll bytes
-//	                | numOps u32 | { kind u8, node u32, center u32, dist u32 }*
-//
-// All integers little endian. A record carries one maintenance batch:
-// an opaque collection-op payload (the caller's encoding) plus the
-// cover's label deltas. Any other record kind is rejected as
-// undecodable.
-//
-// Appends are forced to stable storage (fsync) before they are
-// reported committed. Reset truncates the log after a checkpoint has
-// sealed its batches into a segment. A torn tail (short or
-// CRC-mismatched final record, from a crash mid-append) is detected on
-// open and truncated away; every record before it is intact by
-// construction.
+// The file is a sequence of batch records (EncodeBatch). Appends are
+// forced to stable storage (fsync) before they are reported committed.
+// Reset truncates the log after a checkpoint has sealed its batches
+// into a segment. A torn tail — a final record that runs short or fails
+// its checksum, from a crash mid-append — is truncated away on open;
+// every record before it is intact by construction. A bad record with
+// more bytes after it is corruption, and so is an intact record that
+// does not decode: OpenWAL fails on both rather than drop the committed
+// batches behind them.
 type WAL struct {
 	f    *os.File
 	path string
@@ -50,158 +137,164 @@ type WAL struct {
 	OnAppend func(total, fsync time.Duration, bytes int)
 }
 
-const (
-	walRecBatch = 0x01
-
-	// walMaxRecord bounds a single record (64 MiB).
-	walMaxRecord = 64 << 20
-)
-
 // WALRecord is one decoded batch record.
 type WALRecord struct {
 	Seq  uint64
 	Coll []byte              // opaque collection-op payload
 	Ops  []twohop.CoverDelta // cover label deltas
+	Raw  []byte              // the framed record, header included, as logged
+}
+
+// EncodeBatch returns the framed record of one maintenance batch — an
+// opaque collection-op payload (the caller's encoding) plus the cover's
+// label deltas:
+//
+//	payload := 0x01 | seq u64 | collLen u32 | coll bytes
+//	                | numOps u32 | { kind u8, node u32, center u32, dist u32 }*
+func EncodeBatch(seq uint64, coll []byte, ops []twohop.CoverDelta) []byte {
+	rec := make([]byte, RecordHeader, RecordHeader+1+8+4+len(coll)+4+deltaSize*len(ops))
+	rec = append(rec, recBatch)
+	rec = binary.LittleEndian.AppendUint64(rec, seq)
+	rec = binary.LittleEndian.AppendUint32(rec, uint32(len(coll)))
+	rec = append(rec, coll...)
+	rec = binary.LittleEndian.AppendUint32(rec, uint32(len(ops)))
+	for _, op := range ops {
+		rec = append(rec, byte(op.Kind))
+		rec = binary.LittleEndian.AppendUint32(rec, uint32(op.Node))
+		rec = binary.LittleEndian.AppendUint32(rec, uint32(op.Center))
+		rec = binary.LittleEndian.AppendUint32(rec, op.Dist)
+	}
+	sealRecord(rec)
+	return rec
+}
+
+// DecodeBatch decodes a framed batch record whose frame ReadRecord has
+// verified. Coll aliases rec.
+func DecodeBatch(rec []byte) (WALRecord, error) {
+	out := WALRecord{Raw: rec}
+	if len(rec) < RecordHeader+9 {
+		return out, fmt.Errorf("storage: record too short")
+	}
+	p := rec[RecordHeader:]
+	if typ := p[0]; typ != recBatch {
+		return out, fmt.Errorf("storage: unknown record kind %#x", typ)
+	}
+	out.Seq = binary.LittleEndian.Uint64(p[1:])
+	p = p[9:]
+	if len(p) < 4 {
+		return out, fmt.Errorf("storage: truncated batch")
+	}
+	collLen := binary.LittleEndian.Uint32(p)
+	p = p[4:]
+	if uint64(len(p)) < uint64(collLen)+4 {
+		return out, fmt.Errorf("storage: truncated batch")
+	}
+	if collLen > 0 {
+		out.Coll = p[:collLen:collLen]
+	}
+	p = p[collLen:]
+	nOps := binary.LittleEndian.Uint32(p)
+	p = p[4:]
+	if uint64(len(p)) != uint64(nOps)*deltaSize {
+		return out, fmt.Errorf("storage: batch op count mismatch")
+	}
+	out.Ops = make([]twohop.CoverDelta, nOps)
+	for i := range out.Ops {
+		out.Ops[i] = twohop.CoverDelta{
+			Kind:   twohop.DeltaKind(p[0]),
+			Node:   int32(binary.LittleEndian.Uint32(p[1:])),
+			Center: int32(binary.LittleEndian.Uint32(p[5:])),
+			Dist:   binary.LittleEndian.Uint32(p[9:]),
+		}
+		p = p[deltaSize:]
+	}
+	return out, nil
 }
 
 // OpenWAL opens (creating if absent) the log at path, scans it, and
 // returns the intact records in order. A torn tail is truncated so the
-// next append starts at a record boundary.
+// next append starts at a record boundary; corruption anywhere else is
+// an error naming its offset.
 func OpenWAL(path string) (*WAL, []WALRecord, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, nil, err
 	}
 	w := &WAL{f: f, path: path}
-	recs, good, err := w.scan()
-	if err != nil {
-		f.Close()
-		return nil, nil, err
-	}
 	st, err := f.Stat()
+	var recs []WALRecord
+	if err == nil {
+		recs, w.size, err = w.scan(st.Size())
+	}
+	if err == nil && st.Size() > w.size {
+		if err = f.Truncate(w.size); err == nil {
+			err = f.Sync()
+		}
+	}
 	if err != nil {
 		f.Close()
 		return nil, nil, err
 	}
-	if st.Size() > good {
-		if err := f.Truncate(good); err != nil {
-			f.Close()
-			return nil, nil, err
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return nil, nil, err
-		}
-	}
-	w.size = good
 	return w, recs, nil
 }
 
-// scan decodes records from the start of the file, returning the
-// decoded records and the offset of the first byte past the last
-// intact record.
-func (w *WAL) scan() ([]WALRecord, int64, error) {
+// scan decodes the records in the first size bytes of the file,
+// returning them and the offset just past the last one: size itself,
+// or the start of a torn tail.
+func (w *WAL) scan(size int64) ([]WALRecord, int64, error) {
+	r := bufio.NewReaderSize(io.NewSectionReader(w.f, 0, size), 64<<10)
 	var (
 		recs []WALRecord
 		off  int64
-		hdr  [8]byte
 	)
 	for {
-		if _, err := w.f.ReadAt(hdr[:], off); err != nil {
-			break // io.EOF or short tail: stop at last intact record
+		raw, err := ReadRecord(r)
+		if err == io.EOF || (err != nil && w.tornAt(off, size, err)) {
+			return recs, off, nil
 		}
-		n := binary.LittleEndian.Uint32(hdr[0:])
-		sum := binary.LittleEndian.Uint32(hdr[4:])
-		if n == 0 || n > walMaxRecord {
-			break
-		}
-		payload := make([]byte, n)
-		if _, err := w.f.ReadAt(payload, off+8); err != nil {
-			break
-		}
-		if crc32.ChecksumIEEE(payload) != sum {
-			break
-		}
-		rec, err := decodeWALPayload(payload)
 		if err != nil {
-			break
+			return nil, 0, fmt.Errorf("storage: wal %s: record at offset %d: %w", w.path, off, err)
+		}
+		rec, err := DecodeBatch(raw)
+		if err != nil {
+			return nil, 0, fmt.Errorf("storage: wal %s: record at offset %d: %w", w.path, off, err)
 		}
 		recs = append(recs, rec)
-		off += 8 + int64(n)
+		off += int64(len(raw))
 	}
-	return recs, off, nil
 }
 
-func decodeWALPayload(p []byte) (WALRecord, error) {
-	var rec WALRecord
-	if len(p) < 9 {
-		return rec, fmt.Errorf("storage: wal record too short")
+// tornAt reports whether the record at off that ReadRecord rejected
+// with err is a torn tail: one whose declared extent reaches the end of
+// the log.
+func (w *WAL) tornAt(off, size int64, err error) bool {
+	if errors.Is(err, ErrTruncated) {
+		return true
 	}
-	if typ := p[0]; typ != walRecBatch {
-		return rec, fmt.Errorf("storage: unknown wal record type %d", typ)
+	var n [4]byte
+	if !errors.Is(err, ErrCorrupt) {
+		return false
 	}
-	rec.Seq = binary.LittleEndian.Uint64(p[1:])
-	p = p[9:]
-	if len(p) < 4 {
-		return rec, fmt.Errorf("storage: truncated wal batch")
+	if _, err := w.f.ReadAt(n[:], off); err != nil {
+		return false
 	}
-	collLen := binary.LittleEndian.Uint32(p)
-	p = p[4:]
-	if uint64(len(p)) < uint64(collLen)+4 {
-		return rec, fmt.Errorf("storage: truncated wal batch")
-	}
-	if collLen > 0 {
-		rec.Coll = append([]byte(nil), p[:collLen]...)
-	}
-	p = p[collLen:]
-	nOps := binary.LittleEndian.Uint32(p)
-	p = p[4:]
-	if uint64(len(p)) != uint64(nOps)*13 {
-		return rec, fmt.Errorf("storage: wal batch op count mismatch")
-	}
-	rec.Ops = make([]twohop.CoverDelta, nOps)
-	for i := range rec.Ops {
-		rec.Ops[i] = twohop.CoverDelta{
-			Kind:   twohop.DeltaKind(p[0]),
-			Node:   int32(binary.LittleEndian.Uint32(p[1:])),
-			Center: int32(binary.LittleEndian.Uint32(p[5:])),
-			Dist:   binary.LittleEndian.Uint32(p[9:]),
-		}
-		p = p[13:]
-	}
-	return rec, nil
+	return off+RecordHeader+int64(binary.LittleEndian.Uint32(n[:])) >= size
 }
 
 // AppendBatch commits one maintenance batch: the opaque collection-op
 // payload plus the cover deltas, forced to disk before returning.
 func (w *WAL) AppendBatch(seq uint64, coll []byte, ops []twohop.CoverDelta) error {
-	payload := make([]byte, 0, 9+4+len(coll)+4+13*len(ops))
-	payload = append(payload, walRecBatch)
-	payload = binary.LittleEndian.AppendUint64(payload, seq)
-	payload = binary.LittleEndian.AppendUint32(payload, uint32(len(coll)))
-	payload = append(payload, coll...)
-	payload = binary.LittleEndian.AppendUint32(payload, uint32(len(ops)))
-	for _, op := range ops {
-		payload = append(payload, byte(op.Kind))
-		payload = binary.LittleEndian.AppendUint32(payload, uint32(op.Node))
-		payload = binary.LittleEndian.AppendUint32(payload, uint32(op.Center))
-		payload = binary.LittleEndian.AppendUint32(payload, op.Dist)
-	}
-	return w.append(payload)
+	return w.Append(EncodeBatch(seq, coll, ops))
 }
 
-func (w *WAL) append(payload []byte) error {
-	if len(payload) > walMaxRecord {
-		return fmt.Errorf("storage: wal record of %d bytes exceeds limit", len(payload))
+// Append commits one framed batch record (EncodeBatch) verbatim, forced
+// to disk before returning.
+func (w *WAL) Append(rec []byte) error {
+	if len(rec)-RecordHeader > MaxRecord {
+		return fmt.Errorf("storage: wal record of %d bytes exceeds limit", len(rec)-RecordHeader)
 	}
 	start := time.Now()
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
-	if _, err := w.f.WriteAt(hdr[:], w.size); err != nil {
-		return err
-	}
-	if _, err := w.f.WriteAt(payload, w.size+8); err != nil {
+	if _, err := w.f.WriteAt(rec, w.size); err != nil {
 		return err
 	}
 	syncStart := time.Now()
@@ -209,9 +302,9 @@ func (w *WAL) append(payload []byte) error {
 		return err
 	}
 	if w.OnAppend != nil {
-		w.OnAppend(time.Since(start), time.Since(syncStart), 8+len(payload))
+		w.OnAppend(time.Since(start), time.Since(syncStart), len(rec))
 	}
-	w.size += 8 + int64(len(payload))
+	w.size += int64(len(rec))
 	return nil
 }
 
@@ -227,7 +320,7 @@ func (w *WAL) append(payload []byte) error {
 // duration of the call (hopi.Index serializes them under its write
 // lock and reads the tail under the read side).
 func (w *WAL) BatchesFrom(from uint64) ([]WALRecord, bool, error) {
-	recs, _, err := w.scan()
+	recs, _, err := w.scan(w.size)
 	if err != nil {
 		return nil, false, err
 	}

@@ -12,6 +12,7 @@ import (
 	"hopi/internal/core"
 	"hopi/internal/replication"
 	"hopi/internal/segment"
+	"hopi/internal/storage"
 	"hopi/internal/twohop"
 	"hopi/internal/xmlmodel"
 )
@@ -39,7 +40,8 @@ var ErrReadOnlyReplica = errors.New("hopi: read-only replica")
 
 // Publisher streams a durable index's committed batches to followers.
 // It implements http.Handler for the log-shipping endpoint
-// (GET /repl/stream?from=<seq>, NDJSON frames). Obtain one with
+// (GET /repl/stream?from=<seq>, a stream of CRC-framed records whose
+// batches are the WAL's own bytes). Obtain one with
 // Index.StartPublisher.
 type Publisher struct {
 	p *replication.Publisher
@@ -102,7 +104,7 @@ func (p *Publisher) LastSeq() uint64 { return p.p.LastSeq() }
 // streams.
 func (p *Publisher) ActiveStreams() int64 { return p.p.ActiveStreams() }
 
-// Shipped returns the total number of batch frames written to
+// Shipped returns the total number of batch records written to
 // followers.
 func (p *Publisher) Shipped() uint64 { return p.p.Shipped() }
 
@@ -163,22 +165,14 @@ func (s *replSource) Image() (*replication.Image, error) {
 	}, nil
 }
 
-func (s *replSource) WALTail(from uint64) ([]replication.Batch, bool, error) {
+func (s *replSource) WALTail(from uint64) ([]storage.WALRecord, bool, error) {
 	ix := s.ix
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	if ix.dur == nil {
 		return nil, false, nil
 	}
-	recs, ok, err := ix.dur.wal.BatchesFrom(from)
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	out := make([]replication.Batch, len(recs))
-	for i, r := range recs {
-		out[i] = replication.Batch{Seq: r.Seq, Coll: r.Coll, Ops: r.Ops}
-	}
-	return out, true, nil
+	return ix.dur.wal.BatchesFrom(from)
 }
 
 // --- follower side ----------------------------------------------------
@@ -317,7 +311,7 @@ func (t *replTarget) Bootstrap(img *replication.Image) error {
 	return nil
 }
 
-func (t *replTarget) ApplyBatch(b replication.Batch) error {
+func (t *replTarget) ApplyBatch(b storage.WALRecord) error {
 	ops, err := core.DecodeCollOps(b.Coll)
 	if err != nil {
 		return err
@@ -393,7 +387,7 @@ type ReplicaStatus struct {
 	// PrimaryURL is, on a replica, the stream endpoint it follows.
 	PrimaryURL string
 	// LastContact is, on a replica, the arrival time of the most
-	// recent frame (zero when never connected).
+	// recent record (zero when never connected).
 	LastContact time.Time
 	// FollowerStreams is, on a primary, the number of currently
 	// connected follower streams.

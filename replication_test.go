@@ -1,16 +1,21 @@
 package hopi
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"net/http"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
 	"time"
+
+	"hopi/internal/storage"
 )
 
 // --- helpers ----------------------------------------------------------
@@ -271,6 +276,211 @@ func TestReplicationPrimaryCrashRestart(t *testing.T) {
 	waitCaughtUp(t, fol, re)
 	assertLabelEquality(t, fol, re, "after primary restart")
 	assertSameAnswers(t, fol, re, "after primary restart")
+}
+
+// --- one encoding, WAL to follower -------------------------------------
+
+// tapTransport records every byte a follower reads off each of its
+// streams. cut breaks the live stream and holds reconnects until
+// release.
+type tapTransport struct {
+	mu     sync.Mutex
+	conns  []*bytes.Buffer
+	cancel context.CancelFunc
+	gate   chan struct{}
+}
+
+type tapBody struct {
+	io.ReadCloser
+	tt  *tapTransport
+	buf *bytes.Buffer
+}
+
+func (b tapBody) Read(p []byte) (int, error) {
+	n, err := b.ReadCloser.Read(p)
+	b.tt.mu.Lock()
+	b.buf.Write(p[:n])
+	b.tt.mu.Unlock()
+	return n, err
+}
+
+func (tt *tapTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	tt.mu.Lock()
+	gate := tt.gate
+	tt.mu.Unlock()
+	if gate != nil {
+		select {
+		case <-gate:
+		case <-req.Context().Done():
+			return nil, req.Context().Err()
+		}
+	}
+	ctx, cancel := context.WithCancel(req.Context())
+	resp, err := http.DefaultTransport.RoundTrip(req.WithContext(ctx))
+	if err != nil {
+		cancel()
+		return nil, err
+	}
+	buf := &bytes.Buffer{}
+	tt.mu.Lock()
+	tt.conns = append(tt.conns, buf)
+	tt.cancel = cancel
+	tt.mu.Unlock()
+	resp.Body = tapBody{ReadCloser: resp.Body, tt: tt, buf: buf}
+	return resp, nil
+}
+
+func (tt *tapTransport) cut() {
+	tt.mu.Lock()
+	tt.gate = make(chan struct{})
+	tt.cancel()
+	tt.mu.Unlock()
+}
+
+func (tt *tapTransport) release() {
+	tt.mu.Lock()
+	close(tt.gate)
+	tt.gate = nil
+	tt.mu.Unlock()
+}
+
+// batches parses each recorded stream and returns its batch records.
+func (tt *tapTransport) batches(t *testing.T) [][]storage.WALRecord {
+	t.Helper()
+	tt.mu.Lock()
+	defer tt.mu.Unlock()
+	var out [][]storage.WALRecord
+	for _, buf := range tt.conns {
+		var recs []storage.WALRecord
+		r := bytes.NewReader(buf.Bytes())
+		for {
+			raw, err := storage.ReadRecord(r)
+			if err != nil {
+				break // a cut stream may end inside a record
+			}
+			if rec, err := storage.DecodeBatch(raw); err == nil {
+				recs = append(recs, rec)
+			}
+		}
+		out = append(out, recs)
+	}
+	return out
+}
+
+// TestReplicationStreamIsWALBytes: every batch record a follower reads
+// is byte for byte the record the primary's WAL holds for that
+// sequence — live from the publisher's tail, and again after the
+// follower falls behind the tail and is fed from the WAL file.
+func TestReplicationStreamIsWALBytes(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "p.hopi")
+	// no auto-seal: the log keeps every batch for the comparison
+	ix, base := createDurable(t, path, SegmentThreshold(-1))
+	defer ix.Close()
+	p := startReplPrimary(t, ix, "", PublishTail(4), PublishHeartbeat(20*time.Millisecond))
+	defer p.stop()
+	tap := &tapTransport{}
+	fol, err := Follow(p.streamURL(),
+		FollowTimeout(15*time.Second),
+		FollowReconnect(5*time.Millisecond, 50*time.Millisecond),
+		FollowClient(&http.Client{Transport: tap}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fol.Close()
+
+	ops := randomScript(rand.New(rand.NewSource(5)), base, 14, false)
+	apply := func(from, to int) {
+		for i := from; i < to; i++ {
+			if _, err := ix.Apply(context.Background(), buildScriptBatch(ops[i])); err != nil {
+				t.Fatalf("op %d: %v", i, err)
+			}
+		}
+	}
+	apply(0, 2)
+	waitCaughtUp(t, fol, ix)
+	// drop the follower and commit past the 4-batch tail while it is away
+	tap.cut()
+	for fol.ReplicaStatus().Connected {
+		time.Sleep(2 * time.Millisecond)
+	}
+	apply(2, len(ops))
+	tap.release()
+	waitCaughtUp(t, fol, ix)
+
+	data, err := os.ReadFile(path + walSuffix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	logged := map[uint64][]byte{}
+	for r := bytes.NewReader(data); ; {
+		raw, err := storage.ReadRecord(r)
+		if err != nil {
+			break
+		}
+		rec, err := storage.DecodeBatch(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		logged[rec.Seq] = raw
+	}
+	if len(logged) != len(ops) {
+		t.Fatalf("WAL holds %d batches, want %d", len(logged), len(ops))
+	}
+
+	conns := tap.batches(t)
+	if len(conns) != 2 {
+		t.Fatalf("follower opened %d streams, want 2", len(conns))
+	}
+	// stream 1: batches 1-2 live from the tail; stream 2: 3-14, of
+	// which only 11-14 were still in the tail, so 3 onward came from
+	// the WAL
+	for i, want := range [][2]uint64{{1, 2}, {3, uint64(len(ops))}} {
+		recs := conns[i]
+		if len(recs) != int(want[1]-want[0]+1) {
+			t.Fatalf("stream %d carried %d batches, want %d..%d", i+1, len(recs), want[0], want[1])
+		}
+		for j, rec := range recs {
+			if rec.Seq != want[0]+uint64(j) {
+				t.Fatalf("stream %d batch %d has seq %d, want %d", i+1, j, rec.Seq, want[0]+uint64(j))
+			}
+			if !bytes.Equal(rec.Raw, logged[rec.Seq]) {
+				t.Fatalf("stream %d: batch %d differs from its WAL record", i+1, rec.Seq)
+			}
+		}
+	}
+	assertLabelEquality(t, fol, ix, "after the WAL-fed catch-up")
+}
+
+// TestReplicationPublishesBatchWhoseSealFails: a batch is committed
+// once its WAL append is fsynced, so it reaches the publisher even
+// when the auto-seal that follows it fails — otherwise followers
+// would never see it while heartbeats report zero lag.
+func TestReplicationPublishesBatchWhoseSealFails(t *testing.T) {
+	dir := t.TempDir()
+	ix, _ := createDurable(t, filepath.Join(dir, "p.hopi"), SegmentThreshold(1))
+	defer ix.Close()
+	pub, err := ix.StartPublisher()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := []scriptOp{{kind: 0, name: "s1.xml", target: "a.xml"}, {kind: 0, name: "s2.xml", target: "s1.xml"}}
+	if _, err := ix.Apply(context.Background(), buildScriptBatch(ops[0])); err != nil {
+		t.Fatal(err)
+	}
+	setFailpoint(ix, func(step string) error {
+		if step == "seal" {
+			return errDiskDied
+		}
+		return nil
+	})
+	if _, err := ix.Apply(context.Background(), buildScriptBatch(ops[1])); !errors.Is(err, errDiskDied) {
+		t.Fatalf("Apply with a failing seal: err = %v, want the injected failure", err)
+	}
+	st := ix.ReplicaStatus()
+	if st.AppliedSeq != 2 || pub.LastSeq() != st.AppliedSeq {
+		t.Fatalf("committed seq %d, published seq %d", st.AppliedSeq, pub.LastSeq())
+	}
 }
 
 // --- read-only contract ----------------------------------------------
