@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"hopi/internal/storage"
 	"hopi/internal/twohop"
 	"hopi/internal/xmlmodel"
 )
@@ -174,5 +175,48 @@ func TestCollOpWireRoundTrip(t *testing.T) {
 	}
 	if ops, err := DecodeCollOps(nil); err != nil || ops != nil {
 		t.Fatalf("DecodeCollOps(nil) = %v, %v", ops, err)
+	}
+}
+
+// TestCoverDeltaWireRoundTrip pins the 13-byte binary delta records a
+// ChangeLog's cover stream travels as inside a batch record, next to
+// the collection-op stream EncodeCollOps produces.
+func TestCoverDeltaWireRoundTrip(t *testing.T) {
+	ops := []twohop.CoverDelta{
+		{Kind: twohop.DeltaGrow, Node: 12},
+		{Kind: twohop.DeltaAddIn, Node: 3, Center: 7, Dist: 2},
+		{Kind: twohop.DeltaAddOut, Node: 2147483647, Center: 0, Dist: 4294967295},
+		{Kind: twohop.DeltaRemoveOut, Node: 0, Center: 5},
+		{Kind: twohop.DeltaClearAll},
+	}
+	coll, err := EncodeCollOps([]CollOp{{Kind: CollRemoveDoc, DocIdx: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty := storage.EncodeBatch(7, coll, nil)
+	b := storage.EncodeBatch(7, coll, ops)
+	if len(b)-len(empty) != 13*len(ops) {
+		t.Fatalf("encoded %d delta bytes, want %d", len(b)-len(empty), 13*len(ops))
+	}
+	rec, err := storage.DecodeBatch(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Seq != 7 || len(rec.Ops) != len(ops) {
+		t.Fatalf("decoded seq %d with %d deltas, want seq 7 with %d", rec.Seq, len(rec.Ops), len(ops))
+	}
+	for i := range ops {
+		if rec.Ops[i] != ops[i] {
+			t.Fatalf("delta %d = %+v, want %+v", i, rec.Ops[i], ops[i])
+		}
+	}
+	if got, err := DecodeCollOps(rec.Coll); err != nil || len(got) != 1 || got[0].Kind != CollRemoveDoc || got[0].DocIdx != 1 {
+		t.Fatalf("collection stream decoded as %+v, %v", got, err)
+	}
+	if _, err := storage.DecodeBatch(b[:len(b)-5]); err == nil {
+		t.Fatal("truncated delta stream decoded without error")
+	}
+	if rec, err := storage.DecodeBatch(empty); err != nil || len(rec.Ops) != 0 {
+		t.Fatalf("empty delta stream decoded as %v, %v", rec.Ops, err)
 	}
 }
