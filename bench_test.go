@@ -521,3 +521,47 @@ func BenchmarkPathQueryRanked(b *testing.B) {
 		}
 	}
 }
+
+// --- sharded serving --------------------------------------------------------
+
+// BenchmarkRouterQueryUnderInserts measures the cross-shard // join
+// under write churn: every op inserts one citing document through a
+// 4-shard in-process router, moving one shard's epoch, then runs
+// //article//author across the new cut — closure fetch, endpoint-graph
+// assembly and routing included.
+func BenchmarkRouterQueryUnderInserts(b *testing.B) {
+	const docs, shards = 200, 4
+	coll := WrapCollection(benchDBLP(docs))
+	opts := DefaultOptions()
+	opts.Seed = benchSeed
+	m, err := BuildShardMap(coll, shards, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	conns := make([]ShardConn, shards)
+	for i, part := range SplitCollection(coll, m) {
+		ix, err := Build(part, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer ix.Close()
+		conns[i] = NewLocalShard(fmt.Sprintf("s%d", i), ix)
+	}
+	router, err := NewRouter(conns, m, "")
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(benchSeed))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		xml := fmt.Sprintf(`<article><title>t</title><author/><cite href="pub%05d.xml"/></article>`, rng.Intn(docs))
+		if _, err := router.InsertXML(ctx, fmt.Sprintf("bench%06d.xml", i), []byte(xml)); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := router.Query(ctx, "//article//author", RouterQueryOptions{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

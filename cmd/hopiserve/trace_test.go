@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -91,8 +92,12 @@ func TestCrossShardQueryTrace(t *testing.T) {
 	// The seed round contacts both shards; the // step adds at least one
 	// more RPC. Every successful span must carry the shard's own Span
 	// echoing the trace ID — the HTTP handlers only attach one when the
-	// binary frame's trailing trace survived the round trip.
+	// binary frame's trailing trace survived the round trip. The
+	// router's own compute shows up as spans of its own, with no shard
+	// timing: assembling the endpoint graph, and routing plus composing
+	// the // step.
 	phases := map[string]bool{}
+	routerRPCs := map[string]string{}
 	if len(tr.Spans) < 3 {
 		t.Fatalf("only %d spans: %s", len(tr.Spans), tr.Format())
 	}
@@ -100,6 +105,13 @@ func TestCrossShardQueryTrace(t *testing.T) {
 		phases[sp.Phase] = true
 		if sp.Err != "" {
 			t.Fatalf("span %s/%s failed: %s", sp.Phase, sp.Shard, sp.Err)
+		}
+		if sp.Shard == shardrouter.RouterSpanShard {
+			if sp.Remote != nil || sp.WallUs < 0 {
+				t.Fatalf("router span %s/%s: %+v", sp.Phase, sp.RPC, sp)
+			}
+			routerRPCs[sp.RPC] = sp.Phase
+			continue
 		}
 		if sp.Remote == nil {
 			t.Fatalf("span %s/%s has no shard-reported timing: %s", sp.Phase, sp.Shard, tr.Format())
@@ -113,6 +125,12 @@ func TestCrossShardQueryTrace(t *testing.T) {
 	}
 	if !phases["seed"] {
 		t.Fatalf("no seed phase in %s", tr.Format())
+	}
+	if routerRPCs["assemble"] != "closure" || routerRPCs["route"] != "step1://author" {
+		t.Fatalf("router spans %v, want assemble in closure and route in step1://author: %s", routerRPCs, tr.Format())
+	}
+	if line := tr.Format(); !strings.Contains(line, "router/assemble") || !strings.Contains(line, "router/route") {
+		t.Fatalf("slow-query line does not attribute router self time: %s", line)
 	}
 
 	// Untraced queries (threshold 0 still logs) mint their own ID.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"hopi/internal/graph"
+	"hopi/internal/twohop"
 )
 
 // Exported single-step evaluation primitives. The distributed query
@@ -145,4 +146,43 @@ func (e *Engine) BulkClosure(ctx context.Context, from, to []int32, withDist boo
 		}
 	}
 	return dist, nil
+}
+
+// ReachesAny reports, per to[j], whether some element of from reaches
+// it (reflexively: from[i] == to[j] counts) — the OR of BulkClosure's
+// column j without materializing the |from|×|to| matrix. One scratch
+// bitset collects the frontier's meeting centers, {f} ∪ Lout(f) over
+// every f; t is then reached exactly when t itself or a center of
+// Lin(t) is set, the same meeting cases BulkClosure enumerates.
+func (e *Engine) ReachesAny(ctx context.Context, from, to []int32) ([]bool, error) {
+	out := make([]bool, len(to))
+	if len(from) == 0 || len(to) == 0 {
+		return out, nil
+	}
+	cov := e.ix.Cover()
+	centers := e.scratch.Get(e.scratchSize())
+	defer e.scratch.Put(centers)
+	var buf []twohop.Entry
+	for _, f := range from {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		centers.Set(int(f))
+		for _, en := range cov.LoutBuf(f, &buf) {
+			centers.Set(int(en.Center))
+		}
+	}
+	for j, t := range to {
+		if centers.Has(int(t)) {
+			out[j] = true
+			continue
+		}
+		for _, en := range cov.LinBuf(t, &buf) {
+			if centers.Has(int(en.Center)) {
+				out[j] = true
+				break
+			}
+		}
+	}
+	return out, nil
 }

@@ -384,7 +384,9 @@ func (r *Router) evalOnce(ctx context.Context, m *ShardMap, q *query.Query, hash
 		if err != nil {
 			return nil, err
 		}
+		t0 := time.Now()
 		eg = r.endpointGraphFor(m, pre, withDist, expected, scopes, closures)
+		tr.add("closure", "assemble", RouterSpanShard, t0, nil, nil)
 	}
 
 	for si := 1; si <= last; si++ {
@@ -499,6 +501,7 @@ func (r *Router) evalOnce(ctx context.Context, m *ShardMap, q *query.Query, hash
 		}
 
 		if eg != nil {
+			t0 := time.Now()
 			inArr := eg.route(outArr, opt.Ranked)
 			var fallback []int
 			for i := range inArr {
@@ -511,6 +514,7 @@ func (r *Router) evalOnce(ctx context.Context, m *ShardMap, q *query.Query, hash
 					fallback = append(fallback, i)
 				}
 			}
+			tr.add(phase, "route", RouterSpanShard, t0, nil, nil)
 			if len(fallback) > 0 {
 				// Shards with no table — a fresh cut, a disabled cache,
 				// or a server predating the ProbeIn fold: classic
@@ -809,10 +813,12 @@ func prepareEndpoints(m *ShardMap, K int) *egPrep {
 // shard-local target→source closure edges weighted by the shards' own
 // shortest distances. It is the same shape as the build-time PSG
 // (internal/psg), which is why the PSG's Dijkstra serves as its
-// shortest-path engine. An assembled graph is immutable; per-source
-// shortest-path results are memoized inside it, and the graph itself
-// is memoized per pinned cut (see endpointGraphFor), so repeated
-// queries against an unchanged cut pay no Dijkstra at all.
+// shortest-path engine for ranked queries. An assembled graph is
+// immutable and memoized per pinned cut (see endpointGraphFor).
+// Unranked routing needs no distances at all: one multi-source
+// traversal per // step. Ranked routing memoizes per-source Dijkstra
+// results inside the graph, so repeated ranked queries against an
+// unchanged cut pay each source's Dijkstra once.
 type endpointGraph struct {
 	pre *egPrep
 	g   *psg.PSG
@@ -857,8 +863,6 @@ func (r *Router) endpointGraphFor(m *ShardMap, pre *egPrep, withDist bool, epoch
 // pinned cut's closure matrices into the routable graph. Pure
 // computation — every RPC has already happened.
 func assembleEndpointGraph(pre *egPrep, closures []*ClosureResponse) *endpointGraph {
-	n := len(pre.keys)
-	edges := pre.cross
 	var local []hEdge
 	for _, s := range pre.need {
 		resp := closures[s]
@@ -876,7 +880,13 @@ func assembleEndpointGraph(pre *egPrep, closures []*ClosureResponse) *endpointGr
 			}
 		}
 	}
+	return newEndpointGraph(pre, pre.cross, local)
+}
 
+// newEndpointGraph builds the routable graph over pre's nodes from
+// edge lists; of parallel edges, the lightest sets the weight.
+func newEndpointGraph(pre *egPrep, edgeLists ...[]hEdge) *endpointGraph {
+	n := len(pre.keys)
 	s := &psg.PSG{
 		Index:    make(map[int32]int32, n),
 		G:        graph.NewDigraph(n),
@@ -888,7 +898,7 @@ func assembleEndpointGraph(pre *egPrep, closures []*ClosureResponse) *endpointGr
 		s.Nodes = append(s.Nodes, int32(i))
 		s.Index[int32(i)] = int32(i)
 	}
-	for _, es := range [][]hEdge{edges, local} {
+	for _, es := range edgeLists {
 		for _, e := range es {
 			s.G.AddEdge(e.from, e.to)
 			key := [2]int32{e.from, e.to}
@@ -900,10 +910,11 @@ func assembleEndpointGraph(pre *egPrep, closures []*ClosureResponse) *endpointGr
 	return &endpointGraph{pre: pre, g: s, shortest: map[int32]*shortestEntry{}}
 }
 
-// shortestFrom memoizes per-source Dijkstra results (and the proper
-// self-distance around genuine cycles) for the graph's lifetime; the
-// graph is shared across queries pinned to the same cut, so each
-// out-endpoint pays its Dijkstra once per cut, not once per query.
+// shortestFrom memoizes ranked routing's per-source Dijkstra results
+// (and the proper self-distance around genuine cycles) for the graph's
+// lifetime; the graph is shared across queries pinned to the same cut,
+// so each out-endpoint pays its Dijkstra once per cut, not once per
+// query.
 func (eg *endpointGraph) shortestFrom(node int32) *shortestEntry {
 	eg.mu.Lock()
 	if e, ok := eg.shortest[node]; ok {
@@ -920,11 +931,11 @@ func (eg *endpointGraph) shortestFrom(node int32) *shortestEntry {
 	// self-matches across shards — would be lost (or worse, the
 	// empty path would fake one).
 	properSelf := graph.InfDist
-	for key, w := range eg.g.EdgeDist {
-		if key[1] != node || dist[key[0]] == graph.InfDist {
+	for _, u := range eg.g.G.Pred(node) {
+		if dist[u] == graph.InfDist {
 			continue
 		}
-		if d := dist[key[0]] + w; d < properSelf {
+		if d := dist[u] + eg.g.EdgeDist[[2]int32{u, node}]; d < properSelf {
 			properSelf = d
 		}
 	}
@@ -935,12 +946,23 @@ func (eg *endpointGraph) shortestFrom(node int32) *shortestEntry {
 	return e
 }
 
-// route runs the cross-shard join for one // step: from every reached
-// out-endpoint, shortest paths through the endpoint graph deliver its
-// arrivals to in-endpoints, composing distances along the way. The
-// result is the per-shard delivery set the router composes (or, for
-// older shards, delivers by RPC).
+// route runs the cross-shard join for one // step and returns the
+// per-shard delivery set the router composes (or, for older shards,
+// delivers by RPC). Unranked, an in-endpoint is reached exactly when a
+// path of length ≥ 1 leads to it from some reached out-endpoint: one
+// multi-source traversal of the whole frontier, set-at-a-time, whose
+// "sources only if re-reached" rule is the proper-path rule. Ranked,
+// shortest paths from every reached out-endpoint deliver its arrivals
+// to in-endpoints, composing distances along the way.
 func (eg *endpointGraph) route(outArr []map[string][]Arrival, ranked bool) []map[string][]Arrival {
+	out := make([]map[string][]Arrival, len(eg.pre.inNodes))
+	deliver := func(node int32, arr []Arrival) {
+		s := eg.pre.shard[node]
+		if out[s] == nil {
+			out[s] = map[string][]Arrival{}
+		}
+		out[s][eg.pre.specs[node]] = arr
+	}
 	// Gather arrivals per out node.
 	srcArr := map[int32][]Arrival{}
 	for _, perShard := range outArr {
@@ -953,7 +975,22 @@ func (eg *endpointGraph) route(outArr []map[string][]Arrival, ranked bool) []map
 		}
 	}
 	if len(srcArr) == 0 {
-		return make([]map[string][]Arrival, len(eg.pre.inNodes))
+		return out
+	}
+	if !ranked {
+		srcs := make([]int32, 0, len(srcArr))
+		for node := range srcArr {
+			srcs = append(srcs, node)
+		}
+		reached := eg.g.G.MultiSourceReachable(srcs)
+		for _, ins := range eg.pre.inNodes {
+			for _, in := range ins {
+				if reached.Has(int(in)) {
+					deliver(in, []Arrival{{}})
+				}
+			}
+		}
+		return out
 	}
 	inArrByNode := map[int32][]Arrival{}
 	for node, arr := range srcArr {
@@ -973,18 +1010,8 @@ func (eg *endpointGraph) route(outArr []map[string][]Arrival, ranked bool) []map
 			}
 		}
 	}
-	out := make([]map[string][]Arrival, len(eg.pre.inNodes))
 	for node, arr := range inArrByNode {
-		if ranked {
-			arr = ParetoPrune(arr)
-		} else {
-			arr = []Arrival{{}}
-		}
-		s := eg.pre.shard[node]
-		if out[s] == nil {
-			out[s] = map[string][]Arrival{}
-		}
-		out[s][eg.pre.specs[node]] = arr
+		deliver(node, ParetoPrune(arr))
 	}
 	return out
 }

@@ -232,17 +232,6 @@ func (m *ShardMap) Clone() *ShardMap {
 	return n
 }
 
-// crossLinksOf returns the indexes of cross links touching a document.
-func (m *ShardMap) crossLinksTouching(doc string) []int {
-	var out []int
-	for i, l := range m.CrossLinks {
-		if l.FromDoc == doc || l.ToDoc == doc {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // Save writes the map as JSON via an atomic rename, so a crash during
 // persistence never leaves a torn map file.
 func (m *ShardMap) Save(path string) error {

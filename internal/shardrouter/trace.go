@@ -47,14 +47,21 @@ type Span struct {
 	EncodeUs int64  `json:"encodeUs"`
 }
 
+// RouterSpanShard is the Shard of the spans that time the router's own
+// compute rather than an RPC: "assemble" (the endpoint graph for the
+// pinned cut) and "route" (a // step's cross-shard join plus composing
+// its deliveries).
+const RouterSpanShard = "router"
+
 // TraceSpan is one shard RPC as the router observed it: the phase of
 // the evaluation it belongs to, the router-side wall time (network
 // included), and the shard-reported Span when the shard returned one
-// (older shards do not).
+// (older shards do not). Spans with Shard RouterSpanShard time the
+// router's own compute instead and never carry a Remote.
 type TraceSpan struct {
 	Phase string `json:"phase"` // "seed", "closure", "step2:///author", "deliver:2"
 	Shard string `json:"shard"`
-	RPC   string `json:"rpc"` // "step", "closure", "deliver"
+	RPC   string `json:"rpc"` // "step", "closure", "deliver"; "assemble", "route" for the router's own
 	// WallUs is the full router-side RPC duration.
 	WallUs int64 `json:"wallUs"`
 	// Remote is the shard's own breakdown; nil when the shard predates

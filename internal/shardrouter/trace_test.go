@@ -117,7 +117,9 @@ func TestQueryTraceFormat(t *testing.T) {
 	start := time.Now().Add(-2 * time.Millisecond)
 	tr.add("seed", "step", "shard0", start, &Span{Trace: tr.TraceID, QueueUs: 3, EvalUs: 40, EncodeUs: 1}, nil)
 	tr.add("seed", "step", "shard1", start, nil, nil)
+	tr.add("closure", "assemble", RouterSpanShard, start, nil, nil)
 	tr.add("step1://b", "step", "shard0", start, nil, nil)
+	tr.add("step1://b", "route", RouterSpanShard, start, nil, nil)
 	tr.finish(start, 7)
 
 	line := tr.Format()
@@ -125,6 +127,7 @@ func TestQueryTraceFormat(t *testing.T) {
 		"trace=deadbeefcafef00d", "results=7", "attempts=1", "ranked=true",
 		`expr="//a//b"`, "plan=[//a → //b]",
 		"seed[", "shard0/step", "(q=3µs e=40µs n=1µs)", "step1://b[",
+		"closure[router/assemble", "router/route",
 	} {
 		if !strings.Contains(line, want) {
 			t.Errorf("Format() missing %q:\n%s", want, line)

@@ -51,7 +51,8 @@ func (s *Snapshot) fillMeta(fe *shardrouter.FrontierElem) {
 // this snapshot: the shard-local advance (or seed) plus, for // steps,
 // the out-probe — which cross-link sources the *input* frontier
 // reaches, reflexively, since the cross edge that follows keeps the
-// path proper.
+// path proper. Ranked probes need every frontier×endpoint distance;
+// unranked ones only whether any frontier element reaches an endpoint.
 func (s *Snapshot) ShardStep(ctx context.Context, req *shardrouter.StepRequest) (*shardrouter.StepResponse, error) {
 	axis, err := parseAxis(req.Axis)
 	if err != nil {
@@ -147,18 +148,16 @@ func (s *Snapshot) ShardStep(ctx context.Context, req *shardrouter.StepRequest) 
 				outSpecs = append(outSpecs, spec)
 			}
 			// The reach is reflexive (from==endpoint counts): the cross
-			// edge that follows keeps the path proper.
-			reach, derr := s.eng.BulkClosure(ctx, in, outIDs, false)
+			// edge that follows keeps the path proper. One center bitset
+			// over the whole frontier answers every endpoint at once.
+			reach, derr := s.eng.ReachesAny(ctx, in, outIDs)
 			if derr != nil {
 				return nil, derr
 			}
 			resp.Out = map[string][]shardrouter.Arrival{}
 			for j, spec := range outSpecs {
-				for i := range in {
-					if reach[i*len(outIDs)+j] != graph.InfDist {
-						resp.Out[spec] = []shardrouter.Arrival{{}}
-						break
-					}
+				if reach[j] {
+					resp.Out[spec] = []shardrouter.Arrival{{}}
 				}
 			}
 		}
