@@ -224,7 +224,7 @@ func TestServerExplain(t *testing.T) {
 	}
 	var ranked hopi.Plan
 	getInto(t, h, "/explain?expr=//article//author&limit=5&ranked=1", http.StatusOK, &ranked)
-	if m := ranked.Steps[1].Mode; m != "topk-bfs" && m != "topk-semijoin" {
+	if ranked.Steps[1].Mode != "ranked-semijoin" || ranked.Matches != 5 {
 		t.Fatalf("ranked plan: %+v", ranked)
 	}
 	code, _ := get(t, h, "/explain?expr=notaquery")

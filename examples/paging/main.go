@@ -88,7 +88,7 @@ func main() {
 	fmt.Printf("token after a write: %v (stale: %v)\n\n", err, errors.Is(err, hopi.ErrStaleToken))
 
 	// 4. EXPLAIN: what did the engine actually do? With a limit, the
-	// final step reports the streaming/top-k pushdown mode and how few
+	// final step reports the streaming pushdown mode and how few
 	// posting entries it needed.
 	for _, limit := range []int{0, 5} {
 		plan, err := ix.Explain(ctx, pq, hopi.QueryLimit(limit))

@@ -54,9 +54,12 @@ func BenchmarkEvalPairwiseWildcard(b *testing.B) {
 	benchEval(b, EvalPairwise, "//*//author")
 }
 
-func BenchmarkEvalRankedSemijoin(b *testing.B) {
-	e := benchEngine(b, EvalSemijoin)
-	q, _ := Parse("//article//author")
+func benchRanked(b *testing.B, mode EvalMode, expr string) {
+	e := benchEngine(b, mode)
+	q, err := Parse(expr)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := e.EvalRanked(q); err != nil {
@@ -65,15 +68,16 @@ func BenchmarkEvalRankedSemijoin(b *testing.B) {
 	}
 }
 
+func BenchmarkEvalRankedSemijoin(b *testing.B) {
+	benchRanked(b, EvalSemijoin, "//article//author")
+}
+
 func BenchmarkEvalRankedPairwise(b *testing.B) {
-	e := benchEngine(b, EvalPairwise)
-	q, _ := Parse("//article//author")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.EvalRanked(q); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchRanked(b, EvalPairwise, "//article//author")
+}
+
+func BenchmarkEvalRankedWildcard(b *testing.B) {
+	benchRanked(b, EvalSemijoin, "//*//author")
 }
 
 // benchStream drains a limit-10 cursor — the pushdown path the
@@ -106,4 +110,10 @@ func BenchmarkStreamLimit10(b *testing.B) {
 
 func BenchmarkStreamRankedLimit10(b *testing.B) {
 	benchStream(b, true, "//article//author")
+}
+
+// BenchmarkStreamRankedLimit10Mixed: the final frontier carries mixed
+// scores — the second // step spreads them.
+func BenchmarkStreamRankedLimit10Mixed(b *testing.B) {
+	benchStream(b, true, "//article//cite//author")
 }

@@ -4,8 +4,11 @@ import "time"
 
 // EvalModeName is the evaluator a step actually ran with — the thing
 // EXPLAIN exists to reveal. "seed" is the first step (candidate
-// enumeration, no join); the "stream-*" and "topk" modes are the
-// cursor's limit-pushdown variants of the final step.
+// enumeration, no join); the "stream-*" modes are the unranked cursor's
+// limit-pushdown variants of the final step. A ranked // step runs
+// "ranked-semijoin", the one label kernel, limited or not (a limited
+// run selects its page from the finished step), or "ranked-pairwise",
+// its Distance-per-pair reference below the pairwise cutoff.
 const (
 	ModeSeed           = "seed"
 	ModeChild          = "child"
@@ -16,9 +19,6 @@ const (
 	ModeStreamSemijoin = "stream-semijoin"
 	ModeStreamChild    = "stream-child"
 	ModeStreamSeed     = "stream-seed"
-	ModeTopK           = "topk-semijoin"
-	ModeTopKBFS        = "topk-bfs"
-	ModeMaterialized   = "materialized"
 	ModeSkipped        = "skipped" // an earlier step emptied the frontier
 )
 

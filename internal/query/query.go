@@ -193,27 +193,12 @@ type Engine struct {
 	// nothing while staying safe for concurrent readers.
 	scratch *graph.BitsetPool
 
-	// eg lazily caches the element digraph for the uniform-score ranked
-	// top-k (k-bounded multi-source BFS); most snapshots never pay for
-	// it. Guarded by egMu for concurrent readers.
-	egMu sync.Mutex
-	eg   *graph.Digraph
+	// arenas pools the ranked // kernel's per-step columns.
+	arenas sync.Pool // *kernelArena
 
 	// mode selects the descendant-step evaluator; EvalAuto picks per
 	// step size.
 	mode EvalMode
-}
-
-// elementGraph returns the collection's element digraph, built on
-// first use and cached for the engine's lifetime (engines are immutable
-// after construction; Refresh drops the cache).
-func (e *Engine) elementGraph() *graph.Digraph {
-	e.egMu.Lock()
-	defer e.egMu.Unlock()
-	if e.eg == nil {
-		e.eg = e.coll.ElementGraph()
-	}
-	return e.eg
 }
 
 // EvalMode selects how // steps are evaluated.
@@ -253,9 +238,6 @@ func (e *Engine) Refresh() {
 	e.tags = e.coll.ElementsByTag()
 	e.n = e.coll.NumAllocatedIDs()
 	e.tagBits = sync.Map{}
-	e.egMu.Lock()
-	e.eg = nil
-	e.egMu.Unlock()
 	e.allBits = graph.NewBitset(e.n)
 	var all []int32
 	for _, ids := range e.tags {
@@ -497,369 +479,4 @@ func (e *Engine) advancePairwise(frontier, cands []int32, cc *canceller, sp *Ste
 	sp.record(ModePairwise, len(cands), len(frontier), len(out))
 	sp.touch(probes)
 	return out, nil
-}
-
-// EvalRanked evaluates the query and ranks matches by connection
-// length: each step contributes 1/(1+dist). The index must carry
-// distance information. Results are sorted by descending score, ties
-// by element ID.
-func (e *Engine) EvalRanked(q *Query) ([]Match, error) {
-	return e.EvalRankedCtx(context.Background(), q)
-}
-
-// state carries a frontier element's accumulated score and witness
-// path during ranked evaluation.
-type state struct {
-	score float64
-	path  []int32
-}
-
-// EvalRankedCtx is EvalRanked with cooperative cancellation, mirroring
-// EvalCtx.
-func (e *Engine) EvalRankedCtx(ctx context.Context, q *Query) ([]Match, error) {
-	frontier, err := e.rankedFrontier(ctx, q, len(q.Steps), nil)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Match, 0, len(frontier))
-	for id, st := range frontier {
-		out = append(out, Match{Element: id, Score: st.score, Path: st.path})
-	}
-	sortMatches(out)
-	return out, nil
-}
-
-// rankedFrontier evaluates the first `upto` steps of a ranked query
-// and returns the resulting frontier states. The cursor path uses
-// upto = len(Steps)-1 to stop before the final step, which it then
-// evaluates with top-k pushdown.
-func (e *Engine) rankedFrontier(ctx context.Context, q *Query, upto int, plan *Plan) (map[int32]state, error) {
-	cc := &canceller{ctx: ctx}
-	frontier := map[int32]state{}
-	for _, id := range e.initialFrontier(q, plan.step(0)) {
-		frontier[id] = state{score: 1, path: []int32{id}}
-	}
-	for si := 1; si < upto; si++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if len(frontier) == 0 {
-			plan.skipFrom(si)
-			break
-		}
-		step := q.Steps[si]
-		if err := e.checkRankedStep(q, step); err != nil {
-			return nil, err
-		}
-		var (
-			next map[int32]state
-			err  error
-		)
-		if step.Axis == AxisChild {
-			next, err = e.advanceRankedChild(frontier, step, cc, plan.step(si))
-		} else if e.mode == EvalPairwise ||
-			(e.mode == EvalAuto && len(frontier)*len(e.candidates(step.Tag)) <= pairwiseCutoff) {
-			next, err = e.advanceRankedPairwise(frontier, step, cc, plan.step(si))
-		} else {
-			next, err = e.advanceRankedSemijoin(frontier, step, cc, plan.step(si))
-		}
-		if err != nil {
-			return nil, err
-		}
-		frontier = next
-	}
-	return frontier, nil
-}
-
-// checkRankedStep fails ranked descendant steps uniformly on
-// non-distance indexes — independent of evaluator choice or collection
-// size — instead of the semijoin reading meaningless Dist fields.
-func (e *Engine) checkRankedStep(q *Query, step Step) error {
-	if step.Axis == AxisDescendant && len(e.candidates(step.Tag)) > 0 && !e.ix.Cover().WithDist {
-		return fmt.Errorf("query: ranked evaluation of %q: index built without distance information", q.String())
-	}
-	return nil
-}
-
-// sortMatches orders ranked matches by descending score, ties by
-// ascending element ID — the canonical ranked result order.
-func sortMatches(out []Match) {
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].Element < out[j].Element
-	})
-}
-
-func (e *Engine) advanceRankedChild(frontier map[int32]state, step Step, cc *canceller, sp *StepPlan) (map[int32]state, error) {
-	next := map[int32]state{}
-	for _, c := range e.candidates(step.Tag) {
-		if err := cc.check(); err != nil {
-			return nil, err
-		}
-		p := e.parentOf(c)
-		if p < 0 {
-			continue
-		}
-		st, ok := frontier[p]
-		if !ok {
-			continue
-		}
-		next[c] = state{
-			score: st.score / 2, // parent-child hop: dist 1
-			path:  appendPath(st.path, c),
-		}
-	}
-	sp.record(ModeChild, len(e.candidates(step.Tag)), len(frontier), len(next))
-	return next, nil
-}
-
-// advanceRankedPairwise mirrors the pairwise boolean evaluator with
-// distances: per candidate, the best score over all frontier elements.
-// Self-matches use the shortest cycle length.
-func (e *Engine) advanceRankedPairwise(frontier map[int32]state, step Step, cc *canceller, sp *StepPlan) (map[int32]state, error) {
-	next := map[int32]state{}
-	probes := 0
-	for _, c := range e.candidates(step.Tag) {
-		best := state{score: -1}
-		for f, st := range frontier {
-			if err := cc.check(); err != nil {
-				return nil, err
-			}
-			probes++
-			var d uint32
-			if c == f {
-				d = e.ix.CycleDistance(f)
-			} else {
-				dist, err := e.ix.Distance(f, c)
-				if err != nil {
-					return nil, err
-				}
-				d = dist
-			}
-			if d == graph.InfDist || d == 0 {
-				continue
-			}
-			if s := st.score / float64(1+d); s > best.score {
-				best = state{score: s, path: appendPath(st.path, c)}
-			}
-		}
-		if best.score > 0 {
-			next[c] = best
-		}
-	}
-	sp.record(ModeRankedPairwise, len(e.candidates(step.Tag)), len(frontier), len(next))
-	sp.touch(probes)
-	return next, nil
-}
-
-// arrival is one way the frontier can reach a center during ranked
-// semijoin evaluation: some frontier element `from` with accumulated
-// score reaches the center over `dist` hops.
-type arrival struct {
-	score float64
-	dist  uint32
-	from  int32
-}
-
-// centerArrivals aggregates, per center, how the frontier reaches it.
-// implicit is the center's own frontier state (every frontier element
-// is an implicit zero-distance Lout center of itself, §3.4); rest
-// holds arrivals through stored Lout entries, pruned to the pareto
-// frontier over (dist ↓, score ↑). The two are kept apart because the
-// implicit arrival must not serve its own element as a candidate —
-// that would claim a zero-length path.
-type centerArrivals struct {
-	implicit *arrival
-	rest     []arrival
-	// pruned marks rest as already pareto-pruned: the top-k path prunes
-	// lazily, only for centers that exact scoring actually consults.
-	pruned bool
-}
-
-// prunedRest returns the pareto-pruned arrival list, pruning on first
-// use.
-func (ca *centerArrivals) prunedRest() []arrival {
-	if !ca.pruned {
-		ca.rest = paretoPrune(ca.rest)
-		ca.pruned = true
-	}
-	return ca.rest
-}
-
-// advanceRankedSemijoin replaces the O(|F|×|C|) Distance loop with a
-// per-center aggregation: distribute every frontier element's score
-// over its Lout centers once, prune each center's arrival list to its
-// pareto frontier, then score only the candidates whose Lin touches an
-// aggregated center (plus direct and cyclic-self cases) — the ranked
-// analogue of the boolean semijoin, computing exactly
-// max_f score_f / (1 + dist(f, c)) with dist the §5.1 minimum over
-// label pairs.
-func (e *Engine) advanceRankedSemijoin(frontier map[int32]state, step Step, cc *canceller, sp *StepPlan) (map[int32]state, error) {
-	cov := e.ix.Cover()
-	post := e.ix.Postings().Postings()
-	cyclic := e.ix.CyclicSet()
-	tagSet := e.candidateBits(step.Tag)
-
-	// Phase 1: distribute the frontier over its centers.
-	arrivals, err := e.distributeArrivals(frontier, cc)
-	if err != nil {
-		return nil, err
-	}
-	touched := 0
-	for f := range frontier {
-		touched += len(cov.Lout(f))
-	}
-	// Phase 2: gather candidates and prune arrival lists.
-	cands := e.scratch.Get(e.scratchSize())
-	defer e.scratch.Put(cands)
-	for x, ca := range arrivals {
-		if err := cc.check(); err != nil {
-			return nil, err
-		}
-		if len(ca.prunedRest()) > 0 {
-			cands.Set(int(x)) // direct: x ∈ Lout(f)
-		}
-		touched += len(post.InOwners(x))
-		for _, c := range post.InOwners(x) {
-			cands.Set(int(c))
-		}
-	}
-	for f := range frontier {
-		if cyclic.Has(int(f)) {
-			cands.Set(int(f))
-		}
-	}
-	cands.And(tagSet)
-
-	// Phase 3: score each candidate over its Lin side.
-	next := map[int32]state{}
-	cands.ForEach(func(ci int) bool {
-		if cerr := cc.check(); cerr != nil {
-			err = cerr
-			return false
-		}
-		c := int32(ci)
-		touched += len(cov.Lin(c))
-		best := e.scoreCandidate(c, arrivals, frontier)
-		if best.score > 0 {
-			st := frontier[best.from]
-			next[c] = state{score: best.score, path: appendPath(st.path, c)}
-		}
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	if sp != nil {
-		sp.Centers = len(arrivals)
-	}
-	sp.record(ModeRankedSemijoin, len(e.candidates(step.Tag)), len(frontier), len(next))
-	sp.touch(touched)
-	return next, nil
-}
-
-// distributeArrivals runs phase 1 of the ranked semijoin: every
-// frontier element is an implicit zero-distance arrival at itself and a
-// stored arrival at each of its Lout centers.
-func (e *Engine) distributeArrivals(frontier map[int32]state, cc *canceller) (map[int32]*centerArrivals, error) {
-	cov := e.ix.Cover()
-	arrivals := map[int32]*centerArrivals{}
-	at := func(x int32) *centerArrivals {
-		ca := arrivals[x]
-		if ca == nil {
-			ca = &centerArrivals{}
-			arrivals[x] = ca
-		}
-		return ca
-	}
-	for f, st := range frontier {
-		if err := cc.check(); err != nil {
-			return nil, err
-		}
-		self := arrival{score: st.score, dist: 0, from: f}
-		at(f).implicit = &self
-		for _, en := range cov.Lout(f) {
-			ca := at(en.Center)
-			ca.rest = append(ca.rest, arrival{score: st.score, dist: en.Dist, from: f})
-		}
-	}
-	return arrivals, nil
-}
-
-// scoreCandidate computes a candidate's exact best arrival over the
-// full arrivals map — direct Lout hits, the Lin-side join, and the
-// cyclic self-match. It considers every path regardless of which
-// centers a caller has expanded, so partial (top-k) evaluation scores
-// candidates exactly.
-func (e *Engine) scoreCandidate(c int32, arrivals map[int32]*centerArrivals, frontier map[int32]state) arrival {
-	best := arrival{score: -1}
-	consider := func(a arrival, linDist uint32) {
-		if s := a.score / float64(1+a.dist+linDist); s > best.score {
-			best = arrival{score: s, dist: a.dist + linDist, from: a.from}
-		}
-	}
-	// direct c ∈ Lout(f): arrivals at center c itself, Lin side
-	// implicit (distance 0). Lout-derived arrivals at center c
-	// always come from f ≠ c, so no self path sneaks in; the
-	// implicit arrival IS c's own and is skipped.
-	if ca := arrivals[c]; ca != nil {
-		for _, a := range ca.prunedRest() {
-			consider(a, 0)
-		}
-	}
-	// f ∈ Lin(c) and Lout(f) ∩ Lin(c): every stored Lin entry of c
-	// joins the arrivals at its center. en.Center ≠ c (self entries
-	// are never stored), so the implicit arrival is usable here.
-	for _, en := range e.ix.Cover().Lin(c) {
-		ca := arrivals[en.Center]
-		if ca == nil {
-			continue
-		}
-		if ca.implicit != nil {
-			consider(*ca.implicit, en.Dist)
-		}
-		for _, a := range ca.prunedRest() {
-			consider(a, en.Dist)
-		}
-	}
-	// cyclic self-match: c reaches itself over its shortest cycle.
-	if st, ok := frontier[c]; ok {
-		if d := e.ix.CycleDistance(c); d != graph.InfDist && d != 0 {
-			if s := st.score / float64(1+d); s > best.score {
-				best = arrival{score: s, from: c}
-			}
-		}
-	}
-	return best
-}
-
-// paretoPrune sorts arrivals by (dist asc, score desc) and keeps only
-// entries whose score strictly exceeds every nearer arrival's: a
-// dominated arrival (farther and no better) can never win
-// max score/(1+dist+t) for any Lin-side distance t.
-func paretoPrune(list []arrival) []arrival {
-	if len(list) < 2 {
-		return list
-	}
-	sort.Slice(list, func(i, j int) bool {
-		if list[i].dist != list[j].dist {
-			return list[i].dist < list[j].dist
-		}
-		return list[i].score > list[j].score
-	})
-	out := list[:1]
-	bestScore := list[0].score
-	for _, a := range list[1:] {
-		if a.score > bestScore {
-			out = append(out, a)
-			bestScore = a.score
-		}
-	}
-	return out
-}
-
-func appendPath(path []int32, c int32) []int32 {
-	return append(append([]int32(nil), path...), c)
 }

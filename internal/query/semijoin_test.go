@@ -3,6 +3,8 @@ package query
 import (
 	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -389,6 +391,106 @@ func TestRankedRequiresDistanceUniformly(t *testing.T) {
 		// unranked evaluation stays available without distances
 		if got := e.Eval(q); len(got) == 0 {
 			t.Errorf("mode %v: unranked query broke", mode)
+		}
+	}
+}
+
+// TestRankedWitnessPaths: every ranked match carries a witness path with
+// one element per step, each element connected to the previous one by
+// the step's axis, and the path's score Π 1/(1+dist) equal to Score.
+func TestRankedWitnessPaths(t *testing.T) {
+	for seed := int64(0); seed < 6; seed++ {
+		c := cyclicCollection(seed)
+		ix, err := core.Build(c, core.Options{
+			Partitioner: core.PartSingle, Join: core.JoinNewHBar, WithDistance: true, Seed: seed,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mode := range []EvalMode{EvalAuto, EvalSemijoin, EvalPairwise} {
+			e := NewEngine(c, ix)
+			e.SetEvalMode(mode)
+			for _, expr := range equivExprs() {
+				q, _ := Parse(expr)
+				matches, err := e.EvalRanked(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, m := range matches {
+					if len(m.Path) != len(q.Steps) || m.Path[len(m.Path)-1] != m.Element {
+						t.Fatalf("seed %d mode %v %q: path %v for match %d", seed, mode, expr, m.Path, m.Element)
+					}
+					score := 1.0
+					for i := 1; i < len(m.Path); i++ {
+						u, v := m.Path[i-1], m.Path[i]
+						var d uint32
+						switch {
+						case q.Steps[i].Axis == AxisChild:
+							if e.parentOf(v) != u {
+								t.Fatalf("seed %d %q: path %v: %d is not %d's child", seed, expr, m.Path, v, u)
+							}
+							d = 1
+						case u == v:
+							d = ix.CycleDistance(u)
+						default:
+							d, _ = ix.Distance(u, v)
+						}
+						if d == 0 || d == graph.InfDist {
+							t.Fatalf("seed %d mode %v %q: path %v: %d does not reach %d", seed, mode, expr, m.Path, u, v)
+						}
+						score /= float64(1 + d)
+					}
+					if score != m.Score {
+						t.Fatalf("seed %d mode %v %q: path %v scores %g, match %g", seed, mode, expr, m.Path, score, m.Score)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRankedKernelMixedScores: from random frontiers carrying random
+// scores — the case where a center's pareto chain holds more than one
+// arrival — the // kernel and the pairwise reference agree on every
+// next-frontier element, score and witness.
+func TestRankedKernelMixedScores(t *testing.T) {
+	scores := []float64{1, 0.5, 1.0 / 3, 0.25, 0.2, 1.0 / 7, 0.1}
+	for seed := int64(0); seed < 8; seed++ {
+		c := cyclicCollection(seed)
+		ix, err := core.Build(c, core.Options{
+			Partitioner: core.PartSingle, Join: core.JoinNewHBar, WithDistance: true, Seed: seed,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		semi := NewEngine(c, ix)
+		semi.SetEvalMode(EvalSemijoin)
+		pair := NewEngine(c, ix)
+		pair.SetEvalMode(EvalPairwise)
+		rng := rand.New(rand.NewSource(seed))
+		for trial := 0; trial < 20; trial++ {
+			var f rankedCols
+			for _, id := range semi.all {
+				if rng.Intn(2) == 0 {
+					f.add(id, scores[rng.Intn(len(scores))], -1)
+				}
+			}
+			for _, tag := range []string{"*", "e", "r"} {
+				step := Step{Axis: AxisDescendant, Tag: tag}
+				q := &Query{Steps: []Step{step}}
+				want, err := pair.advanceRanked(q, step, &f, &canceller{}, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := semi.advanceRanked(q, step, &f, &canceller{}, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(got.elems, want.elems) || !slices.Equal(got.score, want.score) ||
+					!slices.Equal(got.parent, want.parent) {
+					t.Fatalf("seed %d trial %d //%s: kernel %+v, pairwise %+v", seed, trial, tag, got, want)
+				}
+			}
 		}
 	}
 }

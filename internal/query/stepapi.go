@@ -3,6 +3,7 @@ package query
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"hopi/internal/graph"
 	"hopi/internal/twohop"
@@ -44,38 +45,30 @@ func (e *Engine) AdvanceFrontier(ctx context.Context, frontier []int32, step Ste
 // frontier of element→accumulated-score states and returns the next
 // frontier's scores: per candidate, max over frontier elements f of
 // score_f/(1+dist), with dist the shard-local shortest path (cycle
-// distance for self-matches). Witness paths are not tracked — the
-// distributed tier reports matches without per-step witnesses.
+// distance for self-matches). The step is the ranked pipeline's own,
+// run over the frontier sorted into columns. Witness paths are not
+// returned — the distributed tier reports matches without per-step
+// witnesses.
 func (e *Engine) AdvanceRankedFrontier(ctx context.Context, frontier map[int32]float64, step Step) (map[int32]float64, error) {
 	if len(frontier) == 0 {
 		return nil, nil
 	}
-	if step.Axis == AxisDescendant && len(e.candidates(step.Tag)) > 0 && !e.ix.Cover().WithDist {
-		return nil, fmt.Errorf("query: ranked step //%s: index built without distance information", step.Tag)
+	in := rankedCols{elems: make([]int32, 0, len(frontier))}
+	for id := range frontier {
+		in.elems = append(in.elems, id)
 	}
-	fs := make(map[int32]state, len(frontier))
-	for id, score := range frontier {
-		fs[id] = state{score: score}
+	slices.Sort(in.elems)
+	in.score = make([]float64, len(in.elems))
+	for i, id := range in.elems {
+		in.score[i] = frontier[id]
 	}
-	cc := &canceller{ctx: ctx}
-	var (
-		next map[int32]state
-		err  error
-	)
-	if step.Axis == AxisChild {
-		next, err = e.advanceRankedChild(fs, step, cc, nil)
-	} else if e.mode == EvalPairwise ||
-		(e.mode == EvalAuto && len(fs)*len(e.candidates(step.Tag)) <= pairwiseCutoff) {
-		next, err = e.advanceRankedPairwise(fs, step, cc, nil)
-	} else {
-		next, err = e.advanceRankedSemijoin(fs, step, cc, nil)
-	}
+	next, err := e.advanceRanked(&Query{Steps: []Step{step}}, step, &in, &canceller{ctx: ctx}, nil)
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[int32]float64, len(next))
-	for id, st := range next {
-		out[id] = st.score
+	out := make(map[int32]float64, len(next.elems))
+	for i, id := range next.elems {
+		out[id] = next.score[i]
 	}
 	return out, nil
 }

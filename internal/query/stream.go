@@ -15,8 +15,7 @@ type StreamOpts struct {
 	// The final step's evaluation is restructured around it: the plain
 	// path probes candidates in ascending element order and stops
 	// scanning label entries once Limit results are emitted; the ranked
-	// path runs a threshold top-k over center bounds instead of scoring
-	// every candidate.
+	// path scores the final step in full and selects the top Limit.
 	Limit int
 	// Ranked selects XXL-style connection ranking (requires a
 	// distance-aware index). Results are ordered by (score desc,
@@ -42,13 +41,13 @@ type matchPos struct {
 	elem  int32
 }
 
-// before reports whether a result at this position precedes m in the
-// ranked order.
-func (p matchPos) before(m Match) bool {
-	if p.score != m.Score {
-		return p.score > m.Score
+// before reports whether a result at this position precedes the match
+// (score, elem) in the ranked order.
+func (p matchPos) before(score float64, elem int32) bool {
+	if p.score != score {
+		return p.score > score
 	}
-	return p.elem < m.Element
+	return p.elem < elem
 }
 
 // Stream is an iterator over query results — the execute side of the
@@ -84,8 +83,8 @@ type Stream struct {
 }
 
 // Stream starts a cursor over the query. Prefix steps are evaluated
-// eagerly (set-at-a-time, as in EvalCtx); the final step is evaluated
-// lazily or with top-k pushdown depending on the options.
+// eagerly (set-at-a-time, as in EvalCtx); an unranked final step is
+// evaluated lazily, a ranked one in full before its page is selected.
 func (e *Engine) Stream(ctx context.Context, q *Query, opts StreamOpts) (*Stream, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -356,410 +355,20 @@ func (ls *lazyScan) release() {
 
 // --- ranked -------------------------------------------------------------
 
+// startRanked materializes the ranked page: every step runs the ranked
+// pipeline, and the final column yields the first Limit matches past the
+// resume boundary.
 func (s *Stream) startRanked(ctx context.Context, q *Query, opts StreamOpts) error {
-	e := s.e
-	s.isRank = true
-	last := len(q.Steps) - 1
-	final := q.Steps[last]
-
 	var after *matchPos
 	if opts.HasAfter {
 		after = &matchPos{score: opts.AfterScore, elem: opts.After}
 	}
-
-	// Single-step ranked queries have uniform score 1 — stream the seed
-	// directly.
-	if last == 0 {
-		ids := e.initialFrontier(q, opts.Plan.step(0))
-		s.ranked = make([]Match, 0, len(ids))
-		for _, id := range ids {
-			s.ranked = append(s.ranked, Match{Element: id, Score: 1, Path: []int32{id}})
-		}
-		s.skipRankedTo(after)
-		return nil
-	}
-
-	frontier, err := e.rankedFrontier(ctx, q, last, opts.Plan)
+	ranked, err := s.e.rankedMatches(ctx, q, after, opts.Limit, opts.Plan)
 	if err != nil {
 		return err
 	}
-	if len(frontier) == 0 {
-		opts.Plan.skipFrom(last)
-		return nil
-	}
-	if err := e.checkRankedStep(q, final); err != nil {
-		return err
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-
-	// Top-k pushdown applies to limited descendant final steps; child
-	// steps and unlimited/forced-pairwise runs materialize (a resumed
-	// unlimited run materializes too, then skips to the boundary).
-	pushdown := opts.Limit > 0 && final.Axis == AxisDescendant && e.mode != EvalPairwise
-	if pushdown {
-		var (
-			matches []Match
-			err     error
-		)
-		if shared, ok := uniformScore(frontier); ok {
-			matches, err = e.rankedTopKUniform(frontier, shared, final, opts.Limit, after, s.cc, opts.Plan.step(last))
-		} else {
-			matches, err = e.rankedTopK(frontier, final, opts.Limit, after, s.cc, opts.Plan.step(last))
-		}
-		if err != nil {
-			return err
-		}
-		s.ranked = matches
-		return nil
-	}
-
-	var next map[int32]state
-	if final.Axis == AxisChild {
-		next, err = e.advanceRankedChild(frontier, final, s.cc, opts.Plan.step(last))
-	} else if e.mode == EvalPairwise ||
-		(e.mode == EvalAuto && len(frontier)*len(e.candidates(final.Tag)) <= pairwiseCutoff) {
-		next, err = e.advanceRankedPairwise(frontier, final, s.cc, opts.Plan.step(last))
-	} else {
-		next, err = e.advanceRankedSemijoin(frontier, final, s.cc, opts.Plan.step(last))
-	}
-	if err != nil {
-		return err
-	}
-	s.ranked = make([]Match, 0, len(next))
-	for id, st := range next {
-		s.ranked = append(s.ranked, Match{Element: id, Score: st.score, Path: st.path})
-	}
-	sortMatches(s.ranked)
-	s.skipRankedTo(after)
+	s.ranked, s.isRank = ranked, true
 	return nil
-}
-
-// skipRankedTo positions a materialized ranked stream just past the
-// resume boundary.
-func (s *Stream) skipRankedTo(after *matchPos) {
-	if after == nil {
-		return
-	}
-	s.pos = sort.Search(len(s.ranked), func(i int) bool { return after.before(s.ranked[i]) })
-}
-
-// scoreHeap is a fixed-capacity min-heap over scores: it tracks the
-// k-th best exact score seen so far, the threshold the top-k scan
-// compares center bounds against.
-type scoreHeap struct {
-	k int
-	h []float64
-}
-
-func (sh *scoreHeap) push(s float64) {
-	if len(sh.h) == sh.k {
-		if s <= sh.h[0] {
-			return
-		}
-		sh.h[0] = s
-		sh.siftDown(0)
-		return
-	}
-	sh.h = append(sh.h, s)
-	for i := len(sh.h) - 1; i > 0; {
-		p := (i - 1) / 2
-		if sh.h[p] <= sh.h[i] {
-			break
-		}
-		sh.h[p], sh.h[i] = sh.h[i], sh.h[p]
-		i = p
-	}
-}
-
-func (sh *scoreHeap) siftDown(i int) {
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < len(sh.h) && sh.h[l] < sh.h[m] {
-			m = l
-		}
-		if r < len(sh.h) && sh.h[r] < sh.h[m] {
-			m = r
-		}
-		if m == i {
-			return
-		}
-		sh.h[i], sh.h[m] = sh.h[m], sh.h[i]
-		i = m
-	}
-}
-
-// full reports whether k results have been accepted; kth returns the
-// current threshold (the k-th best score).
-func (sh *scoreHeap) full() bool   { return len(sh.h) == sh.k }
-func (sh *scoreHeap) kth() float64 { return sh.h[0] }
-
-// centerBound is a center with an upper bound on the score of any
-// candidate reachable through it.
-type centerBound struct {
-	center int32
-	bound  float64
-}
-
-// uniformScore reports whether every frontier element carries the same
-// score — true for every 2-step query (the seed scores 1) and for any
-// prefix of child steps, the shapes ranked retrieval mostly runs.
-func uniformScore(frontier map[int32]state) (float64, bool) {
-	first := true
-	var s float64
-	for _, st := range frontier {
-		if first {
-			s, first = st.score, false
-			continue
-		}
-		if st.score != s {
-			return 0, false
-		}
-	}
-	return s, !first
-}
-
-// rankedTopKUniform evaluates a limited ranked descendant step over a
-// uniform-score frontier as a k-bounded multi-source BFS on the
-// element graph. With every frontier score equal to `shared`, the
-// ranked order (score desc, element asc) collapses to (distance asc,
-// element asc): tier d of the BFS — started from the frontier's
-// out-neighbors at distance 1, so a frontier element reached again
-// scores by its shortest cycle, the proper-path semantics — holds
-// exactly the candidates at score shared/(1+d). Tiers are emitted in
-// order, each tier sorted by element ID and completed before the
-// cutoff, so the result is exactly the first k entries of the
-// materialized ranking; the BFS stops expanding as soon as a finished
-// tier fills the quota, touching only the frontier's near
-// neighborhood instead of every posting. Distances agree with the
-// cover's because the distance-aware cover is exact over this same
-// graph.
-func (e *Engine) rankedTopKUniform(frontier map[int32]state, shared float64, step Step, k int, after *matchPos, cc *canceller, sp *StepPlan) ([]Match, error) {
-	g := e.elementGraph()
-	tagSet := e.candidateBits(step.Tag)
-	visited := e.scratch.Get(e.scratchSize())
-	defer e.scratch.Put(visited)
-
-	// cur/curOrig are the BFS tier and, per node, the frontier element
-	// that reached it (the witness for the result path) — parallel
-	// slices instead of a map: the tiers can span most of the
-	// collection while only k results survive.
-	touched := 0
-	var cur, curOrig []int32
-	for f := range frontier {
-		if err := cc.check(); err != nil {
-			return nil, err
-		}
-		touched += len(g.Succ(f))
-		for _, u := range g.Succ(f) {
-			if !visited.Has(int(u)) {
-				visited.Set(int(u))
-				cur = append(cur, u)
-				curOrig = append(curOrig, f)
-			}
-		}
-	}
-
-	var results []Match
-	var tier, tierOrig []int32
-	for d := uint32(1); len(cur) > 0; d++ {
-		if err := cc.check(); err != nil {
-			return nil, err
-		}
-		score := shared / float64(1+d)
-		tier, tierOrig = tier[:0], tierOrig[:0]
-		for i, u := range cur {
-			if tagSet.Has(int(u)) {
-				tier = append(tier, u)
-				tierOrig = append(tierOrig, curOrig[i])
-			}
-		}
-		sort.Sort(&tierByElem{tier, tierOrig})
-		for i, c := range tier {
-			// Resume boundary: tiers scoring above the boundary were
-			// fully emitted on earlier pages; the boundary's own tier
-			// filters by element ID.
-			if after != nil {
-				if score > after.score {
-					continue
-				}
-				if score == after.score && c <= after.elem {
-					continue
-				}
-			}
-			results = append(results, Match{
-				Element: c, Score: score,
-				Path: appendPath(frontier[tierOrig[i]].path, c),
-			})
-		}
-		if len(results) >= k {
-			break // the tier is complete: ties resolved exactly
-		}
-		var next, nextOrig []int32
-		for i, u := range cur {
-			if err := cc.check(); err != nil {
-				return nil, err
-			}
-			touched += len(g.Succ(u))
-			for _, v := range g.Succ(u) {
-				if !visited.Has(int(v)) {
-					visited.Set(int(v))
-					next = append(next, v)
-					nextOrig = append(nextOrig, curOrig[i])
-				}
-			}
-		}
-		cur, curOrig = next, nextOrig
-	}
-	if len(results) > k {
-		results = results[:k]
-	}
-	sp.record(ModeTopKBFS, len(e.candidates(step.Tag)), len(frontier), len(results))
-	sp.touch(touched)
-	return results, nil
-}
-
-// tierByElem sorts a BFS tier by element ID, carrying the witness
-// origins along.
-type tierByElem struct {
-	elems, orig []int32
-}
-
-func (t *tierByElem) Len() int           { return len(t.elems) }
-func (t *tierByElem) Less(i, j int) bool { return t.elems[i] < t.elems[j] }
-func (t *tierByElem) Swap(i, j int) {
-	t.elems[i], t.elems[j] = t.elems[j], t.elems[i]
-	t.orig[i], t.orig[j] = t.orig[j], t.orig[i]
-}
-
-// rankedTopK evaluates the final ranked descendant step with
-// early-termination pushdown (a threshold algorithm over center score
-// bounds):
-//
-//  1. distribute the frontier over its Lout centers exactly as the
-//     batch evaluator does (phase 1 is shared);
-//  2. give every center an upper bound on the score any candidate can
-//     obtain through it — max over its arrivals of score/(1+dist) for
-//     the center itself as a candidate, and score/(1+dist+1) for
-//     candidates joined through a Lin entry (stored Lin distances are
-//     ≥ 1);
-//  3. expand centers in descending bound order, exact-scoring each
-//     newly discovered candidate over the FULL arrivals map (so partial
-//     expansion never mis-scores anyone), and stop as soon as the next
-//     bound is strictly below the k-th best exact score — every
-//     undiscovered candidate is then provably outside the top k.
-//
-// Bounds that EQUAL the current threshold keep expanding: a tied
-// candidate can still displace the k-th result on the element-ID
-// tiebreak, so the returned top k is exactly the first k entries of the
-// fully materialized, (score desc, id asc)-sorted result — limited
-// ranked queries are a strict prefix of unlimited ones. With a resume
-// boundary, results at or before the boundary are discarded and the
-// threshold tracks the k-th best strictly-after-boundary score.
-func (e *Engine) rankedTopK(frontier map[int32]state, step Step, k int, after *matchPos, cc *canceller, sp *StepPlan) ([]Match, error) {
-	cov := e.ix.Cover()
-	post := e.ix.Postings().Postings()
-	cyclic := e.ix.CyclicSet()
-	tagSet := e.candidateBits(step.Tag)
-
-	arrivals, err := e.distributeArrivals(frontier, cc)
-	if err != nil {
-		return nil, err
-	}
-	touched := 0
-	for f := range frontier {
-		touched += len(cov.Lout(f))
-	}
-
-	// Bounds come from the RAW arrival lists (a max is pruning-
-	// invariant); pruning happens lazily inside scoreCandidate, so
-	// centers the scan never consults never pay the sort.
-	bounds := make([]centerBound, 0, len(arrivals))
-	for x, ca := range arrivals {
-		b := -1.0
-		for _, a := range ca.rest {
-			if s := a.score / float64(1+a.dist); s > b {
-				b = s // x itself as a direct candidate
-			}
-			if s := a.score / float64(1+a.dist+1); s > b {
-				b = s // joined through a Lin entry (dist ≥ 1)
-			}
-		}
-		if ca.implicit != nil {
-			if s := ca.implicit.score / 2; s > b {
-				b = s // implicit zero-distance arrival, Lin dist ≥ 1
-			}
-		}
-		if b > 0 {
-			bounds = append(bounds, centerBound{center: x, bound: b})
-		}
-	}
-	sort.Slice(bounds, func(i, j int) bool {
-		if bounds[i].bound != bounds[j].bound {
-			return bounds[i].bound > bounds[j].bound
-		}
-		return bounds[i].center < bounds[j].center
-	})
-
-	seen := e.scratch.Get(e.scratchSize())
-	defer e.scratch.Put(seen)
-	var results []Match
-	sh := &scoreHeap{k: k}
-
-	exact := func(c int32) {
-		if !tagSet.Has(int(c)) || seen.Has(int(c)) {
-			return
-		}
-		seen.Set(int(c))
-		touched += len(cov.Lin(c))
-		best := e.scoreCandidate(c, arrivals, frontier)
-		if best.score <= 0 {
-			return
-		}
-		m := Match{Element: c, Score: best.score, Path: appendPath(frontier[best.from].path, c)}
-		if after != nil && !after.before(m) {
-			return // at or before the resume point: already emitted
-		}
-		results = append(results, m)
-		sh.push(m.Score)
-	}
-
-	// Cyclic frontier self-matches are candidates independent of any
-	// center expansion — score them up front.
-	for f := range frontier {
-		if cyclic.Has(int(f)) {
-			exact(f)
-		}
-	}
-	expanded := 0
-	for _, cb := range bounds {
-		if sh.full() && cb.bound < sh.kth() {
-			break
-		}
-		if err := cc.check(); err != nil {
-			return nil, err
-		}
-		expanded++
-		exact(cb.center)
-		owners := post.InOwners(cb.center)
-		touched += len(owners)
-		for _, c := range owners {
-			exact(c)
-		}
-	}
-
-	sortMatches(results)
-	if len(results) > k {
-		results = results[:k]
-	}
-	if sp != nil {
-		sp.Centers = expanded
-	}
-	sp.record(ModeTopK, len(e.candidates(step.Tag)), len(frontier), len(results))
-	sp.touch(touched)
-	return results, nil
 }
 
 // Explain runs the query to completion (under the given limit and

@@ -29,6 +29,11 @@ func drainStream(t *testing.T, e *Engine, q *Query, opts StreamOpts) []Match {
 	return out
 }
 
+// sameMatch compares element, score and witness path.
+func sameMatch(a, b Match) bool {
+	return a.Element == b.Element && a.Score == b.Score && slices.Equal(a.Path, b.Path)
+}
+
 func matchElems(ms []Match) []int32 {
 	out := make([]int32, len(ms))
 	for i, m := range ms {
@@ -90,8 +95,8 @@ func TestStreamEquivalence(t *testing.T) {
 					}
 				}
 
-				// ranked: limited results are an exact prefix (elements AND
-				// scores) of the materialized ranking
+				// ranked: limited results are an exact prefix (elements,
+				// scores AND witness paths) of the materialized ranking
 				for limit := 0; limit <= len(fullRanked)+2; limit++ {
 					got := drainStream(t, e, q, StreamOpts{Ranked: true, Limit: limit})
 					want := fullRanked
@@ -103,9 +108,9 @@ func TestStreamEquivalence(t *testing.T) {
 							seed, mode, expr, limit, len(got), len(want))
 					}
 					for j := range got {
-						if got[j].Element != want[j].Element || got[j].Score != want[j].Score {
-							t.Fatalf("seed %d mode %v %q ranked limit %d: [%d] = (%d, %g), want (%d, %g)",
-								seed, mode, expr, limit, j, got[j].Element, got[j].Score, want[j].Element, want[j].Score)
+						if !sameMatch(got[j], want[j]) {
+							t.Fatalf("seed %d mode %v %q ranked limit %d: [%d] = %+v, want %+v",
+								seed, mode, expr, limit, j, got[j], want[j])
 						}
 					}
 				}
@@ -125,8 +130,9 @@ func TestStreamEquivalence(t *testing.T) {
 							seed, mode, expr, i, lim, len(got), len(want))
 					}
 					for j := range got {
-						if got[j].Element != want[j].Element || got[j].Score != want[j].Score {
-							t.Fatalf("seed %d mode %v %q ranked resume %d: [%d] diverged", seed, mode, expr, i, j)
+						if !sameMatch(got[j], want[j]) {
+							t.Fatalf("seed %d mode %v %q ranked resume %d: [%d] = %+v, want %+v",
+								seed, mode, expr, i, j, got[j], want[j])
 						}
 					}
 				}
@@ -136,7 +142,8 @@ func TestStreamEquivalence(t *testing.T) {
 }
 
 // TestStreamForcedPairwise: the materialized fallback path (forced
-// pairwise mode) agrees with the pushdown path on limits and resume.
+// pairwise mode) agrees with the pushdown path on limits and resume —
+// elements, scores and witness paths.
 func TestStreamForcedPairwise(t *testing.T) {
 	c := cyclicCollection(3)
 	ix, err := core.Build(c, core.Options{
@@ -160,9 +167,8 @@ func TestStreamForcedPairwise(t *testing.T) {
 					t.Fatalf("%q ranked=%v limit %d: pairwise %d vs semijoin %d results", expr, ranked, limit, len(a), len(b))
 				}
 				for j := range a {
-					if a[j].Element != b[j].Element || a[j].Score != b[j].Score {
-						t.Fatalf("%q ranked=%v limit %d: [%d] = (%d,%g) vs (%d,%g)",
-							expr, ranked, limit, j, a[j].Element, a[j].Score, b[j].Element, b[j].Score)
+					if !sameMatch(a[j], b[j]) {
+						t.Fatalf("%q ranked=%v limit %d: [%d] = %+v vs %+v", expr, ranked, limit, j, a[j], b[j])
 					}
 				}
 			}
@@ -276,22 +282,21 @@ func TestExplainPlan(t *testing.T) {
 			lim.Steps[1].Postings, full.Steps[1].Postings)
 	}
 
-	// a uniform-score frontier (every 2-step query) takes the BFS top-k
+	// every ranked // step, limited or not, runs the one label kernel
 	ranked, err := e.Explain(context.Background(), q, true, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ranked.Steps[1].Mode != ModeTopKBFS || ranked.Matches != 10 {
+	if ranked.Steps[1].Mode != ModeRankedSemijoin || ranked.Matches != 10 {
 		t.Fatalf("ranked limited plan: %+v", ranked)
 	}
-	// a non-uniform frontier (scores diverge after the first //) takes
-	// the threshold top-k over center bounds
+	// a mixed-score frontier (scores diverge after the first //) too
 	q3, _ := Parse("//article//cite//author")
 	ranked3, err := e.Explain(context.Background(), q3, true, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := ranked3.Steps[2].Mode; got != ModeTopK && got != ModeTopKBFS {
+	if ranked3.Steps[2].Mode != ModeRankedSemijoin || ranked3.Matches != 5 {
 		t.Fatalf("3-step ranked limited plan: %+v", ranked3)
 	}
 }

@@ -105,7 +105,7 @@ func (p *PreparedQuery) Steps() []PreparedStep {
 
 // Plan is the EXPLAIN report of one query execution: per step, the
 // candidate-set size, the evaluator the engine chose (semijoin vs
-// pairwise vs the cursor's streaming/top-k variants), the frontier
+// pairwise vs the cursor's streaming variants), the frontier
 // sizes, and the posting entries touched. See Snapshot.Explain.
 type Plan = query.Plan
 
