@@ -13,6 +13,7 @@ import (
 	"math/rand"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"hopi/internal/core"
 	"hopi/internal/experiments"
@@ -520,6 +521,49 @@ func BenchmarkPathQueryRanked(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// --- snapshot publication -----------------------------------------------------
+
+// BenchmarkSnapshotAfterInsert measures what one write costs the next
+// reader: each op applies a benchmark-shaped insert (a new document
+// with two outward citation links) to a 2,000-document distance-aware
+// index, then publishes the snapshot that observes it. publish-ns/op
+// is the Snapshot call alone.
+func BenchmarkSnapshotAfterInsert(b *testing.B) {
+	const docs = 2000
+	opts := DefaultOptions()
+	opts.WithDistance = true
+	opts.Seed = benchSeed
+	ix, err := Build(WrapCollection(benchDBLP(docs)), opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ix.Snapshot()
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(benchSeed))
+	var publish time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		name := fmt.Sprintf("snap%06d.xml", i)
+		nd := NewDocument(name, "article")
+		nd.AddElement(nd.Root(), "title")
+		nd.AddElement(nd.Root(), "author")
+		c1 := nd.AddElement(nd.Root(), "cite")
+		c2 := nd.AddElement(nd.Root(), "cite")
+		bt := NewBatch()
+		bt.InsertDocument(nd)
+		bt.InsertLink(name, c1, fmt.Sprintf("pub%05d.xml", rng.Intn(docs)), 0)
+		bt.InsertLink(name, c2, fmt.Sprintf("pub%05d.xml", rng.Intn(docs)), 0)
+		if _, err := ix.Apply(ctx, bt); err != nil {
+			b.Fatal(err)
+		}
+		start := time.Now()
+		ix.Snapshot()
+		publish += time.Since(start)
+	}
+	b.ReportMetric(float64(publish.Nanoseconds())/float64(b.N), "publish-ns/op")
 }
 
 // --- sharded serving --------------------------------------------------------

@@ -80,6 +80,7 @@ func TestMetricsExposition(t *testing.T) {
 		// engine families (Index.Metrics, attached as a sub-registry)
 		"hopi_query_seconds",
 		"hopi_apply_seconds",
+		"hopi_snapshot_publish_seconds",
 		"hopi_wal_fsync_seconds",
 		"hopi_replication_lag_batches",
 		"hopi_segment_stack_depth",

@@ -32,10 +32,11 @@
 //
 //   - Maintenance goes through a Batch (InsertDocument, InsertXML,
 //     InsertEdge, DeleteEdge, DeleteDocument, ModifyDocument, Rebuild)
-//     applied with Index.Apply under an internal write lock. The
-//     snapshot and its engine are rebuilt once per batch, not once per
-//     call. The per-operation maintenance methods on Index remain as
-//     single-op batches for compatibility.
+//     applied with Index.Apply under an internal write lock. A new
+//     snapshot is published once per batch, not once per call, at a
+//     cost that follows what the batch changed. The per-operation
+//     maintenance methods on Index remain as single-op batches for
+//     compatibility.
 //
 // # Prepared queries, cursors, EXPLAIN
 //
@@ -69,6 +70,7 @@ import (
 	"os"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"hopi/internal/core"
 	"hopi/internal/partition"
@@ -159,8 +161,14 @@ type Index struct {
 	coll   *Collection
 	ix     *core.Index
 	cur    atomic.Pointer[Snapshot] // latest published snapshot, nil after a batch
-	epoch  atomic.Uint64            // opaque version stamp; see newEpoch
-	dur    *durableState            // attached store backend, nil for in-memory indexes
+	// last is the latest snapshot ever published, kept across batches:
+	// the next snapshot derives its query engine from it. Read and
+	// written by Snapshot under snapMu; reset to nil under mu's write
+	// side when the live state is replaced wholesale (a follower
+	// bootstrap), since derivation needs the same collection's history.
+	last  *Snapshot
+	epoch atomic.Uint64 // opaque version stamp; see newEpoch
+	dur   *durableState // attached store backend, nil for in-memory indexes
 	// seqEpoch marks the epoch as the durable WAL batch sequence
 	// instead of a random per-instance counter; written under mu's
 	// write side, read under either side. See Snapshot.Epoch.
@@ -236,9 +244,13 @@ func (ix *Index) Snapshot() *Snapshot {
 	}
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	s := newSnapshot(ix.ix, ix.epoch.Load(), ix.seqEpoch, ix.scope)
-	s.met = ix.metrics()
+	met := ix.metrics()
+	start := time.Now()
+	s := newSnapshot(ix.ix, ix.last, ix.epoch.Load(), ix.seqEpoch, ix.scope)
+	s.met = met
+	ix.last = s
 	ix.cur.Store(s)
+	met.snapshotPublish.ObserveSince(start)
 	return s
 }
 

@@ -76,6 +76,28 @@ func computeCyclic(c *xmlmodel.Collection) *cyclicInfo {
 
 func (ci *cyclicInfo) onCycle(u int32) bool { return ci.on.Has(int(u)) }
 
+// sameComp reports whether u and v lie in one nontrivial SCC, i.e.
+// whether an edge between them can lie on a cycle.
+func (ci *cyclicInfo) sameComp(u, v int32) bool {
+	cu, ok := ci.comp[u]
+	if !ok {
+		return false
+	}
+	cv, ok := ci.comp[v]
+	return ok && cu == cv
+}
+
+// hasCycle reports whether g has a cycle: a strongly connected
+// component of two or more nodes (Digraph drops self loops).
+func hasCycle(g *graph.Digraph) bool {
+	for _, members := range graph.SCC(g).Comps {
+		if len(members) > 1 {
+			return true
+		}
+	}
+	return false
+}
+
 // cycleDist returns the shortest cycle length through u (InfDist when
 // u is not on any cycle), computing the distances of u's whole
 // component on first use.

@@ -116,6 +116,24 @@ func TestNewFromCoverSupportsMaintenance(t *testing.T) {
 	}
 }
 
+// TestNewFromCoverRebuildKeepsDistances: a reattached distance-aware
+// cover (a reopened store) must rebuild distance-aware, or distance
+// queries would start failing after a Rebuild.
+func TestNewFromCoverRebuildKeepsDistances(t *testing.T) {
+	c := citeCollection(rand.New(rand.NewSource(4)), 6)
+	built := buildFor(t, c, true, 4)
+	re := NewFromCover(c, built.Cover().Clone())
+	if err := re.Rebuild(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := re.Distance(c.GlobalID(0, 0), c.GlobalID(1, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := re.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestDeleteAllDocuments drains a collection one document at a time;
 // the cover must stay exact to the very end.
 func TestDeleteAllDocuments(t *testing.T) {

@@ -21,7 +21,7 @@ type Index struct {
 	ixMu  sync.Mutex      // guards the lazy init of ix under concurrent readers
 	ix    *psg.CoverIndex // center→owners postings for ancestor/descendant, semijoins + maintenance
 	cycMu sync.Mutex      // guards the lazy init of cyc
-	cyc   *cyclicInfo     // derived cycle info; nil after structural mutations
+	cyc   *cyclicInfo     // derived cycle info; nil after a mutation that can change it
 	opts  Options
 	stats BuildStats
 	log   *ChangeLog // active maintenance recording, nil outside StartRecording
@@ -65,10 +65,13 @@ func DefaultOptions() Options {
 }
 
 // NewFromCover wraps an existing cover (for example one adopting the
-// sealed segments of a store) as a queryable, maintainable index. The
-// options are used for future Rebuild calls.
+// sealed segments of a store) as a queryable, maintainable index.
+// Future Rebuild calls use the default options, distance-aware when
+// the cover is.
 func NewFromCover(c *xmlmodel.Collection, cover *twohop.Cover) *Index {
-	return newIndex(c, cover, DefaultOptions(), BuildStats{})
+	opts := DefaultOptions()
+	opts.WithDistance = cover.WithDist
+	return newIndex(c, cover, opts, BuildStats{})
 }
 
 // Collection returns the indexed collection.
@@ -164,11 +167,21 @@ func (ix *Index) cyclic() *cyclicInfo {
 	return ix.cyc
 }
 
-// invalidateCyclic drops the derived cycle info after any structural
-// mutation (edges and documents can open or close cycles).
+// invalidateCyclic drops the derived cycle info after a structural
+// mutation that can open or close a cycle.
 func (ix *Index) invalidateCyclic() {
+	ix.dropCyclicIf(func(*cyclicInfo) bool { return true })
+}
+
+// dropCyclicIf drops the derived cycle info when stale reports that a
+// structural mutation may have changed it. Kept info stays shared with
+// the snapshots that already hold it, so batches that open and close
+// no cycle spare the next snapshot a pass over the element graph.
+func (ix *Index) dropCyclicIf(stale func(*cyclicInfo) bool) {
 	ix.cycMu.Lock()
-	ix.cyc = nil
+	if ix.cyc != nil && stale(ix.cyc) {
+		ix.cyc = nil
+	}
 	ix.cycMu.Unlock()
 }
 
@@ -197,10 +210,12 @@ func (ix *Index) ReachesProper(u, v int32) bool {
 	return ix.cover.Reaches(u, v)
 }
 
-// Clone returns a deep copy of the index: the collection, the cover,
-// and the build metadata. The derived structures carry over cheaply:
+// Clone returns a copy of the index: the collection, the cover, and
+// the build metadata. Nothing is copied eagerly beyond the cover's
+// node spines: the collection and the cover share their documents and
+// label lists copy-on-write (each side copies what it writes first),
 // the posting index is shared as an immutable view (copy-on-write on
-// the live side) and the cycle info — immutable once computed — by
+// the live side), and the cycle info — immutable once computed — by
 // pointer. Snapshot isolation builds on this: the clone can serve
 // queries while the original is maintained (or vice versa) with no
 // shared mutable state.

@@ -26,7 +26,10 @@ func (ix *Index) InsertEdge(from, to int32) error {
 	}
 	ix.recordColl(CollOp{Kind: CollAddLink, From: from, To: to})
 	ix.coverIndex().IntegrateLink(from, to)
-	ix.invalidateCyclic() // the new edge may close cycles
+	if ix.cover.Reaches(to, from) {
+		// the only way the edge changes cycles: it closes one
+		ix.invalidateCyclic()
+	}
 	return nil
 }
 
@@ -44,15 +47,15 @@ func (ix *Index) InsertDocument(d *xmlmodel.Document) (int, error) {
 		ix.recordColl(CollOp{Kind: CollAddDoc, Doc: d.Clone()})
 	}
 	ix.cover.Grow(ix.coll.NumAllocatedIDs())
-	if len(d.IntraLinks) > 0 {
-		// only intra-document links can form cycles; a pure tree over
-		// fresh (never reused) IDs leaves the derived cycle info valid,
-		// so insert-only batches keep sharing it across snapshots
-		ix.invalidateCyclic()
-	}
 
 	// cover for the document's own element-level graph
 	g := docGraph(d)
+	if len(d.IntraLinks) > 0 && hasCycle(g) {
+		// A new document over fresh (never reused) IDs has no edge to
+		// the rest of the graph yet, so only a cycle of its own
+		// intra-document links can change the cycle info.
+		ix.invalidateCyclic()
+	}
 	var cov *twohop.Cover
 	if ix.cover.WithDist {
 		dm := graph.NewDistanceMatrix(g)
@@ -181,7 +184,7 @@ func (ix *Index) deleteSeparating(docIdx int) {
 	})
 	ix.coll.RemoveDocument(docIdx)
 	ix.recordColl(CollOp{Kind: CollRemoveDoc, DocIdx: docIdx})
-	ix.invalidateCyclic()
+	ix.dropCyclicIf(func(ci *cyclicInfo) bool { return ci.on.Intersects(vdi) })
 }
 
 func elementSet(c *xmlmodel.Collection, docs graph.Bitset, n int) graph.Bitset {
@@ -266,7 +269,7 @@ func (ix *Index) deleteGeneral(docIdx int) {
 		ix.cover.ClearOut(v)
 		ix.cover.ClearIn(v)
 	}
-	ix.invalidateCyclic()
+	ix.dropCyclicIf(func(ci *cyclicInfo) bool { return ci.on.Intersects(vdiSet) })
 }
 
 // spliceHat merges a freshly computed regional cover into the global
@@ -351,7 +354,8 @@ func (ix *Index) DeleteEdge(from, to int32) error {
 		hat, _ = twohop.Build(cl, twohop.Options{Seed: ix.opts.Seed})
 	}
 	ix.spliceHat(hat, globals, aSet, aSet, dSet, nil)
-	ix.invalidateCyclic() // the removed edge may break cycles
+	// only an edge inside a cycle's component can break or lengthen one
+	ix.dropCyclicIf(func(ci *cyclicInfo) bool { return ci.sameComp(from, to) })
 	return nil
 }
 

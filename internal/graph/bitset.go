@@ -28,6 +28,15 @@ func (b Bitset) Set(i int) { b[i/wordBits] |= 1 << (uint(i) % wordBits) }
 // Clear removes i from the set.
 func (b Bitset) Clear(i int) { b[i/wordBits] &^= 1 << (uint(i) % wordBits) }
 
+// Grow returns a set with b's elements able to hold values in [0, n).
+// It reuses b when b is already large enough.
+func (b Bitset) Grow(n int) Bitset {
+	if w := (n + wordBits - 1) / wordBits; w > len(b) {
+		return append(b, make(Bitset, w-len(b))...)
+	}
+	return b
+}
+
 // Has reports whether i is in the set.
 func (b Bitset) Has(i int) bool {
 	w := i / wordBits

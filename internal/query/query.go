@@ -32,6 +32,7 @@ package query
 import (
 	"context"
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 	"sync"
@@ -225,6 +226,90 @@ func NewEngine(coll *xmlmodel.Collection, ix *core.Index) *Engine {
 	return e
 }
 
+// Derive returns the engine for coll and ix, a later state of e's
+// collection. Maintenance only appends documents (global IDs only
+// grow) and tombstones them (never revived), so the documents appended
+// or tombstoned since e determine the new tag index exactly: tag lists
+// and cached tag bitsets no such document touches are shared with e,
+// the others are patched. The cost follows the change, not the
+// collection. e stays valid for its own readers.
+func (e *Engine) Derive(coll *xmlmodel.Collection, ix *core.Index) *Engine {
+	d := &Engine{
+		coll: coll, ix: ix, mode: e.mode,
+		tags: e.tags, all: e.all, allBits: e.allBits,
+		n: coll.NumAllocatedIDs(), scratch: e.scratch,
+	}
+	if d.n != e.n {
+		// evaluation combines scratch bitsets word by word, so one
+		// engine's pool must hand out one size
+		d.scratch = graph.NewBitsetPool(d.n)
+	}
+	prev := e.coll
+	var gone graph.Bitset // IDs of documents tombstoned since e
+	added := map[string][]int32{}
+	var addedAll []int32
+	for i := range prev.Docs {
+		if prev.Alive(i) && !coll.Alive(i) {
+			gone = gone.Grow(d.n)
+			for _, id := range coll.DocIDs(i) {
+				gone.Set(int(id))
+			}
+			for _, el := range coll.Docs[i].Elements {
+				if _, ok := added[el.Tag]; !ok {
+					added[el.Tag] = nil // touched: IDs leave the list
+				}
+			}
+		}
+	}
+	for i := len(prev.Docs); i < len(coll.Docs); i++ {
+		if !coll.Alive(i) {
+			continue
+		}
+		// appended documents hold the largest IDs, in document order
+		for local, el := range coll.Docs[i].Elements {
+			id := coll.GlobalID(i, int32(local))
+			added[el.Tag] = append(added[el.Tag], id)
+			addedAll = append(addedAll, id)
+		}
+	}
+	e.tagBits.Range(func(tag, bits any) bool {
+		if _, touched := added[tag.(string)]; !touched {
+			d.tagBits.Store(tag, bits)
+		}
+		return true
+	})
+	if len(added) == 0 {
+		return d
+	}
+	d.tags = maps.Clone(e.tags)
+	for tag, ids := range added {
+		if list := patchIDs(e.tags[tag], gone, ids); len(list) > 0 {
+			d.tags[tag] = list
+		} else {
+			delete(d.tags, tag)
+		}
+	}
+	d.all = patchIDs(e.all, gone, addedAll)
+	d.allBits = e.allBits.Clone().Grow(d.n)
+	d.allBits.AndNot(gone)
+	for _, id := range addedAll {
+		d.allBits.Set(int(id))
+	}
+	return d
+}
+
+// patchIDs returns the sorted list with the IDs in gone removed and
+// add (all larger than any in list) appended, in a fresh slice.
+func patchIDs(list []int32, gone graph.Bitset, add []int32) []int32 {
+	out := make([]int32, 0, len(list)+len(add))
+	for _, id := range list {
+		if !gone.Has(int(id)) {
+			out = append(out, id)
+		}
+	}
+	return append(out, add...)
+}
+
 // SetEvalMode pins the descendant-step evaluator. Its only callers are
 // the equivalence tests and Go benchmarks of this package, which run
 // the semijoin and the reference evaluator (EvalPairwise) on identical
@@ -233,7 +318,7 @@ func (e *Engine) SetEvalMode(m EvalMode) { e.mode = m }
 
 // Refresh rebuilds the tag index after collection maintenance. It
 // mutates the engine: never call it on an engine shared with
-// concurrent readers (snapshots build a fresh engine instead).
+// concurrent readers (snapshots Derive a new engine instead).
 func (e *Engine) Refresh() {
 	e.tags = e.coll.ElementsByTag()
 	e.n = e.coll.NumAllocatedIDs()

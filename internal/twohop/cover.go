@@ -14,6 +14,8 @@ package twohop
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"hopi/internal/graph"
@@ -37,6 +39,10 @@ type Entry struct {
 // of an immutable on-disk segment stack plus an in-memory delta, and
 // In/Out stay nil — readers must go through Lin/Lout, which cost
 // nothing extra in flat mode.
+//
+// Clone shares every label list between the two covers; the mutator
+// methods copy a list on its first write after a share (see claim).
+// Builders write In/Out directly and must do so before any Clone.
 type Cover struct {
 	In  [][]Entry
 	Out [][]Entry
@@ -46,6 +52,15 @@ type Cover struct {
 	// rec, when set, observes every effective label mutation made
 	// through the mutator methods; see SetRecorder in delta.go.
 	rec func(CoverDelta)
+
+	// Copy-on-write state. shared is set by Clone on both covers: from
+	// then on a node's lists may be another cover's too. inOwned and
+	// outOwned mark the nodes whose lists (segment mode: delta list and
+	// tombstone set) this cover has copied since, and mapsShared that
+	// the segment-mode delta and tombstone maps themselves still are.
+	shared            bool
+	inOwned, outOwned graph.Bitset
+	mapsShared        bool
 
 	// segment mode (see segcover.go); base == nil means flat mode.
 	base      *Base
@@ -113,14 +128,13 @@ func (c *Cover) AddIn(v, center int32, dist uint32) {
 	if v == center {
 		return
 	}
-	if c.base != nil {
-		if c.segAdd(c.dIn, c.tIn, segment.FamLin, v, center, dist) {
-			c.emit(DeltaAddIn, v, center, dist)
-		}
-		return
-	}
 	var changed bool
-	c.In[v], changed = addEntry(c.In[v], center, dist)
+	if c.base != nil {
+		c.ownIn(v)
+		changed = c.segAdd(c.dIn, c.tIn, segment.FamLin, v, center, dist)
+	} else {
+		changed = c.addFlat(c.In, &c.inOwned, v, center, dist)
+	}
 	if changed {
 		c.emit(DeltaAddIn, v, center, dist)
 	}
@@ -131,21 +145,60 @@ func (c *Cover) AddOut(u, center int32, dist uint32) {
 	if u == center {
 		return
 	}
-	if c.base != nil {
-		if c.segAdd(c.dOut, c.tOut, segment.FamLout, u, center, dist) {
-			c.emit(DeltaAddOut, u, center, dist)
-		}
-		return
-	}
 	var changed bool
-	c.Out[u], changed = addEntry(c.Out[u], center, dist)
+	if c.base != nil {
+		c.ownOut(u)
+		changed = c.segAdd(c.dOut, c.tOut, segment.FamLout, u, center, dist)
+	} else {
+		changed = c.addFlat(c.Out, &c.outOwned, u, center, dist)
+	}
 	if changed {
 		c.emit(DeltaAddOut, u, center, dist)
 	}
 }
 
-// addEntry inserts or min-merges an entry, reporting whether the list
-// actually changed (new center, or an existing one got closer).
+// addFlat is AddIn/AddOut on the flat lists of one side. It reports
+// whether lists[v] changed; a list shared with a clone is written into
+// a fresh slice instead of in place.
+func (c *Cover) addFlat(lists [][]Entry, owned *graph.Bitset, v, center int32, dist uint32) bool {
+	list := lists[v]
+	i := sort.Search(len(list), func(i int) bool { return list[i].Center >= center })
+	found := i < len(list) && list[i].Center == center
+	if found && dist >= list[i].Dist {
+		return false
+	}
+	e := Entry{Center: center, Dist: dist}
+	shared := c.claim(owned, v)
+	switch {
+	case found && shared:
+		list = slices.Clone(list)
+		list[i] = e
+	case found:
+		list[i] = e
+	case shared:
+		list = slices.Concat(list[:i], []Entry{e}, list[i:])
+	default:
+		list = slices.Insert(list, i, e)
+	}
+	lists[v] = list
+	return true
+}
+
+// removeFlat drops list[i] from the flat list of node v: in place when
+// this cover owns the list, into a fresh slice when it may be shared.
+func (c *Cover) removeFlat(list []Entry, owned *graph.Bitset, v int32, i int) []Entry {
+	switch {
+	case len(list) == 1:
+		return nil
+	case c.claim(owned, v):
+		return slices.Concat(list[:i], list[i+1:])
+	}
+	return slices.Delete(list, i, i+1)
+}
+
+// addEntry inserts or min-merges an entry in place, reporting whether
+// the list actually changed (new center, or an existing one got
+// closer).
 func addEntry(list []Entry, center int32, dist uint32) ([]Entry, bool) {
 	i := sort.Search(len(list), func(i int) bool { return list[i].Center >= center })
 	if i < len(list) && list[i].Center == center {
@@ -159,6 +212,50 @@ func addEntry(list []Entry, center int32, dist uint32) ([]Entry, bool) {
 	copy(list[i+1:], list[i:])
 	list[i] = Entry{Center: center, Dist: dist}
 	return list, true
+}
+
+// ownIn makes a segment-mode cover's delta list and tombstone set of
+// node v safe to write in place: after a Clone the first write copies
+// them, and the ownership bit spares later writes the copy until the
+// next Clone.
+func (c *Cover) ownIn(v int32) {
+	if c.claim(&c.inOwned, v) {
+		cloneNode(c.dIn, c.tIn, v)
+	}
+}
+
+// ownOut is ownIn for the out side.
+func (c *Cover) ownOut(u int32) {
+	if c.claim(&c.outOwned, u) {
+		cloneNode(c.dOut, c.tOut, u)
+	}
+}
+
+// claim reports whether node v's list on one side must be copied
+// before a write, marking it owned. A segment-mode cover first takes
+// its own copy of the delta and tombstone maps (list and set headers
+// only).
+func (c *Cover) claim(owned *graph.Bitset, v int32) bool {
+	if !c.shared || owned.Has(int(v)) {
+		return false
+	}
+	*owned = owned.Grow(c.N())
+	owned.Set(int(v))
+	if c.mapsShared {
+		c.dIn, c.dOut = maps.Clone(c.dIn), maps.Clone(c.dOut)
+		c.tIn, c.tOut = maps.Clone(c.tIn), maps.Clone(c.tOut)
+		c.mapsShared = false
+	}
+	return true
+}
+
+func cloneNode(delta map[int32][]Entry, tombs map[int32]map[int32]struct{}, v int32) {
+	if list, ok := delta[v]; ok {
+		delta[v] = slices.Clone(list)
+	}
+	if dead, ok := tombs[v]; ok {
+		tombs[v] = maps.Clone(dead)
+	}
 }
 
 // Finish sorts and deduplicates all labels; builders call it once after
@@ -279,50 +376,24 @@ func intersects(a, b []Entry) bool {
 	return false
 }
 
-// Clone returns a deep copy. In segment mode the immutable base is
-// shared and only the delta maps are copied — an O(delta) snapshot
-// instead of O(|L|).
+// Clone returns a cover with the same labels that shares every label
+// list with c copy-on-write: both covers copy a list before their first
+// write to it. Flat mode copies only the In/Out spines (O(n) slice
+// headers); segment mode shares the sealed base and the delta and
+// tombstone maps outright, so a clone costs O(1). Callers must
+// serialize Clone against mutations of c, as for any mutation.
 func (c *Cover) Clone() *Cover {
+	c.shared, c.inOwned, c.outOwned = true, nil, nil
+	cl := &Cover{WithDist: c.WithDist, shared: true}
 	if c.base != nil {
-		cl := &Cover{
-			WithDist: c.WithDist,
-			base:     c.base,
-			dIn:      cloneDelta(c.dIn),
-			dOut:     cloneDelta(c.dOut),
-			tIn:      cloneTombs(c.tIn),
-			tOut:     cloneTombs(c.tOut),
-			nSeg:     c.nSeg,
-			sizeSeg:  c.sizeSeg,
-		}
+		c.mapsShared = true
+		cl.mapsShared = true
+		cl.base, cl.nSeg, cl.sizeSeg = c.base, c.nSeg, c.sizeSeg
+		cl.dIn, cl.dOut, cl.tIn, cl.tOut = c.dIn, c.dOut, c.tIn, c.tOut
 		return cl
 	}
-	n := c.N()
-	cl := NewCover(n, c.WithDist)
-	for i := 0; i < n; i++ {
-		cl.In[i] = append([]Entry(nil), c.In[i]...)
-		cl.Out[i] = append([]Entry(nil), c.Out[i]...)
-	}
+	cl.In, cl.Out = slices.Clone(c.In), slices.Clone(c.Out)
 	return cl
-}
-
-func cloneDelta(m map[int32][]Entry) map[int32][]Entry {
-	out := make(map[int32][]Entry, len(m))
-	for v, list := range m {
-		out[v] = append([]Entry(nil), list...)
-	}
-	return out
-}
-
-func cloneTombs(m map[int32]map[int32]struct{}) map[int32]map[int32]struct{} {
-	out := make(map[int32]map[int32]struct{}, len(m))
-	for v, set := range m {
-		s := make(map[int32]struct{}, len(set))
-		for c := range set {
-			s[c] = struct{}{}
-		}
-		out[v] = s
-	}
-	return out
 }
 
 // Verify checks the cover against a ground-truth closure: every

@@ -1,10 +1,12 @@
 package twohop
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"hopi/internal/graph"
+	"hopi/internal/segment"
 )
 
 func TestCoverAddAndLookup(t *testing.T) {
@@ -141,4 +143,73 @@ func randomDigraph(rng *rand.Rand, n, m int) *graph.Digraph {
 		g.AddEdge(int32(rng.Intn(n)), int32(rng.Intn(n)))
 	}
 	return g
+}
+
+// TestCloneCopyOnWrite mutates a cover and a growing family of its
+// clones independently, in flat and segment mode (sealing the original
+// mid-way), and checks each against a deep-copied flat reference that
+// saw the same mutations: no write through one cover may show in
+// another.
+func TestCloneCopyOnWrite(t *testing.T) {
+	for _, seg := range []bool{false, true} {
+		rng := rand.New(rand.NewSource(5))
+		const n = 50
+		c := randomCover(rng, n, true)
+		var store *segment.Store
+		if seg {
+			c, store = sealCover(t, t.TempDir(), c)
+		}
+		deepCopy := func(c *Cover) *Cover {
+			r := NewCover(0, c.WithDist)
+			r.Apply(c.SnapshotDeltas())
+			return r
+		}
+		covers, refs := []*Cover{c}, []*Cover{deepCopy(c)}
+		for round := 0; round < 6; round++ {
+			k := rng.Intn(len(covers))
+			covers = append(covers, covers[k].Clone())
+			refs = append(refs, deepCopy(refs[k]))
+			for i := 0; i < 300; i++ {
+				j := rng.Intn(len(covers))
+				v, ctr := int32(rng.Intn(n)), int32(rng.Intn(n))
+				d := uint32(rng.Intn(5))
+				drop := func(center int32) bool { return center%3 == ctr%3 }
+				var entries []Entry // SetOut stores what it is given; no self entries
+				for _, e := range []Entry{{Center: ctr, Dist: d}, {Center: (ctr + 7) % n, Dist: d + 1}} {
+					if e.Center != v {
+						entries = append(entries, e)
+					}
+				}
+				op := rng.Intn(9)
+				for _, x := range []*Cover{covers[j], refs[j]} {
+					switch op {
+					case 0, 1:
+						x.AddIn(v, ctr, d)
+					case 2, 3:
+						x.AddOut(v, ctr, d)
+					case 4:
+						x.RemoveIn(v, ctr)
+					case 5:
+						x.RemoveOut(v, ctr)
+					case 6:
+						x.FilterIn(v, drop)
+					case 7:
+						x.ClearOut(v)
+					case 8:
+						x.SetOut(v, append([]Entry(nil), entries...))
+					}
+				}
+			}
+			if seg && round == 3 {
+				st, err := store.Seal(2, covers[0].N(), int64(covers[0].Size()), covers[0].DeltaRecords())
+				if err != nil {
+					t.Fatal(err)
+				}
+				covers[0].SealSwap(NewBase(st))
+			}
+			for j := range covers {
+				checkEqual(t, refs[j], covers[j], fmt.Sprintf("seg=%v round %d cover %d", seg, round, j))
+			}
+		}
+	}
 }

@@ -3,6 +3,7 @@ package twohop
 import (
 	"slices"
 
+	"hopi/internal/graph"
 	"hopi/internal/segment"
 )
 
@@ -96,6 +97,7 @@ func (c *Cover) Apply(ops []CoverDelta) {
 				n := c.nSeg
 				c.base = nil
 				c.dIn, c.dOut, c.tIn, c.tOut = nil, nil, nil, nil
+				c.mapsShared = false
 				c.nSeg, c.sizeSeg = 0, 0
 				c.In = make([][]Entry, n)
 				c.Out = make([][]Entry, n)
@@ -181,16 +183,14 @@ func sortedSet(s map[int32]struct{}) []int32 {
 // RemoveIn deletes center from Lin(v); a no-op when absent.
 func (c *Cover) RemoveIn(v, center int32) {
 	if c.base != nil {
+		c.ownIn(v)
 		if c.segRemove(c.dIn, c.tIn, segment.FamLin, v, center) {
 			c.emit(DeltaRemoveIn, v, center, 0)
 		}
 		return
 	}
 	if i := findCenter(c.In[v], center); i >= 0 {
-		c.In[v] = append(c.In[v][:i], c.In[v][i+1:]...)
-		if len(c.In[v]) == 0 {
-			c.In[v] = nil
-		}
+		c.In[v] = c.removeFlat(c.In[v], &c.inOwned, v, i)
 		c.emit(DeltaRemoveIn, v, center, 0)
 	}
 }
@@ -198,16 +198,14 @@ func (c *Cover) RemoveIn(v, center int32) {
 // RemoveOut deletes center from Lout(u); a no-op when absent.
 func (c *Cover) RemoveOut(u, center int32) {
 	if c.base != nil {
+		c.ownOut(u)
 		if c.segRemove(c.dOut, c.tOut, segment.FamLout, u, center) {
 			c.emit(DeltaRemoveOut, u, center, 0)
 		}
 		return
 	}
 	if i := findCenter(c.Out[u], center); i >= 0 {
-		c.Out[u] = append(c.Out[u][:i], c.Out[u][i+1:]...)
-		if len(c.Out[u]) == 0 {
-			c.Out[u] = nil
-		}
+		c.Out[u] = c.removeFlat(c.Out[u], &c.outOwned, u, i)
 		c.emit(DeltaRemoveOut, u, center, 0)
 	}
 }
@@ -223,7 +221,7 @@ func (c *Cover) FilterIn(v int32, drop func(center int32) bool) {
 		}
 		return
 	}
-	c.In[v] = c.filter(DeltaRemoveIn, v, c.In[v], drop)
+	c.In[v] = c.filter(DeltaRemoveIn, v, c.In[v], &c.inOwned, drop)
 }
 
 // FilterOut removes every Lout(u) entry whose center drop reports true.
@@ -236,12 +234,26 @@ func (c *Cover) FilterOut(u int32, drop func(center int32) bool) {
 		}
 		return
 	}
-	c.Out[u] = c.filter(DeltaRemoveOut, u, c.Out[u], drop)
+	c.Out[u] = c.filter(DeltaRemoveOut, u, c.Out[u], &c.outOwned, drop)
 }
 
-func (c *Cover) filter(kind DeltaKind, node int32, list []Entry, drop func(int32) bool) []Entry {
-	out := list[:0]
-	for _, e := range list {
+// filter returns list without the entries whose center drop selects,
+// emitting one remove delta per dropped entry. It filters in place,
+// unless the list may be shared with a clone: then the result goes to
+// a fresh slice.
+func (c *Cover) filter(kind DeltaKind, node int32, list []Entry, owned *graph.Bitset, drop func(int32) bool) []Entry {
+	i := 0
+	for i < len(list) && !drop(list[i].Center) {
+		i++
+	}
+	if i == len(list) {
+		return list
+	}
+	out := list[:i]
+	if c.claim(owned, node) {
+		out = append(make([]Entry, 0, len(list)-1), list[:i]...)
+	}
+	for _, e := range list[i:] {
 		if drop(e.Center) {
 			c.emit(kind, node, e.Center, 0)
 		} else {

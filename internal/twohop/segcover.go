@@ -277,10 +277,7 @@ func dead(tombs map[int32]struct{}, center int32) bool {
 func (c *Cover) AdoptBase(b *Base, n int, size int) {
 	c.setBase(b)
 	c.In, c.Out = nil, nil
-	c.dIn = map[int32][]Entry{}
-	c.dOut = map[int32][]Entry{}
-	c.tIn = map[int32]map[int32]struct{}{}
-	c.tOut = map[int32]map[int32]struct{}{}
+	c.resetDelta()
 	c.nSeg = n
 	c.sizeSeg = size
 }
@@ -300,10 +297,16 @@ func (c *Cover) setBase(b *Base) {
 // swap keep the old base + delta and stay consistent.
 func (c *Cover) SealSwap(b *Base) {
 	c.setBase(b)
+	c.resetDelta()
+}
+
+// resetDelta installs empty delta and tombstone maps, owned by c alone.
+func (c *Cover) resetDelta() {
 	c.dIn = map[int32][]Entry{}
 	c.dOut = map[int32][]Entry{}
 	c.tIn = map[int32]map[int32]struct{}{}
 	c.tOut = map[int32]map[int32]struct{}{}
+	c.mapsShared = false
 }
 
 // DeltaEntries returns the in-memory delta size (adds + tombstones

@@ -2,6 +2,8 @@ package xmlmodel
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"hopi/internal/graph"
@@ -25,48 +27,92 @@ type Collection struct {
 	alive  []bool
 	byName map[string]int
 	total  int32
+
+	// Copy-on-write state. shared is set by Clone on both collections:
+	// from then on the documents, Links, alive and byName may be the
+	// other collection's too. owned marks the fields and ownDocs the
+	// documents this collection has copied since.
+	shared  bool
+	owned   ownFields
+	ownDocs graph.Bitset
 }
+
+// ownFields names the shared fields a collection has copied.
+type ownFields uint8
+
+const (
+	ownDocList ownFields = 1 << iota
+	ownLinks
+	ownAlive
+	ownNames
+)
 
 // NewCollection returns an empty collection.
 func NewCollection() *Collection {
 	return &Collection{byName: map[string]int{}}
 }
 
-// Clone returns a deep copy of the collection: documents, links, and
-// the ID-allocation bookkeeping. The copy shares no mutable state with
-// the original, so one side can be maintained while the other serves
-// queries.
+// Clone returns a collection with the same documents, links and
+// ID-allocation bookkeeping that shares all of them with c
+// copy-on-write: each side's mutators copy what they are about to
+// write (a document, Links, alive, byName) on their first write after
+// the Clone, so one side can be maintained while the other serves
+// queries. Appends never copy: the clone's slices are clipped, so its
+// appends reallocate, while c's land past the end of every clone.
+// Clone costs O(1); callers serialize it against mutations of c.
 func (c *Collection) Clone() *Collection {
-	cp := &Collection{
-		Docs:   make([]*Document, len(c.Docs)),
-		base:   append([]int32(nil), c.base...),
-		alive:  append([]bool(nil), c.alive...),
-		byName: make(map[string]int, len(c.byName)),
+	c.shared, c.owned, c.ownDocs = true, 0, nil
+	return &Collection{
+		Docs:   slices.Clip(c.Docs),
+		Links:  slices.Clip(c.Links),
+		base:   slices.Clip(c.base),
+		alive:  slices.Clip(c.alive),
+		byName: c.byName,
 		total:  c.total,
+		shared: true,
 	}
-	for i, d := range c.Docs {
-		cp.Docs[i] = d.Clone()
+}
+
+// own reports whether field f must be copied before an in-place
+// write, marking it owned.
+func (c *Collection) own(f ownFields) bool {
+	if !c.shared || c.owned&f != 0 {
+		return false
 	}
-	if len(c.Links) > 0 {
-		cp.Links = append([]Link(nil), c.Links...)
+	c.owned |= f
+	return true
+}
+
+// writableDoc returns document idx ready for an in-place write of its
+// intra links, copying it first when it may be shared with a clone.
+func (c *Collection) writableDoc(idx int) *Document {
+	if c.shared && !c.ownDocs.Has(idx) {
+		if c.own(ownDocList) {
+			c.Docs = slices.Clone(c.Docs)
+		}
+		c.Docs[idx] = c.Docs[idx].withOwnLinks()
+		c.ownDocs = c.ownDocs.Grow(len(c.Docs))
+		c.ownDocs.Set(idx)
 	}
-	for name, i := range c.byName {
-		cp.byName[name] = i
-	}
-	return cp
+	return c.Docs[idx]
 }
 
 // AddDocument appends d and returns its document index. Global IDs
-// [base, base+len) are assigned to its elements.
+// [base, base+len) are assigned to its elements. The document is
+// sealed here: from now on readers of the collection only read it.
 func (c *Collection) AddDocument(d *Document) int {
 	if err := d.Validate(); err != nil {
 		panic(err)
 	}
+	d.Seal()
 	idx := len(c.Docs)
 	c.Docs = append(c.Docs, d)
 	c.base = append(c.base, c.total)
 	c.alive = append(c.alive, true)
 	if d.Name != "" {
+		if c.own(ownNames) {
+			c.byName = maps.Clone(c.byName)
+		}
 		c.byName[d.Name] = idx
 	}
 	c.total += int32(d.Len())
@@ -80,16 +126,21 @@ func (c *Collection) RemoveDocument(idx int) {
 	if !c.alive[idx] {
 		return
 	}
-	c.alive[idx] = false
-	kept := c.Links[:0]
-	for _, l := range c.Links {
-		if c.DocOfID(l.From) != idx && c.DocOfID(l.To) != idx {
-			kept = append(kept, l)
-		}
+	if c.own(ownAlive) {
+		c.alive = slices.Clone(c.alive)
 	}
-	c.Links = kept
-	if c.Docs[idx].Name != "" {
-		delete(c.byName, c.Docs[idx].Name)
+	c.alive[idx] = false
+	if c.own(ownLinks) {
+		c.Links = slices.Clone(c.Links)
+	}
+	c.Links = slices.DeleteFunc(c.Links, func(l Link) bool {
+		return c.DocOfID(l.From) == idx || c.DocOfID(l.To) == idx
+	})
+	if name := c.Docs[idx].Name; name != "" {
+		if c.own(ownNames) {
+			c.byName = maps.Clone(c.byName)
+		}
+		delete(c.byName, name)
 	}
 }
 
@@ -182,7 +233,7 @@ func (c *Collection) AddLink(from, to int32) error {
 		return nil
 	}
 	if fd == td {
-		c.Docs[fd].AddIntraLink(fl, tl)
+		c.writableDoc(fd).AddIntraLink(fl, tl)
 		return nil
 	}
 	c.Links = append(c.Links, Link{From: from, To: to})
@@ -196,22 +247,23 @@ func (c *Collection) RemoveLink(from, to int32) bool {
 	fd, fl := c.LocalID(from)
 	td, tl := c.LocalID(to)
 	if fd == td {
-		d := c.Docs[fd]
-		for i, l := range d.IntraLinks {
-			if l[0] == fl && l[1] == tl {
-				d.IntraLinks = append(d.IntraLinks[:i], d.IntraLinks[i+1:]...)
-				return true
-			}
+		i := slices.Index(c.Docs[fd].IntraLinks, [2]int32{fl, tl})
+		if i < 0 {
+			return false
 		}
+		d := c.writableDoc(fd)
+		d.IntraLinks = slices.Delete(d.IntraLinks, i, i+1)
+		return true
+	}
+	i := slices.Index(c.Links, Link{From: from, To: to})
+	if i < 0 {
 		return false
 	}
-	for i, l := range c.Links {
-		if l.From == from && l.To == to {
-			c.Links = append(c.Links[:i], c.Links[i+1:]...)
-			return true
-		}
+	if c.own(ownLinks) {
+		c.Links = slices.Clone(c.Links)
 	}
-	return false
+	c.Links = slices.Delete(c.Links, i, i+1)
+	return true
 }
 
 // AddLinkByAnchor records a link from a source element to the element

@@ -1,6 +1,12 @@
 package xmlmodel
 
-import "testing"
+import (
+	"bytes"
+	"fmt"
+	"maps"
+	"math/rand"
+	"testing"
+)
 
 // figureCollection builds a 3-document collection in the spirit of
 // Fig. 1 of the paper: nine elements spread over documents d1, d2, d3,
@@ -186,5 +192,104 @@ func TestAddLinkByAnchor(t *testing.T) {
 	}
 	if err := c.AddLinkByAnchor(0, 1, "d3", "nosuch"); err == nil {
 		t.Error("missing anchor accepted")
+	}
+}
+
+// TestCollectionCloneCopyOnWrite mutates a collection and a growing
+// family of its clones independently — document inserts and removals,
+// intra and inter links added and removed — and checks each against a
+// deep-copied reference that saw the same mutations: no write through
+// one collection may show in another.
+func TestCollectionCloneCopyOnWrite(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	newDoc := func(name string) *Document {
+		d := NewDocument(name, "a")
+		d.AddIntraLink(d.AddElement(d.AddElement(0, "b"), "c"), 0)
+		return d
+	}
+	deepCopy := func(c *Collection) *Collection {
+		var buf bytes.Buffer
+		if err := c.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		r, err := DecodeCollection(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	same := func(a, b *Collection, where string) {
+		t.Helper()
+		var ea, eb bytes.Buffer
+		if err := a.Encode(&ea); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Encode(&eb); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(ea.Bytes(), eb.Bytes()) {
+			t.Fatalf("%s: collections differ", where)
+		}
+		if !maps.Equal(a.byName, b.byName) {
+			t.Fatalf("%s: name indexes differ", where)
+		}
+	}
+
+	c := figureCollection(t)
+	colls, refs := []*Collection{c}, []*Collection{deepCopy(c)}
+	added := 0
+	for round := 0; round < 8; round++ {
+		k := rng.Intn(len(colls))
+		colls = append(colls, colls[k].Clone())
+		refs = append(refs, deepCopy(refs[k]))
+		for i := 0; i < 40; i++ {
+			j := rng.Intn(len(colls))
+			x, ref := colls[j], refs[j]
+			live := x.LiveDocIndexes()
+			if len(live) == 0 {
+				continue
+			}
+			d := live[rng.Intn(len(live))]
+			from := x.GlobalID(d, int32(rng.Intn(x.Docs[d].Len())))
+			other := live[rng.Intn(len(live))]
+			to := x.GlobalID(other, int32(rng.Intn(x.Docs[other].Len())))
+			switch rng.Intn(6) {
+			case 0:
+				added++
+				name := fmt.Sprintf("n%d", added)
+				x.AddDocument(newDoc(name))
+				ref.AddDocument(newDoc(name))
+			case 1:
+				if len(live) > 1 {
+					x.RemoveDocument(d)
+					ref.RemoveDocument(d)
+				}
+			case 2, 3:
+				if err := x.AddLink(from, to); err != nil {
+					t.Fatal(err)
+				}
+				if err := ref.AddLink(from, to); err != nil {
+					t.Fatal(err)
+				}
+			case 4:
+				if len(x.Links) > 0 {
+					l := x.Links[rng.Intn(len(x.Links))]
+					if x.RemoveLink(l.From, l.To) != ref.RemoveLink(l.From, l.To) {
+						t.Fatal("RemoveLink disagrees with its reference")
+					}
+				}
+			case 5:
+				if intra := x.Docs[d].IntraLinks; len(intra) > 0 {
+					l := intra[rng.Intn(len(intra))]
+					from, to := x.GlobalID(d, l[0]), x.GlobalID(d, l[1])
+					if x.RemoveLink(from, to) != ref.RemoveLink(from, to) {
+						t.Fatal("RemoveLink disagrees with its reference")
+					}
+				}
+			}
+		}
+		for j := range colls {
+			same(refs[j], colls[j], fmt.Sprintf("round %d collection %d", round, j))
+		}
 	}
 }

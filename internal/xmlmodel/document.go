@@ -11,7 +11,10 @@
 // itself deliberately ignores document order, as the paper argues.
 package xmlmodel
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Element is one XML element of a document.
 type Element struct {
@@ -47,9 +50,8 @@ func NewDocument(name, rootTag string) *Document {
 // Len returns the number of elements.
 func (d *Document) Len() int { return len(d.Elements) }
 
-// Clone returns a deep copy of the document. Maintenance operations
-// mutate documents in place (intra-link edits reuse backing arrays), so
-// snapshot isolation requires a full copy.
+// Clone returns a deep copy of the document, for a caller that keeps
+// it apart from every collection (a log record, another shard).
 func (d *Document) Clone() *Document {
 	cp := &Document{
 		Name:     d.Name,
@@ -68,6 +70,15 @@ func (d *Document) Clone() *Document {
 		cp.anchors[id] = local
 	}
 	return cp
+}
+
+// withOwnLinks returns a copy of d that shares everything but its
+// intra-link list — the one part of a document in a collection that
+// maintenance edits (Collection.AddLink, RemoveLink).
+func (d *Document) withOwnLinks() *Document {
+	cp := *d
+	cp.IntraLinks = slices.Clone(d.IntraLinks)
+	return &cp
 }
 
 // AddElement appends a child element under parent and returns its local
@@ -100,8 +111,8 @@ func (d *Document) AddIntraLink(from, to int32) {
 	d.IntraLinks = append(d.IntraLinks, [2]int32{from, to})
 }
 
-// Seal computes pre/postorder ranks. It is idempotent and called
-// automatically by accessors that need the ranks.
+// Seal computes pre/postorder ranks. It is idempotent; adding the
+// document to a collection seals it.
 func (d *Document) Seal() {
 	if d.sealed {
 		return
@@ -133,10 +144,19 @@ func (d *Document) Seal() {
 }
 
 // IsTreeAncestor reports whether element a is a (proper or equal)
-// ancestor of element b in the document tree, using the pre/post
-// interval property.
+// ancestor of element b in the document tree: by the pre/post interval
+// property on a sealed document, by walking b's parent chain on an
+// unsealed one. It only reads d, so concurrent readers of a document
+// shared between collections never race.
 func (d *Document) IsTreeAncestor(a, b int32) bool {
-	d.Seal()
+	if !d.sealed {
+		for ; b >= 0; b = d.Elements[b].Parent {
+			if b == a {
+				return true
+			}
+		}
+		return false
+	}
 	ea, eb := d.Elements[a], d.Elements[b]
 	return ea.Pre <= eb.Pre && ea.Post >= eb.Post
 }

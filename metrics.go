@@ -26,10 +26,13 @@ type indexMetrics struct {
 	// produced the results (see query.Plan.DominantMode).
 	queryLatency *obs.HistogramVec
 	applySeconds *obs.Histogram
-	maintSeconds *obs.HistogramVec // op: seal | compact
-	walAppend    *obs.Histogram
-	walFsync     *obs.Histogram
-	walBytes     *obs.Counter
+	// snapshotPublish times Snapshot's miss path: the first read after
+	// a batch pays it, so it is the write cost a reader sees.
+	snapshotPublish *obs.Histogram
+	maintSeconds    *obs.HistogramVec // op: seal | compact
+	walAppend       *obs.Histogram
+	walFsync        *obs.Histogram
+	walBytes        *obs.Counter
 }
 
 // Metrics returns the index's metric registry, for attaching to a
@@ -60,6 +63,9 @@ func newIndexMetrics(ix *Index) *indexMetrics {
 			obs.DefLatencyBuckets, "mode"),
 		applySeconds: r.Histogram("hopi_apply_seconds",
 			"Maintenance batch latency through Apply, commit included.",
+			obs.DefLatencyBuckets),
+		snapshotPublish: r.Histogram("hopi_snapshot_publish_seconds",
+			"Snapshot publication latency: the clone and engine derivation the first read after a batch pays.",
 			obs.DefLatencyBuckets),
 		maintSeconds: r.HistogramVec("hopi_maintenance_seconds",
 			"Durable maintenance durations: segment seals (checkpoints) and stack compactions.",

@@ -291,6 +291,7 @@ func (t *replTarget) Bootstrap(img *replication.Image) error {
 	ix.scope = img.Scope // adopt the primary's replication scope
 	ix.epoch.Store(img.Seq)
 	ix.cur.Store(nil)
+	ix.last = nil // a new collection: the next engine starts from scratch
 	ix.folClean = clean
 	t.store = store
 	// A (re-)bootstrap replaces the whole state: live-query sessions

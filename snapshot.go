@@ -7,13 +7,17 @@ import (
 	"hopi/internal/query"
 )
 
-// Snapshot is an immutable, point-in-time view of an Index: a deep
-// copy of the collection and cover plus a query engine built once for
-// the copy. Snapshots are safe for unlimited concurrent use and are
-// never invalidated — a reader keeps its snapshot for as long as it
-// likes while Apply publishes newer states behind it. Obtain one with
-// Index.Snapshot, which caches the latest snapshot and reuses it until
-// the next maintenance batch.
+// Snapshot is an immutable, point-in-time view of an Index: a
+// copy-on-write clone of the collection and cover plus a query engine
+// for the clone. Publishing one costs what the batches since the
+// previous snapshot changed, not the index size: the clone shares
+// every document and label list the live index has not rewritten
+// since, and the engine is the previous snapshot's, patched with the
+// documents appended or tombstoned since. Snapshots are safe for
+// unlimited concurrent use and are never invalidated — a reader keeps
+// its snapshot for as long as it likes while Apply publishes newer
+// states behind it. Obtain one with Index.Snapshot, which caches the
+// latest snapshot and reuses it until the next maintenance batch.
 type Snapshot struct {
 	coll  *Collection
 	ix    *core.Index
@@ -32,22 +36,28 @@ type Snapshot struct {
 	met *indexMetrics
 }
 
-func newSnapshot(src *core.Index, epoch uint64, seqEpoch bool, scope uint64) *Snapshot {
+// newSnapshot publishes src's current state. prev, when non-nil, is
+// the previous snapshot of the same live index; its engine is derived
+// rather than rebuilt.
+func newSnapshot(src *core.Index, prev *Snapshot, epoch uint64, seqEpoch bool, scope uint64) *Snapshot {
 	// Derive the posting index and cycle info on the live side first:
-	// maintenance keeps the postings warm through the delta stream, so
-	// every snapshot clone shares them as an immutable copy-on-write
-	// view (the live side copies before its next mutation) and the
-	// cycle info by pointer, instead of re-deriving O(|L|) state per
-	// snapshot. Warm on the clone only fills in what a Rebuild or
-	// structural change invalidated — outside any request path either
-	// way.
+	// maintenance keeps the postings warm through the delta stream and
+	// keeps the cycle info across batches that open or close no cycle,
+	// so the clone shares both (the postings as an immutable
+	// copy-on-write view, the cycle info by pointer). Warm only pays a
+	// full derivation after a Rebuild or a cycle-changing batch.
 	src.Warm()
 	cix := src.Clone()
-	cix.Warm()
+	var eng *query.Engine
+	if prev != nil {
+		eng = prev.eng.Derive(cix.Collection(), cix)
+	} else {
+		eng = query.NewEngine(cix.Collection(), cix)
+	}
 	return &Snapshot{
 		coll:     &Collection{c: cix.Collection()},
 		ix:       cix,
-		eng:      query.NewEngine(cix.Collection(), cix),
+		eng:      eng,
 		epoch:    epoch,
 		seqEpoch: seqEpoch,
 		scope:    scope,

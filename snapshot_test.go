@@ -403,3 +403,26 @@ func TestResolveElement(t *testing.T) {
 		}
 	}
 }
+
+// TestSnapshotPublishMetric checks that hopi_snapshot_publish_seconds
+// observes exactly the publications: the first Snapshot after a batch,
+// not the cached reads around it.
+func TestSnapshotPublishMetric(t *testing.T) {
+	ix := demoIndex(t, false)
+	h := ix.metrics().snapshotPublish
+	ix.Snapshot()
+	ix.Snapshot()
+	if got := h.Count(); got != 1 {
+		t.Fatalf("after the first publication: count %d, want 1", got)
+	}
+	b := NewBatch()
+	b.InsertDocument(NewDocument("m.xml", "bib"))
+	if _, err := ix.Apply(context.Background(), b); err != nil {
+		t.Fatal(err)
+	}
+	ix.Snapshot()
+	ix.Snapshot()
+	if got := h.Count(); got != 2 {
+		t.Fatalf("after a batch: count %d, want 2", got)
+	}
+}
