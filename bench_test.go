@@ -120,21 +120,31 @@ func BenchmarkPartitionClosureBudget(b *testing.B) { // §4.3 incremental closur
 	b.ReportMetric(float64(parts), "parts")
 }
 
-func BenchmarkJoinNew(b *testing.B) { // §4.1 join alone, partition covers prebuilt
+func BenchmarkJoinNew(b *testing.B) { benchJoinNew(b, false) } // §4.1 join alone, partition covers prebuilt
+
+func BenchmarkJoinNewDistance(b *testing.B) { benchJoinNew(b, true) } // the same, distance-aware (§5)
+
+func benchJoinNew(b *testing.B, withDist bool) {
 	c := benchDBLP(1000)
 	p := partition.ClosureBudget(c, 1_000_000, nil, benchSeed)
 	links := partition.NewLinkIndex(c)
 	parts := make([]*psg.PartitionData, p.NumParts())
 	for pi, docs := range p.Parts {
 		g, globals := links.ElementSubgraph(docs)
-		cov, _ := twohop.Build(graph.NewClosure(g), twohop.Options{Seed: benchSeed + int64(pi)})
+		var cov *twohop.Cover
+		if withDist {
+			cov, _ = twohop.BuildDistanceAware(graph.NewDistanceMatrix(g), twohop.Options{Seed: benchSeed + int64(pi)})
+		} else {
+			cov, _ = twohop.Build(graph.NewClosure(g), twohop.Options{Seed: benchSeed + int64(pi)})
+		}
 		parts[pi] = psg.NewPartitionData(docs, g, globals, cov)
 	}
 	partOf := func(id int32) int { return p.PartOfID(c, id) }
+	b.ReportAllocs()
 	b.ResetTimer()
 	var size int
 	for i := 0; i < b.N; i++ {
-		size = psg.JoinNew(c, p.CrossLinks, partOf, parts, psg.NewJoinOptions{Seed: benchSeed}).Size()
+		size = psg.JoinNew(c, p.CrossLinks, partOf, parts, psg.NewJoinOptions{WithDist: withDist, Seed: benchSeed}).Size()
 	}
 	b.ReportMetric(float64(size), "entries")
 }

@@ -81,6 +81,7 @@ func TestMetricsExposition(t *testing.T) {
 		"hopi_query_seconds",
 		"hopi_apply_seconds",
 		"hopi_snapshot_publish_seconds",
+		"hopi_build_phase_seconds",
 		"hopi_wal_fsync_seconds",
 		"hopi_replication_lag_batches",
 		"hopi_segment_stack_depth",
@@ -101,6 +102,18 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	if ht := before["hopi_query_seconds"]; ht != nil && ht.Type != "histogram" {
 		t.Errorf("hopi_query_seconds TYPE = %s, want histogram", ht.Type)
+	}
+	// The build phase gauges are the index's own BuildStats.
+	st := ix.Stats()
+	for phase, want := range map[string]time.Duration{
+		"partition": st.PartitionTime, "covers": st.CoverTime, "join": st.JoinTime,
+	} {
+		if got := counterTotal(before, "hopi_build_phase_seconds", "phase", phase); got != want.Seconds() {
+			t.Errorf("hopi_build_phase_seconds{phase=%q} = %v, want %v", phase, got, want.Seconds())
+		}
+	}
+	if f := before["hopi_build_phase_seconds"]; f != nil && (f.Type != "gauge" || len(f.Samples) != 3) {
+		t.Errorf("hopi_build_phase_seconds: TYPE %s with %d samples, want a gauge with 3", f.Type, len(f.Samples))
 	}
 
 	// Serve queries from concurrent workers while scraping in parallel

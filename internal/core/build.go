@@ -60,11 +60,11 @@ func Build(c *xmlmodel.Collection, opts Options) (*Index, error) {
 	switch opts.Join {
 	case JoinNewHBar:
 		cover = psg.JoinNew(c, p.CrossLinks, partOf, parts, psg.NewJoinOptions{
-			WithDist: opts.WithDistance, Seed: opts.Seed,
+			WithDist: opts.WithDistance, Seed: opts.Seed, Workers: opts.Workers,
 		})
 	case JoinNewFullPSG:
 		cover = psg.JoinNew(c, p.CrossLinks, partOf, parts, psg.NewJoinOptions{
-			WithDist: opts.WithDistance, FullPSGCover: true, Seed: opts.Seed,
+			WithDist: opts.WithDistance, FullPSGCover: true, Seed: opts.Seed, Workers: opts.Workers,
 		})
 	case JoinOldIncremental:
 		cover = psg.JoinOld(c, p.CrossLinks, parts, opts.WithDistance)

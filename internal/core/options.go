@@ -99,8 +99,10 @@ type Options struct {
 
 	// Seed makes builds deterministic.
 	Seed int64
-	// Workers bounds concurrent per-partition cover computations;
-	// 0 means GOMAXPROCS.
+	// Workers bounds the goroutines of the build's two parallel
+	// phases: the per-partition cover computations and the §4.1 join
+	// (its H̄ traversals and its per-partition gathers); 0 means
+	// GOMAXPROCS. The index does not depend on it.
 	Workers int
 }
 

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"hopi/internal/gen"
+	"hopi/internal/twohop"
 )
 
 // TestLargeScaleSpotCheck builds the default experiment-scale DBLP
@@ -144,12 +147,33 @@ func TestLargeScaleBuildValidates(t *testing.T) {
 	}
 }
 
+// labelHash is FNV-64a over every label of the cover: for each node in
+// ID order its Lout and then, after all of them, its Lin, each written
+// as the list length followed by every (center, dist), little-endian
+// uint32s. Any moved, added, dropped or re-weighted entry changes it.
+func labelHash(cov *twohop.Cover) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	for _, labels := range [][][]twohop.Entry{cov.Out, cov.In} {
+		for _, l := range labels {
+			binary.LittleEndian.PutUint32(buf[:4], uint32(len(l)))
+			h.Write(buf[:4])
+			for _, e := range l {
+				binary.LittleEndian.PutUint32(buf[:4], uint32(e.Center))
+				binary.LittleEndian.PutUint32(buf[4:], e.Dist)
+				h.Write(buf[:])
+			}
+		}
+	}
+	return h.Sum64()
+}
+
 // TestPaperScaleCoverUnchanged builds the benchmark's build-dblp index
 // (6,210 documents, default options) and pins what a change to the
 // partitioner, the greedy cover kernel or the join must not move: the
-// partition count, the cover size, and the kernel's counters — the
-// counters change with any change of selection order, even one that
-// happens to land on a cover of the same size.
+// partition count, the cover size, the kernel's counters — they change
+// with any change of selection order, even one that happens to land on
+// a cover of the same size — and the content of every label.
 func TestPaperScaleCoverUnchanged(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale collection")
@@ -171,5 +195,30 @@ func TestPaperScaleCoverUnchanged(t *testing.T) {
 	}
 	if got != want {
 		t.Errorf("paper-scale build:\n got %+v\nwant %+v", got, want)
+	}
+	if h := labelHash(ix.Cover()); h != 0xc5812b49b2d5466b {
+		t.Errorf("paper-scale build: label hash %#x, want 0xc5812b49b2d5466b", h)
+	}
+}
+
+// TestDistanceCoverUnchanged pins the distance-aware cover of the
+// benchmark's query-mem shape (2,000 documents, default options) the
+// same way: its size and the content of every label.
+func TestDistanceCoverUnchanged(t *testing.T) {
+	if testing.Short() {
+		t.Skip("large collection")
+	}
+	opts := DefaultOptions()
+	opts.Seed = 42
+	opts.WithDistance = true
+	ix, err := Build(gen.DBLP(gen.DefaultDBLP(2000, 42)), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := ix.Stats().CoverEntries; n != 1_651_369 {
+		t.Errorf("distance-aware build: %d entries, want 1651369", n)
+	}
+	if h := labelHash(ix.Cover()); h != 0xb823ebd4a5d06c99 {
+		t.Errorf("distance-aware build: label hash %#x, want 0xb823ebd4a5d06c99", h)
 	}
 }

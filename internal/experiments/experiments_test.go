@@ -84,9 +84,23 @@ func TestTable2Shape(t *testing.T) {
 		t.Errorf("new join should be smaller: P10=%d baseline=%d",
 			byName["P10"].Size, byName["baseline"].Size)
 	}
-	// The new join is also at least as fast on the join phase.
+	// The new join is also at least as fast on the join phase. One join
+	// takes milliseconds at this scale, so compare the best of three
+	// builds per row rather than one wall-clock reading.
+	for i := 0; i < 2; i++ {
+		again, err := Table2(smallConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range again {
+			if best := byName[r.Algorithm]; r.JoinTime < best.JoinTime {
+				best.JoinTime = r.JoinTime
+				byName[r.Algorithm] = best
+			}
+		}
+	}
 	if byName["P10"].JoinTime > byName["baseline"].JoinTime {
-		t.Errorf("new join slower: %v vs %v", byName["P10"].JoinTime, byName["baseline"].JoinTime)
+		t.Errorf("new join slower (best of three): %v vs %v", byName["P10"].JoinTime, byName["baseline"].JoinTime)
 	}
 	// Small/medium caps beat very large caps on cover size.
 	if byName["P5"].Size > byName["P50"].Size && byName["P10"].Size > byName["P50"].Size {

@@ -127,46 +127,52 @@ func Build(c *xmlmodel.Collection, cross []xmlmodel.Link, partOfID func(int32) i
 // algorithm, which is exactly what this type holds.
 type HBar struct {
 	// OutTargets[s] lists, for PSG-local source s, the PSG-local
-	// targets reachable from s and their distances.
-	OutTargets map[int32][]twohop.Entry
+	// targets reachable from s and their distances, ascending; it is
+	// empty for a node that is no source or reaches no other target.
+	OutTargets [][]twohop.Entry
 }
 
 // ComputeHBar runs one traversal per link source: plain DFS when
 // distances are not needed, Dijkstra (all edge weights ≥ 1) when they
 // are. Memory is O(V+E) per traversal regardless of how large the PSG
 // gets — this is why no further partitioning of the PSG is needed in
-// this implementation, where the paper's recursion bottoms out.
-func ComputeHBar(s *PSG, withDist bool) *HBar {
-	h := &HBar{OutTargets: map[int32][]twohop.Entry{}}
+// this implementation, where the paper's recursion bottoms out. The
+// traversals are independent and run on workers goroutines.
+func ComputeHBar(s *PSG, withDist bool, workers int) *HBar {
 	n := len(s.Nodes)
-	for src := int32(0); src < int32(n); src++ {
-		if !s.IsSource[src] {
-			continue
-		}
-		var entries []twohop.Entry
-		if withDist {
-			dist := dijkstra(s, src)
-			for v := int32(0); v < int32(n); v++ {
-				if v != src && s.IsTarget[v] && dist[v] != graph.InfDist {
-					entries = append(entries, twohop.Entry{Center: v, Dist: dist[v]})
-				}
-			}
-			// a source that is also a target reaches itself trivially;
-			// self entries stay implicit and are not recorded.
-		} else {
-			reach := s.G.ReachableFrom(src)
-			reach.ForEach(func(v int) bool {
-				if int32(v) != src && s.IsTarget[v] {
-					entries = append(entries, twohop.Entry{Center: int32(v), Dist: 0})
-				}
-				return true
-			})
-		}
-		if len(entries) > 0 {
-			h.OutTargets[src] = entries
-		}
-	}
+	h := &HBar{OutTargets: make([][]twohop.Entry, n)}
+	onPool(workers, n, func() func(int) {
+		return func(i int) { h.OutTargets[i] = hbarOut(s, int32(i), withDist) }
+	})
 	return h
+}
+
+// hbarOut is H̄out of PSG node src: nil unless src is a link source.
+func hbarOut(s *PSG, src int32, withDist bool) []twohop.Entry {
+	if !s.IsSource[src] {
+		return nil
+	}
+	n := len(s.Nodes)
+	var entries []twohop.Entry
+	if withDist {
+		dist := dijkstra(s, src)
+		for v := int32(0); v < int32(n); v++ {
+			if v != src && s.IsTarget[v] && dist[v] != graph.InfDist {
+				entries = append(entries, twohop.Entry{Center: v, Dist: dist[v]})
+			}
+		}
+		// a source that is also a target reaches itself trivially;
+		// self entries stay implicit and are not recorded.
+	} else {
+		reach := s.G.ReachableFrom(src)
+		reach.ForEach(func(v int) bool {
+			if int32(v) != src && s.IsTarget[v] {
+				entries = append(entries, twohop.Entry{Center: int32(v), Dist: 0})
+			}
+			return true
+		})
+	}
+	return entries
 }
 
 // ShortestFrom computes weighted shortest distances from the PSG-local

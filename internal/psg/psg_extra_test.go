@@ -67,7 +67,7 @@ func TestHBarOnCyclicPSG(t *testing.T) {
 	p := partition.Single(c)
 	parts := buildParts(c, p, false)
 	s := Build(c, p.CrossLinks, partOfFunc(c, p), parts, false)
-	hb := ComputeHBar(s, false)
+	hb := ComputeHBar(s, false, 2)
 	// every root is both source and target; from each source all three
 	// roots are reachable targets (the other two plus itself via the
 	// ring — self entries stay implicit, so expect 2 explicit entries).

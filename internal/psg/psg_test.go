@@ -145,15 +145,15 @@ func TestComputeHBarChain(t *testing.T) {
 	p := partition.Single(c)
 	parts := buildParts(c, p, false)
 	s := Build(c, p.CrossLinks, partOfFunc(c, p), parts, false)
-	hb := ComputeHBar(s, false)
+	hb := ComputeHBar(s, false, 2)
 	// the first link source must reach all 3 downstream targets
 	src := s.Index[c.GlobalID(0, 2)]
 	if got := len(hb.OutTargets[src]); got != 3 {
 		t.Errorf("first source reaches %d targets, want 3", got)
 	}
 	// the last target reaches nothing; it must not appear as a source
-	if _, ok := hb.OutTargets[s.Index[c.GlobalID(3, 0)]]; ok {
-		t.Error("pure target has out entries")
+	if got := hb.OutTargets[s.Index[c.GlobalID(3, 0)]]; got != nil {
+		t.Errorf("pure target has out entries %v", got)
 	}
 }
 
@@ -338,8 +338,8 @@ func joinNewScatter(c *xmlmodel.Collection, cross []xmlmodel.Link, partOfID func
 			}
 		}
 	} else {
-		for li, entries := range ComputeHBar(s, opts.WithDist).OutTargets {
-			hbarOut[li] = remap(entries, s.Nodes)
+		for li, entries := range ComputeHBar(s, opts.WithDist, 1).OutTargets {
+			hbarOut[int32(li)] = remap(entries, s.Nodes)
 		}
 		for li := int32(0); li < int32(len(s.Nodes)); li++ {
 			if s.IsTarget[li] {
@@ -389,7 +389,8 @@ func sameLabels(t *testing.T, what string, got, want [][]twohop.Entry) {
 
 // Property: the gather join writes the labels of the scatter join,
 // entry for entry and distance for distance, on random partitionings
-// of collections with cyclic cross links.
+// of collections with cyclic cross links, whether one goroutine or
+// several gather the partitions.
 func TestJoinNewMatchesScatterJoin(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -412,13 +413,16 @@ func TestJoinNewMatchesScatterJoin(t *testing.T) {
 			parts := buildParts(c, p, withDist)
 			for _, full := range []bool{false, true} {
 				opts := NewJoinOptions{WithDist: withDist, FullPSGCover: full, Seed: seed}
-				got := JoinNew(c, p.CrossLinks, partOfFunc(c, p), parts, opts)
 				want := joinNewScatter(c, p.CrossLinks, partOfFunc(c, p), parts, opts)
-				if got.N() != want.N() || got.WithDist != want.WithDist {
-					t.Fatalf("seed %d: cover shape differs", seed)
+				for _, workers := range []int{1, 4} {
+					opts.Workers = workers
+					got := JoinNew(c, p.CrossLinks, partOfFunc(c, p), parts, opts)
+					if got.N() != want.N() || got.WithDist != want.WithDist {
+						t.Fatalf("seed %d: cover shape differs", seed)
+					}
+					sameLabels(t, "Lout", got.Out, want.Out)
+					sameLabels(t, "Lin", got.In, want.In)
 				}
-				sameLabels(t, "Lout", got.Out, want.Out)
-				sameLabels(t, "Lin", got.In, want.In)
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package hopi
 import (
 	"time"
 
+	"hopi/internal/core"
 	"hopi/internal/obs"
 	"hopi/internal/storage"
 )
@@ -78,6 +79,22 @@ func newIndexMetrics(ix *Index) *indexMetrics {
 			obs.DefSyncBuckets),
 		walBytes: r.Counter("hopi_wal_append_bytes_total",
 			"Bytes appended to the WAL, record framing included."),
+	}
+
+	// The phases of the build behind the served cover, so a build time
+	// splits into its phases from /metrics alone.
+	for _, ph := range []struct {
+		name string
+		of   func(core.BuildStats) time.Duration
+	}{
+		{"partition", func(st core.BuildStats) time.Duration { return st.PartitionTime }},
+		{"covers", func(st core.BuildStats) time.Duration { return st.CoverTime }},
+		{"join", func(st core.BuildStats) time.Duration { return st.JoinTime }},
+	} {
+		r.GaugeFuncVec("hopi_build_phase_seconds",
+			"Wall time of each phase of the index's build: partition, covers, join (0 for an index opened from a store).",
+			[]string{"phase"}, []string{ph.name},
+			func() float64 { return ph.of(ix.Stats()).Seconds() })
 	}
 
 	r.GaugeFunc("hopi_wal_size_bytes",
