@@ -133,7 +133,7 @@ func benchJoinNew(b *testing.B, withDist bool) {
 		g, globals := links.ElementSubgraph(docs)
 		var cov *twohop.Cover
 		if withDist {
-			cov, _ = twohop.BuildDistanceAware(graph.NewDistanceMatrix(g), twohop.Options{Seed: benchSeed + int64(pi)})
+			cov, _ = twohop.BuildDistanceAware(graph.NewDistClosure(g), twohop.Options{Seed: benchSeed + int64(pi)})
 		} else {
 			cov, _ = twohop.Build(graph.NewClosure(g), twohop.Options{Seed: benchSeed + int64(pi)})
 		}
@@ -177,12 +177,12 @@ func BenchmarkCoverKernelPlain(b *testing.B) { // §3.2 greedy cover of one part
 }
 
 func BenchmarkCoverKernelDistance(b *testing.B) { // §5.2 distance-aware cover of one partition
-	dm := graph.NewDistanceMatrix(largestPartitionGraph())
+	dc := graph.NewDistClosure(largestPartitionGraph())
 	b.ReportAllocs()
 	b.ResetTimer()
 	var st twohop.Stats
 	for i := 0; i < b.N; i++ {
-		_, st = twohop.BuildDistanceAware(dm, twohop.Options{Seed: benchSeed})
+		_, st = twohop.BuildDistanceAware(dc, twohop.Options{Seed: benchSeed})
 	}
 	b.ReportMetric(float64(st.Pops), "pops")
 }

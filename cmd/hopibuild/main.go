@@ -83,10 +83,11 @@ func main() {
 	st := ix.Stats()
 	fmt.Printf("built in %s: %d partitions, %d cross links, %d label entries\n",
 		time.Since(t0).Round(time.Millisecond), st.Partitions, st.CrossLinks, ix.Size())
-	fmt.Printf("phases: partition %s, covers %s (%d centers, %d pops, %d recomputes), join %s\n",
+	fmt.Printf("phases: partition %s, covers %s (%d centers, %d pops, %d recomputes; largest partition %d elements, %.1f MB closure), join %s\n",
 		st.PartitionTime.Round(time.Millisecond),
 		st.CoverTime.Round(time.Millisecond),
 		st.CoverCenters, st.CoverPops, st.CoverRecomputes,
+		st.LargestPartition, float64(st.LargestClosureBytes)/(1<<20),
 		st.JoinTime.Round(time.Millisecond))
 
 	if err := ix.Save(*out); err != nil {

@@ -46,7 +46,8 @@ func Build(c *xmlmodel.Collection, opts Options) (*Index, error) {
 
 	// Step 3: per-partition covers.
 	tCov := time.Now()
-	parts, kernel, preselected, largest := buildPartitionCovers(c, p, opts)
+	pc := buildPartitionCovers(c, p, opts)
+	parts := pc.parts
 	covTime := time.Since(tCov)
 	partEntries := 0
 	for _, pd := range parts {
@@ -73,29 +74,37 @@ func Build(c *xmlmodel.Collection, opts Options) (*Index, error) {
 
 	return newIndex(c, cover, opts,
 		BuildStats{
-			Partitions:        p.NumParts(),
-			CrossLinks:        len(p.CrossLinks),
-			PartitionEntries:  partEntries,
-			CoverEntries:      cover.Size(),
-			PartitionTime:     partTime,
-			CoverTime:         covTime,
-			JoinTime:          joinTime,
-			TotalTime:         time.Since(start),
-			LargestPartition:  largest,
-			PreselectedCenter: preselected,
-			CoverCenters:      kernel.Centers,
-			CoverPops:         kernel.Pops,
-			CoverRecomputes:   kernel.Recomputes,
+			Partitions:          p.NumParts(),
+			CrossLinks:          len(p.CrossLinks),
+			PartitionEntries:    partEntries,
+			CoverEntries:        cover.Size(),
+			PartitionTime:       partTime,
+			CoverTime:           covTime,
+			JoinTime:            joinTime,
+			TotalTime:           time.Since(start),
+			LargestPartition:    pc.largest,
+			LargestClosureBytes: pc.largestBytes,
+			PreselectedCenter:   pc.preselected,
+			CoverCenters:        pc.kernel.Centers,
+			CoverPops:           pc.kernel.Pops,
+			CoverRecomputes:     pc.kernel.Recomputes,
 		}), nil
+}
+
+// partitionCovers is what buildPartitionCovers returns: the covers and
+// what it took to build them.
+type partitionCovers struct {
+	parts        []*psg.PartitionData
+	kernel       twohop.Stats // the greedy kernel's counters, summed over the partitions
+	preselected  int          // preselected centers
+	largest      int          // elements of the largest partition
+	largestBytes int64        // bytes of the largest partition's closure
 }
 
 // buildPartitionCovers computes the per-partition 2-hop covers
 // concurrently ("all these computations can be done concurrently",
 // §4.1): opts.Workers goroutines pull partition indices from a channel.
-// Beside the covers it returns the greedy kernel's counters summed over
-// the partitions, the number of preselected centers and the element
-// count of the largest partition.
-func buildPartitionCovers(c *xmlmodel.Collection, p *partition.Partitioning, opts Options) ([]*psg.PartitionData, twohop.Stats, int, int) {
+func buildPartitionCovers(c *xmlmodel.Collection, p *partition.Partitioning, opts Options) partitionCovers {
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -112,6 +121,7 @@ func buildPartitionCovers(c *xmlmodel.Collection, p *partition.Partitioning, opt
 	links := partition.NewLinkIndex(c)
 	parts := make([]*psg.PartitionData, p.NumParts())
 	stats := make([]twohop.Stats, p.NumParts())
+	closureBytes := make([]int64, p.NumParts())
 	next := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -126,9 +136,13 @@ func buildPartitionCovers(c *xmlmodel.Collection, p *partition.Partitioning, opt
 					tOpts.Preselect = append(tOpts.Preselect, pd.Local[t])
 				}
 				if opts.WithDistance {
-					pd.Cover, stats[pi] = twohop.BuildDistanceAware(graph.NewDistanceMatrix(g), tOpts)
+					dc := graph.NewDistClosure(g)
+					closureBytes[pi] = dc.Bytes()
+					pd.Cover, stats[pi] = twohop.BuildDistanceAware(dc, tOpts)
 				} else {
-					pd.Cover, stats[pi] = twohop.Build(graph.NewClosure(g), tOpts)
+					cl := graph.NewClosure(g)
+					closureBytes[pi] = cl.Bytes()
+					pd.Cover, stats[pi] = twohop.Build(cl, tOpts)
 				}
 				parts[pi] = pd
 			}
@@ -139,14 +153,15 @@ func buildPartitionCovers(c *xmlmodel.Collection, p *partition.Partitioning, opt
 	}
 	close(next)
 	wg.Wait()
-	var kernel twohop.Stats
-	preselected, largest := 0, 0
+	pc := partitionCovers{parts: parts}
 	for pi, pd := range parts {
-		kernel.Centers += stats[pi].Centers
-		kernel.Pops += stats[pi].Pops
-		kernel.Recomputes += stats[pi].Recomputes
-		preselected += len(targetsByPart[pi])
-		largest = max(largest, len(pd.Globals))
+		pc.kernel.Centers += stats[pi].Centers
+		pc.kernel.Pops += stats[pi].Pops
+		pc.kernel.Recomputes += stats[pi].Recomputes
+		pc.preselected += len(targetsByPart[pi])
+		if len(pd.Globals) > pc.largest {
+			pc.largest, pc.largestBytes = len(pd.Globals), closureBytes[pi]
+		}
 	}
-	return parts, kernel, preselected, largest
+	return pc
 }

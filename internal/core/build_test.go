@@ -139,6 +139,9 @@ func TestBuildStatsPopulated(t *testing.T) {
 	if st.LargestPartition == 0 || st.LargestPartition > 15 {
 		t.Errorf("LargestPartition = %d", st.LargestPartition)
 	}
+	if st.LargestClosureBytes <= 0 {
+		t.Errorf("LargestClosureBytes = %d", st.LargestClosureBytes)
+	}
 }
 
 func TestBuildOptionValidation(t *testing.T) {
@@ -160,7 +163,7 @@ func TestQueriesOnBuiltIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := c.ElementGraph()
-	dm := graph.NewDistanceMatrix(g)
+	dc := graph.NewDistClosure(g)
 	n := int32(c.NumAllocatedIDs())
 	for u := int32(0); u < n; u++ {
 		want := map[int32]bool{u: true}
@@ -177,8 +180,8 @@ func TestQueriesOnBuiltIndex(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if d != dm.D(u, v) {
-				t.Fatalf("Distance(%d,%d) = %d want %d", u, v, d, dm.D(u, v))
+			if d != dc.D(u, v) {
+				t.Fatalf("Distance(%d,%d) = %d want %d", u, v, d, dc.D(u, v))
 			}
 		}
 		wantAnc := map[int32]bool{u: true}

@@ -253,8 +253,8 @@ func (ix *Index) Warm() {
 func (ix *Index) Validate() error {
 	g := ix.coll.ElementGraph()
 	if ix.cover.WithDist {
-		dm := graph.NewDistanceMatrix(g)
-		return twohop.VerifyDistance(ix.cover, dm)
+		dc := graph.NewDistClosure(g)
+		return twohop.VerifyDistance(ix.cover, dc)
 	}
 	cl := graph.NewClosure(g)
 	return twohop.Verify(ix.cover, cl)

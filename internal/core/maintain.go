@@ -58,8 +58,8 @@ func (ix *Index) InsertDocument(d *xmlmodel.Document) (int, error) {
 	}
 	var cov *twohop.Cover
 	if ix.cover.WithDist {
-		dm := graph.NewDistanceMatrix(g)
-		cov, _ = twohop.BuildDistanceAware(dm, twohop.Options{Seed: ix.opts.Seed})
+		dc := graph.NewDistClosure(g)
+		cov, _ = twohop.BuildDistanceAware(dc, twohop.Options{Seed: ix.opts.Seed})
 	} else {
 		cl := graph.NewClosure(g)
 		cov, _ = twohop.Build(cl, twohop.Options{Seed: ix.opts.Seed})
@@ -251,8 +251,8 @@ func (ix *Index) deleteGeneral(docIdx int) {
 	// fresh cover for the region
 	var hat *twohop.Cover
 	if ix.cover.WithDist {
-		dm := graph.NewDistanceMatrix(sub)
-		hat, _ = twohop.BuildDistanceAware(dm, twohop.Options{Seed: ix.opts.Seed})
+		dc := graph.NewDistClosure(sub)
+		hat, _ = twohop.BuildDistanceAware(dc, twohop.Options{Seed: ix.opts.Seed})
 	} else {
 		cl := graph.NewClosure(sub)
 		hat, _ = twohop.Build(cl, twohop.Options{Seed: ix.opts.Seed})
@@ -347,8 +347,8 @@ func (ix *Index) DeleteEdge(from, to int32) error {
 
 	var hat *twohop.Cover
 	if ix.cover.WithDist {
-		dm := graph.NewDistanceMatrix(sub)
-		hat, _ = twohop.BuildDistanceAware(dm, twohop.Options{Seed: ix.opts.Seed})
+		dc := graph.NewDistClosure(sub)
+		hat, _ = twohop.BuildDistanceAware(dc, twohop.Options{Seed: ix.opts.Seed})
 	} else {
 		cl := graph.NewClosure(sub)
 		hat, _ = twohop.Build(cl, twohop.Options{Seed: ix.opts.Seed})

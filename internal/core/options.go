@@ -126,16 +126,20 @@ func (o *Options) skeletonDepth() int {
 
 // BuildStats reports what a build did — the raw material of Table 2.
 type BuildStats struct {
-	Partitions        int
-	CrossLinks        int
-	PartitionEntries  int // Σ per-partition cover sizes before joining
-	CoverEntries      int // final |L|
-	PartitionTime     time.Duration
-	CoverTime         time.Duration
-	JoinTime          time.Duration
-	TotalTime         time.Duration
-	LargestPartition  int // elements
-	PreselectedCenter int // number of preselected centers across partitions
+	Partitions       int
+	CrossLinks       int
+	PartitionEntries int // Σ per-partition cover sizes before joining
+	CoverEntries     int // final |L|
+	PartitionTime    time.Duration
+	CoverTime        time.Duration
+	JoinTime         time.Duration
+	TotalTime        time.Duration
+	LargestPartition int // elements
+	// LargestClosureBytes is the size of the largest partition's
+	// closure, the cover kernel's input: its reach rows, plus a rank per
+	// row word and a length per connection when distance-aware.
+	LargestClosureBytes int64
+	PreselectedCenter   int // number of preselected centers across partitions
 	// What the greedy cover kernel did, summed over the partition
 	// covers (twohop.Stats). Fixed by collection, options and seed: a
 	// changed count means a changed selection order.

@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"hopi/internal/gen"
+	"hopi/internal/graph"
+	"hopi/internal/partition"
 	"hopi/internal/twohop"
 )
 
@@ -117,7 +119,7 @@ func TestLargeScaleMaintenanceSpotCheck(t *testing.T) {
 
 // TestLargeScaleBuildValidates checks the whole pipeline — incremental
 // partitioner, worker-pool covers, gather join — against the full
-// closure (and distance matrix) of the 620-document collection, and
+// closure (and distance closure) of the 620-document collection, and
 // that the number of workers does not change a single label.
 func TestLargeScaleBuildValidates(t *testing.T) {
 	if testing.Short() {
@@ -215,10 +217,39 @@ func TestDistanceCoverUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := ix.Stats().CoverEntries; n != 1_651_369 {
-		t.Errorf("distance-aware build: %d entries, want 1651369", n)
+	st := ix.Stats()
+	if st.CoverEntries != 1_651_369 {
+		t.Errorf("distance-aware build: %d entries, want 1651369", st.CoverEntries)
 	}
 	if h := labelHash(ix.Cover()); h != 0xb823ebd4a5d06c99 {
 		t.Errorf("distance-aware build: label hash %#x, want 0xb823ebd4a5d06c99", h)
 	}
+	if n := int64(st.LargestPartition); n != 8497 || 8*st.LargestClosureBytes >= 4*n*n {
+		t.Errorf("distance-aware build: largest partition %d elements with a %d-byte closure, want 8497 under 4·n²/8 bytes",
+			n, st.LargestClosureBytes)
+	}
+}
+
+// TestLargestDistClosureCompact: the largest partition of the
+// query-mem shape (2,000 documents, default options) has 8,497
+// elements, and its distance closure — the covers phase's input — takes
+// under 1/8 of the 4·n² bytes of a dense uint32 distance matrix.
+func TestLargestDistClosureCompact(t *testing.T) {
+	c := gen.DBLP(gen.DefaultDBLP(2000, 42))
+	links := partition.NewLinkIndex(c)
+	var largest *graph.Digraph
+	for _, docs := range partition.ClosureBudget(c, DefaultOptions().ClosureBudget, nil, 42).Parts {
+		if g, _ := links.ElementSubgraph(docs); largest == nil || g.N() > largest.N() {
+			largest = g
+		}
+	}
+	n := int64(largest.N())
+	if n != 8497 {
+		t.Fatalf("largest partition has %d elements, want 8497", n)
+	}
+	dc := graph.NewDistClosure(largest)
+	if dense := 4 * n * n; 8*dc.Bytes() >= dense {
+		t.Errorf("distance closure of %d elements takes %d bytes, want under %d (1/8 of a dense matrix)", n, dc.Bytes(), dense/8)
+	}
+	t.Logf("%d elements, %d connections: %d bytes against %d dense", n, len(dc.Dist), dc.Bytes(), 4*n*n)
 }

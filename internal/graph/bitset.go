@@ -1,6 +1,8 @@
 // Package graph provides the directed-graph primitives that the HOPI
 // index is built on: compact bitsets, a dense-index digraph, strongly
-// connected components, transitive closures, and BFS distances.
+// connected components, transitive closures, and distance closures:
+// closures that keep one shortest-path length per connection beside
+// their reach bits.
 //
 // All algorithms work on dense node indices in [0, n). Mapping between
 // these indices and global element IDs is the caller's concern; keeping

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -81,7 +82,7 @@ func TestClosureChainAndCycle(t *testing.T) {
 	if c.Has(3, 0) || c.Has(4, 0) || c.Has(0, 4) {
 		t.Error("phantom connections")
 	}
-	// connections: 0→{1,2,3}, 1→{2,3}, 2→{1,3} ... 1→1? no. So 3+2+2=7... plus 1 reaches 1? excluded.
+	// connections: 0→{1,2,3}, 1→{2,3}, 2→{1,3}; no self pairs, even on the cycle
 	if got := c.Connections(); got != 7 {
 		t.Errorf("Connections = %d, want 7", got)
 	}
@@ -117,20 +118,116 @@ func TestClosureQuickVsNaive(t *testing.T) {
 	}
 }
 
-func TestDistanceMatrixVsBFS(t *testing.T) {
+// cyclicGraph is randomGraph plus a cycle through the first few nodes,
+// so that rows reach their own source.
+func cyclicGraph(rng *rand.Rand, n int) *Digraph {
+	g := NewDigraph(n)
+	if n == 0 {
+		return g
+	}
+	g = randomGraph(rng, n, rng.Intn(3*n))
+	k := min(n, 2+rng.Intn(6))
+	for i := 0; i < k; i++ {
+		g.AddEdge(int32(i), int32((i+1)%k))
+	}
+	return g
+}
+
+// sameDistances checks dc against want[u][v] (InfDist when unreachable,
+// 0 on the diagonal) for every pair, and that its rows are the
+// irreflexive reach sets with one length per connection.
+func sameDistances(t *testing.T, name string, dc *DistClosure, want [][]uint32) {
+	t.Helper()
+	n := len(want)
+	if dc.N() != n {
+		t.Fatalf("%s: %d rows, want %d", name, dc.N(), n)
+	}
+	col := make([]uint32, n)
+	for u := int32(0); u < int32(n); u++ {
+		if dc.Reach[u].Has(int(u)) {
+			t.Fatalf("%s: %d is in its own reach row", name, u)
+		}
+		dc.ExpandRow(u, col)
+		for v := int32(0); v < int32(n); v++ {
+			if got := dc.D(u, v); got != want[u][v] {
+				t.Fatalf("%s: D(%d,%d) = %d, want %d", name, u, v, got, want[u][v])
+			}
+			if reach := u != v && want[u][v] != InfDist; dc.Has(u, v) != reach {
+				t.Fatalf("%s: Has(%d,%d) = %v, want %v", name, u, v, !reach, reach)
+			} else if (reach || u == v) && col[v] != want[u][v] {
+				t.Fatalf("%s: ExpandRow(%d)[%d] = %d, want %d", name, u, v, col[v], want[u][v])
+			}
+		}
+	}
+	if conns := dc.Connections(); int64(len(dc.Dist)) != conns {
+		t.Fatalf("%s: %d lengths for %d connections", name, len(dc.Dist), conns)
+	}
+}
+
+// Property: on random digraphs with cycles, across the word boundaries
+// of a row, the distance closure agrees with BFS on every pair and with
+// NewClosure on every reach bit.
+func TestDistClosureMatchesBFS(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 20; trial++ {
-		n := 2 + rng.Intn(30)
-		g := randomGraph(rng, n, rng.Intn(3*n))
-		m := NewDistanceMatrix(g)
-		for u := int32(0); u < int32(n); u++ {
-			d := g.BFSFrom(u)
-			for v := int32(0); v < int32(n); v++ {
-				if m.D(u, v) != d[v] {
-					t.Fatalf("D(%d,%d) = %d, want %d", u, v, m.D(u, v), d[v])
+	for _, n := range []int{0, 1, 63, 64, 65, 200} {
+		for trial := 0; trial < 4; trial++ {
+			g := cyclicGraph(rng, n)
+			want := make([][]uint32, n)
+			for u := range want {
+				want[u] = g.BFSFrom(int32(u))
+			}
+			name := fmt.Sprintf("n=%d trial %d", n, trial)
+			dc := NewDistClosure(g)
+			sameDistances(t, name, dc, want)
+			cl := NewClosure(g)
+			for u := range cl.Reach {
+				for k, word := range cl.Reach[u] {
+					if dc.Reach[u][k] != word {
+						t.Fatalf("%s: reach row %d differs from NewClosure's", name, u)
+					}
 				}
 			}
 		}
+	}
+}
+
+// TestDistClosureRowsWeighted: the row-at-a-time constructor stores
+// whatever lengths its rows carry — here weighted shortest paths from
+// Floyd–Warshall, as psg's Dijkstra rows are.
+func TestDistClosureRowsWeighted(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, n := range []int{0, 1, 63, 64, 65, 130} {
+		g := cyclicGraph(rng, n)
+		want := make([][]uint32, n)
+		for u := range want {
+			want[u] = make([]uint32, n)
+			for v := range want[u] {
+				want[u][v] = InfDist
+			}
+			want[u][u] = 0
+			for _, v := range g.Succ(int32(u)) {
+				want[u][v] = 1 + uint32(rng.Intn(9))
+			}
+		}
+		for k := range want {
+			for u := range want {
+				for v := range want {
+					if want[u][k] != InfDist && want[k][v] != InfDist && want[u][k]+want[k][v] < want[u][v] {
+						want[u][v] = want[u][k] + want[k][v]
+					}
+				}
+			}
+		}
+		dc := NewDistClosureRows(n, func(u int32, dist []uint32, reached []int32) []int32 {
+			for v, d := range want[u] {
+				if d != InfDist {
+					dist[v] = d
+					reached = append(reached, int32(v))
+				}
+			}
+			return reached
+		})
+		sameDistances(t, fmt.Sprintf("weighted n=%d", n), dc, want)
 	}
 }
 

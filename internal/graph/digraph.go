@@ -193,11 +193,17 @@ func (g *Digraph) BFSFrom(start int32) []uint32 {
 	for i := range dist {
 		dist[i] = InfDist
 	}
+	g.bfsInto(start, dist, nil)
+	return dist
+}
+
+// bfsInto is BFSFrom into a row whose entries are all InfDist. It
+// appends every node it reaches to queue, start first, and returns it.
+func (g *Digraph) bfsInto(start int32, dist []uint32, queue []int32) []int32 {
 	dist[start] = 0
-	queue := []int32{start}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
+	queue = append(queue, start)
+	for i := 0; i < len(queue); i++ {
+		u := queue[i]
 		for _, v := range g.succ[u] {
 			if dist[v] == InfDist {
 				dist[v] = dist[u] + 1
@@ -205,7 +211,7 @@ func (g *Digraph) BFSFrom(start int32) []uint32 {
 			}
 		}
 	}
-	return dist
+	return queue
 }
 
 // ReverseBFSFrom returns shortest-path distances *to* start: dist[v] is

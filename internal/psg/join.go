@@ -364,22 +364,16 @@ func remap(entries []twohop.Entry, nodes []int32) []twohop.Entry {
 // memory; see the package comment of ComputeHBar).
 func fullPSGCover(s *PSG, opts NewJoinOptions) *twohop.Cover {
 	if opts.WithDist {
-		dm := psgDistanceMatrix(s)
-		cov, _ := twohop.BuildDistanceAware(dm, twohop.Options{Seed: opts.Seed})
+		var pq distQueue
+		dc := graph.NewDistClosureRows(len(s.Nodes), func(u int32, dist []uint32, reached []int32) []int32 {
+			return s.dijkstra(u, dist, reached, &pq)
+		})
+		cov, _ := twohop.BuildDistanceAware(dc, twohop.Options{Seed: opts.Seed})
 		return cov
 	}
 	cl := graph.NewClosure(s.G)
 	cov, _ := twohop.Build(cl, twohop.Options{Seed: opts.Seed})
 	return cov
-}
-
-func psgDistanceMatrix(s *PSG) *graph.DistanceMatrix {
-	n := len(s.Nodes)
-	d := make([][]uint32, n)
-	for u := int32(0); u < int32(n); u++ {
-		d[u] = dijkstra(s, u)
-	}
-	return &graph.DistanceMatrix{Dist: d}
 }
 
 // unionPartitionCovers remaps every partition cover to global IDs — the

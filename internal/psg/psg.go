@@ -6,8 +6,6 @@
 package psg
 
 import (
-	"container/heap"
-
 	"hopi/internal/graph"
 	"hopi/internal/twohop"
 	"hopi/internal/xmlmodel"
@@ -142,20 +140,42 @@ func ComputeHBar(s *PSG, withDist bool, workers int) *HBar {
 	n := len(s.Nodes)
 	h := &HBar{OutTargets: make([][]twohop.Entry, n)}
 	onPool(workers, n, func() func(int) {
-		return func(i int) { h.OutTargets[i] = hbarOut(s, int32(i), withDist) }
+		var sp shortestPaths
+		if withDist {
+			sp = newShortestPaths(n)
+		}
+		return func(i int) { h.OutTargets[i] = hbarOut(s, int32(i), withDist, &sp) }
 	})
 	return h
 }
 
+// shortestPaths is the scratch one worker's Dijkstra runs reuse: a
+// distance row that is all InfDist between runs, the reached nodes and
+// the queue.
+type shortestPaths struct {
+	dist    []uint32
+	reached []int32
+	pq      distQueue
+}
+
+func newShortestPaths(n int) shortestPaths {
+	dist := make([]uint32, n)
+	for i := range dist {
+		dist[i] = graph.InfDist
+	}
+	return shortestPaths{dist: dist}
+}
+
 // hbarOut is H̄out of PSG node src: nil unless src is a link source.
-func hbarOut(s *PSG, src int32, withDist bool) []twohop.Entry {
+func hbarOut(s *PSG, src int32, withDist bool, sp *shortestPaths) []twohop.Entry {
 	if !s.IsSource[src] {
 		return nil
 	}
 	n := len(s.Nodes)
 	var entries []twohop.Entry
 	if withDist {
-		dist := dijkstra(s, src)
+		dist := sp.dist
+		sp.reached = s.dijkstra(src, dist, sp.reached[:0], &sp.pq)
 		for v := int32(0); v < int32(n); v++ {
 			if v != src && s.IsTarget[v] && dist[v] != graph.InfDist {
 				entries = append(entries, twohop.Entry{Center: v, Dist: dist[v]})
@@ -163,6 +183,9 @@ func hbarOut(s *PSG, src int32, withDist bool) []twohop.Entry {
 		}
 		// a source that is also a target reaches itself trivially;
 		// self entries stay implicit and are not recorded.
+		for _, v := range sp.reached {
+			dist[v] = graph.InfDist
+		}
 	} else {
 		reach := s.G.ReachableFrom(src)
 		reach.ForEach(func(v int) bool {
@@ -184,32 +207,36 @@ func hbarOut(s *PSG, src int32, withDist bool) []twohop.Entry {
 // query tier's endpoint join (internal/shardrouter) must not — a
 // cross-shard cycle back to the same link endpoint is exactly how
 // //a//a self-matches across shards.
-func ShortestFrom(s *PSG, src int32) []uint32 { return dijkstra(s, src) }
+func ShortestFrom(s *PSG, src int32) []uint32 {
+	sp := newShortestPaths(len(s.Nodes))
+	s.dijkstra(src, sp.dist, nil, &sp.pq)
+	return sp.dist
+}
 
-// dijkstra computes shortest distances from src over the weighted PSG.
-func dijkstra(s *PSG, src int32) []uint32 {
-	n := len(s.Nodes)
-	dist := make([]uint32, n)
-	for i := range dist {
-		dist[i] = graph.InfDist
-	}
+// dijkstra writes the shortest distances from src over the weighted PSG
+// into dist, whose entries must all be InfDist, and returns reached with
+// every node it reached appended, src first. pq is scratch.
+func (s *PSG) dijkstra(src int32, dist []uint32, reached []int32, pq *distQueue) []int32 {
 	dist[src] = 0
-	pq := &distQueue{{node: src, d: 0}}
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(distItem)
+	reached = append(reached, src)
+	*pq = append((*pq)[:0], distItem{node: src})
+	for len(*pq) > 0 {
+		it := pq.pop()
 		if it.d > dist[it.node] {
 			continue
 		}
 		for _, v := range s.G.Succ(it.node) {
-			w := s.EdgeDist[[2]int32{it.node, v}]
-			nd := it.d + w
+			nd := it.d + s.EdgeDist[[2]int32{it.node, v}]
 			if nd < dist[v] {
+				if dist[v] == graph.InfDist {
+					reached = append(reached, v)
+				}
 				dist[v] = nd
-				heap.Push(pq, distItem{node: v, d: nd})
+				pq.push(distItem{node: v, d: nd})
 			}
 		}
 	}
-	return dist
+	return reached
 }
 
 type distItem struct {
@@ -217,16 +244,41 @@ type distItem struct {
 	d    uint32
 }
 
+// distQueue is a min-heap of distItems by distance, typed so that a
+// push does not box its item into an interface.
 type distQueue []distItem
 
-func (q distQueue) Len() int           { return len(q) }
-func (q distQueue) Less(i, j int) bool { return q[i].d < q[j].d }
-func (q distQueue) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
-func (q *distQueue) Push(x any)        { *q = append(*q, x.(distItem)) }
-func (q *distQueue) Pop() any {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	*q = old[:n-1]
-	return it
+func (q *distQueue) push(it distItem) {
+	*q = append(*q, it)
+	h := *q
+	for j := len(h) - 1; j > 0; {
+		i := (j - 1) / 2 // parent
+		if h[i].d <= h[j].d {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (q *distQueue) pop() distItem {
+	h := *q
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && h[r].d < h[j].d {
+			j = r
+		}
+		if h[j].d >= h[i].d {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	*q = h[:n]
+	return h[n]
 }

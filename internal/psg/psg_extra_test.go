@@ -43,8 +43,8 @@ func TestPSGEdgeDistKeepsMinimum(t *testing.T) {
 	}
 	// end-to-end distances through the PSG stay exact
 	cov := JoinNew(c, p.CrossLinks, partOfFunc(c, p), parts, NewJoinOptions{WithDist: true})
-	dm := graph.NewDistanceMatrix(c.ElementGraph())
-	if err := twohop.VerifyDistance(cov, dm); err != nil {
+	dc := graph.NewDistClosure(c.ElementGraph())
+	if err := twohop.VerifyDistance(cov, dc); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -105,8 +105,8 @@ func TestJoinShortestPathLeavesPartition(t *testing.T) {
 	p := partition.Single(c)
 	parts := buildParts(c, p, true)
 	cov := JoinNew(c, p.CrossLinks, partOfFunc(c, p), parts, NewJoinOptions{WithDist: true})
-	dm := graph.NewDistanceMatrix(c.ElementGraph())
-	if err := twohop.VerifyDistance(cov, dm); err != nil {
+	dc := graph.NewDistClosure(c.ElementGraph())
+	if err := twohop.VerifyDistance(cov, dc); err != nil {
 		t.Fatal(err)
 	}
 	// the detour (2 hops) beats the internal chain (4 hops)

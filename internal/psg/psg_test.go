@@ -19,8 +19,8 @@ func buildParts(c *xmlmodel.Collection, p *partition.Partitioning, withDist bool
 		g, globals := partition.ElementSubgraph(c, docs)
 		var cov *twohop.Cover
 		if withDist {
-			dm := graph.NewDistanceMatrix(g)
-			cov, _ = twohop.BuildDistanceAware(dm, twohop.Options{})
+			dc := graph.NewDistClosure(g)
+			cov, _ = twohop.BuildDistanceAware(dc, twohop.Options{})
 		} else {
 			cl := graph.NewClosure(g)
 			cov, _ = twohop.Build(cl, twohop.Options{})
@@ -219,20 +219,20 @@ func TestJoinsRandomDistanceExact(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		c := randomCollection(rng, 3+rng.Intn(6), 5, rng.Intn(10))
-		dmGlobal := graph.NewDistanceMatrix(c.ElementGraph())
+		dcGlobal := graph.NewDistClosure(c.ElementGraph())
 		p := partition.NodeCapped(c, 10, nil, seed)
 		parts := buildParts(c, p, true)
 
 		covNew := JoinNew(c, p.CrossLinks, partOfFunc(c, p), parts, NewJoinOptions{WithDist: true})
-		if err := twohop.VerifyDistance(covNew, dmGlobal); err != nil {
+		if err := twohop.VerifyDistance(covNew, dcGlobal); err != nil {
 			t.Fatalf("seed %d JoinNew: %v", seed, err)
 		}
 		covFull := JoinNew(c, p.CrossLinks, partOfFunc(c, p), parts, NewJoinOptions{WithDist: true, FullPSGCover: true, Seed: seed})
-		if err := twohop.VerifyDistance(covFull, dmGlobal); err != nil {
+		if err := twohop.VerifyDistance(covFull, dcGlobal); err != nil {
 			t.Fatalf("seed %d JoinNew(full): %v", seed, err)
 		}
 		covOld := JoinOld(c, p.CrossLinks, parts, true)
-		if err := twohop.VerifyDistance(covOld, dmGlobal); err != nil {
+		if err := twohop.VerifyDistance(covOld, dcGlobal); err != nil {
 			t.Fatalf("seed %d JoinOld: %v", seed, err)
 		}
 	}

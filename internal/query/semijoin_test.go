@@ -28,14 +28,14 @@ func oracleEval(c *xmlmodel.Collection, q *Query) map[int32]bool {
 // self-matches).
 func oracleRanked(c *xmlmodel.Collection, q *Query) map[int32]float64 {
 	g := c.ElementGraph()
-	dm := graph.NewDistanceMatrix(g)
+	dc := graph.NewDistClosure(g)
 	properDist := func(f, id int32) uint32 {
 		if f != id {
-			return dm.D(f, id)
+			return dc.D(f, id)
 		}
 		best := graph.InfDist
 		for _, p := range g.Pred(f) {
-			if d := dm.D(f, p); d != graph.InfDist && d+1 < best {
+			if d := dc.D(f, p); d != graph.InfDist && d+1 < best {
 				best = d + 1
 			}
 		}

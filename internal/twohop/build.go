@@ -46,25 +46,10 @@ func Build(cl *graph.Closure, opts Options) (*Cover, Stats) {
 // BuildDistanceAware computes a distance-aware 2-hop cover: a center w
 // may only cover a connection (u,v) if w lies on a shortest path from u
 // to v, so that label distances always add up to exact shortest-path
-// lengths (§5.2).
-func BuildDistanceAware(dm *graph.DistanceMatrix, opts Options) (*Cover, Stats) {
-	cl := closureFromMatrix(dm)
-	b := newBuilder(cl, dm, opts)
+// lengths (§5.2). The connections to cover are dc's reach rows.
+func BuildDistanceAware(dc *graph.DistClosure, opts Options) (*Cover, Stats) {
+	b := newBuilder(&dc.Closure, dc, opts)
 	return b.run()
-}
-
-func closureFromMatrix(dm *graph.DistanceMatrix) *graph.Closure {
-	n := len(dm.Dist)
-	reach := bitRows(n)
-	for u := 0; u < n; u++ {
-		r := reach[u]
-		for v, d := range dm.Dist[u] {
-			if d != graph.InfDist && v != u {
-				r.Set(v)
-			}
-		}
-	}
-	return &graph.Closure{Reach: reach}
 }
 
 // bitRows returns n empty bitsets of capacity n cut from one allocation.
@@ -81,10 +66,10 @@ func bitRows(n int) []graph.Bitset {
 type builder struct {
 	n      int
 	cl     *graph.Closure
-	dm     *graph.DistanceMatrix // nil for plain covers
-	anc    []graph.Bitset        // transpose of cl.Reach
-	unc    []graph.Bitset        // not-yet-covered connections, per source
-	uncRow []int32               // |unc[u]|, so a fully covered row is skipped without a word scan
+	dc     *graph.DistClosure // nil for plain covers; cl is its closure otherwise
+	anc    []graph.Bitset     // transpose of cl.Reach
+	unc    []graph.Bitset     // not-yet-covered connections, per source
+	uncRow []int32            // |unc[u]|, so a fully covered row is skipped without a word scan
 	uncN   int64
 	cover  *Cover
 	rng    *rand.Rand
@@ -99,6 +84,11 @@ type builder struct {
 type scratch struct {
 	outSet  graph.Bitset // Cout(w) ∪ {w}
 	coutSet graph.Bitset // the chosen Cout while apply clears it from rows; empty between calls
+	// dW[v] = D(w,v) for every v in outSet, distance-aware covers only:
+	// w's row expanded once per center graph, so the kernel's inner
+	// loops read w's side with one load. Other entries are stale.
+	dW   []uint32
+	kept graph.Bitset // viaCenter's result, distance-aware covers only
 
 	// The center graph under work, in local vertex numbers: in-side
 	// vertex i is inNodes[i], out-side vertex t is outNodes[t]. Both
@@ -122,19 +112,26 @@ type scratch struct {
 	stack []bucketEntry
 
 	ins, outs []int32 // sampledDensity's candidate endpoints
+	// sampledDensity's samples: drawn holds (in-index, out-index) pairs
+	// in draw order, bySource their out-indices grouped by in-index,
+	// first the group bounds.
+	drawn, bySource, first []int32
 }
 
-func newBuilder(cl *graph.Closure, dm *graph.DistanceMatrix, opts Options) *builder {
+func newBuilder(cl *graph.Closure, dc *graph.DistClosure, opts Options) *builder {
 	n := len(cl.Reach)
 	b := &builder{
 		n:      n,
 		cl:     cl,
-		dm:     dm,
+		dc:     dc,
 		anc:    bitRows(n),
 		unc:    bitRows(n),
 		uncRow: make([]int32, n),
-		cover:  NewCover(n, dm != nil),
+		cover:  NewCover(n, dc != nil),
 		rng:    rand.New(rand.NewSource(opts.Seed)),
+	}
+	if dc != nil {
+		b.s.dW, b.s.kept = make([]uint32, n), graph.NewBitset(n)
 	}
 	for u := 0; u < n; u++ {
 		copy(b.unc[u], cl.Reach[u])
@@ -183,12 +180,16 @@ func (b *builder) preselect(centers []int32) {
 	}
 }
 
-// outSetFor fills the scratch bitset with Cout(w) ∪ {w} and returns the
+// outSetFor fills the scratch bitset with Cout(w) ∪ {w}, and for
+// distance-aware covers dW with w's distances to it, and returns the
 // range of its non-zero words.
 func (b *builder) outSetFor(w int32) (lo, hi int) {
 	out := b.s.outSet
 	clear(out[copy(out, b.cl.Reach[w]):])
 	out.Set(int(w))
+	if b.dc != nil {
+		b.dc.ExpandRow(w, b.s.dW)
+	}
 	lo = len(out)
 	for wi, word := range out {
 		if word != 0 {
@@ -236,24 +237,16 @@ func (b *builder) scanRow(u, w int32, lo, hi int) {
 	s := &b.s
 	row := b.unc[u][lo : hi+1]
 	out := s.outSet[lo : hi+1][:len(row)]
+	if b.dc != nil {
+		row = b.viaCenter(u, w, row, out, lo)
+	}
 	adj, outNodes, outLocal := s.inAdj, s.outNodes, s.outLocal
 	start := len(adj)
-	var du, dw []uint32
-	var duw uint32
-	if b.dm != nil {
-		// u reaches w and w reaches every v in out, so all three
-		// distances are finite and the sum cannot saturate.
-		du, dw = b.dm.Dist[u], b.dm.Dist[w]
-		duw = du[w]
-	}
 	for k, word := range row {
 		word &= out[k]
 		for word != 0 {
 			v := int32((lo+k)<<6 + bits.TrailingZeros64(word))
 			word &= word - 1
-			if du != nil && du[v] != duw+dw[v] {
-				continue
-			}
 			t := outLocal[v]
 			if t < 0 {
 				t = int32(len(outNodes))
@@ -268,6 +261,32 @@ func (b *builder) scanRow(u, w int32, lo, hi int) {
 		s.inOff = append(s.inOff, int32(start))
 	}
 	s.inAdj, s.outNodes = adj, outNodes
+}
+
+// viaCenter returns, in the arena, the words lo.. of row ∩ out — u's
+// uncovered candidates — reduced to the v for which the center w lies
+// on a shortest u→v path: D(u,v) = D(u,w) + D(w,v). D(u,v) is read off
+// u's closure row by word rank (unc[u] ⊆ Reach[u], so v's bit is set
+// there) and D(w,v) off dW. u reaches w and w reaches every candidate,
+// so every distance is finite and the sum cannot saturate. It is a
+// pass of its own so that its loop and scanRow's keep their values in
+// registers.
+func (b *builder) viaCenter(u, w int32, row, out graph.Bitset, lo int) graph.Bitset {
+	reach, rank := b.cl.Reach[u][lo:lo+len(row)], b.dc.RowRank(u)[lo:lo+len(row)]
+	dist, duw := b.dc.Dist, b.dc.D(u, w)
+	kept := b.s.kept[:len(row)]
+	for k, word := range row {
+		keep := word & out[k]
+		dW := b.s.dW[(lo+k)<<6:]
+		for c := keep; c != 0; c &= c - 1 {
+			low := c & -c
+			if dist[rank[k]+uint32(bits.OnesCount64(reach[k]&(low-1)))] != duw+dW[bits.TrailingZeros64(c)] {
+				keep &^= low
+			}
+		}
+		kept[k] = keep
+	}
+	return kept
 }
 
 // finishGraph closes the in-side CSR, derives the out-side CSR from a
@@ -311,9 +330,9 @@ func (b *builder) finishGraph() bool {
 func (b *builder) apply(w int32) {
 	s := &b.s
 	ni := len(s.inNodes)
-	var dw []uint32
-	if b.dm != nil {
-		dw = b.dm.Dist[w]
+	var dw []uint32 // outSetFor(w) filled it for the center graph under work
+	if b.dc != nil {
+		dw = s.dW
 	}
 	cout := s.coutSet
 	lo, hi := len(cout), 0
@@ -336,7 +355,7 @@ func (b *builder) apply(w int32) {
 		row := b.unc[u]
 		var d uint32
 		cleared := 0
-		if b.dm == nil {
+		if b.dc == nil {
 			for wi := lo; wi <= hi; wi++ {
 				cleared += bits.OnesCount64(row[wi] & cout[wi])
 				row[wi] &^= cout[wi]
@@ -344,7 +363,7 @@ func (b *builder) apply(w int32) {
 		} else {
 			// Only connections with w on a shortest path are covered at
 			// the right distance: u's edges in the center graph.
-			d = b.dm.Dist[u][w]
+			d = b.dc.D(u, w)
 			for _, t := range s.inAdj[s.inOff[i]:s.inOff[i+1]] {
 				if !s.cut[ni+int(t)] {
 					row.Clear(int(s.outNodes[t]))
@@ -452,7 +471,7 @@ func (b *builder) initialDensity(w int32) float64 {
 	if a+d == 0 {
 		return 0
 	}
-	if b.dm == nil {
+	if b.dc == nil {
 		x := b.anc[w].IntersectionCount(b.cl.Reach[w])
 		edges := float64(a+1)*float64(d+1) - float64(x) - 1
 		return edges / float64(a+d+2)
@@ -473,29 +492,57 @@ func (b *builder) sampledDensity(w int32) float64 {
 	total := int64(len(ins)) * int64(len(outs))
 	// Every u in ins reaches w and w reaches every v in outs, so w lies
 	// on a shortest u→v path iff the finite sum below is D(u,v).
-	dist, dw := b.dm.Dist, b.dm.Dist[w]
+	dc, dw := b.dc, s.dW
 	var edges float64
 	if total <= SampleBudget {
 		cnt := 0
 		for _, u := range ins {
-			du := dist[u]
-			duw := du[w]
+			duw := dc.D(u, w)
 			for _, v := range outs {
-				if u != v && du[v] == duw+dw[v] {
+				if u != v && dc.D(u, v) == duw+dw[v] {
 					cnt++
 				}
 			}
 		}
 		edges = float64(cnt)
 	} else {
+		// Draw every sample in the RNG order that defines the estimate,
+		// then test them grouped by source: D(u,w) once per u, and each
+		// D(u,v) off the one closure row that is in cache.
+		first := grown(s.first, len(ins)+1)
+		clear(first)
+		drawn := grown(s.drawn, 2*SampleBudget)
+		for i := 0; i < 2*SampleBudget; i += 2 {
+			drawn[i] = int32(b.rng.Intn(len(ins)))
+			drawn[i+1] = int32(b.rng.Intn(len(outs)))
+			first[drawn[i]+1]++
+		}
+		for i := range len(ins) {
+			first[i+1] += first[i]
+		}
+		// Counting sort: bySource[first[i]:first[i+1]] become the
+		// out-indices drawn with source ins[i]. first[i] is i's fill
+		// cursor and ends at the start of i+1, so it shifts back after.
+		bySource := grown(s.bySource, SampleBudget)
+		for i := 0; i < 2*SampleBudget; i += 2 {
+			bySource[first[drawn[i]]] = drawn[i+1]
+			first[drawn[i]]++
+		}
+		copy(first[1:], first[:len(ins)])
+		first[0] = 0
 		hit := 0
-		for i := 0; i < SampleBudget; i++ {
-			u := ins[b.rng.Intn(len(ins))]
-			v := outs[b.rng.Intn(len(outs))]
-			if u != v && dist[u][v] == dist[u][w]+dw[v] {
-				hit++
+		for i, u := range ins {
+			if first[i] == first[i+1] {
+				continue
+			}
+			duw := dc.D(u, w)
+			for _, vi := range bySource[first[i]:first[i+1]] {
+				if v := outs[vi]; u != v && dc.D(u, v) == duw+dw[v] {
+					hit++
+				}
 			}
 		}
+		s.first, s.drawn, s.bySource = first, drawn, bySource
 		p := float64(hit) / float64(SampleBudget)
 		pUp := p + z98*math.Sqrt(p*(1-p)/float64(SampleBudget))
 		if pUp > 1 {

@@ -36,9 +36,9 @@ func TestSampledDensityPath(t *testing.T) {
 		g.AddEdge(i, hub)
 		g.AddEdge(hub, k+i)
 	}
-	dm := graph.NewDistanceMatrix(g)
-	cover, _ := BuildDistanceAware(dm, Options{Seed: 3})
-	if err := VerifyDistance(cover, dm); err != nil {
+	dc := graph.NewDistClosure(g)
+	cover, _ := BuildDistanceAware(dc, Options{Seed: 3})
+	if err := VerifyDistance(cover, dc); err != nil {
 		t.Fatal(err)
 	}
 	// the hub is the perfect center; the cover should stay near one
@@ -115,9 +115,9 @@ func TestDistanceCycle(t *testing.T) {
 	for i := int32(0); i < n; i++ {
 		g.AddEdge(i, (i+1)%n)
 	}
-	dm := graph.NewDistanceMatrix(g)
-	cover, _ := BuildDistanceAware(dm, Options{})
-	if err := VerifyDistance(cover, dm); err != nil {
+	dc := graph.NewDistClosure(g)
+	cover, _ := BuildDistanceAware(dc, Options{})
+	if err := VerifyDistance(cover, dc); err != nil {
 		t.Fatal(err)
 	}
 	if d := cover.Distance(0, n-1); d != n-1 {

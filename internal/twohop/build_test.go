@@ -157,9 +157,9 @@ func TestBuildDistanceChain(t *testing.T) {
 	for i := int32(0); i < 5; i++ {
 		g.AddEdge(i, i+1)
 	}
-	dm := graph.NewDistanceMatrix(g)
-	cover, _ := BuildDistanceAware(dm, Options{})
-	if err := VerifyDistance(cover, dm); err != nil {
+	dc := graph.NewDistClosure(g)
+	cover, _ := BuildDistanceAware(dc, Options{})
+	if err := VerifyDistance(cover, dc); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -172,9 +172,9 @@ func TestBuildDistanceShortcut(t *testing.T) {
 	g.AddEdge(1, 2)
 	g.AddEdge(2, 3)
 	g.AddEdge(0, 3)
-	dm := graph.NewDistanceMatrix(g)
-	cover, _ := BuildDistanceAware(dm, Options{})
-	if err := VerifyDistance(cover, dm); err != nil {
+	dc := graph.NewDistClosure(g)
+	cover, _ := BuildDistanceAware(dc, Options{})
+	if err := VerifyDistance(cover, dc); err != nil {
 		t.Fatal(err)
 	}
 	if d := cover.Distance(0, 3); d != 1 {
@@ -189,9 +189,9 @@ func TestBuildDistanceQuickExact(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(22)
 		g := randomDigraph(rng, n, rng.Intn(3*n))
-		dm := graph.NewDistanceMatrix(g)
-		cover, _ := BuildDistanceAware(dm, Options{Seed: seed})
-		return VerifyDistance(cover, dm) == nil
+		dc := graph.NewDistClosure(g)
+		cover, _ := BuildDistanceAware(dc, Options{Seed: seed})
+		return VerifyDistance(cover, dc) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -204,9 +204,9 @@ func TestBuildDistanceQuickReachAgrees(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(22)
 		g := randomDigraph(rng, n, rng.Intn(3*n))
-		dm := graph.NewDistanceMatrix(g)
+		dc := graph.NewDistClosure(g)
 		cl := graph.NewClosure(g)
-		cover, _ := BuildDistanceAware(dm, Options{Seed: seed})
+		cover, _ := BuildDistanceAware(dc, Options{Seed: seed})
 		return Verify(cover, cl) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -222,8 +222,8 @@ func TestDistanceOverheadModest(t *testing.T) {
 	g := randomDigraph(rng, 60, 100)
 	cl := graph.NewClosure(g)
 	plain, _ := Build(cl, Options{})
-	dm := graph.NewDistanceMatrix(g)
-	dist, _ := BuildDistanceAware(dm, Options{})
+	dc := graph.NewDistClosure(g)
+	dist, _ := BuildDistanceAware(dc, Options{})
 	if plain.Size() == 0 {
 		t.Skip("degenerate random graph")
 	}
@@ -261,7 +261,7 @@ func BenchmarkBuildDistance100(b *testing.B) {
 	g := randomDigraph(rng, 100, 250)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dm := graph.NewDistanceMatrix(g)
-		BuildDistanceAware(dm, Options{})
+		dc := graph.NewDistClosure(g)
+		BuildDistanceAware(dc, Options{})
 	}
 }

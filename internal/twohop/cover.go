@@ -417,16 +417,16 @@ func Verify(c *Cover, cl *graph.Closure) error {
 }
 
 // VerifyDistance checks a distance-aware cover against a ground-truth
-// distance matrix: Distance(u,v) must equal the BFS distance for every
+// distance closure: Distance(u,v) must equal the BFS distance for every
 // pair (InfDist for unreachable pairs).
-func VerifyDistance(c *Cover, dm *graph.DistanceMatrix) error {
-	n := len(dm.Dist)
+func VerifyDistance(c *Cover, dc *graph.DistClosure) error {
+	n := dc.N()
 	if c.N() != n {
-		return fmt.Errorf("twohop: cover over %d nodes, matrix over %d", c.N(), n)
+		return fmt.Errorf("twohop: cover over %d nodes, closure over %d", c.N(), n)
 	}
 	for u := int32(0); u < int32(n); u++ {
 		for v := int32(0); v < int32(n); v++ {
-			want := dm.D(u, v)
+			want := dc.D(u, v)
 			if got := c.Distance(u, v); got != want {
 				return fmt.Errorf("twohop: Distance(%d,%d) = %d, want %d", u, v, got, want)
 			}

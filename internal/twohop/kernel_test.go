@@ -36,9 +36,8 @@ func sameBuilds(t *testing.T, name string, g *graph.Digraph, opts Options) {
 	got, gotStats := Build(cl, opts)
 	sameCover(t, name+" plain", want, got, wantStats, gotStats)
 
-	dm := graph.NewDistanceMatrix(g)
-	want, wantStats = oracleBuildDistanceAware(dm, opts)
-	got, gotStats = BuildDistanceAware(dm, opts)
+	want, wantStats = oracleBuildDistanceAware(newOracleMatrix(g), opts)
+	got, gotStats = BuildDistanceAware(graph.NewDistClosure(g), opts)
 	sameCover(t, name+" distance-aware", want, got, wantStats, gotStats)
 }
 
@@ -136,8 +135,12 @@ func kernelTestGraph() *graph.Digraph {
 // peel, reduce to the remainder, peel again — allocates nothing.
 func TestWarmPopAllocatesNothing(t *testing.T) {
 	g := kernelTestGraph()
-	for _, dm := range []*graph.DistanceMatrix{nil, graph.NewDistanceMatrix(g)} {
-		b := newBuilder(graph.NewClosure(g), dm, Options{})
+	for _, dc := range []*graph.DistClosure{nil, graph.NewDistClosure(g)} {
+		cl := graph.NewClosure(g)
+		if dc != nil {
+			cl = &dc.Closure
+		}
+		b := newBuilder(cl, dc, Options{})
 		edges := 0
 		everyPop := func() {
 			for w := int32(0); w < int32(b.n); w++ {
@@ -155,7 +158,7 @@ func TestWarmPopAllocatesNothing(t *testing.T) {
 			t.Fatal("no center graph has an edge")
 		}
 		if allocs := testing.AllocsPerRun(3, everyPop); allocs != 0 {
-			t.Errorf("distance-aware=%v: %.0f allocations in warmed-up pops over %d nodes, want 0", dm != nil, allocs, b.n)
+			t.Errorf("distance-aware=%v: %.0f allocations in warmed-up pops over %d nodes, want 0", dc != nil, allocs, b.n)
 		}
 	}
 }
@@ -165,12 +168,12 @@ func TestWarmPopAllocatesNothing(t *testing.T) {
 // applied center — and not per pop or per center-graph edge.
 func TestBuildAllocationsLinear(t *testing.T) {
 	g := kernelTestGraph()
-	cl, dm := graph.NewClosure(g), graph.NewDistanceMatrix(g)
+	cl, dc := graph.NewClosure(g), graph.NewDistClosure(g)
 	for _, withDist := range []bool{false, true} {
 		var stats Stats
 		allocs := testing.AllocsPerRun(3, func() {
 			if withDist {
-				_, stats = BuildDistanceAware(dm, Options{Seed: 1})
+				_, stats = BuildDistanceAware(dc, Options{Seed: 1})
 			} else {
 				_, stats = Build(cl, Options{Seed: 1})
 			}

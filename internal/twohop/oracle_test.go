@@ -4,7 +4,9 @@ package twohop
 // verbatim (identifiers prefixed, nothing else changed) as the oracle
 // the differential tests in kernel_test.go compare build.go against:
 // same vertex numbering, same bucket order, same density floats, same
-// RNG call sequence — so the same cover, label for label.
+// RNG call sequence — so the same cover, label for label. Its distances
+// come from the dense n² matrix it was written against, which lives on
+// here only as the oracle's input.
 
 import (
 	"container/heap"
@@ -15,23 +17,56 @@ import (
 	"hopi/internal/graph"
 )
 
+// oracleMatrix holds all-pairs shortest-path lengths: Dist[u][v] is the
+// length of the shortest path u → v, 0 on the diagonal, InfDist when
+// unreachable.
+type oracleMatrix struct {
+	Dist [][]uint32
+}
+
+// newOracleMatrix runs one BFS per node.
+func newOracleMatrix(g *graph.Digraph) *oracleMatrix {
+	d := make([][]uint32, g.N())
+	for u := range d {
+		d[u] = g.BFSFrom(int32(u))
+	}
+	return &oracleMatrix{Dist: d}
+}
+
+// D returns the distance u → v (0 if u==v, InfDist if unreachable).
+func (m *oracleMatrix) D(u, v int32) uint32 { return m.Dist[u][v] }
+
 func oracleBuild(cl *graph.Closure, opts Options) (*Cover, Stats) {
 	b := newOracleBuilder(cl, nil, opts)
 	return b.run()
 }
 
-func oracleBuildDistanceAware(dm *graph.DistanceMatrix, opts Options) (*Cover, Stats) {
-	cl := closureFromMatrix(dm)
+func oracleBuildDistanceAware(dm *oracleMatrix, opts Options) (*Cover, Stats) {
+	cl := oracleClosureFromMatrix(dm)
 	b := newOracleBuilder(cl, dm, opts)
 	return b.run()
+}
+
+func oracleClosureFromMatrix(dm *oracleMatrix) *graph.Closure {
+	n := len(dm.Dist)
+	reach := make([]graph.Bitset, n)
+	for u := 0; u < n; u++ {
+		reach[u] = graph.NewBitset(n)
+		for v, d := range dm.Dist[u] {
+			if d != graph.InfDist && v != u {
+				reach[u].Set(v)
+			}
+		}
+	}
+	return &graph.Closure{Reach: reach}
 }
 
 type oracleBuilder struct {
 	n     int
 	cl    *graph.Closure
-	dm    *graph.DistanceMatrix // nil for plain covers
-	anc   []graph.Bitset        // transpose of cl.Reach
-	unc   []graph.Bitset        // not-yet-covered connections, per source
+	dm    *oracleMatrix  // nil for plain covers
+	anc   []graph.Bitset // transpose of cl.Reach
+	unc   []graph.Bitset // not-yet-covered connections, per source
 	uncN  int64
 	cover *Cover
 	rng   *rand.Rand
@@ -41,7 +76,7 @@ type oracleBuilder struct {
 	outSet graph.Bitset
 }
 
-func newOracleBuilder(cl *graph.Closure, dm *graph.DistanceMatrix, opts Options) *oracleBuilder {
+func newOracleBuilder(cl *graph.Closure, dm *oracleMatrix, opts Options) *oracleBuilder {
 	n := len(cl.Reach)
 	b := &oracleBuilder{
 		n:     n,
