@@ -578,12 +578,9 @@ func BenchmarkSnapshotAfterInsert(b *testing.B) {
 
 // --- sharded serving --------------------------------------------------------
 
-// BenchmarkRouterQueryUnderInserts measures the cross-shard // join
-// under write churn: every op inserts one citing document through a
-// 4-shard in-process router, moving one shard's epoch, then runs
-// //article//author across the new cut — closure fetch, endpoint-graph
-// assembly and routing included.
-func BenchmarkRouterQueryUnderInserts(b *testing.B) {
+// benchRouter stands up a 4-shard in-process router over 200 DBLP
+// documents.
+func benchRouter(b *testing.B) *Router {
 	const docs, shards = 200, 4
 	coll := WrapCollection(benchDBLP(docs))
 	opts := DefaultOptions()
@@ -598,13 +595,40 @@ func BenchmarkRouterQueryUnderInserts(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		defer ix.Close()
+		b.Cleanup(func() { ix.Close() })
 		conns[i] = NewLocalShard(fmt.Sprintf("s%d", i), ix)
 	}
 	router, err := NewRouter(conns, m, "")
 	if err != nil {
 		b.Fatal(err)
 	}
+	return router
+}
+
+// BenchmarkRouterQueryWarm measures the cross-shard // join on a
+// quiescent cut: //article//cite//title repeated, so every round after
+// the first query reads the router's endpoint graph and the shards'
+// memoized closures and delivery tables.
+func BenchmarkRouterQueryWarm(b *testing.B) {
+	router := benchRouter(b)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := router.Query(ctx, "//article//cite//title", RouterQueryOptions{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRouterQueryUnderInserts measures the cross-shard // join
+// under write churn: every op inserts one citing document through a
+// 4-shard in-process router, moving one shard's epoch, then runs
+// //article//author across the new cut — closure round, endpoint-graph
+// assembly and routing included.
+func BenchmarkRouterQueryUnderInserts(b *testing.B) {
+	const docs = 200
+	router := benchRouter(b)
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(benchSeed))
 	b.ReportAllocs()

@@ -227,11 +227,12 @@ func TestRouterShardMetricsAgree(t *testing.T) {
 	if deliverServed != float64(c.DeliverRPCs) {
 		t.Errorf("deliver RPCs: shards served %v, router issued %d", deliverServed, c.DeliverRPCs)
 	}
-	// Cache misses bound the closure RPCs from above, not exactly: the
-	// miss counter also covers deliver-table fills and piggybacked fills
-	// that ride on step responses without a standalone Closure RPC.
-	if closureServed > float64(c.ClosureCacheMisses) {
-		t.Errorf("closure RPCs: shards served %v, router only missed %d", closureServed, c.ClosureCacheMisses)
+	if closureServed != float64(c.ClosureRPCs) {
+		t.Errorf("closure RPCs: shards served %v, router issued %d", closureServed, c.ClosureRPCs)
+	}
+	// Only the first of the identical queries met a new cut.
+	if c.ClosureCacheMisses != 1 || c.ClosureCacheHits != 2 {
+		t.Errorf("endpoint graph: %d misses, %d hits; want 1 and 2", c.ClosureCacheMisses, c.ClosureCacheHits)
 	}
 
 	// The router's own registry must agree with the same counters and

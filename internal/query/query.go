@@ -347,6 +347,10 @@ func (e *Engine) candidateBits(tag string) graph.Bitset {
 	if tag == "*" {
 		return e.allBits
 	}
+	if len(e.tags[tag]) == 0 {
+		// not cached: a client can name any number of unknown tags
+		return graph.NewBitset(e.n)
+	}
 	if b, ok := e.tagBits.Load(tag); ok {
 		return b.(graph.Bitset)
 	}

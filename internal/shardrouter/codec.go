@@ -19,7 +19,9 @@ import (
 // the message fields in fixed order. Integers are little-endian
 // fixed-width; strings are u32-length-prefixed UTF-8 bytes; slices
 // and maps are u32-count-prefixed with ^u32(0) marking nil (so
-// decode(encode(x)) == x exactly, nil-ness included).
+// decode(encode(x)) == x exactly, nil-ness included). Each message
+// states its field order once, in its code method, which the encoder
+// and the decoder both run.
 //
 // Tracing adds an OPTIONAL TRAILING SECTION to every message: a
 // request's trace ID, a response's Span. The base fields are fully
@@ -37,10 +39,12 @@ const BinaryContentType = "application/x-hopi-bin"
 // length prefixes.
 var ErrBadFrame = errors.New("shardrouter: malformed binary frame")
 
+// binVersion changes whenever a message's field order does, so a peer
+// speaking another layout is refused, not misread.
 const (
 	binMagic0  = 'H'
 	binMagic1  = 'B'
-	binVersion = 1
+	binVersion = 2
 )
 
 // Message kinds (the header's fourth byte).
@@ -56,85 +60,232 @@ const (
 // nilLen marks a nil slice/map in a length prefix.
 const nilLen = ^uint32(0)
 
-// --- writer -----------------------------------------------------------
+// minFrontierElem is a frontier element's 4+8+4 fixed bytes plus two
+// string prefixes.
+const minFrontierElem = 4 + 8 + 4 + 4 + 4
 
-type binWriter struct{ b []byte }
-
-func newBinWriter(kind byte) *binWriter {
-	return &binWriter{b: []byte{binMagic0, binMagic1, binVersion, kind}}
+// frame runs a message's field order in one direction: encoding
+// appends each field to b; decoding (read) parses it from b at off and
+// records the first failure in err, after which every field reads as
+// its zero value.
+type frame struct {
+	b    []byte
+	off  int
+	err  error
+	read bool
 }
 
-func (w *binWriter) u8(v byte)     { w.b = append(w.b, v) }
-func (w *binWriter) u32(v uint32)  { w.b = binary.LittleEndian.AppendUint32(w.b, v) }
-func (w *binWriter) u64(v uint64)  { w.b = binary.LittleEndian.AppendUint64(w.b, v) }
-func (w *binWriter) i32(v int32)   { w.u32(uint32(v)) }
-func (w *binWriter) f64(v float64) { w.u64(math.Float64bits(v)) }
+// message is a frame payload: code runs its fields in wire order.
+type message interface{ code(f *frame) }
 
-func (w *binWriter) str(s string) {
-	w.u32(uint32(len(s)))
-	w.b = append(w.b, s...)
+func encode(kind byte, m message) []byte {
+	f := &frame{b: []byte{binMagic0, binMagic1, binVersion, kind}}
+	m.code(f)
+	return f.b
 }
 
-// slen writes a slice/map length prefix; isNil encodes a nil value.
-func (w *binWriter) slen(n int, isNil bool) {
-	if isNil {
-		w.u32(nilLen)
+// decode parses a frame of the given kind into a new M and checks that
+// it was consumed exactly.
+func decode[M any, P interface {
+	*M
+	message
+}](b []byte, kind byte) (*M, error) {
+	f := &frame{b: b, read: true}
+	switch {
+	case len(b) < 4 || b[0] != binMagic0 || b[1] != binMagic1:
+		f.err = fmt.Errorf("%w: bad magic", ErrBadFrame)
+	case b[2] != binVersion:
+		f.err = fmt.Errorf("%w: unknown version %d", ErrBadFrame, b[2])
+	case b[3] != kind:
+		f.err = fmt.Errorf("%w: message kind %d, want %d", ErrBadFrame, b[3], kind)
+	default:
+		f.off = 4
+	}
+	m := P(new(M))
+	m.code(f)
+	if f.err == nil && f.off != len(b) {
+		f.err = fmt.Errorf("%w: %d trailing bytes", ErrBadFrame, len(b)-f.off)
+	}
+	if f.err != nil {
+		return nil, f.err
+	}
+	return m, nil
+}
+
+func (f *frame) fail(format string, args ...any) {
+	if f.err == nil {
+		f.err = fmt.Errorf("%w: "+format, append([]any{ErrBadFrame}, args...)...)
+	}
+}
+
+// take consumes n bytes when decoding; nil once the frame has failed.
+func (f *frame) take(n int) []byte {
+	if f.err != nil {
+		return nil
+	}
+	if len(f.b)-f.off < n {
+		f.fail("truncated at offset %d (need %d bytes)", f.off, n)
+		return nil
+	}
+	out := f.b[f.off : f.off+n]
+	f.off += n
+	return out
+}
+
+func (f *frame) u32(p *uint32) {
+	if !f.read {
+		f.b = binary.LittleEndian.AppendUint32(f.b, *p)
+	} else if b := f.take(4); b != nil {
+		*p = binary.LittleEndian.Uint32(b)
+	}
+}
+
+func (f *frame) u64(p *uint64) {
+	if !f.read {
+		f.b = binary.LittleEndian.AppendUint64(f.b, *p)
+	} else if b := f.take(8); b != nil {
+		*p = binary.LittleEndian.Uint64(b)
+	}
+}
+
+func (f *frame) i32(p *int32) {
+	v := uint32(*p)
+	f.u32(&v)
+	*p = int32(v)
+}
+
+func (f *frame) f64(p *float64) {
+	v := math.Float64bits(*p)
+	f.u64(&v)
+	*p = math.Float64frombits(v)
+}
+
+// flags packs up to eight booleans into one byte, the first in bit 0.
+func (f *frame) flags(bits ...*bool) {
+	var v byte
+	for i, p := range bits {
+		if *p {
+			v |= 1 << i
+		}
+	}
+	if !f.read {
+		f.b = append(f.b, v)
 		return
 	}
-	w.u32(uint32(n))
-}
-
-func (w *binWriter) strs(ss []string) {
-	w.slen(len(ss), ss == nil)
-	for _, s := range ss {
-		w.str(s)
-	}
-}
-
-func (w *binWriter) frontier(fes []FrontierElem) {
-	w.slen(len(fes), fes == nil)
-	for i := range fes {
-		fe := &fes[i]
-		w.i32(fe.ID)
-		w.f64(fe.Score)
-		w.str(fe.Doc)
-		w.i32(fe.Local)
-		w.str(fe.Tag)
-	}
-}
-
-func (w *binWriter) arrivals(m map[string][]Arrival) {
-	w.slen(len(m), m == nil)
-	for spec, arr := range m {
-		w.str(spec)
-		w.slen(len(arr), arr == nil)
-		for _, a := range arr {
-			w.f64(a.Base)
-			w.u32(a.Dist)
+	if b := f.take(1); b != nil {
+		for i, p := range bits {
+			*p = b[0]&(1<<i) != 0
 		}
 	}
 }
 
-func (w *binWriter) deliveries(m map[string][]Delivery) {
-	w.slen(len(m), m == nil)
-	for spec, ds := range m {
-		w.str(spec)
-		w.slen(len(ds), ds == nil)
-		for i := range ds {
-			d := &ds[i]
-			w.i32(d.ID)
-			w.u32(d.Dist)
-			w.str(d.Doc)
-			w.i32(d.Local)
-			w.str(d.Tag)
+func (f *frame) str(p *string) {
+	n := uint32(len(*p))
+	f.u32(&n)
+	if !f.read {
+		f.b = append(f.b, *p...)
+		return
+	}
+	if f.err == nil && uint64(n) > uint64(len(f.b)-f.off) {
+		f.fail("string length %d exceeds remaining %d bytes", n, len(f.b)-f.off)
+	}
+	*p = string(f.take(int(n)))
+}
+
+// count codes a slice or map length prefix and returns the element
+// count, -1 for nil. A decoded count is checked against the remaining
+// bytes at minElem bytes per element, so a corrupt prefix cannot force
+// a huge allocation.
+func (f *frame) count(n int, isNil bool, minElem int) int {
+	v := uint32(n)
+	if isNil {
+		v = nilLen
+	}
+	f.u32(&v)
+	switch {
+	case f.err != nil:
+		return 0
+	case v == nilLen:
+		return -1
+	case f.read && uint64(v)*uint64(minElem) > uint64(len(f.b)-f.off):
+		f.fail("count %d exceeds remaining %d bytes", v, len(f.b)-f.off)
+		return 0
+	}
+	return int(v)
+}
+
+// codeSlice codes a length-prefixed slice, elem coding each element in
+// place.
+func codeSlice[T any](f *frame, s *[]T, minElem int, elem func(*T)) {
+	n := f.count(len(*s), *s == nil, minElem)
+	if f.read {
+		if n < 0 {
+			return
 		}
+		*s = make([]T, n)
+	}
+	for i := range *s {
+		elem(&(*s)[i])
 	}
 }
 
-func (w *binWriter) dists(ds []uint32) {
-	w.slen(len(ds), ds == nil)
-	for _, d := range ds {
-		w.u32(d)
+func (f *frame) strs(p *[]string) { codeSlice(f, p, 4, f.str) }
+
+func (f *frame) dists(p *[]uint32) { codeSlice(f, p, 4, f.u32) }
+
+func (f *frame) frontier(p *[]FrontierElem) {
+	codeSlice(f, p, minFrontierElem, func(fe *FrontierElem) {
+		f.i32(&fe.ID)
+		f.f64(&fe.Score)
+		f.str(&fe.Doc)
+		f.i32(&fe.Local)
+		f.str(&fe.Tag)
+	})
+}
+
+func (f *frame) arrivalList(p *[]Arrival) {
+	codeSlice(f, p, 12, func(a *Arrival) {
+		f.f64(&a.Base)
+		f.u32(&a.Dist)
+	})
+}
+
+func (f *frame) arrivals(p *map[string][]Arrival) {
+	n := f.count(len(*p), *p == nil, 8)
+	if !f.read {
+		for spec, arr := range *p {
+			f.str(&spec)
+			f.arrivalList(&arr)
+		}
+		return
+	}
+	if n < 0 {
+		return
+	}
+	*p = make(map[string][]Arrival, n)
+	for i := 0; i < n && f.err == nil; i++ {
+		var spec string
+		var arr []Arrival
+		f.str(&spec)
+		f.arrivalList(&arr)
+		(*p)[spec] = arr
+	}
+}
+
+// trailing reports whether a frame carries the optional trailing
+// section: on encode when present says so, on decode when bytes remain
+// after the base fields (an untraced peer ends the frame there).
+func (f *frame) trailing(present bool) bool {
+	if f.read {
+		return f.err == nil && f.off < len(f.b)
+	}
+	return present
+}
+
+// trace codes a request's optional trailing trace ID.
+func (f *frame) trace(p *string) {
+	if f.trailing(*p != "") {
+		f.str(p)
 	}
 }
 
@@ -150,13 +301,24 @@ func clampUs(us int64) uint32 {
 	return uint32(us)
 }
 
-// span writes a response's trailing Span section. EncodeUs is written
+// span codes a response's optional trailing Span. EncodeUs is written
 // last so StampEncodeUs can patch it after the frame is built.
-func (w *binWriter) span(sp *Span) {
-	w.str(sp.Trace)
-	w.u32(clampUs(sp.QueueUs))
-	w.u32(clampUs(sp.EvalUs))
-	w.u32(clampUs(sp.EncodeUs))
+func (f *frame) span(p **Span) {
+	if !f.trailing(*p != nil) {
+		return
+	}
+	if f.read {
+		*p = &Span{}
+	}
+	sp := *p
+	f.str(&sp.Trace)
+	for _, us := range []*int64{&sp.QueueUs, &sp.EvalUs, &sp.EncodeUs} {
+		v := clampUs(*us)
+		f.u32(&v)
+		if f.read {
+			*us = int64(v)
+		}
+	}
 }
 
 // StampEncodeUs overwrites the EncodeUs field — the final 4 bytes — of
@@ -166,437 +328,98 @@ func StampEncodeUs(frame []byte, d time.Duration) {
 	binary.LittleEndian.PutUint32(frame[len(frame)-4:], clampUs(d.Microseconds()))
 }
 
-// --- reader -----------------------------------------------------------
-
-type binReader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func newBinReader(b []byte, kind byte) *binReader {
-	r := &binReader{b: b}
-	if len(b) < 4 || b[0] != binMagic0 || b[1] != binMagic1 {
-		r.err = fmt.Errorf("%w: bad magic", ErrBadFrame)
-		return r
-	}
-	if b[2] != binVersion {
-		r.err = fmt.Errorf("%w: unknown version %d", ErrBadFrame, b[2])
-		return r
-	}
-	if b[3] != kind {
-		r.err = fmt.Errorf("%w: message kind %d, want %d", ErrBadFrame, b[3], kind)
-		return r
-	}
-	r.off = 4
-	return r
-}
-
-func (r *binReader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("%w: "+format, append([]any{ErrBadFrame}, args...)...)
-	}
-}
-
-func (r *binReader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || len(r.b)-r.off < n {
-		r.fail("truncated at offset %d (need %d bytes)", r.off, n)
-		return nil
-	}
-	out := r.b[r.off : r.off+n]
-	r.off += n
-	return out
-}
-
-func (r *binReader) u8() byte {
-	b := r.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (r *binReader) u32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (r *binReader) u64() uint64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (r *binReader) i32() int32   { return int32(r.u32()) }
-func (r *binReader) f64() float64 { return math.Float64frombits(r.u64()) }
-
-func (r *binReader) str() string {
-	n := r.u32()
-	if r.err != nil {
-		return ""
-	}
-	if uint64(n) > uint64(len(r.b)-r.off) {
-		r.fail("string length %d exceeds remaining %d bytes", n, len(r.b)-r.off)
-		return ""
-	}
-	return string(r.take(int(n)))
-}
-
-// length reads a slice/map prefix: -1 for nil, else the count,
-// validated against the remaining bytes at minElem bytes per element
-// so a corrupt prefix cannot force a huge allocation.
-func (r *binReader) length(minElem int) int {
-	n := r.u32()
-	if r.err != nil {
-		return 0
-	}
-	if n == nilLen {
-		return -1
-	}
-	if uint64(n)*uint64(minElem) > uint64(len(r.b)-r.off) {
-		r.fail("count %d exceeds remaining %d bytes", n, len(r.b)-r.off)
-		return 0
-	}
-	return int(n)
-}
-
-func (r *binReader) strs() []string {
-	n := r.length(4)
-	if n < 0 || r.err != nil {
-		return nil
-	}
-	out := make([]string, n)
-	for i := range out {
-		out[i] = r.str()
-	}
-	return out
-}
-
-// frontierElem is 4+8+4 fixed bytes plus two string prefixes.
-const minFrontierElem = 4 + 8 + 4 + 4 + 4
-
-func (r *binReader) frontier() []FrontierElem {
-	n := r.length(minFrontierElem)
-	if n < 0 || r.err != nil {
-		return nil
-	}
-	out := make([]FrontierElem, n)
-	for i := range out {
-		out[i].ID = r.i32()
-		out[i].Score = r.f64()
-		out[i].Doc = r.str()
-		out[i].Local = r.i32()
-		out[i].Tag = r.str()
-	}
-	return out
-}
-
-func (r *binReader) arrivals() map[string][]Arrival {
-	n := r.length(8)
-	if n < 0 || r.err != nil {
-		return nil
-	}
-	out := make(map[string][]Arrival, n)
-	for i := 0; i < n; i++ {
-		spec := r.str()
-		cnt := r.length(12)
-		if r.err != nil {
-			return nil
-		}
-		if cnt < 0 {
-			out[spec] = nil
-			continue
-		}
-		arr := make([]Arrival, cnt)
-		for j := range arr {
-			arr[j].Base = r.f64()
-			arr[j].Dist = r.u32()
-		}
-		out[spec] = arr
-	}
-	return out
-}
-
-const minDelivery = 4 + 4 + 4 + 4 + 4
-
-func (r *binReader) deliveries() map[string][]Delivery {
-	n := r.length(8)
-	if n < 0 || r.err != nil {
-		return nil
-	}
-	out := make(map[string][]Delivery, n)
-	for i := 0; i < n; i++ {
-		spec := r.str()
-		cnt := r.length(minDelivery)
-		if r.err != nil {
-			return nil
-		}
-		if cnt < 0 {
-			out[spec] = nil
-			continue
-		}
-		ds := make([]Delivery, cnt)
-		for j := range ds {
-			ds[j].ID = r.i32()
-			ds[j].Dist = r.u32()
-			ds[j].Doc = r.str()
-			ds[j].Local = r.i32()
-			ds[j].Tag = r.str()
-		}
-		out[spec] = ds
-	}
-	return out
-}
-
-func (r *binReader) dists() []uint32 {
-	n := r.length(4)
-	if n < 0 || r.err != nil {
-		return nil
-	}
-	out := make([]uint32, n)
-	for i := range out {
-		out[i] = r.u32()
-	}
-	return out
-}
-
-// trailingTrace reads the optional trailing trace ID of a request
-// frame; "" when the frame ends at the base fields (untraced peer).
-func (r *binReader) trailingTrace() string {
-	if r.err != nil || r.off >= len(r.b) {
-		return ""
-	}
-	return r.str()
-}
-
-// trailingSpan reads the optional trailing Span of a response frame;
-// nil when the frame ends at the base fields (untraced request or a
-// shard predating tracing).
-func (r *binReader) trailingSpan() *Span {
-	if r.err != nil || r.off >= len(r.b) {
-		return nil
-	}
-	sp := &Span{}
-	sp.Trace = r.str()
-	sp.QueueUs = int64(r.u32())
-	sp.EvalUs = int64(r.u32())
-	sp.EncodeUs = int64(r.u32())
-	return sp
-}
-
-// finish validates that the frame was consumed exactly.
-func (r *binReader) finish() error {
-	if r.err != nil {
-		return r.err
-	}
-	if r.off != len(r.b) {
-		return fmt.Errorf("%w: %d trailing bytes", ErrBadFrame, len(r.b)-r.off)
-	}
-	return nil
-}
-
-// --- flag bits --------------------------------------------------------
-
-func packFlags(bits ...bool) byte {
-	var out byte
-	for i, b := range bits {
-		if b {
-			out |= 1 << i
-		}
-	}
-	return out
-}
-
-func bit(flags byte, i int) bool { return flags&(1<<i) != 0 }
-
 // --- messages ---------------------------------------------------------
 
-// EncodeStepRequest serializes a StepRequest as a binary frame.
-func EncodeStepRequest(m *StepRequest) []byte {
-	w := newBinWriter(kindStepRequest)
-	w.u64(m.Epoch)
-	w.u8(packFlags(m.Pin, m.Retain, m.Ranked, m.Seed, m.WantMeta, m.WantClosure, m.ClosureWithDist))
-	w.str(m.Axis)
-	w.str(m.Tag)
-	w.frontier(m.Frontier)
-	w.strs(m.ProbeOut)
-	w.strs(m.ProbeIn)
-	w.strs(m.ClosureFrom)
-	w.strs(m.ClosureTo)
-	if m.Trace != "" {
-		w.str(m.Trace)
-	}
-	return w.b
+func (m *StepRequest) code(f *frame) {
+	f.u64(&m.Epoch)
+	f.flags(&m.Pin, &m.Retain, &m.Ranked, &m.Seed, &m.WantMeta)
+	f.str(&m.Axis)
+	f.str(&m.Tag)
+	f.frontier(&m.Frontier)
+	f.strs(&m.ProbeOut)
+	f.trace(&m.Trace)
 }
 
+func (m *StepResponse) code(f *frame) {
+	f.u64(&m.Epoch)
+	f.u64(&m.Scope)
+	f.flags(&m.SeqEpoch)
+	f.frontier(&m.Frontier)
+	f.arrivals(&m.Out)
+	f.span(&m.Span)
+}
+
+func (m *DeliverRequest) code(f *frame) {
+	f.u64(&m.Epoch)
+	f.flags(&m.Retain, &m.Ranked, &m.WantMeta)
+	f.str(&m.Tag)
+	f.arrivals(&m.In)
+	f.trace(&m.Trace)
+}
+
+func (m *DeliverResponse) code(f *frame) {
+	f.frontier(&m.Matches)
+	f.span(&m.Span)
+}
+
+func (m *ClosureRequest) code(f *frame) {
+	f.u64(&m.Epoch)
+	f.flags(&m.Retain, &m.WithDist)
+	f.strs(&m.From)
+	f.strs(&m.To)
+	f.trace(&m.Trace)
+}
+
+func (m *ClosureResponse) code(f *frame) {
+	f.dists(&m.Dist)
+	f.span(&m.Span)
+}
+
+// EncodeStepRequest serializes a StepRequest as a binary frame.
+func EncodeStepRequest(m *StepRequest) []byte { return encode(kindStepRequest, m) }
+
 // DecodeStepRequest parses a binary StepRequest frame; malformed
-// frames wrap ErrBadFrame.
+// frames wrap ErrBadFrame, as for every Decode function.
 func DecodeStepRequest(b []byte) (*StepRequest, error) {
-	r := newBinReader(b, kindStepRequest)
-	m := &StepRequest{}
-	m.Epoch = r.u64()
-	flags := r.u8()
-	m.Pin, m.Retain, m.Ranked, m.Seed = bit(flags, 0), bit(flags, 1), bit(flags, 2), bit(flags, 3)
-	m.WantMeta, m.WantClosure, m.ClosureWithDist = bit(flags, 4), bit(flags, 5), bit(flags, 6)
-	m.Axis = r.str()
-	m.Tag = r.str()
-	m.Frontier = r.frontier()
-	m.ProbeOut = r.strs()
-	m.ProbeIn = r.strs()
-	m.ClosureFrom = r.strs()
-	m.ClosureTo = r.strs()
-	m.Trace = r.trailingTrace()
-	if err := r.finish(); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return decode[StepRequest](b, kindStepRequest)
 }
 
 // EncodeStepResponse serializes a StepResponse as a binary frame.
-func EncodeStepResponse(m *StepResponse) []byte {
-	w := newBinWriter(kindStepResponse)
-	w.u64(m.Epoch)
-	w.u64(m.Scope)
-	w.u8(packFlags(m.SeqEpoch, m.Closure != nil))
-	w.frontier(m.Frontier)
-	w.arrivals(m.Out)
-	if m.Closure != nil {
-		w.dists(m.Closure.Dist)
-	}
-	w.deliveries(m.Deliveries)
-	if m.Span != nil {
-		w.span(m.Span)
-	}
-	return w.b
-}
+func EncodeStepResponse(m *StepResponse) []byte { return encode(kindStepResponse, m) }
 
 // DecodeStepResponse parses a binary StepResponse frame.
 func DecodeStepResponse(b []byte) (*StepResponse, error) {
-	r := newBinReader(b, kindStepResponse)
-	m := &StepResponse{}
-	m.Epoch = r.u64()
-	m.Scope = r.u64()
-	flags := r.u8()
-	m.SeqEpoch = bit(flags, 0)
-	m.Frontier = r.frontier()
-	m.Out = r.arrivals()
-	if bit(flags, 1) {
-		m.Closure = &ClosureResponse{Dist: r.dists()}
-	}
-	m.Deliveries = r.deliveries()
-	m.Span = r.trailingSpan()
-	if err := r.finish(); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return decode[StepResponse](b, kindStepResponse)
 }
 
 // EncodeDeliverRequest serializes a DeliverRequest as a binary frame.
-func EncodeDeliverRequest(m *DeliverRequest) []byte {
-	w := newBinWriter(kindDeliverRequest)
-	w.u64(m.Epoch)
-	w.u8(packFlags(m.Retain, m.Ranked, m.WantMeta))
-	w.str(m.Tag)
-	w.arrivals(m.In)
-	if m.Trace != "" {
-		w.str(m.Trace)
-	}
-	return w.b
-}
+func EncodeDeliverRequest(m *DeliverRequest) []byte { return encode(kindDeliverRequest, m) }
 
 // DecodeDeliverRequest parses a binary DeliverRequest frame.
 func DecodeDeliverRequest(b []byte) (*DeliverRequest, error) {
-	r := newBinReader(b, kindDeliverRequest)
-	m := &DeliverRequest{}
-	m.Epoch = r.u64()
-	flags := r.u8()
-	m.Retain, m.Ranked, m.WantMeta = bit(flags, 0), bit(flags, 1), bit(flags, 2)
-	m.Tag = r.str()
-	m.In = r.arrivals()
-	m.Trace = r.trailingTrace()
-	if err := r.finish(); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return decode[DeliverRequest](b, kindDeliverRequest)
 }
 
 // EncodeDeliverResponse serializes a DeliverResponse as a binary frame.
-func EncodeDeliverResponse(m *DeliverResponse) []byte {
-	w := newBinWriter(kindDeliverResponse)
-	w.frontier(m.Matches)
-	if m.Span != nil {
-		w.span(m.Span)
-	}
-	return w.b
-}
+func EncodeDeliverResponse(m *DeliverResponse) []byte { return encode(kindDeliverResponse, m) }
 
 // DecodeDeliverResponse parses a binary DeliverResponse frame.
 func DecodeDeliverResponse(b []byte) (*DeliverResponse, error) {
-	r := newBinReader(b, kindDeliverResponse)
-	m := &DeliverResponse{}
-	m.Matches = r.frontier()
-	m.Span = r.trailingSpan()
-	if err := r.finish(); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return decode[DeliverResponse](b, kindDeliverResponse)
 }
 
 // EncodeClosureRequest serializes a ClosureRequest as a binary frame.
-func EncodeClosureRequest(m *ClosureRequest) []byte {
-	w := newBinWriter(kindClosureRequest)
-	w.u64(m.Epoch)
-	w.u8(packFlags(m.Retain, m.WithDist))
-	w.strs(m.From)
-	w.strs(m.To)
-	if m.Trace != "" {
-		w.str(m.Trace)
-	}
-	return w.b
-}
+func EncodeClosureRequest(m *ClosureRequest) []byte { return encode(kindClosureRequest, m) }
 
 // DecodeClosureRequest parses a binary ClosureRequest frame.
 func DecodeClosureRequest(b []byte) (*ClosureRequest, error) {
-	r := newBinReader(b, kindClosureRequest)
-	m := &ClosureRequest{}
-	m.Epoch = r.u64()
-	flags := r.u8()
-	m.Retain, m.WithDist = bit(flags, 0), bit(flags, 1)
-	m.From = r.strs()
-	m.To = r.strs()
-	m.Trace = r.trailingTrace()
-	if err := r.finish(); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return decode[ClosureRequest](b, kindClosureRequest)
 }
 
 // EncodeClosureResponse serializes a ClosureResponse as a binary frame.
-func EncodeClosureResponse(m *ClosureResponse) []byte {
-	w := newBinWriter(kindClosureResponse)
-	w.dists(m.Dist)
-	if m.Span != nil {
-		w.span(m.Span)
-	}
-	return w.b
-}
+func EncodeClosureResponse(m *ClosureResponse) []byte { return encode(kindClosureResponse, m) }
 
 // DecodeClosureResponse parses a binary ClosureResponse frame.
 func DecodeClosureResponse(b []byte) (*ClosureResponse, error) {
-	r := newBinReader(b, kindClosureResponse)
-	m := &ClosureResponse{}
-	m.Dist = r.dists()
-	m.Span = r.trailingSpan()
-	if err := r.finish(); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return decode[ClosureResponse](b, kindClosureResponse)
 }

@@ -91,23 +91,6 @@ type StepRequest struct {
 	ProbeOut []string `json:"probeOut,omitempty"`
 	// WantMeta asks for Doc/Local/Tag on the response frontier.
 	WantMeta bool `json:"wantMeta,omitempty"`
-	// WantClosure piggybacks a closure computation on this step (the
-	// router sets it on the seed round for shards whose closure matrix
-	// is not cached, folding a whole RPC round away): the response's
-	// Closure carries the ClosureFrom×ClosureTo matrix, as if a
-	// separate Closure RPC had run against the same snapshot.
-	WantClosure     bool     `json:"wantClosure,omitempty"`
-	ClosureFrom     []string `json:"closureFrom,omitempty"`
-	ClosureTo       []string `json:"closureTo,omitempty"`
-	ClosureWithDist bool     `json:"closureWithDist,omitempty"`
-	// ProbeIn asks for this shard's delivery tables on a // step: per
-	// listed in-endpoint spec, the tag-matching local candidates it
-	// reaches (reflexively, with distances on ranked queries). The
-	// router composes cross-shard matches from these tables itself —
-	// folding the final Deliver round into the step round — and caches
-	// them per (shard, epoch, tag), so steady-state reads pay no
-	// shard-side deliver work at all.
-	ProbeIn []string `json:"probeIn,omitempty"`
 	// Trace is the router-minted trace ID this RPC belongs to; when
 	// set, the shard returns a Span and its access log carries the ID.
 	Trace string `json:"trace,omitempty"`
@@ -124,38 +107,17 @@ type StepResponse struct {
 	// Out maps probed endpoint specs to their arrival lists; a probe
 	// the frontier does not reach is absent.
 	Out map[string][]Arrival `json:"out,omitempty"`
-	// Closure answers WantClosure; nil when the request did not ask
-	// (or the shard predates the piggyback — the router then falls
-	// back to a separate Closure RPC).
-	Closure *ClosureResponse `json:"closure,omitempty"`
-	// Deliveries answers ProbeIn: non-nil (possibly empty) exactly
-	// when the shard processed the probe, so the router can tell an
-	// empty table from an older shard that ignored the field and
-	// fall back to a Deliver RPC. Entries carry result meta
-	// unconditionally so one cached table serves intermediate and
-	// final steps alike.
-	Deliveries map[string][]Delivery `json:"deliveries"`
 	// Span is the shard's timing breakdown, returned only for traced
-	// requests (see trace.go); nil from shards predating tracing.
+	// requests (see trace.go).
 	Span *Span `json:"span,omitempty"`
-}
-
-// Delivery is one entry of a shard's delivery table: a step candidate
-// reachable locally from a cross-link in-endpoint (tag-matching,
-// reflexive), with the shard-local shortest distance on ranked
-// queries and the result meta the router needs on final steps.
-type Delivery struct {
-	ID    int32  `json:"id"`
-	Dist  uint32 `json:"dist,omitempty"`
-	Doc   string `json:"doc,omitempty"`
-	Local int32  `json:"local,omitempty"`
-	Tag   string `json:"tag,omitempty"`
 }
 
 // DeliverRequest injects arrivals at cross-link targets on this shard
 // and asks which step candidates they reach (reflexively; the arrival
 // distance already includes at least one cross edge, so matches are
-// proper paths).
+// proper paths). The shard answers from per-snapshot delivery tables
+// (per in-endpoint, the tag-matching candidates it reaches), which it
+// memoizes, so a repeated step against the same cut only composes.
 type DeliverRequest struct {
 	Epoch    uint64               `json:"epoch"`
 	Retain   bool                 `json:"retain,omitempty"` // see StepRequest.Retain
@@ -175,7 +137,8 @@ type DeliverResponse struct {
 
 // ClosureRequest asks for shard-local reachability from each From
 // endpoint to each To endpoint (cross-link targets to cross-link
-// sources — the target→source edges of the endpoint graph).
+// sources — the target→source edges of the endpoint graph). A shard
+// snapshot memoizes the answer for the latest spec lists.
 type ClosureRequest struct {
 	Epoch    uint64   `json:"epoch"`
 	Retain   bool     `json:"retain,omitempty"` // see StepRequest.Retain

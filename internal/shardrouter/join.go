@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"hopi/internal/graph"
@@ -58,12 +59,16 @@ type Page struct {
 // queries pin the token's epochs exactly and classify any divergence
 // as a token error instead.
 //
-// RPC rounds are proportional to query shape, not shard count ×
-// steps: the seed round piggybacks closure fetches for cache-miss
-// shards, each // step's round carries both the out-probes and any
-// delivery-table fills, and the cross-shard matches are composed
-// router-side from cached tables — so a warm //a//b query completes
-// in two rounds total.
+// Each RPC round has one path. The seed round runs the first step on
+// every shard and pins the cut. The first query on a new cut whose
+// later // steps can cross shards adds a closure round, to the shards
+// holding both in- and out-endpoints; the router then memoizes the
+// assembled endpoint graph for that cut. Every further step is a step
+// round over the shards with a frontier, and a // step whose probes
+// reach another shard's in-endpoints adds a deliver round to those
+// shards. Shards memoize their closures and delivery tables per
+// snapshot, so on a warm cut these rounds only look up and compose:
+// //a//b costs at most three rounds, and each further // step two.
 func (r *Router) Query(ctx context.Context, expr string, opt QueryOptions) (*Page, error) {
 	q, err := query.Parse(expr)
 	if err != nil {
@@ -171,390 +176,238 @@ func axisStr(a query.Axis) string {
 	return "//"
 }
 
-// predictCut guesses the (epoch, scope) the seed round will pin for
-// shard s, so the closure cache can be consulted before the first
-// RPC: resumes know the cut exactly; fresh queries reuse the last cut
-// any query observed. A wrong guess only costs a piggybacked closure
-// its savings — correctness never depends on it, the post-seed
-// resolution re-checks against the pinned values.
-func (r *Router) predictCut(s int, tok *vectorToken) (epoch, scope uint64, ok bool) {
-	if tok != nil {
-		return tok.epochs[s], tok.scopes[s], true
-	}
-	if e := r.lastCut[s].Load(); e != nil {
-		return e.epoch, e.scope, true
-	}
-	return 0, 0, false
-}
+// attempt is one evaluation attempt against a fixed shard map and the
+// cut it pins. Its methods are the phases the trace spans name: seed,
+// closure, one step per later location step (probe, route, deliver),
+// and merge. tr, when non-nil, collects one TraceSpan per shard RPC
+// (its methods are nil-safe, so untraced queries pay nothing).
+type attempt struct {
+	r   *Router
+	ctx context.Context
+	m   *ShardMap
+	opt QueryOptions
+	tok *vectorToken
+	tr  *QueryTrace
 
-func (r *Router) noteCut(s int, epoch, scope uint64) {
-	if e := r.lastCut[s].Load(); e != nil && e.epoch == epoch && e.scope == scope {
-		return
-	}
-	r.lastCut[s].Store(&cutEntry{epoch: epoch, scope: scope})
-}
-
-func checkClosureSize(shard string, resp *ClosureResponse, nFrom, nTo int) error {
-	if resp == nil || len(resp.Dist) != nFrom*nTo {
-		n := -1
-		if resp != nil {
-			n = len(resp.Dist)
-		}
-		return fmt.Errorf("shard %s: closure matrix size %d, want %d", shard, n, nFrom*nTo)
-	}
-	return nil
+	// expected and scopes are the cut, one entry per shard: a resume's
+	// token epochs up front, what the seed round observed afterwards.
+	expected, scopes []uint64
+	// retain lets the rounds after the seed of a fresh query be served
+	// from a shard's retained snapshots, so writes landing mid-evaluation
+	// do not invalidate the query. Resumes must not — epoch equality IS
+	// the token staleness check.
+	retain bool
 }
 
 // evalOnce runs one full evaluation attempt against a fixed shard map
-// and a consistent per-shard snapshot cut. tr, when non-nil, collects
-// one TraceSpan per shard RPC (its methods are nil-safe, so untraced
-// queries pay nothing).
+// and a consistent per-shard snapshot cut.
 func (r *Router) evalOnce(ctx context.Context, m *ShardMap, q *query.Query, hash uint32, opt QueryOptions, tok *vectorToken, tr *QueryTrace) (*Page, error) {
 	tr.attempt()
 	K := len(r.conns)
-	expected := make([]uint64, K)
-	scopes := make([]uint64, K)
-	if tok != nil {
-		copy(expected, tok.epochs)
+	a := &attempt{
+		r: r, ctx: ctx, m: m, opt: opt, tok: tok, tr: tr,
+		expected: make([]uint64, K), scopes: make([]uint64, K),
+		retain: tok == nil,
 	}
-	// Fresh queries may be served from retained snapshots after the
-	// seed round pins the cut: writes landing mid-evaluation then don't
-	// invalidate the query. Resumes must not — epoch equality IS the
-	// token staleness check.
-	retain := tok == nil
-	// classify turns a shard's epoch-mismatch answer into the resume
-	// token verdict: scope first (a different index identity is a bad
-	// token outright, never a retryable stall), then staleness —
-	// retryable exactly when the shard sits *behind* the token on a
-	// sequence epoch.
-	classify := func(i int, err error) error {
-		var em *EpochMismatchError
-		if tok != nil && errors.As(err, &em) {
-			if tok.scopes[i] != em.Scope {
-				return fmt.Errorf("%w: issued by a different index", ErrBadToken)
-			}
-			return &StaleVectorError{
-				Shard:      r.conns[i].Name(),
-				TokenEpoch: tok.epochs[i],
-				ShardEpoch: em.Current,
-				Retryable:  em.SeqEpoch && em.Current < tok.epochs[i],
-			}
+	if tok != nil {
+		copy(a.expected, tok.epochs)
+	}
+	last := len(q.Steps) - 1
+	frontiers, err := a.seed(q.Steps[0], last == 0)
+	if err != nil {
+		return nil, err
+	}
+	eg, err := a.endpointGraph(q)
+	if err != nil {
+		return nil, err
+	}
+	for si := 1; si <= last; si++ {
+		if frontiers, err = a.step(si, q.Steps[si], frontiers, eg, si == last); err != nil {
+			return nil, err
 		}
+	}
+	return a.merge(frontiers, hash)
+}
+
+// classify turns a shard's epoch-mismatch answer into the resume token
+// verdict: scope first (a different index identity is a bad token
+// outright, never a retryable stall), then staleness — retryable
+// exactly when the shard sits *behind* the token on a sequence epoch.
+// Fresh queries keep the mismatch; Query retries them.
+func (a *attempt) classify(i int, err error) error {
+	var em *EpochMismatchError
+	if a.tok == nil || !errors.As(err, &em) {
 		return err
 	}
-
-	last := len(q.Steps) - 1
-	frontiers := make([][]FrontierElem, K)
-	// cutSeen marks shards whose seed round pinned a cut some earlier
-	// query already visited. Delivery tables cover a shard's whole cut
-	// set — expensive to compute — so they are only warmed on a cut
-	// that has proven stable across queries; a cut fresh off a write
-	// uses the classic arrivals-only Deliver round instead, keeping the
-	// per-query cost under write churn no worse than the uncached path.
-	cutSeen := make([]bool, K)
-
-	// The endpoint graph is needed exactly when a non-seed descendant
-	// step exists and cross links do; its map-derived skeleton is
-	// memoized per published map.
-	var pre *egPrep
-	for _, st := range q.Steps[1:] {
-		if st.Axis == query.AxisDescendant && len(m.CrossLinks) > 0 {
-			pre = r.prep(m)
-			break
-		}
+	if a.tok.scopes[i] != em.Scope {
+		return fmt.Errorf("%w: issued by a different index", ErrBadToken)
 	}
-
-	withDist := opt.Ranked
-	var closures []*ClosureResponse
-	var wantClosure []bool
-	if pre != nil {
-		closures = make([]*ClosureResponse, K)
-		wantClosure = make([]bool, K)
-		for _, s := range pre.need {
-			ep, sc, known := r.predictCut(s, tok)
-			if !known {
-				wantClosure[s] = true
-				continue
-			}
-			key := closureKey{shard: s, scope: sc, epoch: ep, withDist: withDist, specs: pre.closureHash[s]}
-			if _, ok := r.cache.peek(key); !ok {
-				wantClosure[s] = true
-			}
-		}
+	return &StaleVectorError{
+		Shard:      a.r.conns[i].Name(),
+		TokenEpoch: a.tok.epochs[i],
+		ShardEpoch: em.Current,
+		Retryable:  em.SeqEpoch && em.Current < a.tok.epochs[i],
 	}
+}
 
-	// Seed round: contact every shard — also the round that pins the
-	// whole cut (fresh queries) or verifies the whole token (resumes),
-	// including shards the query's frontier never revisits. Shards
-	// whose closure matrix is predicted uncached compute it here,
-	// piggybacked, instead of in a separate round.
-	seed := q.Steps[0]
-	err := r.parallel(allShards(K), func(i int) error {
-		return r.callConn(i, func(c Conn) error {
-			req := &StepRequest{
-				Epoch: expected[i], Pin: tok != nil,
-				Ranked: opt.Ranked, Seed: true,
-				Axis: axisStr(seed.Axis), Tag: seed.Tag,
-				WantMeta: last == 0,
-				Trace:    tr.ID(),
-			}
-			if pre != nil && wantClosure[i] {
-				req.WantClosure = true
-				req.ClosureFrom = pre.inSpecs[i]
-				req.ClosureTo = pre.outSpecs[i]
-				req.ClosureWithDist = withDist
-			}
-			r.stepRPCs.Add(1)
+// round runs one RPC round: call against every listed shard in
+// parallel, each through the shard's circuit breaker, counted in n,
+// its error classified and its span recorded under phase.
+func (a *attempt) round(idxs []int, phase, rpc string, n *atomic.Uint64, call func(i int, c Conn) (*Span, error)) error {
+	return a.r.parallel(idxs, func(i int) error {
+		return a.r.callConn(i, func(c Conn) error {
+			n.Add(1)
 			t0 := time.Now()
-			resp, serr := c.Step(ctx, req)
-			if serr != nil {
-				serr = classify(i, serr)
-				tr.add("seed", "step", c.Name(), t0, nil, serr)
-				return serr
+			sp, err := call(i, c)
+			if err != nil {
+				err = a.classify(i, err)
 			}
-			tr.add("seed", "step", c.Name(), t0, resp.Span, nil)
-			if tok != nil && tok.scopes[i] != resp.Scope {
-				return fmt.Errorf("%w: issued by a different index", ErrBadToken)
-			}
-			expected[i] = resp.Epoch
-			scopes[i] = resp.Scope
-			if prev := r.lastCut[i].Load(); prev != nil && prev.epoch == resp.Epoch && prev.scope == resp.Scope {
-				cutSeen[i] = true
-			}
-			r.noteCut(i, resp.Epoch, resp.Scope)
-			frontiers[i] = resp.Frontier
-			if req.WantClosure && resp.Closure != nil {
-				if err := checkClosureSize(c.Name(), resp.Closure, len(req.ClosureFrom), len(req.ClosureTo)); err != nil {
-					return err
-				}
-				closures[i] = resp.Closure
-				r.cache.noteMiss()
-				r.cache.put(closureKey{shard: i, scope: resp.Scope, epoch: resp.Epoch, withDist: withDist, specs: pre.closureHash[i]}, resp.Closure)
-			}
-			return nil
+			a.tr.add(phase, rpc, c.Name(), t0, sp, err)
+			return err
 		})
+	})
+}
+
+// seed runs the first step on every shard. It is also the round that
+// pins the whole cut (fresh queries) or verifies the whole token
+// (resumes), including shards the query's frontier never revisits.
+func (a *attempt) seed(st query.Step, wantMeta bool) ([][]FrontierElem, error) {
+	frontiers := make([][]FrontierElem, len(a.r.conns))
+	err := a.round(allShards(len(a.r.conns)), "seed", "step", &a.r.stepRPCs, func(i int, c Conn) (*Span, error) {
+		resp, err := c.Step(a.ctx, &StepRequest{
+			Epoch: a.expected[i], Pin: a.tok != nil,
+			Ranked: a.opt.Ranked, Seed: true,
+			Axis: axisStr(st.Axis), Tag: st.Tag,
+			WantMeta: wantMeta, Trace: a.tr.ID(),
+		})
+		if err != nil {
+			return nil, err
+		}
+		if a.tok != nil && a.tok.scopes[i] != resp.Scope {
+			return resp.Span, fmt.Errorf("%w: issued by a different index", ErrBadToken)
+		}
+		a.expected[i], a.scopes[i] = resp.Epoch, resp.Scope
+		frontiers[i] = resp.Frontier
+		return resp.Span, nil
+	})
+	return frontiers, err
+}
+
+// endpointGraph returns the pinned cut's endpoint graph, or nil when
+// no step after the seed can cross shards. The last graph per ranking
+// mode is memoized under its cut, so the closure round runs only when
+// an attempt meets a new cut; shards whose snapshot did not move answer
+// it from their own memo.
+func (a *attempt) endpointGraph(q *query.Query) (*endpointGraph, error) {
+	crosses := false
+	for _, st := range q.Steps[1:] {
+		crosses = crosses || st.Axis == query.AxisDescendant
+	}
+	if !crosses || len(a.m.CrossLinks) == 0 {
+		return nil, nil
+	}
+	pre := a.r.prep(a.m)
+	withDist := a.opt.Ranked
+	memo := &a.r.egMemo[0]
+	if withDist {
+		memo = &a.r.egMemo[1]
+	}
+	key := cutKey(a.m, pre.need, a.expected, a.scopes)
+	if e := memo.Load(); e != nil && e.key == key {
+		a.r.graphHits.Add(1)
+		return e.eg, nil
+	}
+	a.r.graphMisses.Add(1)
+	closures := make([][]uint32, len(a.r.conns))
+	err := a.round(pre.need, "closure", "closure", &a.r.closureRPCs, func(s int, c Conn) (*Span, error) {
+		resp, err := c.Closure(a.ctx, &ClosureRequest{
+			Epoch: a.expected[s], Retain: a.retain, WithDist: withDist,
+			From: pre.inSpecs[s], To: pre.outSpecs[s], Trace: a.tr.ID(),
+		})
+		if err != nil {
+			return nil, err
+		}
+		if want := len(pre.inSpecs[s]) * len(pre.outSpecs[s]); len(resp.Dist) != want {
+			return resp.Span, fmt.Errorf("shard %s: closure matrix size %d, want %d", c.Name(), len(resp.Dist), want)
+		}
+		closures[s] = resp.Dist
+		return resp.Span, nil
 	})
 	if err != nil {
 		return nil, err
 	}
+	t0 := time.Now()
+	eg := assembleEndpointGraph(pre, closures)
+	memo.Store(&egMemoEntry{key: key, eg: eg})
+	a.tr.add("closure", "assemble", RouterSpanShard, t0, nil, nil)
+	return eg, nil
+}
 
-	// Resolve the closures the seed round did not answer — predicted
-	// cache hits (re-checked against the actual cut, singleflighted
-	// across concurrent queries) and shards that ignored the piggyback
-	// (older servers) — then assemble the endpoint graph.
-	var eg *endpointGraph
-	if pre != nil {
-		var missing []int
-		for _, s := range pre.need {
-			if closures[s] == nil {
-				missing = append(missing, s)
-			}
+// step runs location step si after the seed: a step round over the
+// shards with a frontier and, for a // step when cross links exist,
+// the route over the endpoint graph plus a deliver round to the shards
+// whose in-endpoints it reached. Child steps never cross shards:
+// parent-child edges live inside one document, and documents are
+// atomic to a shard.
+func (a *attempt) step(si int, st query.Step, frontiers [][]FrontierElem, eg *endpointGraph, wantMeta bool) ([][]FrontierElem, error) {
+	axis := axisStr(st.Axis)
+	phase := fmt.Sprintf("step%d:%s%s", si, axis, st.Tag)
+	cross := eg != nil && st.Axis == query.AxisDescendant
+	next := make([][]FrontierElem, len(frontiers))
+	outArr := make([]map[string][]Arrival, len(frontiers))
+	err := a.round(nonEmpty(frontiers), phase, "step", &a.r.stepRPCs, func(i int, c Conn) (*Span, error) {
+		req := &StepRequest{
+			Epoch: a.expected[i], Pin: true, Retain: a.retain, Ranked: a.opt.Ranked,
+			Axis: axis, Tag: st.Tag, Frontier: frontiers[i],
+			WantMeta: wantMeta, Trace: a.tr.ID(),
 		}
-		err := r.parallel(missing, func(s int) error {
-			key := closureKey{shard: s, scope: scopes[s], epoch: expected[s], withDist: withDist, specs: pre.closureHash[s]}
-			v, ferr := r.cache.do(key, func() (any, error) {
-				var out *ClosureResponse
-				cerr := r.callConn(s, func(c Conn) error {
-					t0 := time.Now()
-					resp, rerr := c.Closure(ctx, &ClosureRequest{
-						Epoch: expected[s], Retain: retain, WithDist: withDist,
-						From: pre.inSpecs[s], To: pre.outSpecs[s],
-						Trace: tr.ID(),
-					})
-					if rerr != nil {
-						rerr = classify(s, rerr)
-						tr.add("closure", "closure", c.Name(), t0, nil, rerr)
-						return rerr
-					}
-					tr.add("closure", "closure", c.Name(), t0, resp.Span, nil)
-					if err := checkClosureSize(c.Name(), resp, len(pre.inSpecs[s]), len(pre.outSpecs[s])); err != nil {
-						return err
-					}
-					out = resp
-					return nil
-				})
-				return out, cerr
-			})
-			if ferr != nil {
-				return ferr
-			}
-			closures[s] = v.(*ClosureResponse)
-			return nil
+		if cross {
+			req.ProbeOut = eg.pre.outSpecs[i]
+		}
+		resp, err := c.Step(a.ctx, req)
+		if err != nil {
+			return nil, err
+		}
+		next[i], outArr[i] = resp.Frontier, resp.Out
+		return resp.Span, nil
+	})
+	if err != nil || !cross {
+		return next, err
+	}
+
+	t0 := time.Now()
+	inArr := eg.route(outArr, a.opt.Ranked)
+	a.tr.add(phase, "route", RouterSpanShard, t0, nil, nil)
+	var reached []int
+	for i, in := range inArr {
+		if len(in) > 0 {
+			reached = append(reached, i)
+		}
+	}
+	err = a.round(reached, phase, "deliver", &a.r.deliverRPCs, func(i int, c Conn) (*Span, error) {
+		resp, err := c.Deliver(a.ctx, &DeliverRequest{
+			Epoch: a.expected[i], Retain: a.retain, Ranked: a.opt.Ranked,
+			Tag: st.Tag, In: inArr[i], WantMeta: wantMeta, Trace: a.tr.ID(),
 		})
 		if err != nil {
 			return nil, err
 		}
-		t0 := time.Now()
-		eg = r.endpointGraphFor(m, pre, withDist, expected, scopes, closures)
-		tr.add("closure", "assemble", RouterSpanShard, t0, nil, nil)
-	}
+		next[i] = mergeFrontier(next[i], resp.Matches)
+		return resp.Span, nil
+	})
+	return next, err
+}
 
-	for si := 1; si <= last; si++ {
-		step := q.Steps[si]
-		wantMeta := si == last
-		phase := fmt.Sprintf("step%d:%s%s", si, axisStr(step.Axis), step.Tag)
-		if step.Axis == query.AxisChild {
-			// Child steps never cross shards: parent-child edges live
-			// inside one document, documents are atomic to a shard.
-			err := r.parallel(nonEmpty(frontiers), func(i int) error {
-				return r.callConn(i, func(c Conn) error {
-					r.stepRPCs.Add(1)
-					t0 := time.Now()
-					resp, serr := c.Step(ctx, &StepRequest{
-						Epoch: expected[i], Pin: true, Retain: retain, Ranked: opt.Ranked,
-						Axis: "/", Tag: step.Tag,
-						Frontier: frontiers[i], WantMeta: wantMeta,
-						Trace: tr.ID(),
-					})
-					if serr != nil {
-						serr = classify(i, serr)
-						tr.add(phase, "step", c.Name(), t0, nil, serr)
-						return serr
-					}
-					tr.add(phase, "step", c.Name(), t0, resp.Span, nil)
-					frontiers[i] = resp.Frontier
-					return nil
-				})
-			})
-			if err != nil {
-				return nil, err
-			}
-			continue
-		}
-
-		// Descendant step: one parallel round advances each shard's
-		// frontier, probes the out-endpoints, and fills any uncached
-		// delivery tables; the cross-shard matches are then composed
-		// router-side, with a Deliver RPC only as the cross-version
-		// fallback.
-		var tables []map[string][]Delivery
-		var wantTables []bool
-		if eg != nil {
-			tables = make([]map[string][]Delivery, K)
-			wantTables = make([]bool, K)
-			for i := 0; i < K; i++ {
-				if len(pre.inSpecs[i]) == 0 {
-					continue
-				}
-				key := deliverKey{shard: i, scope: scopes[i], epoch: expected[i], ranked: opt.Ranked, tag: step.Tag, specs: pre.deliverHash[i]}
-				if v, ok := r.cache.get(key); ok {
-					tables[i] = v.(map[string][]Delivery)
-				} else if cutSeen[i] && r.cache.enabled() {
-					wantTables[i] = true
-				}
-			}
-		}
-		idxs := nonEmpty(frontiers)
-		if wantTables != nil {
-			inRound := make(map[int]bool, len(idxs))
-			for _, i := range idxs {
-				inRound[i] = true
-			}
-			// A shard with an empty frontier can still owe its delivery
-			// table for this step.
-			for i, w := range wantTables {
-				if w && !inRound[i] {
-					idxs = append(idxs, i)
-				}
-			}
-		}
-		next := make([][]FrontierElem, K)
-		outArr := make([]map[string][]Arrival, K)
-		err := r.parallel(idxs, func(i int) error {
-			return r.callConn(i, func(c Conn) error {
-				req := &StepRequest{
-					Epoch: expected[i], Pin: true, Retain: retain, Ranked: opt.Ranked,
-					Axis: "//", Tag: step.Tag,
-					Frontier: frontiers[i], WantMeta: wantMeta,
-					Trace: tr.ID(),
-				}
-				if eg != nil {
-					if len(frontiers[i]) > 0 {
-						req.ProbeOut = pre.outSpecs[i]
-					}
-					if wantTables[i] {
-						req.ProbeIn = pre.inSpecs[i]
-					}
-				}
-				r.stepRPCs.Add(1)
-				t0 := time.Now()
-				resp, serr := c.Step(ctx, req)
-				if serr != nil {
-					serr = classify(i, serr)
-					tr.add(phase, "step", c.Name(), t0, nil, serr)
-					return serr
-				}
-				tr.add(phase, "step", c.Name(), t0, resp.Span, nil)
-				next[i] = resp.Frontier
-				outArr[i] = resp.Out
-				if eg != nil && wantTables[i] && resp.Deliveries != nil {
-					// The counted get above already recorded this miss;
-					// just store the piggybacked fill.
-					tables[i] = resp.Deliveries
-					r.cache.put(deliverKey{shard: i, scope: scopes[i], epoch: expected[i], ranked: opt.Ranked, tag: step.Tag, specs: pre.deliverHash[i]}, resp.Deliveries)
-				}
-				return nil
-			})
-		})
-		if err != nil {
-			return nil, err
-		}
-
-		if eg != nil {
-			t0 := time.Now()
-			inArr := eg.route(outArr, opt.Ranked)
-			var fallback []int
-			for i := range inArr {
-				if len(inArr[i]) == 0 {
-					continue
-				}
-				if tables[i] != nil {
-					next[i] = mergeFrontier(next[i], composeDeliveries(tables[i], inArr[i], opt.Ranked, wantMeta))
-				} else {
-					fallback = append(fallback, i)
-				}
-			}
-			tr.add(phase, "route", RouterSpanShard, t0, nil, nil)
-			if len(fallback) > 0 {
-				// Shards with no table — a fresh cut, a disabled cache,
-				// or a server predating the ProbeIn fold: classic
-				// arrivals-only Deliver round.
-				err := r.parallel(fallback, func(i int) error {
-					return r.callConn(i, func(c Conn) error {
-						r.deliverRPCs.Add(1)
-						t0 := time.Now()
-						resp, serr := c.Deliver(ctx, &DeliverRequest{
-							Epoch: expected[i], Retain: retain, Ranked: opt.Ranked,
-							Tag: step.Tag, In: inArr[i], WantMeta: wantMeta,
-							Trace: tr.ID(),
-						})
-						if serr != nil {
-							serr = classify(i, serr)
-							tr.add(phase, "deliver", c.Name(), t0, nil, serr)
-							return serr
-						}
-						tr.add(phase, "deliver", c.Name(), t0, resp.Span, nil)
-						next[i] = mergeFrontier(next[i], resp.Matches)
-						return nil
-					})
-				})
-				if err != nil {
-					return nil, err
-				}
-			}
-		}
-		frontiers = next
-	}
-
-	// Merge globally: attach ordinals from the map and sort into the
-	// canonical order.
+// merge attaches ordinals from the map, sorts into the canonical
+// order, and cuts the page — with its resume token — at the limit. A
+// document the map does not know yet means a write is publishing
+// between the map load and the shard state; Query retries on it.
+func (a *attempt) merge(frontiers [][]FrontierElem, hash uint32) (*Page, error) {
 	var all []Result
 	for i, fr := range frontiers {
 		for _, fe := range fr {
-			e, ok := m.Docs[fe.Doc]
+			e, ok := a.m.Docs[fe.Doc]
 			if !ok {
-				// The shard knows a document the map does not yet — a
-				// write is publishing between our two loads; retry.
 				return nil, fmt.Errorf("%w: document %q", errMapRace, fe.Doc)
 			}
 			all = append(all, Result{
@@ -563,23 +416,17 @@ func (r *Router) evalOnce(ctx context.Context, m *ShardMap, q *query.Query, hash
 			})
 		}
 	}
-	sortResults(all, opt.Ranked)
-
-	if tok != nil && tok.hasAfter {
-		all = skipAfter(all, tok, opt.Ranked)
+	sortResults(all, a.opt.Ranked)
+	if a.tok != nil && a.tok.hasAfter {
+		all = skipAfter(all, a.tok, a.opt.Ranked)
 	}
-	page := &Page{}
-	hasMore := false
-	if opt.Limit > 0 && len(all) > opt.Limit {
-		hasMore = true
-		all = all[:opt.Limit]
-	}
-	page.Results = all
-	if hasMore && len(all) > 0 {
-		lastR := all[len(all)-1]
+	page := &Page{Results: all}
+	if a.opt.Limit > 0 && len(all) > a.opt.Limit {
+		page.Results = all[:a.opt.Limit]
+		lastR := page.Results[a.opt.Limit-1]
 		t := vectorToken{
-			hash: hash, ranked: opt.Ranked, mapVersion: m.Version,
-			scopes: scopes, epochs: expected,
+			hash: hash, ranked: a.opt.Ranked, mapVersion: a.m.Version,
+			scopes: a.scopes, epochs: a.expected,
 			hasAfter: true, afterOrd: lastR.Ordinal, afterLocal: lastR.Local, afterScore: lastR.Score,
 		}
 		page.NextToken = t.encode()
@@ -641,54 +488,6 @@ func mergeFrontier(local, cross []FrontierElem) []FrontierElem {
 	return out
 }
 
-// composeDeliveries closes a // step's cross-shard join router-side:
-// an in-endpoint's delivery table lists the local candidates it
-// reaches, the routed arrivals supply base scores and cross-path
-// distances. The ranked score is the same single division
-// ShardDeliver performs — base/(1+dist) over the composed total — so
-// composed scores stay bit-identical to the RPC path and to the
-// unsharded engine.
-func composeDeliveries(tab map[string][]Delivery, in map[string][]Arrival, ranked, wantMeta bool) []FrontierElem {
-	type acc struct {
-		score float64
-		seen  bool
-		meta  *Delivery
-	}
-	matches := map[int32]*acc{}
-	for spec, arrivals := range in {
-		ds := tab[spec]
-		for di := range ds {
-			d := &ds[di]
-			m := matches[d.ID]
-			if m == nil {
-				m = &acc{meta: d}
-				matches[d.ID] = m
-			}
-			if !ranked {
-				m.seen = true
-				continue
-			}
-			for _, a := range arrivals {
-				if sc := a.Base / float64(1+a.Dist+d.Dist); !m.seen || sc > m.score {
-					m.score, m.seen = sc, true
-				}
-			}
-		}
-	}
-	out := make([]FrontierElem, 0, len(matches))
-	for id, m := range matches {
-		if !m.seen {
-			continue
-		}
-		fe := FrontierElem{ID: id, Score: m.score}
-		if wantMeta {
-			fe.Doc, fe.Local, fe.Tag = m.meta.Doc, m.meta.Local, m.meta.Tag
-		}
-		out = append(out, fe)
-	}
-	return out
-}
-
 // --- endpoint graph ---------------------------------------------------
 
 type epKey struct {
@@ -704,10 +503,9 @@ type hEdge struct {
 
 // egPrep is the map-derived, epoch-independent half of the endpoint
 // graph: the node set (one per cross-link endpoint), the weight-1
-// cross edges, and the per-shard endpoint partitions (in/out specs,
-// probe lists, spec-list hashes for cache keys). It depends only on
-// the shard map, so it is memoized per published map and shared by
-// every query and attempt against it.
+// cross edges, and the per-shard endpoint partitions (in/out specs
+// and nodes). It depends only on the shard map, so it is memoized per
+// published map and shared by every query and attempt against it.
 type egPrep struct {
 	m *ShardMap // identity for the memo
 
@@ -722,11 +520,8 @@ type egPrep struct {
 	outNode  map[string]int32
 	outNodes [][]int32  // per shard: out-endpoint nodes
 	inNodes  [][]int32  // per shard: in-endpoint nodes
-	inSpecs  [][]string // per shard: in-endpoint specs (ProbeIn, closure From)
+	inSpecs  [][]string // per shard: in-endpoint specs (closure From)
 	need     []int      // shards with both in- and out-endpoints
-
-	closureHash []uint64 // per shard: hashSpecs(inSpecs, outSpecs)
-	deliverHash []uint64 // per shard: hashSpecs(inSpecs)
 }
 
 func (r *Router) prep(m *ShardMap) *egPrep {
@@ -740,14 +535,12 @@ func (r *Router) prep(m *ShardMap) *egPrep {
 
 func prepareEndpoints(m *ShardMap, K int) *egPrep {
 	pre := &egPrep{
-		m:           m,
-		outSpecs:    make([][]string, K),
-		outNode:     map[string]int32{},
-		outNodes:    make([][]int32, K),
-		inNodes:     make([][]int32, K),
-		inSpecs:     make([][]string, K),
-		closureHash: make([]uint64, K),
-		deliverHash: make([]uint64, K),
+		m:        m,
+		outSpecs: make([][]string, K),
+		outNode:  map[string]int32{},
+		outNodes: make([][]int32, K),
+		inNodes:  make([][]int32, K),
+		inSpecs:  make([][]string, K),
 	}
 	idx := map[epKey]int32{}
 	addNode := func(k epKey, shard int) int32 {
@@ -802,8 +595,6 @@ func prepareEndpoints(m *ShardMap, K int) *egPrep {
 		if len(pre.inNodes[s]) > 0 && len(pre.outNodes[s]) > 0 {
 			pre.need = append(pre.need, s)
 		}
-		pre.closureHash[s] = hashSpecs(pre.inSpecs[s], pre.outSpecs[s])
-		pre.deliverHash[s] = hashSpecs(pre.inSpecs[s])
 	}
 	return pre
 }
@@ -814,7 +605,7 @@ func prepareEndpoints(m *ShardMap, K int) *egPrep {
 // shortest distances. It is the same shape as the build-time PSG
 // (internal/psg), which is why the PSG's Dijkstra serves as its
 // shortest-path engine for ranked queries. An assembled graph is
-// immutable and memoized per pinned cut (see endpointGraphFor).
+// immutable and memoized per pinned cut (see attempt.endpointGraph).
 // Unranked routing needs no distances at all: one multi-source
 // traversal per // step. Ranked routing memoizes per-source Dijkstra
 // results inside the graph, so repeated ranked queries against an
@@ -837,42 +628,33 @@ type egMemoEntry struct {
 	eg  *endpointGraph
 }
 
-func egCacheKey(m *ShardMap, withDist bool, need []int, epochs, scopes []uint64) string {
+// cutKey identifies what an assembled endpoint graph depends on: the
+// map version (its cross edges) and the needed shards' snapshots (their
+// closures).
+func cutKey(m *ShardMap, need []int, epochs, scopes []uint64) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%d|%t", m.Version, withDist)
+	fmt.Fprintf(&b, "%d", m.Version)
 	for _, s := range need {
 		fmt.Fprintf(&b, "|%d:%d:%d", s, scopes[s], epochs[s])
 	}
 	return b.String()
 }
 
-// endpointGraphFor returns the assembled endpoint graph for a pinned
-// cut, reusing the previous assembly when the cut (map version +
-// needed shards' epochs) is unchanged — the steady-state read case.
-func (r *Router) endpointGraphFor(m *ShardMap, pre *egPrep, withDist bool, epochs, scopes []uint64, closures []*ClosureResponse) *endpointGraph {
-	key := egCacheKey(m, withDist, pre.need, epochs, scopes)
-	if e := r.egMemo.Load(); e != nil && e.key == key {
-		return e.eg
-	}
-	eg := assembleEndpointGraph(pre, closures)
-	r.egMemo.Store(&egMemoEntry{key: key, eg: eg})
-	return eg
-}
-
 // assembleEndpointGraph combines the map-derived skeleton with the
-// pinned cut's closure matrices into the routable graph. Pure
-// computation — every RPC has already happened.
-func assembleEndpointGraph(pre *egPrep, closures []*ClosureResponse) *endpointGraph {
+// pinned cut's closure matrices (row-major in-by-out, per shard) into
+// the routable graph. Pure computation — every RPC has already
+// happened.
+func assembleEndpointGraph(pre *egPrep, closures [][]uint32) *endpointGraph {
 	var local []hEdge
 	for _, s := range pre.need {
-		resp := closures[s]
+		dist := closures[s]
 		ins, outs := pre.inNodes[s], pre.outNodes[s]
 		for i, ni := range ins {
 			for j, nj := range outs {
 				if ni == nj {
 					continue // same element: same node, no edge needed
 				}
-				d := resp.Dist[i*len(outs)+j]
+				d := dist[i*len(outs)+j]
 				if d == graph.InfDist {
 					continue
 				}
@@ -947,8 +729,8 @@ func (eg *endpointGraph) shortestFrom(node int32) *shortestEntry {
 }
 
 // route runs the cross-shard join for one // step and returns the
-// per-shard delivery set the router composes (or, for older shards,
-// delivers by RPC). Unranked, an in-endpoint is reached exactly when a
+// per-shard arrivals the deliver round injects at in-endpoints.
+// Unranked, an in-endpoint is reached exactly when a
 // path of length ≥ 1 leads to it from some reached out-endpoint: one
 // multi-source traversal of the whole frontier, set-at-a-time, whose
 // "sources only if re-reached" rule is the proper-path rule. Ranked,

@@ -1,6 +1,8 @@
 package shardrouter
 
 import (
+	"sync/atomic"
+
 	"hopi/internal/obs"
 )
 
@@ -32,23 +34,21 @@ func (r *Router) newMetrics() *obs.Registry {
 	reg.CounterFunc("hopi_router_results_streamed_total",
 		"Result rows returned across all router queries.",
 		func() float64 { return float64(r.streamed.Load()) })
-	reg.CounterFuncVec("hopi_router_shard_rpcs_total",
-		"Shard RPC rounds issued by the query fan-out, by RPC kind.",
-		[]string{"rpc"}, []string{"step"},
-		func() float64 { return float64(r.stepRPCs.Load()) })
-	reg.CounterFuncVec("hopi_router_shard_rpcs_total",
-		"Shard RPC rounds issued by the query fan-out, by RPC kind.",
-		[]string{"rpc"}, []string{"deliver"},
-		func() float64 { return float64(r.deliverRPCs.Load()) })
+	for _, rpc := range []struct {
+		kind string
+		n    *atomic.Uint64
+	}{{"step", &r.stepRPCs}, {"closure", &r.closureRPCs}, {"deliver", &r.deliverRPCs}} {
+		reg.CounterFuncVec("hopi_router_shard_rpcs_total",
+			"Shard RPCs issued by the query fan-out, by RPC kind.",
+			[]string{"rpc"}, []string{rpc.kind},
+			func() float64 { return float64(rpc.n.Load()) })
+	}
 	reg.CounterFunc("hopi_router_closure_cache_hits_total",
-		"Closure-matrix and delivery-table cache hits.",
-		func() float64 { return float64(r.cache.hits.Load()) })
+		"Query attempts that found the pinned cut's endpoint graph memoized (no closure round).",
+		func() float64 { return float64(r.graphHits.Load()) })
 	reg.CounterFunc("hopi_router_closure_cache_misses_total",
-		"Closure-matrix and delivery-table cache misses (each is a shard RPC).",
-		func() float64 { return float64(r.cache.misses.Load()) })
-	reg.CounterFunc("hopi_router_closure_cache_evictions_total",
-		"Cache entries evicted under LRU pressure.",
-		func() float64 { return float64(r.cache.evictions.Load()) })
+		"Query attempts that ran a closure round and assembled the endpoint graph.",
+		func() float64 { return float64(r.graphMisses.Load()) })
 	reg.CounterFunc("hopi_router_wire_bytes_in_total",
 		"Bytes received from shard connections (HTTP shards only).",
 		func() float64 { return float64(r.wire.in.Load()) })

@@ -34,11 +34,6 @@ var errMapRace = errors.New("shardrouter: shard map behind shard state")
 // a dead shard on every request.
 const defaultBreakerWindow = 250 * time.Millisecond
 
-// defaultClosureCacheSize bounds the router's epoch-keyed RPC cache
-// (closure matrices + delivery tables; see cache.go). Entries strand
-// when a shard's epoch advances and age out under LRU pressure.
-const defaultClosureCacheSize = 256
-
 // Router owns N shard primaries: it routes writes by shard key (the
 // document name), fans queries out to every shard, and joins the
 // cross-shard parts at the serving tier. All methods are safe for
@@ -54,8 +49,6 @@ type Router struct {
 	maxRetry int
 
 	breakerWindow time.Duration
-	cacheSize     int
-	cache         *rpcCache
 
 	// slowQuery is the slow-query log threshold: queries at or above
 	// it hand their assembled QueryTrace to onSlowQuery. Negative
@@ -74,29 +67,27 @@ type Router struct {
 	streamed atomic.Uint64
 
 	stepRPCs    atomic.Uint64
+	closureRPCs atomic.Uint64
 	deliverRPCs atomic.Uint64
 	wire        WireStats
+
+	// graphHits and graphMisses count the evaluation attempts that
+	// needed the endpoint graph: found memoized for the pinned cut, or
+	// assembled after a Closure round.
+	graphHits   atomic.Uint64
+	graphMisses atomic.Uint64
 
 	// met is the lazily created metric registry (see Metrics).
 	met   atomic.Pointer[obs.Registry]
 	metMu sync.Mutex
 
-	// lastCut remembers the (epoch, scope) each shard last reported,
-	// so fresh queries can predict cache keys before the seed round
-	// pins the real cut (see predictCut in join.go).
-	lastCut []atomic.Pointer[cutEntry]
-
 	// prepMemo caches the map-derived endpoint skeleton per published
-	// map; egMemo the fully assembled endpoint graph per pinned cut.
+	// map; egMemo the last assembled endpoint graph per ranking mode
+	// (index 1 carries distances), keyed by its pinned cut.
 	prepMemo atomic.Pointer[egPrep]
-	egMemo   atomic.Pointer[egMemoEntry]
+	egMemo   [2]atomic.Pointer[egMemoEntry]
 
 	downUntil []int64 // per-conn circuit breaker deadline, unix nanos (atomic)
-}
-
-type cutEntry struct {
-	epoch uint64
-	scope uint64
 }
 
 // WireStats counts raw bytes crossing shard connections; the router
@@ -112,30 +103,33 @@ func (w *WireStats) AddIn(n int) { w.in.Add(uint64(n)) }
 // AddOut records bytes sent to a shard.
 func (w *WireStats) AddOut(n int) { w.out.Add(uint64(n)) }
 
-// Counters is the router's own serving-path instrumentation: RPC
-// cache efficacy, RPC round volume, and wire bytes (HTTP connections
-// only; in-process shards move no bytes).
+// Counters is the router's own serving-path instrumentation: how often
+// the endpoint graph was reused, RPC volume by kind, and wire bytes
+// (HTTP connections only; in-process shards move no bytes).
 type Counters struct {
-	ClosureCacheHits      uint64 `json:"closureCacheHits"`
-	ClosureCacheMisses    uint64 `json:"closureCacheMisses"`
-	ClosureCacheEvictions uint64 `json:"closureCacheEvictions"`
-	StepRPCs              uint64 `json:"stepRPCs"`
-	DeliverRPCs           uint64 `json:"deliverRPCs"`
-	WireBytesIn           uint64 `json:"wireBytesIn"`
-	WireBytesOut          uint64 `json:"wireBytesOut"`
+	// ClosureCacheHits counts evaluation attempts whose pinned cut found
+	// its assembled endpoint graph — the shards' closures — memoized,
+	// so no Closure round ran; ClosureCacheMisses those that ran one.
+	ClosureCacheHits   uint64 `json:"closureCacheHits"`
+	ClosureCacheMisses uint64 `json:"closureCacheMisses"`
+	StepRPCs           uint64 `json:"stepRPCs"`
+	ClosureRPCs        uint64 `json:"closureRPCs"`
+	DeliverRPCs        uint64 `json:"deliverRPCs"`
+	WireBytesIn        uint64 `json:"wireBytesIn"`
+	WireBytesOut       uint64 `json:"wireBytesOut"`
 }
 
 // Counters snapshots the router's serving-path counters without any
 // shard RPCs.
 func (r *Router) Counters() Counters {
 	return Counters{
-		ClosureCacheHits:      r.cache.hits.Load(),
-		ClosureCacheMisses:    r.cache.misses.Load(),
-		ClosureCacheEvictions: r.cache.evictions.Load(),
-		StepRPCs:              r.stepRPCs.Load(),
-		DeliverRPCs:           r.deliverRPCs.Load(),
-		WireBytesIn:           r.wire.in.Load(),
-		WireBytesOut:          r.wire.out.Load(),
+		ClosureCacheHits:   r.graphHits.Load(),
+		ClosureCacheMisses: r.graphMisses.Load(),
+		StepRPCs:           r.stepRPCs.Load(),
+		ClosureRPCs:        r.closureRPCs.Load(),
+		DeliverRPCs:        r.deliverRPCs.Load(),
+		WireBytesIn:        r.wire.in.Load(),
+		WireBytesOut:       r.wire.out.Load(),
 	}
 }
 
@@ -175,19 +169,6 @@ func WithSlowQueryLog(threshold time.Duration, fn func(*QueryTrace)) Option {
 	}
 }
 
-// WithClosureCacheSize bounds the router's epoch-keyed RPC cache in
-// entries (default 256); 0 or negative disables caching entirely —
-// every query then recomputes closures and delivery tables, which is
-// the reference behavior the equivalence tests compare against.
-func WithClosureCacheSize(n int) Option {
-	return func(r *Router) {
-		if n < 0 {
-			n = 0
-		}
-		r.cacheSize = n
-	}
-}
-
 // New creates a router over one connection per shard of m.
 func New(conns []Conn, m *ShardMap, opts ...Option) (*Router, error) {
 	if m == nil {
@@ -200,12 +181,10 @@ func New(conns []Conn, m *ShardMap, opts ...Option) (*Router, error) {
 		conns:         conns,
 		maxRetry:      16,
 		breakerWindow: defaultBreakerWindow,
-		cacheSize:     defaultClosureCacheSize,
 		slowQuery:     -1,
 		pending:       map[string]struct{}{},
 		nextOrd:       m.NextOrdinal,
 		docCount:      make([]int, m.NumShards),
-		lastCut:       make([]atomic.Pointer[cutEntry], len(conns)),
 		downUntil:     make([]int64, len(conns)),
 	}
 	for _, e := range m.Docs {
@@ -215,7 +194,6 @@ func New(conns []Conn, m *ShardMap, opts ...Option) (*Router, error) {
 	for _, o := range opts {
 		o(r)
 	}
-	r.cache = newRPCCache(r.cacheSize)
 	for _, c := range conns {
 		if aw, ok := c.(interface{ AttachWireStats(*WireStats) }); ok {
 			aw.AttachWireStats(&r.wire)
@@ -665,7 +643,7 @@ type Status struct {
 	WatchEvictions    uint64 `json:"watchEvictions"`
 
 	// Counters inlines the router's own serving-path instrumentation
-	// (closureCacheHits/Misses/Evictions, stepRPCs, deliverRPCs,
+	// (closureCacheHits/Misses, stepRPCs, closureRPCs, deliverRPCs,
 	// wireBytesIn/Out).
 	Counters
 

@@ -49,8 +49,7 @@ type Span struct {
 
 // RouterSpanShard is the Shard of the spans that time the router's own
 // compute rather than an RPC: "assemble" (the endpoint graph for the
-// pinned cut) and "route" (a // step's cross-shard join plus composing
-// its deliveries).
+// pinned cut) and "route" (a // step's cross-shard join).
 const RouterSpanShard = "router"
 
 // TraceSpan is one shard RPC as the router observed it: the phase of
@@ -59,7 +58,7 @@ const RouterSpanShard = "router"
 // (older shards do not). Spans with Shard RouterSpanShard time the
 // router's own compute instead and never carry a Remote.
 type TraceSpan struct {
-	Phase string `json:"phase"` // "seed", "closure", "step2:///author", "deliver:2"
+	Phase string `json:"phase"` // "seed", "closure", "step2://author"
 	Shard string `json:"shard"`
 	RPC   string `json:"rpc"` // "step", "closure", "deliver"; "assemble", "route" for the router's own
 	// WallUs is the full router-side RPC duration.

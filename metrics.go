@@ -34,6 +34,20 @@ type indexMetrics struct {
 	walAppend       *obs.Histogram
 	walFsync        *obs.Histogram
 	walBytes        *obs.Counter
+	// shardMemo counts the shard RPCs' snapshot-memo lookups, by table
+	// ("closure", "delivery"); see shardstep.go.
+	shardMemo map[string]memoCounter
+}
+
+// memoCounter is one table's hit and miss counters.
+type memoCounter struct{ hits, misses *obs.Counter }
+
+func (c memoCounter) count(hit bool) {
+	if hit {
+		c.hits.Inc()
+	} else {
+		c.misses.Inc()
+	}
 }
 
 // Metrics returns the index's metric registry, for attaching to a
@@ -79,6 +93,13 @@ func newIndexMetrics(ix *Index) *indexMetrics {
 			obs.DefSyncBuckets),
 		walBytes: r.Counter("hopi_wal_append_bytes_total",
 			"Bytes appended to the WAL, record framing included."),
+		shardMemo: map[string]memoCounter{},
+	}
+	memo := r.CounterVec("hopi_shard_memo_lookups_total",
+		"Shard-RPC lookups of a snapshot's memoized endpoint closures and delivery tables, by table and result.",
+		"table", "result")
+	for _, table := range []string{"closure", "delivery"} {
+		m.shardMemo[table] = memoCounter{hits: memo.With(table, "hit"), misses: memo.With(table, "miss")}
 	}
 
 	// The phases of the build behind the served cover, so a build time

@@ -52,7 +52,7 @@ type Router struct {
 }
 
 // RouterOption tunes router construction (see RouterBreakerWindow,
-// RouterClosureCacheSize; shardrouter options pass through unchanged).
+// RouterSlowQueryLog; shardrouter options pass through unchanged).
 type RouterOption = shardrouter.Option
 
 // RouterBreakerWindow sets how long the router's per-shard circuit
@@ -60,13 +60,6 @@ type RouterOption = shardrouter.Option
 // (default 250ms). Non-positive keeps the default.
 func RouterBreakerWindow(d time.Duration) RouterOption {
 	return shardrouter.WithBreakerWindow(d)
-}
-
-// RouterClosureCacheSize bounds the router's epoch-keyed cache of
-// shard closure matrices and delivery tables (default 256 entries;
-// 0 disables caching).
-func RouterClosureCacheSize(n int) RouterOption {
-	return shardrouter.WithClosureCacheSize(n)
 }
 
 // RouterQueryTrace is the assembled span tree a traced distributed

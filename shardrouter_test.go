@@ -456,29 +456,31 @@ func TestRouterTokenMatrix(t *testing.T) {
 	}
 }
 
-// TestRouterCachedVsUncached: the closure cache must be invisible to
-// answers. A cache-free router over the same shards and map is the
-// reference; a random write workload through the cached router churns
-// epochs (stranding cache entries) while concurrent readers keep the
-// cached data path hot, so -race sees cache fills, hits, and
-// invalidation racing live queries.
+// shardMemoHits sums the shards' memo hits for one table ("closure" or
+// "delivery").
+func (f *shardedFixture) shardMemoHits(table string) uint64 {
+	var n uint64
+	for _, s := range f.shards {
+		n += s.metrics().shardMemo[table].hits.Value()
+	}
+	return n
+}
+
+// TestRouterCachedVsUncached: the memos must be invisible to answers.
+// After every write the first query on the new cut fills the shards'
+// memos and the router's endpoint graph, and a repeat reads them back;
+// both must equal the unsharded index's answer. Concurrent readers keep
+// the memoized paths hot, so -race sees fills, singleflight waits, hits
+// and fresh snapshots racing live queries.
 func TestRouterCachedVsUncached(t *testing.T) {
 	coll := WrapCollection(gen.DBLP(gen.DefaultDBLP(30, 31)))
 	f := buildSharded(t, coll, 3, "")
 	if len(f.router.Map().CrossLinks) == 0 {
-		t.Fatal("fixture has no cross-shard links — cache exercises nothing")
+		t.Fatal("fixture has no cross-shard links — the memos exercise nothing")
 	}
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(53))
 	exprs := []string{"//article//author", "//article//cite"}
-
-	freshConns := func() []ShardConn {
-		conns := make([]ShardConn, len(f.shards))
-		for i, s := range f.shards {
-			conns[i] = NewLocalShard(fmt.Sprintf("s%d", i), s)
-		}
-		return conns
-	}
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -518,6 +520,9 @@ func TestRouterCachedVsUncached(t *testing.T) {
 			if _, err := f.router.InsertXML(ctx, name, xml); err != nil {
 				t.Fatalf("step %d insert: %v", step, err)
 			}
+			if _, _, err := addXMLToIndex(f.single, name, xml); err != nil {
+				t.Fatalf("step %d single insert: %v", step, err)
+			}
 			names = append(names, name)
 		case 2: // add a link (maybe cross-shard)
 			from := names[rng.Intn(len(names))] + ":0"
@@ -525,23 +530,14 @@ func TestRouterCachedVsUncached(t *testing.T) {
 			if err := f.router.InsertLink(ctx, from, to); err != nil {
 				t.Fatalf("step %d link: %v", step, err)
 			}
-		}
-		uncached, err := NewRouter(freshConns(), f.router.Map(), "", RouterClosureCacheSize(0))
-		if err != nil {
-			t.Fatal(err)
+			if err := insertLinkBySpec(f.single, from, to); err != nil {
+				t.Fatalf("step %d single link: %v", step, err)
+			}
 		}
 		for _, expr := range exprs {
 			for _, ranked := range []bool{false, true} {
-				want, err := uncached.Query(ctx, expr, RouterQueryOptions{Ranked: ranked})
-				if err != nil {
-					t.Fatalf("step %d %s uncached: %v", step, expr, err)
-				}
-				got, err := f.router.Query(ctx, expr, RouterQueryOptions{Ranked: ranked})
-				if err != nil {
-					t.Fatalf("step %d %s cached: %v", step, expr, err)
-				}
-				diffRows(t, fmt.Sprintf("step %d %s ranked=%v", step, expr, ranked),
-					routerRows(got.Results), routerRows(want.Results))
+				f.compare(t, expr, ranked) // fills, unless a reader got there first
+				f.compare(t, expr, ranked) // reads back
 			}
 		}
 	}
@@ -549,14 +545,20 @@ func TestRouterCachedVsUncached(t *testing.T) {
 	wg.Wait()
 
 	if ctr := f.router.Unwrap().Counters(); ctr.ClosureCacheHits == 0 {
-		t.Error("cached router recorded no closure cache hits over the whole run")
+		t.Error("router never reused an endpoint graph over the whole run")
+	}
+	for _, table := range []string{"closure", "delivery"} {
+		if f.shardMemoHits(table) == 0 {
+			t.Errorf("shards never reused a memoized %s over the whole run", table)
+		}
 	}
 }
 
 // TestRouterClosureCacheCounters: a repeated identical query against a
-// quiescent cut must be served from the closure cache, and the
-// counters must surface through Status (the /stats payload) under
-// their exact JSON names.
+// quiescent cut reuses the router's endpoint graph (no closure round)
+// and the shards' memoized delivery tables; a write makes the next
+// query meet a new cut. The counters surface through Status (the
+// /stats payload) under their exact JSON names.
 func TestRouterClosureCacheCounters(t *testing.T) {
 	coll := WrapCollection(gen.DBLP(gen.DefaultDBLP(36, 37)))
 	f := buildSharded(t, coll, 2, "")
@@ -570,23 +572,27 @@ func TestRouterClosureCacheCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	first := r.Counters()
-	if first.StepRPCs == 0 {
-		t.Error("first query counted no step RPCs")
+	if first.StepRPCs == 0 || first.ClosureRPCs == 0 || first.DeliverRPCs == 0 {
+		t.Errorf("first query skipped a round: %+v", first)
 	}
-	if first.ClosureCacheMisses == 0 {
-		t.Error("cold query counted no closure cache misses")
+	if first.ClosureCacheMisses != 1 || first.ClosureCacheHits != 0 {
+		t.Errorf("cold query: %+v, want exactly one endpoint-graph miss", first)
 	}
+	deliveryHits := f.shardMemoHits("delivery")
 
 	if _, err := f.router.Query(ctx, "//article//cite", RouterQueryOptions{Ranked: true}); err != nil {
 		t.Fatal(err)
 	}
 	second := r.Counters()
-	if second.ClosureCacheHits <= first.ClosureCacheHits {
-		t.Errorf("second identical query did not hit the cache:\nfirst  %+v\nsecond %+v", first, second)
+	if second.ClosureCacheHits != first.ClosureCacheHits+1 || second.ClosureRPCs != first.ClosureRPCs {
+		t.Errorf("second identical query ran a closure round:\nfirst  %+v\nsecond %+v", first, second)
+	}
+	if f.shardMemoHits("delivery") <= deliveryHits {
+		t.Error("second identical query recomputed every delivery table")
 	}
 
 	// a write advances the owning shard's epoch; the next query must
-	// miss (stranded entries), never serve the stale cut
+	// meet the new cut, never serve the old one
 	names := make([]string, 0, len(f.router.Map().Docs))
 	for n := range f.router.Map().Docs {
 		names = append(names, n)
@@ -599,8 +605,8 @@ func TestRouterClosureCacheCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	third := r.Counters()
-	if third.ClosureCacheMisses <= second.ClosureCacheMisses {
-		t.Errorf("post-write query did not miss the cache:\nsecond %+v\nthird  %+v", second, third)
+	if third.ClosureCacheMisses <= second.ClosureCacheMisses || third.ClosureRPCs <= second.ClosureRPCs {
+		t.Errorf("post-write query reused the old cut's endpoint graph:\nsecond %+v\nthird  %+v", second, third)
 	}
 
 	// the counters ride /stats verbatim
@@ -609,12 +615,113 @@ func TestRouterClosureCacheCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, key := range []string{
-		"closureCacheHits", "closureCacheMisses", "closureCacheEvictions",
-		"stepRPCs", "deliverRPCs", "wireBytesIn", "wireBytesOut",
+		"closureCacheHits", "closureCacheMisses",
+		"stepRPCs", "closureRPCs", "deliverRPCs", "wireBytesIn", "wireBytesOut",
 	} {
 		if !strings.Contains(string(blob), `"`+key+`"`) {
 			t.Errorf("status JSON missing %q: %s", key, blob)
 		}
+	}
+}
+
+// TestShardClosureMemoBounded: a cross-shard link only edits the
+// router's map, so the source document's shard publishes no new
+// snapshot, yet every link changes that shard's endpoint lists and the
+// next query asks its snapshot for a closure under new spec lists. The
+// snapshot must keep only the latest closure per ranking mode, and the
+// answers must stay equal to the unsharded index's.
+func TestShardClosureMemoBounded(t *testing.T) {
+	coll := WrapCollection(gen.DBLP(gen.DefaultDBLP(30, 31)))
+	f := buildSharded(t, coll, 3, "")
+	m := f.router.Map()
+	if len(m.CrossLinks) == 0 {
+		t.Fatal("fixture has no cross-shard links")
+	}
+	// k receives a cross link, so it holds in-endpoints; the links
+	// added below give it out-endpoints to j.
+	k := m.Docs[m.CrossLinks[0].ToDoc].Shard
+	j := (k + 1) % 3
+	var onK, onJ []string
+	for name, e := range m.Docs {
+		switch e.Shard {
+		case k:
+			onK = append(onK, name)
+		case j:
+			onJ = append(onJ, name)
+		}
+	}
+	sort.Strings(onK)
+	sort.Strings(onJ)
+	const links = 8
+	if len(onK) < links || len(onJ) == 0 {
+		t.Fatalf("shard %d holds %d documents, shard %d %d", k, len(onK), j, len(onJ))
+	}
+
+	ctx := context.Background()
+	epoch := f.shards[k].Snapshot().Epoch()
+	closureRPCs := f.router.Unwrap().Counters().ClosureRPCs
+	for i := 0; i < links; i++ {
+		from, to := onK[i]+":0", onJ[i%len(onJ)]
+		if err := f.router.InsertLink(ctx, from, to); err != nil {
+			t.Fatal(err)
+		}
+		if err := insertLinkBySpec(f.single, from, to); err != nil {
+			t.Fatal(err)
+		}
+		for _, ranked := range []bool{false, true} {
+			f.compare(t, "//article//author", ranked)
+		}
+	}
+	s := f.shards[k].Snapshot()
+	if s.Epoch() != epoch {
+		t.Fatalf("shard %d was written to (epoch %d → %d); the test needs a shard that is not", k, epoch, s.Epoch())
+	}
+	if got := f.router.Unwrap().Counters().ClosureRPCs - closureRPCs; got < 2*links {
+		t.Fatalf("%d closure RPCs over %d map versions in two modes; the memo was not exercised", got, links)
+	}
+	for mode := range s.memo.closures {
+		if n := s.memo.closures[mode].Len(); n > 1 {
+			t.Errorf("shard %d's snapshot holds %d closures for withDist=%v, want at most 1", k, n, mode == 1)
+		}
+	}
+}
+
+// TestShardDeliveryMemoSkipsUnknownTags: the tag of a delivery table is
+// the client's, so queries naming tags no element carries must not grow
+// the shards' memos; known tags are still memoized.
+func TestShardDeliveryMemoSkipsUnknownTags(t *testing.T) {
+	coll := WrapCollection(gen.DBLP(gen.DefaultDBLP(30, 31)))
+	f := buildSharded(t, coll, 3, "")
+	ctx := context.Background()
+	tables := func() int {
+		n := 0
+		for _, s := range f.shards {
+			n += s.Snapshot().memo.tables.Len()
+		}
+		return n
+	}
+	for _, ranked := range []bool{false, true} {
+		f.compare(t, "//article//author", ranked)
+	}
+	known := tables()
+	if known == 0 {
+		t.Fatal("no delivery table memoized for a known tag")
+	}
+	deliverRPCs := f.router.Unwrap().Counters().DeliverRPCs
+	for i := 0; i < 40; i++ {
+		page, err := f.router.Query(ctx, fmt.Sprintf("//article//nosuch%d", i), RouterQueryOptions{Ranked: i%2 == 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(page.Results) != 0 {
+			t.Fatalf("unknown tag matched %d elements", len(page.Results))
+		}
+	}
+	if f.router.Unwrap().Counters().DeliverRPCs == deliverRPCs {
+		t.Fatal("no deliver round ran for the unknown tags; the memo was not exercised")
+	}
+	if got := tables(); got != known {
+		t.Errorf("delivery memos hold %d tables after unknown-tag queries, want %d", got, known)
 	}
 }
 

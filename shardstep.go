@@ -167,87 +167,104 @@ func (s *Snapshot) ShardStep(ctx context.Context, req *shardrouter.StepRequest) 
 			s.fillMeta(&resp.Frontier[i])
 		}
 	}
-	// Piggybacked closure: the seed round can carry the endpoint
-	// closure for shards the router predicts uncached, saving the
-	// separate Closure RPC round.
-	if req.WantClosure && len(req.ClosureFrom) > 0 && len(req.ClosureTo) > 0 {
-		cl, cerr := s.ShardClosure(ctx, &shardrouter.ClosureRequest{
-			WithDist: req.ClosureWithDist, From: req.ClosureFrom, To: req.ClosureTo,
-		})
-		if cerr != nil {
-			return nil, cerr
-		}
-		resp.Closure = cl
-	}
-	// Piggybacked delivery tables: per in-endpoint, the tag-matching
-	// candidates it reaches with local distances and merge metadata.
-	// The router composes cross-shard matches from these instead of a
-	// Deliver RPC, and caches them per (epoch, step tag). The map is
-	// non-nil whenever ProbeIn was asked — "empty" and "unsupported"
-	// must stay distinguishable on the wire.
-	if len(req.ProbeIn) > 0 {
-		resp.Deliveries = make(map[string][]shardrouter.Delivery, len(req.ProbeIn))
-		for _, spec := range req.ProbeIn {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			in, rerr := s.coll.ResolveElement(spec)
-			if rerr != nil {
-				continue // vanished under a racing delete; epoch pin reports it
-			}
-			ds, derr := s.deliveryTable(ctx, in, req.Tag, req.Ranked)
-			if derr != nil {
-				return nil, derr
-			}
-			if len(ds) > 0 {
-				resp.Deliveries[spec] = ds
-			}
-		}
-	}
 	return resp, nil
+}
+
+// shardMemo is what a snapshot computes for the router's closure and
+// deliver rounds, kept for the snapshot's lifetime: the answer depends
+// on nothing else, so every query pinned to the same cut reuses it,
+// and a write starts the next snapshot with an empty memo.
+//
+// Both tables are bounded, because a snapshot can serve requests with
+// ever new keys without being replaced: a cross-shard link changes this
+// shard's endpoint lists in the router's map without writing here, and
+// clients choose the tags of delivery tables. The router only asks for
+// its current map's lists, so the closure memo keeps the latest spec
+// lists per withDist (index 1 carries distances).
+type shardMemo struct {
+	closures [2]shardrouter.Memo[uint64, []uint32] // keyed by shardrouter.HashSpecs(from, to)
+	tables   shardrouter.Memo[tableKey, []reachEntry]
+}
+
+// maxDeliveryTables bounds one snapshot's memoized delivery tables.
+// One per (in-endpoint, tag, ranked) is useful and unknown tags are
+// never stored: four shards over 1,000 generated DBLP documents, queried
+// with //article//author, //article//cite//title, //*//author and
+// //article//title in both modes, hold at most 582 per shard.
+const maxDeliveryTables = 1 << 12
+
+// newShardMemo is an empty memo with its size bounds set.
+func newShardMemo() shardMemo {
+	return shardMemo{
+		closures: [2]shardrouter.Memo[uint64, []uint32]{{Max: 1}, {Max: 1}},
+		tables:   shardrouter.Memo[tableKey, []reachEntry]{Max: maxDeliveryTables},
+	}
+}
+
+// tableKey identifies one delivery table: a cross-link target and the
+// step it feeds.
+type tableKey struct {
+	in     int32
+	tag    string
+	ranked bool
+}
+
+// reachEntry is one row of a delivery table: a step candidate the
+// cross-link target reaches, with the shard-local shortest distance on
+// ranked tables.
+type reachEntry struct {
+	id   int32
+	dist uint32
+}
+
+// countMemo records one shard-RPC memo lookup on the index's metrics
+// (hand-built snapshots have none).
+func (s *Snapshot) countMemo(table string, hit bool) {
+	if s.met != nil {
+		s.met.shardMemo[table].count(hit)
+	}
 }
 
 // deliveryTable lists the step candidates one cross-link target
 // reaches (reflexively — the arrival's cross edge keeps the path
-// proper): for ranked queries with the shard-local shortest distance,
-// always with the metadata the router needs to merge globally. The
-// table depends only on (snapshot, endpoint, tag, ranked), so the
-// router caches it across queries pinned to the same cut.
-func (s *Snapshot) deliveryTable(ctx context.Context, in int32, tag string, ranked bool) ([]shardrouter.Delivery, error) {
-	var cands []int32
-	for _, c := range s.ix.Descendants(in) {
-		if tag != "*" && s.coll.c.Tag(c) != tag {
-			continue
-		}
-		cands = append(cands, c)
-	}
-	if len(cands) == 0 {
+// proper), with the shard-local shortest distance on ranked tables.
+// It is memoized per (endpoint, tag, ranked); a tag no element of the
+// snapshot carries has an empty table, which is not stored.
+func (s *Snapshot) deliveryTable(ctx context.Context, in int32, tag string, ranked bool) ([]reachEntry, error) {
+	if len(s.eng.Candidates(tag)) == 0 {
 		return nil, nil
 	}
-	var dists []uint32
-	if ranked {
-		var err error
-		dists, err = s.eng.BulkClosure(ctx, []int32{in}, cands, true)
-		if err != nil {
-			return nil, err
-		}
-	}
-	out := make([]shardrouter.Delivery, 0, len(cands))
-	for i, c := range cands {
-		d := shardrouter.Delivery{ID: c}
-		if ranked {
-			if dists[i] == graph.InfDist {
-				continue
+	tab, hit, err := s.memo.tables.Do(tableKey{in: in, tag: tag, ranked: ranked}, func() ([]reachEntry, error) {
+		var cands []int32
+		for _, c := range s.ix.Descendants(in) {
+			if tag == "*" || s.coll.c.Tag(c) == tag {
+				cands = append(cands, c)
 			}
-			d.Dist = dists[i]
 		}
-		doc, local := s.coll.c.LocalID(c)
-		d.Doc = s.coll.c.Docs[doc].Name
-		d.Local = local
-		d.Tag = s.coll.c.Docs[doc].Elements[local].Tag
-		out = append(out, d)
+		var dists []uint32
+		if ranked && len(cands) > 0 {
+			var err error
+			if dists, err = s.eng.BulkClosure(ctx, []int32{in}, cands, true); err != nil {
+				return nil, err
+			}
+		}
+		out := make([]reachEntry, 0, len(cands))
+		for i, c := range cands {
+			e := reachEntry{id: c}
+			if ranked {
+				if dists[i] == graph.InfDist {
+					continue
+				}
+				e.dist = dists[i]
+			}
+			out = append(out, e)
+		}
+		return out, nil
+	})
+	if err == nil {
+		s.countMemo("delivery", hit)
 	}
-	return out, nil
+	return tab, err
 }
 
 func rankedToWire(m map[int32]float64) []shardrouter.FrontierElem {
@@ -264,15 +281,10 @@ func rankedToWire(m map[int32]float64) []shardrouter.FrontierElem {
 // edge, so even the zero-length local tail closes a proper path. The
 // score is a single division base/(1+total), the same float operation
 // the single-index engine performs, so merged scores are bit-identical
-// to the unsharded answer.
+// to the unsharded answer. The delivery tables are memoized, so a
+// repeated step against this snapshot only composes.
 func (s *Snapshot) ShardDeliver(ctx context.Context, req *shardrouter.DeliverRequest) (*shardrouter.DeliverResponse, error) {
-	resp := &shardrouter.DeliverResponse{}
-	type acc struct {
-		score float64
-		seen  bool
-		meta  *shardrouter.Delivery
-	}
-	matches := map[int32]*acc{}
+	score := map[int32]float64{}
 	for spec, arrivals := range req.In {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -281,35 +293,31 @@ func (s *Snapshot) ShardDeliver(ctx context.Context, req *shardrouter.DeliverReq
 		if err != nil {
 			continue // vanished under a racing delete; epoch pin reports it
 		}
-		ds, err := s.deliveryTable(ctx, in, req.Tag, req.Ranked)
+		tab, err := s.deliveryTable(ctx, in, req.Tag, req.Ranked)
 		if err != nil {
 			return nil, err
 		}
-		for di := range ds {
-			d := &ds[di]
-			m := matches[d.ID]
-			if m == nil {
-				m = &acc{meta: d}
-				matches[d.ID] = m
-			}
+		for _, e := range tab {
 			if !req.Ranked {
-				m.seen = true
+				score[e.id] = 0
 				continue
 			}
+			best, seen := score[e.id]
 			for _, a := range arrivals {
-				if sc := a.Base / float64(1+a.Dist+d.Dist); !m.seen || sc > m.score {
-					m.score, m.seen = sc, true
+				if sc := a.Base / float64(1+a.Dist+e.dist); !seen || sc > best {
+					best, seen = sc, true
 				}
+			}
+			if seen {
+				score[e.id] = best
 			}
 		}
 	}
-	for id, m := range matches {
-		if !m.seen {
-			continue
-		}
-		fe := shardrouter.FrontierElem{ID: id, Score: m.score}
+	resp := &shardrouter.DeliverResponse{Matches: make([]shardrouter.FrontierElem, 0, len(score))}
+	for id, sc := range score {
+		fe := shardrouter.FrontierElem{ID: id, Score: sc}
 		if req.WantMeta {
-			fe.Doc, fe.Local, fe.Tag = m.meta.Doc, m.meta.Local, m.meta.Tag
+			s.fillMeta(&fe)
 		}
 		resp.Matches = append(resp.Matches, fe)
 	}
@@ -320,40 +328,59 @@ func (s *Snapshot) ShardDeliver(ctx context.Context, req *shardrouter.DeliverReq
 // targets to cross-link sources — the target→source edge weights of
 // the router's endpoint graph. Distances are the cover's shortest
 // paths when asked for; without WithDist, 1 marks plain reachability.
+// The matrix is memoized for the latest spec lists, so only the first
+// query to meet this snapshot under a map version computes it; callers
+// must not modify it.
 func (s *Snapshot) ShardClosure(ctx context.Context, req *shardrouter.ClosureRequest) (*shardrouter.ClosureResponse, error) {
+	memo := &s.memo.closures[0]
+	if req.WithDist {
+		memo = &s.memo.closures[1]
+	}
+	dist, hit, err := memo.Do(shardrouter.HashSpecs(req.From, req.To), func() ([]uint32, error) {
+		return s.closure(ctx, req.From, req.To, req.WithDist)
+	})
+	if err != nil {
+		return nil, err
+	}
+	s.countMemo("closure", hit)
+	return &shardrouter.ClosureResponse{Dist: dist}, nil
+}
+
+// closure computes the from×to matrix ShardClosure memoizes.
+func (s *Snapshot) closure(ctx context.Context, from, to []string, withDist bool) ([]uint32, error) {
 	// Resolve specs, compacting out the vanished ones (a racing delete;
 	// the epoch pin reports it) so the bulk label join runs over live
 	// elements only, then scatter back into the full matrix.
-	fromIDs := make([]int32, 0, len(req.From))
-	fromIdx := make([]int, 0, len(req.From))
-	for i, spec := range req.From {
+	fromIDs := make([]int32, 0, len(from))
+	fromIdx := make([]int, 0, len(from))
+	for i, spec := range from {
 		if id, err := s.coll.ResolveElement(spec); err == nil {
 			fromIDs = append(fromIDs, id)
 			fromIdx = append(fromIdx, i)
 		}
 	}
-	toIDs := make([]int32, 0, len(req.To))
-	toIdx := make([]int, 0, len(req.To))
-	for j, spec := range req.To {
+	toIDs := make([]int32, 0, len(to))
+	toIdx := make([]int, 0, len(to))
+	for j, spec := range to {
 		if id, err := s.coll.ResolveElement(spec); err == nil {
 			toIDs = append(toIDs, id)
 			toIdx = append(toIdx, j)
 		}
 	}
-	sub, err := s.eng.BulkClosure(ctx, fromIDs, toIDs, req.WithDist)
+	sub, err := s.eng.BulkClosure(ctx, fromIDs, toIDs, withDist)
 	if err != nil {
 		return nil, err
 	}
-	dist := make([]uint32, len(req.From)*len(req.To))
+	dist := make([]uint32, len(from)*len(to))
 	for k := range dist {
 		dist[k] = graph.InfDist
 	}
 	for i := range fromIDs {
 		for j := range toIDs {
-			dist[fromIdx[i]*len(req.To)+toIdx[j]] = sub[i*len(toIDs)+j]
+			dist[fromIdx[i]*len(to)+toIdx[j]] = sub[i*len(toIDs)+j]
 		}
 	}
-	return &shardrouter.ClosureResponse{Dist: dist}, nil
+	return dist, nil
 }
 
 // ShardResolve checks element specs against the snapshot.

@@ -34,6 +34,9 @@ type Snapshot struct {
 	// opened on this snapshot; see metrics.go. Set by Index.Snapshot
 	// before the snapshot is published, nil on hand-built snapshots.
 	met *indexMetrics
+	// memo keeps what the router's closure and deliver rounds asked of
+	// this snapshot; see shardstep.go.
+	memo shardMemo
 }
 
 // newSnapshot publishes src's current state. prev, when non-nil, is
@@ -61,6 +64,7 @@ func newSnapshot(src *core.Index, prev *Snapshot, epoch uint64, seqEpoch bool, s
 		epoch:    epoch,
 		seqEpoch: seqEpoch,
 		scope:    scope,
+		memo:     newShardMemo(),
 	}
 }
 
