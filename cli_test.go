@@ -110,18 +110,32 @@ func TestCLIPipeline(t *testing.T) {
 // (benchmark/, which imports hopi/internal/* and is invisible to the
 // root module's ./...), so tier-1 fails when a deleted or changed
 // symbol would break the benchmark the driver builds from source.
-// -mod=mod and GOWORK=off match benchmark/run.sh.
 func TestBenchmarkModuleVets(t *testing.T) {
+	goInBenchmark(t, "vet", "./...")
+}
+
+// TestBenchmarkModuleTests runs the nested module's own tests: its
+// smoke test drives every workload, the traced maintain-segments one
+// through a follower on hopi.FollowDir, so a change to the root
+// module's behaviour that breaks a workload fails tier-1 too.
+func TestBenchmarkModuleTests(t *testing.T) {
+	goInBenchmark(t, "test", "./...")
+}
+
+// goInBenchmark runs a go command in benchmark/ with the flags
+// benchmark/run.sh uses (-mod=mod, GOWORK=off); skipped in -short.
+func goInBenchmark(t *testing.T, args ...string) {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("compiles the benchmark module")
 	}
 	if _, err := exec.LookPath("go"); err != nil {
 		t.Skip("go is not on PATH")
 	}
-	cmd := exec.Command("go", "vet", "./...")
+	cmd := exec.Command("go", args...)
 	cmd.Dir = "benchmark"
 	cmd.Env = append(os.Environ(), "GOFLAGS=-mod=mod", "GOWORK=off")
 	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("go vet ./... in benchmark/: %v\n%s", err, out)
+		t.Fatalf("go %s in benchmark/: %v\n%s", strings.Join(args, " "), err, out)
 	}
 }

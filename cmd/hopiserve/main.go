@@ -13,6 +13,7 @@
 //	hopiserve -store dblp.hopi              # create or reopen; WAL-backed writes
 //	hopiserve -store dblp.hopi -checkpoint 10s
 //	hopiserve -replica-of http://primary:8080 -addr :8081
+//	hopiserve -replica-of http://primary:8080 -store replica/   # persistent replica
 //
 // With -store, every maintenance batch is committed to the write-ahead
 // log before the HTTP response is sent; kill the process at any point,
@@ -20,10 +21,14 @@
 // there. The store is checkpointed periodically (-checkpoint) and on
 // graceful shutdown. A -store server is also a replication primary: it
 // streams its committed batches at GET /repl/stream, and any number of
-// -replica-of servers bootstrap from its state image, replay the
-// stream, and serve the read endpoints against their latest replayed
-// snapshot (writes there fail 403 — send them to the primary). /stats
-// reports each server's role, applied sequence, and replication lag.
+// -replica-of servers bootstrap from its state image, log and replay
+// the stream into a durable store of their own, and serve the read
+// endpoints against their latest replayed snapshot (writes there fail
+// 403 — send them to the primary). A replica keeps that store in the
+// directory -store names (else in a temporary directory removed on
+// shutdown); restarted on it, even after kill -9, it resumes the stream
+// after its last logged batch without a new image. /stats reports each
+// server's role, applied sequence, and replication lag.
 //
 // API:
 //
@@ -34,7 +39,7 @@
 //	GET    /explain?expr=...&limit=10     (per-step execution plan)
 //	GET    /reach?from=pub00005.xml&to=pub00002.xml&distance=1
 //	GET    /stats
-//	GET    /repl/stream?from=N           (log shipping: the WAL's CRC-framed records)
+//	GET    /repl/stream?from=N&scope=S   (log shipping: the WAL's CRC-framed records)
 //	POST   /docs?name=new.xml            (body: the XML document)
 //	DELETE /docs/{name}
 //	POST   /links                        {"from":"a.xml:3","to":"b.xml"}
@@ -77,7 +82,7 @@ func main() {
 	var (
 		addr       = flag.String("addr", ":8080", "listen address")
 		index      = flag.String("index", "", "saved index path (from hopibuild); empty generates a collection")
-		store      = flag.String("store", "", "durable store path: reopen if present (replaying any WAL tail), else create; writes are WAL-committed before they are acknowledged")
+		store      = flag.String("store", "", "durable store path: reopen if present (replaying any WAL tail), else create; writes are WAL-committed before they are acknowledged. With -replica-of: the directory that keeps the replica's store across restarts")
 		replicaOf  = flag.String("replica-of", "", "primary base URL (e.g. http://primary:8080): serve a read-only replica fed by its replication stream")
 		checkpoint = flag.Duration("checkpoint", 30*time.Second, "with -store: interval between background checkpoints (0 disables)")
 		docs       = flag.Int("docs", 500, "generated DBLP-like document count (when no -index)")
@@ -95,8 +100,8 @@ func main() {
 	if *index != "" && *store != "" {
 		log.Fatal("hopiserve: -index and -store are mutually exclusive (use -store to serve a saved index durably)")
 	}
-	if *replicaOf != "" && (*index != "" || *store != "") {
-		log.Fatal("hopiserve: -replica-of is mutually exclusive with -index and -store (a replica holds no local state)")
+	if *replicaOf != "" && *index != "" {
+		log.Fatal("hopiserve: -replica-of and -index are mutually exclusive")
 	}
 
 	var segOpts []hopi.OpenOption
@@ -201,12 +206,16 @@ func loadIndex(path, store, replicaOf string, docs int, seed int64, distance boo
 	if replicaOf != "" {
 		url := strings.TrimSuffix(replicaOf, "/") + "/repl/stream"
 		log.Printf("following primary at %s", url)
-		ix, err := hopi.Follow(url)
+		var opts []hopi.FollowOption
+		if store != "" {
+			opts = append(opts, hopi.FollowDir(store))
+		}
+		ix, err := hopi.Follow(url, opts...)
 		if err != nil {
 			return nil, err
 		}
 		st := ix.ReplicaStatus()
-		log.Printf("replica bootstrapped at seq %d (primary at %d)", st.AppliedSeq, st.PrimarySeq)
+		log.Printf("replica ready at seq %d (primary at %d)", st.AppliedSeq, st.PrimarySeq)
 		return ix, nil
 	}
 	if path != "" {

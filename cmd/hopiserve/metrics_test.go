@@ -84,6 +84,7 @@ func TestMetricsExposition(t *testing.T) {
 		"hopi_build_phase_seconds",
 		"hopi_wal_fsync_seconds",
 		"hopi_replication_lag_batches",
+		"hopi_replication_bootstraps_total",
 		"hopi_segment_stack_depth",
 		"hopi_segment_cache_misses_total",
 		"hopi_segment_block_records_scanned_total",

@@ -14,10 +14,13 @@ import (
 
 // TestReplicationSmoke is the 3-process end-to-end: it builds the real
 // hopiserve binary, starts a durable primary and two -replica-of
-// followers as separate OS processes, writes through the primary,
-// reads from the followers, kill -9s the primary, restarts it on the
-// same port, and verifies the followers reconnect and converge on a
-// post-restart write.
+// followers as separate OS processes (the first keeping its store in a
+// -store directory), writes through the primary, reads from the
+// followers, kill -9s the primary, restarts it on the same port, and
+// verifies the followers reconnect and converge on a post-restart
+// write. Then it kill -9s the persistent follower, writes again, and
+// restarts the follower on its directory: it resumes from its own store
+// without a new image and converges.
 func TestReplicationSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("3-process smoke test; skipped in -short")
@@ -63,19 +66,33 @@ func TestReplicationSmoke(t *testing.T) {
 		t.Fatalf("primary stats after writes: %+v", pstats)
 	}
 
-	// two follower processes
+	// two follower processes; the first keeps its store in a directory
 	followers := make([]string, 2)
-	for i := range followers {
-		addr := fmt.Sprintf("127.0.0.1:%d", ports[i+1])
-		cmd := exec.Command(bin, "-addr", addr, "-replica-of", primaryURL)
+	replicaStore := filepath.Join(dir, "replica0")
+	startFollower := func(i int) *exec.Cmd {
+		args := []string{"-addr", fmt.Sprintf("127.0.0.1:%d", ports[i+1]), "-replica-of", primaryURL}
+		if i == 0 {
+			args = append(args, "-store", replicaStore, "-checkpoint", "1s")
+		}
+		cmd := exec.Command(bin, args...)
 		cmd.Stdout = os.Stderr
 		cmd.Stderr = os.Stderr
 		if err := cmd.Start(); err != nil {
 			t.Fatalf("start follower %d: %v", i, err)
 		}
-		defer func() { cmd.Process.Kill(); cmd.Wait() }()
-		followers[i] = "http://" + addr
+		return cmd
 	}
+	procs := make([]*exec.Cmd, len(followers))
+	for i := range followers {
+		procs[i] = startFollower(i)
+		followers[i] = fmt.Sprintf("http://127.0.0.1:%d", ports[i+1])
+	}
+	defer func() {
+		for _, cmd := range procs {
+			cmd.Process.Kill()
+			cmd.Wait()
+		}
+	}()
 	var pq queryResponse
 	getJSON(t, primaryURL+"/query?expr="+qesc("//book//author")+"&limit=1000", http.StatusOK, &pq)
 	for i, base := range followers {
@@ -118,6 +135,28 @@ func TestReplicationSmoke(t *testing.T) {
 		if rq.Count != pq.Count {
 			t.Fatalf("follower %d after restart: %d matches, primary has %d", i, rq.Count, pq.Count)
 		}
+	}
+
+	// kill -9 the persistent follower, write while it is down, restart
+	// it on its store: it resumes after its last logged batch (the
+	// primary's WAL covers the gap) instead of installing an image
+	if err := procs[0].Process.Kill(); err != nil {
+		t.Fatal(err)
+	}
+	procs[0].Wait()
+	postDoc(t, primaryURL, "while-down.xml",
+		`<bib><book><author/></book><cite href="after-crash.xml"/></bib>`, http.StatusCreated)
+	getJSON(t, primaryURL+"/query?expr="+qesc("//book//author")+"&limit=1000", http.StatusOK, &pq)
+	procs[0] = startFollower(0)
+	waitHealthy(t, followers[0])
+	waitReplicaSeq(t, followers[0], 5)
+	var rq queryResponse
+	getJSON(t, followers[0]+"/query?expr="+qesc("//book//author")+"&limit=1000", http.StatusOK, &rq)
+	if rq.Count != pq.Count {
+		t.Fatalf("restarted follower: %d matches, primary has %d", rq.Count, pq.Count)
+	}
+	if n := counterTotal(scrape(t, followers[0]), "hopi_replication_bootstraps_total", "", ""); n != 0 {
+		t.Fatalf("restarted follower installed %v images instead of resuming from its store", n)
 	}
 }
 

@@ -40,14 +40,15 @@ const (
 //
 // A durable index (-store) additionally acts as a replication primary:
 // its committed WAL batches stream to followers at GET /repl/stream. A
-// follower index (-replica-of) serves the read endpoints against its
-// latest replayed snapshot and refuses writes with 403.
+// follower index (-replica-of), durable too but never a publisher,
+// serves the read endpoints against its latest replayed snapshot and
+// refuses writes with 403.
 type server struct {
 	ix       *hopi.Index
 	maxLimit int
 	cache    *stmtCache
 	mux      *http.ServeMux
-	pub      *hopi.Publisher // log-shipping publisher, nil unless durable
+	pub      *hopi.Publisher // log-shipping publisher, nil unless a durable primary
 
 	// shard is the in-process shard adapter behind the /shard/*
 	// endpoints; readyMaxLag is the replica lag ceiling for /readyz.
@@ -75,8 +76,8 @@ type server struct {
 }
 
 // newServer returns the HTTP handler for an index. maxLimit caps the
-// per-query result count (0 picks the default). A durable index gets a
-// replication publisher mounted at GET /repl/stream.
+// per-query result count (0 picks the default). A durable primary gets
+// a replication publisher mounted at GET /repl/stream.
 func newServer(ix *hopi.Index, maxLimit int) *server {
 	if maxLimit <= 0 {
 		maxLimit = defaultMaxLimit
@@ -129,7 +130,7 @@ func newServer(ix *hopi.Index, maxLimit int) *server {
 	mux.HandleFunc("POST /shard/deliver", s.handleShardDeliver)
 	mux.HandleFunc("POST /shard/closure", s.handleShardClosure)
 	mux.HandleFunc("POST /shard/resolve", s.handleShardResolve)
-	if ix.Durable() {
+	if ix.Durable() && ix.ReplicaStatus().Role != "replica" {
 		pub, err := ix.StartPublisher()
 		if err != nil {
 			// A durable server without its replication endpoint violates

@@ -37,7 +37,8 @@ import (
 // log) skips batches the seal already covers. Opening a durable index
 // replays any WAL tail left by a crash, so every batch whose Apply
 // returned is visible after a restart — the §4 incremental maintenance
-// of the stored index, made restartable.
+// of the stored index, made restartable. A replication follower (Follow)
+// is the same durable index, fed its primary's WAL records instead.
 
 const (
 	collSuffix = ".coll"
@@ -76,6 +77,10 @@ type durableState struct {
 	// returned as if the step's I/O had failed. Read under ix.mu's write
 	// side.
 	failpoint func(step string) error
+
+	// tempDir, when set, is removed by Close: the private store of a
+	// follower started without FollowDir.
+	tempDir string
 }
 
 func (d *durableState) failAt(step string) error {
@@ -123,16 +128,10 @@ func Segments() OpenOption {
 
 // SegmentThreshold sets the in-memory delta size (label adds plus
 // tombstones) at which a durable index seals automatically during
-// Apply (default 65536). n < 0 disables auto-sealing; the delta then
-// grows until an explicit Checkpoint.
+// Apply (default 65536, also chosen by n == 0). n < 0 disables
+// auto-sealing; the delta then grows until an explicit Checkpoint.
 func SegmentThreshold(n int) OpenOption {
-	return func(c *openConfig) {
-		if n < 0 {
-			c.segThreshold = -1
-		} else if n > 0 {
-			c.segThreshold = n
-		}
-	}
+	return func(c *openConfig) { c.segThreshold = n }
 }
 
 // SegmentMaxStack sets the sealed-segment count above which the
@@ -344,14 +343,10 @@ func (ix *Index) Checkpoint() error {
 	if d.err != nil {
 		return fmt.Errorf("hopi: durable backend failed earlier, reopen the index: %w", d.err)
 	}
-	if d.wal.Empty() {
-		return nil
+	if !d.wal.Empty() {
+		d.err = ix.doCheckpoint(d.nextSeq-1, false)
 	}
-	if err := ix.doCheckpoint(d.nextSeq-1, false); err != nil {
-		d.err = err
-		return err
-	}
-	return nil
+	return d.err
 }
 
 // doCheckpoint folds every batch through seq into the segment store:
@@ -422,19 +417,14 @@ func (ix *Index) Close() error {
 	// follower's replay goroutine acquires it inside the apply
 	// callbacks, and Stop waits for that goroutine to exit.
 	ix.mu.Lock()
-	fol, pub, folClean := ix.fol, ix.pub, ix.folClean
-	ix.fol, ix.pub, ix.folClean = nil, nil, nil
+	fol, pub := ix.fol, ix.pub
+	ix.fol, ix.pub = nil, nil
 	ix.mu.Unlock()
 	if pub != nil {
 		pub.Close()
 	}
 	if fol != nil {
 		fol.Stop()
-	}
-	if folClean != nil {
-		// the replay goroutine has exited; unlink the adopted segment
-		// store (live snapshots keep reading it through their mappings)
-		folClean()
 	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
@@ -452,8 +442,9 @@ func (ix *Index) Close() error {
 	d.stopCompactor()
 	// the store itself has nothing to flush: sealed segments are
 	// immutable and already fsynced; their mappings are reclaimed by the
-	// runtime
-	return errors.Join(ckptErr, d.wal.Close())
+	// runtime, and live snapshots keep reading a removed tempDir's files
+	// (RemoveAll of "" is a no-op)
+	return errors.Join(ckptErr, d.wal.Close(), os.RemoveAll(d.tempDir))
 }
 
 // commitDurable persists one applied batch. The caller holds ix.mu and
@@ -473,17 +464,10 @@ func (ix *Index) commitDurable(log *core.ChangeLog) error {
 		// replays it through the same path as any other batch.
 		cover = ix.ix.Cover().SnapshotDeltas()
 	}
-	// The batch is committed once Append's fsync returns. Nothing is
-	// applied to the store per batch — the in-memory cover (sealed base +
-	// delta) is the authority, and checkpoints seal it.
-	if err := d.failAt("wal-append"); err != nil {
-		return err
-	}
 	rec := storage.EncodeBatch(seq, collBytes, cover)
-	if err := d.wal.Append(rec); err != nil {
+	if err := d.appendBatch(seq, rec); err != nil {
 		return err
 	}
-	d.nextSeq = seq + 1
 	// Ship the logged record to any attached replication publisher before
 	// anything else can fail: a committed batch must reach followers even
 	// when the seal below does not. Publish never blocks on slow followers
@@ -492,11 +476,33 @@ func (ix *Index) commitDurable(log *core.ChangeLog) error {
 	if ix.pub != nil {
 		ix.pub.Publish(storage.WALRecord{Seq: seq, Raw: rec})
 	}
-	// A rebuild is resealed right away so the snapshot-sized WAL record
-	// is folded and the log returns to O(delta) size; otherwise seal
-	// when the delta has grown past the threshold.
-	if log.Rebuilt || (d.segThreshold > 0 && ix.ix.Cover().DeltaEntries() >= d.segThreshold) {
-		return ix.doCheckpoint(seq, log.Rebuilt)
+	return ix.sealDue(seq)
+}
+
+// appendBatch logs one framed batch record, committed once it is on disk
+// (when Append returns; on a follower at its next WAL Sync). Nothing else
+// is written per batch: the in-memory cover is the authority until a seal.
+func (d *durableState) appendBatch(seq uint64, rec []byte) error {
+	if err := d.failAt("wal-append"); err != nil {
+		return err
+	}
+	if err := d.wal.Append(rec); err != nil {
+		return err
+	}
+	d.nextSeq = seq + 1
+	return nil
+}
+
+// sealDue is the seal tail of a committed batch, on a primary's Apply
+// and a follower's replay alike. A batch that left the cover flat — a
+// Rebuild, or a replayed DeltaClearAll record — is resealed whole right
+// away, so the snapshot-sized WAL record is folded and the log returns
+// to O(delta) size; otherwise the delta is sealed once it has grown
+// past the threshold.
+func (ix *Index) sealDue(seq uint64) error {
+	d, cov := ix.dur, ix.ix.Cover()
+	if full := !cov.Seg(); full || (d.segThreshold > 0 && cov.DeltaEntries() >= d.segThreshold) {
+		return ix.doCheckpoint(seq, full)
 	}
 	return nil
 }
@@ -509,29 +515,23 @@ func writeCollFile(path string, c *xmlmodel.Collection, seq, scope uint64) error
 	if err != nil {
 		return err
 	}
-	if err := c.EncodeWithMeta(f, seq, scope); err != nil {
-		f.Close()
+	err = c.EncodeWithMeta(f, seq, scope)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
 		os.Remove(tmp)
 		return err
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if dir, err := os.Open(filepath.Dir(path)); err == nil {
-		dir.Sync()
-		dir.Close()
-	}
-	return nil
+	// the caller truncates the WAL next: a rename that never reached the
+	// disk would lose every collection op since the old sidecar
+	return segment.SyncDir(filepath.Dir(path))
 }
 
 // --- background compactor ---------------------------------------------
@@ -623,40 +623,19 @@ type SegmentStats struct {
 func (ix *Index) SegmentStats() SegmentStats {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	d := ix.dur
-	if d == nil {
-		// no attached store, but the cover may still read from adopted
-		// segment files (a replica bootstrapped from a primary, or a
+	d, cov := ix.dur, ix.ix.Cover()
+	var st segment.Stats
+	switch {
+	case d != nil:
+		st = d.segs.Stats()
+	case cov.Seg():
+		// no attached store, but the cover reads sealed segment files (a
 		// plain Open): report the stack shape directly
-		cov := ix.ix.Cover()
-		if !cov.Seg() {
-			return SegmentStats{}
-		}
-		out := SegmentStats{Enabled: true, Mmapped: true}
-		for _, seg := range cov.Base().Stack().Segs {
-			m := seg.Meta()
-			out.Segments++
-			out.SealedBytes += seg.SizeBytes()
-			out.SealedPosts += m.Posts
-			out.SealedTombs += m.Tombs
-			if m.Seq > out.SealedSeq {
-				out.SealedSeq = m.Seq
-			}
-			if !seg.Mmapped() {
-				out.Mmapped = false
-			}
-		}
-		out.LiveEntries = int64(cov.Size())
-		out.DeltaEntries = cov.DeltaEntries()
-		out.ReadErrors = cov.Base().Errors()
-		out.CacheMisses = cov.Base().CacheMisses()
-		out.RecordsScanned = cov.Base().RecordsScanned()
-		if out.LiveEntries > 0 {
-			out.BytesPerLabel = float64(out.SealedBytes) / float64(out.LiveEntries)
-		}
-		return out
+		st = cov.Base().Stack().Stats()
+		st.LiveEntries = int64(cov.Size())
+	default:
+		return SegmentStats{}
 	}
-	st := d.segs.Stats()
 	out := SegmentStats{
 		Enabled:     true,
 		Segments:    st.Segments,
@@ -668,15 +647,14 @@ func (ix *Index) SegmentStats() SegmentStats {
 		Compactions: st.Compactions,
 		Mmapped:     st.Mmapped,
 	}
-	cov := ix.ix.Cover()
 	if cov.Seg() {
 		out.DeltaEntries = cov.DeltaEntries()
 		out.ReadErrors = cov.Base().Errors()
 		out.CacheMisses = cov.Base().CacheMisses()
 		out.RecordsScanned = cov.Base().RecordsScanned()
 	}
-	if over := st.Segments - d.segs.MaxStack(); over > 0 {
-		out.CompactionBacklog = over
+	if d != nil {
+		out.CompactionBacklog = max(st.Segments-d.segs.MaxStack(), 0)
 	}
 	if st.LiveEntries > 0 {
 		out.BytesPerLabel = float64(st.SealedBytes) / float64(st.LiveEntries)

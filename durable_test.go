@@ -1067,14 +1067,16 @@ func TestDurableQueryEquivalenceUnderChurn(t *testing.T) {
 
 // TestDurableReplication bootstraps a follower from the primary's
 // sealed files, converges it under churn, and checks label
-// equality — the verbatim-file bootstrap path end to end.
+// equality — the verbatim-file bootstrap path end to end. A replayed
+// Rebuild reseals the follower's store whole, so it keeps serving from
+// segments.
 func TestDurableReplication(t *testing.T) {
 	dir := t.TempDir()
 	ix, base := createDurable(t, filepath.Join(dir, "p.hopi"), SegmentThreshold(16))
 	defer ix.Close()
 	// churn before the follower exists so the image has sealed segments
-	// and a non-empty residual delta
-	ops := randomScript(rand.New(rand.NewSource(5)), base, 40, true)
+	// and a non-empty residual delta; end on a rebuild
+	ops := append(randomScript(rand.New(rand.NewSource(5)), base, 40, true), scriptOp{kind: 4})
 	half := len(ops) / 2
 	for i := 0; i < half; i++ {
 		if _, err := ix.Apply(context.Background(), buildScriptBatch(ops[i])); err != nil {
@@ -1098,14 +1100,89 @@ func TestDurableReplication(t *testing.T) {
 	waitCaughtUp(t, fol, ix)
 	assertLabelEquality(t, fol, ix, "after bootstrap")
 
-	// keep churning (including rebuilds, which ship as wholesale
-	// ClearAll snapshots and flip the follower back to flat mode)
+	// keep churning, including rebuilds, which ship as wholesale
+	// ClearAll snapshots
 	for i := half; i < len(ops); i++ {
 		if _, err := ix.Apply(context.Background(), buildScriptBatch(ops[i])); err != nil {
 			t.Fatalf("op %d: %v", i, err)
 		}
 	}
 	waitCaughtUp(t, fol, ix)
+	if !fol.ix.Cover().Seg() {
+		t.Fatal("follower serves a flat cover after a replayed rebuild")
+	}
 	assertLabelEquality(t, fol, ix, "after churn")
 	assertSameAnswers(t, fol, oracle(t, ops, len(ops), true), "follower vs oracle")
+}
+
+// runFollowerCrashScript starts a durable primary and a follower on its
+// own directory, consults disk at every protocol step the follower's
+// store takes, and applies the script on the primary.
+func runFollowerCrashScript(t *testing.T, ops []scriptOp, disk *dyingDisk) (p *replPrimary, fol *Index, fdir string) {
+	t.Helper()
+	dir := t.TempDir()
+	ix, _ := createDurable(t, filepath.Join(dir, "p.hopi"))
+	t.Cleanup(func() { ix.Close() })
+	p = startReplPrimary(t, ix, "", PublishHeartbeat(20*time.Millisecond))
+	t.Cleanup(p.stop)
+	fdir = filepath.Join(dir, "follower")
+	fol = followFast(t, p.streamURL(), FollowDir(fdir))
+	setFailpoint(fol, disk.step)
+	for i, op := range ops {
+		if _, err := ix.Apply(context.Background(), buildScriptBatch(op)); err != nil {
+			t.Fatalf("op %d: %v", i, err)
+		}
+	}
+	return p, fol, fdir
+}
+
+// TestDurableFollowerCrashRecovery kills a follower's disk at each step
+// its store takes while replaying a randomized script (rebuilds
+// included): every WAL append, and the seal, manifest commit, sidecar
+// rename and WAL truncate of each replayed rebuild's reseal. The
+// follower must stop advancing and report the failure; restarted on the
+// same directory it recovers from its files and converges on the
+// primary's labels.
+func TestDurableFollowerCrashRecovery(t *testing.T) {
+	_, base := baseCollection(t)
+	ops := randomScript(rand.New(rand.NewSource(100)), base, 24, true)
+
+	var clean dyingDisk
+	p, fol, _ := runFollowerCrashScript(t, ops, &clean)
+	waitCaughtUp(t, fol, p.ix)
+	steps := clean.seen()
+	hit := map[string]int{}
+	for _, s := range steps {
+		hit[s]++
+	}
+	for _, s := range []string{"wal-append", "seal", "manifest", "sidecar", "wal-truncate"} {
+		if hit[s] == 0 {
+			t.Fatalf("the follower never reaches step %q (steps taken: %v)", s, hit)
+		}
+	}
+
+	for k, name := range steps {
+		t.Run(fmt.Sprintf("die@%d-%s", k, name), func(t *testing.T) {
+			var disk dyingDisk
+			disk.arm(k)
+			p, fol, fdir := runFollowerCrashScript(t, ops, &disk)
+			_, last, _ := p.ix.WALSize()
+			deadline := time.Now().Add(10 * time.Second)
+			for !strings.Contains(fol.ReplicaStatus().LastError, errDiskDied.Error()) {
+				if time.Now().After(deadline) {
+					t.Fatalf("follower never reported the failure: %+v", fol.ReplicaStatus())
+				}
+				time.Sleep(2 * time.Millisecond)
+			}
+			if st := fol.ReplicaStatus(); st.AppliedSeq >= last {
+				t.Fatalf("follower with a dead disk applied through %d of %d", st.AppliedSeq, last)
+			}
+			if err := fol.Close(); err != nil {
+				t.Fatal(err)
+			}
+			re := followFast(t, p.streamURL(), FollowDir(fdir))
+			waitCaughtUp(t, re, p.ix)
+			assertLabelEquality(t, re, p.ix, "restarted follower")
+		})
+	}
 }

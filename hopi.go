@@ -190,9 +190,6 @@ type Index struct {
 	// watch is the live-query notifier, created lazily by the first
 	// Watch call and torn down by Close; see watch.go.
 	watch atomic.Pointer[watcherState]
-	// folClean removes a follower's adopted segment-store directory;
-	// set by bootstrap, run by Close after the stream stops.
-	folClean func()
 	// met is the lazily created metric hub (see metrics.go); metMu
 	// single-flights its construction.
 	met   atomic.Pointer[indexMetrics]

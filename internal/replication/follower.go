@@ -93,8 +93,9 @@ type Follower struct {
 	ready     chan struct{} // closed once the target holds consistent state
 	readyOnce sync.Once
 
-	mu sync.Mutex
-	st Status
+	mu    sync.Mutex
+	st    Status
+	scope uint64 // replication scope of the held state, sent when resuming
 }
 
 // NewFollower prepares a follower for the stream endpoint at url
@@ -113,6 +114,19 @@ func NewFollower(url string, target Target, opts FollowerOptions) *Follower {
 // URL returns the primary stream endpoint this follower replicates
 // from.
 func (f *Follower) URL() string { return f.url }
+
+// Resume marks the target as already holding the state at seq of the
+// given replication scope — a replica restarted on its own store — so
+// the first stream request resumes at seq+1 instead of asking for an
+// image. The publisher answers with an image all the same when the
+// scope is not its own. Call before Start.
+func (f *Follower) Resume(seq, scope uint64) {
+	f.mu.Lock()
+	f.st.AppliedSeq, f.st.PrimarySeq, f.st.Bootstrapped = seq, seq, true
+	f.scope = scope
+	f.mu.Unlock()
+	f.signalReady()
+}
 
 // Start launches the replication loop.
 func (f *Follower) Start() {
@@ -189,13 +203,13 @@ func (f *Follower) run() {
 // checksum or has an unknown kind ends the stream: nothing is skipped.
 func (f *Follower) streamOnce() (n int, err error) {
 	f.mu.Lock()
-	from := uint64(0)
+	url := f.url + "?from=0"
 	if f.st.Bootstrapped {
-		from = f.st.AppliedSeq + 1
+		url = fmt.Sprintf("%s?from=%d&scope=%d", f.url, f.st.AppliedSeq+1, f.scope)
 	}
 	f.mu.Unlock()
 
-	req, err := http.NewRequestWithContext(f.ctx, http.MethodGet, fmt.Sprintf("%s?from=%d", f.url, from), nil)
+	req, err := http.NewRequestWithContext(f.ctx, http.MethodGet, url, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -258,9 +272,15 @@ func (f *Follower) handle(rec []byte, r io.Reader) error {
 			return err
 		}
 		if err := f.target.Bootstrap(img); err != nil {
+			// the target may hold part of the image: only a new one
+			// restores a consistent state
+			f.mu.Lock()
+			f.st.Bootstrapped = false
+			f.mu.Unlock()
 			return fmt.Errorf("replication: bootstrap at %d: %w", img.Seq, err)
 		}
 		f.mu.Lock()
+		f.scope = img.Scope
 		f.st.AppliedSeq = img.Seq
 		if f.st.PrimarySeq < img.Seq {
 			f.st.PrimarySeq = img.Seq

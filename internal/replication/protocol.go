@@ -1,13 +1,13 @@
 // Package replication implements WAL-shipping replication for HOPI
 // indexes: a primary streams its committed maintenance batches — the
 // very records its write-ahead log fsynced — to any number of read-only
-// followers over HTTP, each of which replays them into its own
-// in-memory index and republishes a fresh snapshot per burst.
+// followers over HTTP, each of which logs and replays them into its own
+// durable index and republishes a fresh snapshot per burst.
 //
 // The wire protocol is one long-lived binary response per follower
-// (GET /repl/stream?from=<seq>): a sequence of storage records
-// (len u32 | crc32 u32 | payload, see storage.ReadRecord), each named
-// by its first payload byte:
+// (GET /repl/stream?from=<seq>&scope=<scope>): a sequence of storage
+// records (len u32 | crc32 u32 | payload, see storage.ReadRecord), each
+// named by its first payload byte:
 //
 //	0x01 batch      one committed batch, byte for byte the primary's WAL record
 //	0x10 heartbeat  seq u64: the primary's last committed sequence
@@ -16,7 +16,8 @@
 //	0x13 error      a terminal stream error message
 //
 // from is the first sequence the follower still needs; from=0 asks for
-// a bootstrap image. The publisher serves batches from a bounded
+// a bootstrap image, and so does a scope naming another primary's
+// replication scope. The publisher serves batches from a bounded
 // in-memory tail, falls back to re-reading the primary's WAL for
 // followers that lag past the tail, and falls back again to a full
 // snapshot image when a checkpoint has truncated the needed batches
@@ -31,6 +32,7 @@ import (
 	"io"
 	"slices"
 
+	"hopi/internal/segment"
 	"hopi/internal/storage"
 	"hopi/internal/twohop"
 )
@@ -55,10 +57,7 @@ var imageChunk = 4 << 20
 // SegFile is one sealed segment file shipped verbatim inside a
 // bootstrap image: followers adopt the primary's compressed sealed
 // state without either side re-encoding a label.
-type SegFile struct {
-	Name string
-	Data []byte
-}
+type SegFile = segment.NamedFile
 
 // Image is a full state snapshot used to bootstrap an empty follower
 // (or reset one that lagged past the retained history): the encoded

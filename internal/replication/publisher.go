@@ -33,6 +33,10 @@ type PublisherOptions struct {
 	// Heartbeats carry the primary's last committed sequence, which is
 	// what followers report replication lag against.
 	Heartbeat time.Duration
+	// Scope is the primary's replication scope. A follower resuming
+	// with another scope holds another store's state and is answered
+	// with an image.
+	Scope uint64
 }
 
 func (o *PublisherOptions) defaults() {
@@ -158,10 +162,11 @@ func (p *Publisher) take(pos uint64) (batches []storage.WALRecord, notify chan s
 	return nil, notify, true, closed
 }
 
-// ServeHTTP implements GET /repl/stream?from=<seq>: an unbounded
-// response of image, batch and heartbeat records. from is the first
-// sequence the follower needs (0 = bootstrap). The stream runs until
-// the client disconnects or the publisher closes.
+// ServeHTTP implements GET /repl/stream?from=<seq>[&scope=<scope>]: an
+// unbounded response of image, batch and heartbeat records. from is the
+// first sequence the follower needs (0 = bootstrap); scope, when given,
+// is the replication scope of the state the follower holds. The stream
+// runs until the client disconnects or the publisher closes.
 func (p *Publisher) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	var from uint64
 	if v := r.URL.Query().Get("from"); v != "" {
@@ -171,6 +176,9 @@ func (p *Publisher) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		from = n
+	}
+	if v := r.URL.Query().Get("scope"); v != "" && v != strconv.FormatUint(p.opts.Scope, 10) {
+		from = 0 // a state of another replication group: reset it
 	}
 	w.Header().Set("Content-Type", streamContentType)
 	flusher, _ := w.(http.Flusher)

@@ -171,6 +171,41 @@ func TestBootstrapAndLiveStream(t *testing.T) {
 	}
 }
 
+// TestResumeChecksScope: a follower resumed on a stored state asks for
+// the batches after it — served as batches when its scope is the
+// publisher's, answered with an image when the state is another
+// replication group's.
+func TestResumeChecksScope(t *testing.T) {
+	src := &fakeSource{walFloor: 1}
+	for seq := uint64(1); seq <= 3; seq++ {
+		src.batches = append(src.batches, mkBatch(seq))
+	}
+	pub := NewPublisher(src, 3, PublisherOptions{Heartbeat: 20 * time.Millisecond, Scope: 7})
+	srv := httptest.NewServer(pub)
+	t.Cleanup(srv.Close)
+	t.Cleanup(pub.Close)
+
+	for _, tc := range []struct {
+		scope   uint64
+		boots   []uint64
+		applied []uint64
+	}{
+		{scope: 7, applied: []uint64{2, 3}},
+		{scope: 8, boots: []uint64{3}},
+	} {
+		target := &fakeTarget{}
+		f := NewFollower(srv.URL, target, FollowerOptions{BackoffMin: 5 * time.Millisecond})
+		f.Resume(1, tc.scope)
+		f.Start()
+		waitFor(t, "catch-up", func() bool { return f.Status().AppliedSeq == 3 })
+		f.Stop()
+		if fmt.Sprint(target.boots, target.appliedSeqs()) != fmt.Sprint(tc.boots, tc.applied) {
+			t.Errorf("scope %d: bootstraps %v and batches %v, want %v and %v",
+				tc.scope, target.boots, target.appliedSeqs(), tc.boots, tc.applied)
+		}
+	}
+}
+
 // TestLaggingFollowerFedFromWAL: a follower connecting with from below
 // the in-memory tail is served from the WAL fallback, without a
 // snapshot reset.

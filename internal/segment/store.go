@@ -168,14 +168,16 @@ func (s *Store) commitManifest(man manifest) error {
 		os.Remove(tmp)
 		return err
 	}
-	if err := syncDir(s.dir); err != nil {
+	if err := SyncDir(s.dir); err != nil {
 		return err
 	}
 	s.man = man
 	return nil
 }
 
-func syncDir(dir string) error {
+// SyncDir fsyncs a directory, making the renames and unlinks inside it
+// durable.
+func SyncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err
@@ -400,18 +402,21 @@ func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	seq, live := s.man.Seq, s.man.Live
 	s.mu.Unlock()
-	st := s.stack.Load()
-	out := Stats{
-		Segments:    len(st.Segs),
-		LiveEntries: live,
-		Seq:         seq,
-		Compactions: s.compactions.Load(),
-		Mmapped:     true,
-	}
+	out := s.stack.Load().Stats()
+	out.LiveEntries, out.Seq, out.Compactions = live, seq, s.compactions.Load()
+	return out
+}
+
+// Stats describes the stack's files; LiveEntries and Compactions, which
+// only a store's manifest and history know, stay zero, and Seq is the
+// newest segment's sequence.
+func (st *Stack) Stats() Stats {
+	out := Stats{Segments: len(st.Segs), Mmapped: true}
 	for _, sg := range st.Segs {
 		out.SealedBytes += sg.size
 		out.SealedPosts += sg.meta.Posts
 		out.SealedTombs += sg.meta.Tombs
+		out.Seq = max(out.Seq, sg.meta.Seq)
 		if !sg.Mmapped() {
 			out.Mmapped = false
 		}

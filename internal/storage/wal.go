@@ -135,6 +135,12 @@ type WAL struct {
 	// callback itself never races, but the field write must
 	// happen-before first use.
 	OnAppend func(total, fsync time.Duration, bytes int)
+
+	// DeferSync makes Append only write: its records reach stable
+	// storage at the owner's next Sync (or Reset). A replication
+	// follower, whose batches the primary already holds durably, syncs
+	// once per burst instead of once per batch.
+	DeferSync bool
 }
 
 // WALRecord is one decoded batch record.
@@ -288,7 +294,7 @@ func (w *WAL) AppendBatch(seq uint64, coll []byte, ops []twohop.CoverDelta) erro
 }
 
 // Append commits one framed batch record (EncodeBatch) verbatim, forced
-// to disk before returning.
+// to disk before returning unless DeferSync is set.
 func (w *WAL) Append(rec []byte) error {
 	if len(rec)-RecordHeader > MaxRecord {
 		return fmt.Errorf("storage: wal record of %d bytes exceeds limit", len(rec)-RecordHeader)
@@ -297,16 +303,23 @@ func (w *WAL) Append(rec []byte) error {
 	if _, err := w.f.WriteAt(rec, w.size); err != nil {
 		return err
 	}
-	syncStart := time.Now()
-	if err := w.f.Sync(); err != nil {
-		return err
+	var fsync time.Duration
+	if !w.DeferSync {
+		syncStart := time.Now()
+		if err := w.Sync(); err != nil {
+			return err
+		}
+		fsync = time.Since(syncStart)
 	}
 	if w.OnAppend != nil {
-		w.OnAppend(time.Since(start), time.Since(syncStart), len(rec))
+		w.OnAppend(time.Since(start), fsync, len(rec))
 	}
 	w.size += int64(len(rec))
 	return nil
 }
+
+// Sync forces every appended record to stable storage.
+func (w *WAL) Sync() error { return w.f.Sync() }
 
 // BatchesFrom re-reads the log and returns the committed batch records
 // with Seq >= from, in order. ok reports whether the log actually

@@ -34,6 +34,8 @@ type indexMetrics struct {
 	walAppend       *obs.Histogram
 	walFsync        *obs.Histogram
 	walBytes        *obs.Counter
+	// bootstraps counts the state images a follower installed.
+	bootstraps *obs.Counter
 	// shardMemo counts the shard RPCs' snapshot-memo lookups, by table
 	// ("closure", "delivery"); see shardstep.go.
 	shardMemo map[string]memoCounter
@@ -89,10 +91,12 @@ func newIndexMetrics(ix *Index) *indexMetrics {
 			"WAL record append latency, fsync included.",
 			obs.DefSyncBuckets),
 		walFsync: r.Histogram("hopi_wal_fsync_seconds",
-			"fsync portion of each WAL append.",
+			"fsync portion of each WAL append (0 on a replica, whose log syncs once per burst of batches).",
 			obs.DefSyncBuckets),
 		walBytes: r.Counter("hopi_wal_append_bytes_total",
 			"Bytes appended to the WAL, record framing included."),
+		bootstraps: r.Counter("hopi_replication_bootstraps_total",
+			"State images a follower installed: its first bootstrap and every reset; a restart that resumes from its store adds none."),
 		shardMemo: map[string]memoCounter{},
 	}
 	memo := r.CounterVec("hopi_shard_memo_lookups_total",

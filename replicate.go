@@ -7,13 +7,13 @@ import (
 	"fmt"
 	"net/http"
 	"os"
+	"path/filepath"
 	"time"
 
 	"hopi/internal/core"
 	"hopi/internal/replication"
 	"hopi/internal/segment"
 	"hopi/internal/storage"
-	"hopi/internal/twohop"
 	"hopi/internal/xmlmodel"
 )
 
@@ -23,13 +23,13 @@ import (
 // followers over HTTP: StartPublisher attaches a log-shipping
 // publisher to the index's commit path and exposes the stream as an
 // http.Handler (mount it at GET /repl/stream); Follow dials that
-// endpoint and returns a read-only *Index that bootstraps from a full
-// state image, replays each committed batch as it arrives, and
-// republishes a fresh snapshot per batch. Sequence numbers on the wire
-// are the primary's durable WAL batch sequences, and follower epochs
-// equal their applied sequence — so a resume token issued by one
-// replica resumes on any other replica that has applied the same
-// batch (see Snapshot.Epoch and StaleTokenError).
+// endpoint and returns a read-only durable *Index that bootstraps from
+// a full state image and then logs and replays each committed batch
+// through the primary's own durable path. Sequence numbers on the wire
+// are the primary's WAL batch sequences, and follower epochs equal
+// their applied sequence — so a resume token issued by one replica
+// resumes on any other that has applied the same batch (see
+// Snapshot.Epoch and StaleTokenError).
 
 // ErrReadOnlyReplica is returned by maintenance entry points of a
 // follower index (Follow): all state changes arrive over the
@@ -87,6 +87,7 @@ func (ix *Index) StartPublisher(opts ...PublishOption) (*Publisher, error) {
 	if ix.pub != nil {
 		return nil, errors.New("hopi: publisher already started")
 	}
+	po.Scope = ix.scope
 	p := replication.NewPublisher(&replSource{ix: ix}, ix.dur.nextSeq-1, po)
 	ix.pub = p
 	return &Publisher{p: p}, nil
@@ -149,10 +150,6 @@ func (s *replSource) Image() (*replication.Image, error) {
 	if err != nil {
 		return nil, err
 	}
-	segFiles := make([]replication.SegFile, len(files))
-	for i, f := range files {
-		segFiles[i] = replication.SegFile{Name: f.Name, Data: f.Data}
-	}
 	return &replication.Image{
 		Seq:      seq,
 		Scope:    ix.scope,
@@ -161,7 +158,7 @@ func (s *replSource) Image() (*replication.Image, error) {
 		Ops:      ix.ix.Cover().DeltaOps(),
 		N:        n,
 		Live:     live,
-		Files:    segFiles,
+		Files:    files,
 	}, nil
 }
 
@@ -192,10 +189,11 @@ func FollowTimeout(d time.Duration) FollowOption {
 	return func(c *followConfig) { c.timeout = d }
 }
 
-// FollowDir sets the directory under which a follower materializes
-// the segment store its primary ships (one fresh subdirectory per
-// bootstrap). Defaults to the system temp directory;
-// the follower removes its subdirectories on Close.
+// FollowDir keeps the follower's durable store in dir, as the files
+// replica.segs, replica.coll and replica.wal. A Follow on a directory
+// that holds a complete store recovers it and resumes the stream after
+// its last logged batch instead of asking for a new image. Without
+// FollowDir the store lives in a temporary directory that Close removes.
 func FollowDir(dir string) FollowOption {
 	return func(c *followConfig) { c.dir = dir }
 }
@@ -213,36 +211,55 @@ func FollowReconnect(min, max time.Duration) FollowOption {
 	return func(c *followConfig) { c.fo.BackoffMin, c.fo.BackoffMax = min, max }
 }
 
-// Follow connects to a primary's replication endpoint (the URL the
-// primary's Publisher is mounted at, e.g.
-// "http://primary:8080/repl/stream") and returns a read-only replica
-// Index: it bootstraps from the primary's state image, then replays
-// every committed batch as it is shipped, publishing a fresh snapshot
-// per batch. Queries, cursors, and EXPLAIN work exactly as on any
-// index; Apply (and the per-op maintenance wrappers) fail with
-// ErrReadOnlyReplica. The follower reconnects with backoff after a
-// dropped stream and resumes from its last applied sequence;
-// ReplicaStatus reports its position and lag. Close stops replication.
+// Follow connects to a primary's replication endpoint (the URL its
+// Publisher is mounted at, e.g. "http://primary:8080/repl/stream") and
+// returns a read-only replica: a durable index that installs the
+// primary's state image as its segment store, then appends each shipped
+// batch — the primary's WAL record, byte for byte — to its own WAL and
+// replays it, sealing and compacting as a primary does. Queries work as
+// on any index; Apply fails with ErrReadOnlyReplica. The follower
+// reconnects with backoff and resumes after its last applied batch;
+// ReplicaStatus reports its position, lag and last error. A store
+// failure stops replay until the follower is restarted.
 //
-// Follow blocks until the initial bootstrap completes (FollowTimeout).
+// Follow returns once the replica holds a consistent state: at once
+// when it recovered its store from FollowDir, else once the first image
+// is installed (FollowTimeout).
 func Follow(url string, opts ...FollowOption) (*Index, error) {
 	cfg := followConfig{timeout: 30 * time.Second}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	ix := &Index{readOnly: true, seqEpoch: true}
-	f := replication.NewFollower(url, &replTarget{ix: ix, dir: cfg.dir}, cfg.fo)
+	dir, tempDir := cfg.dir, ""
+	if dir == "" {
+		var err error
+		if dir, err = os.MkdirTemp("", "hopi-follower-*"); err != nil {
+			return nil, err
+		}
+		tempDir = dir
+	}
+	path := filepath.Join(dir, "replica")
+	// a store without its sidecar, or one that fails recovery, is
+	// replaced by the first image
+	ix, err := openDurable(path, &openConfig{})
+	if err != nil {
+		ix = &Index{}
+	}
+	ix.readOnly = true
+	f := replication.NewFollower(url, &replTarget{ix: ix, path: path, tempDir: tempDir}, cfg.fo)
+	if d := ix.dur; d != nil {
+		d.wal.DeferSync = true // see Quiesce
+		f.Resume(d.nextSeq-1, ix.scope)
+	}
 	ix.fol = f
 	f.Start()
 	ctx, cancel := context.WithTimeout(context.Background(), cfg.timeout)
 	defer cancel()
 	if err := f.WaitReady(ctx); err != nil {
-		st := f.Status()
-		f.Stop()
-		if st.LastError != "" {
-			return nil, fmt.Errorf("hopi: follow %s: %w (last stream error: %s)", url, err, st.LastError)
-		}
-		return nil, fmt.Errorf("hopi: follow %s: %w", url, err)
+		err = fmt.Errorf("hopi: follow %s: %w (last stream error: %q)", url, err, f.Status().LastError)
+		ix.Close()
+		os.RemoveAll(tempDir) // no store was attached to remove it; "" is a no-op
+		return nil, err
 	}
 	return ix, nil
 }
@@ -252,66 +269,77 @@ func Follow(url string, opts ...FollowOption) (*Index, error) {
 // lock, so replays serialize with readers exactly like Apply does on a
 // primary.
 type replTarget struct {
-	ix    *Index
-	dir   string         // base directory for adopted segment stores
-	store *segment.Store // adopted sealed store; nil once a local seal failed
+	ix      *Index
+	path    string // the store's path (see attach)
+	tempDir string // directory Close removes, "" with FollowDir
 }
 
 func (t *replTarget) Bootstrap(img *replication.Image) error {
-	c, _, err := xmlmodel.DecodeCollectionSeq(bytes.NewReader(img.Coll))
-	if err != nil {
+	if err := t.install(img); err != nil {
 		return err
 	}
-	// Materialize the shipped files as a local store and adopt them by
-	// mmap — no label is re-encoded on either side. The residual Ops
-	// tail (the primary's unsealed delta) replays on top, bringing the
-	// cover to img.Seq.
-	dir, err := os.MkdirTemp(t.dir, "hopi-follower-*")
-	if err != nil {
-		return err
-	}
-	clean := func() { os.RemoveAll(dir) }
-	files := make([]segment.NamedFile, len(img.Files))
-	for i, f := range img.Files {
-		files[i] = segment.NamedFile{Name: f.Name, Data: f.Data}
-	}
-	store, err := segment.InstallStore(dir, img.Seq, img.N, img.WithDist, img.Live, files, segment.Options{})
-	if err != nil {
-		clean()
-		return err
-	}
-	cover := sealedCover(store)
-	cover.Apply(img.Ops)
-	cix := core.NewFromCover(c, cover)
-	ix := t.ix
-	ix.mu.Lock()
-	oldClean := ix.folClean
-	ix.coll = &Collection{c: c}
-	ix.ix = cix
-	ix.scope = img.Scope // adopt the primary's replication scope
-	ix.epoch.Store(img.Seq)
-	ix.cur.Store(nil)
-	ix.last = nil // a new collection: the next engine starts from scratch
-	ix.folClean = clean
-	t.store = store
-	// A (re-)bootstrap replaces the whole state: live-query sessions
-	// cannot be diffed incrementally across it.
-	if ws := ix.watch.Load(); ws != nil {
-		ws.observe(img.Seq, core.WatchDelta{Full: true})
-	}
-	ix.mu.Unlock()
-	if oldClean != nil {
-		// a re-bootstrap (lag reset) replaced an earlier adopted store;
-		// snapshots still reading it hold the unlinked bytes via mmap
-		oldClean()
-	}
-	ix.Snapshot() // publish eagerly so the first reader pays no clone
-	if ws := ix.watch.Load(); ws != nil {
+	t.ix.metrics().bootstraps.Inc()
+	t.ix.Snapshot() // publish eagerly so the first reader pays no clone
+	if ws := t.ix.watch.Load(); ws != nil {
 		ws.signal()
 	}
 	return nil
 }
 
+// install makes img the follower's state and its store. The old store
+// is detached and unlinked first: snapshots still reading it keep its
+// files through their mappings, and no file is overwritten in place.
+// The shipped segment files become the store next to an empty WAL, the
+// residual delta is replayed and sealed, and that checkpoint writes the
+// collection sidecar last, so its presence marks a complete store.
+func (t *replTarget) install(img *replication.Image) error {
+	c, _, err := xmlmodel.DecodeCollectionSeq(bytes.NewReader(img.Coll))
+	if err != nil {
+		return err
+	}
+	ix := t.ix
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	if d := ix.dur; d != nil {
+		ix.dur = nil
+		d.stopCompactor()
+		d.wal.Close()
+	}
+	for _, suffix := range []string{collSuffix, segsSuffix, walSuffix} {
+		if err := os.RemoveAll(t.path + suffix); err != nil {
+			return err
+		}
+	}
+	store, err := segment.InstallStore(t.path+segsSuffix, img.Seq, img.N, img.WithDist, img.Live, img.Files, segment.Options{})
+	if err != nil {
+		return err
+	}
+	wal, _, err := storage.OpenWAL(t.path + walSuffix)
+	if err != nil {
+		return err
+	}
+	wal.DeferSync = true // see Quiesce
+	cover := sealedCover(store)
+	cover.Apply(img.Ops)
+	ix.coll = &Collection{c: c}
+	ix.ix = core.NewFromCover(c, cover)
+	ix.scope = img.Scope // adopt the primary's replication scope
+	ix.cur.Store(nil)
+	ix.last = nil // a new collection: the next engine starts from scratch
+	ix.attach(t.path, store, wal, img.Seq, &openConfig{})
+	ix.dur.tempDir = t.tempDir
+	if ix.dur.err = ix.doCheckpoint(img.Seq, false); ix.dur.err != nil {
+		return ix.dur.err
+	}
+	// live-query sessions cannot be diffed across a wholesale swap
+	if ws := ix.watch.Load(); ws != nil {
+		ws.observe(img.Seq, core.WatchDelta{Full: true})
+	}
+	return nil
+}
+
+// ApplyBatch logs the shipped record to the follower's WAL, replays it,
+// and runs the same seal tail as a primary's commit.
 func (t *replTarget) ApplyBatch(b storage.WALRecord) error {
 	ops, err := core.DecodeCollOps(b.Coll)
 	if err != nil {
@@ -319,50 +347,42 @@ func (t *replTarget) ApplyBatch(b storage.WALRecord) error {
 	}
 	ix := t.ix
 	ix.mu.Lock()
-	if err := ix.ix.ApplyLogged(ops, b.Ops); err != nil {
-		ix.mu.Unlock()
-		return err
+	defer ix.mu.Unlock()
+	d := ix.dur
+	if d.err != nil {
+		return fmt.Errorf("hopi: replica store failed earlier, restart the follower: %w", d.err)
+	}
+	if d.err = d.appendBatch(b.Seq, b.Raw); d.err == nil {
+		d.err = ix.ix.ApplyLogged(ops, b.Ops)
+	}
+	if d.err != nil {
+		return d.err
 	}
 	ix.epoch.Store(b.Seq)
-	// Retire the previous snapshot; the fresh one is built on Quiesce
-	// (once per burst) or by the first reader, whichever comes first —
-	// cloning per batch would let a write storm outrun the replay.
+	// Retire the previous snapshot and feed live-query sessions; the
+	// fresh snapshot and the notifier wake-up wait for Quiesce (once per
+	// burst) so a write storm cannot outrun the replay.
 	ix.cur.Store(nil)
-	// Feed live-query sessions the batch summary; the notifier wake-up
-	// is deferred to Quiesce so a buffered burst fans out as one round.
 	if ws := ix.watch.Load(); ws != nil {
 		ws.observe(b.Seq, ix.ix.Summarize(&core.ChangeLog{Coll: ops, Cover: b.Ops}))
 	}
-	// On an adopted segment store, periodically seal the replay delta
-	// so a long-lived follower's memory stays bounded like the
-	// primary's. Sealing is local bookkeeping — it never changes the
-	// served labels — so a failure only stops further sealing.
-	var compact *segment.Store
-	if st := t.store; st != nil {
-		cov := ix.ix.Cover()
-		if cov.Seg() && cov.DeltaEntries() >= defaultSegmentThreshold {
-			if stk, err := st.Seal(b.Seq, cov.N(), int64(cov.Size()), cov.DeltaRecords()); err == nil {
-				ix.ix.SealSwapBase(twohop.NewBase(stk))
-				if st.NeedsCompaction() {
-					compact = st
-				}
-			} else {
-				t.store = nil // e.g. disk full: fall back to a growing delta
-			}
-		}
-	}
-	ix.mu.Unlock()
-	if compact != nil {
-		compact.Compact() // outside the lock; readers keep their pinned stacks
-	}
-	return nil
+	d.err = ix.sealDue(b.Seq)
+	return d.err
 }
 
 func (t *replTarget) Quiesce() {
-	t.ix.Snapshot() // republish off the request path once the burst ends
-	if ws := t.ix.watch.Load(); ws != nil {
+	ix := t.ix
+	ix.Snapshot() // republish off the request path once the burst ends
+	if ws := ix.watch.Load(); ws != nil {
 		ws.signal() // one notifier round per buffered burst
 	}
+	// one fsync for the burst's WAL appends, off the replay path: a crash
+	// loses at most the unsynced tail, which the restart fetches again
+	ix.mu.Lock()
+	if d := ix.dur; d != nil && d.err == nil {
+		d.err = d.wal.Sync()
+	}
+	ix.mu.Unlock()
 }
 
 // --- status -----------------------------------------------------------
@@ -387,6 +407,9 @@ type ReplicaStatus struct {
 	Connected bool
 	// PrimaryURL is, on a replica, the stream endpoint it follows.
 	PrimaryURL string
+	// LastError is, on a replica, the most recent stream, bootstrap or
+	// replay failure ("" when none since the last connect).
+	LastError string
 	// LastContact is, on a replica, the arrival time of the most
 	// recent record (zero when never connected).
 	LastContact time.Time
@@ -415,6 +438,7 @@ func (ix *Index) ReplicaStatus() ReplicaStatus {
 			Lag:         st.Lag(),
 			Connected:   st.Connected,
 			PrimaryURL:  fol.URL(),
+			LastError:   st.LastError,
 			LastContact: st.LastContact,
 		}
 	case pub != nil:

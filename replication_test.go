@@ -3,6 +3,7 @@ package hopi
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"io"
@@ -60,16 +61,27 @@ func (p *replPrimary) stop() {
 	p.srv.Close()
 }
 
-func followFast(t *testing.T, url string) *Index {
+func followFast(t *testing.T, url string, opts ...FollowOption) *Index {
 	t.Helper()
-	fol, err := Follow(url,
-		FollowTimeout(15*time.Second),
-		FollowReconnect(5*time.Millisecond, 100*time.Millisecond))
+	fol, err := Follow(url, append([]FollowOption{
+		FollowTimeout(15 * time.Second),
+		FollowReconnect(5*time.Millisecond, 100*time.Millisecond)}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { fol.Close() })
 	return fol
+}
+
+// bootstraps returns how many state images the follower installed.
+func bootstraps(fol *Index) uint64 { return fol.metrics().bootstraps.Value() }
+
+// crashFollower simulates a follower's process death: the stream stops
+// and the files are left as they are, nothing checkpointed.
+func crashFollower(fol *Index) {
+	fol.fol.Stop()
+	fol.fol = nil
+	crash(fol)
 }
 
 // waitCaughtUp blocks until the follower has applied the primary's
@@ -201,38 +213,163 @@ func TestReplicationFollowerConvergesUnderLoad(t *testing.T) {
 	}
 }
 
-// TestReplicationFollowerRestartCatchesUp kills a follower mid-stream,
-// keeps writing, and verifies a restarted follower (fresh, from
-// nothing — in-memory replicas hold no local state) converges again.
+// TestReplicationFollowerRestartCatchesUp stops a follower mid-stream —
+// with Close, or abandoned without a checkpoint as a kill -9 leaves it —
+// keeps writing past the publisher's in-memory tail, and restarts the
+// follower on the same FollowDir: it recovers its own store, resumes
+// after its last logged batch from the primary's WAL without a new
+// image, and converges.
 func TestReplicationFollowerRestartCatchesUp(t *testing.T) {
+	for _, kill := range []bool{false, true} {
+		t.Run(fmt.Sprintf("kill=%v", kill), func(t *testing.T) {
+			dir := t.TempDir()
+			ix, base := createDurable(t, filepath.Join(dir, "p.hopi"))
+			defer ix.Close()
+			p := startReplPrimary(t, ix, "", PublishTail(4), PublishHeartbeat(20*time.Millisecond))
+			defer p.stop()
+			fdir := filepath.Join(dir, "follower")
+
+			ops := randomScript(rand.New(rand.NewSource(11)), base, 30, false)
+			fol := followFast(t, p.streamURL(), FollowDir(fdir))
+			for i, op := range ops {
+				if _, err := ix.Apply(context.Background(), buildScriptBatch(op)); err != nil {
+					t.Fatalf("op %d: %v", i, err)
+				}
+				if i == 10 {
+					if kill {
+						crashFollower(fol)
+					} else if err := fol.Close(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			// the dead follower must not have advanced past the kill point
+			if fol.ReplicaStatus().Connected {
+				t.Fatal("closed follower still connected")
+			}
+			if n := bootstraps(fol); n != 1 {
+				t.Fatalf("first follower installed %d images, want 1", n)
+			}
+
+			re := followFast(t, p.streamURL(), FollowDir(fdir))
+			waitCaughtUp(t, re, ix)
+			if n := bootstraps(re); n != 0 {
+				t.Fatalf("restarted follower installed %d images although the primary's WAL covers its gap", n)
+			}
+			assertLabelEquality(t, re, ix, "restarted follower")
+			assertSameAnswers(t, re, ix, "restarted follower answers")
+		})
+	}
+}
+
+// TestReplicationFollowerDamagedStoreBootstraps: a follower directory
+// whose store fails recovery — here a sidecar that does not decode — is
+// replaced by a fresh image instead of failing Follow.
+func TestReplicationFollowerDamagedStoreBootstraps(t *testing.T) {
 	dir := t.TempDir()
 	ix, base := createDurable(t, filepath.Join(dir, "p.hopi"))
 	defer ix.Close()
 	p := startReplPrimary(t, ix, "", PublishHeartbeat(20*time.Millisecond))
 	defer p.stop()
-
-	ops := randomScript(rand.New(rand.NewSource(11)), base, 30, false)
-	fol := followFast(t, p.streamURL())
-	for i, op := range ops {
+	fdir := filepath.Join(dir, "follower")
+	fol := followFast(t, p.streamURL(), FollowDir(fdir))
+	if err := fol.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(fdir, "replica"+collSuffix), []byte("not a sidecar"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for i, op := range randomScript(rand.New(rand.NewSource(3)), base, 6, false) {
 		if _, err := ix.Apply(context.Background(), buildScriptBatch(op)); err != nil {
 			t.Fatalf("op %d: %v", i, err)
 		}
-		if i == 10 {
-			// kill the follower mid-stream
-			if err := fol.Close(); err != nil {
+	}
+	re := followFast(t, p.streamURL(), FollowDir(fdir))
+	waitCaughtUp(t, re, ix)
+	if n := bootstraps(re); n != 1 {
+		t.Fatalf("follower over a damaged store installed %d images, want 1", n)
+	}
+	assertLabelEquality(t, re, ix, "after re-bootstrap")
+}
+
+// TestReplicationFollowerWALIsPrimaryWAL: a follower logs every shipped
+// batch verbatim, so over the same sequence range its WAL file is
+// byte-identical to the primary's.
+func TestReplicationFollowerWALIsPrimaryWAL(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "p.hopi")
+	// no auto-seal: the primary's log keeps every batch
+	ix, base := createDurable(t, path, SegmentThreshold(-1))
+	defer ix.Close()
+	p := startReplPrimary(t, ix, "", PublishHeartbeat(20*time.Millisecond))
+	defer p.stop()
+	fdir := filepath.Join(dir, "follower")
+	fol := followFast(t, p.streamURL(), FollowDir(fdir)) // image at seq 0: both logs empty
+	for i, op := range randomScript(rand.New(rand.NewSource(5)), base, 14, false) {
+		if _, err := ix.Apply(context.Background(), buildScriptBatch(op)); err != nil {
+			t.Fatalf("op %d: %v", i, err)
+		}
+	}
+	waitCaughtUp(t, fol, ix)
+	digest := func(file string) [sha256.Size]byte {
+		data, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(data) == 0 {
+			t.Fatalf("%s is empty", file)
+		}
+		return sha256.Sum256(data)
+	}
+	if digest(path+walSuffix) != digest(filepath.Join(fdir, "replica"+walSuffix)) {
+		t.Fatal("the follower's WAL differs from the primary's over the same batches")
+	}
+}
+
+// TestReplicationFollowerDirOfAnotherPrimary points a follower directory
+// written by primary A at an unrelated primary B whose history reaches
+// past the follower's sequence: the stored scope is not B's, so B resets
+// the follower with an image instead of shipping its batches onto A's
+// state.
+func TestReplicationFollowerDirOfAnotherPrimary(t *testing.T) {
+	dir := t.TempDir()
+	fdir := filepath.Join(dir, "follower")
+	insert := func(ix *Index, prefix, target string, n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			op := scriptOp{kind: 0, name: fmt.Sprintf("%s%02d.xml", prefix, i), target: target}
+			if _, err := ix.Apply(context.Background(), buildScriptBatch(op)); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	// the dead follower must not have advanced past the kill point
-	if fol.ReplicaStatus().Connected {
-		t.Fatal("closed follower still connected")
-	}
 
-	re := followFast(t, p.streamURL())
-	waitCaughtUp(t, re, ix)
-	assertLabelEquality(t, re, ix, "restarted follower")
-	assertSameAnswers(t, re, ix, "restarted follower answers")
+	a, base := createDurable(t, filepath.Join(dir, "a.hopi"))
+	defer a.Close()
+	pa := startReplPrimary(t, a, "", PublishHeartbeat(20*time.Millisecond))
+	fol := followFast(t, pa.streamURL(), FollowDir(fdir))
+	insert(a, "a", base[0], 4)
+	waitCaughtUp(t, fol, a)
+	if err := fol.Close(); err != nil {
+		t.Fatal(err)
+	}
+	pa.stop()
+
+	b, _ := createDurable(t, filepath.Join(dir, "b.hopi"))
+	defer b.Close()
+	insert(b, "b", base[2], 9)
+	pb := startReplPrimary(t, b, "", PublishHeartbeat(20*time.Millisecond))
+	defer pb.stop()
+	re := followFast(t, pb.streamURL(), FollowDir(fdir))
+	waitCaughtUp(t, re, b)
+	if n := bootstraps(re); n != 1 {
+		t.Fatalf("follower of another primary installed %d images, want 1", n)
+	}
+	if _, ok := re.Snapshot().Collection().DocByName("b08.xml"); !ok {
+		t.Fatal("follower does not hold primary B's documents")
+	}
+	assertLabelEquality(t, re, b, "after the reset")
+	assertSameAnswers(t, re, b, "after the reset")
 }
 
 // TestReplicationPrimaryCrashRestart kills the primary (kill -9
