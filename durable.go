@@ -161,50 +161,30 @@ func Create(path string, coll *Collection, opts Options, open ...OpenOption) (*I
 	return ix, nil
 }
 
-// sealFull creates the segment store at path+".segs" with the cover's
-// complete label set sealed as its one segment, stamped sequence 0.
-func sealFull(path string, cov *twohop.Cover, opts segment.Options) (*segment.Store, *segment.Stack, error) {
-	store, err := segment.CreateStore(path+segsSuffix, cov.WithDist, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	st, err := store.Seal(0, cov.N(), int64(cov.Size()), cov.FullRecords())
-	if err != nil {
-		return nil, nil, err
-	}
-	return store, st, nil
-}
-
 // attachNew creates the store files for a freshly built index and
-// adopts the sealed segment as the cover's base (the flat slices are
-// dropped).
+// attaches them at sequence 0, the freshly created state: from here on
+// the epoch is the durable WAL sequence, so resume tokens are portable
+// across replicas and restarts (see Snapshot.Epoch). The first
+// checkpoint seals the built labels as the store's one segment, empties
+// a stale log from an earlier store at the same path, and persists the
+// replication scope minted at Build time with the sidecar, so restarts
+// and replicas share it.
 func (ix *Index) attachNew(path string, cfg *openConfig) error {
-	cov := ix.ix.Cover()
-	store, st, err := sealFull(path, cov, segment.Options{MaxStack: cfg.segMaxStack})
+	store, err := segment.CreateStore(path+segsSuffix, ix.ix.Cover().WithDist, segment.Options{MaxStack: cfg.segMaxStack})
 	if err != nil {
 		return err
 	}
-	ix.ix.AdoptSegmentBase(twohop.NewBase(st), cov.N(), cov.Size())
 	wal, _, err := storage.OpenWAL(path + walSuffix)
 	if err != nil {
 		return err
 	}
-	// a stale log from an earlier store at the same path must not be
-	// replayed into this one
-	if err := wal.Reset(); err != nil {
-		wal.Close()
-		return err
-	}
-	// The replication scope minted at Build time is persisted with the
-	// sidecar so restarts and replicas share it.
-	if err := writeCollFile(path+collSuffix, ix.coll.c, 0, ix.scope); err != nil {
-		wal.Close()
-		return err
-	}
-	// With a store attached the epoch becomes the durable WAL sequence
-	// (0 = the freshly created state) so resume tokens are portable
-	// across replicas and restarts; see Snapshot.Epoch.
 	ix.attach(path, store, wal, 0, cfg)
+	if err := ix.doCheckpoint(0); err != nil {
+		ix.dur.stopCompactor()
+		ix.dur = nil
+		wal.Close()
+		return err
+	}
 	return nil
 }
 
@@ -233,13 +213,22 @@ func openStore(path string, opts segment.Options) (*segment.Store, error) {
 	return segment.OpenStore(path+segsSuffix, opts)
 }
 
-// sealedCover returns a segment-mode cover over the store's current
-// stack with an empty delta.
-func sealedCover(store *segment.Store) *twohop.Cover {
+// sealedCover returns a cover over the store's current stack with an
+// empty delta, its reads counted by the index's segment counters.
+func (ix *Index) sealedCover(store *segment.Store) *twohop.Cover {
 	_, n, withDist, live := store.Info()
-	cover := &twohop.Cover{WithDist: withDist}
-	cover.AdoptBase(twohop.NewBase(store.Current()), n, int(live))
+	cover := twohop.NewCover(0, withDist)
+	cover.SealSwap(ix.newBase(store.Current()), n, int(live))
 	return cover
+}
+
+// newBase wraps a sealed stack as a cover base. Every base of an index
+// counts its reads into the same counters, which outlive covers, so
+// the totals keep growing across seals, compactions, rebuilds and a
+// follower's image installs.
+func (ix *Index) newBase(st *segment.Stack) *twohop.Base {
+	m := ix.metrics()
+	return twohop.NewBase(st, m.segMisses, m.segScanned, m.segErrs)
 }
 
 // openDurable opens a durable index: adopt the sealed stack, replay
@@ -273,7 +262,8 @@ func openDurable(path string, cfg *openConfig) (*Index, error) {
 		scope = newEpoch()
 	}
 	segSeq := store.Seq()
-	cover := sealedCover(store)
+	ix := &Index{scope: scope}
+	cover := ix.sealedCover(store)
 	maxSeq := max(collSeq, segSeq)
 	for _, rec := range recs {
 		if rec.Seq > segSeq {
@@ -293,13 +283,13 @@ func openDurable(path string, cfg *openConfig) (*Index, error) {
 		}
 		maxSeq = max(maxSeq, rec.Seq)
 	}
-	ix := &Index{coll: &Collection{c: c}, ix: core.NewFromCover(c, cover), scope: scope}
+	ix.coll, ix.ix = &Collection{c: c}, core.NewFromCover(c, cover)
 	ix.attach(path, store, wal, maxSeq, cfg)
 	// Fold the replayed tail into a sealed segment and truncate the
 	// log; with an empty tail this only restamps the manifest. A
-	// replayed Rebuild batch cleared the sealed base and left the cover
-	// flat, which only a full reseal can express.
-	if err := ix.doCheckpoint(maxSeq, !cover.Seg()); err != nil {
+	// replayed Rebuild batch cleared the sealed base, so its seal
+	// replaces the whole stack.
+	if err := ix.doCheckpoint(maxSeq); err != nil {
 		ix.dur.stopCompactor()
 		ix.dur = nil
 		return fail(err)
@@ -344,7 +334,7 @@ func (ix *Index) Checkpoint() error {
 		return fmt.Errorf("hopi: durable backend failed earlier, reopen the index: %w", d.err)
 	}
 	if !d.wal.Empty() {
-		d.err = ix.doCheckpoint(d.nextSeq-1, false)
+		d.err = ix.doCheckpoint(d.nextSeq - 1)
 	}
 	return d.err
 }
@@ -352,36 +342,29 @@ func (ix *Index) Checkpoint() error {
 // doCheckpoint folds every batch through seq into the segment store:
 // seal the in-memory delta as one new segment (manifest-only when the
 // delta is empty), swap the cover onto the new base, rewrite the
-// collection sidecar, and truncate the WAL. With full set — after a
-// Rebuild swapped in a wholesale flat cover, which delta tombstones
-// cannot express — the complete label set replaces the whole stack as
-// one segment instead and the cover re-adopts it. The logical state is
-// unchanged, so the epoch is not bumped and published snapshots,
-// cursors and resume tokens all stay valid. The caller either holds
-// ix.mu exclusively or has sole access to the index.
-func (ix *Index) doCheckpoint(seq uint64, full bool) error {
+// collection sidecar, and truncate the WAL. A cover without a base —
+// freshly built, rebuilt, or cleared by a replayed rebuild — holds
+// every label in its delta, so its seal replaces the whole stack
+// instead. The logical state is unchanged, so the epoch is not bumped
+// and published snapshots, cursors and resume tokens all stay valid.
+// The caller either holds ix.mu exclusively or has sole access to the
+// index.
+func (ix *Index) doCheckpoint(seq uint64) error {
 	d := ix.dur
 	start := time.Now()
 	cov := ix.ix.Cover()
 	if err := d.failAt("seal"); err != nil {
 		return err
 	}
-	if full {
-		st, err := d.segs.Reset(seq, cov.N(), int64(cov.Size()), cov.FullRecords())
-		if err != nil {
-			return err
-		}
-		ix.ix.AdoptSegmentBase(twohop.NewBase(st), cov.N(), cov.Size())
-	} else {
-		if !cov.Seg() {
-			return fmt.Errorf("hopi: segment checkpoint on a flat cover")
-		}
-		st, err := d.segs.Seal(seq, cov.N(), int64(cov.Size()), cov.DeltaRecords())
-		if err != nil {
-			return err
-		}
-		ix.ix.SealSwapBase(twohop.NewBase(st))
+	seal := d.segs.Seal
+	if !cov.Seg() {
+		seal = d.segs.Reset
 	}
+	st, err := seal(seq, cov.N(), int64(cov.Size()), cov.DeltaRecords())
+	if err != nil {
+		return err
+	}
+	ix.ix.SealSwapBase(ix.newBase(st))
 	// the seal is durable: from here on a crash replays nothing of the
 	// delta (the manifest sequence guards the WAL tail), so having
 	// swapped the in-memory view is safe even if the steps below fail
@@ -436,7 +419,7 @@ func (ix *Index) Close() error {
 	// recovers from the WAL
 	var ckptErr error
 	if d.err == nil && !d.wal.Empty() {
-		ckptErr = ix.doCheckpoint(d.nextSeq-1, false)
+		ckptErr = ix.doCheckpoint(d.nextSeq - 1)
 	}
 	ix.dur = nil
 	d.stopCompactor()
@@ -494,15 +477,15 @@ func (d *durableState) appendBatch(seq uint64, rec []byte) error {
 }
 
 // sealDue is the seal tail of a committed batch, on a primary's Apply
-// and a follower's replay alike. A batch that left the cover flat — a
-// Rebuild, or a replayed DeltaClearAll record — is resealed whole right
-// away, so the snapshot-sized WAL record is folded and the log returns
-// to O(delta) size; otherwise the delta is sealed once it has grown
-// past the threshold.
+// and a follower's replay alike. A batch that left the cover without a
+// base — a Rebuild, or a replayed DeltaClearAll record — is resealed
+// whole right away, so the snapshot-sized WAL record is folded and the
+// log returns to O(delta) size; otherwise the delta is sealed once it
+// has grown past the threshold.
 func (ix *Index) sealDue(seq uint64) error {
 	d, cov := ix.dur, ix.ix.Cover()
-	if full := !cov.Seg(); full || (d.segThreshold > 0 && cov.DeltaEntries() >= d.segThreshold) {
-		return ix.doCheckpoint(seq, full)
+	if !cov.Seg() || (d.segThreshold > 0 && cov.DeltaEntries() >= d.segThreshold) {
+		return ix.doCheckpoint(seq)
 	}
 	return nil
 }
@@ -647,12 +630,11 @@ func (ix *Index) SegmentStats() SegmentStats {
 		Compactions: st.Compactions,
 		Mmapped:     st.Mmapped,
 	}
-	if cov.Seg() {
-		out.DeltaEntries = cov.DeltaEntries()
-		out.ReadErrors = cov.Base().Errors()
-		out.CacheMisses = cov.Base().CacheMisses()
-		out.RecordsScanned = cov.Base().RecordsScanned()
-	}
+	m := ix.metrics()
+	out.DeltaEntries = cov.DeltaEntries()
+	out.ReadErrors = m.segErrs.Value()
+	out.CacheMisses = m.segMisses.Value()
+	out.RecordsScanned = m.segScanned.Value()
 	if d != nil {
 		out.CompactionBacklog = max(st.Segments-d.segs.MaxStack(), 0)
 	}

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -918,6 +919,61 @@ func TestDurableAutoSealAndCompaction(t *testing.T) {
 	}
 	if st.Compactions == 0 {
 		t.Fatalf("no compaction ran despite MaxStack 2: %+v", st)
+	}
+}
+
+// TestDurableSegmentCountersSurviveRebuild: the decode-cache counters
+// are the index's, not a sealed base's. A Rebuild swaps in a cover
+// without a base and its full reseal installs a new one; /metrics must
+// keep counting from where it was, as a Prometheus _total does.
+func TestDurableSegmentCountersSurviveRebuild(t *testing.T) {
+	ix, base := createDurable(t, filepath.Join(t.TempDir(), "ix.hopi"))
+	defer ix.Close()
+	// a batch publishes a snapshot over the sealed base
+	for _, op := range randomScript(rand.New(rand.NewSource(5)), base, 3, false) {
+		if _, err := ix.Apply(context.Background(), buildScriptBatch(op)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	metric := func(name string) float64 {
+		t.Helper()
+		var text strings.Builder
+		if err := ix.Metrics().WritePrometheus(&text); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(text.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, name+" "); ok {
+				f, err := strconv.ParseFloat(v, 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return f
+			}
+		}
+		t.Fatalf("%s missing from /metrics", name)
+		return 0
+	}
+	const misses, scanned = "hopi_segment_cache_misses_total", "hopi_segment_block_records_scanned_total"
+	for _, expr := range []string{"//article//author", "//article//cite", "//author"} {
+		if _, err := ix.Query(expr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before, beforeScanned := metric(misses), metric(scanned)
+	if before == 0 || beforeScanned == 0 {
+		t.Fatalf("queries over the sealed base counted %v misses, %v records", before, beforeScanned)
+	}
+	if err := ix.Rebuild(); err != nil {
+		t.Fatal(err)
+	}
+	if !ix.ix.Cover().Seg() {
+		t.Fatal("a durable Rebuild left the cover without a sealed base")
+	}
+	if after := metric(misses); after < before {
+		t.Fatalf("%s went back across a Rebuild: %v → %v", misses, before, after)
+	}
+	if after := metric(scanned); after < beforeScanned {
+		t.Fatalf("%s went back across a Rebuild: %v → %v", scanned, beforeScanned, after)
 	}
 }
 

@@ -453,7 +453,13 @@ func (ix *Index) Save(path string) error {
 		return ix.Checkpoint()
 	}
 	defer ix.mu.RUnlock()
-	if _, _, err := sealFull(path, ix.ix.Cover(), segment.Options{}); err != nil {
+	// the cold copy holds the complete label set as one segment
+	cov := ix.ix.Cover()
+	store, err := segment.CreateStore(path+segsSuffix, cov.WithDist, segment.Options{})
+	if err != nil {
+		return err
+	}
+	if _, err := store.Seal(0, cov.N(), int64(cov.Size()), cov.FullRecords()); err != nil {
 		return err
 	}
 	return writeCollFile(path+collSuffix, ix.coll.c, 0, 0)
@@ -486,7 +492,8 @@ func Open(path string, opts ...OpenOption) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	h := &Index{coll: coll, ix: core.NewFromCover(coll.c, sealedCover(store)), scope: newEpoch()}
+	h := &Index{coll: coll, scope: newEpoch()}
+	h.ix = core.NewFromCover(coll.c, h.sealedCover(store))
 	h.epoch.Store(newEpoch())
 	return h, nil
 }

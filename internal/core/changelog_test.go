@@ -110,12 +110,12 @@ func TestChangeLogReplayReproducesState(t *testing.T) {
 				if got, want := coverBefore.N(), ix.cover.N(); got != want {
 					t.Fatalf("step %d: replayed cover over %d nodes, live %d", step, got, want)
 				}
-				for v := 0; v < ix.cover.N(); v++ {
-					if !entriesEq(coverBefore.In[v], ix.cover.In[v]) {
-						t.Fatalf("step %d: Lin(%d): replay %v, live %v", step, v, coverBefore.In[v], ix.cover.In[v])
+				for v := int32(0); v < int32(ix.cover.N()); v++ {
+					if !entriesEq(coverBefore.Lin(v), ix.cover.Lin(v)) {
+						t.Fatalf("step %d: Lin(%d): replay %v, live %v", step, v, coverBefore.Lin(v), ix.cover.Lin(v))
 					}
-					if !entriesEq(coverBefore.Out[v], ix.cover.Out[v]) {
-						t.Fatalf("step %d: Lout(%d): replay %v, live %v", step, v, coverBefore.Out[v], ix.cover.Out[v])
+					if !entriesEq(coverBefore.Lout(v), ix.cover.Lout(v)) {
+						t.Fatalf("step %d: Lout(%d): replay %v, live %v", step, v, coverBefore.Lout(v), ix.cover.Lout(v))
 					}
 				}
 			}

@@ -133,25 +133,16 @@ func (ix *Index) invalidate() {
 	ix.ixMu.Unlock()
 }
 
-// AdoptSegmentBase switches the cover to segment mode over a sealed
-// base holding its complete label set (durable attach/open, or the
-// reseal after a Rebuild). The derived posting index is dropped — it
-// must be rebuilt over the base — and the caller must hold the same
-// exclusive access it would for any cover mutation.
-func (ix *Index) AdoptSegmentBase(b *twohop.Base, n, size int) {
-	ix.cover.AdoptBase(b, n, size)
-	ix.invalidate()
-}
-
-// SealSwapBase installs a new sealed base that already folds the
-// cover's current delta (a checkpoint sealed it) and rebases the warm
-// posting index in the same critical section, so no delta can slip
-// between the two. The logical state is unchanged: published snapshots
-// and resume tokens stay valid.
+// SealSwapBase installs a sealed base that holds the cover's current
+// labels — a checkpoint sealed its delta, or, for a cover without a
+// base, all of it — and rebases the warm posting index in the same
+// critical section, so no delta can slip between the two. The logical
+// state is unchanged: published snapshots and resume tokens stay
+// valid.
 func (ix *Index) SealSwapBase(b *twohop.Base) {
 	ix.ixMu.Lock()
 	defer ix.ixMu.Unlock()
-	ix.cover.SealSwap(b)
+	ix.cover.SealSwap(b, ix.cover.N(), ix.cover.Size())
 	if ix.ix != nil {
 		ix.ix.Postings().Rebase(b)
 	}

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"hopi/internal/segment"
 	"hopi/internal/twohop"
 	"hopi/internal/xmlmodel"
 )
@@ -28,77 +29,114 @@ func assertPostingsFresh(t *testing.T, ix *Index, context string) {
 // deletes, document inserts, separating and general deletes, clones
 // (which freeze the postings and force the copy-on-write path), and
 // rebuilds — asserting after every op that the delta-maintained
-// postings equal a from-scratch rebuild.
+// postings equal a from-scratch rebuild. The sealed run puts the cover
+// over a segment base and seals at random steps (in full after a
+// rebuild), as a durable index does.
 func TestPostingsWarmUnderRandomMaintenance(t *testing.T) {
-	for seed := int64(0); seed < 5; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		c := citeCollection(rng, 10)
-		ix := buildFor(t, c, seed%2 == 0, seed)
-		ix.Warm() // postings live from here on; never invalidated below
-		var clones []*Index
-		for step := 0; step < 40; step++ {
-			op := rng.Intn(10)
-			ctx := fmt.Sprintf("seed %d step %d op %d", seed, step, op)
-			switch {
-			case op < 4: // insert edge
-				fd := rng.Intn(len(c.Docs))
-				td := rng.Intn(len(c.Docs))
-				if !c.Alive(fd) || !c.Alive(td) {
-					continue
-				}
-				from := c.GlobalID(fd, int32(rng.Intn(c.Docs[fd].Len())))
-				to := c.GlobalID(td, int32(rng.Intn(c.Docs[td].Len())))
-				if from == to {
-					continue
-				}
-				if err := ix.InsertEdge(from, to); err != nil {
-					t.Fatalf("%s: %v", ctx, err)
-				}
-			case op < 6: // delete a random existing link
-				if len(c.Links) == 0 {
-					continue
-				}
-				l := c.Links[rng.Intn(len(c.Links))]
-				if err := ix.DeleteEdge(l.From, l.To); err != nil {
-					t.Fatalf("%s: %v", ctx, err)
-				}
-			case op < 7: // insert document
-				nd := xmlmodel.NewDocument(fmt.Sprintf("new-%d-%d", seed, step), "pub")
-				s := nd.AddElement(0, "sec")
-				nd.AddElement(s, "p")
-				if rng.Intn(2) == 0 {
-					nd.AddIntraLink(s+1, 0) // intra cycle
-				}
-				if _, err := ix.InsertDocument(nd); err != nil {
-					t.Fatalf("%s: %v", ctx, err)
-				}
-			case op < 8: // delete document (fast or general path)
-				live := c.LiveDocIndexes()
-				if len(live) <= 3 {
-					continue
-				}
-				if _, err := ix.DeleteDocument(live[rng.Intn(len(live))]); err != nil {
-					t.Fatalf("%s: %v", ctx, err)
-				}
-			case op < 9: // clone: freezes postings, forces COW on the live side
-				cl := ix.Clone()
-				assertPostingsFresh(t, cl, ctx+" (clone)")
-				clones = append(clones, cl)
-			default: // rebuild
-				if err := ix.Rebuild(); err != nil {
-					t.Fatalf("%s: %v", ctx, err)
-				}
+	for _, sealed := range []bool{false, true} {
+		for seed := int64(0); seed < 5; seed++ {
+			t.Run(fmt.Sprintf("sealed=%v/seed=%d", sealed, seed), func(t *testing.T) {
+				postingsWarmRun(t, seed, sealed)
+			})
+		}
+	}
+}
+
+func postingsWarmRun(t *testing.T, seed int64, sealed bool) {
+	rng := rand.New(rand.NewSource(seed))
+	c := citeCollection(rng, 10)
+	ix := buildFor(t, c, seed%2 == 0, seed)
+	ix.Warm() // postings live from here on; never invalidated below
+	seal := func() {}
+	if sealed {
+		store, err := segment.CreateStore(t.TempDir(), ix.Cover().WithDist, segment.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		seq := uint64(0)
+		seal = func() {
+			seq++
+			cov := ix.Cover()
+			write := store.Seal
+			if !cov.Seg() {
+				write = store.Reset
 			}
-			assertPostingsFresh(t, ix, ctx)
-			if err := ix.Validate(); err != nil {
+			st, err := write(seq, cov.N(), int64(cov.Size()), cov.DeltaRecords())
+			if err != nil {
+				t.Fatal(err)
+			}
+			ix.SealSwapBase(twohop.NewBase(st, nil, nil, nil))
+		}
+		seal()
+	}
+	sealRng := rand.New(rand.NewSource(seed + 100))
+	var clones []*Index
+	for step := 0; step < 40; step++ {
+		op := rng.Intn(10)
+		ctx := fmt.Sprintf("seed %d step %d op %d", seed, step, op)
+		switch {
+		case op < 4: // insert edge
+			fd := rng.Intn(len(c.Docs))
+			td := rng.Intn(len(c.Docs))
+			if !c.Alive(fd) || !c.Alive(td) {
+				continue
+			}
+			from := c.GlobalID(fd, int32(rng.Intn(c.Docs[fd].Len())))
+			to := c.GlobalID(td, int32(rng.Intn(c.Docs[td].Len())))
+			if from == to {
+				continue
+			}
+			if err := ix.InsertEdge(from, to); err != nil {
+				t.Fatalf("%s: %v", ctx, err)
+			}
+		case op < 6: // delete a random existing link
+			if len(c.Links) == 0 {
+				continue
+			}
+			l := c.Links[rng.Intn(len(c.Links))]
+			if err := ix.DeleteEdge(l.From, l.To); err != nil {
+				t.Fatalf("%s: %v", ctx, err)
+			}
+		case op < 7: // insert document
+			nd := xmlmodel.NewDocument(fmt.Sprintf("new-%d-%d", seed, step), "pub")
+			s := nd.AddElement(0, "sec")
+			nd.AddElement(s, "p")
+			if rng.Intn(2) == 0 {
+				nd.AddIntraLink(s+1, 0) // intra cycle
+			}
+			if _, err := ix.InsertDocument(nd); err != nil {
+				t.Fatalf("%s: %v", ctx, err)
+			}
+		case op < 8: // delete document (fast or general path)
+			live := c.LiveDocIndexes()
+			if len(live) <= 3 {
+				continue
+			}
+			if _, err := ix.DeleteDocument(live[rng.Intn(len(live))]); err != nil {
+				t.Fatalf("%s: %v", ctx, err)
+			}
+		case op < 9: // clone: freezes postings, forces COW on the live side
+			cl := ix.Clone()
+			assertPostingsFresh(t, cl, ctx+" (clone)")
+			clones = append(clones, cl)
+		default: // rebuild
+			if err := ix.Rebuild(); err != nil {
 				t.Fatalf("%s: %v", ctx, err)
 			}
 		}
-		// frozen clones must still match their own (frozen) cover even
-		// after the live side mutated past them
-		for i, cl := range clones {
-			assertPostingsFresh(t, cl, fmt.Sprintf("seed %d final clone %d", seed, i))
+		assertPostingsFresh(t, ix, ctx)
+		if err := ix.Validate(); err != nil {
+			t.Fatalf("%s: %v", ctx, err)
 		}
+		if sealRng.Intn(4) == 0 {
+			seal()
+			assertPostingsFresh(t, ix, ctx+" (sealed)")
+		}
+	}
+	// frozen clones must still match their own (frozen) cover even
+	// after the live side mutated past them
+	for i, cl := range clones {
+		assertPostingsFresh(t, cl, fmt.Sprintf("seed %d final clone %d", seed, i))
 	}
 }
 

@@ -12,13 +12,13 @@ import (
 )
 
 // TestSegmentWritePathMatchesFlat feeds the same seeded document and
-// link inserts to a flat index and to a segment-mode twin that seals
-// its delta every few steps. Every step must emit the same CoverDelta
-// stream on both — what the WAL logs and followers replay — and the
-// labels must be equal at the end: the sealed read path (block lookup,
-// merged views, the hoisted distance loops of IntegrateLink) may change
-// how labels are fetched, never what the maintenance writes or in what
-// order.
+// link inserts to an index without a base and to a twin over sealed
+// segments that seals its delta every few steps. Every step must emit
+// the same CoverDelta stream on both — what the WAL logs and followers
+// replay — and the labels must be equal at the end: the sealed read
+// path (block lookup, merged views, the hoisted distance loops of
+// IntegrateLink) may change how labels are fetched, never what the
+// maintenance writes or in what order.
 func TestSegmentWritePathMatchesFlat(t *testing.T) {
 	for _, withDist := range []bool{false, true} {
 		t.Run(fmt.Sprintf("dist=%v", withDist), func(t *testing.T) {
@@ -44,9 +44,9 @@ func TestSegmentWritePathMatchesFlat(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				return twohop.NewBase(st)
+				return twohop.NewBase(st, nil, nil, nil)
 			}
-			seg.AdoptSegmentBase(seal(seg.Cover().FullRecords()), seg.Cover().N(), seg.Cover().Size())
+			seg.SealSwapBase(seal(seg.Cover().DeltaRecords()))
 
 			rng := rand.New(rand.NewSource(32))
 			for step := 0; step < 80; step++ {

@@ -104,6 +104,7 @@ func JoinNew(c *xmlmodel.Collection, cross []xmlmodel.Link, partOfID func(int32)
 			ga.gather(pd, members[pi], in, s.IsTarget, pd.G.Succ, pd.Cover.In, global.In)
 		}
 	})
+	global.Recount()
 	return global
 }
 

@@ -81,25 +81,13 @@ func (ix *CoverIndex) ApplyDelta(d twohop.CoverDelta) { ix.post.Apply(d) }
 // delta recorder is installed on the cover its owner routes the delta
 // back into ApplyDelta (core.Index does this for maintenance), so the
 // postings are only updated directly in the recorder-less standalone
-// case (JoinOld, tests) — never twice.
+// case (JoinOld, tests) — never twice. Size() moves on every new entry;
+// the only change it misses, a distance improvement, leaves the owner
+// already posted.
 func (ix *CoverIndex) AddOut(u, center int32, dist uint32) {
-	if u == center {
-		return
-	}
-	if ix.cov.Seg() {
-		// no flat slice to length-check; Size() moves on real inserts,
-		// and the only change it misses (a distance improvement) leaves
-		// the owner already posted
-		before := ix.cov.Size()
-		ix.cov.AddOut(u, center, dist)
-		if ix.cov.Size() != before && !ix.cov.Recording() {
-			ix.post.Apply(twohop.CoverDelta{Kind: twohop.DeltaAddOut, Node: u, Center: center})
-		}
-		return
-	}
-	before := len(ix.cov.Out[u])
+	before := ix.cov.Size()
 	ix.cov.AddOut(u, center, dist)
-	if len(ix.cov.Out[u]) != before && !ix.cov.Recording() {
+	if ix.cov.Size() != before && !ix.cov.Recording() {
 		ix.post.Apply(twohop.CoverDelta{Kind: twohop.DeltaAddOut, Node: u, Center: center})
 	}
 }
@@ -107,20 +95,9 @@ func (ix *CoverIndex) AddOut(u, center int32, dist uint32) {
 // AddIn inserts a label entry and maintains the postings; see AddOut
 // for the recorder contract.
 func (ix *CoverIndex) AddIn(v, center int32, dist uint32) {
-	if v == center {
-		return
-	}
-	if ix.cov.Seg() {
-		before := ix.cov.Size()
-		ix.cov.AddIn(v, center, dist)
-		if ix.cov.Size() != before && !ix.cov.Recording() {
-			ix.post.Apply(twohop.CoverDelta{Kind: twohop.DeltaAddIn, Node: v, Center: center})
-		}
-		return
-	}
-	before := len(ix.cov.In[v])
+	before := ix.cov.Size()
 	ix.cov.AddIn(v, center, dist)
-	if len(ix.cov.In[v]) != before && !ix.cov.Recording() {
+	if ix.cov.Size() != before && !ix.cov.Recording() {
 		ix.post.Apply(twohop.CoverDelta{Kind: twohop.DeltaAddIn, Node: v, Center: center})
 	}
 }
@@ -213,7 +190,8 @@ func (ix *CoverIndex) IntegrateLink(u, v int32) {
 // linkDistances returns dist(a, u) for every a in ancs and dist(v, d)
 // for every d in descs. Each loop holds its fixed side — Lin(u), then
 // Lout(v) — and reads the varying side through one reused buffer, so on
-// a segment-mode cover it allocates the same whatever the fan-out.
+// a cover over a sealed base it allocates the same whatever the
+// fan-out.
 func (ix *CoverIndex) linkDistances(u, v int32, ancs, descs []int32) (ad, dd []uint32) {
 	var buf []twohop.Entry
 	ad = make([]uint32, len(ancs))

@@ -115,7 +115,7 @@ func TestJoinShortestPathLeavesPartition(t *testing.T) {
 	}
 }
 
-// segmentStar returns a segment-mode distance-aware cover index in
+// segmentStar returns a distance-aware cover index over a sealed base in
 // which node 0 has fan ancestors and node 1 has fan descendants, every
 // one of them with an unsealed delta entry, so reading any of their
 // labels takes a merge of the sealed list with the delta.
@@ -136,8 +136,8 @@ func segmentStar(t *testing.T, fan int32) *CoverIndex {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cov := &twohop.Cover{WithDist: true}
-	cov.AdoptBase(twohop.NewBase(st), flat.N(), flat.Size())
+	cov := twohop.NewCover(0, true)
+	cov.SealSwap(twohop.NewBase(st, nil, nil, nil), flat.N(), flat.Size())
 	for i := int32(0); i < fan; i++ {
 		cov.AddOut(2+i, hub, 2)
 		cov.AddIn(2+fan+i, hub, 2)

@@ -146,10 +146,10 @@ func randomDigraph(rng *rand.Rand, n, m int) *graph.Digraph {
 }
 
 // TestCloneCopyOnWrite mutates a cover and a growing family of its
-// clones independently, in flat and segment mode (sealing the original
-// mid-way), and checks each against a deep-copied flat reference that
-// saw the same mutations: no write through one cover may show in
-// another.
+// clones independently, without a base and over a sealed one (sealing
+// the original mid-way), and checks each against a deep-copied
+// reference that saw the same mutations: no write through one cover
+// may show in another.
 func TestCloneCopyOnWrite(t *testing.T) {
 	for _, seg := range []bool{false, true} {
 		rng := rand.New(rand.NewSource(5))
@@ -205,7 +205,7 @@ func TestCloneCopyOnWrite(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				covers[0].SealSwap(NewBase(st))
+				covers[0].SealSwap(NewBase(st, nil, nil, nil), covers[0].N(), covers[0].Size())
 			}
 			for j := range covers {
 				checkEqual(t, refs[j], covers[j], fmt.Sprintf("seg=%v round %d cover %d", seg, round, j))

@@ -4,7 +4,6 @@ import (
 	"slices"
 
 	"hopi/internal/graph"
-	"hopi/internal/segment"
 )
 
 // DeltaKind discriminates CoverDelta operations.
@@ -90,25 +89,19 @@ func (c *Cover) Apply(ops []CoverDelta) {
 		case DeltaGrow:
 			c.Grow(int(op.Node))
 		case DeltaClearAll:
-			if c.base != nil {
-				// dropping every label drops the sealed base too; the
-				// cover reverts to flat mode over the same node space
-				// (the follower full-rebuild replay path)
-				n := c.nSeg
-				c.base = nil
-				c.dIn, c.dOut, c.tIn, c.tOut = nil, nil, nil, nil
-				c.mapsShared = false
-				c.nSeg, c.sizeSeg = 0, 0
-				c.In = make([][]Entry, n)
-				c.Out = make([][]Entry, n)
-				continue
-			}
-			for i := range c.In {
-				c.In[i] = nil
-				c.Out[i] = nil
-			}
+			c.clearAll()
 		}
 	}
+}
+
+// clearAll drops every label: the base, the delta lists and the
+// tombstones. What is left is an empty cover without a base over the
+// same node space, as a rebuild starts from.
+func (c *Cover) clearAll() {
+	c.base, c.In, c.Out = nil, nil, nil
+	c.tombs = [2]map[int32]map[int32]struct{}{}
+	c.size, c.delta = 0, 0
+	c.shared, c.owned, c.tombsShared = false, [2]graph.Bitset{}, false
 }
 
 // SnapshotDeltas flattens the cover's full label set into a replayable
@@ -131,34 +124,28 @@ func (c *Cover) SnapshotDeltas() []CoverDelta {
 	return ops
 }
 
-// DeltaOps flattens the in-memory delta layer of a segment-mode cover
-// into a replayable op stream over the sealed base: grow to the
-// current node space, tombstone every removed base entry, add every
-// delta entry (adds and distance overrides alike — AddIn/AddOut
-// min-merge, so overrides land exactly). Applying the result to a
-// fresh cover that adopted the same sealed base reproduces this
-// cover's labels byte for byte. Nil in flat mode. Replication uses
-// this to ship only the unsealed residue alongside verbatim segment
-// files.
+// DeltaOps flattens the delta into a replayable op stream over the
+// sealed base: grow to the current node space, then per side tombstone
+// every removed base entry and add every delta entry (adds and distance
+// overrides alike — AddIn/AddOut min-merge, so overrides land exactly).
+// Applying the result to a fresh cover over the same sealed base
+// reproduces this cover's labels byte for byte. Replication uses this
+// to ship only the unsealed residue alongside verbatim segment files.
 func (c *Cover) DeltaOps() []CoverDelta {
-	if c.base == nil {
-		return nil
-	}
-	ops := []CoverDelta{{Kind: DeltaGrow, Node: int32(c.nSeg)}}
-	emit := func(delta map[int32][]Entry, tombs map[int32]map[int32]struct{}, rm, add DeltaKind) {
+	ops := []CoverDelta{{Kind: DeltaGrow, Node: int32(c.n)}}
+	for s := sideIn; s <= sideOut; s++ {
+		tombs := c.tombs[s]
 		for _, v := range sortedKeys(tombs) {
 			for _, ctr := range sortedSet(tombs[v]) {
-				ops = append(ops, CoverDelta{Kind: rm, Node: v, Center: ctr})
+				ops = append(ops, CoverDelta{Kind: rmKind[s], Node: v, Center: ctr})
 			}
 		}
-		for _, v := range sortedKeys(delta) {
-			for _, e := range delta[v] {
-				ops = append(ops, CoverDelta{Kind: add, Node: v, Center: e.Center, Dist: e.Dist})
+		for v, list := range *c.spine(s) {
+			for _, e := range list {
+				ops = append(ops, CoverDelta{Kind: addKind[s], Node: int32(v), Center: e.Center, Dist: e.Dist})
 			}
 		}
 	}
-	emit(c.dIn, c.tIn, DeltaRemoveIn, DeltaAddIn)
-	emit(c.dOut, c.tOut, DeltaRemoveOut, DeltaAddOut)
 	return ops
 }
 
@@ -181,172 +168,51 @@ func sortedSet(s map[int32]struct{}) []int32 {
 }
 
 // RemoveIn deletes center from Lin(v); a no-op when absent.
-func (c *Cover) RemoveIn(v, center int32) {
-	if c.base != nil {
-		c.ownIn(v)
-		if c.segRemove(c.dIn, c.tIn, segment.FamLin, v, center) {
-			c.emit(DeltaRemoveIn, v, center, 0)
-		}
-		return
-	}
-	if i := findCenter(c.In[v], center); i >= 0 {
-		c.In[v] = c.removeFlat(c.In[v], &c.inOwned, v, i)
-		c.emit(DeltaRemoveIn, v, center, 0)
-	}
-}
+func (c *Cover) RemoveIn(v, center int32) { c.remove(sideIn, v, center) }
 
 // RemoveOut deletes center from Lout(u); a no-op when absent.
-func (c *Cover) RemoveOut(u, center int32) {
-	if c.base != nil {
-		c.ownOut(u)
-		if c.segRemove(c.dOut, c.tOut, segment.FamLout, u, center) {
-			c.emit(DeltaRemoveOut, u, center, 0)
-		}
-		return
-	}
-	if i := findCenter(c.Out[u], center); i >= 0 {
-		c.Out[u] = c.removeFlat(c.Out[u], &c.outOwned, u, i)
-		c.emit(DeltaRemoveOut, u, center, 0)
-	}
-}
+func (c *Cover) RemoveOut(u, center int32) { c.remove(sideOut, u, center) }
 
 // FilterIn removes every Lin(v) entry whose center drop reports true,
 // emitting one remove delta per dropped entry.
-func (c *Cover) FilterIn(v int32, drop func(center int32) bool) {
-	if c.base != nil {
-		for _, e := range c.Lin(v) {
-			if drop(e.Center) {
-				c.RemoveIn(v, e.Center)
-			}
-		}
-		return
-	}
-	c.In[v] = c.filter(DeltaRemoveIn, v, c.In[v], &c.inOwned, drop)
-}
+func (c *Cover) FilterIn(v int32, drop func(center int32) bool) { c.filter(sideIn, v, drop) }
 
 // FilterOut removes every Lout(u) entry whose center drop reports true.
-func (c *Cover) FilterOut(u int32, drop func(center int32) bool) {
-	if c.base != nil {
-		for _, e := range c.Lout(u) {
-			if drop(e.Center) {
-				c.RemoveOut(u, e.Center)
-			}
-		}
-		return
-	}
-	c.Out[u] = c.filter(DeltaRemoveOut, u, c.Out[u], &c.outOwned, drop)
-}
-
-// filter returns list without the entries whose center drop selects,
-// emitting one remove delta per dropped entry. It filters in place,
-// unless the list may be shared with a clone: then the result goes to
-// a fresh slice.
-func (c *Cover) filter(kind DeltaKind, node int32, list []Entry, owned *graph.Bitset, drop func(int32) bool) []Entry {
-	i := 0
-	for i < len(list) && !drop(list[i].Center) {
-		i++
-	}
-	if i == len(list) {
-		return list
-	}
-	out := list[:i]
-	if c.claim(owned, node) {
-		out = append(make([]Entry, 0, len(list)-1), list[:i]...)
-	}
-	for _, e := range list[i:] {
-		if drop(e.Center) {
-			c.emit(kind, node, e.Center, 0)
-		} else {
-			out = append(out, e)
-		}
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
-}
+func (c *Cover) FilterOut(u int32, drop func(center int32) bool) { c.filter(sideOut, u, drop) }
 
 // ClearIn drops all of Lin(v).
-func (c *Cover) ClearIn(v int32) {
-	if c.base != nil {
-		for _, e := range c.Lin(v) {
-			c.RemoveIn(v, e.Center)
-		}
-		return
-	}
-	for _, e := range c.In[v] {
-		c.emit(DeltaRemoveIn, v, e.Center, 0)
-	}
-	c.In[v] = nil
-}
+func (c *Cover) ClearIn(v int32) { c.filter(sideIn, v, dropAll) }
 
 // ClearOut drops all of Lout(u).
-func (c *Cover) ClearOut(u int32) {
-	if c.base != nil {
-		for _, e := range c.Lout(u) {
-			c.RemoveOut(u, e.Center)
-		}
-		return
-	}
-	for _, e := range c.Out[u] {
-		c.emit(DeltaRemoveOut, u, e.Center, 0)
-	}
-	c.Out[u] = nil
-}
+func (c *Cover) ClearOut(u int32) { c.filter(sideOut, u, dropAll) }
+
+func dropAll(int32) bool { return true }
 
 // SetOut replaces Lout(u) wholesale (the Theorem 3 out-label
-// replacement). Deltas are emitted as a diff against the old list:
-// removes for vanished centers, adds for new ones, and a remove+add
-// pair when a center survives with a different distance — a plain add
-// could not raise a stored distance, since adds keep the minimum.
+// replacement). It diffs against the old list and routes each change
+// through the mutators: removes for vanished centers, adds for new
+// ones, and a remove+add pair when a center survives with a different
+// distance — a plain add could not raise a stored distance, since adds
+// keep the minimum.
 func (c *Cover) SetOut(u int32, entries []Entry) {
 	entries = sortDedupe(entries)
-	if c.base != nil {
-		// Diff against the merged view and route each change through
-		// the segment-mode mutators (a remove+add pair can raise a
-		// distance: the remove tombstones the base entry first).
-		old := append([]Entry(nil), c.Lout(u)...)
-		i, j := 0, 0
-		for i < len(old) || j < len(entries) {
-			switch {
-			case j >= len(entries) || (i < len(old) && old[i].Center < entries[j].Center):
-				c.RemoveOut(u, old[i].Center)
-				i++
-			case i >= len(old) || old[i].Center > entries[j].Center:
-				c.AddOut(u, entries[j].Center, entries[j].Dist)
-				j++
-			default:
-				if old[i].Dist != entries[j].Dist {
-					c.RemoveOut(u, old[i].Center)
-					c.AddOut(u, entries[j].Center, entries[j].Dist)
-				}
-				i++
-				j++
-			}
-		}
-		return
-	}
-	old := c.Out[u]
+	old := slices.Clone(c.Lout(u))
 	i, j := 0, 0
 	for i < len(old) || j < len(entries) {
 		switch {
 		case j >= len(entries) || (i < len(old) && old[i].Center < entries[j].Center):
-			c.emit(DeltaRemoveOut, u, old[i].Center, 0)
+			c.RemoveOut(u, old[i].Center)
 			i++
 		case i >= len(old) || old[i].Center > entries[j].Center:
-			c.emit(DeltaAddOut, u, entries[j].Center, entries[j].Dist)
+			c.AddOut(u, entries[j].Center, entries[j].Dist)
 			j++
 		default:
 			if old[i].Dist != entries[j].Dist {
-				c.emit(DeltaRemoveOut, u, old[i].Center, 0)
-				c.emit(DeltaAddOut, u, entries[j].Center, entries[j].Dist)
+				c.RemoveOut(u, old[i].Center)
+				c.AddOut(u, entries[j].Center, entries[j].Dist)
 			}
 			i++
 			j++
 		}
 	}
-	if len(entries) == 0 {
-		entries = nil
-	}
-	c.Out[u] = entries
 }

@@ -2,6 +2,8 @@ package twohop
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 )
 
@@ -15,120 +17,91 @@ import (
 // maintenance keeps the postings warm by replaying the same CoverDelta
 // stream the WAL records.
 //
-// Sharing: Share returns an immutable view of the current postings and
-// freezes the receiver's slices; the first mutation after a Share
-// copies the maps (O(#centers)) and then copies individual posting
-// lists on demand. Snapshots use this to reuse the live index's
-// postings instead of re-deriving them from the full label set.
+// Like Cover, the postings are the sealed base's owners, plus the
+// delta's owners, minus masked base owners that were removed; reads
+// merge the three sorted lists, and return the delta list itself when
+// the base and the mask have nothing for the center. A mask is only
+// written for an owner the base holds, so without a base no read
+// merges. An owner is never in both the delta and the mask of one
+// center.
 //
-// Like Cover, the postings can run over a sealed segment base: the
-// in/out maps then hold only the delta owners and negIn/negOut mask
-// base owners that were removed; reads merge the three sorted lists.
-// An owner is never in both the delta and the mask of one center.
+// Sharing: Share returns an immutable view of the current postings and
+// freezes the receiver's maps; the first mutation of a map after a
+// Share copies it (slice headers only) and then copies individual
+// posting lists on demand. Snapshots use this to reuse the live index's
+// postings instead of re-deriving them from the full label set.
 type PostingIndex struct {
-	n   int
-	in  map[int32][]int32
-	out map[int32][]int32
-
-	// segment mode: sealed owners beneath the delta (nil = flat).
-	base   *Base
-	negIn  map[int32][]int32
-	negOut map[int32][]int32
-
-	// frozen marks the maps as shared with at least one immutable view:
-	// they must be shallow-copied before any mutation. The owned* maps
-	// track which posting slices this instance has copied since the
-	// last Share (nil means every slice is owned, the fresh-build
-	// state).
-	frozen      bool
-	ownedIn     map[int32]bool
-	ownedOut    map[int32]bool
-	ownedNegIn  map[int32]bool
-	ownedNegOut map[int32]bool
+	n    int
+	base *Base
+	// add and neg hold, per side, the delta owners and the masked
+	// base owners of each center.
+	add, neg [2]owners
 }
 
-// NewPostingIndex scans a cover's labels and builds the backward
-// postings. The result owns all its slices. A segment-mode cover
-// yields a segment-mode posting index sharing its base: only the
-// cover's delta layer is scanned.
+// owners is one center → sorted owners map, copy-on-write across
+// Share: frozen marks the map as shared with an immutable view, and
+// owned the centers whose lists this instance has copied since (nil:
+// every list is owned, the fresh state).
+type owners struct {
+	m      map[int32][]int32
+	frozen bool
+	owned  map[int32]bool
+}
+
+// NewPostingIndex scans a cover's delta lists and tombstones and builds
+// the postings over the same base. The result owns all its slices.
 func NewPostingIndex(cov *Cover) *PostingIndex {
-	p := &PostingIndex{
-		n:   cov.N(),
-		in:  map[int32][]int32{},
-		out: map[int32][]int32{},
-	}
-	if cov.base != nil {
-		p.base = cov.base
-		p.negIn = map[int32][]int32{}
-		p.negOut = map[int32][]int32{}
-		scanDelta(p.in, p.negIn, cov.dIn, cov.tIn)
-		scanDelta(p.out, p.negOut, cov.dOut, cov.tOut)
-		return p
-	}
-	// Owners are visited in ascending node order, so every posting list
-	// comes out sorted without a final sort pass.
-	for v := int32(0); v < int32(cov.N()); v++ {
-		for _, e := range cov.In[v] {
-			p.in[e.Center] = append(p.in[e.Center], v)
+	p := &PostingIndex{n: cov.N(), base: cov.base}
+	for s := sideIn; s <= sideOut; s++ {
+		// owners are visited in ascending node order, so every posting
+		// list comes out sorted without a final sort pass
+		add := map[int32][]int32{}
+		for v, list := range *cov.spine(s) {
+			for _, e := range list {
+				add[e.Center] = append(add[e.Center], int32(v))
+			}
 		}
-		for _, e := range cov.Out[v] {
-			p.out[e.Center] = append(p.out[e.Center], v)
+		neg := map[int32][]int32{}
+		for _, v := range sortedKeys(cov.tombs[s]) {
+			for c := range cov.tombs[s][v] {
+				neg[c] = append(neg[c], v)
+			}
 		}
+		p.add[s].m, p.neg[s].m = add, neg
 	}
 	return p
 }
 
-func scanDelta(add, neg map[int32][]int32, delta map[int32][]Entry, tombs map[int32]map[int32]struct{}) {
-	for v, entries := range delta {
-		for _, e := range entries {
-			add[e.Center] = append(add[e.Center], v)
-		}
-	}
-	for v, dead := range tombs {
-		for c := range dead {
-			neg[c] = append(neg[c], v)
-		}
-	}
-	for _, m := range []map[int32][]int32{add, neg} {
-		for c, owners := range m {
-			sort.Slice(owners, func(i, j int) bool { return owners[i] < owners[j] })
-			m[c] = owners
-		}
-	}
-}
-
-// Rebase points a segment-mode posting index at a freshly sealed base
-// that folds the current delta, and resets the delta maps. Shared
-// views keep the old base and maps.
+// Rebase points the posting index at a freshly sealed base that folds
+// the current delta, and empties the delta maps. Shared views keep the
+// old base and maps.
 func (p *PostingIndex) Rebase(b *Base) {
 	p.base = b
-	p.in = map[int32][]int32{}
-	p.out = map[int32][]int32{}
-	p.negIn = map[int32][]int32{}
-	p.negOut = map[int32][]int32{}
-	p.frozen = false
-	p.ownedIn, p.ownedOut, p.ownedNegIn, p.ownedNegOut = nil, nil, nil, nil
+	p.add, p.neg = [2]owners{}, [2]owners{}
 }
 
 // N returns the node-ID space the postings are defined over.
 func (p *PostingIndex) N() int { return p.n }
 
 // InOwners returns the sorted nodes whose Lin contains center. The
-// slice is shared — callers must not mutate it.
+// slice is shared — callers must not mutate it. With no sealed owner
+// of the center (and so no mask) it is the delta list, with no merge.
 func (p *PostingIndex) InOwners(center int32) []int32 {
-	if p.base == nil {
-		return p.in[center]
+	base := p.base.InOwners(center)
+	if len(base) == 0 {
+		return p.add[sideIn].m[center]
 	}
-	return mergeOwners(p.base.InOwners(center), p.in[center], p.negIn[center])
+	return mergeOwners(base, p.add[sideIn].m[center], p.neg[sideIn].m[center])
 }
 
-// OutOwners returns the sorted nodes whose Lout contains center. The
-// slice is shared — callers must not mutate it.
+// OutOwners returns the sorted nodes whose Lout contains center; see
+// InOwners.
 func (p *PostingIndex) OutOwners(center int32) []int32 {
-	if p.base == nil {
-		return p.out[center]
+	base := p.base.OutOwners(center)
+	if len(base) == 0 {
+		return p.add[sideOut].m[center]
 	}
-	return mergeOwners(p.base.OutOwners(center), p.out[center], p.negOut[center])
+	return mergeOwners(base, p.add[sideOut].m[center], p.neg[sideOut].m[center])
 }
 
 // mergeOwners computes (base ∖ neg) ∪ add over three sorted lists.
@@ -180,41 +153,16 @@ func mergeOwners(base, add, neg []int32) []int32 {
 // exactly as they were at Share time, forever. Callers must serialize
 // Share against mutations (maintenance is single-writer).
 func (p *PostingIndex) Share() *PostingIndex {
-	p.frozen = true
-	p.ownedIn, p.ownedOut = nil, nil
-	p.ownedNegIn, p.ownedNegOut = nil, nil
-	return &PostingIndex{
-		n: p.n, in: p.in, out: p.out,
-		base: p.base, negIn: p.negIn, negOut: p.negOut,
-		frozen: true,
+	v := &PostingIndex{n: p.n, base: p.base}
+	for s := range p.add {
+		v.add[s], v.neg[s] = p.add[s].share(), p.neg[s].share()
 	}
+	return v
 }
 
-// thaw makes the maps writable again after a Share: shallow-copy the
-// maps (slice headers only) and start tracking per-center ownership.
-func (p *PostingIndex) thaw() {
-	if !p.frozen {
-		return
-	}
-	p.in = copyOwnerMap(p.in)
-	p.out = copyOwnerMap(p.out)
-	p.ownedIn = map[int32]bool{}
-	p.ownedOut = map[int32]bool{}
-	if p.base != nil {
-		p.negIn = copyOwnerMap(p.negIn)
-		p.negOut = copyOwnerMap(p.negOut)
-		p.ownedNegIn = map[int32]bool{}
-		p.ownedNegOut = map[int32]bool{}
-	}
-	p.frozen = false
-}
-
-func copyOwnerMap(m map[int32][]int32) map[int32][]int32 {
-	out := make(map[int32][]int32, len(m))
-	for c, owners := range m {
-		out[c] = owners
-	}
-	return out
+func (o *owners) share() owners {
+	o.frozen, o.owned = true, nil
+	return owners{m: o.m, frozen: true}
 }
 
 // Apply maintains the postings under one cover label delta — the same
@@ -223,124 +171,98 @@ func copyOwnerMap(m map[int32][]int32) map[int32][]int32 {
 // is already posted); removes of absent owners are no-ops.
 func (p *PostingIndex) Apply(d CoverDelta) {
 	switch d.Kind {
-	case DeltaAddIn:
-		if p.base != nil {
-			p.remove(&p.negIn, p.ownedNegInSet, d.Center, d.Node)
-		}
-		p.insert(&p.in, p.ownedInSet, d.Center, d.Node)
-	case DeltaAddOut:
-		if p.base != nil {
-			p.remove(&p.negOut, p.ownedNegOutSet, d.Center, d.Node)
-		}
-		p.insert(&p.out, p.ownedOutSet, d.Center, d.Node)
-	case DeltaRemoveIn:
-		p.remove(&p.in, p.ownedInSet, d.Center, d.Node)
-		if p.base != nil {
-			p.insert(&p.negIn, p.ownedNegInSet, d.Center, d.Node)
-		}
-	case DeltaRemoveOut:
-		p.remove(&p.out, p.ownedOutSet, d.Center, d.Node)
-		if p.base != nil {
-			p.insert(&p.negOut, p.ownedNegOutSet, d.Center, d.Node)
+	case DeltaAddIn, DeltaAddOut:
+		s := side(d.Kind - DeltaAddIn)
+		p.neg[s].remove(d.Center, d.Node)
+		p.add[s].insert(d.Center, d.Node)
+	case DeltaRemoveIn, DeltaRemoveOut:
+		s := side(d.Kind - DeltaRemoveIn)
+		p.add[s].remove(d.Center, d.Node)
+		if _, sealed := p.base.look(s, d.Node, d.Center); sealed {
+			p.neg[s].insert(d.Center, d.Node)
 		}
 	case DeltaGrow:
-		if int(d.Node) > p.n {
-			p.n = int(d.Node)
-		}
+		p.n = max(p.n, int(d.Node))
 	case DeltaClearAll:
-		// no thaw: any shared views keep the old maps, this instance
-		// starts over with fresh (fully owned) empty ones
-		p.in = map[int32][]int32{}
-		p.out = map[int32][]int32{}
-		p.base, p.negIn, p.negOut = nil, nil, nil
-		p.frozen = false
-		p.ownedIn, p.ownedOut = nil, nil
-		p.ownedNegIn, p.ownedNegOut = nil, nil
+		// shared views keep the old maps; this instance starts over
+		// with fresh, fully owned ones
+		*p = PostingIndex{n: p.n}
 	}
 }
 
-func (p *PostingIndex) ownedInSet(c int32) bool     { return ownedSet(p.ownedIn, c) }
-func (p *PostingIndex) ownedOutSet(c int32) bool    { return ownedSet(p.ownedOut, c) }
-func (p *PostingIndex) ownedNegInSet(c int32) bool  { return ownedSet(p.ownedNegIn, c) }
-func (p *PostingIndex) ownedNegOutSet(c int32) bool { return ownedSet(p.ownedNegOut, c) }
+// thaw makes a frozen map writable again: copy it (slice headers only)
+// and start tracking which lists this instance owns.
+func (o *owners) thaw() {
+	if o.m == nil {
+		o.m = map[int32][]int32{}
+	}
+	if o.frozen {
+		o.m, o.frozen, o.owned = maps.Clone(o.m), false, map[int32]bool{}
+	}
+}
 
-func ownedSet(owned map[int32]bool, c int32) bool {
-	if owned == nil {
+// own reports whether this instance may write center's list in place,
+// and marks it owned: the caller writes a fresh slice if not.
+func (o *owners) own(center int32) bool {
+	if o.owned == nil || o.owned[center] {
 		return true
 	}
-	if owned[c] {
-		return true
-	}
-	owned[c] = true
+	o.owned[center] = true
 	return false
 }
 
 // insert adds owner to the sorted posting of center (no-op when
-// present), honoring copy-on-write for slices borrowed from a frozen
-// view.
-func (p *PostingIndex) insert(m *map[int32][]int32, owned func(int32) bool, center, owner int32) {
-	p.thaw()
-	list := (*m)[center]
+// present), honoring copy-on-write for lists borrowed from a view.
+func (o *owners) insert(center, owner int32) {
+	list := o.m[center]
 	i := sort.Search(len(list), func(i int) bool { return list[i] >= owner })
 	if i < len(list) && list[i] == owner {
 		return
 	}
-	if !owned(center) {
-		list = append(append(make([]int32, 0, len(list)+1), list...), 0)
+	o.thaw()
+	if o.own(center) {
+		list = slices.Insert(list, i, owner)
 	} else {
-		list = append(list, 0)
+		list = slices.Concat(list[:i], []int32{owner}, list[i:])
 	}
-	copy(list[i+1:], list[i:])
-	list[i] = owner
-	(*m)[center] = list
+	o.m[center] = list
 }
 
 // remove deletes owner from the posting of center (no-op when absent).
-func (p *PostingIndex) remove(m *map[int32][]int32, owned func(int32) bool, center, owner int32) {
-	p.thaw()
-	list := (*m)[center]
+func (o *owners) remove(center, owner int32) {
+	list := o.m[center]
 	i := sort.Search(len(list), func(i int) bool { return list[i] >= owner })
 	if i >= len(list) || list[i] != owner {
 		return
 	}
-	if !owned(center) {
-		list = append(make([]int32, 0, len(list)), list...)
-	}
-	list = append(list[:i], list[i+1:]...)
-	if len(list) == 0 {
-		delete(*m, center)
+	o.thaw()
+	switch {
+	case len(list) == 1:
+		delete(o.m, center)
 		return
+	case o.own(center):
+		list = slices.Delete(list, i, i+1)
+	default:
+		list = slices.Concat(list[:i], list[i+1:])
 	}
-	(*m)[center] = list
+	o.m[center] = list
 }
 
-// Equal verifies that two posting indexes hold identical postings,
-// returning a descriptive error for the first difference. Used by the
-// maintenance-invariant tests (incrementally maintained == rebuilt from
-// scratch). Only valid for flat-mode indexes.
+// Equal verifies that two posting indexes answer InOwners and OutOwners
+// identically for every center in [0, N), returning a descriptive error
+// for the first difference. Used by the maintenance-invariant tests
+// (incrementally maintained == derived from scratch), with or without a
+// base.
 func (p *PostingIndex) Equal(o *PostingIndex) error {
-	if err := equalPostings("in", p.in, o.in); err != nil {
-		return err
+	if p.n != o.n {
+		return fmt.Errorf("twohop: postings over %d vs %d nodes", p.n, o.n)
 	}
-	return equalPostings("out", p.out, o.out)
-}
-
-func equalPostings(side string, a, b map[int32][]int32) error {
-	if len(a) != len(b) {
-		return fmt.Errorf("twohop: %sOwners center counts differ: %d vs %d", side, len(a), len(b))
-	}
-	for c, owners := range a {
-		others, ok := b[c]
-		if !ok {
-			return fmt.Errorf("twohop: %sOwners(%d) missing on one side", side, c)
+	for c := int32(0); c < int32(p.n); c++ {
+		if a, b := p.InOwners(c), o.InOwners(c); !slices.Equal(a, b) {
+			return fmt.Errorf("twohop: InOwners(%d) = %v vs %v", c, a, b)
 		}
-		if len(owners) != len(others) {
-			return fmt.Errorf("twohop: %sOwners(%d) lengths differ: %d vs %d", side, c, len(owners), len(others))
-		}
-		for i := range owners {
-			if owners[i] != others[i] {
-				return fmt.Errorf("twohop: %sOwners(%d)[%d] = %d vs %d", side, c, i, owners[i], others[i])
-			}
+		if a, b := p.OutOwners(c), o.OutOwners(c); !slices.Equal(a, b) {
+			return fmt.Errorf("twohop: OutOwners(%d) = %v vs %v", c, a, b)
 		}
 	}
 	return nil

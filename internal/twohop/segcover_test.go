@@ -1,16 +1,18 @@
 package twohop
 
 import (
+	"fmt"
 	"math/rand"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"hopi/internal/obs"
 	"hopi/internal/segment"
 )
 
 // sealCover seals a cover's full label set into a fresh store and
-// returns a segment-mode twin adopting it.
+// returns a twin over that base, counting its reads.
 func sealCover(t *testing.T, dir string, flat *Cover) (*Cover, *segment.Store) {
 	t.Helper()
 	store, err := segment.CreateStore(dir, flat.WithDist, segment.Options{})
@@ -20,8 +22,8 @@ func sealCover(t *testing.T, dir string, flat *Cover) (*Cover, *segment.Store) {
 	if _, err := store.Seal(1, flat.N(), int64(flat.Size()), flat.FullRecords()); err != nil {
 		t.Fatal(err)
 	}
-	seg := &Cover{WithDist: flat.WithDist}
-	seg.AdoptBase(NewBase(store.Current()), flat.N(), flat.Size())
+	seg := NewCover(0, flat.WithDist)
+	seg.SealSwap(NewBase(store.Current(), new(obs.Counter), new(obs.Counter), new(obs.Counter)), flat.N(), flat.Size())
 	return seg, store
 }
 
@@ -74,36 +76,13 @@ func entriesEqual(a, b []Entry) bool {
 	return true
 }
 
-func checkPostingsEqual(t *testing.T, flat, seg *PostingIndex, n int, where string) {
-	t.Helper()
-	for c := int32(0); c < int32(n); c++ {
-		fi, si := flat.InOwners(c), seg.InOwners(c)
-		if !ownersEqual(fi, si) {
-			t.Fatalf("%s: InOwners(%d) = %v vs %v", where, c, fi, si)
-		}
-		fo, so := flat.OutOwners(c), seg.OutOwners(c)
-		if !ownersEqual(fo, so) {
-			t.Fatalf("%s: OutOwners(%d) = %v vs %v", where, c, fo, so)
-		}
-	}
-}
-
-func ownersEqual(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // TestSegCoverEquivalence drives identical random mutation streams
-// through a flat cover and a segment-mode cover (periodically sealing
-// its delta) and checks that labels, size, postings, Reaches and
-// Distance stay byte-identical throughout.
+// through a cover that never gets a base and a twin over a sealed base
+// (periodically sealing its delta, and once clearing everything,
+// re-adding and resealing in full) and checks that labels, size,
+// postings, Reaches and Distance stay identical throughout. Clones
+// taken along the way must still equal deep copies made when they were
+// taken.
 func TestSegCoverEquivalence(t *testing.T) {
 	for _, withDist := range []bool{false, true} {
 		name := "plain"
@@ -147,6 +126,13 @@ func TestSegCoverEquivalence(t *testing.T) {
 				}
 			}
 
+			type held struct{ clone, copy *Cover }
+			var clones []held
+			deepCopy := func(c *Cover) *Cover {
+				r := NewCover(0, c.WithDist)
+				r.Apply(c.SnapshotDeltas())
+				return r
+			}
 			seq := uint64(1)
 			for i := 0; i < 3000; i++ {
 				op := rng.Intn(11)
@@ -171,16 +157,50 @@ func TestSegCoverEquivalence(t *testing.T) {
 				apply(flat, op, v, ctr, d, append([]Entry(nil), entries...))
 				apply(seg, op, v, ctr, d, append([]Entry(nil), entries...))
 
-				if i%500 == 250 {
-					// seal the delta and swap, mid-churn
+				if i == 1100 {
+					// drop everything, base included, and re-add: the
+					// replay of a rebuild; the next seal is a full one
+					for _, x := range []struct {
+						c *Cover
+						p *PostingIndex
+					}{{flat, fpost}, {seg, spost}} {
+						x.c.Apply([]CoverDelta{{Kind: DeltaClearAll}})
+						x.p.Apply(CoverDelta{Kind: DeltaClearAll})
+					}
+					checkEqual(t, flat, seg, "cleared")
+					re := rand.New(rand.NewSource(int64(i)))
+					for k := 0; k < n*3; k++ {
+						v, ctr, d := int32(re.Intn(n)), int32(re.Intn(n)), uint32(re.Intn(5))
+						for _, c := range []*Cover{flat, seg} {
+							if k%2 == 0 {
+								c.AddIn(v, ctr, d)
+							} else {
+								c.AddOut(v, ctr, d)
+							}
+						}
+					}
+				}
+				if i%500 == 250 || i == 1150 {
+					// seal the delta and swap, mid-churn; without a base
+					// the delta is every label and replaces the stack
 					seq++
-					st, err := store.Seal(seq, seg.N(), int64(seg.Size()), seg.DeltaRecords())
+					seal := store.Seal
+					if !seg.Seg() {
+						seal = store.Reset
+					}
+					st, err := seal(seq, seg.N(), int64(seg.Size()), seg.DeltaRecords())
 					if err != nil {
 						t.Fatal(err)
 					}
-					nb := NewBase(st)
-					seg.SealSwap(nb)
+					nb := NewBase(st, nil, nil, nil)
+					seg.SealSwap(nb, seg.N(), seg.Size())
 					spost.Rebase(nb)
+					checkEqual(t, flat, seg, "after seal")
+				}
+				if i%400 == 0 {
+					for _, c := range []*Cover{flat, seg} {
+						clones = append(clones, held{c.Clone(), deepCopy(c)})
+					}
 				}
 				if i%500 == 400 {
 					if _, err := store.Compact(); err != nil {
@@ -191,7 +211,15 @@ func TestSegCoverEquivalence(t *testing.T) {
 				}
 			}
 			checkEqual(t, flat, seg, "after churn")
-			checkPostingsEqual(t, fpost, spost, flat.N(), "after churn")
+			if err := fpost.Equal(spost); err != nil {
+				t.Fatalf("after churn: %v", err)
+			}
+			if err := spost.Equal(NewPostingIndex(seg)); err != nil {
+				t.Fatalf("maintained postings vs derived: %v", err)
+			}
+			for k, h := range clones {
+				checkEqual(t, h.copy, h.clone, fmt.Sprintf("clone %d", k))
+			}
 
 			// spot-check Reaches/Distance parity
 			for i := 0; i < 500; i++ {
@@ -250,8 +278,8 @@ func TestSegCoverSealRoundTrip(t *testing.T) {
 	if seq != 2 || !withDist {
 		t.Fatalf("Info = %d %v", seq, withDist)
 	}
-	reopened := &Cover{WithDist: withDist}
-	reopened.AdoptBase(NewBase(store2.Current()), n, int(live))
+	reopened := NewCover(0, withDist)
+	reopened.SealSwap(NewBase(store2.Current(), nil, nil, nil), n, int(live))
 	checkEqual(t, flat, reopened, "reopened")
 
 	// DeltaEntries bookkeeping
@@ -313,13 +341,53 @@ func TestBaseLinMissAllocs(t *testing.T) {
 		}
 		next++
 	})
-	if got := base.CacheMisses(); got != uint64(next) {
+	if got := base.misses.Value(); got != uint64(next) {
 		t.Fatalf("%d lookups of distinct keys, %d cache misses", next, got)
 	}
 	if allocs > 2 {
 		t.Fatalf("a Base.Lin cache miss allocates %.0f objects, want ≤ 2", allocs)
 	}
-	if scanned := base.RecordsScanned(); scanned < uint64(next) || scanned > 4*uint64(next) {
+	if scanned := base.scanned.Value(); scanned < uint64(next) || scanned > 4*uint64(next) {
 		t.Fatalf("%d misses walked %d block records", next, scanned)
+	}
+}
+
+// Without a base a read is the delta list itself: Lin, LinBuf, Lout
+// and the owner lookups allocate nothing, and removes write no masks
+// that would send later owner reads through the allocating merge.
+func TestBaseLinEmptyAllocs(t *testing.T) {
+	const n = 200
+	c := randomCover(rand.New(rand.NewSource(9)), n, true)
+	post := NewPostingIndex(c)
+	c.SetRecorder(post.Apply)
+	for v := int32(0); v < n; v += 3 {
+		for _, e := range c.Lin(v) {
+			c.RemoveIn(v, e.Center)
+		}
+		if out := c.Lout(v); len(out) > 0 {
+			c.RemoveOut(v, out[0].Center)
+		}
+	}
+	for s := range post.neg {
+		if len(post.neg[s].m) != 0 {
+			t.Fatalf("removes without a base wrote masks: %v", post.neg[s].m)
+		}
+	}
+	var buf []Entry
+	next := int32(0)
+	allocs := testing.AllocsPerRun(1000, func() {
+		v := next % n
+		next++
+		_ = c.Lin(v)
+		_ = c.LinBuf(v, &buf)
+		_ = c.Lout(v)
+		_ = post.InOwners(v)
+		_ = post.OutOwners(v)
+	})
+	if allocs != 0 {
+		t.Fatalf("reads of a cover without a base allocate %.1f objects, want 0", allocs)
+	}
+	if err := post.Equal(NewPostingIndex(c)); err != nil {
+		t.Fatal(err)
 	}
 }

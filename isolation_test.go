@@ -200,8 +200,9 @@ func checkDerived(t *testing.T, s *Snapshot, where string) {
 }
 
 // isolationIndex returns a distance-aware index over a small DBLP
-// collection: in flat mode, or durable over sealed segments with a
-// seal every few batches (each seal swaps the cover's delta maps).
+// collection: in memory without a base ("flat"), or durable over
+// sealed segments with a seal every few batches (each seal swaps the
+// cover's base and empties its delta).
 func isolationIndex(t *testing.T, mode string) *Index {
 	t.Helper()
 	opts := DefaultOptions()

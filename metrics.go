@@ -36,6 +36,10 @@ type indexMetrics struct {
 	walBytes        *obs.Counter
 	// bootstraps counts the state images a follower installed.
 	bootstraps *obs.Counter
+	// The read counters of every sealed base the index installs (see
+	// Index.newBase): decode-cache misses, the block records they
+	// walked, and swallowed decode errors.
+	segMisses, segScanned, segErrs *obs.Counter
 	// shardMemo counts the shard RPCs' snapshot-memo lookups, by table
 	// ("closure", "delivery"); see shardstep.go.
 	shardMemo map[string]memoCounter
@@ -97,6 +101,13 @@ func newIndexMetrics(ix *Index) *indexMetrics {
 			"Bytes appended to the WAL, record framing included."),
 		bootstraps: r.Counter("hopi_replication_bootstraps_total",
 			"State images a follower installed: its first bootstrap and every reset; a restart that resumes from its store adds none."),
+		// The decode cache above the sealed stack. Both move only on a
+		// miss; misses per query is this over hopi_query_seconds_count.
+		segMisses: r.Counter("hopi_segment_cache_misses_total",
+			"Label and owner lookups that missed the decode cache and read a segment block."),
+		segScanned: r.Counter("hopi_segment_block_records_scanned_total",
+			"Block records walked by the lookups that missed the decode cache."),
+		segErrs:   new(obs.Counter),
 		shardMemo: map[string]memoCounter{},
 	}
 	memo := r.CounterVec("hopi_shard_memo_lookups_total",
@@ -170,15 +181,6 @@ func newIndexMetrics(ix *Index) *indexMetrics {
 	r.CounterFunc("hopi_segment_compactions_total",
 		"Completed stack compactions.",
 		func() float64 { return float64(ix.SegmentStats().Compactions) })
-
-	// The decode cache above the sealed stack. Both move only on a miss;
-	// misses per query is this over hopi_query_seconds_count.
-	r.CounterFunc("hopi_segment_cache_misses_total",
-		"Label and owner lookups that missed the decode cache and read a segment block.",
-		func() float64 { return float64(ix.SegmentStats().CacheMisses) })
-	r.CounterFunc("hopi_segment_block_records_scanned_total",
-		"Block records walked by the lookups that missed the decode cache.",
-		func() float64 { return float64(ix.SegmentStats().RecordsScanned) })
 
 	// Live-query watch rates.
 	r.GaugeFunc("hopi_watch_sessions",

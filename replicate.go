@@ -319,7 +319,7 @@ func (t *replTarget) install(img *replication.Image) error {
 		return err
 	}
 	wal.DeferSync = true // see Quiesce
-	cover := sealedCover(store)
+	cover := ix.sealedCover(store)
 	cover.Apply(img.Ops)
 	ix.coll = &Collection{c: c}
 	ix.ix = core.NewFromCover(c, cover)
@@ -328,7 +328,7 @@ func (t *replTarget) install(img *replication.Image) error {
 	ix.last = nil // a new collection: the next engine starts from scratch
 	ix.attach(t.path, store, wal, img.Seq, &openConfig{})
 	ix.dur.tempDir = t.tempDir
-	if ix.dur.err = ix.doCheckpoint(img.Seq, false); ix.dur.err != nil {
+	if ix.dur.err = ix.doCheckpoint(img.Seq); ix.dur.err != nil {
 		return ix.dur.err
 	}
 	// live-query sessions cannot be diffed across a wholesale swap
