@@ -44,10 +44,10 @@ func mustBuild(b *testing.B, c *xmlmodel.Collection, opts core.Options) *core.In
 
 func BenchmarkTable1CollectionStats(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := experiments.Table1(experiments.Config{
+		rows, err := experiments.Table1(experiments.Config{
 			DBLPDocs: 200, INEXDocs: 12, INEXMeanElements: 200, Seed: benchSeed,
 		})
-		if len(rows) != 2 {
+		if err != nil || len(rows) != 2 {
 			b.Fatal("bad table")
 		}
 	}

@@ -1,8 +1,9 @@
 package hopi
 
 // Tests that shell out to the go tool, skipped under -short: the
-// command-line pipeline hopigen → hopibuild → hopiquery/hopistats end
-// to end and hopibench's paper tables, exercising the same binaries a
+// command-line pipeline hopigen → hopibuild → hopiquery end to end,
+// and hopibench's paper tables with a Table 1 row for the generated
+// corpus, exercising the same binaries a
 // user would run, and a vet of the nested benchmark module.
 
 import (
@@ -43,7 +44,6 @@ func TestCLIPipeline(t *testing.T) {
 	hopigen := buildTool(t, dir, "hopigen")
 	hopibuild := buildTool(t, dir, "hopibuild")
 	hopiquery := buildTool(t, dir, "hopiquery")
-	hopistats := buildTool(t, dir, "hopistats")
 
 	corpus := filepath.Join(dir, "corpus")
 	out := runTool(t, hopigen, "-synthetic", "dblp", "-docs", "40", "-out", corpus)
@@ -78,12 +78,11 @@ func TestCLIPipeline(t *testing.T) {
 		t.Fatalf("hopiquery descendants output: %s", out)
 	}
 
-	out = runTool(t, hopistats, "-in", corpus, "-closure=false")
-	if !strings.Contains(out, "# docs:     40") {
-		t.Fatalf("hopistats output: %s", out)
-	}
-
 	hopibench := buildTool(t, dir, "hopibench")
+	out = runTool(t, hopibench, "-exp", "table1", "-docs", "60", "-inexdocs", "4", "-inexels", "50", "-in", corpus)
+	if !strings.Contains(out, "\n"+corpus+"  40 ") {
+		t.Fatalf("hopibench -in: no 40-document row for the corpus:\n%s", out)
+	}
 	out = runTool(t, hopibench, "-exp", "table1,table2,maintenance", "-docs", "60", "-seed", "7")
 	for _, want := range []string{
 		"=== Table 1: collection features ===", "DBLP (synthetic, 1/104)  60 ",

@@ -12,6 +12,7 @@
 //	hopibench -exp table2            # one experiment
 //	hopibench -exp all -docs 620     # includes centralized (~2 min)
 //	hopibench -docs 300 -seed 7      # smaller, different seed
+//	hopibench -exp table1 -in ./docs # Table 1 plus a row for a directory of XML files
 package main
 
 import (
@@ -32,9 +33,8 @@ type experiment struct {
 }
 
 var all = []experiment{
-	{"table1", "Table 1: collection features", true, func(cfg experiments.Config) (string, error) {
-		return experiments.RenderTable1(experiments.Table1(cfg)), nil
-	}},
+	{"table1", "Table 1: collection features", true,
+		rendered(experiments.Table1, experiments.RenderTable1)},
 	{"centralized", "§7.2: centralized cover (no partitioning; slow)", false,
 		rendered(experiments.Centralized, experiments.RenderCentralized)},
 	{"table2", "Table 2: index build time and size", true,
@@ -76,6 +76,7 @@ func main() {
 	inexDocs := flag.Int("inexdocs", 122, "INEX-like document count (paper: 12232)")
 	inexEls := flag.Int("inexels", 950, "INEX-like mean elements per document (paper: ~986)")
 	seed := flag.Int64("seed", 42, "generator and build seed")
+	in := flag.String("in", "", "directory of XML files to add to Table 1 as one more row")
 	flag.Parse()
 
 	want := map[string]bool{}
@@ -95,7 +96,7 @@ func main() {
 	}
 
 	cfg := experiments.Config{
-		DBLPDocs: *docs, INEXDocs: *inexDocs, INEXMeanElements: *inexEls, Seed: *seed,
+		DBLPDocs: *docs, INEXDocs: *inexDocs, INEXMeanElements: *inexEls, Seed: *seed, Dir: *in,
 	}
 	for _, e := range all {
 		if !want[e.name] {

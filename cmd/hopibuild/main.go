@@ -16,11 +16,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"time"
 
 	"hopi"
 	"hopi/internal/gen"
+	"hopi/internal/xmlmodel"
 )
 
 func main() {
@@ -107,25 +107,11 @@ func main() {
 func loadCollection(in, synth string, docs int, seed int64) (*hopi.Collection, error) {
 	switch {
 	case in != "":
-		entries, err := os.ReadDir(in)
+		c, err := xmlmodel.ParseDir(in)
 		if err != nil {
 			return nil, err
 		}
-		files := map[string][]byte{}
-		for _, e := range entries {
-			if e.IsDir() || filepath.Ext(e.Name()) != ".xml" {
-				continue
-			}
-			data, err := os.ReadFile(filepath.Join(in, e.Name()))
-			if err != nil {
-				return nil, err
-			}
-			files[e.Name()] = data
-		}
-		if len(files) == 0 {
-			return nil, fmt.Errorf("no .xml files in %s", in)
-		}
-		return hopi.ParseCollection(files)
+		return hopi.WrapCollection(c), nil
 	case synth == "dblp":
 		return hopi.WrapCollection(gen.DBLP(gen.DefaultDBLP(docs, seed))), nil
 	case synth == "inex":

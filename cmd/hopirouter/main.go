@@ -21,9 +21,10 @@
 //	GET    /query?expr=...&pageToken=...  (vector resume token)
 //	GET    /query/stream?expr=...&pageSize=256  (NDJSON, one result per line,
 //	       shard cursor pages forwarded incrementally; resumes via pageToken)
-//	GET    /stats                         (aggregated across shards)
+//	GET    /stats                         (the router's own metric families as JSON)
+//	GET    /metrics                       (the same families as Prometheus text)
 //	GET    /healthz                       (process liveness)
-//	GET    /readyz                        (every shard reachable + caught up)
+//	GET    /readyz                        (every shard reachable and ready, per shard)
 //	POST   /docs?name=new.xml             (routed to the least-loaded shard)
 //	DELETE /docs/{name}
 //	POST   /links                         {"from":"a.xml:3","to":"b.xml"}

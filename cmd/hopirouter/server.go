@@ -29,11 +29,14 @@ func newRouterServer(r *hopi.Router, maxLimit int) *routerServer {
 		maxLimit = defaultMaxLimit
 	}
 	s := &routerServer{r: r, maxLimit: maxLimit}
+	// /metrics (text) and /stats (JSON) serve the router's own families;
+	// the shards' numbers are on each shard's /metrics.
+	reg := r.Unwrap().Metrics()
 	mux := http.NewServeMux()
-	mux.Handle("GET /metrics", obshttp.MetricsHandler(r.Unwrap().Metrics()))
+	mux.Handle("GET /metrics", obshttp.MetricsHandler(reg))
 	mux.HandleFunc("GET /query", s.handleQuery)
 	mux.HandleFunc("GET /query/stream", s.handleQueryStream)
-	mux.HandleFunc("GET /stats", s.handleStats)
+	mux.Handle("GET /stats", obshttp.StatsHandler(reg))
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
 	mux.HandleFunc("POST /docs", s.handleInsertDoc)
@@ -252,18 +255,14 @@ func (s *routerServer) handleQueryStream(w http.ResponseWriter, r *http.Request)
 	}
 }
 
-func (s *routerServer) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.r.Status(r.Context()))
-}
-
 func (s *routerServer) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // handleReadyz answers 200 only when every shard is reachable and
-// caught up — the aggregated view of the shards' own /readyz.
+// ready by its own /readyz, listing each shard's answer.
 func (s *routerServer) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	st := s.r.Status(r.Context())
+	st := s.r.Unwrap().Ready(r.Context())
 	code := http.StatusOK
 	if !st.Ready {
 		code = http.StatusServiceUnavailable

@@ -24,8 +24,10 @@ type streamLine struct {
 
 // testRouterServer stands up an in-process 2-shard router over a
 // citation chain (every link crosses shards under the alternating
-// placement the partitioner picks for a chain) and serves it.
-func testRouterServer(t *testing.T) *httptest.Server {
+// placement the partitioner picks for a chain) and serves it. wrap,
+// when given, may replace shard connections before the router is
+// built.
+func testRouterServer(t *testing.T, wrap ...func([]hopi.ShardConn)) *httptest.Server {
 	t.Helper()
 	files := map[string][]byte{}
 	for i := 0; i < 10; i++ {
@@ -55,6 +57,9 @@ func testRouterServer(t *testing.T) *httptest.Server {
 		}
 		t.Cleanup(func() { ix.Close() })
 		conns[i] = hopi.NewLocalShard(fmt.Sprintf("s%d", i), ix)
+	}
+	for _, w := range wrap {
+		w(conns)
 	}
 	router, err := hopi.NewRouter(conns, m, "")
 	if err != nil {

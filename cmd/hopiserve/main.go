@@ -28,7 +28,7 @@
 // directory -store names (else in a temporary directory removed on
 // shutdown); restarted on it, even after kill -9, it resumes the stream
 // after its last logged batch without a new image. /stats reports each
-// server's role, applied sequence, and replication lag.
+// server's role (hopi_index_info), applied sequence, and replication lag.
 //
 // API:
 //
@@ -38,7 +38,7 @@
 //	GET    /watch?expr=...&resume=EPOCH   (NDJSON live query: init frame, then deltas)
 //	GET    /explain?expr=...&limit=10     (per-step execution plan)
 //	GET    /reach?from=pub00005.xml&to=pub00002.xml&distance=1
-//	GET    /stats
+//	GET    /stats                        (the /metrics registry as one JSON object)
 //	GET    /repl/stream?from=N&scope=S   (log shipping: the WAL's CRC-framed records)
 //	POST   /docs?name=new.xml            (body: the XML document)
 //	DELETE /docs/{name}
@@ -89,7 +89,7 @@ func main() {
 		seed       = flag.Int64("seed", 42, "generator seed")
 		distance   = flag.Bool("distance", true, "build a distance-aware index (enables ranked queries)")
 		maxLimit   = flag.Int("max-limit", defaultMaxLimit, "server-side ceiling for the query limit parameter (limit<=0 is rejected)")
-		readyLag   = flag.Int("ready-max-lag", defaultReadyMaxLag, "replica lag ceiling (batches) for /readyz; beyond it the node reports unready")
+		readyLag   = flag.Int("ready-max-lag", hopi.DefaultReadyMaxLag, "replica lag ceiling (batches) for /readyz; beyond it the node reports unready")
 		segThresh  = flag.Int("segment-threshold", 0, "with -store: in-memory delta entries at which a write seals a new segment (0 uses the built-in default, <0 disables auto-sealing)")
 		segMax     = flag.Int("max-segments", 0, "with -store: sealed stack size that triggers background compaction (0 uses the built-in default)")
 		watchHB    = flag.Duration("watch-heartbeat", defaultWatchHeartbeat, "idle heartbeat interval on /watch streams")
@@ -122,7 +122,7 @@ func main() {
 		coll.NumDocs(), coll.NumElements(), coll.NumLinks(), snap.Size(), *addr)
 
 	h := newServer(ix, *maxLimit)
-	h.readyMaxLag = *readyLag
+	h.readyMaxLag = uint64(*readyLag)
 	if *watchHB > 0 {
 		h.watchHB = *watchHB
 	}

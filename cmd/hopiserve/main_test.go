@@ -124,10 +124,8 @@ func TestServerEndpoints(t *testing.T) {
 	}
 	getJSON(t, srv.URL+"/reach?from=nope.xml&to=a.xml", http.StatusNotFound, nil)
 
-	var stats statsResponse
-	getJSON(t, srv.URL+"/stats", http.StatusOK, &stats)
-	if stats.Docs != 3 || stats.Elements == 0 {
-		t.Errorf("stats: %+v", stats)
+	if st := getStats(t, srv.URL); st.num("hopi_index_docs") != 3 || st.num("hopi_index_elements") == 0 {
+		t.Errorf("stats: %v", st)
 	}
 
 	// Insert a document citing a.xml, then delete it again.

@@ -238,31 +238,33 @@ func TestServerExplain(t *testing.T) {
 }
 
 // TestServerStatsCounters: repeated queries hit the prepared cache and
-// the counters in /stats reflect it.
+// the serving families in /stats reflect it.
 func TestServerStatsCounters(t *testing.T) {
 	h, ix := newTestServer(t, 20)
 	for i := 0; i < 5; i++ {
 		getInto(t, h, "/query?expr=//article//author&limit=3", http.StatusOK, nil)
 	}
-	var stats statsResponse
-	getInto(t, h, "/stats", http.StatusOK, &stats)
-	if stats.QueriesServed != 5 {
-		t.Errorf("queriesServed = %d, want 5", stats.QueriesServed)
+	var st statsDoc
+	getInto(t, h, "/stats", http.StatusOK, &st)
+	if got := st.num("hopi_serve_queries_total"); got != 5 {
+		t.Errorf("hopi_serve_queries_total = %v, want 5", got)
 	}
-	if stats.ResultsStreamed != 15 {
-		t.Errorf("resultsStreamed = %d, want 15", stats.ResultsStreamed)
+	if got := st.num("hopi_serve_results_streamed_total"); got != 15 {
+		t.Errorf("hopi_serve_results_streamed_total = %v, want 15", got)
 	}
-	if stats.PreparedCached != 1 || stats.PreparedMisses != 1 || stats.PreparedHits != 4 {
-		t.Errorf("prepared cache: size %d hits %d misses %d, want 1/4/1",
-			stats.PreparedCached, stats.PreparedHits, stats.PreparedMisses)
+	size, hits, misses := st.num("hopi_serve_prepared_cache_entries"),
+		st.num("hopi_serve_prepared_cache_hits_total"), st.num("hopi_serve_prepared_cache_misses_total")
+	if size != 1 || misses != 1 || hits != 4 {
+		t.Errorf("prepared cache: size %v hits %v misses %v, want 1/4/1", size, hits, misses)
 	}
-	before := stats.Epoch
+	before := st.info("epoch")
 	if _, err := ix.Apply(t.Context(), insertBatch(t, "e.xml")); err != nil {
 		t.Fatal(err)
 	}
-	getInto(t, h, "/stats", http.StatusOK, &stats)
-	if stats.Epoch == before {
-		t.Errorf("epoch unchanged (%d) after a batch", stats.Epoch)
+	st = nil
+	getInto(t, h, "/stats", http.StatusOK, &st)
+	if st.info("epoch") == before {
+		t.Errorf("epoch unchanged (%s) after a batch", before)
 	}
 }
 

@@ -60,10 +60,9 @@ func TestReplicationSmoke(t *testing.T) {
 		postDoc(t, primaryURL, fmt.Sprintf("smoke%02d.xml", i),
 			`<bib><book><author/></book><cite href="pub00001.xml"/></bib>`, http.StatusCreated)
 	}
-	var pstats statsResponse
-	getJSON(t, primaryURL+"/stats", http.StatusOK, &pstats)
-	if pstats.Role != "primary" || pstats.AppliedSeq != 3 {
-		t.Fatalf("primary stats after writes: %+v", pstats)
+	pstats := getStats(t, primaryURL)
+	if pstats.info("role") != "primary" || pstats.num("hopi_replication_applied_seq") != 3 {
+		t.Fatalf("primary stats after writes: %v", pstats)
 	}
 
 	// two follower processes; the first keeps its store in a directory
@@ -97,16 +96,14 @@ func TestReplicationSmoke(t *testing.T) {
 	getJSON(t, primaryURL+"/query?expr="+qesc("//book//author")+"&limit=1000", http.StatusOK, &pq)
 	for i, base := range followers {
 		waitHealthy(t, base)
-		waitReplicaSeq(t, base, pstats.AppliedSeq)
+		waitReplicaSeq(t, base, 3)
 		var rq queryResponse
 		getJSON(t, base+"/query?expr="+qesc("//book//author")+"&limit=1000", http.StatusOK, &rq)
 		if rq.Count != pq.Count {
 			t.Fatalf("follower %d: %d matches, primary has %d", i, rq.Count, pq.Count)
 		}
-		var rs statsResponse
-		getJSON(t, base+"/stats", http.StatusOK, &rs)
-		if rs.Role != "replica" {
-			t.Fatalf("follower %d role %q", i, rs.Role)
+		if role := getStats(t, base).info("role"); role != "replica" {
+			t.Fatalf("follower %d role %q", i, role)
 		}
 	}
 
@@ -118,9 +115,8 @@ func TestReplicationSmoke(t *testing.T) {
 	primary = startPrimary()
 	defer func() { primary.Process.Kill(); primary.Wait() }()
 	waitHealthy(t, primaryURL)
-	getJSON(t, primaryURL+"/stats", http.StatusOK, &pstats)
-	if pstats.AppliedSeq != 3 {
-		t.Fatalf("primary lost committed writes across kill -9: %+v", pstats)
+	if pstats = getStats(t, primaryURL); pstats.num("hopi_replication_applied_seq") != 3 {
+		t.Fatalf("primary lost committed writes across kill -9: %v", pstats)
 	}
 
 	// a post-restart write reaches both followers through the resumed

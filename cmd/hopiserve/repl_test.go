@@ -60,9 +60,7 @@ func waitReplicaSeq(t *testing.T, base string, want uint64) {
 	t.Helper()
 	deadline := time.Now().Add(15 * time.Second)
 	for time.Now().Before(deadline) {
-		var st statsResponse
-		getJSON(t, base+"/stats", http.StatusOK, &st)
-		if st.AppliedSeq >= want {
+		if getStats(t, base).num("hopi_replication_applied_seq") >= float64(want) {
 			return
 		}
 		time.Sleep(5 * time.Millisecond)
@@ -89,12 +87,12 @@ func TestServerReplicaServesReadsRefusesWrites(t *testing.T) {
 
 	// a write through the primary becomes visible on the replica
 	postDoc(t, primary.URL, "new.xml", `<bib><book><author/></book><cite href="a.xml"/></bib>`, http.StatusCreated)
-	var pstats statsResponse
-	getJSON(t, primary.URL+"/stats", http.StatusOK, &pstats)
-	if pstats.Role != "primary" || pstats.AppliedSeq == 0 {
-		t.Fatalf("primary stats: %+v", pstats)
+	pstats := getStats(t, primary.URL)
+	applied := uint64(pstats.num("hopi_replication_applied_seq"))
+	if pstats.info("role") != "primary" || applied == 0 {
+		t.Fatalf("primary stats: %v", pstats)
 	}
-	waitReplicaSeq(t, replica.URL, pstats.AppliedSeq)
+	waitReplicaSeq(t, replica.URL, applied)
 
 	var pq, rq queryResponse
 	getJSON(t, primary.URL+"/query?expr=//book//author&limit=100", http.StatusOK, &pq)
@@ -103,16 +101,15 @@ func TestServerReplicaServesReadsRefusesWrites(t *testing.T) {
 		t.Fatalf("primary %d matches, replica %d, want 3", pq.Count, rq.Count)
 	}
 
-	var rstats statsResponse
-	getJSON(t, replica.URL+"/stats", http.StatusOK, &rstats)
-	if rstats.Role != "replica" || rstats.ReplicaOf == "" || rstats.ReplicationLag != 0 || !rstats.Connected {
-		t.Fatalf("replica stats: %+v", rstats)
+	rstats := getStats(t, replica.URL)
+	if rstats.info("role") != "replica" || rstats.info("primary") == "" ||
+		rstats.num("hopi_replication_lag_batches") != 0 || rstats.num("hopi_replication_connected") != 1 {
+		t.Fatalf("replica stats: %v", rstats)
 	}
-	if pstats.FollowerStreams == 0 {
+	if pstats.num("hopi_replication_follower_streams") == 0 {
 		// re-read: the stream may have connected after the first probe
-		getJSON(t, primary.URL+"/stats", http.StatusOK, &pstats)
-		if pstats.FollowerStreams == 0 {
-			t.Fatalf("primary reports no follower streams: %+v", pstats)
+		if pstats = getStats(t, primary.URL); pstats.num("hopi_replication_follower_streams") == 0 {
+			t.Fatalf("primary reports no follower streams: %v", pstats)
 		}
 	}
 

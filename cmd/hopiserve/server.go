@@ -53,7 +53,7 @@ type server struct {
 	// shard is the in-process shard adapter behind the /shard/*
 	// endpoints; readyMaxLag is the replica lag ceiling for /readyz.
 	shard       shardrouter.Conn
-	readyMaxLag int
+	readyMaxLag uint64
 
 	// Long-lived NDJSON streams (/watch, /query/stream) register in
 	// streams; beginShutdown closes closing, which cancels their
@@ -85,14 +85,15 @@ func newServer(ix *hopi.Index, maxLimit int) *server {
 	s := &server{
 		ix: ix, maxLimit: maxLimit, cache: newStmtCache(defaultCacheSize),
 		shard:       hopi.NewLocalShard("self", ix),
-		readyMaxLag: defaultReadyMaxLag,
+		readyMaxLag: hopi.DefaultReadyMaxLag,
 		closing:     make(chan struct{}),
 		watchHB:     defaultWatchHeartbeat,
 		reg:         obs.NewRegistry(),
 	}
-	// /metrics serves the whole tree: the index's families (query
-	// latency by mode, WAL append/fsync, maintenance, replication,
-	// segments, watch) plus the serving layer's own.
+	// /metrics (text) and /stats (JSON) serve the whole tree: the
+	// index's families (sizes and identity, query latency by mode, WAL
+	// append/fsync, maintenance, replication, segments, watch) plus the
+	// serving layer's own.
 	s.reg.AddSub(ix.Metrics())
 	s.reg.CounterFunc("hopi_serve_queries_total",
 		"Query requests answered 200 across /query and /query/stream.",
@@ -109,6 +110,14 @@ func newServer(ix *hopi.Index, maxLimit int) *server {
 	s.reg.GaugeFunc("hopi_serve_prepared_cache_entries",
 		"Prepared statements currently cached.",
 		func() float64 { return float64(s.cache.len()) })
+	s.reg.GaugeFunc("hopi_serve_ready",
+		"Whether GET /readyz answers 200 (1/0): a replica is unready while disconnected or beyond -ready-max-lag.",
+		func() float64 {
+			if ok, _ := s.ix.ReplicaStatus().Ready(s.readyMaxLag); ok {
+				return 1
+			}
+			return 0
+		})
 	s.shardRPCs = s.reg.CounterVec("hopi_shard_rpcs_total",
 		"Shard RPCs served on /shard/*, by RPC kind.", "rpc")
 
@@ -121,7 +130,7 @@ func newServer(ix *hopi.Index, maxLimit int) *server {
 	mux.HandleFunc("GET /watch", s.handleWatch)
 	mux.HandleFunc("GET /explain", s.handleExplain)
 	mux.HandleFunc("GET /reach", s.handleReach)
-	mux.HandleFunc("GET /stats", s.handleStats)
+	mux.Handle("GET /stats", obshttp.StatsHandler(s.reg))
 	mux.HandleFunc("POST /docs", s.handleInsertDoc)
 	mux.HandleFunc("DELETE /docs/{name}", s.handleDeleteDoc)
 	mux.HandleFunc("POST /links", s.handleInsertLink)
@@ -449,100 +458,6 @@ func (s *server) handleReach(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, http.StatusOK, out)
-}
-
-type statsResponse struct {
-	Docs         int     `json:"docs"`
-	Elements     int     `json:"elements"`
-	Links        int     `json:"links"`
-	LabelEntries int     `json:"labelEntries"`
-	AvgPerNode   float64 `json:"avgLabelsPerNode"`
-	StoredBytes  int64   `json:"storedBytes"`
-	DistinctHubs int     `json:"distinctHubs"`
-	// Epoch is the snapshot's maintenance-batch counter; resume tokens
-	// are valid only while it is unchanged. Scope identifies the index
-	// the epoch belongs to, and SeqEpoch marks epochs that are durable
-	// WAL sequence numbers (portable across replicas).
-	Epoch    uint64 `json:"epoch"`
-	Scope    uint64 `json:"scope"`
-	SeqEpoch bool   `json:"seqEpoch"`
-	// Ready mirrors GET /readyz (a replica is unready while
-	// disconnected or too far behind its primary).
-	Ready bool `json:"ready"`
-	// query-path counters: requests answered, results written, and the
-	// prepared-statement cache's effectiveness
-	QueriesServed   uint64 `json:"queriesServed"`
-	ResultsStreamed uint64 `json:"resultsStreamed"`
-	PreparedCached  int    `json:"preparedCached"`
-	PreparedHits    uint64 `json:"preparedHits"`
-	PreparedMisses  uint64 `json:"preparedMisses"`
-	// durable deployments (-store) report the write-ahead log state
-	Durable   bool   `json:"durable,omitempty"`
-	WALBytes  int64  `json:"walBytes,omitempty"`
-	LastBatch uint64 `json:"lastBatch,omitempty"`
-	// replication topology: the index's role, the durable batch
-	// sequence its served state reflects, and — on a replica — the
-	// primary's position and the resulting lag in batches
-	Role            string `json:"role"`
-	AppliedSeq      uint64 `json:"appliedSeq"`
-	PrimarySeq      uint64 `json:"primarySeq,omitempty"`
-	ReplicationLag  uint64 `json:"replicationLag"`
-	ReplicaOf       string `json:"replicaOf,omitempty"`
-	Connected       bool   `json:"connected,omitempty"`
-	FollowerStreams int64  `json:"followerStreams,omitempty"`
-	BatchesShipped  uint64 `json:"batchesShipped,omitempty"`
-	// servers reading from a segment store (-store, -index, or a
-	// replica) report the sealed tier: stack shape, live-vs-delta split, compaction progress, and
-	// whether reads go through mmap or the ReadAt fallback
-	Segments *hopi.SegmentStats `json:"segments,omitempty"`
-	// live-query activity: watch sessions, queued deltas, coalesced
-	// batches, evictions, and which evaluation path served them
-	Watch hopi.WatchStats `json:"watch"`
-}
-
-func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
-	snap := s.ix.Snapshot()
-	coll := snap.Collection()
-	labels := snap.Labels()
-	resp := statsResponse{
-		Docs:            coll.NumDocs(),
-		Elements:        coll.NumElements(),
-		Links:           coll.NumLinks(),
-		LabelEntries:    labels.Entries,
-		AvgPerNode:      labels.AvgPerNode,
-		StoredBytes:     labels.StoredBytes,
-		DistinctHubs:    labels.DistinctHubs,
-		Epoch:           snap.Epoch(),
-		Scope:           snap.Scope(),
-		SeqEpoch:        snap.HasSeqEpoch(),
-		Ready:           s.readiness().Ready,
-		QueriesServed:   s.queries.Load(),
-		ResultsStreamed: s.streamed.Load(),
-		PreparedCached:  s.cache.len(),
-		PreparedHits:    s.cache.hits.Load(),
-		PreparedMisses:  s.cache.misses.Load(),
-	}
-	if walBytes, lastSeq, ok := s.ix.WALSize(); ok {
-		resp.Durable = true
-		resp.WALBytes = walBytes
-		resp.LastBatch = lastSeq
-	}
-	rs := s.ix.ReplicaStatus()
-	resp.Role = rs.Role
-	resp.AppliedSeq = rs.AppliedSeq
-	resp.PrimarySeq = rs.PrimarySeq
-	resp.ReplicationLag = rs.Lag
-	resp.ReplicaOf = rs.PrimaryURL
-	resp.Connected = rs.Connected
-	resp.FollowerStreams = rs.FollowerStreams
-	if s.pub != nil {
-		resp.BatchesShipped = s.pub.Shipped()
-	}
-	if seg := s.ix.SegmentStats(); seg.Enabled {
-		resp.Segments = &seg
-	}
-	resp.Watch = s.ix.WatchStats()
-	writeJSON(w, http.StatusOK, resp)
 }
 
 type insertDocResponse struct {

@@ -24,10 +24,6 @@ import (
 // Content-Type is refused with 415. Errors travel as JSON, and so does
 // the cold resolve RPC.
 
-// defaultReadyMaxLag is how many batches a replica may trail its
-// primary and still report ready (flag-configurable via -ready-max-lag).
-const defaultReadyMaxLag = 64
-
 // shardErr writes a shard-RPC failure. Epoch mismatches travel as 412
 // Precondition Failed with the structured mismatch attached, so the
 // router can classify (retry fresh queries, fail resumes as stale).
@@ -134,9 +130,8 @@ func (s *server) handleShardResolve(w http.ResponseWriter, r *http.Request) {
 }
 
 // readyzResponse reports whether this node can serve complete, fresh
-// answers: primaries and standalone indexes always can; a replica only
-// once it is connected to its primary and within -ready-max-lag
-// batches of it. The router excludes unready shards from fan-out.
+// answers, by ReplicaStatus.Ready at -ready-max-lag. The router
+// excludes unready shards from fan-out.
 type readyzResponse struct {
 	Ready bool   `json:"ready"`
 	Role  string `json:"role"`
@@ -144,24 +139,10 @@ type readyzResponse struct {
 	Why   string `json:"why,omitempty"`
 }
 
-func (s *server) readiness() readyzResponse {
-	rs := s.ix.ReplicaStatus()
-	out := readyzResponse{Ready: true, Role: rs.Role, Lag: rs.Lag}
-	if rs.Role == "replica" {
-		switch {
-		case !rs.Connected:
-			out.Ready = false
-			out.Why = "replication stream disconnected"
-		case rs.Lag > uint64(s.readyMaxLag):
-			out.Ready = false
-			out.Why = fmt.Sprintf("replica %d batches behind primary (max %d)", rs.Lag, s.readyMaxLag)
-		}
-	}
-	return out
-}
-
 func (s *server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	out := s.readiness()
+	rs := s.ix.ReplicaStatus()
+	out := readyzResponse{Role: rs.Role, Lag: rs.Lag}
+	out.Ready, out.Why = rs.Ready(s.readyMaxLag)
 	code := http.StatusOK
 	if !out.Ready {
 		code = http.StatusServiceUnavailable

@@ -48,10 +48,8 @@ func TestServerStoreSurvivesRestart(t *testing.T) {
 			t.Fatalf("POST %s: %s", name, resp.Status)
 		}
 	}
-	var stats statsResponse
-	getJSON(t, srv.URL+"/stats", http.StatusOK, &stats)
-	if !stats.Durable || stats.LastBatch == 0 {
-		t.Fatalf("stats does not report durability: %+v", stats)
+	if st := getStats(t, srv.URL); st.num("hopi_index_durable") != 1 || st.num("hopi_replication_applied_seq") == 0 {
+		t.Fatalf("stats does not report durability: %v", st)
 	}
 
 	// crash: stop serving without Close/checkpoint; the index object is
@@ -66,9 +64,8 @@ func TestServerStoreSurvivesRestart(t *testing.T) {
 	srv2 := httptest.NewServer(newServer(re, 0))
 	defer srv2.Close()
 
-	getJSON(t, srv2.URL+"/stats", http.StatusOK, &stats)
-	if want := 2 + inserts; stats.Docs != want {
-		t.Fatalf("after restart: %d docs, want %d", stats.Docs, want)
+	if got, want := getStats(t, srv2.URL).num("hopi_index_docs"), 2+inserts; got != float64(want) {
+		t.Fatalf("after restart: %v docs, want %d", got, want)
 	}
 	var q queryResponse
 	getJSON(t, srv2.URL+"/query?expr=//book//author&limit=1000", http.StatusOK, &q)

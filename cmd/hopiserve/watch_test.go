@@ -90,11 +90,10 @@ func TestWatchEndpoint(t *testing.T) {
 		t.Fatalf("resume frame: %+v", fr)
 	}
 
-	// stats expose the watch block
-	var st statsResponse
-	getJSON(t, srv.URL+"/stats", http.StatusOK, &st)
-	if st.Watch.Sessions < 1 || st.Watch.Delivered == 0 {
-		t.Fatalf("stats watch block: %+v", st.Watch)
+	// stats expose the watch families
+	if st := getStats(t, srv.URL); st.num("hopi_watch_sessions") < 1 || st.num("hopi_watch_delivered_total") == 0 {
+		t.Fatalf("stats watch families: sessions %v, delivered %v",
+			st.num("hopi_watch_sessions"), st.num("hopi_watch_delivered_total"))
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"hopi/internal/core"
-	"hopi/internal/obs"
 	"hopi/internal/segment"
 	"hopi/internal/storage"
 	"hopi/internal/twohop"
@@ -67,9 +66,9 @@ type durableState struct {
 	segThreshold int
 	compactKick  chan struct{} // buffered(1) wake-up for the compactor
 	compactDone  chan struct{} // closed when the compactor exits
-	// maint receives compaction durations from the compactor goroutine
-	// (the checkpoint path records through the index's own handle).
-	maint *obs.HistogramVec
+	// met receives the compactor goroutine's durations and counts (the
+	// checkpoint path records through the index's own handle).
+	met *indexMetrics
 
 	// failpoint, nil in production, lets tests fail the durable protocol
 	// at a named step: "wal-append", "seal", "sidecar", "wal-truncate"
@@ -193,7 +192,7 @@ func (ix *Index) attachNew(path string, cfg *openConfig) error {
 func (ix *Index) attach(path string, store *segment.Store, wal *storage.WAL, seq uint64, cfg *openConfig) {
 	d := &durableState{path: path, segs: store, wal: wal, nextSeq: seq + 1, segThreshold: cfg.threshold()}
 	ix.wireWAL(wal)
-	d.maint = ix.metrics().maintSeconds
+	d.met = ix.metrics()
 	d.startCompactor()
 	ix.dur = d
 	ix.seqEpoch = true
@@ -536,7 +535,8 @@ func (d *durableState) startCompactor() {
 				if ok, err := d.segs.Compact(); err != nil || !ok {
 					break
 				}
-				d.maint.With("compact").ObserveSince(start)
+				d.met.maintSeconds.With("compact").ObserveSince(start)
+				d.met.compactions.Inc()
 			}
 		}
 	}()
@@ -557,48 +557,49 @@ func (d *durableState) stopCompactor() {
 
 // --- observability ----------------------------------------------------
 
-// SegmentStats describes the sealed segment tier for /stats endpoints.
+// SegmentStats describes the sealed segment tier; the index's metric
+// registry samples it for the hopi_segment_* families.
 // Zero-valued with Enabled=false on indexes that never touched a
 // store (Build without Create).
 type SegmentStats struct {
 	// Enabled reports whether the index reads from a segment store.
-	Enabled bool `json:"enabled"`
+	Enabled bool
 	// Segments is the sealed segment file count in the current stack.
-	Segments int `json:"segments"`
+	Segments int
 	// SealedBytes is the total on-disk size of the sealed stack.
-	SealedBytes int64 `json:"sealedBytes"`
+	SealedBytes int64
 	// SealedPosts counts label postings in sealed files, including
 	// entries shadowed by newer segments (compaction removes those).
-	SealedPosts int64 `json:"sealedPosts"`
+	SealedPosts int64
 	// SealedTombs counts tombstones awaiting compaction.
-	SealedTombs int64 `json:"sealedTombs"`
+	SealedTombs int64
 	// LiveEntries is the logical live label count |L|.
-	LiveEntries int64 `json:"liveEntries"`
+	LiveEntries int64
 	// DeltaEntries is the in-memory delta size (adds + tombstones);
 	// sealing resets it to 0.
-	DeltaEntries int `json:"deltaEntries"`
+	DeltaEntries int
 	// SealedSeq is the WAL sequence the sealed state reflects.
-	SealedSeq uint64 `json:"sealedSeq"`
+	SealedSeq uint64
 	// Compactions counts completed stack compactions.
-	Compactions uint64 `json:"compactions"`
+	Compactions uint64
 	// CompactionBacklog is how many segments the stack is over the
 	// compaction threshold (0 when within bounds).
-	CompactionBacklog int `json:"compactionBacklog"`
+	CompactionBacklog int
 	// Mmapped reports whether every sealed segment reads through mmap
 	// (false when any fell back to pread).
-	Mmapped bool `json:"mmapped"`
+	Mmapped bool
 	// ReadErrors counts sealed reads that hit an I/O error and were
 	// served as empty (0 in mmap mode; post-open validation makes
 	// corruption unreachable, so this tracks pread failures only).
-	ReadErrors uint64 `json:"readErrors"`
+	ReadErrors uint64
 	// CacheMisses counts label and owner lookups that missed the decode
 	// cache above the sealed stack and went to the segment blocks;
 	// RecordsScanned counts the block records those lookups walked.
-	CacheMisses    uint64 `json:"cacheMisses"`
-	RecordsScanned uint64 `json:"recordsScanned"`
+	CacheMisses    uint64
+	RecordsScanned uint64
 	// BytesPerLabel is SealedBytes / LiveEntries — compare against the
 	// 16 bytes/entry of the flat in-memory layout (§3.4 accounting).
-	BytesPerLabel float64 `json:"bytesPerLabel"`
+	BytesPerLabel float64
 }
 
 // SegmentStats reports the segment tier's shape and health. Safe to
@@ -627,10 +628,10 @@ func (ix *Index) SegmentStats() SegmentStats {
 		SealedTombs: st.SealedTombs,
 		LiveEntries: st.LiveEntries,
 		SealedSeq:   st.Seq,
-		Compactions: st.Compactions,
 		Mmapped:     st.Mmapped,
 	}
 	m := ix.metrics()
+	out.Compactions = m.compactions.Value()
 	out.DeltaEntries = cov.DeltaEntries()
 	out.ReadErrors = m.segErrs.Value()
 	out.CacheMisses = m.segMisses.Value()

@@ -316,7 +316,9 @@ func (ix *Index) Validate() error {
 }
 
 // Labels summarizes the current label distribution — watch it grow
-// under maintenance churn and shrink again after Rebuild (§6).
+// under maintenance churn and shrink again after Rebuild (§6). It
+// walks every Lin and Lout to count distinct hubs, so it is for
+// offline tools; a server reports the cover's size through Metrics.
 func (ix *Index) Labels() core.LabelStats {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()

@@ -35,6 +35,9 @@ type Config struct {
 	INEXMeanElements int
 	// Seed drives all generators and builds.
 	Seed int64
+	// Dir, when set, adds the .xml files of a directory to Table 1 as
+	// one more row (hopibench -in).
+	Dir string
 }
 
 // DefaultConfig returns the scaling used throughout EXPERIMENTS.md.
@@ -78,25 +81,31 @@ func scaleLabel(docs, paperDocs int) string {
 	return fmt.Sprintf("1/%.0f", float64(paperDocs)/float64(docs))
 }
 
-// Table1 reports the features of both synthetic collections.
-func Table1(cfg Config) []Table1Row {
-	rows := make([]Table1Row, 0, 2)
-	for _, c := range []struct {
-		name string
-		coll *xmlmodel.Collection
-	}{
-		{"DBLP (synthetic, " + scaleLabel(cfg.DBLPDocs, paperDBLPDocs) + ")", cfg.dblp()},
-		{"INEX (synthetic, " + scaleLabel(cfg.INEXDocs, paperINEXDocs) + ")", cfg.inex()},
-	} {
-		rows = append(rows, Table1Row{
-			Name:     c.name,
-			Docs:     c.coll.NumDocs(),
-			Elements: c.coll.NumElements(),
-			Links:    c.coll.NumLinks(),
-			SizeMB:   float64(c.coll.ApproxXMLBytes()) / (1 << 20),
-		})
+// Table1 reports the features of both synthetic collections, and of
+// the collection in cfg.Dir when set.
+func Table1(cfg Config) ([]Table1Row, error) {
+	rows := []Table1Row{
+		table1Row("DBLP (synthetic, "+scaleLabel(cfg.DBLPDocs, paperDBLPDocs)+")", cfg.dblp()),
+		table1Row("INEX (synthetic, "+scaleLabel(cfg.INEXDocs, paperINEXDocs)+")", cfg.inex()),
 	}
-	return rows
+	if cfg.Dir != "" {
+		c, err := xmlmodel.ParseDir(cfg.Dir)
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, table1Row(cfg.Dir, c))
+	}
+	return rows, nil
+}
+
+func table1Row(name string, c *xmlmodel.Collection) Table1Row {
+	return Table1Row{
+		Name:     name,
+		Docs:     c.NumDocs(),
+		Elements: c.NumElements(),
+		Links:    c.NumLinks(),
+		SizeMB:   float64(c.ApproxXMLBytes()) / (1 << 20),
+	}
 }
 
 // RenderTable1 formats Table 1 like the paper.

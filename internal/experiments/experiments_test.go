@@ -12,8 +12,8 @@ func smallConfig() Config {
 }
 
 func TestTable1Shape(t *testing.T) {
-	rows := Table1(smallConfig())
-	if len(rows) != 2 {
+	rows, err := Table1(smallConfig())
+	if err != nil || len(rows) != 2 {
 		t.Fatal("want 2 rows")
 	}
 	dblp, inex := rows[0], rows[1]
@@ -42,7 +42,9 @@ func TestTable1Shape(t *testing.T) {
 	}
 	def := DefaultConfig()
 	def.INEXMeanElements = 20 // the label does not depend on document size
-	rows = Table1(def)
+	if rows, err = Table1(def); err != nil {
+		t.Fatal(err)
+	}
 	if rows[0].Name != "DBLP (synthetic, 1/10)" || rows[1].Name != "INEX (synthetic, 1/100)" {
 		t.Errorf("labels at the default counts: %q, %q", rows[0].Name, rows[1].Name)
 	}

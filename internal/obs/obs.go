@@ -1,7 +1,7 @@
 // Package obs is the zero-dependency metrics core shared by every hopi
 // process: atomic counters, gauges, and fixed-bucket latency histograms,
 // grouped into labeled families inside a Registry, exposed in Prometheus
-// text format by WritePrometheus.
+// text format by WritePrometheus and as one JSON object by WriteJSON.
 //
 // Registries compose: a process owns one root Registry and attaches the
 // per-component registries of the subsystems it hosts (index, router,
@@ -165,6 +165,8 @@ type family struct {
 	hists    map[string]*Histogram
 	bounds   []float64 // histogram families only
 	order    []string  // insertion order of label keys
+	// info, on an info family, samples its one series' label values.
+	info func() []string
 }
 
 const labelSep = "\x1f"
@@ -314,6 +316,20 @@ func (r *Registry) GaugeFuncVec(name, help string, labels, values []string, fn f
 		f.order = append(f.order, key)
 	}
 	f.funcs[key] = fn
+}
+
+// Info registers an info-style family: one gauge series of value 1
+// whose label values fn samples at exposition time — the fit for
+// facts a float cannot carry (a role, an identity, a URL). fn returns
+// one value per label name. Nil-safe.
+func (r *Registry) Info(name, help string, labels []string, fn func() []string) {
+	if r == nil {
+		return
+	}
+	f := r.fam(name, help, kindGauge, nil, labels)
+	f.mu.Lock()
+	f.info = fn
+	f.mu.Unlock()
 }
 
 // Histogram registers (or fetches) an unlabeled histogram with the

@@ -2,6 +2,8 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -215,5 +217,69 @@ func TestParserRejectsMalformed(t *testing.T) {
 	ok := "# HELP h x\n# TYPE h histogram\nh_bucket{le=\"1\"} 3\nh_bucket{le=\"+Inf\"} 5\nh_sum 2.5\nh_count 5\n"
 	if _, err := ParseText(strings.NewReader(ok)); err != nil {
 		t.Fatalf("well-formed input rejected: %v", err)
+	}
+}
+
+// TestStatsJSON renders one tree both ways: the JSON object lists the
+// exposition's families under the same names and values, in the three
+// documented shapes, and an info family's labels are sampled per
+// scrape.
+func TestStatsJSON(t *testing.T) {
+	r := NewRegistry()
+	sub := NewRegistry()
+	r.AddSub(sub)
+	r.Counter("hopi_j_total", "plain counter").Add(7)
+	r.CounterVec("hopi_j_mode_total", "labeled counter", "mode", "side").With("seed", "in").Add(3)
+	sub.CounterVec("hopi_j_mode_total", "labeled counter", "mode", "side").With("pair", "out").Inc()
+	r.CounterVec("hopi_j_unused_total", "labeled counter without series", "rpc")
+	r.GaugeFunc("hopi_j_func", "sampled gauge", func() float64 { return 2.5 })
+	r.HistogramVec("hopi_j_seconds", "labeled histogram", DefLatencyBuckets, "op").With("seal").Observe(0.25)
+	role := "primary"
+	r.Info("hopi_j_info", "info family", []string{"role", "url"}, func() []string { return []string{role, "http://h:1"} })
+
+	render := func() (map[string]any, map[string]*ParsedFamily) {
+		var js, text bytes.Buffer
+		if err := r.WriteJSON(&js); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.WritePrometheus(&text); err != nil {
+			t.Fatal(err)
+		}
+		var doc map[string]any
+		if err := json.Unmarshal(js.Bytes(), &doc); err != nil {
+			t.Fatalf("JSON did not decode: %v\n%s", err, js.String())
+		}
+		fams, err := ParseText(&text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return doc, fams
+	}
+	doc, fams := render()
+	if len(doc) != len(fams) {
+		t.Errorf("JSON lists %d families, exposition %d", len(doc), len(fams))
+	}
+	want := map[string]any{
+		"hopi_j_total":        7.0,
+		"hopi_j_mode_total":   map[string]any{"mode=seed,side=in": 3.0, "mode=pair,side=out": 1.0},
+		"hopi_j_unused_total": map[string]any{},
+		"hopi_j_func":         2.5,
+		"hopi_j_seconds":      map[string]any{"op=seal": map[string]any{"count": 1.0, "sum": 0.25}},
+		"hopi_j_info":         map[string]any{"role=primary,url=http://h:1": 1.0},
+	}
+	for name, w := range want {
+		if got := doc[name]; fmt.Sprint(got) != fmt.Sprint(w) {
+			t.Errorf("%s = %v, want %v", name, got, w)
+		}
+		if fams[name] == nil {
+			t.Errorf("%s missing from the exposition", name)
+		}
+	}
+	if s := fams["hopi_j_info"].Samples; len(s) != 1 || s[0].Labels["role"] != "primary" || s[0].Value != 1 {
+		t.Errorf("info exposition: %+v", s)
+	}
+	role = "replica"
+	if doc, _ = render(); fmt.Sprint(doc["hopi_j_info"]) != fmt.Sprint(map[string]any{"role=replica,url=http://h:1": 1.0}) {
+		t.Errorf("info labels not resampled: %v", doc["hopi_j_info"])
 	}
 }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bufio"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -15,20 +16,13 @@ import (
 // Families sharing a name across sub-registries are merged under one
 // HELP/TYPE header so the output never repeats a header.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	if r == nil {
-		return nil
-	}
-	groups := map[string][]*family{}
-	var names []string
-	collect(r, groups, &names, map[*Registry]bool{})
-	sort.Strings(names)
+	names, groups := r.gather()
 	bw := bufio.NewWriter(w)
 	for _, name := range names {
-		fams := groups[name]
-		lead := fams[0]
+		lead := groups[name][0]
 		fmt.Fprintf(bw, "# HELP %s %s\n", name, escapeHelp(lead.help))
 		fmt.Fprintf(bw, "# TYPE %s %s\n", name, lead.kind)
-		for _, f := range fams {
+		for _, f := range groups[name] {
 			if f.kind != lead.kind {
 				return fmt.Errorf("obs: family %s registered as both %s and %s", name, lead.kind, f.kind)
 			}
@@ -36,6 +30,44 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
+}
+
+// WriteJSON renders the same families as WritePrometheus as one JSON
+// object keyed by family name: an unlabeled counter or gauge is a
+// number, a labeled family an object keyed by "label=value[,…]", and a
+// histogram {"count": n, "sum": s}.
+func (r *Registry) WriteJSON(w io.Writer) error {
+	names, groups := r.gather()
+	out := make(map[string]any, len(names))
+	for _, name := range names {
+		var byKey map[string]any
+		for _, f := range groups[name] {
+			if len(f.labels) > 0 && byKey == nil {
+				byKey = map[string]any{}
+				out[name] = byKey
+			}
+			for _, ch := range f.children() {
+				if byKey == nil {
+					out[name] = ch.jsonValue()
+				} else {
+					byKey[ch.key(f.labels)] = ch.jsonValue()
+				}
+			}
+		}
+	}
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(out)
+}
+
+// gather returns the tree's family names, sorted, and the families
+// under each.
+func (r *Registry) gather() ([]string, map[string][]*family) {
+	groups := map[string][]*family{}
+	var names []string
+	collect(r, groups, &names, map[*Registry]bool{})
+	sort.Strings(names)
+	return names, groups
 }
 
 // collect gathers families depth-first, keeping first-seen name order
@@ -64,35 +96,84 @@ func collect(r *Registry, groups map[string][]*family, names *[]string, seen map
 	}
 }
 
-func (f *family) write(w io.Writer) {
+// child is one series of a family at exposition time: its label values
+// and the metric behind it, a gauge read through fn.
+type child struct {
+	values []string
+	c      *Counter
+	fn     func() float64
+	h      *Histogram
+}
+
+// children lists a family's series in registration order. An info
+// family has one, whose label values its func samples now.
+func (f *family) children() []child {
 	f.mu.Lock()
-	order := append([]string(nil), f.order...)
-	f.mu.Unlock()
-	for _, key := range order {
-		var values []string
-		if len(f.labels) > 0 {
-			values = strings.Split(key, labelSep)
+	info := f.info
+	out := make([]child, 0, len(f.order))
+	for _, key := range f.order {
+		ch := child{c: f.counters[key], fn: f.funcs[key], h: f.hists[key]}
+		if g := f.gauges[key]; g != nil {
+			ch.fn = g.Value
 		}
-		lbl := labelString(f.labels, values, "", "")
-		f.mu.Lock()
-		c, g, fn, h := f.counters[key], f.gauges[key], f.funcs[key], f.hists[key]
-		f.mu.Unlock()
+		if len(f.labels) > 0 {
+			ch.values = strings.Split(key, labelSep)
+		}
+		out = append(out, ch)
+	}
+	f.mu.Unlock()
+	if info != nil {
+		return []child{{values: info(), fn: func() float64 { return 1 }}}
+	}
+	return out
+}
+
+// key renders the child's label pairs as "a=x,b=y".
+func (ch child) key(labels []string) string {
+	pairs := make([]string, len(labels))
+	for i, n := range labels {
+		pairs[i] = n + "=" + ch.values[i]
+	}
+	return strings.Join(pairs, ",")
+}
+
+func (ch child) jsonValue() any {
+	switch {
+	case ch.c != nil:
+		return ch.c.Value()
+	case ch.fn != nil:
+		return jsonFloat(ch.fn())
+	}
+	return map[string]any{"count": ch.h.Count(), "sum": jsonFloat(ch.h.Sum())}
+}
+
+// jsonFloat passes finite values through and spells the others as the
+// text format does, since a JSON number cannot carry them.
+func jsonFloat(v float64) any {
+	if math.IsInf(v, 0) || math.IsNaN(v) {
+		return fmtFloat(v)
+	}
+	return v
+}
+
+func (f *family) write(w io.Writer) {
+	for _, ch := range f.children() {
+		lbl := labelString(f.labels, ch.values, "", "")
 		switch {
-		case c != nil:
-			fmt.Fprintf(w, "%s%s %d\n", f.name, lbl, c.Value())
-		case g != nil:
-			fmt.Fprintf(w, "%s%s %s\n", f.name, lbl, fmtFloat(g.Value()))
-		case fn != nil:
-			fmt.Fprintf(w, "%s%s %s\n", f.name, lbl, fmtFloat(fn()))
-		case h != nil:
+		case ch.c != nil:
+			fmt.Fprintf(w, "%s%s %d\n", f.name, lbl, ch.c.Value())
+		case ch.fn != nil:
+			fmt.Fprintf(w, "%s%s %s\n", f.name, lbl, fmtFloat(ch.fn()))
+		case ch.h != nil:
+			h := ch.h
 			var cum uint64
 			for i, b := range h.bounds {
 				cum += h.counts[i].Load()
-				le := labelString(f.labels, values, "le", fmtFloat(b))
+				le := labelString(f.labels, ch.values, "le", fmtFloat(b))
 				fmt.Fprintf(w, "%s_bucket%s %d\n", f.name, le, cum)
 			}
 			cum += h.counts[len(h.bounds)].Load()
-			le := labelString(f.labels, values, "le", "+Inf")
+			le := labelString(f.labels, ch.values, "le", "+Inf")
 			fmt.Fprintf(w, "%s_bucket%s %d\n", f.name, le, cum)
 			fmt.Fprintf(w, "%s_sum%s %s\n", f.name, lbl, fmtFloat(h.Sum()))
 			fmt.Fprintf(w, "%s_count%s %d\n", f.name, lbl, cum)

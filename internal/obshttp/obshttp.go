@@ -1,5 +1,5 @@
 // Package obshttp is the HTTP face of the observability layer, shared
-// by hopiserve and hopirouter: the /metrics exposition handler, the
+// by hopiserve and hopirouter: the /metrics and /stats handlers, the
 // structured access-log middleware (which also mints or echoes the
 // X-Hopi-Trace correlation ID), and the loopback pprof listener.
 package obshttp
@@ -27,6 +27,17 @@ func MetricsHandler(reg *obs.Registry) http.Handler {
 			// Headers are already out; the truncated body fails the
 			// scraper's parse, which is the visible failure we want.
 			log.Printf("obshttp: /metrics write: %v", err)
+		}
+	})
+}
+
+// StatsHandler serves reg as one JSON object (see obs.WriteJSON): the
+// /stats rendering of the registry /metrics serves as text.
+func StatsHandler(reg *obs.Registry) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		if err := reg.WriteJSON(w); err != nil {
+			log.Printf("obshttp: /stats write: %v", err)
 		}
 	})
 }

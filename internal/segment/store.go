@@ -26,8 +26,7 @@ type Store struct {
 	man   manifest
 	stack atomic.Pointer[Stack]
 
-	compactMu   sync.Mutex // at most one compaction at a time
-	compactions atomic.Uint64
+	compactMu sync.Mutex // at most one compaction at a time
 
 	// failpoint, when set (tests only), is consulted before the
 	// manifest temp file is fsynced; a non-nil error fails the commit
@@ -275,9 +274,6 @@ func (s *Store) NeedsCompaction() bool {
 	return len(s.stack.Load().Segs) > s.opts.maxStack()
 }
 
-// Compactions returns how many compactions have completed.
-func (s *Store) Compactions() uint64 { return s.compactions.Load() }
-
 // Compact folds the entire current stack into one segment, dropping
 // tombstones, and atomically replaces the stack prefix with it.
 // Safe to run concurrently with Seal (the merge reads a pinned
@@ -343,7 +339,6 @@ func (s *Store) Compact() (bool, error) {
 	for _, sg := range pinned.Segs {
 		os.Remove(sg.path) // mappings keep the bytes alive for readers
 	}
-	s.compactions.Add(1)
 	return true, nil
 }
 
@@ -393,7 +388,6 @@ type Stats struct {
 	SealedTombs int64  // tombstones awaiting compaction
 	LiveEntries int64  // logical live label count (manifest)
 	Seq         uint64 // sealed WAL sequence
-	Compactions uint64 // completed compactions
 	Mmapped     bool   // every segment reads through mmap
 }
 
@@ -403,13 +397,12 @@ func (s *Store) Stats() Stats {
 	seq, live := s.man.Seq, s.man.Live
 	s.mu.Unlock()
 	out := s.stack.Load().Stats()
-	out.LiveEntries, out.Seq, out.Compactions = live, seq, s.compactions.Load()
+	out.LiveEntries, out.Seq = live, seq
 	return out
 }
 
-// Stats describes the stack's files; LiveEntries and Compactions, which
-// only a store's manifest and history know, stay zero, and Seq is the
-// newest segment's sequence.
+// Stats describes the stack's files; LiveEntries, which only a store's
+// manifest knows, stays zero, and Seq is the newest segment's sequence.
 func (st *Stack) Stats() Stats {
 	out := Stats{Segments: len(st.Segs), Mmapped: true}
 	for _, sg := range st.Segs {

@@ -21,9 +21,9 @@ import (
 type Conn interface {
 	// Name identifies the shard in errors and status reports.
 	Name() string
-	// Info reports the shard's current epoch, identity, and serving
-	// stats; the router aggregates these for /stats and /readyz.
-	Info(ctx context.Context) (*ShardInfo, error)
+	// Ready returns nil when the shard serves complete, fresh answers,
+	// and otherwise says why not; the router's /readyz gathers it.
+	Ready(ctx context.Context) error
 	// Step evaluates one location step shard-locally.
 	Step(ctx context.Context, req *StepRequest) (*StepResponse, error)
 	// Deliver injects cross-shard frontier arrivals at in-endpoints and
@@ -189,47 +189,6 @@ type WriteResult struct {
 	// Unresolved lists link targets ("doc#anchor") the shard could not
 	// resolve locally; the router re-resolves them across shards.
 	Unresolved []string `json:"unresolved,omitempty"`
-}
-
-// ShardInfo is one shard's identity and serving stats.
-type ShardInfo struct {
-	Name            string `json:"name"`
-	Epoch           uint64 `json:"epoch"`
-	Scope           uint64 `json:"scope"`
-	SeqEpoch        bool   `json:"seqEpoch"`
-	Ready           bool   `json:"ready"`
-	Role            string `json:"role,omitempty"`
-	QueriesServed   uint64 `json:"queriesServed"`
-	ResultsStreamed uint64 `json:"resultsStreamed"`
-	ReplicationLag  int64  `json:"replicationLag,omitempty"`
-	// Segments is present when the shard runs a segment-backed (LSM)
-	// store; the field names mirror the shard's own /stats block.
-	Segments *SegmentInfo `json:"segments,omitempty"`
-	// Watch mirrors the shard's live-query block when present.
-	Watch *WatchInfo `json:"watch,omitempty"`
-	Err   string     `json:"err,omitempty"`
-}
-
-// WatchInfo is the subset of a shard's live-query (/watch) stats the
-// router aggregates.
-type WatchInfo struct {
-	Sessions     int    `json:"sessions"`
-	QueuedDeltas int    `json:"queuedDeltas"`
-	Delivered    uint64 `json:"delivered"`
-	Coalesced    uint64 `json:"coalesced"`
-	Evictions    uint64 `json:"evictions"`
-}
-
-// SegmentInfo is the subset of a shard's segment-store stats the
-// router aggregates.
-type SegmentInfo struct {
-	Segments          int     `json:"segments"`
-	SealedBytes       int64   `json:"sealedBytes"`
-	DeltaEntries      int     `json:"deltaEntries"`
-	Compactions       uint64  `json:"compactions"`
-	CompactionBacklog int     `json:"compactionBacklog"`
-	BytesPerLabel     float64 `json:"bytesPerLabel"`
-	Mmapped           bool    `json:"mmapped"`
 }
 
 // --- errors -----------------------------------------------------------

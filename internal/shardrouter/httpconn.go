@@ -2,6 +2,7 @@ package shardrouter
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -15,10 +16,10 @@ import (
 
 // HTTPConn drives one hopiserve primary as a shard over its HTTP API:
 // the /shard/* RPC endpoints for evaluation, the maintenance endpoints
-// for writes, and /stats for identity and serving counters. Transport
-// failures surface as *ShardUnavailableError (opening the router's
-// circuit breaker); a 412 from a pinned request is decoded back into
-// the *EpochMismatchError the shard raised.
+// for writes, and /readyz for readiness. Transport failures surface as
+// *ShardUnavailableError (opening the router's circuit breaker); a 412
+// from a pinned request is decoded back into the *EpochMismatchError
+// the shard raised.
 //
 // The hot RPCs (Step, Deliver, Closure) travel as binary frames (see
 // codec.go) both ways; errors and the cold endpoints are JSON.
@@ -28,7 +29,7 @@ type HTTPConn struct {
 	hc   *http.Client
 
 	// wire, when attached by a Router, counts request/response payload
-	// bytes for the /stats wireBytesIn/Out counters.
+	// bytes for the hopi_router_wire_bytes_{in,out}_total counters.
 	wire atomic.Pointer[WireStats]
 }
 
@@ -146,7 +147,7 @@ func (c *HTTPConn) send(req *http.Request) ([]byte, error) {
 	return body, nil
 }
 
-// do runs one request on the cold endpoints (Info, writes, Resolve):
+// do runs one request on the cold endpoints (writes, Resolve):
 // in, when non-nil, is sent as a JSON body, and the JSON response is
 // decoded into out when out is non-nil.
 func (c *HTTPConn) do(ctx context.Context, method, path string, in, out any) error {
@@ -216,29 +217,28 @@ func (c *HTTPConn) Resolve(ctx context.Context, specs []string) ([]ResolveResult
 	return out.Results, nil
 }
 
-func (c *HTTPConn) Info(ctx context.Context) (*ShardInfo, error) {
+// Ready reads the shard's /readyz: 200 is ready, and any other answer
+// carries the shard's own reason, judged by its -ready-max-lag.
+func (c *HTTPConn) Ready(ctx context.Context) error {
+	req, err := c.request(ctx, http.MethodGet, "/readyz", "", nil)
+	if err != nil {
+		return err
+	}
+	resp, err := c.hc.Do(req)
+	if err != nil {
+		return &ShardUnavailableError{Shard: c.name, Err: err}
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
+	c.countIn(len(body))
+	if resp.StatusCode == http.StatusOK {
+		return nil
+	}
 	var st struct {
-		Epoch           uint64       `json:"epoch"`
-		Scope           uint64       `json:"scope"`
-		SeqEpoch        bool         `json:"seqEpoch"`
-		Ready           bool         `json:"ready"`
-		Role            string       `json:"role"`
-		QueriesServed   uint64       `json:"queriesServed"`
-		ResultsStreamed uint64       `json:"resultsStreamed"`
-		ReplicationLag  uint64       `json:"replicationLag"`
-		Segments        *SegmentInfo `json:"segments"`
-		Watch           *WatchInfo   `json:"watch"`
+		Why string `json:"why"`
 	}
-	if err := c.do(ctx, http.MethodGet, "/stats", nil, &st); err != nil {
-		return nil, err
-	}
-	return &ShardInfo{
-		Name: c.name, Epoch: st.Epoch, Scope: st.Scope, SeqEpoch: st.SeqEpoch,
-		Ready: st.Ready, Role: st.Role,
-		QueriesServed: st.QueriesServed, ResultsStreamed: st.ResultsStreamed,
-		ReplicationLag: int64(st.ReplicationLag), Segments: st.Segments,
-		Watch: st.Watch,
-	}, nil
+	json.Unmarshal(body, &st)
+	return fmt.Errorf("shard %s: %s", c.name, cmp.Or(st.Why, resp.Status))
 }
 
 func (c *HTTPConn) Write(ctx context.Context, wr *WriteRequest) (*WriteResult, error) {

@@ -2,6 +2,7 @@ package shardrouter
 
 import (
 	"context"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -67,5 +68,35 @@ func TestHTTPConnBinaryNegotiation(t *testing.T) {
 	}
 	if ws.out.Load() == 0 || ws.in.Load() == 0 {
 		t.Errorf("wire stats not counted: out=%d in=%d", ws.out.Load(), ws.in.Load())
+	}
+}
+
+// TestHTTPConnReady: a shard's /readyz 200 is ready, a 503 carries the
+// shard's own reason, and an unreachable shard is unavailable.
+func TestHTTPConnReady(t *testing.T) {
+	var lagging atomic.Bool
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/readyz" {
+			t.Errorf("probe hit %s", r.URL.Path)
+		}
+		if lagging.Load() {
+			w.WriteHeader(http.StatusServiceUnavailable)
+			io.WriteString(w, `{"ready":false,"role":"replica","lag":70,"why":"replica 70 batches behind primary (max 64)"}`)
+			return
+		}
+		io.WriteString(w, `{"ready":true,"role":"primary"}`)
+	}))
+	c := NewHTTPShard(srv.URL, time.Second)
+	if err := c.Ready(context.Background()); err != nil {
+		t.Fatalf("ready shard: %v", err)
+	}
+	lagging.Store(true)
+	if err := c.Ready(context.Background()); err == nil || !strings.Contains(err.Error(), "70 batches behind") {
+		t.Fatalf("lagging shard: %v", err)
+	}
+	srv.Close()
+	var su *ShardUnavailableError
+	if err := c.Ready(context.Background()); !errors.As(err, &su) {
+		t.Fatalf("closed shard: %v, want *ShardUnavailableError", err)
 	}
 }

@@ -110,13 +110,13 @@ type Counters struct {
 	// ClosureCacheHits counts evaluation attempts whose pinned cut found
 	// its assembled endpoint graph — the shards' closures — memoized,
 	// so no Closure round ran; ClosureCacheMisses those that ran one.
-	ClosureCacheHits   uint64 `json:"closureCacheHits"`
-	ClosureCacheMisses uint64 `json:"closureCacheMisses"`
-	StepRPCs           uint64 `json:"stepRPCs"`
-	ClosureRPCs        uint64 `json:"closureRPCs"`
-	DeliverRPCs        uint64 `json:"deliverRPCs"`
-	WireBytesIn        uint64 `json:"wireBytesIn"`
-	WireBytesOut       uint64 `json:"wireBytesOut"`
+	ClosureCacheHits   uint64
+	ClosureCacheMisses uint64
+	StepRPCs           uint64
+	ClosureRPCs        uint64
+	DeliverRPCs        uint64
+	WireBytesIn        uint64
+	WireBytesOut       uint64
 }
 
 // Counters snapshots the router's serving-path counters without any
@@ -609,114 +609,43 @@ func (r *Router) persistLocked(m *ShardMap) error {
 	return m.Save(r.mapPath)
 }
 
-// --- status -----------------------------------------------------------
+// --- readiness --------------------------------------------------------
 
-// Status is the router's aggregated view of the tier: per-shard
-// identities plus summed serving counters (queriesServed and
-// resultsStreamed add the router's own counts to the shards') and the
-// maximum replication lag across shards.
-type Status struct {
-	NumShards  int    `json:"numShards"`
-	MapVersion uint64 `json:"mapVersion"`
-	Docs       int    `json:"docs"`
-	CrossLinks int    `json:"crossLinks"`
-	Ready      bool   `json:"ready"`
-
-	QueriesServed     uint64 `json:"queriesServed"`
-	ResultsStreamed   uint64 `json:"resultsStreamed"`
-	MaxReplicationLag int64  `json:"maxReplicationLag"`
-
-	// segment-store aggregates over the shards that run one:
-	// how many do, their summed sealed footprint and pending delta,
-	// and the worst compaction backlog in the tier
-	SegmentedShards      int   `json:"segmentedShards,omitempty"`
-	SegmentsTotal        int   `json:"segmentsTotal,omitempty"`
-	SegSealedBytes       int64 `json:"segSealedBytes,omitempty"`
-	SegDeltaEntries      int   `json:"segDeltaEntries,omitempty"`
-	MaxCompactionBacklog int   `json:"maxCompactionBacklog,omitempty"`
-
-	// live-query aggregates over all shards: open watch sessions,
-	// undelivered pending deltas, coalesced batches, and evictions
-	WatchSessions     int    `json:"watchSessions"`
-	WatchQueuedDeltas int    `json:"watchQueuedDeltas"`
-	WatchCoalesced    uint64 `json:"watchCoalesced"`
-	WatchEvictions    uint64 `json:"watchEvictions"`
-
-	// Counters inlines the router's own serving-path instrumentation
-	// (closureCacheHits/Misses, stepRPCs, closureRPCs, deliverRPCs,
-	// wireBytesIn/Out).
-	Counters
-
-	Shards []ShardInfo `json:"shards"`
+// Readiness is the tier's /readyz answer: ready when every shard is.
+type Readiness struct {
+	Ready  bool         `json:"ready"`
+	Shards []ShardReady `json:"shards"`
 }
 
-// Status gathers shard infos in parallel and aggregates them. A shard
-// that cannot be reached is reported with its error and marks the tier
-// unready; the aggregate counters cover the shards that answered.
-func (r *Router) Status(ctx context.Context) *Status {
-	m := r.cur.Load()
-	st := &Status{
-		NumShards:       len(r.conns),
-		MapVersion:      m.Version,
-		Docs:            len(m.Docs),
-		CrossLinks:      len(m.CrossLinks),
-		Ready:           true,
-		QueriesServed:   r.queries.Load(),
-		ResultsStreamed: r.streamed.Load(),
-		Counters:        r.Counters(),
-		Shards:          make([]ShardInfo, len(r.conns)),
-	}
+// ShardReady is one shard's readiness; Why says what keeps it unready.
+type ShardReady struct {
+	Name  string `json:"name"`
+	Ready bool   `json:"ready"`
+	Why   string `json:"why,omitempty"`
+}
+
+// Ready probes every shard in parallel. A shard that cannot be reached
+// or reports itself unready makes the tier unready.
+func (r *Router) Ready(ctx context.Context) *Readiness {
+	out := &Readiness{Ready: true, Shards: make([]ShardReady, len(r.conns))}
 	var wg sync.WaitGroup
 	for i := range r.conns {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			err := r.callConn(i, func(c Conn) error {
-				info, ierr := c.Info(ctx)
-				if ierr != nil {
-					return ierr
-				}
-				st.Shards[i] = *info
-				return nil
-			})
-			if err != nil {
-				st.Shards[i] = ShardInfo{Name: r.conns[i].Name(), Err: err.Error()}
+			sr := ShardReady{Name: r.conns[i].Name(), Ready: true}
+			if err := r.callConn(i, func(c Conn) error { return c.Ready(ctx) }); err != nil {
+				sr.Ready, sr.Why = false, err.Error()
 			}
+			out.Shards[i] = sr
 		}(i)
 	}
 	wg.Wait()
-	for i := range st.Shards {
-		s := &st.Shards[i]
-		if s.Err != "" || !s.Ready {
-			st.Ready = false
-		}
-		st.QueriesServed += s.QueriesServed
-		st.ResultsStreamed += s.ResultsStreamed
-		if s.ReplicationLag > st.MaxReplicationLag {
-			st.MaxReplicationLag = s.ReplicationLag
-		}
-		if seg := s.Segments; seg != nil {
-			st.SegmentedShards++
-			st.SegmentsTotal += seg.Segments
-			st.SegSealedBytes += seg.SealedBytes
-			st.SegDeltaEntries += seg.DeltaEntries
-			if seg.CompactionBacklog > st.MaxCompactionBacklog {
-				st.MaxCompactionBacklog = seg.CompactionBacklog
-			}
-		}
-		if wa := s.Watch; wa != nil {
-			st.WatchSessions += wa.Sessions
-			st.WatchQueuedDeltas += wa.QueuedDeltas
-			st.WatchCoalesced += wa.Coalesced
-			st.WatchEvictions += wa.Evictions
-		}
+	for _, sr := range out.Shards {
+		out.Ready = out.Ready && sr.Ready
 	}
-	return st
+	return out
 }
-
-// Ready reports whether the tier can serve complete answers: the map
-// is loaded and every shard answers and reports ready.
-func (r *Router) Ready(ctx context.Context) bool { return r.Status(ctx).Ready }
 
 // sortResults orders merged results canonically: unranked ascending by
 // (ordinal, local) — the sharded equivalent of ascending global

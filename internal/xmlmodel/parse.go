@@ -5,6 +5,8 @@ import (
 	"encoding/xml"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 )
@@ -110,6 +112,30 @@ func splitHref(v string) (target, anchor string) {
 		return v[:i], v[i+1:]
 	}
 	return v, ""
+}
+
+// ParseDir parses the .xml files of a directory (not its
+// subdirectories), each named by its file name, as one collection.
+func ParseDir(dir string) (*Collection, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	files := map[string][]byte{}
+	for _, e := range entries {
+		if e.IsDir() || filepath.Ext(e.Name()) != ".xml" {
+			continue
+		}
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			return nil, err
+		}
+		files[e.Name()] = data
+	}
+	if len(files) == 0 {
+		return nil, fmt.Errorf("no .xml files in %s", dir)
+	}
+	return ParseCollection(files)
 }
 
 // ParseCollection parses a set of named XML documents and resolves all

@@ -1,6 +1,7 @@
 package hopi
 
 import (
+	"strconv"
 	"time"
 
 	"hopi/internal/core"
@@ -14,11 +15,12 @@ import (
 // Metrics(). Hot paths record into pre-registered handles (query
 // latency by evaluation mode, Apply latency, WAL append/fsync,
 // checkpoint/seal/compaction durations); state another subsystem
-// already tracks — replication lag, segment stack shape, watch
-// sessions — is sampled at scrape time through Gauge/CounterFuncs, so
-// the registry never double-counts what /stats reports. Servers attach
-// the registry as a sub-registry of their process registry and expose
-// the whole tree on GET /metrics.
+// already tracks — collection and cover sizes, replication lag,
+// segment stack shape, watch sessions — is sampled at scrape time
+// through Gauge/CounterFuncs, each from an O(1) or metadata-only read,
+// never a walk of the cover. Servers attach the registry as a
+// sub-registry of their process registry and serve the whole tree on
+// GET /metrics as text and on GET /stats as JSON.
 
 // indexMetrics bundles the Index's inline metric handles.
 type indexMetrics struct {
@@ -40,6 +42,9 @@ type indexMetrics struct {
 	// Index.newBase): decode-cache misses, the block records they
 	// walked, and swallowed decode errors.
 	segMisses, segScanned, segErrs *obs.Counter
+	// compactions counts the stack compactions of every store the index
+	// attaches, so a follower's image install does not restart it.
+	compactions *obs.Counter
 	// shardMemo counts the shard RPCs' snapshot-memo lookups, by table
 	// ("closure", "delivery"); see shardstep.go.
 	shardMemo map[string]memoCounter
@@ -107,7 +112,10 @@ func newIndexMetrics(ix *Index) *indexMetrics {
 			"Label and owner lookups that missed the decode cache and read a segment block."),
 		segScanned: r.Counter("hopi_segment_block_records_scanned_total",
 			"Block records walked by the lookups that missed the decode cache."),
-		segErrs:   new(obs.Counter),
+		segErrs: r.Counter("hopi_segment_read_errors_total",
+			"Sealed reads that hit an I/O error and were served as empty (pread mode only)."),
+		compactions: r.Counter("hopi_segment_compactions_total",
+			"Completed stack compactions, across every store the index attached."),
 		shardMemo: map[string]memoCounter{},
 	}
 	memo := r.CounterVec("hopi_shard_memo_lookups_total",
@@ -133,6 +141,36 @@ func newIndexMetrics(ix *Index) *indexMetrics {
 			func() float64 { return ph.of(ix.Stats()).Seconds() })
 	}
 
+	// What the index holds, from the live state under its read lock.
+	for _, g := range []struct {
+		name, help string
+		of         func() int
+	}{
+		{"hopi_index_docs", "Live documents.", func() int { return ix.coll.NumDocs() }},
+		{"hopi_index_elements", "Elements of live documents.", func() int { return ix.coll.NumElements() }},
+		{"hopi_index_links", "Links of live documents, intra plus inter.", func() int { return ix.coll.NumLinks() }},
+		{"hopi_index_label_entries", "Lin plus Lout entries of the cover.", func() int { return ix.ix.Cover().Size() }},
+	} {
+		r.GaugeFunc(g.name, g.help, func() float64 {
+			ix.mu.RLock()
+			defer ix.mu.RUnlock()
+			return float64(g.of())
+		})
+	}
+	r.GaugeFunc("hopi_index_durable",
+		"Whether the index has an attached store backend (1/0).",
+		func() float64 { return b2f(ix.Durable()) })
+	r.Info("hopi_index_info",
+		"Identity of the served state: replication role, the scope and epoch resume tokens are bound to (seq_epoch: the epoch is a WAL sequence), and a replica's primary.",
+		[]string{"role", "scope", "epoch", "seq_epoch", "primary"},
+		func() []string {
+			rs := ix.ReplicaStatus()
+			ix.mu.RLock()
+			defer ix.mu.RUnlock()
+			return []string{rs.Role, strconv.FormatUint(ix.scope, 10), strconv.FormatUint(ix.epoch.Load(), 10),
+				strconv.FormatBool(ix.seqEpoch), rs.PrimaryURL}
+		})
+
 	r.GaugeFunc("hopi_wal_size_bytes",
 		"Current write-ahead log size; drops to 0 at each checkpoint.",
 		func() float64 {
@@ -142,45 +180,56 @@ func newIndexMetrics(ix *Index) *indexMetrics {
 
 	// Replication: sampled from ReplicaStatus so primary and follower
 	// report through the same families.
-	r.GaugeFunc("hopi_replication_lag_batches",
-		"Committed batches the served state is behind the primary (0 on primaries).",
-		func() float64 { return float64(ix.ReplicaStatus().Lag) })
-	r.GaugeFunc("hopi_replication_applied_seq",
-		"Durable batch sequence the served state reflects.",
-		func() float64 { return float64(ix.ReplicaStatus().AppliedSeq) })
-	r.GaugeFunc("hopi_replication_connected",
-		"On a replica, whether the stream to the primary is open (1/0); 1 on primaries.",
-		func() float64 {
-			st := ix.ReplicaStatus()
-			if st.Role == "replica" && !st.Connected {
-				return 0
-			}
-			return 1
-		})
-	r.GaugeFunc("hopi_replication_follower_streams",
-		"Currently connected follower streams (primaries only).",
-		func() float64 { return float64(ix.ReplicaStatus().FollowerStreams) })
+	for _, g := range []struct {
+		name, help string
+		of         func(ReplicaStatus) float64
+	}{
+		{"hopi_replication_lag_batches", "Committed batches the served state is behind the primary (0 on primaries).",
+			func(st ReplicaStatus) float64 { return float64(st.Lag) }},
+		{"hopi_replication_applied_seq", "Durable batch sequence the served state reflects.",
+			func(st ReplicaStatus) float64 { return float64(st.AppliedSeq) }},
+		{"hopi_replication_primary_seq", "The primary's committed batch sequence as last observed (the applied sequence on primaries).",
+			func(st ReplicaStatus) float64 { return float64(st.PrimarySeq) }},
+		{"hopi_replication_connected", "On a replica, whether the stream to the primary is open (1/0); 1 on primaries.",
+			func(st ReplicaStatus) float64 { return b2f(st.Role != "replica" || st.Connected) }},
+		{"hopi_replication_follower_streams", "Currently connected follower streams (primaries only).",
+			func(st ReplicaStatus) float64 { return float64(st.FollowerStreams) }},
+	} {
+		r.GaugeFunc(g.name, g.help, func() float64 { return g.of(ix.ReplicaStatus()) })
+	}
 	r.CounterFunc("hopi_replication_batches_shipped_total",
 		"Batches handed to follower streams by the publisher.",
 		func() float64 { return float64(ix.shippedBatches()) })
 
-	// Segment store shape; all zero on an index that never touched a
-	// store (Build without Create).
-	r.GaugeFunc("hopi_segment_stack_depth",
-		"Sealed segment files in the current stack.",
-		func() float64 { return float64(ix.SegmentStats().Segments) })
-	r.GaugeFunc("hopi_segment_delta_entries",
-		"In-memory delta size (adds plus tombstones); sealing resets it.",
-		func() float64 { return float64(ix.SegmentStats().DeltaEntries) })
-	r.GaugeFunc("hopi_segment_sealed_bytes",
-		"On-disk size of the sealed segment stack.",
-		func() float64 { return float64(ix.SegmentStats().SealedBytes) })
-	r.GaugeFunc("hopi_segment_compaction_backlog",
-		"Segments over the compaction threshold (0 when within bounds).",
-		func() float64 { return float64(ix.SegmentStats().CompactionBacklog) })
-	r.CounterFunc("hopi_segment_compactions_total",
-		"Completed stack compactions.",
-		func() float64 { return float64(ix.SegmentStats().Compactions) })
+	// Segment store shape, from metadata only; all zero on an index that
+	// never touched a store (Build without Create).
+	for _, g := range []struct {
+		name, help string
+		of         func(SegmentStats) float64
+	}{
+		{"hopi_segment_enabled", "Whether the index reads from a segment store (1/0).",
+			func(st SegmentStats) float64 { return b2f(st.Enabled) }},
+		{"hopi_segment_stack_depth", "Sealed segment files in the current stack.",
+			func(st SegmentStats) float64 { return float64(st.Segments) }},
+		{"hopi_segment_delta_entries", "In-memory delta size (adds plus tombstones); sealing resets it.",
+			func(st SegmentStats) float64 { return float64(st.DeltaEntries) }},
+		{"hopi_segment_sealed_bytes", "On-disk size of the sealed segment stack.",
+			func(st SegmentStats) float64 { return float64(st.SealedBytes) }},
+		{"hopi_segment_sealed_posts", "Label postings in sealed files, shadowed ones included (compaction drops those).",
+			func(st SegmentStats) float64 { return float64(st.SealedPosts) }},
+		{"hopi_segment_sealed_tombstones", "Sealed tombstones awaiting compaction.",
+			func(st SegmentStats) float64 { return float64(st.SealedTombs) }},
+		{"hopi_segment_live_entries", "Live label entries the store's manifest records as of its last seal.",
+			func(st SegmentStats) float64 { return float64(st.LiveEntries) }},
+		{"hopi_segment_sealed_seq", "WAL sequence the sealed state reflects.",
+			func(st SegmentStats) float64 { return float64(st.SealedSeq) }},
+		{"hopi_segment_compaction_backlog", "Segments over the compaction threshold (0 when within bounds).",
+			func(st SegmentStats) float64 { return float64(st.CompactionBacklog) }},
+		{"hopi_segment_mmapped", "Whether every sealed segment reads through mmap (1/0; 0 when any fell back to pread).",
+			func(st SegmentStats) float64 { return b2f(st.Mmapped) }},
+	} {
+		r.GaugeFunc(g.name, g.help, func() float64 { return g.of(ix.SegmentStats()) })
+	}
 
 	// Live-query watch rates.
 	r.GaugeFunc("hopi_watch_sessions",
@@ -198,7 +247,19 @@ func newIndexMetrics(ix *Index) *indexMetrics {
 	r.CounterFunc("hopi_watch_evictions_total",
 		"Slow watch consumers evicted with a resume epoch.",
 		func() float64 { return float64(ix.WatchStats().Evictions) })
+	evals := "Notifier evaluation rounds, by strategy: a full re-run and diff, or a delta-seeded incremental evaluation."
+	r.CounterFuncVec("hopi_watch_evaluations_total", evals, []string{"strategy"}, []string{"full"},
+		func() float64 { return float64(ix.WatchStats().FullRuns) })
+	r.CounterFuncVec("hopi_watch_evaluations_total", evals, []string{"strategy"}, []string{"incremental"},
+		func() float64 { return float64(ix.WatchStats().IncrementalDeltas) })
 	return m
+}
+
+func b2f(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // shippedBatches samples the attached publisher's shipped count, 0

@@ -101,14 +101,6 @@ func (p *Publisher) ServeHTTP(w http.ResponseWriter, r *http.Request) { p.p.Serv
 // seen.
 func (p *Publisher) LastSeq() uint64 { return p.p.LastSeq() }
 
-// ActiveStreams returns the number of currently connected follower
-// streams.
-func (p *Publisher) ActiveStreams() int64 { return p.p.ActiveStreams() }
-
-// Shipped returns the total number of batch records written to
-// followers.
-func (p *Publisher) Shipped() uint64 { return p.p.Shipped() }
-
 // Close terminates the follower streams. The index itself stays
 // usable; Index.Close also closes an attached publisher.
 func (p *Publisher) Close() { p.p.Close() }
@@ -416,6 +408,27 @@ type ReplicaStatus struct {
 	// FollowerStreams is, on a primary, the number of currently
 	// connected follower streams.
 	FollowerStreams int64
+}
+
+// DefaultReadyMaxLag is how many batches a connected replica may trail
+// its primary and still count as ready.
+const DefaultReadyMaxLag = 64
+
+// Ready is the one readiness rule, for hopiserve's /readyz and the
+// in-process router shard alike: primaries and standalone indexes
+// serve complete, fresh answers; a replica does once its stream is
+// connected and it trails the primary by at most maxLag batches. why
+// says what keeps it unready.
+func (st ReplicaStatus) Ready(maxLag uint64) (ok bool, why string) {
+	switch {
+	case st.Role != "replica":
+		return true, ""
+	case !st.Connected:
+		return false, "replication stream disconnected"
+	case st.Lag > maxLag:
+		return false, fmt.Sprintf("replica %d batches behind primary (max %d)", st.Lag, maxLag)
+	}
+	return true, ""
 }
 
 // ReplicaStatus reports the index's replication role and position.

@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"hopi/internal/obs"
 	"hopi/internal/storage"
 )
 
@@ -810,4 +811,106 @@ func TestStaleTokenRetryable(t *testing.T) {
 	if !errors.Is(err, ErrBadToken) {
 		t.Fatalf("cross-index token (reverse): err = %v, want ErrBadToken", err)
 	}
+}
+
+// TestReadyRule pins the one readiness rule that hopiserve's /readyz
+// (at -ready-max-lag) and the in-process router shard (at the default)
+// both apply.
+func TestReadyRule(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		st   ReplicaStatus
+		ok   bool
+	}{
+		{"standalone", ReplicaStatus{Role: "standalone", AppliedSeq: 9, PrimarySeq: 9}, true},
+		{"primary", ReplicaStatus{Role: "primary", FollowerStreams: 2}, true},
+		{"replica disconnected", ReplicaStatus{Role: "replica"}, false},
+		{"replica at lag 0", ReplicaStatus{Role: "replica", Connected: true}, true},
+		{"replica at lag 64", ReplicaStatus{Role: "replica", Connected: true, Lag: 64}, true},
+		{"replica at lag 65", ReplicaStatus{Role: "replica", Connected: true, Lag: 65}, false},
+	} {
+		if ok, why := c.st.Ready(DefaultReadyMaxLag); ok != c.ok || (why == "") != c.ok {
+			t.Errorf("%s: Ready = %v %q, want %v", c.name, ok, why, c.ok)
+		}
+	}
+	ix, _ := createDurable(t, filepath.Join(t.TempDir(), "s.hopi"))
+	defer ix.Close()
+	if err := NewLocalShard("s", ix).Ready(context.Background()); err != nil {
+		t.Errorf("in-process shard over a standalone index: %v", err)
+	}
+}
+
+// scrapedCompactions reads hopi_segment_compactions_total off the
+// index's registry as a scraper sees it.
+func scrapedCompactions(t *testing.T, ix *Index) float64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := ix.Metrics().WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	fams, err := obs.ParseText(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fams["hopi_segment_compactions_total"].Samples[0].Value
+}
+
+// TestReplicationFollowerCompactionsSurviveReset: a follower counts the
+// compactions of every store it attaches, so the image install of a
+// reset, which attaches a new store, does not send
+// hopi_segment_compactions_total back to 0.
+func TestReplicationFollowerCompactionsSurviveReset(t *testing.T) {
+	dir := t.TempDir()
+	ix, base := createDurable(t, filepath.Join(dir, "p.hopi"))
+	defer ix.Close()
+	p := startReplPrimary(t, ix, "", PublishTail(4), PublishHeartbeat(20*time.Millisecond))
+	defer p.stop()
+	tap := &tapTransport{}
+	fol := followFast(t, p.streamURL(), FollowClient(&http.Client{Transport: tap}))
+	ops := make([]scriptOp, 16)
+	for i := range ops {
+		ops[i] = scriptOp{kind: 0, name: fmt.Sprintf("c%02d.xml", i), target: base[i%len(base)]}
+	}
+	apply := func(from, to int) {
+		for i := from; i < to; i++ {
+			if _, err := ix.Apply(context.Background(), buildScriptBatch(ops[i])); err != nil {
+				t.Fatalf("op %d: %v", i, err)
+			}
+		}
+	}
+	// a checkpoint per replayed batch grows the follower's stack past
+	// the default MaxStack of 4, and its compactor folds it
+	for i := 0; i < 6; i++ {
+		apply(i, i+1)
+		waitCaughtUp(t, fol, ix)
+		if err := fol.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for deadline := time.Now().Add(10 * time.Second); fol.SegmentStats().Compactions == 0; time.Sleep(2 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the follower never compacted: %+v", fol.SegmentStats())
+		}
+	}
+	before := scrapedCompactions(t, fol)
+
+	// reset: drop the stream, commit past the 4-batch tail and fold the
+	// primary's WAL away, so the reconnect can only be served an image
+	tap.cut()
+	for fol.ReplicaStatus().Connected {
+		time.Sleep(2 * time.Millisecond)
+	}
+	apply(6, len(ops))
+	if err := ix.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	tap.release()
+	waitCaughtUp(t, fol, ix)
+	if n := bootstraps(fol); n != 2 {
+		t.Fatalf("follower installed %d images, want 2 (the first and the reset)", n)
+	}
+	if after := scrapedCompactions(t, fol); after < before {
+		t.Fatalf("hopi_segment_compactions_total went back from %v to %v across the reset", before, after)
+	}
+	assertLabelEquality(t, fol, ix, "after the reset")
 }

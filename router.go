@@ -22,10 +22,6 @@ type ShardMap = shardrouter.ShardMap
 // adapts an in-process Index, shardrouter.NewHTTPShard a hopiserve URL.
 type ShardConn = shardrouter.Conn
 
-// RouterStatus aggregates shard /stats: summed serving counters,
-// maximum replication lag, per-shard detail.
-type RouterStatus = shardrouter.Status
-
 // RouterResult is one result row of a distributed query.
 type RouterResult = shardrouter.Result
 
@@ -167,12 +163,9 @@ func (r *Router) Query(ctx context.Context, expr string, opt RouterQueryOptions)
 	return p, translateRouterErr(err)
 }
 
-// Status aggregates shard stats; unreachable shards are reported in
-// Shards[i].Err and make Ready false.
-func (r *Router) Status(ctx context.Context) *RouterStatus { return r.r.Status(ctx) }
-
-// Ready reports whether every shard is reachable and caught up.
-func (r *Router) Ready(ctx context.Context) bool { return r.r.Ready(ctx) }
+// Ready reports whether every shard is reachable and ready (see
+// ReplicaStatus.Ready); Unwrap().Ready says which shard is not.
+func (r *Router) Ready(ctx context.Context) bool { return r.r.Ready(ctx).Ready }
 
 // Unwrap exposes the underlying shardrouter.Router for serving code.
 func (r *Router) Unwrap() *shardrouter.Router { return r.r }

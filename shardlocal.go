@@ -138,35 +138,13 @@ func (l *localShard) Resolve(ctx context.Context, specs []string) ([]shardrouter
 	return l.ix.Snapshot().ShardResolve(specs), nil
 }
 
-func (l *localShard) Info(ctx context.Context) (*shardrouter.ShardInfo, error) {
-	s := l.ix.Snapshot()
-	rs := l.ix.ReplicaStatus()
-	ready := rs.Role != "replica" || (rs.Connected && rs.Lag == 0)
-	info := &shardrouter.ShardInfo{
-		Name: l.name, Epoch: s.epoch, Scope: s.scope, SeqEpoch: s.seqEpoch,
-		Ready: ready, Role: rs.Role, ReplicationLag: int64(rs.Lag),
+// Ready applies ReplicaStatus.Ready at DefaultReadyMaxLag: the rule a
+// hopiserve shard's /readyz applies at its -ready-max-lag.
+func (l *localShard) Ready(ctx context.Context) error {
+	if ok, why := l.ix.ReplicaStatus().Ready(DefaultReadyMaxLag); !ok {
+		return errors.New(why)
 	}
-	if seg := l.ix.SegmentStats(); seg.Enabled {
-		info.Segments = &shardrouter.SegmentInfo{
-			Segments:          seg.Segments,
-			SealedBytes:       seg.SealedBytes,
-			DeltaEntries:      seg.DeltaEntries,
-			Compactions:       seg.Compactions,
-			CompactionBacklog: seg.CompactionBacklog,
-			BytesPerLabel:     seg.BytesPerLabel,
-			Mmapped:           seg.Mmapped,
-		}
-	}
-	if ws := l.ix.WatchStats(); ws.Sessions > 0 || ws.Delivered > 0 || ws.Evictions > 0 {
-		info.Watch = &shardrouter.WatchInfo{
-			Sessions:     ws.Sessions,
-			QueuedDeltas: ws.QueuedDeltas,
-			Delivered:    ws.Delivered,
-			Coalesced:    ws.Coalesced,
-			Evictions:    ws.Evictions,
-		}
-	}
-	return info, nil
+	return nil
 }
 
 func (l *localShard) Write(ctx context.Context, req *shardrouter.WriteRequest) (*shardrouter.WriteResult, error) {

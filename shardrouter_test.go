@@ -1,6 +1,7 @@
 package hopi
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -557,8 +558,8 @@ func TestRouterCachedVsUncached(t *testing.T) {
 // TestRouterClosureCacheCounters: a repeated identical query against a
 // quiescent cut reuses the router's endpoint graph (no closure round)
 // and the shards' memoized delivery tables; a write makes the next
-// query meet a new cut. The counters surface through Status (the
-// /stats payload) under their exact JSON names.
+// query meet a new cut. The counters surface on the router's /stats
+// under their family names.
 func TestRouterClosureCacheCounters(t *testing.T) {
 	coll := WrapCollection(gen.DBLP(gen.DefaultDBLP(36, 37)))
 	f := buildSharded(t, coll, 2, "")
@@ -609,17 +610,31 @@ func TestRouterClosureCacheCounters(t *testing.T) {
 		t.Errorf("post-write query reused the old cut's endpoint graph:\nsecond %+v\nthird  %+v", second, third)
 	}
 
-	// the counters ride /stats verbatim
-	blob, err := json.Marshal(f.router.Status(ctx))
-	if err != nil {
+	// the counters ride the router's /stats, its registry as JSON
+	var buf bytes.Buffer
+	if err := r.Metrics().WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{
-		"closureCacheHits", "closureCacheMisses",
-		"stepRPCs", "closureRPCs", "deliverRPCs", "wireBytesIn", "wireBytesOut",
+	var stats map[string]any
+	if err := json.Unmarshal(buf.Bytes(), &stats); err != nil {
+		t.Fatal(err)
+	}
+	rpcs, _ := stats["hopi_router_shard_rpcs_total"].(map[string]any)
+	for key, want := range map[string]uint64{
+		"hopi_router_closure_cache_hits_total":   third.ClosureCacheHits,
+		"hopi_router_closure_cache_misses_total": third.ClosureCacheMisses,
+		"rpc=step":                               third.StepRPCs,
+		"rpc=closure":                            third.ClosureRPCs,
+		"rpc=deliver":                            third.DeliverRPCs,
+		"hopi_router_wire_bytes_in_total":        third.WireBytesIn,
+		"hopi_router_wire_bytes_out_total":       third.WireBytesOut,
 	} {
-		if !strings.Contains(string(blob), `"`+key+`"`) {
-			t.Errorf("status JSON missing %q: %s", key, blob)
+		got, ok := stats[key]
+		if strings.HasPrefix(key, "rpc=") {
+			got, ok = rpcs[key]
+		}
+		if !ok || got != float64(want) {
+			t.Errorf("/stats %s = %v, want %d", key, got, want)
 		}
 	}
 }

@@ -103,9 +103,6 @@ func (s *Snapshot) Ancestors(u ElemID) []ElemID { return s.ix.Ancestors(u) }
 // time.
 func (s *Snapshot) Size() int { return s.ix.Size() }
 
-// Labels summarizes the snapshot's label distribution.
-func (s *Snapshot) Labels() core.LabelStats { return s.ix.Labels() }
-
 // Stats returns the build statistics of the underlying index.
 func (s *Snapshot) Stats() core.BuildStats { return s.ix.Stats() }
 

@@ -73,19 +73,19 @@ func (w *Watch) Resumed() bool { return w.resumed }
 type WatchStats struct {
 	// Sessions is the number of live subscriptions; QueuedDeltas how
 	// many of them have an undelivered pending delta.
-	Sessions     int `json:"sessions"`
-	QueuedDeltas int `json:"queuedDeltas"`
+	Sessions     int
+	QueuedDeltas int
 	// Delivered counts events handed to consumers; Coalesced counts
 	// maintenance batches that were merged into an already-pending
 	// delta instead of producing their own event; Evictions counts
 	// slow-consumer resyncs.
-	Delivered uint64 `json:"delivered"`
-	Coalesced uint64 `json:"coalesced"`
-	Evictions uint64 `json:"evictions"`
+	Delivered uint64
+	Coalesced uint64
+	Evictions uint64
 	// FullRuns and IncrementalDeltas count notifier evaluation rounds
 	// per strategy: full re-run + diff vs. delta-seeded DiffEval.
-	FullRuns          uint64 `json:"fullRuns"`
-	IncrementalDeltas uint64 `json:"incrementalDeltas"`
+	FullRuns          uint64
+	IncrementalDeltas uint64
 }
 
 // WatchStats reports live-query counters; all zero when no watch was
