@@ -15,7 +15,7 @@ import (
 	"time"
 
 	"hopi/internal/segment"
-	"hopi/internal/twohop"
+	"hopi/internal/xmlmodel"
 )
 
 // --- helpers ----------------------------------------------------------
@@ -94,15 +94,32 @@ func (d *dyingDisk) seen() []string {
 	return append([]string(nil), d.steps...)
 }
 
-// scriptOp is one deterministic maintenance step; materialized into a
-// fresh Batch per target index so document objects are never shared.
+// scriptOp is one deterministic maintenance step, addressed by
+// document name so that any shape, the router included, can replay
+// it; materialized into a fresh Batch per target index so document
+// objects are never shared.
 type scriptOp struct {
-	kind   int    // 0 insert doc+cite, 1 delete doc, 2 insert link, 3 delete link, 4 rebuild
-	name   string // document to insert or delete
-	target string // cite/link target document
+	// 0 insert doc+cite, 1 delete doc, 2 insert link, 3 delete link,
+	// 4 rebuild, 5 insert scriptXML, 6 modify doc to modifiedXML
+	kind     int
+	name     string // document to insert, delete or modify; link source document
+	target   string // cite/link target document
+	from, to int32  // link endpoints' local elements (kinds 2 and 3)
 }
 
-func buildScriptBatch(op scriptOp) *Batch {
+// scriptXML is the document a kind 5 op inserts: an abstract on a
+// cycle with its para, and a cite of target's root.
+func scriptXML(target string) []byte {
+	return fmt.Appendf(nil, `<article><title/><abstract id="a"><para idref="a"/><para/></abstract><author/><cite href="%s"/></article>`, target)
+}
+
+// modifiedXML is the new version a kind 6 op gives a document: shorter
+// than most, so re-attached links fall back to its root.
+var modifiedXML = []byte(`<article><title/><abstract id="a"><para/><para idref="a"/></abstract><cite/></article>`)
+
+// buildScriptBatch materializes op for ix, which resolves the name of
+// a document to modify.
+func buildScriptBatch(ix *Index, op scriptOp) *Batch {
 	b := NewBatch()
 	switch op.kind {
 	case 0:
@@ -117,12 +134,23 @@ func buildScriptBatch(op scriptOp) *Batch {
 	case 1:
 		b.DeleteDocumentByName(op.name)
 	case 2:
-		b.InsertLink(op.name, 0, op.target, 1)
+		b.InsertLink(op.name, op.from, op.target, op.to)
 	case 3:
 		// inverse of kind 2; only scripted when the link exists
-		b.DeleteLink(op.name, 0, op.target, 1)
+		b.DeleteLink(op.name, op.from, op.target, op.to)
 	case 4:
 		b.Rebuild()
+	case 5:
+		if err := b.InsertXML(op.name, scriptXML(op.target)); err != nil {
+			panic(err)
+		}
+	case 6:
+		id, _ := ix.Collection().DocByName(op.name)
+		d, _, err := xmlmodel.ParseDocument(op.name, modifiedXML)
+		if err != nil {
+			panic(err)
+		}
+		b.ModifyDocument(id, &Document{d: d})
 	}
 	return b
 }
@@ -178,12 +206,12 @@ func randomScript(rng *rand.Rand, baseDocs []string, n int, withRebuild bool) []
 				continue
 			}
 			links = append(links, link{from, to})
-			ops = append(ops, scriptOp{kind: 2, name: from, target: to})
+			ops = append(ops, scriptOp{kind: 2, name: from, target: to, to: 1})
 		case k < 9 && len(links) > 0: // remove one of those links
 			j := rng.Intn(len(links))
 			l := links[j]
 			links = append(links[:j], links[j+1:]...)
-			ops = append(ops, scriptOp{kind: 3, name: l.from, target: l.to})
+			ops = append(ops, scriptOp{kind: 3, name: l.from, target: l.to, to: 1})
 		case withRebuild: // occasional rebuild
 			ops = append(ops, scriptOp{kind: 4})
 		}
@@ -218,7 +246,7 @@ func oracle(t *testing.T, ops []scriptOp, k int, withDist bool) *Index {
 		t.Fatal(err)
 	}
 	for i := 0; i < k; i++ {
-		if _, err := ix.Apply(context.Background(), buildScriptBatch(ops[i])); err != nil {
+		if _, err := ix.Apply(context.Background(), buildScriptBatch(ix, ops[i])); err != nil {
 			t.Fatalf("oracle op %d: %v", i, err)
 		}
 	}
@@ -266,7 +294,7 @@ func TestDurableCreateApplyReopen(t *testing.T) {
 	}
 	ops := randomScript(rand.New(rand.NewSource(7)), base, 40, true)
 	for i, op := range ops {
-		if _, err := ix.Apply(context.Background(), buildScriptBatch(op)); err != nil {
+		if _, err := ix.Apply(context.Background(), buildScriptBatch(ix, op)); err != nil {
 			t.Fatalf("op %d: %v", i, err)
 		}
 	}
@@ -313,7 +341,7 @@ func TestDurableCrashRecoversEveryCommittedBatch(t *testing.T) {
 			}
 			ops := randomScript(rand.New(rand.NewSource(11)), base, 25, false)
 			for i, op := range ops {
-				if _, err := ix.Apply(context.Background(), buildScriptBatch(op)); err != nil {
+				if _, err := ix.Apply(context.Background(), buildScriptBatch(ix, op)); err != nil {
 					t.Fatalf("op %d: %v", i, err)
 				}
 				if checkpointEvery > 0 && i%checkpointEvery == checkpointEvery-1 {
@@ -354,7 +382,7 @@ func TestDurableTornWALTailDropsOnlyLastBatch(t *testing.T) {
 	}
 	ops := randomScript(rand.New(rand.NewSource(3)), base, 12, false)
 	for i, op := range ops {
-		if _, err := ix.Apply(context.Background(), buildScriptBatch(op)); err != nil {
+		if _, err := ix.Apply(context.Background(), buildScriptBatch(ix, op)); err != nil {
 			t.Fatalf("op %d: %v", i, err)
 		}
 	}
@@ -400,7 +428,7 @@ func runCrashScript(t *testing.T, path string, ops []scriptOp, disk *dyingDisk) 
 	}
 	setFailpoint(ix, disk.step)
 	for i, op := range ops {
-		if _, err := ix.Apply(context.Background(), buildScriptBatch(op)); err != nil {
+		if _, err := ix.Apply(context.Background(), buildScriptBatch(ix, op)); err != nil {
 			if !errors.Is(err, errDiskDied) {
 				t.Fatalf("op %d: unexpected error: %v", i, err)
 			}
@@ -531,54 +559,6 @@ func TestDurableIntraLinkInInsertBatchNotDuplicated(t *testing.T) {
 	}
 }
 
-// --- store/memory equivalence ----------------------------------------
-
-// TestDurableStoreMatchesMemoryLabels asserts the strongest form of
-// the delta contract: after every random batch the durable cover — the
-// sealed base merged with the in-memory delta — holds byte-identical
-// Lin/Lout labels to a flat in-memory twin fed the same script, and
-// after every checkpoint so do the sealed files alone, read back
-// through an independent plain Open.
-func TestDurableStoreMatchesMemoryLabels(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ix.hopi")
-	ix, base := createDurable(t, path)
-	defer ix.Close()
-	twin := oracle(t, nil, 0, true)
-
-	ops := randomScript(rand.New(rand.NewSource(23)), base, 40, true)
-	for i, op := range ops {
-		if _, err := ix.Apply(context.Background(), buildScriptBatch(op)); err != nil {
-			t.Fatalf("op %d: %v", i, err)
-		}
-		if _, err := twin.Apply(context.Background(), buildScriptBatch(op)); err != nil {
-			t.Fatalf("twin op %d: %v", i, err)
-		}
-		assertLabelEquality(t, ix, twin, fmt.Sprintf("after op %d (%+v)", i, op))
-		if i%5 == 4 {
-			if err := ix.Checkpoint(); err != nil {
-				t.Fatal(err)
-			}
-			sealed, err := Open(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertLabelEquality(t, sealed, twin, fmt.Sprintf("sealed files after op %d", i))
-		}
-	}
-}
-
-func equalEntries(a, b []twohop.Entry) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // --- write amplification ---------------------------------------------
 
 // segFiles lists the segment store's directory: name → size.
@@ -634,7 +614,7 @@ func TestDurableApplyIsIncremental(t *testing.T) {
 	walBefore, _, _ := ix.WALSize()
 
 	op := scriptOp{kind: 0, name: "delta.xml", target: "base030.xml"}
-	if _, err := ix.Apply(context.Background(), buildScriptBatch(op)); err != nil {
+	if _, err := ix.Apply(context.Background(), buildScriptBatch(ix, op)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -690,7 +670,7 @@ func TestDurablePoisonedAfterCommitFailure(t *testing.T) {
 	ix, base := createDurable(t, path)
 	for i := 0; i < 5; i++ {
 		op := scriptOp{kind: 0, name: fmt.Sprintf("p%03d.xml", i), target: base[0]}
-		if _, err := ix.Apply(context.Background(), buildScriptBatch(op)); err != nil {
+		if _, err := ix.Apply(context.Background(), buildScriptBatch(ix, op)); err != nil {
 			t.Fatalf("op %d: %v", i, err)
 		}
 	}
@@ -705,7 +685,7 @@ func TestDurablePoisonedAfterCommitFailure(t *testing.T) {
 		t.Fatalf("unexpected error: %v", firstErr)
 	}
 	// every further write is refused fast, with the original cause
-	_, err := ix.Apply(context.Background(), buildScriptBatch(scriptOp{kind: 0, name: "late.xml", target: base[0]}))
+	_, err := ix.Apply(context.Background(), buildScriptBatch(ix, scriptOp{kind: 0, name: "late.xml", target: base[0]}))
 	if err == nil || !errors.Is(err, errDiskDied) {
 		t.Fatalf("poisoned index accepted a write (err=%v)", err)
 	}
@@ -723,7 +703,7 @@ func TestDurableManifestFsyncFailure(t *testing.T) {
 	var ops []scriptOp
 	for i := 0; i < 5; i++ {
 		ops = append(ops, scriptOp{kind: 0, name: fmt.Sprintf("m%03d.xml", i), target: base[i%len(base)]})
-		if _, err := ix.Apply(context.Background(), buildScriptBatch(ops[i])); err != nil {
+		if _, err := ix.Apply(context.Background(), buildScriptBatch(ix, ops[i])); err != nil {
 			t.Fatalf("op %d: %v", i, err)
 		}
 	}
@@ -743,7 +723,7 @@ func TestDurableManifestFsyncFailure(t *testing.T) {
 	if walAfter, _, _ := ix.WALSize(); walAfter != walBefore {
 		t.Fatalf("WAL went from %d to %d bytes although the seal never became durable", walBefore, walAfter)
 	}
-	if _, err := ix.Apply(context.Background(), buildScriptBatch(scriptOp{kind: 0, name: "late.xml", target: base[0]})); !errors.Is(err, errDiskDied) {
+	if _, err := ix.Apply(context.Background(), buildScriptBatch(ix, scriptOp{kind: 0, name: "late.xml", target: base[0]})); !errors.Is(err, errDiskDied) {
 		t.Fatalf("index not poisoned after the failed checkpoint (err=%v)", err)
 	}
 	// Close on a poisoned index must not retry the checkpoint
@@ -778,7 +758,7 @@ func TestSaveConcurrentWithClose(t *testing.T) {
 	dir := t.TempDir()
 	ix, base := createDurable(t, filepath.Join(dir, "ix.hopi"))
 	op := scriptOp{kind: 0, name: "s000.xml", target: base[0]}
-	if _, err := ix.Apply(context.Background(), buildScriptBatch(op)); err != nil {
+	if _, err := ix.Apply(context.Background(), buildScriptBatch(ix, op)); err != nil {
 		t.Fatal(err)
 	}
 	backup := filepath.Join(dir, "backup.hopi")
@@ -845,7 +825,7 @@ func TestDurableAutoSealAndCompaction(t *testing.T) {
 	ops := randomScript(rand.New(rand.NewSource(3)), base, 50, false)
 	half := len(ops) / 2
 	for i := 0; i < half; i++ {
-		if _, err := ix.Apply(context.Background(), buildScriptBatch(ops[i])); err != nil {
+		if _, err := ix.Apply(context.Background(), buildScriptBatch(ix, ops[i])); err != nil {
 			t.Fatalf("op %d: %v", i, err)
 		}
 	}
@@ -879,7 +859,7 @@ func TestDurableAutoSealAndCompaction(t *testing.T) {
 		t.Fatalf("maintenance over a sealed base counted no decode-cache miss: %+v", prev)
 	}
 	for i := half; i < len(ops); i++ {
-		if _, err := ix.Apply(context.Background(), buildScriptBatch(ops[i])); err != nil {
+		if _, err := ix.Apply(context.Background(), buildScriptBatch(ix, ops[i])); err != nil {
 			t.Fatalf("op %d: %v", i, err)
 		}
 		st := ix.SegmentStats()
@@ -931,7 +911,7 @@ func TestDurableSegmentCountersSurviveRebuild(t *testing.T) {
 	defer ix.Close()
 	// a batch publishes a snapshot over the sealed base
 	for _, op := range randomScript(rand.New(rand.NewSource(5)), base, 3, false) {
-		if _, err := ix.Apply(context.Background(), buildScriptBatch(op)); err != nil {
+		if _, err := ix.Apply(context.Background(), buildScriptBatch(ix, op)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -977,150 +957,6 @@ func TestDurableSegmentCountersSurviveRebuild(t *testing.T) {
 	}
 }
 
-// TestDurableQueryEquivalenceUnderChurn runs the durable index and
-// a flat in-memory twin through the same script while readers verify,
-// on identical snapshots, that boolean, ranked, and resume-token page
-// walks return identical results. Run with -race this also exercises
-// reads against the mmap'd base concurrent with seals and compactions.
-func TestDurableQueryEquivalenceUnderChurn(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ix.hopi")
-	seg, base := createDurable(t, path, SegmentThreshold(8), SegmentMaxStack(2))
-	defer seg.Close()
-	coll2, _ := baseCollection(t)
-	bopts := DefaultOptions()
-	bopts.WithDistance = true
-	bopts.Seed = 1
-	flat, err := Build(coll2, bopts)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	exprs := []string{"//article//author", "//bib//title", "/article/cite", "//book//author"}
-	compare := func(stage int) {
-		t.Helper()
-		ss, fs := seg.Snapshot(), flat.Snapshot()
-		for _, expr := range exprs {
-			sres, err := ss.Query(expr)
-			if err != nil {
-				t.Fatalf("stage %d %q seg: %v", stage, expr, err)
-			}
-			fres, err := fs.Query(expr)
-			if err != nil {
-				t.Fatalf("stage %d %q flat: %v", stage, expr, err)
-			}
-			if len(sres) != len(fres) {
-				t.Fatalf("stage %d %q: %d vs %d results", stage, expr, len(sres), len(fres))
-			}
-			for i := range sres {
-				if sres[i].Element != fres[i].Element || sres[i].Doc != fres[i].Doc {
-					t.Fatalf("stage %d %q result %d: %+v vs %+v", stage, expr, i, sres[i], fres[i])
-				}
-			}
-			// ranked: scores must match exactly (same distances)
-			srk, err := ss.QueryRanked(expr)
-			if err != nil {
-				t.Fatalf("stage %d ranked %q seg: %v", stage, expr, err)
-			}
-			frk, err := fs.QueryRanked(expr)
-			if err != nil {
-				t.Fatalf("stage %d ranked %q flat: %v", stage, expr, err)
-			}
-			if len(srk) != len(frk) {
-				t.Fatalf("stage %d ranked %q: %d vs %d", stage, expr, len(srk), len(frk))
-			}
-			for i := range srk {
-				if srk[i].Element != frk[i].Element || srk[i].Score != frk[i].Score {
-					t.Fatalf("stage %d ranked %q result %d: %+v vs %+v", stage, expr, i, srk[i], frk[i])
-				}
-			}
-			// page walk: 2-at-a-time cursor over the segmented snapshot
-			// must enumerate exactly the full result set
-			pq, err := Prepare(expr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var walked []QueryResult
-			token := ""
-			for {
-				opts := []QueryOption{QueryLimit(2)}
-				if token != "" {
-					opts = append(opts, QueryResume(token))
-				}
-				cur, err := ss.Run(context.Background(), pq, opts...)
-				if err != nil {
-					t.Fatalf("stage %d walk %q: %v", stage, expr, err)
-				}
-				got := 0
-				for cur.Next() {
-					walked = append(walked, cur.Result())
-					got++
-				}
-				if err := cur.Err(); err != nil {
-					t.Fatalf("stage %d walk %q: %v", stage, expr, err)
-				}
-				token = cur.Token()
-				if got < 2 || token == "" {
-					break
-				}
-			}
-			if len(walked) != len(fres) {
-				t.Fatalf("stage %d walk %q: %d walked, %d expected", stage, expr, len(walked), len(fres))
-			}
-			for i := range walked {
-				if walked[i].Element != fres[i].Element {
-					t.Fatalf("stage %d walk %q item %d: %v vs %v", stage, expr, i, walked[i].Element, fres[i].Element)
-				}
-			}
-		}
-	}
-
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	readErr := make(chan error, 1)
-	wg.Add(1)
-	go func() {
-		// concurrent reader on the segmented side only: races against
-		// seals and compactions, correctness checked by the main loop
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			snap := seg.Snapshot()
-			if _, err := snap.Query("//article//author"); err != nil {
-				select {
-				case readErr <- fmt.Errorf("concurrent query: %w", err):
-				default:
-				}
-				return
-			}
-		}
-	}()
-
-	ops := randomScript(rand.New(rand.NewSource(11)), base, 60, true)
-	for i, op := range ops {
-		if _, err := seg.Apply(context.Background(), buildScriptBatch(op)); err != nil {
-			t.Fatalf("seg op %d: %v", i, err)
-		}
-		if _, err := flat.Apply(context.Background(), buildScriptBatch(op)); err != nil {
-			t.Fatalf("flat op %d: %v", i, err)
-		}
-		if i%10 == 9 {
-			compare(i)
-		}
-	}
-	compare(len(ops))
-	close(stop)
-	wg.Wait()
-	select {
-	case err := <-readErr:
-		t.Fatal(err)
-	default:
-	}
-}
-
 // TestDurableReplication bootstraps a follower from the primary's
 // sealed files, converges it under churn, and checks label
 // equality — the verbatim-file bootstrap path end to end. A replayed
@@ -1135,7 +971,7 @@ func TestDurableReplication(t *testing.T) {
 	ops := append(randomScript(rand.New(rand.NewSource(5)), base, 40, true), scriptOp{kind: 4})
 	half := len(ops) / 2
 	for i := 0; i < half; i++ {
-		if _, err := ix.Apply(context.Background(), buildScriptBatch(ops[i])); err != nil {
+		if _, err := ix.Apply(context.Background(), buildScriptBatch(ix, ops[i])); err != nil {
 			t.Fatalf("op %d: %v", i, err)
 		}
 	}
@@ -1159,7 +995,7 @@ func TestDurableReplication(t *testing.T) {
 	// keep churning, including rebuilds, which ship as wholesale
 	// ClearAll snapshots
 	for i := half; i < len(ops); i++ {
-		if _, err := ix.Apply(context.Background(), buildScriptBatch(ops[i])); err != nil {
+		if _, err := ix.Apply(context.Background(), buildScriptBatch(ix, ops[i])); err != nil {
 			t.Fatalf("op %d: %v", i, err)
 		}
 	}
@@ -1185,7 +1021,7 @@ func runFollowerCrashScript(t *testing.T, ops []scriptOp, disk *dyingDisk) (p *r
 	fol = followFast(t, p.streamURL(), FollowDir(fdir))
 	setFailpoint(fol, disk.step)
 	for i, op := range ops {
-		if _, err := ix.Apply(context.Background(), buildScriptBatch(op)); err != nil {
+		if _, err := ix.Apply(context.Background(), buildScriptBatch(ix, op)); err != nil {
 			t.Fatalf("op %d: %v", i, err)
 		}
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"hopi/internal/graph"
 	"hopi/internal/twohop"
@@ -425,74 +424,6 @@ func (ix *Index) ModifyDocument(docIdx int, newDoc *xmlmodel.Document) (int, err
 		}
 	}
 	return newIdx, nil
-}
-
-// DiffModify applies a link-level diff to a document whose element
-// tree is unchanged (the X-Diff/XyDiff substitution of §6.3): intra-
-// document links present in newDoc but not in the old version are
-// inserted, vanished ones are deleted. The element structure (tags and
-// parents) must be identical.
-func (ix *Index) DiffModify(docIdx int, newDoc *xmlmodel.Document) error {
-	old := ix.coll.Docs[docIdx]
-	if old.Len() != newDoc.Len() {
-		return fmt.Errorf("core: DiffModify requires identical element structure (%d vs %d elements)", old.Len(), newDoc.Len())
-	}
-	for i := range newDoc.Elements {
-		if newDoc.Elements[i].Tag != old.Elements[i].Tag || newDoc.Elements[i].Parent != old.Elements[i].Parent {
-			return fmt.Errorf("core: DiffModify requires identical element structure (element %d differs)", i)
-		}
-	}
-	base := ix.coll.GlobalID(docIdx, 0)
-	// degenerate self links carry no connection and are ignored on both
-	// sides of the diff
-	oldSet := map[[2]int32]bool{}
-	for _, l := range old.IntraLinks {
-		if l[0] != l[1] {
-			oldSet[l] = true
-		}
-	}
-	newSet := map[[2]int32]bool{}
-	for _, l := range newDoc.IntraLinks {
-		if l[0] != l[1] {
-			newSet[l] = true
-		}
-	}
-	// Apply the diff in sorted order: Go map iteration is randomized,
-	// and the edge order determines the ChangeLog / WAL byte stream and
-	// the cover shape. Identical inputs must produce identical batches.
-	var deletes, inserts [][2]int32
-	for l := range oldSet {
-		if !newSet[l] {
-			deletes = append(deletes, l)
-		}
-	}
-	for l := range newSet {
-		if !oldSet[l] {
-			inserts = append(inserts, l)
-		}
-	}
-	sortLinkPairs(deletes)
-	sortLinkPairs(inserts)
-	for _, l := range deletes {
-		if err := ix.DeleteEdge(base+l[0], base+l[1]); err != nil {
-			return err
-		}
-	}
-	for _, l := range inserts {
-		if err := ix.InsertEdge(base+l[0], base+l[1]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func sortLinkPairs(links [][2]int32) {
-	sort.Slice(links, func(i, j int) bool {
-		if links[i][0] != links[j][0] {
-			return links[i][0] < links[j][0]
-		}
-		return links[i][1] < links[j][1]
-	})
 }
 
 // Rebuild recomputes the index from scratch with its original options —

@@ -326,32 +326,6 @@ func TestModifyDocument(t *testing.T) {
 	}
 }
 
-func TestDiffModify(t *testing.T) {
-	c := separatingChain(3)
-	ix := buildFor(t, c, false, 1)
-	old := c.Docs[1]
-	// same structure, different intra links
-	nd := xmlmodel.NewDocument(old.Name, "pub")
-	nd.AddElement(0, "sec")
-	nd.AddElement(0, "sec")
-	nd.AddIntraLink(2, 1)
-	if err := ix.DiffModify(1, nd); err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if !ix.Reaches(c.GlobalID(1, 2), c.GlobalID(1, 1)) {
-		t.Error("added intra link not reflected")
-	}
-	// structural mismatch rejected
-	bad := xmlmodel.NewDocument("", "pub")
-	bad.AddElement(0, "other")
-	if err := ix.DiffModify(1, bad); err == nil {
-		t.Error("DiffModify accepted different structure")
-	}
-}
-
 func TestRebuildAfterChurn(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	c := citeCollection(rng, 12)

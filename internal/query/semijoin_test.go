@@ -14,85 +14,6 @@ import (
 	"hopi/internal/xmlmodel"
 )
 
-// oracleEval answers a query by brute force over the element graph
-// with proper-path // semantics: v matches a frontier element u iff a
-// path of length ≥ 1 leads u → v (ReachableFrom excludes the start
-// unless it lies on a cycle).
-func oracleEval(c *xmlmodel.Collection, q *Query) map[int32]bool {
-	return naiveEval(c, q)
-}
-
-// oracleRanked is the BFS ground truth for ranked evaluation: per
-// step, each candidate's score is the best frontier score divided by
-// 1 + the exact shortest proper-path distance (shortest cycle for
-// self-matches).
-func oracleRanked(c *xmlmodel.Collection, q *Query) map[int32]float64 {
-	g := c.ElementGraph()
-	dc := graph.NewDistClosure(g)
-	properDist := func(f, id int32) uint32 {
-		if f != id {
-			return dc.D(f, id)
-		}
-		best := graph.InfDist
-		for _, p := range g.Pred(f) {
-			if d := dc.D(f, p); d != graph.InfDist && d+1 < best {
-				best = d + 1
-			}
-		}
-		return best
-	}
-	tags := c.ElementsByTag()
-	cands := func(tag string) []int32 {
-		if tag != "*" {
-			return tags[tag]
-		}
-		var all []int32
-		for _, ids := range tags {
-			all = append(all, ids...)
-		}
-		return all
-	}
-	frontier := map[int32]float64{}
-	for _, id := range cands(q.Steps[0].Tag) {
-		if q.Steps[0].Axis == AxisChild {
-			if _, local := c.LocalID(id); local != 0 {
-				continue
-			}
-		}
-		frontier[id] = 1
-	}
-	for _, step := range q.Steps[1:] {
-		next := map[int32]float64{}
-		for _, id := range cands(step.Tag) {
-			best := -1.0
-			for f, score := range frontier {
-				var d uint32
-				if step.Axis == AxisChild {
-					doc, local := c.LocalID(id)
-					p := c.Docs[doc].Elements[local].Parent
-					if p < 0 || c.GlobalID(doc, p) != f {
-						continue
-					}
-					d = 1
-				} else {
-					d = properDist(f, id)
-					if d == graph.InfDist || d == 0 {
-						continue
-					}
-				}
-				if s := score / float64(1+d); s > best {
-					best = s
-				}
-			}
-			if best > 0 {
-				next[id] = best
-			}
-		}
-		frontier = next
-	}
-	return frontier
-}
-
 func equivExprs() []string {
 	return []string{
 		"//r//e", "/r/e", "//e//e", "//r//r", "//r/*", "//*//e", "/r//e//e", "//*//*",
@@ -108,7 +29,7 @@ func cyclicCollection(seed int64) *xmlmodel.Collection {
 }
 
 // TestSemijoinEquivalence: on random cyclic collections, the
-// set-at-a-time semijoin, the pairwise evaluator, and the BFS oracle
+// set-at-a-time semijoin, the pairwise evaluator, and Reference
 // agree exactly — the core property behind replacing the hot path.
 func TestSemijoinEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
@@ -128,14 +49,14 @@ func TestSemijoinEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := oracleEval(c, q)
+			want := Reference(c, q, false)
 			for name, e := range map[string]*Engine{"semijoin": semi, "pairwise": pair} {
 				got := e.Eval(q)
 				if len(got) != len(want) {
 					t.Fatalf("seed %d %q %s: got %d matches %v, want %d", seed, expr, name, len(got), got, len(want))
 				}
 				for _, id := range got {
-					if !want[id] {
+					if _, ok := want[id]; !ok {
 						t.Fatalf("seed %d %q %s: spurious match %d", seed, expr, name, id)
 					}
 				}
@@ -145,8 +66,8 @@ func TestSemijoinEquivalence(t *testing.T) {
 }
 
 // TestSemijoinRankedEquivalence: ranked evaluation agrees between the
-// per-center aggregation, the pairwise Distance loop, and the BFS
-// oracle — elements and exact scores.
+// per-center aggregation, the pairwise Distance loop, and
+// Reference — elements and exact scores.
 func TestSemijoinRankedEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		c := cyclicCollection(seed)
@@ -165,7 +86,7 @@ func TestSemijoinRankedEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := oracleRanked(c, q)
+			want := Reference(c, q, true)
 			for name, e := range map[string]*Engine{"semijoin": semi, "pairwise": pair} {
 				got, err := e.EvalRanked(q)
 				if err != nil {

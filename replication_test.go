@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -104,113 +105,24 @@ func waitCaughtUp(t *testing.T, fol *Index, primary *Index) {
 		fol.ReplicaStatus().AppliedSeq, want, fol.ReplicaStatus())
 }
 
-// assertLabelEquality asserts the follower holds byte-identical
-// Lin/Lout labels to the primary — the store==memory property from the
-// durable tests, lifted across the replication wire.
-func assertLabelEquality(t *testing.T, fol, primary *Index, label string) {
+// assertLabelEquality asserts that got holds byte-identical Lin/Lout
+// labels to want: a durable store to memory, a follower to its primary.
+func assertLabelEquality(t *testing.T, got, want *Index, label string) {
 	t.Helper()
-	pc := primary.ix.Cover()
-	fc := fol.ix.Cover()
-	if fc.N() != pc.N() {
-		t.Fatalf("%s: follower has %d nodes, primary %d", label, fc.N(), pc.N())
+	gc, wc := got.ix.Cover(), want.ix.Cover()
+	if gc.N() != wc.N() {
+		t.Fatalf("%s: %d nodes, want %d", label, gc.N(), wc.N())
 	}
-	if fc.WithDist != pc.WithDist {
-		t.Fatalf("%s: WithDist %v vs %v", label, fc.WithDist, pc.WithDist)
+	if gc.WithDist != wc.WithDist {
+		t.Fatalf("%s: WithDist %v, want %v", label, gc.WithDist, wc.WithDist)
 	}
-	for v := int32(0); v < int32(pc.N()); v++ {
-		if !equalEntries(fc.Lin(v), pc.Lin(v)) {
-			t.Fatalf("%s: Lin(%d) follower %v, primary %v", label, v, fc.Lin(v), pc.Lin(v))
+	for v := int32(0); v < int32(wc.N()); v++ {
+		if !slices.Equal(gc.Lin(v), wc.Lin(v)) {
+			t.Fatalf("%s: Lin(%d) = %v, want %v", label, v, gc.Lin(v), wc.Lin(v))
 		}
-		if !equalEntries(fc.Lout(v), pc.Lout(v)) {
-			t.Fatalf("%s: Lout(%d) follower %v, primary %v", label, v, fc.Lout(v), pc.Lout(v))
+		if !slices.Equal(gc.Lout(v), wc.Lout(v)) {
+			t.Fatalf("%s: Lout(%d) = %v, want %v", label, v, gc.Lout(v), wc.Lout(v))
 		}
-	}
-}
-
-// --- acceptance: convergence under concurrent traffic ----------------
-
-// TestReplicationFollowerConvergesUnderLoad starts a follower from
-// nothing against a live primary, applies a long randomized maintenance
-// script (including rebuilds, which ship as wholesale snapshots) while
-// readers continuously query the follower, and asserts the follower
-// converges to byte-identical cover labels once the stream quiesces.
-func TestReplicationFollowerConvergesUnderLoad(t *testing.T) {
-	dir := t.TempDir()
-	ix, base := createDurable(t, filepath.Join(dir, "p.hopi"))
-	defer ix.Close()
-	// small tail + a mid-script checkpoint: exercises the tail, WAL,
-	// and snapshot-reset feed paths
-	p := startReplPrimary(t, ix, "", PublishTail(4), PublishHeartbeat(20*time.Millisecond))
-	defer p.stop()
-
-	fol := followFast(t, p.streamURL())
-
-	ops := randomScript(rand.New(rand.NewSource(7)), base, 60, true)
-
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	queryErr := make(chan error, 1)
-	// readers: hammer the follower's snapshots while batches replay
-	for r := 0; r < 2; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				snap := fol.Snapshot()
-				res, err := snap.Query("//article//author")
-				if err != nil {
-					select {
-					case queryErr <- fmt.Errorf("query: %w", err):
-					default:
-					}
-					return
-				}
-				// every match must be a live, correctly tagged element of
-				// the snapshot's own collection
-				coll := snap.Collection()
-				for _, m := range res {
-					if coll.Tag(m.Element) != "author" {
-						select {
-						case queryErr <- fmt.Errorf("match %d has tag %q", m.Element, coll.Tag(m.Element)):
-						default:
-						}
-						return
-					}
-				}
-			}
-		}()
-	}
-
-	for i, op := range ops {
-		if _, err := ix.Apply(context.Background(), buildScriptBatch(op)); err != nil {
-			t.Fatalf("op %d: %v", i, err)
-		}
-		if i == len(ops)/2 {
-			// fold the WAL away mid-script so a lagging follower would
-			// have to take the snapshot-reset path
-			if err := ix.Checkpoint(); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	waitCaughtUp(t, fol, ix)
-	close(stop)
-	wg.Wait()
-	select {
-	case err := <-queryErr:
-		t.Fatal(err)
-	default:
-	}
-
-	assertLabelEquality(t, fol, ix, "after quiesce")
-	assertSameAnswers(t, fol, ix, "follower answers")
-	if st := fol.ReplicaStatus(); st.Role != "replica" || st.Lag != 0 || !st.Connected {
-		t.Fatalf("follower status %+v", st)
 	}
 }
 
@@ -233,7 +145,7 @@ func TestReplicationFollowerRestartCatchesUp(t *testing.T) {
 			ops := randomScript(rand.New(rand.NewSource(11)), base, 30, false)
 			fol := followFast(t, p.streamURL(), FollowDir(fdir))
 			for i, op := range ops {
-				if _, err := ix.Apply(context.Background(), buildScriptBatch(op)); err != nil {
+				if _, err := ix.Apply(context.Background(), buildScriptBatch(ix, op)); err != nil {
 					t.Fatalf("op %d: %v", i, err)
 				}
 				if i == 10 {
@@ -281,7 +193,7 @@ func TestReplicationFollowerDamagedStoreBootstraps(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, op := range randomScript(rand.New(rand.NewSource(3)), base, 6, false) {
-		if _, err := ix.Apply(context.Background(), buildScriptBatch(op)); err != nil {
+		if _, err := ix.Apply(context.Background(), buildScriptBatch(ix, op)); err != nil {
 			t.Fatalf("op %d: %v", i, err)
 		}
 	}
@@ -307,7 +219,7 @@ func TestReplicationFollowerWALIsPrimaryWAL(t *testing.T) {
 	fdir := filepath.Join(dir, "follower")
 	fol := followFast(t, p.streamURL(), FollowDir(fdir)) // image at seq 0: both logs empty
 	for i, op := range randomScript(rand.New(rand.NewSource(5)), base, 14, false) {
-		if _, err := ix.Apply(context.Background(), buildScriptBatch(op)); err != nil {
+		if _, err := ix.Apply(context.Background(), buildScriptBatch(ix, op)); err != nil {
 			t.Fatalf("op %d: %v", i, err)
 		}
 	}
@@ -339,7 +251,7 @@ func TestReplicationFollowerDirOfAnotherPrimary(t *testing.T) {
 		t.Helper()
 		for i := 0; i < n; i++ {
 			op := scriptOp{kind: 0, name: fmt.Sprintf("%s%02d.xml", prefix, i), target: target}
-			if _, err := ix.Apply(context.Background(), buildScriptBatch(op)); err != nil {
+			if _, err := ix.Apply(context.Background(), buildScriptBatch(ix, op)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -386,7 +298,7 @@ func TestReplicationPrimaryCrashRestart(t *testing.T) {
 
 	ops := randomScript(rand.New(rand.NewSource(13)), base, 24, false)
 	for i := 0; i < 12; i++ {
-		if _, err := ix.Apply(context.Background(), buildScriptBatch(ops[i])); err != nil {
+		if _, err := ix.Apply(context.Background(), buildScriptBatch(ix, ops[i])); err != nil {
 			t.Fatalf("op %d: %v", i, err)
 		}
 	}
@@ -407,7 +319,7 @@ func TestReplicationPrimaryCrashRestart(t *testing.T) {
 	defer p2.stop()
 
 	for i := 12; i < len(ops); i++ {
-		if _, err := re.Apply(context.Background(), buildScriptBatch(ops[i])); err != nil {
+		if _, err := re.Apply(context.Background(), buildScriptBatch(re, ops[i])); err != nil {
 			t.Fatalf("op %d: %v", i, err)
 		}
 	}
@@ -530,7 +442,7 @@ func TestReplicationStreamIsWALBytes(t *testing.T) {
 	ops := randomScript(rand.New(rand.NewSource(5)), base, 14, false)
 	apply := func(from, to int) {
 		for i := from; i < to; i++ {
-			if _, err := ix.Apply(context.Background(), buildScriptBatch(ops[i])); err != nil {
+			if _, err := ix.Apply(context.Background(), buildScriptBatch(ix, ops[i])); err != nil {
 				t.Fatalf("op %d: %v", i, err)
 			}
 		}
@@ -603,7 +515,7 @@ func TestReplicationPublishesBatchWhoseSealFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	ops := []scriptOp{{kind: 0, name: "s1.xml", target: "a.xml"}, {kind: 0, name: "s2.xml", target: "s1.xml"}}
-	if _, err := ix.Apply(context.Background(), buildScriptBatch(ops[0])); err != nil {
+	if _, err := ix.Apply(context.Background(), buildScriptBatch(ix, ops[0])); err != nil {
 		t.Fatal(err)
 	}
 	setFailpoint(ix, func(step string) error {
@@ -612,7 +524,7 @@ func TestReplicationPublishesBatchWhoseSealFails(t *testing.T) {
 		}
 		return nil
 	})
-	if _, err := ix.Apply(context.Background(), buildScriptBatch(ops[1])); !errors.Is(err, errDiskDied) {
+	if _, err := ix.Apply(context.Background(), buildScriptBatch(ix, ops[1])); !errors.Is(err, errDiskDied) {
 		t.Fatalf("Apply with a failing seal: err = %v, want the injected failure", err)
 	}
 	st := ix.ReplicaStatus()
@@ -873,7 +785,7 @@ func TestReplicationFollowerCompactionsSurviveReset(t *testing.T) {
 	}
 	apply := func(from, to int) {
 		for i := from; i < to; i++ {
-			if _, err := ix.Apply(context.Background(), buildScriptBatch(ops[i])); err != nil {
+			if _, err := ix.Apply(context.Background(), buildScriptBatch(ix, ops[i])); err != nil {
 				t.Fatalf("op %d: %v", i, err)
 			}
 		}

