@@ -81,8 +81,8 @@ func main() {
 		fail(err)
 	}
 	st := ix.Stats()
-	fmt.Printf("built in %s: %d partitions, %d cross links, %d label entries\n",
-		time.Since(t0).Round(time.Millisecond), st.Partitions, st.CrossLinks, ix.Size())
+	fmt.Printf("built in %s: %d partitions, %d cross links, %d label entries in %d distinct lists\n",
+		time.Since(t0).Round(time.Millisecond), st.Partitions, st.CrossLinks, ix.Size(), st.DistinctLists)
 	fmt.Printf("phases: partition %s, covers %s (%d centers, %d pops, %d recomputes; largest partition %d elements, %.1f MB closure), join %s\n",
 		st.PartitionTime.Round(time.Millisecond),
 		st.CoverTime.Round(time.Millisecond),

@@ -104,8 +104,12 @@ func TestMetricsExposition(t *testing.T) {
 	if ht := before["hopi_query_seconds"]; ht != nil && ht.Type != "histogram" {
 		t.Errorf("hopi_query_seconds TYPE = %s, want histogram", ht.Type)
 	}
-	// The build phase gauges are the index's own BuildStats.
+	// The build phase gauges and the distinct-list count are the
+	// index's own BuildStats.
 	st := ix.Stats()
+	if got := counterTotal(before, "hopi_build_distinct_lists", "", ""); got != float64(st.DistinctLists) || got == 0 {
+		t.Errorf("hopi_build_distinct_lists = %v, want BuildStats.DistinctLists = %d, not 0", got, st.DistinctLists)
+	}
 	for phase, want := range map[string]time.Duration{
 		"partition": st.PartitionTime, "covers": st.CoverTime, "join": st.JoinTime,
 	} {

@@ -57,15 +57,14 @@ func Build(c *xmlmodel.Collection, opts Options) (*Index, error) {
 	// Step 4: join.
 	tJoin := time.Now()
 	partOf := func(id int32) int { return p.PartOfID(c, id) }
-	var cover *twohop.Cover
+	var (
+		cover    *twohop.Cover
+		distinct int
+	)
 	switch opts.Join {
-	case JoinNewHBar:
-		cover = psg.JoinNew(c, p.CrossLinks, partOf, parts, psg.NewJoinOptions{
-			WithDist: opts.WithDistance, Seed: opts.Seed, Workers: opts.Workers,
-		})
-	case JoinNewFullPSG:
-		cover = psg.JoinNew(c, p.CrossLinks, partOf, parts, psg.NewJoinOptions{
-			WithDist: opts.WithDistance, FullPSGCover: true, Seed: opts.Seed, Workers: opts.Workers,
+	case JoinNewHBar, JoinNewFullPSG:
+		cover, distinct = psg.JoinNewInterned(c, p.CrossLinks, partOf, parts, psg.NewJoinOptions{
+			WithDist: opts.WithDistance, FullPSGCover: opts.Join == JoinNewFullPSG, Seed: opts.Seed, Workers: opts.Workers,
 		})
 	case JoinOldIncremental:
 		cover = psg.JoinOld(c, p.CrossLinks, parts, opts.WithDistance)
@@ -88,6 +87,7 @@ func Build(c *xmlmodel.Collection, opts Options) (*Index, error) {
 			CoverCenters:        pc.kernel.Centers,
 			CoverPops:           pc.kernel.Pops,
 			CoverRecomputes:     pc.kernel.Recomputes,
+			DistinctLists:       distinct,
 		}), nil
 }
 

@@ -146,4 +146,8 @@ type BuildStats struct {
 	CoverCenters    int
 	CoverPops       int
 	CoverRecomputes int
+	// DistinctLists is how many distinct non-empty Lin and Lout lists
+	// the interned cover stores (twohop.Cover.Intern); 0 after the old
+	// join, which does not intern.
+	DistinctLists int
 }

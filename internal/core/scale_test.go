@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"hopi/internal/gen"
@@ -227,6 +228,73 @@ func TestDistanceCoverUnchanged(t *testing.T) {
 	if n := int64(st.LargestPartition); n != 8497 || 8*st.LargestClosureBytes >= 4*n*n {
 		t.Errorf("distance-aware build: largest partition %d elements with a %d-byte closure, want 8497 under 4·n²/8 bytes",
 			n, st.LargestClosureBytes)
+	}
+}
+
+// TestBuildInternsLabelLists builds a 620-document DBLP collection,
+// plain and distance-aware, and checks that the cover stores each
+// distinct label list once: the backing arrays of its non-empty lists
+// are exactly as many as their distinct contents, and both counts are
+// the build's DistinctLists. A write to one owner of a shared list,
+// before any snapshot, leaves the other owners' lists as they were.
+func TestBuildInternsLabelLists(t *testing.T) {
+	for _, withDist := range []bool{false, true} {
+		opts := DefaultOptions()
+		opts.Seed = 42
+		opts.WithDistance = withDist
+		ix, err := Build(gen.DBLP(gen.DefaultDBLP(620, 42)), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		arrays, contents := 0, 0
+		for _, lists := range [][][]twohop.Entry{ix.Cover().In, ix.Cover().Out} {
+			seen := map[*twohop.Entry]bool{}
+			byContent := map[string]bool{}
+			var buf []byte
+			for _, l := range lists {
+				if len(l) == 0 {
+					continue
+				}
+				seen[&l[0]] = true
+				buf = buf[:0]
+				for _, e := range l {
+					buf = binary.LittleEndian.AppendUint32(buf, uint32(e.Center))
+					buf = binary.LittleEndian.AppendUint32(buf, e.Dist)
+				}
+				byContent[string(buf)] = true
+			}
+			arrays += len(seen)
+			contents += len(byContent)
+		}
+		if st := ix.Stats(); arrays != contents || contents != st.DistinctLists || contents == 0 {
+			t.Errorf("withDist=%v: %d backing arrays for %d distinct lists, BuildStats.DistinctLists %d",
+				withDist, arrays, contents, st.DistinctLists)
+		}
+
+		out := ix.Cover().Out
+		owner := map[*twohop.Entry]int{} // backing array → its first owner
+		written := false
+		for v, l := range out {
+			if len(l) < 2 { // a remove from a one-entry list writes nothing in place
+				continue
+			}
+			u, ok := owner[&l[0]]
+			if !ok {
+				owner[&l[0]] = v
+				continue
+			}
+			want := slices.Clone(out[u])
+			ix.Cover().RemoveOut(int32(v), want[0].Center)
+			if !slices.Equal(ix.Cover().Lout(int32(u)), want) || !slices.Equal(ix.Cover().Lout(int32(v)), want[1:]) {
+				t.Errorf("withDist=%v: removing %d from Lout(%d) left Lout(%d) = %v, want %v",
+					withDist, want[0].Center, v, u, ix.Cover().Lout(int32(u)), want)
+			}
+			written = true
+			break
+		}
+		if !written {
+			t.Errorf("withDist=%v: no two owners share a Lout list of two or more entries", withDist)
+		}
 	}
 }
 

@@ -47,11 +47,20 @@ type NewJoinOptions struct {
 // together, one partition per task, on opts.Workers goroutines; step 3
 // runs its per-source traversals on the same number.
 //
-// The result covers exactly the connections of G_E(X). Partition covers
+// The result covers exactly the connections of G_E(X) and stores each
+// distinct label list once (twohop.Cover.Intern). Partition covers
 // must be finished (labels sorted by center), as twohop.Build returns
 // them.
 func JoinNew(c *xmlmodel.Collection, cross []xmlmodel.Link, partOfID func(int32) int,
 	parts []*PartitionData, opts NewJoinOptions) *twohop.Cover {
+	global, _ := JoinNewInterned(c, cross, partOfID, parts, opts)
+	return global
+}
+
+// JoinNewInterned is JoinNew that also returns the number of distinct
+// label lists the cover stores.
+func JoinNewInterned(c *xmlmodel.Collection, cross []xmlmodel.Link, partOfID func(int32) int,
+	parts []*PartitionData, opts NewJoinOptions) (global *twohop.Cover, distinctLists int) {
 
 	workers := opts.Workers
 	if workers <= 0 {
@@ -95,7 +104,7 @@ func JoinNew(c *xmlmodel.Collection, cross []xmlmodel.Link, partOfID func(int32)
 		pi := partOfID(gid)
 		members[pi] = append(members[pi], int32(li))
 	}
-	global := twohop.NewCover(c.NumAllocatedIDs(), opts.WithDist)
+	global = twohop.NewCover(c.NumAllocatedIDs(), opts.WithDist)
 	onPool(workers, len(parts), func() func(int) {
 		ga := newGatherer(s)
 		return func(pi int) {
@@ -105,7 +114,7 @@ func JoinNew(c *xmlmodel.Collection, cross []xmlmodel.Link, partOfID func(int32)
 		}
 	})
 	global.Recount()
-	return global
+	return global, global.Intern()
 }
 
 // onPool runs task(i) for every i in [0, n) on at most workers

@@ -347,6 +347,53 @@ func TestCrashMidCompaction(t *testing.T) {
 	}
 }
 
+// TestInstallStoreWritesShippedFilesDurably installs a two-segment
+// image the way a follower bootstraps: every shipped file lands under
+// its own name byte for byte, through a temp file that is gone
+// afterwards, and the installed store reads the same labels.
+func TestInstallStoreWritesShippedFilesDurably(t *testing.T) {
+	src, err := CreateStore(t.TempDir(), false, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var f1, f2 [NumFamilies][]Rec
+	f1[FamLout] = []Rec{{Key: 3, Posts: []Post{{Val: 7}, {Val: 9}}}}
+	f2[FamLout] = []Rec{{Key: 3, Posts: []Post{{Val: 9, Tomb: true}, {Val: 11}}}}
+	for i, f := range [][NumFamilies][]Rec{f1, f2} {
+		if _, err := src.Seal(uint64(i+1), 50, 2, f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seq, n, withDist, live, files, err := src.ImageFiles(src.Current())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	dst, err := InstallStore(dir, seq, n, withDist, live, files, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		got, err := os.ReadFile(filepath.Join(dir, f.Name))
+		if err != nil || !bytes.Equal(got, f.Data) {
+			t.Errorf("%s: installed %d bytes (err %v), shipped %d, or they differ", f.Name, len(got), err, len(f.Data))
+		}
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if filepath.Ext(e.Name()) == ".tmp" {
+			t.Errorf("install left %s behind", e.Name())
+		}
+	}
+	want, _ := liveOf(src.Current(), FamLout, 3)
+	if got, err := liveOf(dst.Current(), FamLout, 3); err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("installed store: Live = %v (err %v), want %v", got, err, want)
+	}
+}
+
 // A bitset word count ≥ 2⁶⁰ used to wrap int(nWords)*8 to 0, so the
 // skip "succeeded" and the lookup went on reading inside the record.
 func TestFindInBlockRejectsWrappingBitsetLength(t *testing.T) {

@@ -440,16 +440,20 @@ func (s *Store) ImageFiles(st *Stack) (seq uint64, n int, withDist bool, live in
 	return seq, n, withDist, live, files, nil
 }
 
-// InstallStore materializes a store directory from shipped segment
-// files (follower bootstrap): writes the files, commits a manifest
-// referencing them, and opens the result.
+// install writes shipped segment files (follower bootstrap) as a seal
+// writes its own: each to a temp name, fsynced and renamed into place,
+// and then the directory synced, so the manifest committed next names
+// only durable files.
 func (s *Store) install(files []NamedFile) error {
 	for _, f := range files {
-		if err := os.WriteFile(filepath.Join(s.dir, f.Name), f.Data, 0o644); err != nil {
+		if _, err := writeAtomic(filepath.Join(s.dir, f.Name), func(w *os.File) error {
+			_, err := w.Write(f.Data)
+			return err
+		}); err != nil {
 			return err
 		}
 	}
-	return nil
+	return SyncDir(s.dir)
 }
 
 // InstallStore creates dir containing the shipped files and a

@@ -170,6 +170,24 @@ func (sw *Writer) Finish(meta Meta) error {
 // path+".tmp", fsyncs, and renames into place. emit is called with
 // the writer to append all records; WriteFile calls Finish.
 func WriteFile(path string, meta Meta, emit func(*Writer) error) (size int64, err error) {
+	return writeAtomic(path, func(f *os.File) error {
+		sw, err := NewWriter(f)
+		if err != nil {
+			return err
+		}
+		if err := emit(sw); err != nil {
+			return err
+		}
+		return sw.Finish(meta)
+	})
+}
+
+// writeAtomic creates path+".tmp", fills it with write, fsyncs it and
+// renames it to path, so the file is whole and durable under its name
+// before anything can reference it (syncing the directory entry is
+// the caller's). It returns the file's size; on error it removes the
+// temp file.
+func writeAtomic(path string, write func(*os.File) error) (size int64, err error) {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
@@ -181,14 +199,7 @@ func WriteFile(path string, meta Meta, emit func(*Writer) error) (size int64, er
 			os.Remove(tmp)
 		}
 	}()
-	sw, err := NewWriter(f)
-	if err != nil {
-		return 0, err
-	}
-	if err = emit(sw); err != nil {
-		return 0, err
-	}
-	if err = sw.Finish(meta); err != nil {
+	if err = write(f); err != nil {
 		return 0, err
 	}
 	if err = f.Sync(); err != nil {

@@ -17,6 +17,10 @@
 // sealed entries removed since. With no base the delta holds every
 // label. PostingIndex, the center→owners inversion, mirrors it: base
 // owners, plus delta owners, minus masked base owners.
+//
+// Label lists are shared copy-on-write: Intern shares equal lists
+// between the owners of one cover, and Clone shares them between
+// covers. A write copies a node's list first.
 package twohop
 
 import (
@@ -47,15 +51,17 @@ type Entry struct {
 // nothing for the node (and so nothing of it is tombstoned).
 //
 // Direct In/Out access is for builders: they size the spine with
-// NewCover, fill it, and then call Finish or Recount, all before any
-// Clone. Everything else mutates through AddIn, RemoveIn and their
-// kin, which keep the counters, the tombstones and copy-on-write
-// right. Past a builder the spine is sized lazily: it may be shorter
-// than N, and a write extends it to its node.
+// NewCover, fill it, and then call Finish or Recount, and Intern if at
+// all, all before any Clone. Everything else mutates through AddIn,
+// RemoveIn and their kin, which keep the counters, the tombstones and
+// copy-on-write right. Past a builder the spine is sized lazily: it may
+// be shorter than N, and a write extends it to its node.
 //
-// Clone shares every label list and tombstone set between the two
-// covers; the mutator methods copy a node's list and set on its first
-// write after a share (see claim).
+// Lists are shared copy-on-write in two ways: Intern shares equal
+// lists between the owners of one cover, and Clone shares every label
+// list and tombstone set between two covers. Either way the mutator
+// methods copy a node's list and set on its first write after the
+// share (see claim).
 type Cover struct {
 	In  [][]Entry
 	Out [][]Entry
@@ -76,11 +82,11 @@ type Cover struct {
 	base  *Base
 	tombs [2]map[int32]map[int32]struct{}
 
-	// Copy-on-write state. shared is set by Clone on both covers: from
-	// then on a node's list and tombstone set may be another cover's
-	// too. owned marks, per side, the nodes this cover has claimed
-	// since, and tombsShared that the tombstone maps themselves still
-	// are shared.
+	// Copy-on-write state. shared is set by Clone on both covers and by
+	// Intern: from then on a node's list and tombstone set may be
+	// another cover's or another owner's too. owned marks, per side,
+	// the nodes this cover has claimed since, and tombsShared that the
+	// tombstone maps themselves still are shared.
 	shared      bool
 	owned       [2]graph.Bitset
 	tombsShared bool
@@ -622,6 +628,49 @@ func (c *Cover) Clone() *Cover {
 		shared:      true,
 		tombsShared: true,
 	}
+}
+
+// Intern stores each distinct label list once: per side, every owner
+// of a non-empty list equal, centers and distances alike, to the list
+// of an earlier owner in node order is pointed at that earlier list.
+// The cover is then shared with no node owned, as after Clone, so the
+// first write to a node copies its list (see claim) and the other
+// owners keep theirs. It returns the number of distinct non-empty lists
+// over both sides. Builders call it once, after Finish or Recount and
+// before the cover gets a base or a clone. The labels, Size and
+// DeltaEntries do not change, and a second call changes nothing.
+func (c *Cover) Intern() int {
+	distinct := 0
+	for s := sideIn; s <= sideOut; s++ {
+		lists := *c.spine(s)
+		firsts := map[uint64][]int32{} // list hash → the first owner of each distinct list with it
+		for v, list := range lists {
+			if len(list) == 0 {
+				continue
+			}
+			h := listHash(list)
+			i := slices.IndexFunc(firsts[h], func(u int32) bool { return slices.Equal(lists[u], list) })
+			if i < 0 {
+				firsts[h] = append(firsts[h], int32(v))
+				distinct++
+				continue
+			}
+			lists[v] = lists[firsts[h][i]]
+		}
+	}
+	c.shared, c.owned = true, [2]graph.Bitset{}
+	return distinct
+}
+
+// listHash hashes a label list's centers and distances, FNV-1a over
+// one 64-bit word per entry.
+func listHash(list []Entry) uint64 {
+	h := uint64(14695981039346656037)
+	for _, e := range list {
+		h ^= uint64(e.Dist)<<32 | uint64(uint32(e.Center))
+		h *= 1099511628211
+	}
+	return h
 }
 
 // Verify checks the cover against a ground-truth closure: every

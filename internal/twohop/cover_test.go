@@ -3,6 +3,7 @@ package twohop
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"hopi/internal/graph"
@@ -210,6 +211,141 @@ func TestCloneCopyOnWrite(t *testing.T) {
 			for j := range covers {
 				checkEqual(t, refs[j], covers[j], fmt.Sprintf("seg=%v round %d cover %d", seg, round, j))
 			}
+		}
+	}
+}
+
+// internCover is a builder's cover over 48 nodes. Owners 0–31 fall
+// into four groups by v%4, and the owners of a group hold equal Lout
+// and Lin lists over centers 32–47, except owner 31, whose lists have
+// one more entry: 10 distinct lists in all. Distance-aware lists carry
+// distances of at least 1, so a distance-0 add lowers one.
+func internCover(withDist bool) *Cover {
+	c := NewCover(48, withDist)
+	for v := int32(0); v < 32; v++ {
+		g := v % 4
+		for k := int32(0); k < 3; k++ {
+			d := uint32(0)
+			if withDist {
+				d = uint32(1 + g + k)
+			}
+			c.Out[v] = append(c.Out[v], Entry{Center: 32 + 4*k + g, Dist: d})
+			c.In[v] = append(c.In[v], Entry{Center: 32 + 4*k + (g+1)%4, Dist: d})
+		}
+	}
+	c.Out[31] = append(c.Out[31], Entry{Center: 47})
+	c.In[31] = append(c.In[31], Entry{Center: 47})
+	c.Recount()
+	return c
+}
+
+func cloneLists(lists [][]Entry) [][]Entry {
+	out := make([][]Entry, len(lists))
+	for v, l := range lists {
+		out[v] = slices.Clone(l)
+	}
+	return out
+}
+
+// TestInternCopyOnWrite interns a cover whose owners hold equal lists
+// and runs every mutator on one owner, the first of its group (whose
+// list the others now point at) and a later one: the written owner
+// must end as on an uninterned twin that took the same write, and
+// every other owner must keep its list as it was. Clone stacks a
+// second share on the interned one, and both covers take writes.
+func TestInternCopyOnWrite(t *testing.T) {
+	// The centers of owner w's lists: out(w, k) is its k-th Lout center,
+	// in(w, k) its k-th Lin center.
+	out := func(w int32, k int32) int32 { return 32 + 4*k + w%4 }
+	in := func(w int32, k int32) int32 { return 32 + 4*k + (w%4+1)%4 }
+	ops := []struct {
+		name  string
+		write func(c *Cover, w int32)
+	}{
+		{"AddIn new", func(c *Cover, w int32) { c.AddIn(w, 46, 1) }},
+		{"AddIn lower", func(c *Cover, w int32) { c.AddIn(w, in(w, 1), 0) }},
+		{"AddOut new", func(c *Cover, w int32) { c.AddOut(w, 46, 1) }},
+		{"AddOut lower", func(c *Cover, w int32) { c.AddOut(w, out(w, 0), 0) }},
+		{"RemoveIn", func(c *Cover, w int32) { c.RemoveIn(w, in(w, 2)) }},
+		{"RemoveOut", func(c *Cover, w int32) { c.RemoveOut(w, out(w, 1)) }},
+		{"FilterIn", func(c *Cover, w int32) { c.FilterIn(w, func(ctr int32) bool { return ctr == in(w, 0) }) }},
+		{"FilterOut", func(c *Cover, w int32) { c.FilterOut(w, func(ctr int32) bool { return ctr != out(w, 1) }) }},
+		{"ClearIn", func(c *Cover, w int32) { c.ClearIn(w) }},
+		{"ClearOut", func(c *Cover, w int32) { c.ClearOut(w) }},
+		{"SetOut", func(c *Cover, w int32) { c.SetOut(w, []Entry{{Center: out(w, 0), Dist: 9}, {Center: 46, Dist: 2}}) }},
+		{"Apply", func(c *Cover, w int32) {
+			c.Apply([]CoverDelta{
+				{Kind: DeltaAddOut, Node: w, Center: 46, Dist: 1},
+				{Kind: DeltaRemoveIn, Node: w, Center: in(w, 0)},
+				{Kind: DeltaAddIn, Node: w, Center: 46, Dist: 3},
+				{Kind: DeltaRemoveOut, Node: w, Center: out(w, 2)},
+			})
+		}},
+	}
+	// others checks that every owner but w kept the lists of before.
+	others := func(c *Cover, ins, outs [][]Entry, w int32, where string) {
+		t.Helper()
+		for v := range c.In {
+			if int32(v) == w {
+				continue
+			}
+			if !slices.Equal(c.In[v], ins[v]) || !slices.Equal(c.Out[v], outs[v]) {
+				t.Fatalf("%s: owner %d: Lin %v Lout %v, want %v %v", where, v, c.In[v], c.Out[v], ins[v], outs[v])
+			}
+		}
+	}
+	for _, withDist := range []bool{false, true} {
+		c := internCover(withDist)
+		if got := c.Intern(); got != 10 {
+			t.Fatalf("withDist=%v: Intern = %d distinct lists, want 10", withDist, got)
+		}
+		for v := int32(4); v < 32; v++ {
+			if shared := &c.Out[v][0] == &c.Out[v%4][0] && &c.In[v][0] == &c.In[v%4][0]; shared != (v != 31) {
+				t.Fatalf("withDist=%v: owner %d shares the lists of owner %d: %v", withDist, v, v%4, shared)
+			}
+		}
+		size, delta := c.Size(), c.DeltaEntries()
+		first := &c.Out[4][0]
+		if got := c.Intern(); got != 10 || c.Size() != size || c.DeltaEntries() != delta || &c.Out[4][0] != first {
+			t.Fatalf("withDist=%v: a second Intern moved something: %d lists, size %d→%d, delta %d→%d",
+				withDist, got, size, c.Size(), delta, c.DeltaEntries())
+		}
+		checkEqual(t, internCover(withDist), c, fmt.Sprintf("withDist=%v: interned", withDist))
+
+		for _, op := range ops {
+			for _, w := range []int32{1, 9} {
+				where := fmt.Sprintf("withDist=%v: %s on owner %d", withDist, op.name, w)
+				c, ref := internCover(withDist), internCover(withDist)
+				c.Intern()
+				ins, outs := cloneLists(c.In), cloneLists(c.Out)
+				op.write(c, w)
+				op.write(ref, w)
+				checkEqual(t, ref, c, where)
+				if c.DeltaEntries() != ref.DeltaEntries() {
+					t.Fatalf("%s: DeltaEntries %d, want %d", where, c.DeltaEntries(), ref.DeltaEntries())
+				}
+				others(c, ins, outs, w, where)
+			}
+		}
+
+		// Clone on top of the interned share: each cover writes one
+		// owner of group 1 through every op, and neither write shows
+		// anywhere else.
+		for _, op := range ops {
+			where := fmt.Sprintf("withDist=%v: Clone, then %s", withDist, op.name)
+			c := internCover(withDist)
+			c.Intern()
+			ins, outs := cloneLists(c.In), cloneLists(c.Out)
+			cl := c.Clone()
+			ref, refCl := internCover(withDist), internCover(withDist)
+			op.write(cl, 1)
+			op.write(refCl, 1)
+			op.write(c, 5)
+			op.write(ref, 5)
+			checkEqual(t, ref, c, where+": original")
+			checkEqual(t, refCl, cl, where+": clone")
+			others(c, ins, outs, 5, where+": original")
+			others(cl, ins, outs, 1, where+": clone")
 		}
 	}
 }

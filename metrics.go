@@ -140,6 +140,9 @@ func newIndexMetrics(ix *Index) *indexMetrics {
 			[]string{"phase"}, []string{ph.name},
 			func() float64 { return ph.of(ix.Stats()).Seconds() })
 	}
+	r.GaugeFunc("hopi_build_distinct_lists",
+		"Distinct Lin and Lout lists the build behind the served cover stored, each once (0 for an index opened from a store or built by the old join).",
+		func() float64 { return float64(ix.Stats().DistinctLists) })
 
 	// What the index holds, from the live state under its read lock.
 	for _, g := range []struct {
