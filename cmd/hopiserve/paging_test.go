@@ -205,18 +205,18 @@ func TestServerQueryStream(t *testing.T) {
 	}
 }
 
-// TestServerExplain: the endpooint reports per-step modes, and the
-// limited run shows the pushdown mode with fewer postings touched.
+// TestServerExplain: the endpoint reports per-step modes, and the
+// limited run reads fewer label entries than the full one.
 func TestServerExplain(t *testing.T) {
 	h, _ := newTestServer(t, 40)
 	var full hopi.Plan
 	getInto(t, h, "/explain?expr=//article//author", http.StatusOK, &full)
-	if len(full.Steps) != 2 || full.Steps[1].Mode != "semijoin" || full.Matches == 0 {
+	if len(full.Steps) != 2 || full.Steps[1].Mode != "descendant" || full.Matches == 0 {
 		t.Fatalf("full plan: %+v", full)
 	}
 	var lim hopi.Plan
 	getInto(t, h, "/explain?expr=//article//author&limit=5", http.StatusOK, &lim)
-	if lim.Steps[1].Mode != "stream-semijoin" || lim.Matches != 5 {
+	if lim.Steps[1].Mode != "descendant" || lim.Matches != 5 {
 		t.Fatalf("limited plan: %+v", lim)
 	}
 	if lim.Steps[1].Postings >= full.Steps[1].Postings {
@@ -224,7 +224,7 @@ func TestServerExplain(t *testing.T) {
 	}
 	var ranked hopi.Plan
 	getInto(t, h, "/explain?expr=//article//author&limit=5&ranked=1", http.StatusOK, &ranked)
-	if ranked.Steps[1].Mode != "ranked-semijoin" || ranked.Matches != 5 {
+	if ranked.Steps[1].Mode != "ranked-descendant" || ranked.Matches != 5 {
 		t.Fatalf("ranked plan: %+v", ranked)
 	}
 	code, _ := get(t, h, "/explain?expr=notaquery")

@@ -102,9 +102,10 @@ type scriptOp struct {
 	// 0 insert doc+cite, 1 delete doc, 2 insert link, 3 delete link,
 	// 4 rebuild, 5 insert scriptXML, 6 modify doc to modifiedXML
 	kind     int
-	name     string // document to insert, delete or modify; link source document
-	target   string // cite/link target document
-	from, to int32  // link endpoints' local elements (kinds 2 and 3)
+	name     string     // document to insert, delete or modify; link source document
+	target   string     // cite/link target document
+	from, to int32      // link endpoints' local elements (kinds 2 and 3)
+	then     []scriptOp // kind 4: writes in the same batch, after the rebuild
 }
 
 // scriptXML is the document a kind 5 op inserts: an abstract on a
@@ -121,6 +122,11 @@ var modifiedXML = []byte(`<article><title/><abstract id="a"><para/><para idref="
 // a document to modify.
 func buildScriptBatch(ix *Index, op scriptOp) *Batch {
 	b := NewBatch()
+	addScriptOp(b, ix, op)
+	return b
+}
+
+func addScriptOp(b *Batch, ix *Index, op scriptOp) {
 	switch op.kind {
 	case 0:
 		d := NewDocument(op.name, "article")
@@ -140,6 +146,9 @@ func buildScriptBatch(ix *Index, op scriptOp) *Batch {
 		b.DeleteLink(op.name, op.from, op.target, op.to)
 	case 4:
 		b.Rebuild()
+		for _, w := range op.then {
+			addScriptOp(b, ix, w)
+		}
 	case 5:
 		if err := b.InsertXML(op.name, scriptXML(op.target)); err != nil {
 			panic(err)
@@ -152,7 +161,6 @@ func buildScriptBatch(ix *Index, op scriptOp) *Batch {
 		}
 		b.ModifyDocument(id, &Document{d: d})
 	}
-	return b
 }
 
 // randomScript generates n always-valid maintenance steps over the

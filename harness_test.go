@@ -289,7 +289,14 @@ func (g *generator) draw(kind string) (scriptOp, bool) {
 		}
 		return scriptOp{kind: 6, name: c.Docs[c.DocOfID(end)].Name}, true
 	case "rebuild":
-		return scriptOp{kind: 4}, true
+		// A link delete in the same batch is the first write on the
+		// fresh cover, with no snapshot between: it removes entries
+		// from label lists the cover's owners share.
+		op := scriptOp{kind: 4}
+		if w, ok := g.draw("delete link"); ok {
+			op.then = []scriptOp{w}
+		}
+		return op, true
 	}
 	panic("unknown draw " + kind)
 }
@@ -327,6 +334,10 @@ func applyModel(t *testing.T, c *xmlmodel.Collection, op scriptOp) {
 			if err = c.AddLinkByAnchor(idx, p.FromLocal, p.TargetDoc, p.Anchor); err != nil {
 				break
 			}
+		}
+	case 4:
+		for _, w := range op.then {
+			applyModel(t, c, w)
 		}
 	case 6:
 		err = modifyModel(c, op.name)

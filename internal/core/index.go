@@ -19,7 +19,7 @@ type Index struct {
 	coll  *xmlmodel.Collection
 	cover *twohop.Cover
 	ixMu  sync.Mutex      // guards the lazy init of ix under concurrent readers
-	ix    *psg.CoverIndex // center→owners postings for ancestor/descendant, semijoins + maintenance
+	ix    *psg.CoverIndex // center→owners postings for ancestor/descendant, link insertion and watch deltas
 	cycMu sync.Mutex      // guards the lazy init of cyc
 	cyc   *cyclicInfo     // derived cycle info; nil after a mutation that can change it
 	opts  Options
@@ -110,9 +110,12 @@ func (ix *Index) Descendants(u int32) []int32 { return ix.coverIndex().Descendan
 func (ix *Index) Ancestors(u int32) []int32 { return ix.coverIndex().Ancestors(u) }
 
 // Postings returns the center→owners posting index over the cover,
-// building it on first use. The set-at-a-time query evaluator unions
-// frontier Lout centers and expands them through InOwners postings (the
-// §5.1 semijoin); the handle stays valid and warm across maintenance.
+// building it on first use. Its reader outside this package is the
+// watch path's delta re-evaluation (query.Engine.DiffEval), which
+// enumerates the owners a changed label can affect; inside it,
+// Ancestors/Descendants and link insertion read the same structure. The
+// query engine's steps read labels only. The handle stays valid and
+// warm across maintenance.
 func (ix *Index) Postings() *psg.CoverIndex { return ix.coverIndex() }
 
 func (ix *Index) coverIndex() *psg.CoverIndex {
@@ -188,18 +191,6 @@ func (ix *Index) CycleDistance(u int32) uint32 { return ix.cyclic().cycleDist(u)
 // cycles. The bitset is immutable — callers must not modify it; it
 // lets hot loops test many elements without per-call locking.
 func (ix *Index) CyclicSet() graph.Bitset { return ix.cyclic().on }
-
-// ReachesProper reports whether a path of length ≥ 1 leads from u to
-// v. This is the descendant-axis ("//") semantics: for u ≠ v it
-// coincides with Reaches, and u //-matches itself only through a
-// genuine cycle — unlike Reaches, whose reflexivity mirrors the
-// paper's connection relation.
-func (ix *Index) ReachesProper(u, v int32) bool {
-	if u == v {
-		return ix.OnCycle(u)
-	}
-	return ix.cover.Reaches(u, v)
-}
 
 // Clone returns a copy of the index: the collection, the cover, and
 // the build metadata. Nothing is copied eagerly beyond the cover's

@@ -30,9 +30,8 @@ func JoinOld(c *xmlmodel.Collection, cross []xmlmodel.Link, parts []*PartitionDa
 
 // CoverIndex pairs a cover with the center→owners posting index — the
 // backward indexes the §3.4 database deployment keeps on LIN and LOUT.
-// The postings make cover-based ancestor/descendant queries and the
-// set-at-a-time descendant-axis semijoin feasible; both the old join
-// and incremental maintenance depend on them.
+// The postings make cover-based ancestor/descendant queries feasible;
+// both the old join and incremental maintenance depend on them.
 type CoverIndex struct {
 	cov  *twohop.Cover
 	post *twohop.PostingIndex

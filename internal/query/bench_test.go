@@ -8,9 +8,9 @@ import (
 	"hopi/internal/gen"
 )
 
-// benchEngine builds a moderate citation collection once per process
-// for the evaluator benchmarks.
-func benchEngine(b *testing.B, mode EvalMode) *Engine {
+// benchEngine builds a moderate citation collection for the evaluator
+// benchmarks.
+func benchEngine(b *testing.B) *Engine {
 	b.Helper()
 	c := gen.DBLP(gen.DefaultDBLP(120, 42))
 	ix, err := core.Build(c, core.Options{
@@ -21,13 +21,11 @@ func benchEngine(b *testing.B, mode EvalMode) *Engine {
 		b.Fatal(err)
 	}
 	ix.Warm()
-	e := NewEngine(c, ix)
-	e.SetEvalMode(mode)
-	return e
+	return NewEngine(c, ix)
 }
 
-func benchEval(b *testing.B, mode EvalMode, expr string) {
-	e := benchEngine(b, mode)
+func benchEval(b *testing.B, expr string) {
+	e := benchEngine(b)
 	q, err := Parse(expr)
 	if err != nil {
 		b.Fatal(err)
@@ -38,24 +36,16 @@ func benchEval(b *testing.B, mode EvalMode, expr string) {
 	}
 }
 
-func BenchmarkEvalSemijoinDescendant(b *testing.B) {
-	benchEval(b, EvalSemijoin, "//article//author")
+func BenchmarkEvalDescendant(b *testing.B) {
+	benchEval(b, "//article//author")
 }
 
-func BenchmarkEvalPairwiseDescendant(b *testing.B) {
-	benchEval(b, EvalPairwise, "//article//author")
+func BenchmarkEvalWildcard(b *testing.B) {
+	benchEval(b, "//*//author")
 }
 
-func BenchmarkEvalSemijoinWildcard(b *testing.B) {
-	benchEval(b, EvalSemijoin, "//*//author")
-}
-
-func BenchmarkEvalPairwiseWildcard(b *testing.B) {
-	benchEval(b, EvalPairwise, "//*//author")
-}
-
-func benchRanked(b *testing.B, mode EvalMode, expr string) {
-	e := benchEngine(b, mode)
+func benchRanked(b *testing.B, expr string) {
+	e := benchEngine(b)
 	q, err := Parse(expr)
 	if err != nil {
 		b.Fatal(err)
@@ -68,22 +58,18 @@ func benchRanked(b *testing.B, mode EvalMode, expr string) {
 	}
 }
 
-func BenchmarkEvalRankedSemijoin(b *testing.B) {
-	benchRanked(b, EvalSemijoin, "//article//author")
-}
-
-func BenchmarkEvalRankedPairwise(b *testing.B) {
-	benchRanked(b, EvalPairwise, "//article//author")
+func BenchmarkEvalRanked(b *testing.B) {
+	benchRanked(b, "//article//author")
 }
 
 func BenchmarkEvalRankedWildcard(b *testing.B) {
-	benchRanked(b, EvalSemijoin, "//*//author")
+	benchRanked(b, "//*//author")
 }
 
-// benchStream drains a limit-10 cursor — the pushdown path the
-// full-materialization benchmarks above are the baseline for.
+// benchStream drains a limit-10 cursor, which stops where the
+// full-materialization benchmarks above go on.
 func benchStream(b *testing.B, ranked bool, expr string) {
-	e := benchEngine(b, EvalSemijoin)
+	e := benchEngine(b)
 	q, err := Parse(expr)
 	if err != nil {
 		b.Fatal(err)

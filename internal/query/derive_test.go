@@ -23,7 +23,6 @@ func TestDeriveMatchesNewEngine(t *testing.T) {
 	}
 	snap := ix.Clone()
 	eng := NewEngine(snap.Collection(), snap)
-	eng.SetEvalMode(EvalSemijoin)
 	var queries []*Query
 	for _, expr := range append(equivExprs(), "//x//e", "//x") {
 		q, err := Parse(expr)
@@ -57,7 +56,6 @@ func TestDeriveMatchesNewEngine(t *testing.T) {
 		snap = ix.Clone()
 		eng = eng.Derive(snap.Collection(), snap)
 		fresh := NewEngine(snap.Collection(), snap)
-		fresh.SetEvalMode(EvalSemijoin)
 		for tag, ids := range snap.Collection().ElementsByTag() {
 			if got := eng.Candidates(tag); !slices.Equal(got, ids) {
 				t.Fatalf("step %d: derived %q candidates %v, want %v", step, tag, got, ids)

@@ -2,24 +2,19 @@ package query
 
 import "time"
 
-// EvalModeName is the evaluator a step actually ran with — the thing
-// EXPLAIN exists to reveal. "seed" is the first step (candidate
-// enumeration, no join); the "stream-*" modes are the unranked cursor's
-// limit-pushdown variants of the final step. A ranked // step runs
-// "ranked-semijoin", the one label kernel, limited or not (a limited
-// run selects its page from the finished step), or "ranked-pairwise",
-// its Distance-per-pair reference below the pairwise cutoff.
+// The Mode* values name how a step ran — the thing EXPLAIN exists to
+// reveal, and the mode label of the query-latency histogram. "seed" is
+// the first step (candidate enumeration, no join), "child" a "/" step,
+// "descendant" an unranked // step (the candidate test, streamed when
+// final) and "ranked-descendant" a ranked // step (the label kernel,
+// limited or not: a limited run selects its page from the finished
+// step).
 const (
-	ModeSeed           = "seed"
-	ModeChild          = "child"
-	ModeSemijoin       = "semijoin"
-	ModePairwise       = "pairwise"
-	ModeRankedSemijoin = "ranked-semijoin"
-	ModeRankedPairwise = "ranked-pairwise"
-	ModeStreamSemijoin = "stream-semijoin"
-	ModeStreamChild    = "stream-child"
-	ModeStreamSeed     = "stream-seed"
-	ModeSkipped        = "skipped" // an earlier step emptied the frontier
+	ModeSeed             = "seed"
+	ModeChild            = "child"
+	ModeDescendant       = "descendant"
+	ModeRankedDescendant = "ranked-descendant"
+	ModeSkipped          = "skipped" // an earlier step emptied the frontier
 )
 
 // StepPlan reports how one location step was evaluated.
@@ -36,11 +31,11 @@ type StepPlan struct {
 	// only the results actually emitted before the cursor stopped.
 	FrontierIn  int `json:"frontierIn"`
 	FrontierOut int `json:"frontierOut"`
-	// Postings counts posting-list and label entries scanned (probe
-	// count for the pairwise evaluator) — the step's I/O proxy.
+	// Postings counts the label entries read: the frontier's Lout and
+	// the tested candidates' Lin — the step's I/O proxy.
 	Postings int `json:"postings"`
-	// Centers is the number of distinct centers the semijoin expanded
-	// (0 for non-semijoin modes).
+	// Centers is the number of distinct Lout centers of the frontier
+	// (// steps only).
 	Centers int `json:"centers,omitempty"`
 }
 
@@ -66,7 +61,7 @@ func (sp *StepPlan) touch(n int) {
 // Plan is the EXPLAIN report of one query execution: which evaluator
 // each step chose, how large the frontiers were, and how many posting
 // entries were scanned. A plan describes an actual run — with a limit,
-// the final step's numbers reflect the pushdown, not the full result.
+// the final step's numbers cover only what ran before the cursor stopped.
 type Plan struct {
 	Expr    string        `json:"expr"`
 	Ranked  bool          `json:"ranked"`
@@ -85,8 +80,7 @@ func NewPlan(q *Query, ranked bool, limit int) *Plan { return newPlan(q, ranked,
 // DominantMode returns the evaluation mode of the step that produced
 // the result set — the last step that actually ran — or "unknown" when
 // nothing was recorded. Query-latency histograms use it as their mode
-// label: the final step is where limit pushdown, ranking, and the
-// semijoin/pairwise choice all surface.
+// label: the final step is where the axis and ranking surface.
 func (p *Plan) DominantMode() string {
 	if p == nil {
 		return "unknown"

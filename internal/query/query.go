@@ -13,32 +13,35 @@
 // matches *itself* only through a genuine cycle (links can close
 // cycles that trees never have): on a link-free collection //a//a is
 // empty, exactly as in XPath, while in a citation cycle an article is
-// its own descendant. All evaluators — the set-at-a-time semijoin, the
-// pairwise fallback, and the ranked path — share this proper-path
-// semantics (core.Index.ReachesProper); ranked self-matches score by
-// the shortest cycle length.
+// its own descendant. Both // kernels, unranked and ranked, share this
+// proper-path semantics, and Reference is its brute-force ground
+// truth; ranked self-matches score by the shortest cycle length.
 //
-// # Set-at-a-time evaluation
+// # Candidate-side evaluation
 //
-// A // step is evaluated as the §5.1 semijoin rather than per
-// (frontier, candidate) pair: union the Lout centers of the frontier,
-// expand frontier elements and centers through the center→owners
-// posting index (every v with a hit in Lin), add the centers
-// themselves (the direct v ∈ Lout(u) case), and intersect with the
-// tag's candidate bitset. Cost is proportional to the frontier's label
-// mass plus the touched posting lists instead of |F|×|C| probes.
+// A // step is the §5.1 label join driven from the side that can be
+// pruned, the tag's candidates (the staircase-join idea): mark the
+// frontier F, its Lout centers X = centers(Lout(F)) and F ∪ X in
+// bitsets once, then walk the candidates in ascending ID order and keep
+// c when c ∈ X (the direct c ∈ Lout(f) case), c ∈ F lies on a cycle
+// (the self-match), or Lin(c) meets F ∪ X (f ∈ Lin(c) and the
+// Lout ∩ Lin join). Cost is the frontier's Lout mass plus the
+// candidates' Lin mass instead of |F|×|C| probes, and matches come out
+// sorted, so a limited cursor stops reading labels at its k-th match.
 package query
 
 import (
 	"context"
 	"fmt"
 	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 
 	"hopi/internal/core"
 	"hopi/internal/graph"
+	"hopi/internal/twohop"
 	"hopi/internal/xmlmodel"
 )
 
@@ -167,12 +170,6 @@ type Match struct {
 	Path []int32
 }
 
-// pairwiseCutoff bounds the frontier×candidate work below which the
-// tuple-at-a-time evaluator beats the semijoin's bitset setup: for a
-// handful of probes, two binary searches per pair are cheaper than
-// clearing O(n/64) words of scratch bitsets.
-const pairwiseCutoff = 128
-
 // Engine evaluates queries against a collection and its index. An
 // engine is immutable after construction (Refresh excepted) and safe
 // for concurrent readers.
@@ -180,15 +177,14 @@ type Engine struct {
 	coll *xmlmodel.Collection
 	ix   *core.Index
 	tags map[string][]int32
-	// tagBits caches each tag's candidate set as a bitset over global
-	// IDs — the right-hand side of the semijoin intersection.
+	// tagBits caches each tag's candidate set ("*" included) as a
+	// bitset over global IDs, for DiffEval's membership tests.
 	// Materialized lazily on first use per tag (many tags are never
-	// queried; eager materialization would cost O(#tags × n) per
+	// watched; eager materialization would cost O(#tags × n) per
 	// snapshot publication) and safe for concurrent readers.
 	tagBits sync.Map // tag → graph.Bitset
 	all     []int32  // sorted IDs of all live elements, the "*" candidates
-	allBits graph.Bitset
-	n       int // allocated global-ID space at Refresh time
+	n       int      // allocated global-ID space at Refresh time
 
 	// scratch pools evaluation bitsets so steady-state queries allocate
 	// nothing while staying safe for concurrent readers.
@@ -196,26 +192,7 @@ type Engine struct {
 
 	// arenas pools the ranked // kernel's per-step columns.
 	arenas sync.Pool // *kernelArena
-
-	// mode selects the descendant-step evaluator; EvalAuto picks per
-	// step size.
-	mode EvalMode
 }
-
-// EvalMode selects how // steps are evaluated.
-type EvalMode int
-
-const (
-	// EvalAuto (the default) uses the set-at-a-time semijoin and falls
-	// back to pairwise probing when frontier×candidates is tiny.
-	EvalAuto EvalMode = iota
-	// EvalPairwise forces the tuple-at-a-time evaluator everywhere:
-	// the reference the equivalence tests and the Go benchmarks of
-	// this package compare the semijoin against.
-	EvalPairwise
-	// EvalSemijoin forces the semijoin even below the fallback cutoff.
-	EvalSemijoin
-)
 
 // NewEngine builds a query engine; the tag index and the "*"
 // candidate list are materialized once, per-tag candidate bitsets
@@ -235,8 +212,8 @@ func NewEngine(coll *xmlmodel.Collection, ix *core.Index) *Engine {
 // collection. e stays valid for its own readers.
 func (e *Engine) Derive(coll *xmlmodel.Collection, ix *core.Index) *Engine {
 	d := &Engine{
-		coll: coll, ix: ix, mode: e.mode,
-		tags: e.tags, all: e.all, allBits: e.allBits,
+		coll: coll, ix: ix,
+		tags: e.tags, all: e.all,
 		n: coll.NumAllocatedIDs(), scratch: e.scratch,
 	}
 	if d.n != e.n {
@@ -273,7 +250,8 @@ func (e *Engine) Derive(coll *xmlmodel.Collection, ix *core.Index) *Engine {
 		}
 	}
 	e.tagBits.Range(func(tag, bits any) bool {
-		if _, touched := added[tag.(string)]; !touched {
+		// "*" holds every tag's IDs: any change touches it
+		if _, touched := added[tag.(string)]; !touched && (tag != "*" || len(added) == 0) {
 			d.tagBits.Store(tag, bits)
 		}
 		return true
@@ -290,11 +268,6 @@ func (e *Engine) Derive(coll *xmlmodel.Collection, ix *core.Index) *Engine {
 		}
 	}
 	d.all = patchIDs(e.all, gone, addedAll)
-	d.allBits = e.allBits.Clone().Grow(d.n)
-	d.allBits.AndNot(gone)
-	for _, id := range addedAll {
-		d.allBits.Set(int(id))
-	}
 	return d
 }
 
@@ -310,12 +283,6 @@ func patchIDs(list []int32, gone graph.Bitset, add []int32) []int32 {
 	return append(out, add...)
 }
 
-// SetEvalMode pins the descendant-step evaluator. Its only callers are
-// the equivalence tests and Go benchmarks of this package, which run
-// the semijoin and the reference evaluator (EvalPairwise) on identical
-// state. Set it before sharing the engine with concurrent readers.
-func (e *Engine) SetEvalMode(m EvalMode) { e.mode = m }
-
 // Refresh rebuilds the tag index after collection maintenance. It
 // mutates the engine: never call it on an engine shared with
 // concurrent readers (snapshots Derive a new engine instead).
@@ -323,12 +290,8 @@ func (e *Engine) Refresh() {
 	e.tags = e.coll.ElementsByTag()
 	e.n = e.coll.NumAllocatedIDs()
 	e.tagBits = sync.Map{}
-	e.allBits = graph.NewBitset(e.n)
 	var all []int32
 	for _, ids := range e.tags {
-		for _, id := range ids {
-			e.allBits.Set(int(id))
-		}
 		all = append(all, ids...)
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
@@ -344,10 +307,8 @@ func (e *Engine) candidates(tag string) []int32 {
 }
 
 func (e *Engine) candidateBits(tag string) graph.Bitset {
-	if tag == "*" {
-		return e.allBits
-	}
-	if len(e.tags[tag]) == 0 {
+	cands := e.candidates(tag)
+	if len(cands) == 0 {
 		// not cached: a client can name any number of unknown tags
 		return graph.NewBitset(e.n)
 	}
@@ -355,7 +316,7 @@ func (e *Engine) candidateBits(tag string) graph.Bitset {
 		return b.(graph.Bitset)
 	}
 	b := graph.NewBitset(e.n)
-	for _, id := range e.tags[tag] {
+	for _, id := range cands {
 		b.Set(int(id))
 	}
 	// concurrent first users may race to build; both results are
@@ -415,17 +376,28 @@ func (e *Engine) Eval(q *Query) []int32 {
 	return out
 }
 
-// EvalCtx is Eval with cooperative cancellation: the frontier loops
-// poll ctx and abandon the evaluation once it is done, returning
-// ctx's error.
+// EvalCtx is Eval with cooperative cancellation: the step loops poll
+// ctx and abandon the evaluation once it is done, returning ctx's
+// error.
 func (e *Engine) EvalCtx(ctx context.Context, q *Query) ([]int32, error) {
-	return e.evalCtx(ctx, q, nil)
+	cc := &canceller{ctx: ctx}
+	sc, err := e.finalScan(ctx, q, cc, nil)
+	if sc == nil {
+		return nil, err
+	}
+	return sc.drain(cc)
 }
 
-func (e *Engine) evalCtx(ctx context.Context, q *Query, plan *Plan) ([]int32, error) {
-	cc := &canceller{ctx: ctx}
-	frontier := e.initialFrontier(q, plan.step(0))
-	for si := 1; si < len(q.Steps); si++ {
+// finalScan evaluates every step of q but the last into a frontier and
+// returns the scan of the last step over it, or nil when a step empties
+// the frontier first.
+func (e *Engine) finalScan(ctx context.Context, q *Query, cc *canceller, plan *Plan) (*stepScan, error) {
+	last := len(q.Steps) - 1
+	if last == 0 {
+		return e.newScan(nil, q.Steps[0], true, plan.step(0)), nil
+	}
+	frontier := e.initialFrontier(q.Steps[0], plan.step(0))
+	for si := 1; ; si++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -433,139 +405,170 @@ func (e *Engine) evalCtx(ctx context.Context, q *Query, plan *Plan) ([]int32, er
 			plan.skipFrom(si)
 			return nil, nil
 		}
+		if si == last {
+			return e.newScan(frontier, q.Steps[si], false, plan.step(si)), nil
+		}
 		var err error
-		frontier, err = e.advance(frontier, q.Steps[si], cc, plan.step(si))
-		if err != nil {
+		if frontier, err = e.advance(frontier, q.Steps[si], cc, plan.step(si)); err != nil {
 			return nil, err
 		}
 	}
-	sort.Slice(frontier, func(i, j int) bool { return frontier[i] < frontier[j] })
-	return frontier, nil
 }
 
-func (e *Engine) initialFrontier(q *Query, sp *StepPlan) []int32 {
-	first := q.Steps[0]
-	cands := e.candidates(first.Tag)
-	var out []int32
-	for _, id := range cands {
-		if first.Axis == AxisChild && !e.isRoot(id) {
-			continue
-		}
-		out = append(out, id)
-	}
-	sp.record(ModeSeed, len(cands), 0, len(out))
+// initialFrontier evaluates the first step: the tag's candidates,
+// document roots only under a leading "/".
+func (e *Engine) initialFrontier(first Step, sp *StepPlan) []int32 {
+	out, _ := e.newScan(nil, first, true, sp).drain(&canceller{})
 	return out
 }
 
+// advance evaluates one later step into the next frontier.
 func (e *Engine) advance(frontier []int32, step Step, cc *canceller, sp *StepPlan) ([]int32, error) {
-	cands := e.candidates(step.Tag)
-	if step.Axis == AxisChild {
-		inFrontier := e.scratch.Get(e.scratchSize())
-		defer e.scratch.Put(inFrontier)
-		for _, f := range frontier {
-			inFrontier.Set(int(f))
-		}
-		var out []int32
-		for _, c := range cands {
-			if err := cc.check(); err != nil {
-				return nil, err
-			}
-			if p := e.parentOf(c); p >= 0 && inFrontier.Has(int(p)) {
-				out = append(out, c)
-			}
-		}
-		sp.record(ModeChild, len(cands), len(frontier), len(out))
-		return out, nil
-	}
-	if e.mode == EvalPairwise || (e.mode == EvalAuto && len(frontier)*len(cands) <= pairwiseCutoff) {
-		return e.advancePairwise(frontier, cands, cc, sp)
-	}
-	return e.advanceSemijoin(frontier, e.candidateBits(step.Tag), len(cands), cc, sp)
+	return e.newScan(frontier, step, false, sp).drain(cc)
 }
 
-// advanceSemijoin evaluates one // step set-at-a-time over the
-// center-indexed postings:
-//
-//	X   := ∪_{f ∈ F} centers(Lout(f))            — frontier's out centers
-//	acc := {f ∈ F : f on a cycle}                — cyclic self-matches
-//	     ∪ X                                     — direct c ∈ Lout(f)
-//	     ∪ ∪_{y ∈ F ∪ X} InOwners(y)             — direct f ∈ Lin(c) and the
-//	                                               Lout∩Lin semijoin
-//	result := acc ∩ candidates(tag)
-//
-// which enumerates exactly {c : ∃f ∈ F, f →⁺ c} by the cover property.
-func (e *Engine) advanceSemijoin(frontier []int32, tagSet graph.Bitset, ncands int, cc *canceller, sp *StepPlan) ([]int32, error) {
-	post := e.ix.Postings().Postings()
-	cov := e.ix.Cover()
-	cyclic := e.ix.CyclicSet()
-	acc := e.scratch.Get(e.scratchSize())
-	defer e.scratch.Put(acc)
-	centers := e.scratch.Get(e.scratchSize())
-	defer e.scratch.Put(centers)
+// stepScan evaluates one step by walking the tag's candidates in
+// ascending ID order and testing each against the frontier, so that
+// the step can stream: a scan stopped after k matches has read only the
+// labels of the candidates up to the k-th. A materialized step is the
+// scan drained into a slice.
+type stepScan struct {
+	e     *Engine
+	cands []int32
+	idx   int
 
-	touched := 0
-	for _, f := range frontier {
+	// exactly one of seed/child holds, or neither for a // step
+	seed  bool // the query's first step: no frontier
+	root  bool // a seed under a leading "/": document roots only
+	child bool // a "/" step: the parent is in the frontier
+
+	fset   graph.Bitset // F, the frontier
+	xset   graph.Bitset // X, the frontier's Lout centers
+	fx     graph.Bitset // F ∪ X, what a candidate's Lin must meet
+	pooled []graph.Bitset
+	cyclic graph.Bitset
+	cov    *twohop.Cover
+	buf    []twohop.Entry // LinBuf's merge buffer
+	sp     *StepPlan
+}
+
+// newScan starts the scan of step over frontier; seed marks the query's
+// first step, which has none.
+func (e *Engine) newScan(frontier []int32, step Step, seed bool, sp *StepPlan) *stepScan {
+	sc := &stepScan{e: e, cands: e.candidates(step.Tag), sp: sp}
+	mode := ModeDescendant
+	switch {
+	case seed:
+		sc.seed, sc.root = true, step.Axis == AxisChild
+		mode = ModeSeed
+	case step.Axis == AxisChild:
+		sc.child = true
+		mode = ModeChild
+		sc.fset = e.scratch.Get(e.scratchSize())
+		sc.pooled = []graph.Bitset{sc.fset}
+		for _, f := range frontier {
+			sc.fset.Set(int(f))
+		}
+	default:
+		n := e.scratchSize()
+		sc.fset, sc.xset, sc.fx = e.scratch.Get(n), e.scratch.Get(n), e.scratch.Get(n)
+		sc.pooled = []graph.Bitset{sc.fset, sc.xset, sc.fx}
+		sc.cov, sc.cyclic = e.ix.Cover(), e.ix.CyclicSet()
+		touched := 0
+		for _, f := range frontier {
+			sc.fset.Set(int(f))
+			lout := sc.cov.LoutBuf(f, &sc.buf)
+			touched += len(lout)
+			for _, en := range lout {
+				sc.xset.Set(int(en.Center))
+			}
+		}
+		sc.fx.Or(sc.fset)
+		sc.fx.Or(sc.xset)
+		sp.touch(touched)
+		if sp != nil {
+			sp.Centers = sc.xset.Count()
+		}
+	}
+	sp.record(mode, len(sc.cands), len(frontier), 0)
+	return sc
+}
+
+// skipPast resumes the scan strictly after element after.
+func (sc *stepScan) skipPast(after int32) {
+	i, found := slices.BinarySearch(sc.cands, after)
+	if found {
+		i++
+	}
+	sc.idx = i
+}
+
+// next returns the next matching candidate; the scan releases its
+// scratch once exhausted.
+func (sc *stepScan) next(cc *canceller) (int32, bool, error) {
+	for sc.idx < len(sc.cands) {
 		if err := cc.check(); err != nil {
+			return 0, false, err
+		}
+		c := sc.cands[sc.idx]
+		sc.idx++
+		if sc.matches(c) {
+			if sc.sp != nil {
+				sc.sp.FrontierOut++
+			}
+			return c, true, nil
+		}
+	}
+	sc.release()
+	return 0, false, nil
+}
+
+// matches is the per-candidate test. For a // step, c matches iff it is
+// a frontier Lout center (c ∈ Lout(f)), a cyclic frontier element (the
+// self-match), or one of its Lin centers lies in F ∪ X (f ∈ Lin(c), or
+// the Lout ∩ Lin join): by the cover property, exactly when some f ∈ F
+// reaches c over a path of length ≥ 1.
+func (sc *stepScan) matches(c int32) bool {
+	switch {
+	case sc.seed:
+		return !sc.root || sc.e.isRoot(c)
+	case sc.child:
+		p := sc.e.parentOf(c)
+		return p >= 0 && sc.fset.Has(int(p))
+	case sc.xset.Has(int(c)), sc.fset.Has(int(c)) && sc.cyclic.Has(int(c)):
+		return true
+	}
+	in := sc.cov.LinBuf(c, &sc.buf)
+	sc.sp.touch(len(in))
+	for _, en := range in {
+		if sc.fx.Has(int(en.Center)) {
+			return true
+		}
+	}
+	return false
+}
+
+// drain runs the scan to its end and returns the matches in ascending
+// order.
+func (sc *stepScan) drain(cc *canceller) ([]int32, error) {
+	defer sc.release()
+	var out []int32
+	for {
+		c, ok, err := sc.next(cc)
+		if err != nil {
 			return nil, err
 		}
-		if cyclic.Has(int(f)) {
-			acc.Set(int(f))
+		if !ok {
+			return out, nil
 		}
-		lout := cov.Lout(f)
-		for _, en := range lout {
-			centers.Set(int(en.Center))
-		}
-		touched += len(lout) + len(post.InOwners(f))
-		for _, c := range post.InOwners(f) {
-			acc.Set(int(c))
-		}
+		out = append(out, c)
 	}
-	var err error
-	centers.ForEach(func(x int) bool {
-		if cerr := cc.check(); cerr != nil {
-			err = cerr
-			return false
-		}
-		touched += len(post.InOwners(int32(x)))
-		for _, c := range post.InOwners(int32(x)) {
-			acc.Set(int(c))
-		}
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	if sp != nil {
-		sp.Centers = centers.Count()
-	}
-	acc.Or(centers)
-	acc.And(tagSet)
-	out := acc.Elements(nil)
-	sp.record(ModeSemijoin, ncands, len(frontier), len(out))
-	sp.touch(touched)
-	return out, nil
 }
 
-// advancePairwise is the tuple-at-a-time fallback: probe each
-// (frontier, candidate) pair against the index. Wins only when the
-// product is tiny; also serves as the reference implementation for the
-// equivalence tests.
-func (e *Engine) advancePairwise(frontier, cands []int32, cc *canceller, sp *StepPlan) ([]int32, error) {
-	var out []int32
-	probes := 0
-	for _, c := range cands {
-		for _, f := range frontier {
-			if err := cc.check(); err != nil {
-				return nil, err
-			}
-			probes++
-			if e.ix.ReachesProper(f, c) {
-				out = append(out, c)
-				break
-			}
-		}
+// release returns the scan's scratch bitsets to the pool. Idempotent.
+func (sc *stepScan) release() {
+	for _, b := range sc.pooled {
+		sc.e.scratch.Put(b)
 	}
-	sp.record(ModePairwise, len(cands), len(frontier), len(out))
-	sp.touch(probes)
-	return out, nil
+	sc.pooled = nil
 }

@@ -13,14 +13,12 @@ import (
 // Ranked evaluation (§5.1) runs one pipeline for every caller —
 // EvalRanked, ranked streams, and the shard-local AdvanceRankedFrontier:
 // the frontier of each step is a set of columns, a // step is one label
-// kernel over them (advanceRankedSemijoin), and a limited run selects
-// its page from the finished last column. advanceRankedPairwise is the
-// Distance-per-pair reference the kernel is tested against, and serves
-// frontiers below pairwiseCutoff.
+// kernel over them (advanceRankedDescendant), and a limited run selects
+// its page from the finished last column.
 //
-// Witness ties are broken by the smallest frontier element in every
-// evaluator, so a match reports the same Path whether it comes from a
-// limited page, a resumed page or the unlimited run.
+// Witness ties are broken by the smallest frontier element, so a match
+// reports the same Path whether it comes from a limited page, a resumed
+// page or the unlimited run.
 
 // rankedCols is one step's ranked frontier in columns: elems ascending,
 // score[i] the accumulated connection score of elems[i], and parent[i]
@@ -88,7 +86,7 @@ func (e *Engine) EvalRankedCtx(ctx context.Context, q *Query) ([]Match, error) {
 // when limit > 0.
 func (e *Engine) rankedMatches(ctx context.Context, q *Query, after *matchPos, limit int, plan *Plan) ([]Match, error) {
 	cc := &canceller{ctx: ctx}
-	seed := e.initialFrontier(q, plan.step(0))
+	seed := e.initialFrontier(q.Steps[0], plan.step(0))
 	ones := make([]float64, len(seed))
 	for i := range ones {
 		ones[i] = 1
@@ -125,24 +123,19 @@ func (e *Engine) rankedMatches(ctx context.Context, q *Query, after *matchPos, l
 }
 
 // advanceRanked evaluates one ranked step: a child step halves the
-// parent's score, a // step runs the label kernel — or, below the
-// pairwise cutoff, the Distance-per-pair reference.
+// parent's score, a // step runs the label kernel.
 func (e *Engine) advanceRanked(q *Query, step Step, f *rankedCols, cc *canceller, sp *StepPlan) (rankedCols, error) {
 	if err := e.checkRankedStep(q, step); err != nil {
 		return rankedCols{}, err
 	}
-	switch {
-	case step.Axis == AxisChild:
+	if step.Axis == AxisChild {
 		return e.advanceRankedChild(f, step, cc, sp)
-	case e.mode == EvalPairwise ||
-		(e.mode == EvalAuto && len(f.elems)*len(e.candidates(step.Tag)) <= pairwiseCutoff):
-		return e.advanceRankedPairwise(f, step, cc, sp)
 	}
-	return e.advanceRankedSemijoin(f, step, cc, sp)
+	return e.advanceRankedDescendant(f, step, cc, sp)
 }
 
 // checkRankedStep fails ranked descendant steps uniformly on
-// non-distance indexes — independent of evaluator choice or collection
+// non-distance indexes — independent of the frontier or collection
 // size — instead of the kernel reading meaningless Dist fields.
 func (e *Engine) checkRankedStep(q *Query, step Step) error {
 	if step.Axis == AxisDescendant && len(e.candidates(step.Tag)) > 0 && !e.ix.Cover().WithDist {
@@ -165,46 +158,6 @@ func (e *Engine) advanceRankedChild(f *rankedCols, step Step, cc *canceller, sp 
 		}
 	}
 	sp.record(ModeChild, len(cands), len(f.elems), len(next.elems))
-	return next, nil
-}
-
-// advanceRankedPairwise mirrors the pairwise boolean evaluator with
-// distances: per candidate, the best score over all frontier elements,
-// ties to the smallest. Self-matches use the shortest cycle length.
-func (e *Engine) advanceRankedPairwise(f *rankedCols, step Step, cc *canceller, sp *StepPlan) (rankedCols, error) {
-	var next rankedCols
-	cands := e.candidates(step.Tag)
-	probes := 0
-	for _, c := range cands {
-		best, from := -1.0, int32(-1)
-		for i, fe := range f.elems {
-			if err := cc.check(); err != nil {
-				return rankedCols{}, err
-			}
-			probes++
-			var d uint32
-			if c == fe {
-				d = e.ix.CycleDistance(fe)
-			} else {
-				dist, err := e.ix.Distance(fe, c)
-				if err != nil {
-					return rankedCols{}, err
-				}
-				d = dist
-			}
-			if d == graph.InfDist || d == 0 {
-				continue
-			}
-			if s := f.score[i] / float64(1+d); s > best {
-				best, from = s, int32(i)
-			}
-		}
-		if from >= 0 {
-			next.add(c, best, from)
-		}
-	}
-	sp.record(ModeRankedPairwise, len(cands), len(f.elems), len(next.elems))
-	sp.touch(probes)
 	return next, nil
 }
 
@@ -280,12 +233,13 @@ func (a *kernelArena) arrive(x int32, ar arrival) {
 	a.arr = append(a.arr, ar)
 }
 
-// advanceRankedSemijoin is the ranked // kernel, the analogue of the
-// boolean semijoin. Every frontier element f arrives at each of its Lout
-// centers, and implicitly at itself over distance 0 (§3.4); the stored
-// arrivals are pruned into one pareto chain per center as they come. A
-// candidate c then scores max_f score_f / (1 + dist(f, c)), dist the
-// §5.1 minimum over label pairs, from three cases:
+// advanceRankedDescendant is the ranked // kernel. Every frontier
+// element f arrives at each of its Lout centers, and implicitly at
+// itself over distance 0 (§3.4); the stored arrivals are pruned into one
+// pareto chain per center as they come. The tag's candidates are then
+// walked in ID order, as in the unranked candidate test, and each c
+// scores max_f score_f / (1 + dist(f, c)), dist the §5.1 minimum over
+// label pairs, from three cases:
 //
 //   - direct, c ∈ Lout(f): the chain at center c;
 //   - joined, f ∈ Lin(c) or Lout(f) ∩ Lin(c): for each Lin(c) entry,
@@ -297,16 +251,13 @@ func (a *kernelArena) arrive(x int32, ar arrival) {
 // zero-length path. Over a uniform-score frontier (every 2-step query)
 // each chain holds one arrival: the min-plus sweep best[x] = min_f
 // d(f, x), ties to the smallest f.
-func (e *Engine) advanceRankedSemijoin(f *rankedCols, step Step, cc *canceller, sp *StepPlan) (rankedCols, error) {
+func (e *Engine) advanceRankedDescendant(f *rankedCols, step Step, cc *canceller, sp *StepPlan) (rankedCols, error) {
 	cov := e.ix.Cover()
-	post := e.ix.Postings().Postings()
 	n := e.scratchSize()
 	a := e.getArena(n)
 	defer e.arenas.Put(a)
 	mark := e.scratch.Get(n)
 	defer e.scratch.Put(mark)
-	cands := e.scratch.Get(n)
-	defer e.scratch.Put(cands)
 
 	a.order = a.order[:0]
 	for i, fe := range f.elems {
@@ -324,7 +275,7 @@ func (e *Engine) advanceRankedSemijoin(f *rankedCols, step Step, cc *canceller, 
 		slices.SortFunc(a.order, byScore)
 	}
 	a.arr = a.arr[:0]
-	touched := 0
+	touched, centers := 0, 0
 	for _, i := range a.order {
 		if err := cc.check(); err != nil {
 			return rankedCols{}, err
@@ -337,42 +288,22 @@ func (e *Engine) advanceRankedSemijoin(f *rankedCols, step Step, cc *canceller, 
 				mark.Set(int(x))
 				a.self[x], a.tail[x] = -1, -1
 			}
+			if a.tail[x] < 0 {
+				centers++
+			}
 			a.arrive(x, arrival{score: f.score[i], dist: en.Dist, src: i})
 		}
 	}
 
-	// Gather the candidates.
-	centers := 0
-	mark.ForEach(func(xi int) bool {
-		centers++
-		if a.tail[xi] >= 0 {
-			cands.Set(xi) // direct: x ∈ Lout(f)
-		}
-		owners := post.InOwners(int32(xi))
-		touched += len(owners)
-		for _, c := range owners {
-			cands.Set(int(c))
-		}
-		return true
-	})
-	cyclic := e.ix.CyclicSet()
-	for _, fe := range f.elems {
-		if cyclic.Has(int(fe)) {
-			cands.Set(int(fe))
-		}
-	}
-	cands.And(e.candidateBits(step.Tag))
-
 	// Score each candidate over its Lin side.
 	var next rankedCols
-	var err error
-	cands.ForEach(func(ci int) bool {
-		if err = cc.check(); err != nil {
-			return false
+	cands := e.candidates(step.Tag)
+	for _, c := range cands {
+		if err := cc.check(); err != nil {
+			return rankedCols{}, err
 		}
-		c := int32(ci)
 		b := pick{score: -1, src: -1}
-		if mark.Has(ci) {
+		if mark.Has(int(c)) {
 			for t := a.tail[c]; t >= 0; t = a.arr[t].prev {
 				ar := &a.arr[t]
 				b.offer(ar.score/float64(1+ar.dist), ar.src)
@@ -401,15 +332,11 @@ func (e *Engine) advanceRankedSemijoin(f *rankedCols, step Step, cc *canceller, 
 		if b.src >= 0 {
 			next.add(c, b.score, b.src)
 		}
-		return true
-	})
-	if err != nil {
-		return rankedCols{}, err
 	}
 	if sp != nil {
 		sp.Centers = centers
 	}
-	sp.record(ModeRankedSemijoin, len(e.candidates(step.Tag)), len(f.elems), len(next.elems))
+	sp.record(ModeRankedDescendant, len(cands), len(f.elems), len(next.elems))
 	sp.touch(touched)
 	return next, nil
 }

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -28,9 +29,9 @@ func cyclicCollection(seed int64) *xmlmodel.Collection {
 	})
 }
 
-// TestSemijoinEquivalence: on random cyclic collections, the
-// set-at-a-time semijoin, the pairwise evaluator, and Reference
-// agree exactly — the core property behind replacing the hot path.
+// TestSemijoinEquivalence: on random cyclic collections, the // step's
+// candidate test answers exactly as Reference, through Eval and
+// through one AdvanceFrontier call per step.
 func TestSemijoinEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		c := cyclicCollection(seed)
@@ -40,20 +41,25 @@ func TestSemijoinEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		semi := NewEngine(c, ix)
-		semi.SetEvalMode(EvalSemijoin)
-		pair := NewEngine(c, ix)
-		pair.SetEvalMode(EvalPairwise)
+		e := NewEngine(c, ix)
 		for _, expr := range equivExprs() {
 			q, err := Parse(expr)
 			if err != nil {
 				t.Fatal(err)
 			}
 			want := Reference(c, q, false)
-			for name, e := range map[string]*Engine{"semijoin": semi, "pairwise": pair} {
-				got := e.Eval(q)
+			stepped := e.SeedFrontier(q.Steps[0])
+			for _, step := range q.Steps[1:] {
+				if stepped, err = e.AdvanceFrontier(context.Background(), stepped, step); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for name, got := range map[string][]int32{"Eval": e.Eval(q), "AdvanceFrontier": stepped} {
 				if len(got) != len(want) {
 					t.Fatalf("seed %d %q %s: got %d matches %v, want %d", seed, expr, name, len(got), got, len(want))
+				}
+				if !slices.IsSorted(got) {
+					t.Fatalf("seed %d %q %s: %v not ascending", seed, expr, name, got)
 				}
 				for _, id := range got {
 					if _, ok := want[id]; !ok {
@@ -65,9 +71,8 @@ func TestSemijoinEquivalence(t *testing.T) {
 	}
 }
 
-// TestSemijoinRankedEquivalence: ranked evaluation agrees between the
-// per-center aggregation, the pairwise Distance loop, and
-// Reference — elements and exact scores.
+// TestSemijoinRankedEquivalence: the ranked kernel agrees with
+// Reference on elements and exact scores.
 func TestSemijoinRankedEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		c := cyclicCollection(seed)
@@ -77,35 +82,30 @@ func TestSemijoinRankedEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		semi := NewEngine(c, ix)
-		semi.SetEvalMode(EvalSemijoin)
-		pair := NewEngine(c, ix)
-		pair.SetEvalMode(EvalPairwise)
+		e := NewEngine(c, ix)
 		for _, expr := range equivExprs() {
 			q, err := Parse(expr)
 			if err != nil {
 				t.Fatal(err)
 			}
 			want := Reference(c, q, true)
-			for name, e := range map[string]*Engine{"semijoin": semi, "pairwise": pair} {
-				got, err := e.EvalRanked(q)
-				if err != nil {
-					t.Fatal(err)
+			got, err := e.EvalRanked(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("seed %d %q: got %d ranked matches, want %d", seed, expr, len(got), len(want))
+			}
+			for _, m := range got {
+				ws, ok := want[m.Element]
+				if !ok {
+					t.Fatalf("seed %d %q: spurious ranked match %d", seed, expr, m.Element)
 				}
-				if len(got) != len(want) {
-					t.Fatalf("seed %d %q %s: got %d ranked matches, want %d", seed, expr, name, len(got), len(want))
+				if math.Abs(ws-m.Score) > 1e-12 {
+					t.Fatalf("seed %d %q: element %d score %g, want %g", seed, expr, m.Element, m.Score, ws)
 				}
-				for _, m := range got {
-					ws, ok := want[m.Element]
-					if !ok {
-						t.Fatalf("seed %d %q %s: spurious ranked match %d", seed, expr, name, m.Element)
-					}
-					if math.Abs(ws-m.Score) > 1e-12 {
-						t.Fatalf("seed %d %q %s: element %d score %g, want %g", seed, expr, name, m.Element, m.Score, ws)
-					}
-					if len(m.Path) != len(q.Steps) {
-						t.Fatalf("seed %d %q %s: witness path %v for %d steps", seed, expr, name, m.Path, len(q.Steps))
-					}
+				if len(m.Path) != len(q.Steps) {
+					t.Fatalf("seed %d %q: witness path %v for %d steps", seed, expr, m.Path, len(q.Steps))
 				}
 			}
 		}
@@ -139,39 +139,34 @@ func TestSemijoinCyclicSelfMatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []EvalMode{EvalSemijoin, EvalPairwise} {
-		e := NewEngine(c, ix)
-		e.SetEvalMode(mode)
-		q, _ := Parse("//a//a")
-		got := e.Eval(q)
-		// both roots are on the 4-cycle; the bystander root is not
-		if len(got) != 2 || got[0] != c.GlobalID(0, 0) || got[1] != c.GlobalID(1, 0) {
-			t.Fatalf("mode %v: //a//a = %v, want the two cyclic roots", mode, got)
-		}
-		q2, _ := Parse("//x//x")
-		got2 := e.Eval(q2)
-		if len(got2) != 2 {
-			t.Fatalf("mode %v: //x//x = %v, want both cyclic x elements", mode, got2)
-		}
-		// ranked: each root's best //a//a witness is the *other* root at
-		// distance 2 (the 4-cycle's self path, distance 4, scores lower)
-		matches, err := e.EvalRanked(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(matches) != 2 {
-			t.Fatalf("mode %v: ranked //a//a = %+v", mode, matches)
-		}
-		for _, m := range matches {
-			if m.Score != 1.0/3.0 {
-				t.Errorf("mode %v: //a//a score %g, want 1/3", mode, m.Score)
-			}
+	e := NewEngine(c, ix)
+	q, _ := Parse("//a//a")
+	got := e.Eval(q)
+	// both roots are on the 4-cycle; the bystander root is not
+	if len(got) != 2 || got[0] != c.GlobalID(0, 0) || got[1] != c.GlobalID(1, 0) {
+		t.Fatalf("//a//a = %v, want the two cyclic roots", got)
+	}
+	q2, _ := Parse("//x//x")
+	if got2 := e.Eval(q2); len(got2) != 2 {
+		t.Fatalf("//x//x = %v, want both cyclic x elements", got2)
+	}
+	// ranked: each root's best //a//a witness is the *other* root at
+	// distance 2 (the 4-cycle's self path, distance 4, scores lower)
+	matches, err := e.EvalRanked(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(matches) != 2 {
+		t.Fatalf("ranked //a//a = %+v", matches)
+	}
+	for _, m := range matches {
+		if m.Score != 1.0/3.0 {
+			t.Errorf("//a//a score %g, want 1/3", m.Score)
 		}
 	}
 	// tree-only sanity: on the bystander document alone no tag
 	// self-matches (XPath behavior preserved without links)
 	q3, _ := Parse("//x//a")
-	e := NewEngine(c, ix)
 	if got := e.Eval(q3); len(got) != 2 {
 		t.Fatalf("//x//a = %v, want both roots via the cycle", got)
 	}
@@ -192,20 +187,20 @@ func TestRankedSelfMatchScoresByCycleLength(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []EvalMode{EvalSemijoin, EvalPairwise} {
-		e := NewEngine(c, ix)
-		e.SetEvalMode(mode)
-		q, _ := Parse("//a//a")
-		matches, err := e.EvalRanked(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(matches) != 1 || matches[0].Element != c.GlobalID(0, a) {
-			t.Fatalf("mode %v: ranked //a//a = %+v, want the single cyclic a", mode, matches)
-		}
-		if matches[0].Score != 1.0/3.0 {
-			t.Errorf("mode %v: self-match score %g, want 1/(1+2)", mode, matches[0].Score)
-		}
+	e := NewEngine(c, ix)
+	q, _ := Parse("//a//a")
+	matches, err := e.EvalRanked(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(matches) != 1 || matches[0].Element != c.GlobalID(0, a) {
+		t.Fatalf("ranked //a//a = %+v, want the single cyclic a", matches)
+	}
+	if matches[0].Score != 1.0/3.0 {
+		t.Errorf("self-match score %g, want 1/(1+2)", matches[0].Score)
+	}
+	if want := Reference(c, q, true); len(want) != 1 || want[matches[0].Element] != matches[0].Score {
+		t.Errorf("Reference %v disagrees with %+v", want, matches)
 	}
 }
 
@@ -224,7 +219,6 @@ func TestSemijoinConcurrentReaders(t *testing.T) {
 	}
 	ix.Warm()
 	e := NewEngine(c, ix)
-	e.SetEvalMode(EvalSemijoin)
 	exprs := []string{"//article//author", "//article//cite", "//*//para", "//abstract//para"}
 	type answer struct {
 		ids    []int32
@@ -290,9 +284,8 @@ func errf(format string, args ...any) error {
 }
 
 // TestRankedRequiresDistanceUniformly: ranked descendant evaluation on
-// a non-distance index errors in every evaluator mode and at every
-// collection size — the semijoin must not silently read meaningless
-// Dist fields where the pairwise path would error.
+// a non-distance index errors for a one-element frontier as for a full
+// one — the kernel must not silently read meaningless Dist fields.
 func TestRankedRequiresDistanceUniformly(t *testing.T) {
 	c := gen.DBLP(gen.DefaultDBLP(60, 7))
 	ix, err := core.Build(c, core.Options{
@@ -302,17 +295,18 @@ func TestRankedRequiresDistanceUniformly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	e := NewEngine(c, ix)
 	q, _ := Parse("//article//author")
-	for _, mode := range []EvalMode{EvalAuto, EvalSemijoin, EvalPairwise} {
-		e := NewEngine(c, ix)
-		e.SetEvalMode(mode)
-		if _, err := e.EvalRanked(q); err == nil {
-			t.Errorf("mode %v: ranked query on non-distance index succeeded", mode)
-		}
-		// unranked evaluation stays available without distances
-		if got := e.Eval(q); len(got) == 0 {
-			t.Errorf("mode %v: unranked query broke", mode)
-		}
+	if _, err := e.EvalRanked(q); err == nil {
+		t.Error("ranked query on non-distance index succeeded")
+	}
+	one := map[int32]float64{e.Candidates("article")[0]: 1}
+	if _, err := e.AdvanceRankedFrontier(context.Background(), one, q.Steps[1]); err == nil {
+		t.Error("ranked step from one element on non-distance index succeeded")
+	}
+	// unranked evaluation stays available without distances
+	if got := e.Eval(q); len(got) == 0 {
+		t.Error("unranked query broke")
 	}
 }
 
@@ -328,42 +322,39 @@ func TestRankedWitnessPaths(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, mode := range []EvalMode{EvalAuto, EvalSemijoin, EvalPairwise} {
-			e := NewEngine(c, ix)
-			e.SetEvalMode(mode)
-			for _, expr := range equivExprs() {
-				q, _ := Parse(expr)
-				matches, err := e.EvalRanked(q)
-				if err != nil {
-					t.Fatal(err)
+		e := NewEngine(c, ix)
+		for _, expr := range equivExprs() {
+			q, _ := Parse(expr)
+			matches, err := e.EvalRanked(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range matches {
+				if len(m.Path) != len(q.Steps) || m.Path[len(m.Path)-1] != m.Element {
+					t.Fatalf("seed %d %q: path %v for match %d", seed, expr, m.Path, m.Element)
 				}
-				for _, m := range matches {
-					if len(m.Path) != len(q.Steps) || m.Path[len(m.Path)-1] != m.Element {
-						t.Fatalf("seed %d mode %v %q: path %v for match %d", seed, mode, expr, m.Path, m.Element)
-					}
-					score := 1.0
-					for i := 1; i < len(m.Path); i++ {
-						u, v := m.Path[i-1], m.Path[i]
-						var d uint32
-						switch {
-						case q.Steps[i].Axis == AxisChild:
-							if e.parentOf(v) != u {
-								t.Fatalf("seed %d %q: path %v: %d is not %d's child", seed, expr, m.Path, v, u)
-							}
-							d = 1
-						case u == v:
-							d = ix.CycleDistance(u)
-						default:
-							d, _ = ix.Distance(u, v)
+				score := 1.0
+				for i := 1; i < len(m.Path); i++ {
+					u, v := m.Path[i-1], m.Path[i]
+					var d uint32
+					switch {
+					case q.Steps[i].Axis == AxisChild:
+						if e.parentOf(v) != u {
+							t.Fatalf("seed %d %q: path %v: %d is not %d's child", seed, expr, m.Path, v, u)
 						}
-						if d == 0 || d == graph.InfDist {
-							t.Fatalf("seed %d mode %v %q: path %v: %d does not reach %d", seed, mode, expr, m.Path, u, v)
-						}
-						score /= float64(1 + d)
+						d = 1
+					case u == v:
+						d = ix.CycleDistance(u)
+					default:
+						d, _ = ix.Distance(u, v)
 					}
-					if score != m.Score {
-						t.Fatalf("seed %d mode %v %q: path %v scores %g, match %g", seed, mode, expr, m.Path, score, m.Score)
+					if d == 0 || d == graph.InfDist {
+						t.Fatalf("seed %d %q: path %v: %d does not reach %d", seed, expr, m.Path, u, v)
 					}
+					score /= float64(1 + d)
+				}
+				if score != m.Score {
+					t.Fatalf("seed %d %q: path %v scores %g, match %g", seed, expr, m.Path, score, m.Score)
 				}
 			}
 		}
@@ -372,8 +363,9 @@ func TestRankedWitnessPaths(t *testing.T) {
 
 // TestRankedKernelMixedScores: from random frontiers carrying random
 // scores — the case where a center's pareto chain holds more than one
-// arrival — the // kernel and the pairwise reference agree on every
-// next-frontier element, score and witness.
+// arrival — the // kernel agrees with a Distance-per-pair scoring of
+// every (frontier, candidate) pair on every next-frontier element,
+// score and witness.
 func TestRankedKernelMixedScores(t *testing.T) {
 	scores := []float64{1, 0.5, 1.0 / 3, 0.25, 0.2, 1.0 / 7, 0.1}
 	for seed := int64(0); seed < 8; seed++ {
@@ -384,29 +376,22 @@ func TestRankedKernelMixedScores(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		semi := NewEngine(c, ix)
-		semi.SetEvalMode(EvalSemijoin)
-		pair := NewEngine(c, ix)
-		pair.SetEvalMode(EvalPairwise)
+		e := NewEngine(c, ix)
 		rng := rand.New(rand.NewSource(seed))
 		for trial := 0; trial < 20; trial++ {
 			var f rankedCols
-			for _, id := range semi.all {
+			for _, id := range e.all {
 				if rng.Intn(2) == 0 {
 					f.add(id, scores[rng.Intn(len(scores))], -1)
 				}
 			}
 			for _, tag := range []string{"*", "e", "r"} {
 				step := Step{Axis: AxisDescendant, Tag: tag}
-				q := &Query{Steps: []Step{step}}
-				want, err := pair.advanceRanked(q, step, &f, &canceller{}, nil)
+				got, err := e.advanceRanked(&Query{Steps: []Step{step}}, step, &f, &canceller{}, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := semi.advanceRanked(q, step, &f, &canceller{}, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
+				want := pairwiseRanked(t, e, &f, tag)
 				if !slices.Equal(got.elems, want.elems) || !slices.Equal(got.score, want.score) ||
 					!slices.Equal(got.parent, want.parent) {
 					t.Fatalf("seed %d trial %d //%s: kernel %+v, pairwise %+v", seed, trial, tag, got, want)
@@ -414,4 +399,33 @@ func TestRankedKernelMixedScores(t *testing.T) {
 			}
 		}
 	}
+}
+
+// pairwiseRanked scores a ranked // step pair by pair: per candidate,
+// the best score over all frontier elements, ties to the smallest, with
+// self-matches over the shortest cycle.
+func pairwiseRanked(t *testing.T, e *Engine, f *rankedCols, tag string) rankedCols {
+	var next rankedCols
+	for _, c := range e.candidates(tag) {
+		best, from := -1.0, int32(-1)
+		for i, fe := range f.elems {
+			d := e.ix.CycleDistance(fe)
+			if c != fe {
+				var err error
+				if d, err = e.ix.Distance(fe, c); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if d == graph.InfDist || d == 0 {
+				continue
+			}
+			if s := f.score[i] / float64(1+d); s > best {
+				best, from = s, int32(i)
+			}
+		}
+		if from >= 0 {
+			next.add(c, best, from)
+		}
+	}
+	return next
 }

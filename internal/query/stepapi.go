@@ -27,12 +27,12 @@ func (e *Engine) Candidates(tag string) []int32 { return e.candidates(tag) }
 // SeedFrontier evaluates an initial step: the tag's candidates,
 // root-anchored when the axis is AxisChild (a leading "/").
 func (e *Engine) SeedFrontier(step Step) []int32 {
-	return e.initialFrontier(&Query{Steps: []Step{step}}, nil)
+	return e.initialFrontier(step, nil)
 }
 
 // AdvanceFrontier evaluates one boolean step from an explicit
-// frontier, using the same evaluator selection as EvalCtx (child /
-// semijoin / pairwise). Descendant steps match over proper paths of
+// frontier with EvalCtx's own step scan (the parent test for "/", the
+// candidate test for "//"). Descendant steps match over proper paths of
 // length ≥ 1 including the cyclic self-match.
 func (e *Engine) AdvanceFrontier(ctx context.Context, frontier []int32, step Step) ([]int32, error) {
 	if len(frontier) == 0 {

@@ -2,6 +2,7 @@ package query
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"slices"
 	"sync"
@@ -42,10 +43,10 @@ func matchElems(ms []Match) []int32 {
 	return out
 }
 
-// TestStreamEquivalence: on random cyclic collections, draining a
-// stream with every limit and from every resume point yields exactly
-// the corresponding slice of the batch evaluator's result — plain and
-// ranked, in both auto and forced-semijoin mode.
+// TestStreamEquivalence: on random cyclic collections, the unlimited
+// answer equals Reference, and draining a stream with every limit and
+// from every resume point yields exactly the corresponding slice of it
+// — plain and ranked, elements, scores and witness paths.
 func TestStreamEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		c := cyclicCollection(seed)
@@ -56,119 +57,95 @@ func TestStreamEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		rng := rand.New(rand.NewSource(seed))
-		for _, mode := range []EvalMode{EvalAuto, EvalSemijoin} {
-			e := NewEngine(c, ix)
-			e.SetEvalMode(mode)
-			for _, expr := range equivExprs() {
-				q, err := Parse(expr)
-				if err != nil {
-					t.Fatal(err)
+		e := NewEngine(c, ix)
+		for _, expr := range equivExprs() {
+			q, err := Parse(expr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			full := e.Eval(q)
+			fullRanked, err := e.EvalRanked(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, wantRanked := Reference(c, q, false), Reference(c, q, true)
+			if len(full) != len(want) || len(fullRanked) != len(wantRanked) {
+				t.Fatalf("seed %d %q: %d matches, %d ranked; Reference %d", seed, expr, len(full), len(fullRanked), len(want))
+			}
+			for _, id := range full {
+				if _, ok := want[id]; !ok {
+					t.Fatalf("seed %d %q: spurious match %d", seed, expr, id)
 				}
-				full := e.Eval(q)
-				fullRanked, err := e.EvalRanked(q)
-				if err != nil {
-					t.Fatal(err)
+			}
+			for _, m := range fullRanked {
+				if ws, ok := wantRanked[m.Element]; !ok || math.Abs(ws-m.Score) > 1e-12 {
+					t.Fatalf("seed %d %q: ranked %+v, Reference score %g (present %v)", seed, expr, m, ws, ok)
 				}
+			}
 
-				// every limit from 0 (unlimited) past the result size
-				for limit := 0; limit <= len(full)+2; limit++ {
-					got := matchElems(drainStream(t, e, q, StreamOpts{Limit: limit}))
-					want := full
-					if limit > 0 && limit < len(full) {
-						want = full[:limit]
-					}
-					if !slices.Equal(got, want) {
-						t.Fatalf("seed %d mode %v %q limit %d: got %v, want %v", seed, mode, expr, limit, got, want)
-					}
+			// every limit from 0 (unlimited) past the result size
+			for limit := 0; limit <= len(full)+2; limit++ {
+				got := matchElems(drainStream(t, e, q, StreamOpts{Limit: limit}))
+				want := full
+				if limit > 0 && limit < len(full) {
+					want = full[:limit]
 				}
-				// resume from every position: the tail after element full[i]
-				for i := 0; i < len(full); i++ {
-					lim := rng.Intn(len(full) + 1)
-					got := drainStream(t, e, q, StreamOpts{Limit: lim, HasAfter: true, After: full[i]})
-					want := full[i+1:]
-					if lim > 0 && lim < len(want) {
-						want = want[:lim]
-					}
-					if !slices.Equal(matchElems(got), want) {
-						t.Fatalf("seed %d mode %v %q resume after %d limit %d: got %v, want %v",
-							seed, mode, expr, full[i], lim, matchElems(got), want)
-					}
+				if !slices.Equal(got, want) {
+					t.Fatalf("seed %d %q limit %d: got %v, want %v", seed, expr, limit, got, want)
 				}
+			}
+			// resume from every position: the tail after element full[i]
+			for i := 0; i < len(full); i++ {
+				lim := rng.Intn(len(full) + 1)
+				got := drainStream(t, e, q, StreamOpts{Limit: lim, HasAfter: true, After: full[i]})
+				want := full[i+1:]
+				if lim > 0 && lim < len(want) {
+					want = want[:lim]
+				}
+				if !slices.Equal(matchElems(got), want) {
+					t.Fatalf("seed %d %q resume after %d limit %d: got %v, want %v",
+						seed, expr, full[i], lim, matchElems(got), want)
+				}
+			}
 
-				// ranked: limited results are an exact prefix (elements,
-				// scores AND witness paths) of the materialized ranking
-				for limit := 0; limit <= len(fullRanked)+2; limit++ {
-					got := drainStream(t, e, q, StreamOpts{Ranked: true, Limit: limit})
-					want := fullRanked
-					if limit > 0 && limit < len(fullRanked) {
-						want = fullRanked[:limit]
-					}
-					if len(got) != len(want) {
-						t.Fatalf("seed %d mode %v %q ranked limit %d: got %d matches, want %d",
-							seed, mode, expr, limit, len(got), len(want))
-					}
-					for j := range got {
-						if !sameMatch(got[j], want[j]) {
-							t.Fatalf("seed %d mode %v %q ranked limit %d: [%d] = %+v, want %+v",
-								seed, mode, expr, limit, j, got[j], want[j])
-						}
-					}
+			// ranked: limited results are an exact prefix (elements,
+			// scores AND witness paths) of the materialized ranking
+			for limit := 0; limit <= len(fullRanked)+2; limit++ {
+				got := drainStream(t, e, q, StreamOpts{Ranked: true, Limit: limit})
+				want := fullRanked
+				if limit > 0 && limit < len(fullRanked) {
+					want = fullRanked[:limit]
 				}
-				// ranked resume from every position
-				for i := 0; i < len(fullRanked); i++ {
-					lim := 1 + rng.Intn(len(fullRanked)+1)
-					got := drainStream(t, e, q, StreamOpts{
-						Ranked: true, Limit: lim,
-						HasAfter: true, After: fullRanked[i].Element, AfterScore: fullRanked[i].Score,
-					})
-					want := fullRanked[i+1:]
-					if lim < len(want) {
-						want = want[:lim]
-					}
-					if len(got) != len(want) {
-						t.Fatalf("seed %d mode %v %q ranked resume %d limit %d: got %d, want %d",
-							seed, mode, expr, i, lim, len(got), len(want))
-					}
-					for j := range got {
-						if !sameMatch(got[j], want[j]) {
-							t.Fatalf("seed %d mode %v %q ranked resume %d: [%d] = %+v, want %+v",
-								seed, mode, expr, i, j, got[j], want[j])
-						}
+				if len(got) != len(want) {
+					t.Fatalf("seed %d %q ranked limit %d: got %d matches, want %d",
+						seed, expr, limit, len(got), len(want))
+				}
+				for j := range got {
+					if !sameMatch(got[j], want[j]) {
+						t.Fatalf("seed %d %q ranked limit %d: [%d] = %+v, want %+v",
+							seed, expr, limit, j, got[j], want[j])
 					}
 				}
 			}
-		}
-	}
-}
-
-// TestStreamForcedPairwise: the materialized fallback path (forced
-// pairwise mode) agrees with the pushdown path on limits and resume —
-// elements, scores and witness paths.
-func TestStreamForcedPairwise(t *testing.T) {
-	c := cyclicCollection(3)
-	ix, err := core.Build(c, core.Options{
-		Partitioner: core.PartSingle, Join: core.JoinNewHBar, WithDistance: true, Seed: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pair := NewEngine(c, ix)
-	pair.SetEvalMode(EvalPairwise)
-	semi := NewEngine(c, ix)
-	semi.SetEvalMode(EvalSemijoin)
-	for _, expr := range equivExprs() {
-		q, _ := Parse(expr)
-		full := pair.Eval(q)
-		for _, ranked := range []bool{false, true} {
-			for limit := 1; limit <= len(full)+1; limit++ {
-				a := drainStream(t, pair, q, StreamOpts{Limit: limit, Ranked: ranked})
-				b := drainStream(t, semi, q, StreamOpts{Limit: limit, Ranked: ranked})
-				if len(a) != len(b) {
-					t.Fatalf("%q ranked=%v limit %d: pairwise %d vs semijoin %d results", expr, ranked, limit, len(a), len(b))
+			// ranked resume from every position
+			for i := 0; i < len(fullRanked); i++ {
+				lim := 1 + rng.Intn(len(fullRanked)+1)
+				got := drainStream(t, e, q, StreamOpts{
+					Ranked: true, Limit: lim,
+					HasAfter: true, After: fullRanked[i].Element, AfterScore: fullRanked[i].Score,
+				})
+				want := fullRanked[i+1:]
+				if lim < len(want) {
+					want = want[:lim]
 				}
-				for j := range a {
-					if !sameMatch(a[j], b[j]) {
-						t.Fatalf("%q ranked=%v limit %d: [%d] = %+v vs %+v", expr, ranked, limit, j, a[j], b[j])
+				if len(got) != len(want) {
+					t.Fatalf("seed %d %q ranked resume %d limit %d: got %d, want %d",
+						seed, expr, i, lim, len(got), len(want))
+				}
+				for j := range got {
+					if !sameMatch(got[j], want[j]) {
+						t.Fatalf("seed %d %q ranked resume %d: [%d] = %+v, want %+v",
+							seed, expr, i, j, got[j], want[j])
 					}
 				}
 			}
@@ -238,8 +215,8 @@ func TestStreamConcurrent(t *testing.T) {
 }
 
 // TestExplainPlan: the per-step report reflects the actual execution —
-// batch semijoin without a limit, streaming pushdown with one, and
-// fewer postings touched under the limit.
+// the candidate test with and without a limit, fewer label entries read
+// under the limit, and the ranked kernel limited or not.
 func TestExplainPlan(t *testing.T) {
 	c := gen.DBLP(gen.DefaultDBLP(120, 9))
 	ix, err := core.Build(c, core.Options{
@@ -257,7 +234,7 @@ func TestExplainPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(full.Steps) != 2 || full.Steps[0].Mode != ModeSeed || full.Steps[1].Mode != ModeSemijoin {
+	if len(full.Steps) != 2 || full.Steps[0].Mode != ModeSeed || full.Steps[1].Mode != ModeDescendant {
 		t.Fatalf("full plan: %+v", full.Steps)
 	}
 	if full.Matches == 0 || full.Steps[1].Postings == 0 || full.Steps[1].Centers == 0 {
@@ -271,14 +248,14 @@ func TestExplainPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lim.Steps[1].Mode != ModeStreamSemijoin {
+	if lim.Steps[1].Mode != ModeDescendant {
 		t.Fatalf("limited plan mode: %+v", lim.Steps[1])
 	}
 	if lim.Matches != 10 {
 		t.Fatalf("limited plan: %d matches, want 10", lim.Matches)
 	}
 	if lim.Steps[1].Postings >= full.Steps[1].Postings {
-		t.Fatalf("limit pushdown touched %d postings, full run %d — no early termination",
+		t.Fatalf("limited run read %d label entries, full run %d — no early termination",
 			lim.Steps[1].Postings, full.Steps[1].Postings)
 	}
 
@@ -287,7 +264,7 @@ func TestExplainPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ranked.Steps[1].Mode != ModeRankedSemijoin || ranked.Matches != 10 {
+	if ranked.Steps[1].Mode != ModeRankedDescendant || ranked.Matches != 10 {
 		t.Fatalf("ranked limited plan: %+v", ranked)
 	}
 	// a mixed-score frontier (scores diverge after the first //) too
@@ -296,7 +273,7 @@ func TestExplainPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ranked3.Steps[2].Mode != ModeRankedSemijoin || ranked3.Matches != 5 {
+	if ranked3.Steps[2].Mode != ModeRankedDescendant || ranked3.Matches != 5 {
 		t.Fatalf("3-step ranked limited plan: %+v", ranked3)
 	}
 }

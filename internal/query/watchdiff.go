@@ -5,9 +5,9 @@
 // have changed, and re-tests exactly those against the before/after
 // engines — O(delta · label mass), not O(query).
 //
-// The per-candidate membership test mirrors the set-at-a-time
-// semijoin (advanceSemijoin) pointwise: v is reachable from the
-// frontier F iff
+// The per-candidate membership test is the // step's candidate test
+// (stepScan.matches), with X's members found through OutOwners instead
+// of a marked X: v is reachable from the frontier F iff
 //
 //	v ∈ F and v lies on a cycle                (cyclic self-match)
 //	OutOwners(v) ∩ F ≠ ∅                       (direct v ∈ Lout(f))
@@ -145,9 +145,8 @@ func (e *Engine) stepMember(s Step, v int32) bool {
 }
 
 // reachableFromFrontier reports whether some element of the first
-// step's frontier reaches v over a path of length ≥ 1 — the pointwise
-// form of advanceSemijoin's accumulation, short-circuiting on the
-// first frontier hit.
+// step's frontier reaches v over a path of length ≥ 1 — the candidate
+// test, short-circuiting on the first frontier hit.
 func (e *Engine) reachableFromFrontier(first Step, v int32) bool {
 	cov := e.ix.Cover()
 	if int(v) >= cov.N() {
@@ -177,8 +176,8 @@ func (e *Engine) reachableFromFrontier(first Step, v int32) bool {
 
 // contribute enumerates every element whose final-step membership can
 // depend on frontier element f — f's cyclic self, its Lout centers,
-// and the Lin owners of f and of those centers — mirroring the sets
-// advanceSemijoin accumulates for a single frontier element.
+// and the Lin owners of f and of those centers: every candidate the
+// candidate test can accept because of f.
 func (e *Engine) contribute(f int32, emit func(int32)) {
 	cov := e.ix.Cover()
 	if f < 0 || int(f) >= cov.N() {

@@ -222,7 +222,7 @@ func (s *Store) writeRecs(id, seq uint64, n int, fams [NumFamilies][]Rec) (*Segm
 	}
 	path := filepath.Join(s.dir, fmt.Sprintf("seg-%06d.seg", id))
 	meta := Meta{N: n, WithDist: s.man.WithDist, Seq: seq}
-	_, err := WriteFile(path, meta, func(w *Writer) error {
+	return s.writeSegment(path, meta, func(w *Writer) error {
 		for fam := Family(0); fam < NumFamilies; fam++ {
 			for _, r := range fams[fam] {
 				if err := w.Append(fam, r.Key, r.Posts); err != nil {
@@ -232,7 +232,16 @@ func (s *Store) writeRecs(id, seq uint64, n int, fams [NumFamilies][]Rec) (*Segm
 		}
 		return nil
 	})
-	if err != nil {
+}
+
+// writeSegment writes a segment file through WriteFile, syncs the
+// directory so that its rename is durable before any manifest names
+// it, and opens it.
+func (s *Store) writeSegment(path string, meta Meta, emit func(*Writer) error) (*Segment, error) {
+	if _, err := WriteFile(path, meta, emit); err != nil {
+		return nil, err
+	}
+	if err := SyncDir(s.dir); err != nil {
 		return nil, err
 	}
 	return Open(path)
@@ -298,7 +307,7 @@ func (s *Store) Compact() (bool, error) {
 	name := fmt.Sprintf("seg-%06d.seg", id)
 	path := filepath.Join(s.dir, name)
 	meta := Meta{N: n, WithDist: withDist, Seq: seq}
-	_, err := WriteFile(path, meta, func(w *Writer) error {
+	merged, err := s.writeSegment(path, meta, func(w *Writer) error {
 		for fam := Family(0); fam < NumFamilies; fam++ {
 			err := pinned.Iter(fam, true, func(key int32, posts []Post) error {
 				return w.Append(fam, key, posts)
@@ -309,10 +318,6 @@ func (s *Store) Compact() (bool, error) {
 		}
 		return nil
 	})
-	if err != nil {
-		return false, err
-	}
-	merged, err := Open(path)
 	if err != nil {
 		return false, err
 	}

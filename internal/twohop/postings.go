@@ -11,11 +11,10 @@ import (
 // for every center c, InOwners(c) lists the nodes whose Lin contains c
 // and OutOwners(c) the nodes whose Lout contains c, each as a sorted
 // posting list. This is the §3.4 backward index on LIN/LOUT promoted to
-// a first-class structure: the set-at-a-time descendant-axis evaluator
-// unions frontier Lout centers and expands them through InOwners — the
-// SQL semijoin of §5.1 — instead of probing pairs, and incremental
-// maintenance keeps the postings warm by replaying the same CoverDelta
-// stream the WAL records.
+// a first-class structure: the old join, link insertion, cover-based
+// ancestor and descendant queries, and the watch path's delta
+// re-evaluation read it, and incremental maintenance keeps the postings
+// warm by replaying the same CoverDelta stream the WAL records.
 //
 // Like Cover, the postings are the sealed base's owners, plus the
 // delta's owners, minus masked base owners that were removed; reads

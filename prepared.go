@@ -103,10 +103,10 @@ func (p *PreparedQuery) Steps() []PreparedStep {
 	return out
 }
 
-// Plan is the EXPLAIN report of one query execution: per step, the
-// candidate-set size, the evaluator the engine chose (semijoin vs
-// pairwise vs the cursor's streaming variants), the frontier
-// sizes, and the posting entries touched. See Snapshot.Explain.
+// Plan is the EXPLAIN report of one query execution: per step, its
+// mode (seed, child, descendant, ranked-descendant or skipped), the
+// candidate-set size, the frontier sizes, and the label entries read.
+// See Snapshot.Explain.
 type Plan = query.Plan
 
 // StepPlan is one step of a Plan.
