@@ -79,6 +79,7 @@ func TestMetricsExposition(t *testing.T) {
 	for _, fam := range []string{
 		// engine families (Index.Metrics, attached as a sub-registry)
 		"hopi_query_seconds",
+		"hopi_query_label_entries_total",
 		"hopi_apply_seconds",
 		"hopi_snapshot_publish_seconds",
 		"hopi_build_phase_seconds",
@@ -172,6 +173,10 @@ func TestMetricsExposition(t *testing.T) {
 	if counterTotal(after, "hopi_serve_prepared_cache_hits_total", "", "") < 2 {
 		t.Errorf("repeated expr did not hit the prepared cache: %v",
 			after["hopi_serve_prepared_cache_hits_total"].Samples)
+	}
+	// the author sits under its article: the tree answers every query
+	if got := counterTotal(after, "hopi_query_label_entries_total", "", ""); got != 0 {
+		t.Errorf("hopi_query_label_entries_total = %v after tree-answered queries, want 0", got)
 	}
 }
 

@@ -205,17 +205,26 @@ func TestServerQueryStream(t *testing.T) {
 	}
 }
 
-// TestServerExplain: the endpoint reports per-step modes, and the
-// limited run reads fewer label entries than the full one.
+// TestServerExplain: the endpoint reports per-step modes, the tree
+// answers //article//author with no label read, and where the final
+// step reads labels the limited run reads fewer than the full one.
 func TestServerExplain(t *testing.T) {
 	h, _ := newTestServer(t, 40)
+	var tree hopi.Plan
+	getInto(t, h, "/explain?expr=//article//author", http.StatusOK, &tree)
+	if len(tree.Steps) != 2 || tree.Steps[1].Mode != "descendant" || tree.Matches == 0 {
+		t.Fatalf("tree plan: %+v", tree)
+	}
+	if st := tree.Steps[1]; st.Postings != 0 || st.TreeMatches != tree.Matches {
+		t.Fatalf("//article//author plan: %+v, want 0 postings and %d tree matches", st, tree.Matches)
+	}
 	var full hopi.Plan
-	getInto(t, h, "/explain?expr=//article//author", http.StatusOK, &full)
+	getInto(t, h, "/explain?expr=//cite//title", http.StatusOK, &full)
 	if len(full.Steps) != 2 || full.Steps[1].Mode != "descendant" || full.Matches == 0 {
 		t.Fatalf("full plan: %+v", full)
 	}
 	var lim hopi.Plan
-	getInto(t, h, "/explain?expr=//article//author&limit=5", http.StatusOK, &lim)
+	getInto(t, h, "/explain?expr=//cite//title&limit=5", http.StatusOK, &lim)
 	if lim.Steps[1].Mode != "descendant" || lim.Matches != 5 {
 		t.Fatalf("limited plan: %+v", lim)
 	}

@@ -253,13 +253,25 @@ func mustRun(t *testing.T, s *Snapshot, ctx context.Context, pq *PreparedQuery, 
 	return cur
 }
 
-// TestSnapshotExplain: the public Explain surface reports the pushdown.
+// TestSnapshotExplain: the public Explain surface reports the tree
+// test and the pushdown.
 func TestSnapshotExplain(t *testing.T) {
 	ix := genIndex(t, 40)
 	snap := ix.Snapshot()
-	pq, _ := Prepare("//article//author")
-
 	ctx := context.Background()
+
+	// every author sits under its article: no label entry is read
+	pqa, _ := Prepare("//article//author")
+	tree, err := snap.Explain(ctx, pqa)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := tree.Steps[1]; tree.Matches == 0 || st.Postings != 0 || st.TreeMatches != tree.Matches {
+		t.Fatalf("//article//author plan: %+v, want 0 postings and %d tree matches", tree, tree.Matches)
+	}
+
+	// titles are no cite's tree descendants: the final step reads labels
+	pq, _ := Prepare("//cite//title")
 	full, err := snap.Explain(ctx, pq)
 	if err != nil {
 		t.Fatal(err)
@@ -276,6 +288,16 @@ func TestSnapshotExplain(t *testing.T) {
 	}
 	if lim.Steps[1].Postings >= full.Steps[1].Postings {
 		t.Fatalf("limited run touched %d postings, full %d — pushdown missing", lim.Steps[1].Postings, full.Steps[1].Postings)
+	}
+	// a cursor adds its run's label entries to the counter at Close
+	entries := ix.metrics().queryLabelEntries
+	was := entries.Value()
+	cur := mustRun(t, snap, ctx, pq)
+	for cur.Next() {
+	}
+	cur.Close()
+	if got := entries.Value() - was; got != uint64(full.LabelEntries()) || got == 0 {
+		t.Errorf("hopi_query_label_entries_total rose by %d over one run, want the plan's %d", got, full.LabelEntries())
 	}
 	if _, err := snap.Explain(ctx, pq, QueryRanked(), QueryLimit(5)); err != nil {
 		t.Fatal(err)

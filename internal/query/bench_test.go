@@ -44,6 +44,13 @@ func BenchmarkEvalWildcard(b *testing.B) {
 	benchEval(b, "//*//author")
 }
 
+// BenchmarkEvalThreeStep: a title is no cite's tree descendant, so the
+// final step marks X — the one step of these queries the tree test
+// does not answer.
+func BenchmarkEvalThreeStep(b *testing.B) {
+	benchEval(b, "//article//cite//title")
+}
+
 func benchRanked(b *testing.B, expr string) {
 	e := benchEngine(b)
 	q, err := Parse(expr)
@@ -66,9 +73,9 @@ func BenchmarkEvalRankedWildcard(b *testing.B) {
 	benchRanked(b, "//*//author")
 }
 
-// benchStream drains a limit-10 cursor, which stops where the
+// benchStream drains a limited cursor, which stops where the
 // full-materialization benchmarks above go on.
-func benchStream(b *testing.B, ranked bool, expr string) {
+func benchStream(b *testing.B, ranked bool, expr string, limit int) {
 	e := benchEngine(b)
 	q, err := Parse(expr)
 	if err != nil {
@@ -77,7 +84,7 @@ func benchStream(b *testing.B, ranked bool, expr string) {
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st, err := e.Stream(ctx, q, StreamOpts{Limit: 10, Ranked: ranked})
+		st, err := e.Stream(ctx, q, StreamOpts{Limit: limit, Ranked: ranked})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -91,15 +98,21 @@ func benchStream(b *testing.B, ranked bool, expr string) {
 }
 
 func BenchmarkStreamLimit10(b *testing.B) {
-	benchStream(b, false, "//article//author")
+	benchStream(b, false, "//article//author", 10)
 }
 
 func BenchmarkStreamRankedLimit10(b *testing.B) {
-	benchStream(b, true, "//article//author")
+	benchStream(b, true, "//article//author", 10)
 }
 
 // BenchmarkStreamRankedLimit10Mixed: the final frontier carries mixed
 // scores — the second // step spreads them.
 func BenchmarkStreamRankedLimit10Mixed(b *testing.B) {
-	benchStream(b, true, "//article//cite//author")
+	benchStream(b, true, "//article//cite//author", 10)
+}
+
+// BenchmarkStreamThreeStepLimit25: a limit-25 page of the step that
+// still builds X.
+func BenchmarkStreamThreeStepLimit25(b *testing.B) {
+	benchStream(b, false, "//article//cite//title", 25)
 }

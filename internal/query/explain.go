@@ -35,8 +35,24 @@ type StepPlan struct {
 	// the tested candidates' Lin — the step's I/O proxy.
 	Postings int `json:"postings"`
 	// Centers is the number of distinct Lout centers of the frontier
-	// (// steps only).
+	// (// steps only); 0 when no candidate needed them.
 	Centers int `json:"centers,omitempty"`
+	// TreeMatches counts the candidates of an unranked // step that the
+	// tree test accepted: a proper tree ancestor in the frontier, no
+	// label read.
+	TreeMatches int `json:"treeMatches,omitempty"`
+}
+
+// LabelEntries sums the steps' Postings: the label entries the run read.
+func (p *Plan) LabelEntries() int {
+	if p == nil {
+		return 0
+	}
+	n := 0
+	for i := range p.Steps {
+		n += p.Steps[i].Postings
+	}
+	return n
 }
 
 // record fills the step's summary fields; nil-safe so the non-explain

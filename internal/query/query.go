@@ -21,11 +21,15 @@
 //
 // A // step is the §5.1 label join driven from the side that can be
 // pruned, the tag's candidates (the staircase-join idea): mark the
-// frontier F, its Lout centers X = centers(Lout(F)) and F ∪ X in
-// bitsets once, then walk the candidates in ascending ID order and keep
-// c when c ∈ X (the direct c ∈ Lout(f) case), c ∈ F lies on a cycle
-// (the self-match), or Lin(c) meets F ∪ X (f ∈ Lin(c) and the
-// Lout ∩ Lin join). Cost is the frontier's Lout mass plus the
+// frontier F in a bitset, then walk the candidates in ascending ID order.
+// The tree answers first: tree edges are graph edges, so c matches when
+// a proper tree ancestor of c is in F, with no label read (the
+// containment test of region encoding). Only the first candidate the
+// tree does not answer marks X = centers(Lout(F)) and F ∪ X, reading
+// each Lout list the frontier shares once; from then on c is also kept
+// when c ∈ X (the direct c ∈ Lout(f) case), c ∈ F lies on a cycle (the
+// self-match), or Lin(c) meets F ∪ X (f ∈ Lin(c) and the Lout ∩ Lin
+// join). Cost is at most the frontier's distinct Lout mass plus the
 // candidates' Lin mass instead of |F|×|C| probes, and matches come out
 // sorted, so a limited cursor stops reading labels at its k-th match.
 package query
@@ -33,6 +37,7 @@ package query
 import (
 	"context"
 	"fmt"
+	"iter"
 	"maps"
 	"slices"
 	"sort"
@@ -416,8 +421,18 @@ func (e *Engine) finalScan(ctx context.Context, q *Query, cc *canceller, plan *P
 }
 
 // initialFrontier evaluates the first step: the tag's candidates,
-// document roots only under a leading "/".
+// document roots only under a leading "/". An unanchored seed is the
+// candidate list itself, shared with the engine's tag index: no reader
+// of a frontier writes to it — newScan and advance only mark and probe
+// it, rankedMatches only indexes and orders its seed columns
+// (rankedCols.add appends to later steps' columns only), and
+// SeedFrontier's callers copy it into their replies.
 func (e *Engine) initialFrontier(first Step, sp *StepPlan) []int32 {
+	if first.Axis != AxisChild {
+		cands := e.candidates(first.Tag)
+		sp.record(ModeSeed, len(cands), 0, len(cands))
+		return cands
+	}
 	out, _ := e.newScan(nil, first, true, sp).drain(&canceller{})
 	return out
 }
@@ -442,14 +457,16 @@ type stepScan struct {
 	root  bool // a seed under a leading "/": document roots only
 	child bool // a "/" step: the parent is in the frontier
 
-	fset   graph.Bitset // F, the frontier
-	xset   graph.Bitset // X, the frontier's Lout centers
-	fx     graph.Bitset // F ∪ X, what a candidate's Lin must meet
-	pooled []graph.Bitset
-	cyclic graph.Bitset
-	cov    *twohop.Cover
-	buf    []twohop.Entry // LinBuf's merge buffer
-	sp     *StepPlan
+	frontier []int32      // F, kept to mark X when a candidate first needs it
+	n        int          // the scratch bitsets' capacity
+	fset     graph.Bitset // F
+	xset     graph.Bitset // X, the frontier's Lout centers; nil until marked
+	fx       graph.Bitset // F ∪ X, what a candidate's Lin must meet
+	pooled   []graph.Bitset
+	cyclic   graph.Bitset
+	cov      *twohop.Cover
+	buf      []twohop.Entry // LoutBuf's and LinBuf's merge buffer
+	sp       *StepPlan
 }
 
 // newScan starts the scan of step over frontier; seed marks the query's
@@ -461,37 +478,35 @@ func (e *Engine) newScan(frontier []int32, step Step, seed bool, sp *StepPlan) *
 	case seed:
 		sc.seed, sc.root = true, step.Axis == AxisChild
 		mode = ModeSeed
-	case step.Axis == AxisChild:
-		sc.child = true
-		mode = ModeChild
-		sc.fset = e.scratch.Get(e.scratchSize())
+	default:
+		sc.child = step.Axis == AxisChild
+		if sc.child {
+			mode = ModeChild
+		} else {
+			sc.frontier, sc.cov, sc.cyclic = frontier, e.ix.Cover(), e.ix.CyclicSet()
+		}
+		sc.n = e.scratchSize()
+		sc.fset = e.scratch.Get(sc.n)
 		sc.pooled = []graph.Bitset{sc.fset}
 		for _, f := range frontier {
 			sc.fset.Set(int(f))
 		}
-	default:
-		n := e.scratchSize()
-		sc.fset, sc.xset, sc.fx = e.scratch.Get(n), e.scratch.Get(n), e.scratch.Get(n)
-		sc.pooled = []graph.Bitset{sc.fset, sc.xset, sc.fx}
-		sc.cov, sc.cyclic = e.ix.Cover(), e.ix.CyclicSet()
-		touched := 0
-		for _, f := range frontier {
-			sc.fset.Set(int(f))
-			lout := sc.cov.LoutBuf(f, &sc.buf)
-			touched += len(lout)
-			for _, en := range lout {
-				sc.xset.Set(int(en.Center))
-			}
-		}
-		sc.fx.Or(sc.fset)
-		sc.fx.Or(sc.xset)
-		sp.touch(touched)
-		if sp != nil {
-			sp.Centers = sc.xset.Count()
-		}
 	}
 	sp.record(mode, len(sc.cands), len(frontier), 0)
 	return sc
+}
+
+// markX marks X = centers(Lout(F)) and F ∪ X, once, for the first
+// candidate the tree test does not answer.
+func (sc *stepScan) markX() {
+	sc.xset, sc.fx = sc.e.scratch.Get(sc.n), sc.e.scratch.Get(sc.n)
+	sc.pooled = append(sc.pooled, sc.xset, sc.fx)
+	sc.sp.touch(sc.cov.MarkOutCenters(sc.frontier, sc.xset, &sc.buf))
+	sc.fx.Or(sc.fset)
+	sc.fx.Or(sc.xset)
+	if sc.sp != nil {
+		sc.sp.Centers = sc.xset.Count()
+	}
 }
 
 // skipPast resumes the scan strictly after element after.
@@ -523,11 +538,12 @@ func (sc *stepScan) next(cc *canceller) (int32, bool, error) {
 	return 0, false, nil
 }
 
-// matches is the per-candidate test. For a // step, c matches iff it is
-// a frontier Lout center (c ∈ Lout(f)), a cyclic frontier element (the
-// self-match), or one of its Lin centers lies in F ∪ X (f ∈ Lin(c), or
-// the Lout ∩ Lin join): by the cover property, exactly when some f ∈ F
-// reaches c over a path of length ≥ 1.
+// matches is the per-candidate test. For a // step, c matches when a
+// proper tree ancestor of c is in F (a tree path), and otherwise iff it
+// is a frontier Lout center (c ∈ Lout(f)), a cyclic frontier element
+// (the self-match), or one of its Lin centers lies in F ∪ X
+// (f ∈ Lin(c), or the Lout ∩ Lin join): by the cover property, exactly
+// when some f ∈ F reaches c over a path of length ≥ 1.
 func (sc *stepScan) matches(c int32) bool {
 	switch {
 	case sc.seed:
@@ -535,13 +551,58 @@ func (sc *stepScan) matches(c int32) bool {
 	case sc.child:
 		p := sc.e.parentOf(c)
 		return p >= 0 && sc.fset.Has(int(p))
-	case sc.xset.Has(int(c)), sc.fset.Has(int(c)) && sc.cyclic.Has(int(c)):
+	case sc.e.treeReached(c, sc.fset):
+		if sc.sp != nil {
+			sc.sp.TreeMatches++
+		}
+		return true
+	}
+	if sc.xset == nil {
+		sc.markX()
+	}
+	if sc.xset.Has(int(c)) || sc.fset.Has(int(c)) && sc.cyclic.Has(int(c)) {
 		return true
 	}
 	in := sc.cov.LinBuf(c, &sc.buf)
 	sc.sp.touch(len(in))
 	for _, en := range in {
 		if sc.fx.Has(int(en.Center)) {
+			return true
+		}
+	}
+	return false
+}
+
+// ancestors yields c's proper tree ancestors as global IDs, nearest
+// first: c's document is resolved once, then Parent is followed inside
+// it. Nothing else about the order is assumed — AddElement can attach a
+// child to an earlier element, so a parent's ID may exceed its child's.
+// An ID outside the collection or in a tombstoned document yields none:
+// the index's graph holds no tree edge of it.
+func (e *Engine) ancestors(c int32) iter.Seq[int32] {
+	return func(yield func(int32) bool) {
+		if c < 0 || int(c) >= e.coll.NumAllocatedIDs() {
+			return
+		}
+		doc, local := e.coll.LocalID(c)
+		if !e.coll.Alive(doc) {
+			return
+		}
+		els, base := e.coll.Docs[doc].Elements, c-local
+		for p := els[local].Parent; p >= 0; p = els[p].Parent {
+			if !yield(base + p) {
+				return
+			}
+		}
+	}
+}
+
+// treeReached reports whether a proper tree ancestor of c is in set.
+// Tree edges are graph edges, so an ancestor in the frontier reaches c
+// over a path of length ≥ 1 with no label read.
+func (e *Engine) treeReached(c int32, set graph.Bitset) bool {
+	for a := range e.ancestors(c) {
+		if set.Has(int(a)) {
 			return true
 		}
 	}

@@ -12,34 +12,37 @@ import (
 )
 
 // TestReachesAnyMatchesBulkClosure: the unranked out-probe's set
-// kernel answers exactly the OR over rows of the pairwise closure
-// matrix — reflexively, on cyclic and on citation collections, for an
-// empty frontier, overlapping from/to sets and elements on cycles.
+// kernel, tree test first, answers exactly the OR over rows of the
+// pairwise closure matrix — reflexively, on citation, cyclic and tree
+// collections (treeIndex: tombstoned and modified documents), for an
+// empty frontier, overlapping from/to sets, endpoints below frontier
+// elements in the tree and elements on cycles.
 func TestReachesAnyMatchesBulkClosure(t *testing.T) {
 	ctx := context.Background()
 	type fixture struct {
 		name string
-		c    *xmlmodel.Collection
-		opts core.Options
+		ix   *core.Index
 	}
-	fixtures := []fixture{{
-		name: "dblp",
-		c:    gen.DBLP(gen.DefaultDBLP(60, 5)),
-		opts: core.Options{Partitioner: core.PartClosureBudget, ClosureBudget: 20_000, Join: core.JoinNewHBar, Seed: 5},
-	}}
-	for seed := int64(0); seed < 4; seed++ {
-		fixtures = append(fixtures, fixture{
-			name: "cyclic",
-			c:    cyclicCollection(seed),
-			opts: core.Options{Partitioner: core.PartSingle, Join: core.JoinNewHBar, Seed: seed},
-		})
-	}
-	for fi, fx := range fixtures {
-		ix, err := core.Build(fx.c, fx.opts)
+	build := func(c *xmlmodel.Collection, opts core.Options) *core.Index {
+		ix, err := core.Build(c, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := NewEngine(fx.c, ix)
+		return ix
+	}
+	fixtures := []fixture{{
+		name: "dblp",
+		ix: build(gen.DBLP(gen.DefaultDBLP(60, 5)),
+			core.Options{Partitioner: core.PartClosureBudget, ClosureBudget: 20_000, Join: core.JoinNewHBar, Seed: 5}),
+	}}
+	for seed := int64(0); seed < 4; seed++ {
+		fixtures = append(fixtures,
+			fixture{"cyclic", build(cyclicCollection(seed), core.Options{Partitioner: core.PartSingle, Join: core.JoinNewHBar, Seed: seed})},
+			fixture{"tree", treeIndex(t, seed)})
+	}
+	for fi, fx := range fixtures {
+		ix, c := fx.ix, fx.ix.Collection()
+		e := NewEngine(c, ix)
 		check := func(what string, from, to []int32) {
 			t.Helper()
 			got, err := e.ReachesAny(ctx, from, to)
@@ -64,7 +67,7 @@ func TestReachesAnyMatchesBulkClosure(t *testing.T) {
 			}
 		}
 
-		n := int32(fx.c.NumAllocatedIDs())
+		n := int32(c.NumAllocatedIDs())
 		rng := rand.New(rand.NewSource(int64(fi)))
 		draw := func(k int) []int32 {
 			out := make([]int32, k)
@@ -79,6 +82,13 @@ func TestReachesAnyMatchesBulkClosure(t *testing.T) {
 			from, to := draw(1+rng.Intn(8)), draw(1+rng.Intn(16))
 			to = append(to, from[rng.Intn(len(from))]) // from ∩ to ≠ ∅
 			check("random", from, to)
+			// endpoints below a frontier element in its document's tree
+			f := from[0]
+			doc, local := c.LocalID(f)
+			for _, kid := range c.Docs[doc].Children[local] {
+				to = append(to, c.GlobalID(doc, kid))
+			}
+			check("tree children", from, to)
 		}
 		onCycle := ix.CyclicSet().Elements(nil)
 		if fx.name == "cyclic" && len(onCycle) == 0 {

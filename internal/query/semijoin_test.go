@@ -29,18 +29,36 @@ func cyclicCollection(seed int64) *xmlmodel.Collection {
 	})
 }
 
-// TestSemijoinEquivalence: on random cyclic collections, the // step's
-// candidate test answers exactly as Reference, through Eval and
-// through one AdvanceFrontier call per step.
-func TestSemijoinEquivalence(t *testing.T) {
-	for seed := int64(0); seed < 8; seed++ {
-		c := cyclicCollection(seed)
-		ix, err := core.Build(c, core.Options{
+// equivIndexes returns the indexes the equivalence tests hold the
+// kernels to Reference on: random cyclic collections for seeds
+// 0..cyclic-1, whose elements hang under random earlier elements, then
+// treeIndex's maintained collections with intra-document links and
+// tombstoned and modified documents.
+func equivIndexes(t *testing.T, cyclic int) []*core.Index {
+	t.Helper()
+	var out []*core.Index
+	for seed := int64(0); seed < int64(cyclic); seed++ {
+		ix, err := core.Build(cyclicCollection(seed), core.Options{
 			Partitioner: core.PartSingle, Join: core.JoinNewHBar, WithDistance: true, Seed: seed,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		out = append(out, ix)
+	}
+	for seed := int64(0); seed < 4; seed++ {
+		out = append(out, treeIndex(t, seed))
+	}
+	return out
+}
+
+// TestSemijoinEquivalence: on random cyclic collections and the tree
+// collections, the // step's candidate test, tree first, answers
+// exactly as Reference, through Eval and through one AdvanceFrontier
+// call per step.
+func TestSemijoinEquivalence(t *testing.T) {
+	for fixture, ix := range equivIndexes(t, 8) {
+		c := ix.Collection()
 		e := NewEngine(c, ix)
 		for _, expr := range equivExprs() {
 			q, err := Parse(expr)
@@ -56,14 +74,14 @@ func TestSemijoinEquivalence(t *testing.T) {
 			}
 			for name, got := range map[string][]int32{"Eval": e.Eval(q), "AdvanceFrontier": stepped} {
 				if len(got) != len(want) {
-					t.Fatalf("seed %d %q %s: got %d matches %v, want %d", seed, expr, name, len(got), got, len(want))
+					t.Fatalf("fixture %d %q %s: got %d matches %v, want %d", fixture, expr, name, len(got), got, len(want))
 				}
 				if !slices.IsSorted(got) {
-					t.Fatalf("seed %d %q %s: %v not ascending", seed, expr, name, got)
+					t.Fatalf("fixture %d %q %s: %v not ascending", fixture, expr, name, got)
 				}
 				for _, id := range got {
 					if _, ok := want[id]; !ok {
-						t.Fatalf("seed %d %q %s: spurious match %d", seed, expr, name, id)
+						t.Fatalf("fixture %d %q %s: spurious match %d", fixture, expr, name, id)
 					}
 				}
 			}

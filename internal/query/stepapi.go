@@ -144,9 +144,13 @@ func (e *Engine) BulkClosure(ctx context.Context, from, to []int32, withDist boo
 // ReachesAny reports, per to[j], whether some element of from reaches
 // it (reflexively: from[i] == to[j] counts) — the OR of BulkClosure's
 // column j without materializing the |from|×|to| matrix. One scratch
-// bitset collects the frontier's meeting centers, {f} ∪ Lout(f) over
-// every f; t is then reached exactly when t itself or a center of
-// Lin(t) is set, the same meeting cases BulkClosure enumerates.
+// bitset holds the frontier; t is reached when t or a proper tree
+// ancestor of t is set. Only the first t the tree does not answer adds
+// the frontier's Lout centers to the bitset (each shared list read
+// once); t is then reached exactly when t itself or a center of Lin(t)
+// is set, the same meeting cases BulkClosure enumerates. A tree
+// ancestor found set after that is still a witness: an ancestor in X is
+// reached from the frontier.
 func (e *Engine) ReachesAny(ctx context.Context, from, to []int32) ([]bool, error) {
 	out := make([]bool, len(to))
 	if len(from) == 0 || len(to) == 0 {
@@ -155,20 +159,26 @@ func (e *Engine) ReachesAny(ctx context.Context, from, to []int32) ([]bool, erro
 	cov := e.ix.Cover()
 	centers := e.scratch.Get(e.scratchSize())
 	defer e.scratch.Put(centers)
-	var buf []twohop.Entry
 	for _, f := range from {
+		centers.Set(int(f))
+	}
+	marked := false
+	var buf []twohop.Entry
+	for j, t := range to {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		centers.Set(int(f))
-		for _, en := range cov.LoutBuf(f, &buf) {
-			centers.Set(int(en.Center))
-		}
-	}
-	for j, t := range to {
-		if centers.Has(int(t)) {
+		if centers.Has(int(t)) || e.treeReached(t, centers) {
 			out[j] = true
 			continue
+		}
+		if !marked {
+			marked = true
+			cov.MarkOutCenters(from, centers, &buf)
+			if centers.Has(int(t)) {
+				out[j] = true
+				continue
+			}
 		}
 		for _, en := range cov.LinBuf(t, &buf) {
 			if centers.Has(int(en.Center)) {

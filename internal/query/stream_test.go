@@ -43,20 +43,17 @@ func matchElems(ms []Match) []int32 {
 	return out
 }
 
-// TestStreamEquivalence: on random cyclic collections, the unlimited
-// answer equals Reference, and draining a stream with every limit and
-// from every resume point yields exactly the corresponding slice of it
-// — plain and ranked, elements, scores and witness paths.
+// TestStreamEquivalence: on random cyclic collections and the tree
+// collections (equivIndexes), the unlimited answer equals Reference,
+// and draining a stream with every limit and from every resume point
+// yields exactly the corresponding slice of it — plain and ranked,
+// elements, scores and witness paths. A limited plain scan may stop
+// before its first tree-failing candidate, or build X past its resume
+// point.
 func TestStreamEquivalence(t *testing.T) {
-	for seed := int64(0); seed < 6; seed++ {
-		c := cyclicCollection(seed)
-		ix, err := core.Build(c, core.Options{
-			Partitioner: core.PartSingle, Join: core.JoinNewHBar, WithDistance: true, Seed: seed,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(seed))
+	for fixture, ix := range equivIndexes(t, 6) {
+		c := ix.Collection()
+		rng := rand.New(rand.NewSource(int64(fixture)))
 		e := NewEngine(c, ix)
 		for _, expr := range equivExprs() {
 			q, err := Parse(expr)
@@ -70,16 +67,16 @@ func TestStreamEquivalence(t *testing.T) {
 			}
 			want, wantRanked := Reference(c, q, false), Reference(c, q, true)
 			if len(full) != len(want) || len(fullRanked) != len(wantRanked) {
-				t.Fatalf("seed %d %q: %d matches, %d ranked; Reference %d", seed, expr, len(full), len(fullRanked), len(want))
+				t.Fatalf("fixture %d %q: %d matches, %d ranked; Reference %d", fixture, expr, len(full), len(fullRanked), len(want))
 			}
 			for _, id := range full {
 				if _, ok := want[id]; !ok {
-					t.Fatalf("seed %d %q: spurious match %d", seed, expr, id)
+					t.Fatalf("fixture %d %q: spurious match %d", fixture, expr, id)
 				}
 			}
 			for _, m := range fullRanked {
 				if ws, ok := wantRanked[m.Element]; !ok || math.Abs(ws-m.Score) > 1e-12 {
-					t.Fatalf("seed %d %q: ranked %+v, Reference score %g (present %v)", seed, expr, m, ws, ok)
+					t.Fatalf("fixture %d %q: ranked %+v, Reference score %g (present %v)", fixture, expr, m, ws, ok)
 				}
 			}
 
@@ -91,7 +88,7 @@ func TestStreamEquivalence(t *testing.T) {
 					want = full[:limit]
 				}
 				if !slices.Equal(got, want) {
-					t.Fatalf("seed %d %q limit %d: got %v, want %v", seed, expr, limit, got, want)
+					t.Fatalf("fixture %d %q limit %d: got %v, want %v", fixture, expr, limit, got, want)
 				}
 			}
 			// resume from every position: the tail after element full[i]
@@ -103,8 +100,8 @@ func TestStreamEquivalence(t *testing.T) {
 					want = want[:lim]
 				}
 				if !slices.Equal(matchElems(got), want) {
-					t.Fatalf("seed %d %q resume after %d limit %d: got %v, want %v",
-						seed, expr, full[i], lim, matchElems(got), want)
+					t.Fatalf("fixture %d %q resume after %d limit %d: got %v, want %v",
+						fixture, expr, full[i], lim, matchElems(got), want)
 				}
 			}
 
@@ -117,13 +114,13 @@ func TestStreamEquivalence(t *testing.T) {
 					want = fullRanked[:limit]
 				}
 				if len(got) != len(want) {
-					t.Fatalf("seed %d %q ranked limit %d: got %d matches, want %d",
-						seed, expr, limit, len(got), len(want))
+					t.Fatalf("fixture %d %q ranked limit %d: got %d matches, want %d",
+						fixture, expr, limit, len(got), len(want))
 				}
 				for j := range got {
 					if !sameMatch(got[j], want[j]) {
-						t.Fatalf("seed %d %q ranked limit %d: [%d] = %+v, want %+v",
-							seed, expr, limit, j, got[j], want[j])
+						t.Fatalf("fixture %d %q ranked limit %d: [%d] = %+v, want %+v",
+							fixture, expr, limit, j, got[j], want[j])
 					}
 				}
 			}
@@ -139,13 +136,13 @@ func TestStreamEquivalence(t *testing.T) {
 					want = want[:lim]
 				}
 				if len(got) != len(want) {
-					t.Fatalf("seed %d %q ranked resume %d limit %d: got %d, want %d",
-						seed, expr, i, lim, len(got), len(want))
+					t.Fatalf("fixture %d %q ranked resume %d limit %d: got %d, want %d",
+						fixture, expr, i, lim, len(got), len(want))
 				}
 				for j := range got {
 					if !sameMatch(got[j], want[j]) {
-						t.Fatalf("seed %d %q ranked resume %d: [%d] = %+v, want %+v",
-							seed, expr, i, j, got[j], want[j])
+						t.Fatalf("fixture %d %q ranked resume %d: [%d] = %+v, want %+v",
+							fixture, expr, i, j, got[j], want[j])
 					}
 				}
 			}
@@ -215,8 +212,10 @@ func TestStreamConcurrent(t *testing.T) {
 }
 
 // TestExplainPlan: the per-step report reflects the actual execution —
-// the candidate test with and without a limit, fewer label entries read
-// under the limit, and the ranked kernel limited or not.
+// the candidate test with and without a limit, every author answered by
+// the tree with no label read, fewer label entries read under the limit
+// where the final step needs labels, and the ranked kernel limited or
+// not.
 func TestExplainPlan(t *testing.T) {
 	c := gen.DBLP(gen.DefaultDBLP(120, 9))
 	ix, err := core.Build(c, core.Options{
@@ -237,14 +236,28 @@ func TestExplainPlan(t *testing.T) {
 	if len(full.Steps) != 2 || full.Steps[0].Mode != ModeSeed || full.Steps[1].Mode != ModeDescendant {
 		t.Fatalf("full plan: %+v", full.Steps)
 	}
-	if full.Matches == 0 || full.Steps[1].Postings == 0 || full.Steps[1].Centers == 0 {
+	if full.Matches == 0 {
 		t.Fatalf("full plan missing stats: %+v", full)
 	}
 	if full.Matches != full.Steps[1].FrontierOut {
 		t.Fatalf("full plan: %d matches vs %d frontier-out", full.Matches, full.Steps[1].FrontierOut)
 	}
+	// every author sits under its article: the tree answers them all
+	if st := full.Steps[1]; st.Postings != 0 || st.Centers != 0 || st.TreeMatches != full.Matches {
+		t.Fatalf("//article//author read labels: %+v, want 0 postings, 0 centers, %d tree matches", st, full.Matches)
+	}
 
-	lim, err := e.Explain(context.Background(), q, false, 10)
+	// a title is no cite's descendant in the tree: the final step marks
+	// X and reads Lin, and a limited run stops reading at its 10th match
+	qc, _ := Parse("//cite//title")
+	fullC, err := e.Explain(context.Background(), qc, false, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fullC.Matches <= 10 || fullC.Steps[1].Postings == 0 || fullC.Steps[1].Centers == 0 {
+		t.Fatalf("//cite//title plan missing stats: %+v", fullC)
+	}
+	lim, err := e.Explain(context.Background(), qc, false, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,9 +267,9 @@ func TestExplainPlan(t *testing.T) {
 	if lim.Matches != 10 {
 		t.Fatalf("limited plan: %d matches, want 10", lim.Matches)
 	}
-	if lim.Steps[1].Postings >= full.Steps[1].Postings {
+	if lim.Steps[1].Postings >= fullC.Steps[1].Postings {
 		t.Fatalf("limited run read %d label entries, full run %d — no early termination",
-			lim.Steps[1].Postings, full.Steps[1].Postings)
+			lim.Steps[1].Postings, fullC.Steps[1].Postings)
 	}
 
 	// every ranked // step, limited or not, runs the one label kernel

@@ -9,6 +9,7 @@
 // (stepScan.matches), with X's members found through OutOwners instead
 // of a marked X: v is reachable from the frontier F iff
 //
+//	a proper tree ancestor of v is in F        (tree path, no label read)
 //	v ∈ F and v lies on a cycle                (cyclic self-match)
 //	OutOwners(v) ∩ F ≠ ∅                       (direct v ∈ Lout(f))
 //	∃ c ∈ centers(Lin(v)):
@@ -146,8 +147,13 @@ func (e *Engine) stepMember(s Step, v int32) bool {
 
 // reachableFromFrontier reports whether some element of the first
 // step's frontier reaches v over a path of length ≥ 1 — the candidate
-// test, short-circuiting on the first frontier hit.
+// test, tree first, short-circuiting on the first frontier hit.
 func (e *Engine) reachableFromFrontier(first Step, v int32) bool {
+	for a := range e.ancestors(v) {
+		if e.stepMember(first, a) {
+			return true
+		}
+	}
 	cov := e.ix.Cover()
 	if int(v) >= cov.N() {
 		return false

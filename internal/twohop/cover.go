@@ -28,6 +28,7 @@ import (
 	"maps"
 	"slices"
 	"sort"
+	"sync"
 
 	"hopi/internal/graph"
 	"hopi/internal/segment"
@@ -462,6 +463,51 @@ func (c *Cover) LoutBuf(u int32, buf *[]Entry) []Entry {
 	}
 	return mergeView(base, at(c.Out, u), tombsOf(c.tombs[sideOut], u), buf)
 }
+
+// MarkOutCenters sets in set the center of every Lout entry of every
+// node in us and returns the number of entries it read. A list that
+// several owners share (see Intern and Clone) is read once: an owner
+// with nothing sealed is keyed by its list's backing array, and skipped
+// when a list of the same length was read from that array. An owner
+// with sealed entries reads its merged view through buf, as LoutBuf
+// does, with one base lookup and no key.
+func (c *Cover) MarkOutCenters(us []int32, set graph.Bitset, buf *[]Entry) int {
+	seen := seenLists.Get().(map[*Entry]int)
+	defer func() {
+		// a map that grew large is dropped, not pooled: a pool keeps
+		// what it holds alive through the next collection
+		if len(seen) <= maxPooledSeen {
+			clear(seen)
+			seenLists.Put(seen)
+		}
+	}()
+	read := 0
+	for _, u := range us {
+		list := at(c.Out, u)
+		if base := c.base.Lout(u); len(base) > 0 {
+			list = mergeView(base, list, tombsOf(c.tombs[sideOut], u), buf)
+		} else if len(list) > 0 {
+			if n, dup := seen[&list[0]]; dup && n == len(list) {
+				continue
+			}
+			seen[&list[0]] = len(list)
+		}
+		read += len(list)
+		for _, en := range list {
+			set.Set(int(en.Center))
+		}
+	}
+	return read
+}
+
+// seenLists pools MarkOutCenters' dedup maps (a list's first entry →
+// its length), so steady-state queries over small frontiers allocate
+// none.
+var seenLists = sync.Pool{New: func() any { return map[*Entry]int{} }}
+
+// maxPooledSeen is the most lists a dedup map may have held and still
+// go back to seenLists: a few KiB of map.
+const maxPooledSeen = 256
 
 // mergeView overlays sorted delta entries on sorted base entries,
 // dropping tombstoned centers. Delta wins on equal centers. The merge

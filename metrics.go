@@ -28,7 +28,10 @@ type indexMetrics struct {
 	// queryLatency is labeled by the evaluation mode of the step that
 	// produced the results (see query.Plan.DominantMode).
 	queryLatency *obs.HistogramVec
-	applySeconds *obs.Histogram
+	// queryLabelEntries sums the label entries the closed cursors' plans
+	// read (query.Plan.LabelEntries).
+	queryLabelEntries *obs.Counter
+	applySeconds      *obs.Histogram
 	// snapshotPublish times Snapshot's miss path: the first read after
 	// a batch pays it, so it is the write cost a reader sees.
 	snapshotPublish *obs.Histogram
@@ -87,6 +90,8 @@ func newIndexMetrics(ix *Index) *indexMetrics {
 		queryLatency: r.HistogramVec("hopi_query_seconds",
 			"Query cursor latency from Run to Close, by final-step evaluation mode.",
 			obs.DefLatencyBuckets, "mode"),
+		queryLabelEntries: r.Counter("hopi_query_label_entries_total",
+			"Label entries (Lout and Lin) the query cursors read, added at Close: the run's summed per-step postings."),
 		applySeconds: r.Histogram("hopi_apply_seconds",
 			"Maintenance batch latency through Apply, commit included.",
 			obs.DefLatencyBuckets),

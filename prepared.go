@@ -229,8 +229,9 @@ func (s *Snapshot) Run(ctx context.Context, pq *PreparedQuery, opts ...QueryOpti
 	c := &Cursor{snap: s, pq: pq, ranked: cfg.ranked, limit: cfg.limit}
 	if s.met != nil {
 		// Attach a plan so the run records which evaluator each step
-		// chose; the latency histogram is labeled by the final step's
-		// mode when the cursor closes.
+		// chose and the label entries it read; when the cursor closes,
+		// the latency histogram is labeled by the final step's mode and
+		// the label-entry counter takes the plan's sum.
 		c.start = time.Now()
 		c.plan = query.NewPlan(pq.q, cfg.ranked, cfg.limit)
 		so.Plan = c.plan
@@ -320,6 +321,7 @@ func (c *Cursor) Close() {
 	if c.snap.met != nil && !c.observed {
 		c.observed = true
 		c.snap.met.queryLatency.With(c.plan.DominantMode()).ObserveSince(c.start)
+		c.snap.met.queryLabelEntries.Add(uint64(c.plan.LabelEntries()))
 	}
 }
 
