@@ -1,59 +1,62 @@
 // Command hopiserve exposes a HOPI index as an HTTP JSON query
 // service — the XML search-engine deployment the paper positions the
-// index for (§1, §3.4). Queries are served from immutable snapshots
-// and keep running while documents are inserted and deleted; writes
-// are applied as serialized batches.
+// index for (§1, §3.4) — or, in router mode, a router over sharded
+// hopiserve primaries behind the same routes. Queries are served from
+// immutable snapshots and keep running while documents are inserted
+// and deleted; writes are applied as serialized batches.
 //
-// Start against a saved index, with a generated citation collection,
-// or — the durable deployment — attached to an on-disk store that is
-// maintained in place and survives crashes:
-//
-//	hopiserve -index dblp.hopi
-//	hopiserve -docs 500 -distance
+//	hopiserve -index dblp.hopi              # a saved index (read-only)
+//	hopiserve -docs 500 -distance           # a generated citation collection
 //	hopiserve -store dblp.hopi              # create or reopen; WAL-backed writes
-//	hopiserve -store dblp.hopi -checkpoint 10s
-//	hopiserve -replica-of http://primary:8080 -addr :8081
-//	hopiserve -replica-of http://primary:8080 -store replica/   # persistent replica
+//	hopiserve -replica-of http://primary:8080 -addr :8081 [-store replica/]
+//	hopiserve -shards http://s0:8080,http://s1:8080 -map shardmap.json
 //
-// With -store, every maintenance batch is committed to the write-ahead
-// log before the HTTP response is sent; kill the process at any point,
-// restart it on the same path, and every acknowledged write is still
-// there. The store is checkpointed periodically (-checkpoint) and on
-// graceful shutdown. A -store server is also a replication primary: it
-// streams its committed batches at GET /repl/stream, and any number of
-// -replica-of servers bootstrap from its state image, log and replay
-// the stream into a durable store of their own, and serve the read
-// endpoints against their latest replayed snapshot (writes there fail
-// 403 — send them to the primary). A replica keeps that store in the
-// directory -store names (else in a temporary directory removed on
-// shutdown); restarted on it, even after kill -9, it resumes the stream
-// after its last logged batch without a new image. /stats reports each
-// server's role (hopi_index_info), applied sequence, and replication lag.
+// With -store, every batch is committed to the write-ahead log before
+// the response is sent, so every acknowledged write survives kill -9;
+// the store is checkpointed every -checkpoint and on shutdown. A -store
+// server is also a replication primary: -replica-of servers bootstrap
+// from its image, log and replay its GET /repl/stream into a durable
+// store of their own (the -store directory, else a temporary one),
+// resume from it after a restart, and serve reads (writes fail 403).
 //
-// API:
+// With -shards, hopiserve builds no collection: it owns the
+// document→shard map (loaded from -map, or started empty and persisted
+// there on every mutation), routes writes to the owning shard, and
+// answers descendant-axis queries by fanning out to every shard and
+// joining cross-shard paths with a semijoin over the shipped frontier
+// centers — the serving-tier analogue of the paper's partition
+// skeleton graph (§4). Answers are byte-identical to one unsharded
+// index over the same documents, ranked scores included. Shards are
+// plain hopiserve primaries (typically -store ones). A down shard
+// answers 503 with Retry-After.
+//
+// API (* only over an index; the shard RPCs under /shard/* too):
 //
 //	GET    /query?expr=//article//author&limit=10&ranked=1
-//	GET    /query?expr=...&pageToken=...  (continue a page sequence)
-//	GET    /query/stream?expr=...         (NDJSON, one result per line)
-//	GET    /watch?expr=...&resume=EPOCH   (NDJSON live query: init frame, then deltas)
-//	GET    /explain?expr=...&limit=10     (per-step execution plan)
-//	GET    /reach?from=pub00005.xml&to=pub00002.xml&distance=1
-//	GET    /stats                        (the /metrics registry as one JSON object)
-//	GET    /repl/stream?from=N&scope=S   (log shipping: the WAL's CRC-framed records)
-//	POST   /docs?name=new.xml            (body: the XML document)
+//	GET    /query?expr=...&pageToken=...   (continue a page sequence)
+//	GET    /query/stream?expr=...&pageSize=256  (NDJSON, one result per line)
+//	GET    /watch?expr=...&resume=EPOCH  * (NDJSON live query: init frame, then deltas)
+//	GET    /explain?expr=...&limit=10    * (per-step execution plan)
+//	GET    /reach?from=a.xml&to=b.xml&distance=1 *
+//	GET    /repl/stream?from=N&scope=S   * (log shipping: the WAL's CRC-framed records)
+//	GET    /stats, /metrics                (one registry: the index's, or the router's hopi_router_*)
+//	GET    /healthz, /readyz               (/readyz lists every shard in router mode)
+//	POST   /docs?name=new.xml              (body: the XML document; 413 over 16 MiB)
 //	DELETE /docs/{name}
-//	POST   /links                        {"from":"a.xml:3","to":"b.xml"}
-//	GET    /healthz
+//	POST   /links, DELETE /links           {"from":"a.xml:3","to":"b.xml"}
 //
-// Query responses carry count and, when the limit cut the result set
-// short, nextPageToken. Expressions are compiled once into an LRU
-// prepared-statement cache; limited queries stop evaluating once the
-// page is full (limit pushdown). Page tokens are bound to the snapshot
-// epoch: after any write they are rejected as stale (400) and the page
-// sequence restarts. On durable primaries and replicas the epoch is
-// the durable batch sequence, so a token issued by one replica resumes
-// on any other; a replica that has not yet applied the token's batch
-// answers 503 with Retry-After instead — retry the same token there.
+// A result row is {doc, local, tag, score} in both modes. /query
+// answers limit rows (default 100), a stream up to limit rows (default
+// -max-limit), and both hand out nextPageToken when results remain.
+// limit and pageSize must be positive and are clamped to -max-limit.
+// Expressions are compiled once into an LRU prepared-statement cache;
+// limited queries stop evaluating once the page is full. A page token
+// is bound to the snapshot epoch (a router's to every shard's): after
+// any write it is rejected as stale (400) and the page sequence
+// restarts. On durable primaries and replicas the epoch is the batch
+// sequence, so a token resumes on any replica; one that has not yet
+// applied the token's batch, or a lagging shard, answers 503 with
+// Retry-After — retry the same token. Errors are {error, retryable}.
 //
 // Element addresses use the cmd-tool syntax: "doc.xml",
 // "doc.xml:localIndex", or "doc.xml#anchor".
@@ -76,6 +79,7 @@ import (
 	"hopi"
 	"hopi/internal/gen"
 	"hopi/internal/obshttp"
+	"hopi/internal/shardrouter"
 )
 
 func main() {
@@ -95,39 +99,56 @@ func main() {
 		watchHB    = flag.Duration("watch-heartbeat", defaultWatchHeartbeat, "idle heartbeat interval on /watch streams")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address, on its own listener (\":6060\" binds loopback only); empty disables")
 		accessLog  = flag.Bool("access-log", false, "log one structured line per HTTP request (method, path, status, duration, bytes, trace ID)")
+
+		// router mode
+		shards        = flag.String("shards", "", "comma-separated shard base URLs (http://host:port), one hopiserve primary each: serve a router over them instead of an index")
+		mapPath       = flag.String("map", "", "with -shards: shard map path; load if present, else start empty; every mutation is persisted here")
+		shardTimeout  = flag.Duration("shard-timeout", 30*time.Second, "with -shards: per-shard RPC timeout")
+		breakerWindow = flag.Duration("breaker-window", 250*time.Millisecond, "with -shards: how long a shard's circuit breaker stays open after a transport failure")
+		slowQueryMs   = flag.Int("slow-query-ms", -1, "with -shards: log a span tree for queries at least this slow (0 logs every query; negative disables)")
 	)
 	flag.Parse()
-	if *index != "" && *store != "" {
-		log.Fatal("hopiserve: -index and -store are mutually exclusive (use -store to serve a saved index durably)")
-	}
-	if *replicaOf != "" && *index != "" {
-		log.Fatal("hopiserve: -replica-of and -index are mutually exclusive")
-	}
-
-	var segOpts []hopi.OpenOption
-	if *segThresh != 0 {
-		segOpts = append(segOpts, hopi.SegmentThreshold(*segThresh))
-	}
-	if *segMax > 0 {
-		segOpts = append(segOpts, hopi.SegmentMaxStack(*segMax))
+	switch {
+	case *shards != "" && (*index != "" || *store != "" || *replicaOf != ""):
+		log.Fatal("hopiserve: -shards serves a router and takes no -index, -store or -replica-of")
+	case *index != "" && (*store != "" || *replicaOf != ""):
+		log.Fatal("hopiserve: -index takes no -store or -replica-of (use -store to serve a saved index durably)")
 	}
 
-	ix, err := loadIndex(*index, *store, *replicaOf, *docs, *seed, *distance, segOpts)
-	if err != nil {
-		log.Fatalf("hopiserve: %v", err)
+	var (
+		ix *hopi.Index
+		h  *server
+	)
+	if *shards != "" {
+		router, err := loadRouter(*shards, *mapPath, *shardTimeout, *breakerWindow, *slowQueryMs)
+		if err != nil {
+			log.Fatalf("hopiserve: %v", err)
+		}
+		h = newRouterServer(router, *maxLimit)
+	} else {
+		var segOpts []hopi.OpenOption
+		if *segThresh != 0 {
+			segOpts = append(segOpts, hopi.SegmentThreshold(*segThresh))
+		}
+		if *segMax > 0 {
+			segOpts = append(segOpts, hopi.SegmentMaxStack(*segMax))
+		}
+		var err error
+		if ix, err = loadIndex(*index, *store, *replicaOf, *docs, *seed, *distance, segOpts); err != nil {
+			log.Fatalf("hopiserve: %v", err)
+		}
+		snap := ix.Snapshot()
+		coll := snap.Collection()
+		log.Printf("serving %d docs, %d elements, %d links, %d label entries on %s",
+			coll.NumDocs(), coll.NumElements(), coll.NumLinks(), snap.Size(), *addr)
+		h = newServer(ix, *maxLimit)
+		h.readyMaxLag = uint64(*readyLag)
+		if h.pub != nil {
+			log.Printf("replication: publishing committed batches at GET /repl/stream (last seq %d)", h.pub.LastSeq())
+		}
 	}
-	snap := ix.Snapshot()
-	coll := snap.Collection()
-	log.Printf("serving %d docs, %d elements, %d links, %d label entries on %s",
-		coll.NumDocs(), coll.NumElements(), coll.NumLinks(), snap.Size(), *addr)
-
-	h := newServer(ix, *maxLimit)
-	h.readyMaxLag = uint64(*readyLag)
 	if *watchHB > 0 {
 		h.watchHB = *watchHB
-	}
-	if h.pub != nil {
-		log.Printf("replication: publishing committed batches at GET /repl/stream (last seq %d)", h.pub.LastSeq())
 	}
 	var handler http.Handler = h
 	if *accessLog {
@@ -149,7 +170,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	if ix.Durable() && *checkpoint > 0 {
+	if ix != nil && ix.Durable() && *checkpoint > 0 {
 		go checkpointLoop(ctx, ix, *checkpoint)
 	}
 
@@ -174,8 +195,10 @@ func main() {
 		}
 		// flush the store: checkpoint and detach so the next start
 		// needs no WAL replay (on a replica this just stops the stream)
-		if err := ix.Close(); err != nil {
-			log.Fatalf("hopiserve: close store: %v", err)
+		if ix != nil {
+			if err := ix.Close(); err != nil {
+				log.Fatalf("hopiserve: close store: %v", err)
+			}
 		}
 	}
 }
@@ -200,6 +223,45 @@ func checkpointLoop(ctx context.Context, ix *hopi.Index, every time.Duration) {
 			}
 		}
 	}
+}
+
+// loadRouter connects to the shard primaries under the shard map at
+// mapPath, or an empty one that every mutation is then persisted to.
+func loadRouter(shards, mapPath string, timeout, breakerWindow time.Duration, slowQueryMs int) (*hopi.Router, error) {
+	var conns []hopi.ShardConn
+	for _, u := range strings.Split(shards, ",") {
+		if u = strings.TrimSpace(u); u != "" {
+			conns = append(conns, shardrouter.NewHTTPShard(u, timeout))
+		}
+	}
+	if len(conns) == 0 {
+		return nil, fmt.Errorf("-shards named no shard URLs")
+	}
+	m := shardrouter.NewShardMap(len(conns))
+	if mapPath != "" {
+		loaded, err := hopi.LoadShardMap(mapPath)
+		switch {
+		case err == nil:
+			log.Printf("loaded shard map %s (version %d)", mapPath, loaded.Version)
+			m = loaded
+		case errors.Is(err, fs.ErrNotExist):
+			log.Printf("no shard map at %s; starting empty for %d shards", mapPath, len(conns))
+		default:
+			return nil, err
+		}
+	}
+	if m.NumShards != len(conns) {
+		return nil, fmt.Errorf("map %s is for %d shards, -shards names %d", mapPath, m.NumShards, len(conns))
+	}
+	log.Printf("routing %d docs, %d cross links over %d shards", len(m.Docs), len(m.CrossLinks), m.NumShards)
+	opts := []hopi.RouterOption{hopi.RouterBreakerWindow(breakerWindow)}
+	if slowQueryMs >= 0 {
+		opts = append(opts, hopi.RouterSlowQueryLog(
+			time.Duration(slowQueryMs)*time.Millisecond,
+			func(tr *hopi.RouterQueryTrace) { log.Print(tr.Format()) },
+		))
+	}
+	return hopi.NewRouter(conns, m, mapPath, opts...)
 }
 
 func loadIndex(path, store, replicaOf string, docs int, seed int64, distance bool, segOpts []hopi.OpenOption) (*hopi.Index, error) {

@@ -12,7 +12,6 @@ import (
 
 	"hopi"
 	"hopi/internal/obs"
-	"hopi/internal/obshttp"
 	"hopi/internal/shardrouter"
 )
 
@@ -246,8 +245,8 @@ func TestRouterShardMetricsAgree(t *testing.T) {
 	}
 
 	// The router's own registry must agree with the same counters and
-	// parse just as strictly when mounted (newRouterServer mounts it).
-	rsrv := httptest.NewServer(newRouterServerForTest(router))
+	// parse just as strictly when mounted by the router-mode handler.
+	rsrv := httptest.NewServer(newRouterServer(router, 0))
 	defer rsrv.Close()
 	rfams := scrape(t, rsrv.URL)
 	if got := counterTotal(rfams, "hopi_router_shard_rpcs_total", "rpc", "step"); got != float64(c.StepRPCs) {
@@ -256,13 +255,4 @@ func TestRouterShardMetricsAgree(t *testing.T) {
 	if got := counterTotal(rfams, "hopi_router_queries_total", "", ""); got != 3 {
 		t.Errorf("hopi_router_queries_total = %v, want 3", got)
 	}
-}
-
-// newRouterServerForTest mounts only the router's metrics registry —
-// the piece of cmd/hopirouter's mux this package can exercise without
-// importing package main of another command.
-func newRouterServerForTest(r *hopi.Router) http.Handler {
-	mux := http.NewServeMux()
-	mux.Handle("GET /metrics", obshttp.MetricsHandler(r.Unwrap().Metrics()))
-	return mux
 }

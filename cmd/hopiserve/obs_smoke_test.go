@@ -17,28 +17,20 @@ import (
 )
 
 // TestObservabilitySmoke is the 3-process end-to-end for the
-// observability layer: real hopiserve shards behind a real hopirouter,
-// all three with the access log on and the router with the slow-query
-// log armed at 0ms and a loopback pprof listener. It asserts that
-// /metrics on every process serves strictly parseable Prometheus text
-// with the expected families, that a client trace ID survives the
-// router hop (echoed on the response while the same ID rides the
-// binary shard frames), and that pprof answers on its own listener
-// only — never through the serving port.
+// observability layer: real hopiserve shards behind a real router
+// (hopiserve -shards), all three with the access log on and the router
+// with the slow-query log armed at 0ms and a loopback pprof listener.
+// It asserts that /metrics on every process serves strictly parseable
+// Prometheus text with the expected families, that a client trace ID
+// survives the router hop (echoed on the response while the same ID
+// rides the binary shard frames), and that pprof answers on its own
+// listener only — never through the serving port.
 func TestObservabilitySmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("3-process smoke test; skipped in -short")
 	}
 	dir := t.TempDir()
-	serveBin := filepath.Join(dir, "hopiserve")
-	routerBin := filepath.Join(dir, "hopirouter")
-	for bin, pkg := range map[string]string{serveBin: "hopi/cmd/hopiserve", routerBin: "."} {
-		build := exec.Command("go", "build", "-o", bin, pkg)
-		build.Env = os.Environ()
-		if out, err := build.CombinedOutput(); err != nil {
-			t.Fatalf("go build %s: %v\n%s", pkg, err, out)
-		}
-	}
+	serveBin := buildServe(t, dir)
 
 	ports := freePorts(t, 4)
 	shardURLs := make([]string, 2)
@@ -57,7 +49,7 @@ func TestObservabilitySmoke(t *testing.T) {
 
 	routerURL := fmt.Sprintf("http://127.0.0.1:%d", ports[2])
 	pprofAddr := fmt.Sprintf("127.0.0.1:%d", ports[3])
-	router := exec.Command(routerBin,
+	router := exec.Command(serveBin,
 		"-addr", fmt.Sprintf("127.0.0.1:%d", ports[2]),
 		"-shards", strings.Join(shardURLs, ","),
 		"-map", filepath.Join(dir, "shardmap.json"),

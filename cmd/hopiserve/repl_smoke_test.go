@@ -26,12 +26,7 @@ func TestReplicationSmoke(t *testing.T) {
 		t.Skip("3-process smoke test; skipped in -short")
 	}
 	dir := t.TempDir()
-	bin := filepath.Join(dir, "hopiserve")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	build.Env = os.Environ()
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	bin := buildServe(t, dir)
 
 	ports := freePorts(t, 3)
 	primaryAddr := fmt.Sprintf("127.0.0.1:%d", ports[0])
@@ -53,7 +48,7 @@ func TestReplicationSmoke(t *testing.T) {
 	}
 	primary := startPrimary()
 	defer func() { primary.Process.Kill(); primary.Wait() }()
-	waitHealthy(t, primaryURL)
+	waitStatus(t, primaryURL+"/healthz", http.StatusOK)
 
 	// acknowledged writes at the primary
 	for i := 0; i < 3; i++ {
@@ -95,7 +90,7 @@ func TestReplicationSmoke(t *testing.T) {
 	var pq queryResponse
 	getJSON(t, primaryURL+"/query?expr="+qesc("//book//author")+"&limit=1000", http.StatusOK, &pq)
 	for i, base := range followers {
-		waitHealthy(t, base)
+		waitStatus(t, base+"/healthz", http.StatusOK)
 		waitReplicaSeq(t, base, 3)
 		var rq queryResponse
 		getJSON(t, base+"/query?expr="+qesc("//book//author")+"&limit=1000", http.StatusOK, &rq)
@@ -114,7 +109,7 @@ func TestReplicationSmoke(t *testing.T) {
 	primary.Wait()
 	primary = startPrimary()
 	defer func() { primary.Process.Kill(); primary.Wait() }()
-	waitHealthy(t, primaryURL)
+	waitStatus(t, primaryURL+"/healthz", http.StatusOK)
 	if pstats = getStats(t, primaryURL); pstats.num("hopi_replication_applied_seq") != 3 {
 		t.Fatalf("primary lost committed writes across kill -9: %v", pstats)
 	}
@@ -144,7 +139,7 @@ func TestReplicationSmoke(t *testing.T) {
 		`<bib><book><author/></book><cite href="after-crash.xml"/></bib>`, http.StatusCreated)
 	getJSON(t, primaryURL+"/query?expr="+qesc("//book//author")+"&limit=1000", http.StatusOK, &pq)
 	procs[0] = startFollower(0)
-	waitHealthy(t, followers[0])
+	waitStatus(t, followers[0]+"/healthz", http.StatusOK)
 	waitReplicaSeq(t, followers[0], 5)
 	var rq queryResponse
 	getJSON(t, followers[0]+"/query?expr="+qesc("//book//author")+"&limit=1000", http.StatusOK, &rq)
@@ -158,6 +153,18 @@ func TestReplicationSmoke(t *testing.T) {
 
 func qesc(expr string) string {
 	return strings.ReplaceAll(strings.ReplaceAll(expr, "/", "%2F"), " ", "%20")
+}
+
+// buildServe builds this command into dir and returns the binary.
+func buildServe(t *testing.T, dir string) string {
+	t.Helper()
+	bin := filepath.Join(dir, "hopiserve")
+	build := exec.Command("go", "build", "-o", bin, ".")
+	build.Env = os.Environ()
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return bin
 }
 
 func freePorts(t *testing.T, n int) []int {
@@ -178,18 +185,18 @@ func freePorts(t *testing.T, n int) []int {
 	return ports
 }
 
-func waitHealthy(t *testing.T, base string) {
+func waitStatus(t *testing.T, url string, want int) {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
-		resp, err := http.Get(base + "/healthz")
+		resp, err := http.Get(url)
 		if err == nil {
 			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
+			if resp.StatusCode == want {
 				return
 			}
 		}
 		time.Sleep(25 * time.Millisecond)
 	}
-	t.Fatalf("%s never became healthy", base)
+	t.Fatalf("%s never answered %d", url, want)
 }

@@ -3,7 +3,6 @@ package main
 import (
 	"encoding/json"
 	"fmt"
-	"net"
 	"net/http"
 	"net/url"
 	"os"
@@ -15,8 +14,8 @@ import (
 )
 
 // TestRouterSmoke is the 3-process end-to-end for the distributed
-// query tier: it builds the real hopiserve and hopirouter binaries,
-// starts two empty durable shard primaries and a router over them,
+// query tier: it builds the real hopiserve binary, starts two empty
+// durable shard primaries and a router (hopiserve -shards) over them,
 // inserts documents with cross-shard citations through the router,
 // queries through the router, kill -9s one shard (queries answer a
 // fast 503 with Retry-After and the router reports unready), restarts
@@ -27,15 +26,7 @@ func TestRouterSmoke(t *testing.T) {
 		t.Skip("3-process smoke test; skipped in -short")
 	}
 	dir := t.TempDir()
-	serveBin := filepath.Join(dir, "hopiserve")
-	routerBin := filepath.Join(dir, "hopirouter")
-	for bin, pkg := range map[string]string{serveBin: "hopi/cmd/hopiserve", routerBin: "."} {
-		build := exec.Command("go", "build", "-o", bin, pkg)
-		build.Env = os.Environ()
-		if out, err := build.CombinedOutput(); err != nil {
-			t.Fatalf("go build %s: %v\n%s", pkg, err, out)
-		}
-	}
+	serveBin := buildServe(t, dir)
 
 	ports := freePorts(t, 3)
 	shardURLs := make([]string, 2)
@@ -62,7 +53,7 @@ func TestRouterSmoke(t *testing.T) {
 	}
 
 	routerURL := fmt.Sprintf("http://127.0.0.1:%d", ports[2])
-	router := exec.Command(routerBin,
+	router := exec.Command(serveBin,
 		"-addr", fmt.Sprintf("127.0.0.1:%d", ports[2]),
 		"-shards", strings.Join(shardURLs, ","),
 		"-map", filepath.Join(dir, "shardmap.json"))
@@ -172,68 +163,5 @@ func TestRouterSmoke(t *testing.T) {
 			t.Fatal("query never recovered after shard restart")
 		}
 		time.Sleep(50 * time.Millisecond)
-	}
-}
-
-func freePorts(t *testing.T, n int) []int {
-	t.Helper()
-	ports := make([]int, n)
-	listeners := make([]net.Listener, n)
-	for i := range ports {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		listeners[i] = ln
-		ports[i] = ln.Addr().(*net.TCPAddr).Port
-	}
-	for _, ln := range listeners {
-		ln.Close()
-	}
-	return ports
-}
-
-func waitStatus(t *testing.T, url string, want int) {
-	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	for time.Now().Before(deadline) {
-		resp, err := http.Get(url)
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == want {
-				return
-			}
-		}
-		time.Sleep(25 * time.Millisecond)
-	}
-	t.Fatalf("%s never answered %d", url, want)
-}
-
-func postDoc(t *testing.T, base, name, xml string, want int) {
-	t.Helper()
-	resp, err := http.Post(base+"/docs?name="+url.QueryEscape(name), "application/xml", strings.NewReader(xml))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != want {
-		var eb errResponse
-		json.NewDecoder(resp.Body).Decode(&eb)
-		t.Fatalf("POST %s: status %d (want %d): %s", name, resp.StatusCode, want, eb.Error)
-	}
-}
-
-func getJSON(t *testing.T, url string, want int, out any) {
-	t.Helper()
-	resp, err := http.Get(url)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != want {
-		t.Fatalf("GET %s: status %d, want %d", url, resp.StatusCode, want)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-		t.Fatalf("GET %s: decode: %v", url, err)
 	}
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -21,79 +22,99 @@ import (
 // maxDocBytes bounds the size of a posted XML document.
 const maxDocBytes = 16 << 20
 
-// defaultQueryLimit is the result cap applied when a query omits
-// limit; defaultMaxLimit is the server-side ceiling a client-supplied
-// limit is clamped to (flag-configurable via -max-limit). A client can
-// never pull the unbounded result set: limit=0 or negative values are
-// rejected with 400 instead of meaning "unlimited".
+// defaultQueryLimit is /query's row count when limit is omitted;
+// defaultMaxLimit is the ceiling limit and pageSize are clamped to
+// (-max-limit) and the length of a stream without a limit, so no client
+// pulls the unbounded result set; defaultPageSize is the rows per flush
+// of a stream (per shard round in router mode).
 const (
 	defaultQueryLimit = 100
 	defaultMaxLimit   = 1000
+	defaultPageSize   = 256
 )
 
-// server wires a hopi.Index into the HTTP API. Reads are served from
-// immutable snapshots, so queries keep running at full speed while
-// maintenance batches apply; writes go through Index.Apply, which
-// serializes them internally. Path expressions are compiled once into
-// an LRU prepared-statement cache and executed as cursors, so limited
-// and paginated queries stop evaluating once their page is full.
-//
-// A durable index (-store) additionally acts as a replication primary:
-// its committed WAL batches stream to followers at GET /repl/stream. A
-// follower index (-replica-of), durable too but never a publisher,
-// serves the read endpoints against its latest replayed snapshot and
-// refuses writes with 403.
+// server is the HTTP API over a backend: an index (newServer) or a
+// router over shard primaries (newRouterServer). The routes both modes
+// serve have one handler each, and with it one result row, one
+// error→status map, one limit/pageSize rule, one body-size check and
+// one stream shutdown path. An index also mounts the routes a router
+// has no counterpart for: /watch, /explain, /reach, the shard RPCs
+// under /shard/* and, on a durable primary, GET /repl/stream.
 type server struct {
-	ix       *hopi.Index
+	b        backend
 	maxLimit int
-	cache    *stmtCache
 	mux      *http.ServeMux
-	pub      *hopi.Publisher // log-shipping publisher, nil unless a durable primary
+
+	// indexBackend is nil in router mode; the index-only routes read
+	// their index, statement cache and readiness ceiling through it.
+	*indexBackend
+	pub *hopi.Publisher // log-shipping publisher, nil unless a durable primary
 
 	// shard is the in-process shard adapter behind the /shard/*
-	// endpoints; readyMaxLag is the replica lag ceiling for /readyz.
-	shard       shardrouter.Conn
-	readyMaxLag uint64
+	// endpoints.
+	shard shardrouter.Conn
 
 	// Long-lived NDJSON streams (/watch, /query/stream) register in
-	// streams; beginShutdown closes closing, which cancels their
-	// contexts so each can write a terminal frame and exit before the
-	// HTTP server's graceful drain starts.
-	closing   chan struct{}
-	closeOnce sync.Once
-	streams   sync.WaitGroup
-	watchHB   time.Duration // heartbeat interval on idle /watch streams
+	// streams; beginShutdown cancels closing with errShuttingDown, which
+	// cancels their contexts so each can write a terminal frame and exit
+	// before the HTTP server's graceful drain starts.
+	closing    context.Context
+	stopStream context.CancelCauseFunc
+	streams    sync.WaitGroup
+	watchHB    time.Duration // heartbeat interval on idle /watch streams
 
 	queries  atomic.Uint64 // /query + /query/stream requests answered 200
 	streamed atomic.Uint64 // results written across both query endpoints
 
-	// reg is the process metric tree served on GET /metrics: the
-	// index's registry plus the serving-layer families; shardRPCs
-	// counts /shard/* requests by RPC kind (the shard-side mirror of
-	// the router's hopi_router_shard_rpcs_total).
-	reg       *obs.Registry
+	// shardRPCs counts /shard/* requests by RPC kind (the shard-side
+	// mirror of the router's hopi_router_shard_rpcs_total).
 	shardRPCs *obs.CounterVec
 }
 
-// newServer returns the HTTP handler for an index. maxLimit caps the
-// per-query result count (0 picks the default). A durable primary gets
-// a replication publisher mounted at GET /repl/stream.
-func newServer(ix *hopi.Index, maxLimit int) *server {
+// newHandler mounts the routes both modes serve over b. maxLimit caps
+// the per-query result count (0 picks the default).
+func newHandler(b backend, maxLimit int) *server {
 	if maxLimit <= 0 {
 		maxLimit = defaultMaxLimit
 	}
-	s := &server{
-		ix: ix, maxLimit: maxLimit, cache: newStmtCache(defaultCacheSize),
-		shard:       hopi.NewLocalShard("self", ix),
-		readyMaxLag: hopi.DefaultReadyMaxLag,
-		closing:     make(chan struct{}),
-		watchHB:     defaultWatchHeartbeat,
-		reg:         obs.NewRegistry(),
+	s := &server{b: b, maxLimit: maxLimit, watchHB: defaultWatchHeartbeat}
+	s.closing, s.stopStream = context.WithCancelCause(context.Background())
+	// /metrics (text) and /stats (JSON) serve the backend's registry
+	s.mux = http.NewServeMux()
+	s.mux.Handle("GET /metrics", obshttp.MetricsHandler(b.metrics()))
+	s.mux.Handle("GET /stats", obshttp.StatsHandler(b.metrics()))
+	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	})
+	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
+	s.mux.HandleFunc("GET /query", s.handleQuery)
+	s.mux.HandleFunc("GET /query/stream", s.handleQueryStream)
+	s.mux.HandleFunc("POST /docs", s.handleInsertDoc)
+	s.mux.HandleFunc("DELETE /docs/{name}", s.handleDeleteDoc)
+	s.mux.HandleFunc("POST /links", s.handleLink(true))
+	s.mux.HandleFunc("DELETE /links", s.handleLink(false))
+	return s
+}
+
+// newRouterServer serves a router: the shared routes only, with the
+// router's own hopi_router_* registry on /metrics and /stats (the
+// shards' numbers are on each shard's /metrics).
+func newRouterServer(r *hopi.Router, maxLimit int) *server {
+	return newHandler(routerBackend{r}, maxLimit)
+}
+
+// newServer serves an index: the shared routes plus the index-only
+// ones. Its /metrics and /stats carry the index's families (sizes and
+// identity, query latency by mode, WAL append/fsync, maintenance,
+// replication, segments, watch) plus the serving layer's own. A
+// durable primary gets a replication publisher at GET /repl/stream.
+func newServer(ix *hopi.Index, maxLimit int) *server {
+	ib := &indexBackend{
+		ix: ix, cache: newStmtCache(defaultCacheSize),
+		readyMaxLag: hopi.DefaultReadyMaxLag, reg: obs.NewRegistry(),
 	}
-	// /metrics (text) and /stats (JSON) serve the whole tree: the
-	// index's families (sizes and identity, query latency by mode, WAL
-	// append/fsync, maintenance, replication, segments, watch) plus the
-	// serving layer's own.
+	s := newHandler(ib, maxLimit)
+	s.indexBackend, s.shard = ib, hopi.NewLocalShard("self", ix)
 	s.reg.AddSub(ix.Metrics())
 	s.reg.CounterFunc("hopi_serve_queries_total",
 		"Query requests answered 200 across /query and /query/stream.",
@@ -113,7 +134,7 @@ func newServer(ix *hopi.Index, maxLimit int) *server {
 	s.reg.GaugeFunc("hopi_serve_ready",
 		"Whether GET /readyz answers 200 (1/0): a replica is unready while disconnected or beyond -ready-max-lag.",
 		func() float64 {
-			if ok, _ := s.ix.ReplicaStatus().Ready(s.readyMaxLag); ok {
+			if ok, _ := ib.ready(context.Background()); ok {
 				return 1
 			}
 			return 0
@@ -121,24 +142,13 @@ func newServer(ix *hopi.Index, maxLimit int) *server {
 	s.shardRPCs = s.reg.CounterVec("hopi_shard_rpcs_total",
 		"Shard RPCs served on /shard/*, by RPC kind.", "rpc")
 
-	mux := http.NewServeMux()
-	mux.Handle("GET /metrics", obshttp.MetricsHandler(s.reg))
-	mux.HandleFunc("GET /healthz", s.handleHealth)
-	mux.HandleFunc("GET /readyz", s.handleReadyz)
-	mux.HandleFunc("GET /query", s.handleQuery)
-	mux.HandleFunc("GET /query/stream", s.handleQueryStream)
-	mux.HandleFunc("GET /watch", s.handleWatch)
-	mux.HandleFunc("GET /explain", s.handleExplain)
-	mux.HandleFunc("GET /reach", s.handleReach)
-	mux.Handle("GET /stats", obshttp.StatsHandler(s.reg))
-	mux.HandleFunc("POST /docs", s.handleInsertDoc)
-	mux.HandleFunc("DELETE /docs/{name}", s.handleDeleteDoc)
-	mux.HandleFunc("POST /links", s.handleInsertLink)
-	mux.HandleFunc("DELETE /links", s.handleDeleteLink)
-	mux.HandleFunc("POST /shard/step", s.handleShardStep)
-	mux.HandleFunc("POST /shard/deliver", s.handleShardDeliver)
-	mux.HandleFunc("POST /shard/closure", s.handleShardClosure)
-	mux.HandleFunc("POST /shard/resolve", s.handleShardResolve)
+	s.mux.HandleFunc("GET /watch", s.handleWatch)
+	s.mux.HandleFunc("GET /explain", s.handleExplain)
+	s.mux.HandleFunc("GET /reach", s.handleReach)
+	s.mux.HandleFunc("POST /shard/step", s.handleShardStep)
+	s.mux.HandleFunc("POST /shard/deliver", s.handleShardDeliver)
+	s.mux.HandleFunc("POST /shard/closure", s.handleShardClosure)
+	s.mux.HandleFunc("POST /shard/resolve", s.handleShardResolve)
 	if ix.Durable() && ix.ReplicaStatus().Role != "replica" {
 		pub, err := ix.StartPublisher()
 		if err != nil {
@@ -148,10 +158,9 @@ func newServer(ix *hopi.Index, maxLimit int) *server {
 			log.Printf("hopiserve: replication publisher unavailable: %v", err)
 		} else {
 			s.pub = pub
-			mux.Handle("GET /repl/stream", pub)
+			s.mux.Handle("GET /repl/stream", pub)
 		}
 	}
-	s.mux = mux
 	return s
 }
 
@@ -174,32 +183,62 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc.Encode(v)
 }
 
+// errorBody is the JSON body of every error answer, and the last line
+// of a stream that does not drain to exhaustion: the token to continue
+// from, with the error that cut the stream short, if any.
 type errorBody struct {
-	Error string `json:"error"`
+	Error         string `json:"error,omitempty"`
+	Retryable     bool   `json:"retryable,omitempty"`
+	NextPageToken string `json:"nextPageToken,omitempty"`
 }
 
-func writeErr(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, errorBody{Error: err.Error()})
-}
+// errShuttingDown refuses new streams and ends open ones once
+// beginShutdown has started.
+var errShuttingDown = errors.New("server shutting down")
 
-// statusFor maps resolution failures to 404, name collisions to 409,
-// writes against a read replica to 403, and everything else to 400,
-// using the hopi sentinel errors (never error text, which embeds
-// user-controlled names).
-func statusFor(err error) int {
+// statusFor maps an error to its HTTP status by the hopi sentinels and
+// types, never by error text. A down shard, a token a lagging replica
+// or shard will accept once caught up, and shutdown are 503: the client
+// re-sends the same request. A stale or malformed token is 400: the
+// client restarts the page sequence. Name collisions are 409, unknown
+// names 404, writes to a read replica 403.
+func statusFor(err error) (code int, retryable bool) {
+	var (
+		stale   *hopi.StaleTokenError
+		unavail *shardrouter.ShardUnavailableError
+	)
 	switch {
+	case errors.As(err, &unavail), errors.As(err, &stale) && stale.Retryable, errors.Is(err, errShuttingDown):
+		return http.StatusServiceUnavailable, true
 	case errors.Is(err, hopi.ErrExists):
-		return http.StatusConflict
+		return http.StatusConflict, false
 	case errors.Is(err, hopi.ErrNotFound):
-		return http.StatusNotFound
+		return http.StatusNotFound, false
 	case errors.Is(err, hopi.ErrReadOnlyReplica):
-		return http.StatusForbidden
+		return http.StatusForbidden, false
 	}
-	return http.StatusBadRequest
+	return http.StatusBadRequest, false
 }
 
-func (s *server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+// writeErr answers err with statusFor's code, and Retry-After on the
+// retryable ones.
+func writeErr(w http.ResponseWriter, err error) {
+	code, retryable := statusFor(err)
+	if retryable {
+		w.Header().Set("Retry-After", "1")
+	}
+	writeJSON(w, code, errorBody{Error: err.Error(), Retryable: retryable})
+}
+
+// handleReadyz answers 200 only when the backend can serve complete,
+// fresh answers, with the backend's own account of why (or why not).
+func (s *server) handleReadyz(w http.ResponseWriter, r *http.Request) {
+	ok, body := s.b.ready(r.Context())
+	code := http.StatusOK
+	if !ok {
+		code = http.StatusServiceUnavailable
+	}
+	writeJSON(w, code, body)
 }
 
 type queryResponse struct {
@@ -207,212 +246,255 @@ type queryResponse struct {
 	Count         int           `json:"count"`
 	ElapsedMicros int64         `json:"elapsedMicros"`
 	Results       []queryResult `json:"results"`
-	// NextPageToken continues the result set where this page stopped:
-	// pass it back as pageToken. Present only when results remain. The
-	// token is bound to the query, the ranking mode, and the snapshot
-	// epoch — after a maintenance batch it is rejected as stale.
+	// NextPageToken, present only when results remain, is passed back
+	// as pageToken to continue the result set.
 	NextPageToken string `json:"nextPageToken,omitempty"`
-	// Epoch is the snapshot epoch this page was served from (the epoch
-	// a NextPageToken is pinned to).
-	Epoch uint64 `json:"epoch"`
+	// Epoch is the snapshot epoch the page was served from; absent in
+	// router mode, whose token holds one epoch per shard.
+	Epoch *uint64 `json:"epoch,omitempty"`
 }
 
+// queryResult is the one result row of /query, /query/stream and
+// /watch in both modes: the element as its document and its index in
+// that document, as "doc.xml:local" addresses it.
 type queryResult struct {
-	Element hopi.ElemID `json:"element"`
-	Doc     string      `json:"doc"`
-	Tag     string      `json:"tag"`
-	Score   float64     `json:"score,omitempty"`
+	Doc   string  `json:"doc"`
+	Local int32   `json:"local"`
+	Tag   string  `json:"tag"`
+	Score float64 `json:"score,omitempty"`
 }
 
-// parseLimit applies the server's limit policy: positive integers
-// only, clamped to the -max-limit ceiling; omitted picks def.
-func (s *server) parseLimit(r *http.Request, def int) (int, error) {
-	limit := def
-	if limit > s.maxLimit {
-		limit = s.maxLimit
-	}
-	if v := r.URL.Query().Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n <= 0 {
-			return 0, fmt.Errorf("bad limit %q: must be a positive integer", v)
-		}
-		// clamp to the server-side ceiling instead of letting a client
-		// pull the full result set
-		if n > s.maxLimit {
-			n = s.maxLimit
-		}
-		limit = n
-	}
-	return limit, nil
+// queryParams are a query request's parameters.
+type queryParams struct {
+	expr, resume, trace string
+	ranked              bool
+	limit               int // rows to answer at most
+	page                int // rows per emitted batch (per shard round in router mode)
 }
 
-// queryCursor compiles the request's expression through the statement
-// cache and opens a cursor for it. The returned status is the HTTP
-// code to use when err != nil.
-func (s *server) queryCursor(r *http.Request, limit int) (*hopi.Cursor, uint64, int, error) {
-	expr := r.URL.Query().Get("expr")
-	if expr == "" {
-		return nil, 0, http.StatusBadRequest, fmt.Errorf("missing expr parameter")
-	}
-	pq, err := s.cache.get(expr)
-	if err != nil {
-		return nil, 0, http.StatusBadRequest, err
-	}
-	opts := []hopi.QueryOption{hopi.QueryLimit(limit)}
-	if boolParam(r, "ranked") {
-		opts = append(opts, hopi.QueryRanked())
-	}
-	if tok := r.URL.Query().Get("pageToken"); tok != "" {
-		opts = append(opts, hopi.QueryResume(tok))
-	}
-	snap := s.ix.Snapshot()
-	cur, err := snap.Run(r.Context(), pq, opts...)
-	if err != nil {
-		// Malformed and stale tokens are client errors (400); the error
-		// text distinguishes them (ErrStaleToken names the epoch change
-		// so clients know to restart the page sequence). The exception
-		// is a retryable stale token — issued by a replica ahead of
-		// this one: the page sequence still exists, this replica just
-		// has not applied that batch yet, so the client should retry
-		// the same token (503) rather than restart.
-		var stale *hopi.StaleTokenError
-		if errors.As(err, &stale) && stale.Retryable {
-			return nil, 0, http.StatusServiceUnavailable, err
+// positiveParam applies the one parameter rule of limit and pageSize:
+// positive integers only, clamped to the -max-limit ceiling; omitted
+// picks def (also clamped).
+func (s *server) positiveParam(r *http.Request, name string, def int) (int, error) {
+	n := def
+	if v := r.URL.Query().Get(name); v != "" {
+		var err error
+		if n, err = strconv.Atoi(v); err != nil || n <= 0 {
+			return 0, fmt.Errorf("bad %s %q: must be a positive integer", name, v)
 		}
-		return nil, 0, http.StatusBadRequest, err
 	}
-	return cur, snap.Epoch(), 0, nil
+	return min(n, s.maxLimit), nil
 }
 
-// writeQueryErr writes a queryCursor failure, adding Retry-After for
-// the retryable (replica-behind) 503 case.
-func writeQueryErr(w http.ResponseWriter, code int, err error) {
-	if code == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", "1")
+// parseQuery reads a query request; limit defaults to defLimit. An
+// inbound X-Hopi-Trace rides into a router's distributed trace, so a
+// client-chosen ID correlates the access log, the slow-query span tree
+// and every shard's own access log.
+func (s *server) parseQuery(r *http.Request, defLimit int) (*queryParams, error) {
+	q := r.URL.Query()
+	p := &queryParams{expr: q.Get("expr"), resume: q.Get("pageToken"),
+		trace: r.Header.Get(shardrouter.TraceHeader), ranked: boolParam(r, "ranked")}
+	if p.expr == "" {
+		return nil, fmt.Errorf("missing expr parameter")
 	}
-	writeErr(w, code, err)
+	var err error
+	if p.limit, err = s.positiveParam(r, "limit", defLimit); err != nil {
+		return nil, err
+	}
+	if p.page, err = s.positiveParam(r, "pageSize", defaultPageSize); err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
 func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	limit, err := s.parseLimit(r, defaultQueryLimit)
+	p, err := s.parseQuery(r, defaultQueryLimit)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		writeErr(w, err)
 		return
 	}
+	p.page = p.limit
 	start := time.Now()
-	cur, epoch, code, err := s.queryCursor(r, limit)
+	out := queryResponse{Expr: p.expr, Results: []queryResult{}}
+	next, epoch, err := s.b.query(r.Context(), p, func(rows []queryResult) error {
+		out.Results = append(out.Results, rows...)
+		return nil
+	})
 	if err != nil {
-		writeQueryErr(w, code, err)
+		writeErr(w, err)
 		return
 	}
-	defer cur.Close()
-	out := queryResponse{
-		Expr:    r.URL.Query().Get("expr"),
-		Results: make([]queryResult, 0, limit),
-		Epoch:   epoch,
-	}
-	for cur.Next() {
-		m := cur.Result()
-		out.Results = append(out.Results, queryResult{
-			Element: m.Element, Doc: m.Doc, Tag: m.Tag, Score: m.Score,
-		})
-	}
-	if err := cur.Err(); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	out.Count = len(out.Results)
+	out.Count, out.NextPageToken, out.Epoch = len(out.Results), next, epoch
 	out.ElapsedMicros = time.Since(start).Microseconds()
-	if cur.HasMore() {
-		out.NextPageToken = cur.Token()
-	}
 	s.queries.Add(1)
 	s.streamed.Add(uint64(out.Count))
 	writeJSON(w, http.StatusOK, out)
 }
 
-// handleQueryStream answers a query as NDJSON: one result object per
-// line, written (and flushed) as the cursor produces them, followed by
-// a trailing {"nextPageToken": ...} line when the limit cut the result
-// set short. Errors after the first line surface as an {"error": ...}
-// line.
+// handleQueryStream answers a query as NDJSON, one result row per
+// line, flushed a pageSize batch (in router mode, a cross-shard round)
+// at a time. It stops at limit (default -max-limit) and, when results
+// remain, ends with a token line. The first batch is produced before
+// the 200 is committed, so a parse error, a bad token or a down shard
+// still gets a real status; a later failure, shutdown included, ends
+// the stream with an error line.
 func (s *server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
-	// Streaming is the drain-everything endpoint: default to the
-	// server ceiling rather than the small page default.
-	limit, err := s.parseLimit(r, s.maxLimit)
+	p, err := s.parseQuery(r, s.maxLimit)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		writeErr(w, err)
 		return
 	}
-	cur, _, code, err := s.queryCursor(r, limit)
-	if err != nil {
-		writeQueryErr(w, code, err)
-		return
-	}
-	defer cur.Close()
-	s.streams.Add(1)
-	defer s.streams.Done()
-	w.Header().Set("Content-Type", "application/x-ndjson")
+	ctx, done := s.streamContext(r)
+	defer done()
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
-	n := 0
-	for cur.Next() {
-		select {
-		case <-s.closing:
-			// terminal frame: the client restarts from its last token
-			enc.Encode(errorBody{Error: "server shutting down"})
-			return
-		default:
+	n, started := 0, false
+	next, _, err := s.b.query(ctx, p, func(rows []queryResult) error {
+		if !started {
+			started = true
+			w.Header().Set("Content-Type", "application/x-ndjson")
 		}
-		m := cur.Result()
-		enc.Encode(queryResult{Element: m.Element, Doc: m.Doc, Tag: m.Tag, Score: m.Score})
-		n++
-		if flusher != nil && n%64 == 0 {
+		for i := range rows {
+			enc.Encode(&rows[i])
+		}
+		n += len(rows)
+		if flusher != nil {
 			flusher.Flush()
 		}
+		return s.shuttingDown()
+	})
+	if e := s.shuttingDown(); err != nil && e != nil {
+		err = e
 	}
-	if err := cur.Err(); err != nil {
-		enc.Encode(errorBody{Error: err.Error()})
+	switch {
+	case err != nil && !started:
+		writeErr(w, err)
 		return
-	}
-	if cur.HasMore() {
-		enc.Encode(map[string]string{"nextPageToken": cur.Token()})
+	case err != nil:
+		_, retryable := statusFor(err)
+		enc.Encode(errorBody{NextPageToken: next, Error: err.Error(), Retryable: retryable})
+		return
+	case next != "":
+		enc.Encode(errorBody{NextPageToken: next})
 	}
 	s.queries.Add(1)
 	s.streamed.Add(uint64(n))
+}
+
+// streamContext registers a long-lived NDJSON stream: its context ends
+// when the client goes or beginShutdown starts, whichever comes first,
+// and done deregisters it.
+func (s *server) streamContext(r *http.Request) (ctx context.Context, done func()) {
+	ctx, cancel := context.WithCancel(r.Context())
+	stop := context.AfterFunc(s.closing, cancel)
+	s.streams.Add(1)
+	return ctx, func() { stop(); cancel(); s.streams.Done() }
+}
+
+// shuttingDown returns errShuttingDown once beginShutdown has started.
+func (s *server) shuttingDown() error { return context.Cause(s.closing) }
+
+// beginShutdown ends every active NDJSON stream (each writes its
+// terminal frame and returns) and waits up to drain for them to
+// finish, so the HTTP server's graceful Shutdown doesn't hang on
+// long-lived connections.
+func (s *server) beginShutdown(drain time.Duration) {
+	s.stopStream(errShuttingDown)
+	done := make(chan struct{})
+	go func() {
+		s.streams.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(drain):
+	}
+}
+
+func (s *server) handleInsertDoc(w http.ResponseWriter, r *http.Request) {
+	name := r.URL.Query().Get("name")
+	if name == "" {
+		writeErr(w, fmt.Errorf("missing name parameter"))
+		return
+	}
+	data, err := io.ReadAll(io.LimitReader(r.Body, maxDocBytes+1))
+	if err != nil {
+		writeErr(w, err)
+		return
+	}
+	if len(data) > maxDocBytes {
+		writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{Error: fmt.Sprintf("document exceeds %d bytes", maxDocBytes)})
+		return
+	}
+	out, err := s.b.insertDoc(r.Context(), name, data)
+	if err != nil {
+		writeErr(w, err)
+		return
+	}
+	writeJSON(w, http.StatusCreated, out)
+}
+
+func (s *server) handleDeleteDoc(w http.ResponseWriter, r *http.Request) {
+	out, err := s.b.deleteDoc(r.Context(), r.PathValue("name"))
+	if err != nil {
+		writeErr(w, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, out)
+}
+
+type linkRequest struct {
+	From string `json:"from"` // "doc.xml", "doc.xml:3"
+	To   string `json:"to"`   // "doc.xml", "doc.xml:3", "doc.xml#anchor"
+}
+
+// handleLink serves POST /links (insert, 201) and DELETE /links (200).
+func (s *server) handleLink(insert bool) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req linkRequest
+		if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
+			writeErr(w, err)
+			return
+		}
+		out, err := s.b.link(r.Context(), insert, req.From, req.To)
+		if err != nil {
+			writeErr(w, err)
+			return
+		}
+		code := http.StatusOK
+		if insert {
+			code = http.StatusCreated
+		}
+		writeJSON(w, code, out)
+	}
 }
 
 // handleExplain runs the expression (under the optional limit and
 // ranking) and reports the per-step execution plan: evaluator chosen,
 // candidate-set and frontier sizes, posting entries touched.
 func (s *server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	expr := r.URL.Query().Get("expr")
-	if expr == "" {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("missing expr parameter"))
-		return
-	}
-	pq, err := s.cache.get(expr)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
 	// Default 0 = explain the unlimited run; an explicit limit gets the
 	// same validation and -max-limit clamp as /query.
-	limit, err := s.parseLimit(r, 0)
+	p, err := s.parseQuery(r, 0)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		writeErr(w, err)
+		return
+	}
+	pq, err := s.cache.get(p.expr)
+	if err != nil {
+		writeErr(w, err)
 		return
 	}
 	var opts []hopi.QueryOption
-	if limit > 0 {
-		opts = append(opts, hopi.QueryLimit(limit))
+	if p.limit > 0 {
+		opts = append(opts, hopi.QueryLimit(p.limit))
 	}
-	if boolParam(r, "ranked") {
+	if p.ranked {
 		opts = append(opts, hopi.QueryRanked())
 	}
 	plan, err := s.ix.Snapshot().Explain(r.Context(), pq, opts...)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		writeErr(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, plan)
@@ -429,26 +511,26 @@ func (s *server) handleReach(w http.ResponseWriter, r *http.Request) {
 	fromSpec := r.URL.Query().Get("from")
 	toSpec := r.URL.Query().Get("to")
 	if fromSpec == "" || toSpec == "" {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("missing from/to parameters"))
+		writeErr(w, fmt.Errorf("missing from/to parameters"))
 		return
 	}
 	snap := s.ix.Snapshot()
 	coll := snap.Collection()
 	u, err := coll.ResolveElement(fromSpec)
 	if err != nil {
-		writeErr(w, statusFor(err), err)
+		writeErr(w, err)
 		return
 	}
 	v, err := coll.ResolveElement(toSpec)
 	if err != nil {
-		writeErr(w, statusFor(err), err)
+		writeErr(w, err)
 		return
 	}
 	out := reachResponse{From: fromSpec, To: toSpec, Reachable: snap.Reaches(u, v)}
 	if boolParam(r, "distance") {
 		d, err := snap.Distance(u, v)
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+			writeErr(w, err)
 			return
 		}
 		// Unreachable pairs omit the field instead of exposing the
@@ -458,109 +540,6 @@ func (s *server) handleReach(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, http.StatusOK, out)
-}
-
-type insertDocResponse struct {
-	Doc        hopi.DocID `json:"doc"`
-	Name       string     `json:"name"`
-	Unresolved []string   `json:"unresolved,omitempty"`
-	// Epoch is the snapshot epoch the write produced: clients routing
-	// resume tokens across replicas use it to find a caught-up node.
-	Epoch uint64 `json:"epoch"`
-}
-
-func (s *server) handleInsertDoc(w http.ResponseWriter, r *http.Request) {
-	name := r.URL.Query().Get("name")
-	if name == "" {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("missing name parameter"))
-		return
-	}
-	data, err := io.ReadAll(io.LimitReader(r.Body, maxDocBytes+1))
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	if len(data) > maxDocBytes {
-		writeErr(w, http.StatusRequestEntityTooLarge, fmt.Errorf("document exceeds %d bytes", maxDocBytes))
-		return
-	}
-	b := hopi.NewBatch()
-	if err := b.InsertXML(name, data); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	res, err := s.ix.Apply(r.Context(), b)
-	if err != nil {
-		writeErr(w, statusFor(err), err)
-		return
-	}
-	op := res.Results[0]
-	writeJSON(w, http.StatusCreated, insertDocResponse{
-		Doc: op.Doc, Name: name, Unresolved: op.Unresolved,
-		Epoch: s.ix.Snapshot().Epoch(),
-	})
-}
-
-type deleteDocResponse struct {
-	Doc      hopi.DocID `json:"doc"`
-	Name     string     `json:"name"`
-	FastPath bool       `json:"fastPath"`
-	Epoch    uint64     `json:"epoch"`
-}
-
-func (s *server) handleDeleteDoc(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	b := hopi.NewBatch()
-	b.DeleteDocumentByName(name)
-	res, err := s.ix.Apply(r.Context(), b)
-	if err != nil {
-		writeErr(w, statusFor(err), err)
-		return
-	}
-	op := res.Results[0]
-	writeJSON(w, http.StatusOK, deleteDocResponse{
-		Doc: op.Doc, Name: name, FastPath: op.FastPath,
-		Epoch: s.ix.Snapshot().Epoch(),
-	})
-}
-
-type insertLinkRequest struct {
-	From string `json:"from"` // "doc.xml", "doc.xml:3"
-	To   string `json:"to"`   // "doc.xml", "doc.xml:3", "doc.xml#anchor"
-}
-
-func (s *server) handleInsertLink(w http.ResponseWriter, r *http.Request) {
-	var req insertLinkRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	fromDoc, fromLocal, fromAnchor, err := hopi.ParseElementSpec(req.From)
-	if err == nil && fromAnchor != "" {
-		err = fmt.Errorf("anchor addressing is only supported for link targets")
-	}
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	toDoc, toLocal, toAnchor, err := hopi.ParseElementSpec(req.To)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	b := hopi.NewBatch()
-	if toAnchor != "" {
-		b.InsertLinkByAnchor(fromDoc, fromLocal, toDoc, toAnchor)
-	} else {
-		b.InsertLink(fromDoc, fromLocal, toDoc, toLocal)
-	}
-	if _, err := s.ix.Apply(r.Context(), b); err != nil {
-		writeErr(w, statusFor(err), err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, map[string]any{
-		"from": req.From, "to": req.To, "epoch": s.ix.Snapshot().Epoch(),
-	})
 }
 
 func boolParam(r *http.Request, name string) bool {

@@ -10,19 +10,16 @@ import (
 	"strings"
 	"time"
 
-	"hopi"
 	"hopi/internal/shardrouter"
 )
 
-// This file is the shard side of the distributed query tier: a
-// hopiserve primary exposes the router's Conn RPCs (step, deliver,
-// closure, resolve) over HTTP, so a hopirouter can own it as one
-// shard of a sharded deployment. The handlers delegate to the same
-// in-process shard adapter the tests and benchmark/ use — the HTTP
-// layer is only a codec. The hot RPCs (step, deliver, closure) speak
-// only the binary frames of shardrouter's codec; any other
-// Content-Type is refused with 415. Errors travel as JSON, and so does
-// the cold resolve RPC.
+// This file is the shard side of the distributed query tier: an index
+// exposes the router's Conn RPCs (step, deliver, closure, resolve) over
+// HTTP, so a router (hopiserve -shards) can own it as one shard. The
+// handlers delegate to the in-process shard adapter; the HTTP layer is
+// only a codec. The hot RPCs speak only shardrouter's binary frames
+// (any other Content-Type is 415); errors and the cold resolve RPC
+// travel as JSON.
 
 // shardErr writes a shard-RPC failure. Epoch mismatches travel as 412
 // Precondition Failed with the structured mismatch attached, so the
@@ -36,7 +33,7 @@ func shardErr(w http.ResponseWriter, err error) {
 		}{Error: err.Error(), Mismatch: em})
 		return
 	}
-	writeErr(w, statusFor(err), err)
+	writeErr(w, err)
 }
 
 // serveShardRPC runs one hot shard RPC: decode the binary request
@@ -53,7 +50,7 @@ func serveShardRPC[Req, Resp any](w http.ResponseWriter, r *http.Request,
 	eval func(context.Context, *Req) (*Resp, error), encode func(*Resp, *shardrouter.Span) []byte) {
 	t0 := time.Now()
 	if !strings.HasPrefix(r.Header.Get("Content-Type"), shardrouter.BinaryContentType) {
-		writeErr(w, http.StatusUnsupportedMediaType, fmt.Errorf("shard RPCs take %s frames", shardrouter.BinaryContentType))
+		writeJSON(w, http.StatusUnsupportedMediaType, errorBody{Error: fmt.Sprintf("shard RPCs take %s frames", shardrouter.BinaryContentType)})
 		return
 	}
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxDocBytes))
@@ -62,7 +59,7 @@ func serveShardRPC[Req, Resp any](w http.ResponseWriter, r *http.Request,
 		req, err = decode(body)
 	}
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad shard request: %w", err))
+		writeErr(w, fmt.Errorf("bad shard request: %w", err))
 		return
 	}
 	t1 := time.Now()
@@ -116,7 +113,7 @@ func (s *server) handleShardResolve(w http.ResponseWriter, r *http.Request) {
 		Specs []string `json:"specs"`
 	}
 	if err := json.NewDecoder(io.LimitReader(r.Body, maxDocBytes)).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad shard request: %w", err))
+		writeErr(w, fmt.Errorf("bad shard request: %w", err))
 		return
 	}
 	res, err := s.shard.Resolve(r.Context(), req.Specs)
@@ -127,76 +124,4 @@ func (s *server) handleShardResolve(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, struct {
 		Results []shardrouter.ResolveResult `json:"results"`
 	}{Results: res})
-}
-
-// readyzResponse reports whether this node can serve complete, fresh
-// answers, by ReplicaStatus.Ready at -ready-max-lag. The router
-// excludes unready shards from fan-out.
-type readyzResponse struct {
-	Ready bool   `json:"ready"`
-	Role  string `json:"role"`
-	Lag   uint64 `json:"lag,omitempty"`
-	Why   string `json:"why,omitempty"`
-}
-
-func (s *server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	rs := s.ix.ReplicaStatus()
-	out := readyzResponse{Role: rs.Role, Lag: rs.Lag}
-	out.Ready, out.Why = rs.Ready(s.readyMaxLag)
-	code := http.StatusOK
-	if !out.Ready {
-		code = http.StatusServiceUnavailable
-	}
-	writeJSON(w, code, out)
-}
-
-type deleteLinkRequest struct {
-	From string `json:"from"` // "doc.xml", "doc.xml:3"
-	To   string `json:"to"`   // "doc.xml", "doc.xml:3", "doc.xml#anchor"
-}
-
-func (s *server) handleDeleteLink(w http.ResponseWriter, r *http.Request) {
-	var req deleteLinkRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	fromDoc, fromLocal, fromAnchor, err := hopi.ParseElementSpec(req.From)
-	if err == nil && fromAnchor != "" {
-		err = fmt.Errorf("anchor addressing is only supported for link targets")
-	}
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	toDoc, toLocal, toAnchor, err := hopi.ParseElementSpec(req.To)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	if toAnchor != "" {
-		// DeleteLink addresses targets by local index; resolve the
-		// anchor against the current snapshot first.
-		coll := s.ix.Snapshot().Collection()
-		id, rerr := coll.ResolveElement(req.To)
-		if rerr != nil {
-			writeErr(w, statusFor(rerr), rerr)
-			return
-		}
-		toLocal = localOf(coll, id)
-	}
-	b := hopi.NewBatch()
-	b.DeleteLink(fromDoc, fromLocal, toDoc, toLocal)
-	if _, err := s.ix.Apply(r.Context(), b); err != nil {
-		writeErr(w, statusFor(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"from": req.From, "to": req.To, "epoch": s.ix.Snapshot().Epoch(),
-	})
-}
-
-func localOf(coll *hopi.Collection, id hopi.ElemID) int32 {
-	doc := coll.DocOf(id)
-	return int32(id) - int32(coll.ElemID(doc, 0))
 }

@@ -29,7 +29,7 @@ type watchFrame struct {
 	Type      string        `json:"type"`
 	Epoch     uint64        `json:"epoch,omitempty"`
 	Add       []queryResult `json:"add,omitempty"`
-	Remove    []hopi.ElemID `json:"remove,omitempty"`
+	Remove    []queryResult `json:"remove,omitempty"`
 	Coalesced int           `json:"coalesced,omitempty"`
 }
 
@@ -41,12 +41,12 @@ type watchFrame struct {
 func (s *server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	expr := r.URL.Query().Get("expr")
 	if expr == "" {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("missing expr parameter"))
+		writeErr(w, fmt.Errorf("missing expr parameter"))
 		return
 	}
 	pq, err := s.cache.get(expr)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		writeErr(w, err)
 		return
 	}
 	var opts []hopi.WatchOption
@@ -60,39 +60,26 @@ func (s *server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	if resumeSpec != "" {
 		epoch, err := strconv.ParseUint(resumeSpec, 10, 64)
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("bad resume epoch %q", resumeSpec))
+			writeErr(w, fmt.Errorf("bad resume epoch %q", resumeSpec))
 			return
 		}
 		opts = append(opts, hopi.WatchResume(epoch))
 	}
-	select {
-	case <-s.closing:
-		writeErr(w, http.StatusServiceUnavailable, fmt.Errorf("server shutting down"))
+	if err := s.shuttingDown(); err != nil {
+		writeErr(w, err)
 		return
-	default:
 	}
-
 	// Cancel the subscription when the client disconnects or the
 	// server begins shutting down, whichever comes first.
-	ctx, cancel := context.WithCancel(r.Context())
-	defer cancel()
-	go func() {
-		select {
-		case <-s.closing:
-			cancel()
-		case <-ctx.Done():
-		}
-	}()
-
+	ctx, done := s.streamContext(r)
+	defer done()
 	wt, err := s.ix.Watch(ctx, pq, opts...)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		writeErr(w, err)
 		return
 	}
 	defer wt.Close()
 
-	s.streams.Add(1)
-	defer s.streams.Done()
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("Cache-Control", "no-store")
 	flusher, _ := w.(http.Flusher)
@@ -135,28 +122,17 @@ func (s *server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		default:
 			fr.Type = "delta"
 		}
+		// a newer collection still holds every ID the event names: a
+		// removed document's IDs stay allocated to its tombstone
+		coll := s.ix.Snapshot().Collection()
 		fr.Add = make([]queryResult, len(ev.Add))
 		for i, m := range ev.Add {
-			fr.Add[i] = queryResult{Element: m.Element, Doc: m.Doc, Tag: m.Tag, Score: m.Score}
+			fr.Add[i] = queryResult{Doc: m.Doc, Local: localOf(coll, m.Element), Tag: m.Tag, Score: m.Score}
 		}
-		fr.Remove = ev.Remove
+		fr.Remove = make([]queryResult, len(ev.Remove))
+		for i, id := range ev.Remove {
+			fr.Remove[i] = queryResult{Doc: coll.DocName(coll.DocOf(id)), Local: localOf(coll, id), Tag: coll.Tag(id)}
+		}
 		emit(fr)
-	}
-}
-
-// beginShutdown closes every active NDJSON stream (each writes its
-// terminal frame and returns) and waits up to drain for them to
-// finish, so the HTTP server's graceful Shutdown doesn't hang on
-// long-lived connections.
-func (s *server) beginShutdown(drain time.Duration) {
-	s.closeOnce.Do(func() { close(s.closing) })
-	done := make(chan struct{})
-	go func() {
-		s.streams.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(drain):
 	}
 }

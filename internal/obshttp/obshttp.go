@@ -1,5 +1,5 @@
 // Package obshttp is the HTTP face of the observability layer, shared
-// by hopiserve and hopirouter: the /metrics and /stats handlers, the
+// by hopiserve's index and router modes: the /metrics and /stats handlers, the
 // structured access-log middleware (which also mints or echoes the
 // X-Hopi-Trace correlation ID), and the loopback pprof listener.
 package obshttp

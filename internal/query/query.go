@@ -466,6 +466,7 @@ type stepScan struct {
 	cyclic   graph.Bitset
 	cov      *twohop.Cover
 	buf      []twohop.Entry // LoutBuf's and LinBuf's merge buffer
+	span     docSpan        // the last candidate's document
 	sp       *StepPlan
 }
 
@@ -551,7 +552,7 @@ func (sc *stepScan) matches(c int32) bool {
 	case sc.child:
 		p := sc.e.parentOf(c)
 		return p >= 0 && sc.fset.Has(int(p))
-	case sc.e.treeReached(c, sc.fset):
+	case sc.e.treeReached(c, sc.fset, &sc.span):
 		if sc.sp != nil {
 			sc.sp.TreeMatches++
 		}
@@ -573,24 +574,38 @@ func (sc *stepScan) matches(c int32) bool {
 	return false
 }
 
+// docSpan remembers the document the last resolved ID fell in, as its
+// [base, end) ID range. A scan's candidates ascend, so they stay inside
+// it for a whole document: the search over all document bases runs once
+// per document, not once per candidate. The zero span holds no ID.
+type docSpan struct {
+	doc       int
+	base, end int32
+}
+
 // ancestors yields c's proper tree ancestors as global IDs, nearest
-// first: c's document is resolved once, then Parent is followed inside
-// it. Nothing else about the order is assumed — AddElement can attach a
-// child to an earlier element, so a parent's ID may exceed its child's.
-// An ID outside the collection or in a tombstoned document yields none:
-// the index's graph holds no tree edge of it.
-func (e *Engine) ancestors(c int32) iter.Seq[int32] {
+// first: c's document is resolved through span, then Parent is
+// followed inside it. Nothing else about the order is assumed —
+// AddElement can attach a child to an earlier element, so a parent's
+// ID may exceed its child's. An ID outside the collection or in a
+// tombstoned document yields none: the index's graph holds no tree
+// edge of it.
+func (e *Engine) ancestors(c int32, span *docSpan) iter.Seq[int32] {
 	return func(yield func(int32) bool) {
 		if c < 0 || int(c) >= e.coll.NumAllocatedIDs() {
 			return
 		}
-		doc, local := e.coll.LocalID(c)
-		if !e.coll.Alive(doc) {
+		if c < span.base || c >= span.end {
+			doc := e.coll.DocOfID(c)
+			base := e.coll.GlobalID(doc, 0)
+			*span = docSpan{doc: doc, base: base, end: base + int32(len(e.coll.Docs[doc].Elements))}
+		}
+		if !e.coll.Alive(span.doc) {
 			return
 		}
-		els, base := e.coll.Docs[doc].Elements, c-local
-		for p := els[local].Parent; p >= 0; p = els[p].Parent {
-			if !yield(base + p) {
+		els := e.coll.Docs[span.doc].Elements
+		for p := els[c-span.base].Parent; p >= 0; p = els[p].Parent {
+			if !yield(span.base + p) {
 				return
 			}
 		}
@@ -600,8 +615,8 @@ func (e *Engine) ancestors(c int32) iter.Seq[int32] {
 // treeReached reports whether a proper tree ancestor of c is in set.
 // Tree edges are graph edges, so an ancestor in the frontier reaches c
 // over a path of length ≥ 1 with no label read.
-func (e *Engine) treeReached(c int32, set graph.Bitset) bool {
-	for a := range e.ancestors(c) {
+func (e *Engine) treeReached(c int32, set graph.Bitset, span *docSpan) bool {
+	for a := range e.ancestors(c, span) {
 		if set.Has(int(a)) {
 			return true
 		}

@@ -101,7 +101,7 @@ func TestReachesAnyMatchesBulkClosure(t *testing.T) {
 
 // TestReachesAnyAllocs: one scratch bitset and the answer slice,
 // whatever the frontier and endpoint counts — never a |from|×|to|
-// matrix.
+// matrix. The count is checked only without -race.
 func TestReachesAnyAllocs(t *testing.T) {
 	c := gen.DBLP(gen.DefaultDBLP(60, 5))
 	ix, err := core.Build(c, core.Options{Partitioner: core.PartClosureBudget, ClosureBudget: 20_000, Join: core.JoinNewHBar, Seed: 5})
@@ -122,6 +122,9 @@ func TestReachesAnyAllocs(t *testing.T) {
 		})
 	}
 	small, large := measure(all[:1], all[:1]), measure(all, all)
+	if raceEnabled {
+		t.Skipf("allocation count not checked under -race (%.0f and %.0f objects): its sync.Pool drops Puts at random", small, large)
+	}
 	if small > 2 || large > small {
 		t.Fatalf("ReachesAny allocates %.0f objects at 1×1 and %.0f at %d×%d, want at most 2 either way", small, large, len(all), len(all))
 	}

@@ -163,12 +163,15 @@ func (e *Engine) ReachesAny(ctx context.Context, from, to []int32) ([]bool, erro
 		centers.Set(int(f))
 	}
 	marked := false
-	var buf []twohop.Entry
+	var (
+		buf  []twohop.Entry
+		span docSpan
+	)
 	for j, t := range to {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if centers.Has(int(t)) || e.treeReached(t, centers) {
+		if centers.Has(int(t)) || e.treeReached(t, centers, &span) {
 			out[j] = true
 			continue
 		}

@@ -149,7 +149,7 @@ func (e *Engine) stepMember(s Step, v int32) bool {
 // step's frontier reaches v over a path of length ≥ 1 — the candidate
 // test, tree first, short-circuiting on the first frontier hit.
 func (e *Engine) reachableFromFrontier(first Step, v int32) bool {
-	for a := range e.ancestors(v) {
+	for a := range e.ancestors(v, &docSpan{}) {
 		if e.stepMember(first, a) {
 			return true
 		}

@@ -7,7 +7,7 @@ import (
 )
 
 // Metrics returns the router's metric registry — the serving-tier
-// families a hopirouter process attaches to its /metrics tree. All
+// families a router-mode hopiserve serves on /metrics. All
 // values are sampled at scrape time from the counters the hot path
 // already maintains (see Counters), so the query path pays nothing
 // extra for exposition. Created on first use, lives for the router's
