@@ -592,8 +592,8 @@ type SegmentStats struct {
 	// served as empty (0 in mmap mode; post-open validation makes
 	// corruption unreachable, so this tracks pread failures only).
 	ReadErrors uint64
-	// CacheMisses counts label and owner lookups that missed the decode
-	// cache above the sealed stack and went to the segment blocks;
+	// CacheMisses counts label lookups that missed the decode cache
+	// above the sealed stack and went to the segment blocks;
 	// RecordsScanned counts the block records those lookups walked.
 	CacheMisses    uint64
 	RecordsScanned uint64

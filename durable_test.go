@@ -2,6 +2,7 @@ package hopi
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -617,7 +618,7 @@ func TestDurableApplyIsIncremental(t *testing.T) {
 	var disk dyingDisk // never armed: records the steps taken
 	setFailpoint(ix, disk.step)
 
-	fullBytes := ix.SegmentStats().SealedBytes
+	fullPosts := ix.SegmentStats().SealedPosts
 	filesBefore := segFiles(t, path)
 	walBefore, _, _ := ix.WALSize()
 
@@ -652,7 +653,8 @@ func TestDurableApplyIsIncremental(t *testing.T) {
 	}
 
 	// the checkpoint seals only the delta: one new small segment beside
-	// the untouched first one
+	// the untouched first one. Counted in label postings, not bytes: a
+	// delta of one-entry records compresses worse than the base does.
 	if err := ix.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -660,8 +662,8 @@ func TestDurableApplyIsIncremental(t *testing.T) {
 	if st.Segments != 2 {
 		t.Fatalf("checkpoint left %d segments, want the base plus one delta segment", st.Segments)
 	}
-	if sealed := st.SealedBytes - fullBytes; sealed <= 0 || sealed >= fullBytes/4 {
-		t.Errorf("checkpoint sealed %d bytes beside a %d-byte base — want an incremental segment", sealed, fullBytes)
+	if sealed := st.SealedPosts - fullPosts; sealed <= 0 || sealed >= fullPosts/4 {
+		t.Errorf("checkpoint sealed %d label postings beside a base of %d — want an incremental segment", sealed, fullPosts)
 	}
 	filesSealed := segFiles(t, path)
 	for name, size := range filesBefore {
@@ -815,6 +817,43 @@ func TestOpenRejectsLegacyPageStoreFile(t *testing.T) {
 	// a path with nothing at all is plain not-found
 	if _, err := Open(filepath.Join(t.TempDir(), "none.hopi"), Durable()); !errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("Open of a missing store: %v", err)
+	}
+}
+
+// TestOpenRejectsVersion1Segments: a store whose segments carry the
+// version-1 format, which also stored owner postings, does not open.
+// Both open modes say the index is derived data and point at hopibuild.
+func TestOpenRejectsVersion1Segments(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "v1.hopi")
+	ix, _ := createDurable(t, path)
+	if err := ix.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := filepath.Glob(filepath.Join(path+segsSuffix, "*.seg"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no sealed segment to age: %v", err)
+	}
+	for _, seg := range segs {
+		f, err := os.OpenFile(seg, os.O_WRONLY, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var v1 [4]byte
+		binary.LittleEndian.PutUint32(v1[:], 1) // the header's version word
+		if _, err := f.WriteAt(v1[:], 4); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+	}
+	for _, opts := range [][]OpenOption{nil, {Durable()}} {
+		ix, err := Open(path, opts...)
+		if err == nil {
+			ix.Close()
+			t.Fatalf("Open(%d options) of a version-1 store succeeded", len(opts))
+		}
+		if !strings.Contains(err.Error(), "rebuild with hopibuild") {
+			t.Fatalf("Open(%d options): error does not say how to recover: %v", len(opts), err)
+		}
 	}
 }
 

@@ -607,6 +607,10 @@ func breakAfterClose(order []string) []string {
 	return slices.Concat(before, order[c:c+1], breaks, order[c+1:])
 }
 
+// harnessTail is how many batches a harness primary's publisher keeps
+// in memory for followers that fall behind.
+const harnessTail = 4
+
 // harnessRounds is how many rounds of draws one harness run makes.
 func harnessRounds() int {
 	if testing.Short() {
@@ -674,7 +678,7 @@ func runIndexShapes(t *testing.T, r indexRun) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { pri.Close() })
-		p := startReplPrimary(t, pri, "", PublishTail(4), PublishHeartbeat(20*time.Millisecond))
+		p := startReplPrimary(t, pri, "", PublishTail(harnessTail), PublishHeartbeat(20*time.Millisecond))
 		t.Cleanup(p.stop)
 		tap = &tapTransport{}
 		fol = followFast(t, p.streamURL(), FollowDir(t.TempDir()), FollowClient(&http.Client{Transport: tap}))
@@ -710,7 +714,18 @@ func runIndexShapes(t *testing.T, r indexRun) {
 				held = fol.Snapshot()
 				oracle = takeOracle(t, held)
 				tap.cut()
-				for i, kind := range harnessDraws[:5] {
+				// Count the batches, not the draws: a draw that finds no
+				// target commits none, and a tail that still reaches
+				// back to the follower resumes it without an image.
+				_, cut, _ := pri.WALSize()
+				for i := 0; ; i++ {
+					if _, seq, _ := pri.WALSize(); seq > cut+harnessTail {
+						break
+					}
+					if i == 10*harnessTail {
+						t.Fatalf("%s: %d draws committed at most %d batches while the follower was cut", where, i, harnessTail)
+					}
+					kind := harnessDraws[i%len(harnessDraws)]
 					if op, ok := g.draw(kind); ok {
 						applyOp(t, g, shapes, op, fmt.Sprintf("%s, follower cut, op %d (%s %+v)", where, i, kind, op))
 					}
@@ -991,6 +1006,25 @@ func checkDerived(t *testing.T, s *Snapshot, where string) {
 		}
 		if got := s.ix.CycleDistance(u); got != want {
 			t.Fatalf("%s: CycleDistance(%d) = %d, want %d", where, u, got, want)
+		}
+	}
+	// ancestors and descendants of a few drawn elements, walked over the
+	// snapshot's collection, against the element graph
+	draw := rand.New(rand.NewSource(int64(g.N())))
+	for k := 0; k < 4 && g.N() > 0; k++ {
+		u := int32(draw.Intn(g.N()))
+		for _, side := range []struct {
+			name string
+			got  []ElemID
+			want graph.Bitset
+		}{
+			{"Ancestors", s.Ancestors(u), g.ReachingTo(u)},
+			{"Descendants", s.Descendants(u), g.ReachableFrom(u)},
+		} {
+			side.want.Set(int(u))
+			if got, want := slices.Sorted(slices.Values(side.got)), side.want.Elements(nil); !slices.Equal(got, want) {
+				t.Fatalf("%s: %s(%d) = %v, the element graph says %v", where, side.name, u, got, want)
+			}
 		}
 	}
 

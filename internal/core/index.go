@@ -2,10 +2,10 @@ package core
 
 import (
 	"fmt"
+	"iter"
 	"sync"
 
 	"hopi/internal/graph"
-	"hopi/internal/psg"
 	"hopi/internal/twohop"
 	"hopi/internal/xmlmodel"
 )
@@ -18,41 +18,32 @@ import (
 type Index struct {
 	coll  *xmlmodel.Collection
 	cover *twohop.Cover
-	ixMu  sync.Mutex      // guards the lazy init of ix under concurrent readers
-	ix    *psg.CoverIndex // center→owners postings for ancestor/descendant, link insertion and watch deltas
-	cycMu sync.Mutex      // guards the lazy init of cyc
-	cyc   *cyclicInfo     // derived cycle info; nil after a mutation that can change it
+	cycMu sync.Mutex  // guards the lazy init of cyc
+	cyc   *cyclicInfo // derived cycle info; nil after a mutation that can change it
 	opts  Options
 	stats BuildStats
 	log   *ChangeLog // active maintenance recording, nil outside StartRecording
 }
 
 // newIndex wraps a finished cover and installs the index's delta
-// dispatcher on it: from here on, every label mutation made through
-// the cover's mutator methods is fanned out to the active ChangeLog
-// (when recording) and to the posting index (when warm). Builders must
-// finish all bulk label work before calling this.
+// recorder on it: from here on, every label mutation made through the
+// cover's mutator methods goes to the active ChangeLog (when
+// recording). Builders must finish all bulk label work before calling
+// this.
 func newIndex(c *xmlmodel.Collection, cover *twohop.Cover, opts Options, stats BuildStats) *Index {
 	ix := &Index{coll: c, cover: cover, opts: opts, stats: stats}
 	ix.cover.SetRecorder(ix.observeDelta)
 	return ix
 }
 
-// observeDelta is the single recorder every Index keeps installed on
-// its cover. Routing all deltas through one dispatcher lets incremental
-// maintenance keep the posting index warm — InsertEdge, the Theorem 2/3
-// deletion filters and document insertion all mutate labels through the
-// cover, so the backward index follows in lockstep instead of being
-// invalidated and rebuilt per batch.
+// observeDelta is the recorder every Index keeps installed on its
+// cover: InsertEdge, the Theorem 2/3 deletion filters and document
+// insertion all mutate labels through the cover, and a recording batch
+// logs each change.
 func (ix *Index) observeDelta(d twohop.CoverDelta) {
 	if ix.log != nil {
 		ix.log.Cover = append(ix.log.Cover, d)
 	}
-	ix.ixMu.Lock()
-	if ix.ix != nil {
-		ix.ix.ApplyDelta(d)
-	}
-	ix.ixMu.Unlock()
 }
 
 // DefaultOptions returns the paper's recommended configuration.
@@ -103,52 +94,30 @@ func (ix *Index) Distance(u, v int32) (uint32, error) {
 	return ix.cover.Distance(u, v), nil
 }
 
-// Descendants returns all elements reachable from u, including u.
-func (ix *Index) Descendants(u int32) []int32 { return ix.coverIndex().Descendants(u) }
+// Descendants returns all elements reachable from u, including u,
+// walked over the collection's own edges.
+func (ix *Index) Descendants(u int32) []int32 { return reflexive(u, ix.coll.Walk(u, false)) }
 
 // Ancestors returns all elements that reach u, including u.
-func (ix *Index) Ancestors(u int32) []int32 { return ix.coverIndex().Ancestors(u) }
+func (ix *Index) Ancestors(u int32) []int32 { return reflexive(u, ix.coll.Walk(u, true)) }
 
-// Postings returns the center→owners posting index over the cover,
-// building it on first use. Its reader outside this package is the
-// watch path's delta re-evaluation (query.Engine.DiffEval), which
-// enumerates the owners a changed label can affect; inside it,
-// Ancestors/Descendants and link insertion read the same structure. The
-// query engine's steps read labels only. The handle stays valid and
-// warm across maintenance.
-func (ix *Index) Postings() *psg.CoverIndex { return ix.coverIndex() }
-
-func (ix *Index) coverIndex() *psg.CoverIndex {
-	ix.ixMu.Lock()
-	defer ix.ixMu.Unlock()
-	if ix.ix == nil {
-		ix.ix = psg.NewCoverIndex(ix.cover)
+// reflexive lists u and then, once each, the elements walk yields.
+func reflexive(u int32, walk iter.Seq2[int32, uint32]) []int32 {
+	out := []int32{u}
+	for v := range walk {
+		if v != u {
+			out = append(out, v)
+		}
 	}
-	return ix.ix
-}
-
-// invalidate drops the derived posting index after a wholesale cover
-// swap (Rebuild). Incremental maintenance never calls it — the delta
-// dispatcher keeps the postings warm.
-func (ix *Index) invalidate() {
-	ix.ixMu.Lock()
-	ix.ix = nil
-	ix.ixMu.Unlock()
+	return out
 }
 
 // SealSwapBase installs a sealed base that holds the cover's current
 // labels — a checkpoint sealed its delta, or, for a cover without a
-// base, all of it — and rebases the warm posting index in the same
-// critical section, so no delta can slip between the two. The logical
-// state is unchanged: published snapshots and resume tokens stay
-// valid.
+// base, all of it. The logical state is unchanged: published snapshots
+// and resume tokens stay valid.
 func (ix *Index) SealSwapBase(b *twohop.Base) {
-	ix.ixMu.Lock()
-	defer ix.ixMu.Unlock()
 	ix.cover.SealSwap(b, ix.cover.N(), ix.cover.Size())
-	if ix.ix != nil {
-		ix.ix.Postings().Rebase(b)
-	}
 }
 
 // cyclic lazily derives the element-graph cycle information.
@@ -194,13 +163,12 @@ func (ix *Index) CyclicSet() graph.Bitset { return ix.cyclic().on }
 
 // Clone returns a copy of the index: the collection, the cover, and
 // the build metadata. Nothing is copied eagerly beyond the cover's
-// node spines: the collection and the cover share their documents and
-// label lists copy-on-write (each side copies what it writes first),
-// the posting index is shared as an immutable view (copy-on-write on
-// the live side), and the cycle info — immutable once computed — by
-// pointer. Snapshot isolation builds on this: the clone can serve
-// queries while the original is maintained (or vice versa) with no
-// shared mutable state.
+// node spines and the collection's document list: the collection and
+// the cover share their documents, link arcs and label lists
+// copy-on-write (each side copies what it writes first), and the cycle
+// info — immutable once computed — is shared by pointer. Snapshot
+// isolation builds on this: the clone can serve queries while the
+// original is maintained (or vice versa) with no shared mutable state.
 func (ix *Index) Clone() *Index {
 	cl := &Index{
 		coll:  ix.coll.Clone(),
@@ -208,11 +176,6 @@ func (ix *Index) Clone() *Index {
 		opts:  ix.opts,
 		stats: ix.stats,
 	}
-	ix.ixMu.Lock()
-	if ix.ix != nil {
-		cl.ix = ix.ix.ShareFor(cl.cover)
-	}
-	ix.ixMu.Unlock()
 	ix.cycMu.Lock()
 	cl.cyc = ix.cyc
 	ix.cycMu.Unlock()
@@ -220,13 +183,9 @@ func (ix *Index) Clone() *Index {
 	return cl
 }
 
-// Warm eagerly builds the derived structures (posting index, cycle
-// info) so the first query after a clone or rebuild does not pay the
-// construction cost inside a request.
-func (ix *Index) Warm() {
-	ix.coverIndex()
-	ix.cyclic()
-}
+// Warm eagerly derives the cycle info, so the first query after a
+// clone or rebuild does not pay for it inside a request.
+func (ix *Index) Warm() { ix.cyclic() }
 
 // Validate recomputes the ground-truth closure of the element graph
 // and checks the cover against it — completeness, soundness, and (for

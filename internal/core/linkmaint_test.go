@@ -1,51 +1,161 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"hopi/internal/graph"
 	"hopi/internal/segment"
 	"hopi/internal/twohop"
 	"hopi/internal/xmlmodel"
 )
 
-// assertPostingsFresh verifies the central maintenance invariant of the
-// posting index: the incrementally maintained center→owners postings
-// must be identical to postings rebuilt from scratch off the current
-// cover.
-func assertPostingsFresh(t *testing.T, ix *Index, context string) {
-	t.Helper()
-	warm := ix.Postings().Postings()
-	fresh := twohop.NewPostingIndex(ix.Cover())
-	if err := warm.Equal(fresh); err != nil {
-		t.Fatalf("%s: warm postings diverged from rebuilt: %v", context, err)
+// viewHash is FNV-64a over every label as a reader sees it: for each
+// node in [0, N) its Lout and then its Lin, each written as the list
+// length followed by every (center, dist). Unlike labelHash it does not
+// depend on how far the delta spines reach.
+func viewHash(cov *twohop.Cover) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	for v := int32(0); v < int32(cov.N()); v++ {
+		for _, l := range [][]twohop.Entry{cov.Lout(v), cov.Lin(v)} {
+			binary.LittleEndian.PutUint32(buf[:4], uint32(len(l)))
+			h.Write(buf[:4])
+			for _, e := range l {
+				binary.LittleEndian.PutUint32(buf[:4], uint32(e.Center))
+				binary.LittleEndian.PutUint32(buf[4:], e.Dist)
+				h.Write(buf[:])
+			}
+		}
+	}
+	return h.Sum64()
+}
+
+// TestMaintainedCoverUnchanged pins the labels a seeded sequence of
+// link inserts, document inserts, link deletes and document deletes
+// leaves, plain and distance-aware: how link insertion finds the
+// ancestors of the source and the descendants of the target may change,
+// the labels it writes may not.
+func TestMaintainedCoverUnchanged(t *testing.T) {
+	want := map[bool]uint64{false: 0x69bd1542d15a3962, true: 0x22260474cef9c12a}
+	for _, withDist := range []bool{false, true} {
+		rng := rand.New(rand.NewSource(11))
+		c := citeCollection(rng, 14)
+		ix := buildFor(t, c, withDist, 11)
+		for step := 0; step < 60; step++ {
+			if err := maintainStep(ix, rng, fmt.Sprintf("pin-%v-%d", withDist, step)); err != nil {
+				t.Fatalf("dist=%v step %d: %v", withDist, step, err)
+			}
+		}
+		if err := ix.Validate(); err != nil {
+			t.Fatalf("dist=%v: %v", withDist, err)
+		}
+		if h := viewHash(ix.Cover()); h != want[withDist] {
+			t.Errorf("dist=%v: label hash %#x, want %#x (%d entries)", withDist, h, want[withDist], ix.Size())
+		}
 	}
 }
 
-// TestPostingsWarmUnderRandomMaintenance drives a warm index through
-// randomized batches of every maintenance operation — edge inserts and
-// deletes, document inserts, separating and general deletes, clones
-// (which freeze the postings and force the copy-on-write path), and
-// rebuilds — asserting after every op that the delta-maintained
-// postings equal a from-scratch rebuild. The sealed run puts the cover
+// maintainStep applies one random maintenance operation to ix: mostly
+// link inserts, also new documents that cite and are cited, link
+// deletes and document deletes (separating or not).
+func maintainStep(ix *Index, rng *rand.Rand, name string) error {
+	c := ix.Collection()
+	live := c.LiveDocIndexes()
+	elem := func() int32 {
+		d := live[rng.Intn(len(live))]
+		return c.GlobalID(d, int32(rng.Intn(c.Docs[d].Len())))
+	}
+	switch op := rng.Intn(10); {
+	case op < 5:
+		from, to := elem(), elem()
+		if from == to {
+			return nil
+		}
+		return ix.InsertEdge(from, to)
+	case op < 7:
+		nd := xmlmodel.NewDocument(name, "pub")
+		s := nd.AddElement(0, "sec")
+		nd.AddElement(s, "p")
+		if rng.Intn(2) == 0 {
+			nd.AddIntraLink(s+1, 0)
+		}
+		cited, citing := elem(), elem()
+		di, err := ix.InsertDocument(nd)
+		if err != nil {
+			return err
+		}
+		if err := ix.InsertEdge(c.GlobalID(di, 2), cited); err != nil {
+			return err
+		}
+		return ix.InsertEdge(citing, c.GlobalID(di, 0))
+	case op < 9:
+		if len(c.Links) == 0 {
+			return nil
+		}
+		l := c.Links[rng.Intn(len(c.Links))]
+		return ix.DeleteEdge(l.From, l.To)
+	default:
+		if len(live) <= 4 {
+			return nil
+		}
+		_, err := ix.DeleteDocument(live[rng.Intn(len(live))])
+		return err
+	}
+}
+
+// assertWalksExact checks Ancestors and Descendants of every third
+// element against a traversal of the element graph rebuilt from
+// scratch: the walks over the collection's link arcs must see exactly
+// the edges the collection has.
+func assertWalksExact(t *testing.T, ix *Index, context string) {
+	t.Helper()
+	g := ix.Collection().ElementGraph()
+	for u := int32(0); u < int32(g.N()); u += 3 {
+		for _, side := range []struct {
+			name string
+			got  []int32
+			want graph.Bitset
+		}{
+			{"Ancestors", ix.Ancestors(u), g.ReachingTo(u)},
+			{"Descendants", ix.Descendants(u), g.ReachableFrom(u)},
+		} {
+			side.want.Set(int(u))
+			got := slices.Sorted(slices.Values(side.got))
+			if want := side.want.Elements(nil); !slices.Equal(got, want) {
+				t.Fatalf("%s: %s(%d) = %v, want %v", context, side.name, u, got, want)
+			}
+		}
+	}
+}
+
+// TestWalksUnderRandomMaintenance drives an index through randomized
+// batches of every maintenance operation — edge inserts and deletes,
+// document inserts, separating and general deletes, clones (which make
+// the live side copy the documents and arcs it writes), and rebuilds —
+// and checks after every op that the cover validates and that the
+// ancestor and descendant walks match the element graph, on the live
+// index and on every clone taken so far. The sealed run puts the cover
 // over a segment base and seals at random steps (in full after a
 // rebuild), as a durable index does.
-func TestPostingsWarmUnderRandomMaintenance(t *testing.T) {
+func TestWalksUnderRandomMaintenance(t *testing.T) {
 	for _, sealed := range []bool{false, true} {
 		for seed := int64(0); seed < 5; seed++ {
 			t.Run(fmt.Sprintf("sealed=%v/seed=%d", sealed, seed), func(t *testing.T) {
-				postingsWarmRun(t, seed, sealed)
+				walksRun(t, seed, sealed)
 			})
 		}
 	}
 }
 
-func postingsWarmRun(t *testing.T, seed int64, sealed bool) {
+func walksRun(t *testing.T, seed int64, sealed bool) {
 	rng := rand.New(rand.NewSource(seed))
 	c := citeCollection(rng, 10)
 	ix := buildFor(t, c, seed%2 == 0, seed)
-	ix.Warm() // postings live from here on; never invalidated below
 	seal := func() {}
 	if sealed {
 		store, err := segment.CreateStore(t.TempDir(), ix.Cover().WithDist, segment.Options{})
@@ -71,71 +181,34 @@ func postingsWarmRun(t *testing.T, seed int64, sealed bool) {
 	sealRng := rand.New(rand.NewSource(seed + 100))
 	var clones []*Index
 	for step := 0; step < 40; step++ {
-		op := rng.Intn(10)
-		ctx := fmt.Sprintf("seed %d step %d op %d", seed, step, op)
-		switch {
-		case op < 4: // insert edge
-			fd := rng.Intn(len(c.Docs))
-			td := rng.Intn(len(c.Docs))
-			if !c.Alive(fd) || !c.Alive(td) {
-				continue
-			}
-			from := c.GlobalID(fd, int32(rng.Intn(c.Docs[fd].Len())))
-			to := c.GlobalID(td, int32(rng.Intn(c.Docs[td].Len())))
-			if from == to {
-				continue
-			}
-			if err := ix.InsertEdge(from, to); err != nil {
-				t.Fatalf("%s: %v", ctx, err)
-			}
-		case op < 6: // delete a random existing link
-			if len(c.Links) == 0 {
-				continue
-			}
-			l := c.Links[rng.Intn(len(c.Links))]
-			if err := ix.DeleteEdge(l.From, l.To); err != nil {
-				t.Fatalf("%s: %v", ctx, err)
-			}
-		case op < 7: // insert document
-			nd := xmlmodel.NewDocument(fmt.Sprintf("new-%d-%d", seed, step), "pub")
-			s := nd.AddElement(0, "sec")
-			nd.AddElement(s, "p")
-			if rng.Intn(2) == 0 {
-				nd.AddIntraLink(s+1, 0) // intra cycle
-			}
-			if _, err := ix.InsertDocument(nd); err != nil {
-				t.Fatalf("%s: %v", ctx, err)
-			}
-		case op < 8: // delete document (fast or general path)
-			live := c.LiveDocIndexes()
-			if len(live) <= 3 {
-				continue
-			}
-			if _, err := ix.DeleteDocument(live[rng.Intn(len(live))]); err != nil {
-				t.Fatalf("%s: %v", ctx, err)
-			}
-		case op < 9: // clone: freezes postings, forces COW on the live side
-			cl := ix.Clone()
-			assertPostingsFresh(t, cl, ctx+" (clone)")
-			clones = append(clones, cl)
-		default: // rebuild
+		ctx := fmt.Sprintf("seed %d step %d", seed, step)
+		switch rng.Intn(10) {
+		case 0:
+			clones = append(clones, ix.Clone())
+		case 1:
 			if err := ix.Rebuild(); err != nil {
 				t.Fatalf("%s: %v", ctx, err)
 			}
+		default:
+			if err := maintainStep(ix, rng, fmt.Sprintf("new-%d-%d", seed, step)); err != nil {
+				t.Fatalf("%s: %v", ctx, err)
+			}
 		}
-		assertPostingsFresh(t, ix, ctx)
 		if err := ix.Validate(); err != nil {
 			t.Fatalf("%s: %v", ctx, err)
 		}
+		assertWalksExact(t, ix, ctx)
 		if sealRng.Intn(4) == 0 {
 			seal()
-			assertPostingsFresh(t, ix, ctx+" (sealed)")
 		}
 	}
-	// frozen clones must still match their own (frozen) cover even
-	// after the live side mutated past them
+	// clones keep the collection they were taken of, whatever the live
+	// side wrote after them
 	for i, cl := range clones {
-		assertPostingsFresh(t, cl, fmt.Sprintf("seed %d final clone %d", seed, i))
+		if err := cl.Validate(); err != nil {
+			t.Fatalf("seed %d clone %d: %v", seed, i, err)
+		}
+		assertWalksExact(t, cl, fmt.Sprintf("seed %d clone %d", seed, i))
 	}
 }
 

@@ -24,7 +24,10 @@ func (ix *Index) InsertEdge(from, to int32) error {
 		return nil
 	}
 	ix.recordColl(CollOp{Kind: CollAddLink, From: from, To: to})
-	ix.coverIndex().IntegrateLink(from, to)
+	// The walks see the new link, but it changes no shortest path into
+	// from or out of to, so they find the ancestors and descendants the
+	// cover had, at the distances it had.
+	ix.cover.IntegrateLink(from, to, ix.coll.Walk(from, true), ix.coll.Walk(to, false))
 	if ix.cover.Reaches(to, from) {
 		// the only way the edge changes cycles: it closes one
 		ix.invalidateCyclic()
@@ -445,8 +448,6 @@ func (ix *Index) Rebuild() error {
 		ix.log.Rebuilt = true
 	}
 	ix.cover.SetRecorder(ix.observeDelta)
-	// The postings must be re-derived from the new cover; the cycle
-	// info survives — Rebuild does not touch the collection.
-	ix.invalidate()
+	// the cycle info survives: Rebuild does not touch the collection
 	return nil
 }

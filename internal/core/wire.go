@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/gob"
+	"slices"
 
 	"hopi/internal/twohop"
 	"hopi/internal/xmlmodel"
@@ -81,25 +82,9 @@ func DecodeCollOps(b []byte) ([]CollOp, error) {
 // independent (cover deltas carry global IDs and explicit grows), so
 // replaying the collection side first and the cover side second is
 // equivalent to the interleaved original execution.
-//
-// Derived state is maintained the same way live maintenance does it:
-// the installed delta recorder keeps the posting index warm for
-// incremental batches, while a wholesale stream (DeltaClearAll, logged
-// for rebuilds) drops the postings for lazy re-derivation. Callers
-// serialize ApplyLogged against all other maintenance.
+// Callers serialize ApplyLogged against all other maintenance.
 func (ix *Index) ApplyLogged(collOps []CollOp, cover []twohop.CoverDelta) error {
-	wholesale := false
-	for _, d := range cover {
-		if d.Kind == twohop.DeltaClearAll {
-			wholesale = true
-			break
-		}
-	}
-	if wholesale {
-		// Cover.Apply's clear-all bypasses the recorder; stale postings
-		// must not survive underneath the adds that follow it.
-		ix.invalidate()
-	}
+	wholesale := slices.ContainsFunc(cover, func(d twohop.CoverDelta) bool { return d.Kind == twohop.DeltaClearAll })
 	if err := ReplayCollOps(ix.coll, collOps); err != nil {
 		return err
 	}

@@ -3,6 +3,7 @@ package psg
 import (
 	"testing"
 
+	"hopi/internal/graph"
 	"hopi/internal/partition"
 	"hopi/internal/twohop"
 	"hopi/internal/xmlmodel"
@@ -51,9 +52,13 @@ func TestFigure2LinkIntegration(t *testing.T) {
 	cov.AddOut(3, 4, 0)
 	cov.AddIn(5, 4, 0)
 	cov.Finish()
-	ix := NewCoverIndex(cov)
+	g := graph.NewDigraph(6)
+	for _, e := range [][2]int32{{0, 1}, {1, 2}, {3, 4}, {4, 5}} {
+		g.AddEdge(e[0], e[1])
+	}
 	u, v := int32(2), int32(3)
-	ix.IntegrateLink(u, v)
+	g.AddEdge(u, v)
+	cov.IntegrateLink(u, v, g.Walk(u, true), g.Walk(v, false))
 	// v ∈ Lout(u) and of u's ancestors {0,1}
 	for _, a := range []int32{0, 1, 2} {
 		found := false

@@ -5,7 +5,6 @@ import (
 
 	"hopi/internal/graph"
 	"hopi/internal/partition"
-	"hopi/internal/segment"
 	"hopi/internal/twohop"
 	"hopi/internal/xmlmodel"
 )
@@ -112,66 +111,5 @@ func TestJoinShortestPathLeavesPartition(t *testing.T) {
 	// the detour (2 hops) beats the internal chain (4 hops)
 	if d := cov.Distance(c.GlobalID(0, 0), c.GlobalID(0, prev)); d != 2 {
 		t.Errorf("distance = %d, want 2 via the external detour", d)
-	}
-}
-
-// segmentStar returns a distance-aware cover index over a sealed base in
-// which node 0 has fan ancestors and node 1 has fan descendants, every
-// one of them with an unsealed delta entry, so reading any of their
-// labels takes a merge of the sealed list with the delta.
-func segmentStar(t *testing.T, fan int32) *CoverIndex {
-	t.Helper()
-	n := 2*fan + 3
-	hub := n - 1
-	flat := twohop.NewCover(int(n), true)
-	for i := int32(0); i < fan; i++ {
-		flat.AddOut(2+i, 0, 1)    // ancestor i → node 0
-		flat.AddIn(2+fan+i, 1, 1) // node 1 → descendant i
-	}
-	store, err := segment.CreateStore(t.TempDir(), true, segment.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := store.Seal(1, flat.N(), int64(flat.Size()), flat.FullRecords())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cov := twohop.NewCover(0, true)
-	cov.SealSwap(twohop.NewBase(st, nil, nil, nil), flat.N(), flat.Size())
-	for i := int32(0); i < fan; i++ {
-		cov.AddOut(2+i, hub, 2)
-		cov.AddIn(2+fan+i, hub, 2)
-	}
-	return NewCoverIndex(cov)
-}
-
-// The distance phase of IntegrateLink reads one label per ancestor and
-// per descendant; it must not allocate one merged view per node.
-func TestLinkDistancesAllocsIndependentOfFanOut(t *testing.T) {
-	measure := func(fan int32) float64 {
-		ix := segmentStar(t, fan)
-		ancs, descs := ix.Ancestors(0), ix.Descendants(1)
-		if len(ancs) != int(fan)+1 || len(descs) != int(fan)+1 {
-			t.Fatalf("fan %d: %d ancestors, %d descendants", fan, len(ancs), len(descs))
-		}
-		check := func() {
-			ad, dd := ix.linkDistances(0, 1, ancs, descs)
-			for i, a := range ancs {
-				if want := uint32(1); a != 0 && ad[i] != want {
-					t.Fatalf("dist(%d, 0) = %d, want %d", a, ad[i], want)
-				}
-			}
-			for i, d := range descs {
-				if want := uint32(1); d != 1 && dd[i] != want {
-					t.Fatalf("dist(1, %d) = %d, want %d", d, dd[i], want)
-				}
-			}
-		}
-		check() // fills the decode cache
-		return testing.AllocsPerRun(10, check)
-	}
-	small, large := measure(50), measure(400)
-	if large > small || large > 8 {
-		t.Fatalf("linkDistances allocates %.0f objects at fan-out 50 and %.0f at 400, want a constant", small, large)
 	}
 }

@@ -1,6 +1,8 @@
 package psg
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math/rand"
 	"slices"
 	"testing"
@@ -238,42 +240,22 @@ func TestJoinsRandomDistanceExact(t *testing.T) {
 	}
 }
 
-func TestCoverIndexAncestorsDescendants(t *testing.T) {
-	// cover for a chain 0→1→2 built by hand
-	cov := twohop.NewCover(3, false)
-	cov.AddOut(0, 1, 0) // center 1 covers (0,1) and (0,2) with Lin side below
-	cov.AddIn(2, 1, 0)
-	cov.Finish()
-	ix := NewCoverIndex(cov)
-	anc := ix.Ancestors(2)
-	if len(anc) != 3 {
-		t.Errorf("Ancestors(2) = %v, want {2,1,0}", anc)
-	}
-	desc := ix.Descendants(0)
-	if len(desc) != 3 {
-		t.Errorf("Descendants(0) = %v, want {0,1,2}", desc)
-	}
-	if got := ix.Descendants(2); len(got) != 1 || got[0] != 2 {
-		t.Errorf("Descendants(2) = %v", got)
-	}
-}
-
+// TestIntegrateLinkCreatesConnections: the old join over two
+// partitions, chains 0→1 and 2→3, with the cross link 1→2 between them,
+// covers the connections the link creates and no others.
 func TestIntegrateLinkCreatesConnections(t *testing.T) {
-	// two disconnected chains 0→1 and 2→3; integrate link 1→2
-	cov := twohop.NewCover(4, false)
-	cov.AddOut(0, 1, 0)
-	cov.AddIn(3, 2, 0)
-	cov.Finish()
-	ix := NewCoverIndex(cov)
-	ix.IntegrateLink(1, 2)
+	c := chainCollection(2, 2)
+	p := &partition.Partitioning{Parts: [][]int{{0}, {1}}, CrossLinks: c.Links}
+	cov := JoinOld(c, p.CrossLinks, buildParts(c, p, false), false)
 	for _, pair := range [][2]int32{{0, 2}, {0, 3}, {1, 2}, {1, 3}} {
-		if !ix.Cover().Reaches(pair[0], pair[1]) {
+		if !cov.Reaches(pair[0], pair[1]) {
 			t.Errorf("after integrate, %d should reach %d", pair[0], pair[1])
 		}
 	}
-	if ix.Cover().Reaches(2, 0) {
+	if cov.Reaches(2, 0) {
 		t.Error("phantom connection 2→0")
 	}
+	joinAndVerify(t, c, cov)
 }
 
 func BenchmarkJoinNewChain40(b *testing.B) {
@@ -424,6 +406,38 @@ func TestJoinNewMatchesScatterJoin(t *testing.T) {
 					sameLabels(t, "Lin", got.In, want.In)
 				}
 			}
+		}
+	}
+}
+
+// TestJoinOldCoverUnchanged pins the labels of a small old-join cover,
+// plain and distance-aware, over a random cyclic collection: how the
+// join finds the ancestors and descendants of each link's ends may
+// change, the labels it writes may not.
+func TestJoinOldCoverUnchanged(t *testing.T) {
+	want := map[bool]uint64{false: 0x8cb593ab24980c68, true: 0x789f789565504f3b}
+	for _, withDist := range []bool{false, true} {
+		rng := rand.New(rand.NewSource(5))
+		c := randomCollection(rng, 16, 7, 30)
+		p := partition.NodeCapped(c, 14, nil, 5)
+		cov := JoinOld(c, p.CrossLinks, buildParts(c, p, withDist), withDist)
+		joinAndVerify(t, c, cov)
+		h := fnv.New64a()
+		var buf [8]byte
+		for v := int32(0); v < int32(cov.N()); v++ {
+			for _, l := range [][]twohop.Entry{cov.Lout(v), cov.Lin(v)} {
+				binary.LittleEndian.PutUint32(buf[:4], uint32(len(l)))
+				h.Write(buf[:4])
+				for _, e := range l {
+					binary.LittleEndian.PutUint32(buf[:4], uint32(e.Center))
+					binary.LittleEndian.PutUint32(buf[4:], e.Dist)
+					h.Write(buf[:])
+				}
+			}
+		}
+		if got := h.Sum64(); got != want[withDist] {
+			t.Errorf("dist=%v: label hash %#x, want %#x (%d entries, %d cross links)",
+				withDist, got, want[withDist], cov.Size(), len(p.CrossLinks))
 		}
 	}
 }

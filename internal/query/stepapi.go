@@ -24,6 +24,10 @@ import (
 // callers must not mutate it.
 func (e *Engine) Candidates(tag string) []int32 { return e.candidates(tag) }
 
+// CandidateBits is Candidates as a set over element IDs; callers must
+// not modify it.
+func (e *Engine) CandidateBits(tag string) graph.Bitset { return e.candidateBits(tag) }
+
 // SeedFrontier evaluates an initial step: the tag's candidates,
 // root-anchored when the axis is AxisChild (a leading "/").
 func (e *Engine) SeedFrontier(step Step) []int32 {

@@ -3,25 +3,17 @@
 // maintenance batch, DiffEval starts from the batch's WatchDelta
 // summary, derives the set of elements whose result membership can
 // have changed, and re-tests exactly those against the before/after
-// engines — O(delta · label mass), not O(query).
+// engines — O(delta · reach), not O(query).
 //
-// The per-candidate membership test is the // step's candidate test
-// (stepScan.matches), with X's members found through OutOwners instead
-// of a marked X: v is reachable from the frontier F iff
-//
-//	a proper tree ancestor of v is in F        (tree path, no label read)
-//	v ∈ F and v lies on a cycle                (cyclic self-match)
-//	OutOwners(v) ∩ F ≠ ∅                       (direct v ∈ Lout(f))
-//	∃ c ∈ centers(Lin(v)):
-//	     c ∈ F                                 (direct f ∈ Lin(v))
-//	  or OutOwners(c) ∩ F ≠ ∅                  (Lout ∩ Lin join)
-//
-// with F-membership a constant-time bitset probe. The affected set is
-// seeded from the delta: elements added/removed or with a changed Lin
-// can change their own membership; a frontier element that appeared,
-// disappeared, or changed its Lout can change the membership of every
-// element it contributes — its cyclic self, its Lout centers, and the
-// Lin owners of itself and those centers — enumerated on both the old
+// The per-candidate membership test walks the candidate's ancestors
+// over the collection's own edges and stops at the first one in the
+// first step's frontier F: v matches iff some f ∈ F has a path of
+// length ≥ 1 to v, which covers the tree path, a link path, and v's
+// own cycle back to itself (the walk reaches v again). The affected set
+// is seeded from the delta: elements added/removed or with a changed
+// Lin can change their own membership; a frontier element that
+// appeared, disappeared, or changed its Lout can change the membership
+// of every element it reaches — its descendants, walked on both the old
 // and the new engine so vanished reachability is caught too.
 package query
 
@@ -146,60 +138,22 @@ func (e *Engine) stepMember(s Step, v int32) bool {
 }
 
 // reachableFromFrontier reports whether some element of the first
-// step's frontier reaches v over a path of length ≥ 1 — the candidate
-// test, tree first, short-circuiting on the first frontier hit.
+// step's frontier reaches v over a path of length ≥ 1: an ancestor
+// walk from v that stops at the first frontier element.
 func (e *Engine) reachableFromFrontier(first Step, v int32) bool {
-	for a := range e.ancestors(v, &docSpan{}) {
+	for a := range e.ix.Collection().Walk(v, true) {
 		if e.stepMember(first, a) {
 			return true
-		}
-	}
-	cov := e.ix.Cover()
-	if int(v) >= cov.N() {
-		return false
-	}
-	if e.ix.CyclicSet().Has(int(v)) && e.stepMember(first, v) {
-		return true
-	}
-	post := e.ix.Postings().Postings()
-	for _, f := range post.OutOwners(v) {
-		if e.stepMember(first, f) {
-			return true
-		}
-	}
-	for _, en := range cov.Lin(v) {
-		if e.stepMember(first, en.Center) {
-			return true
-		}
-		for _, f := range post.OutOwners(en.Center) {
-			if e.stepMember(first, f) {
-				return true
-			}
 		}
 	}
 	return false
 }
 
 // contribute enumerates every element whose final-step membership can
-// depend on frontier element f — f's cyclic self, its Lout centers,
-// and the Lin owners of f and of those centers: every candidate the
-// candidate test can accept because of f.
+// depend on frontier element f: every element f reaches over a path of
+// length ≥ 1, f itself when it lies on a cycle.
 func (e *Engine) contribute(f int32, emit func(int32)) {
-	cov := e.ix.Cover()
-	if f < 0 || int(f) >= cov.N() {
-		return
-	}
-	if e.ix.CyclicSet().Has(int(f)) {
-		emit(f)
-	}
-	post := e.ix.Postings().Postings()
-	for _, c := range post.InOwners(f) {
-		emit(c)
-	}
-	for _, en := range cov.Lout(f) {
-		emit(en.Center)
-		for _, c := range post.InOwners(en.Center) {
-			emit(c)
-		}
+	for d := range e.ix.Collection().Walk(f, false) {
+		emit(d)
 	}
 }

@@ -1,9 +1,6 @@
 package segment
 
-import (
-	"math/bits"
-	"slices"
-)
+import "slices"
 
 // Block payload encoding. A block holds 1..n consecutive records of a
 // single family:
@@ -11,39 +8,12 @@ import (
 //	record[0]  : postings                    (key = index entry firstKey)
 //	record[i>0]: keyDelta uvarint (≥1) | postings
 //
-//	postings   : mode u8 | body
-//	  mode 0 (plain): count uvarint, then per post
-//	                  valDelta uvarint (≥1, vals ascending from -1)
-//	                  meta uvarint = dist<<1 | tomb
-//	  mode 1 (bitset): firstVal uvarint | nWords uvarint | nWords×u64 LE
-//	                  (owners only: no tombstones, all dist 0)
-const (
-	postPlain  = 0
-	postBitset = 1
-)
+//	postings   : count uvarint, then per post
+//	             valDelta uvarint (≥1, vals ascending from -1)
+//	             meta uvarint = dist<<1 | tomb
 
 // appendPostings encodes one posting list onto dst.
 func appendPostings(dst []byte, posts []Post) []byte {
-	if useBitset(posts) {
-		first := posts[0].Val
-		span := posts[len(posts)-1].Val - first + 1
-		nWords := (int(span) + 63) / 64
-		words := make([]uint64, nWords)
-		for _, p := range posts {
-			d := uint32(p.Val - first)
-			words[d/64] |= 1 << (d % 64)
-		}
-		dst = append(dst, postBitset)
-		dst = putUvarint(dst, uint64(first))
-		dst = putUvarint(dst, uint64(nWords))
-		for _, w := range words {
-			dst = append(dst,
-				byte(w), byte(w>>8), byte(w>>16), byte(w>>24),
-				byte(w>>32), byte(w>>40), byte(w>>48), byte(w>>56))
-		}
-		return dst
-	}
-	dst = append(dst, postPlain)
 	dst = putUvarint(dst, uint64(len(posts)))
 	prev := int32(-1)
 	for _, p := range posts {
@@ -58,94 +28,39 @@ func appendPostings(dst []byte, posts []Post) []byte {
 	return dst
 }
 
-// useBitset reports whether the bitset container beats varint-delta
-// for this list: long, dense, tombstone-free, distance-free.
-func useBitset(posts []Post) bool {
-	if len(posts) < bitsetMinCount {
-		return false
-	}
-	for _, p := range posts {
-		if p.Tomb || p.Dist != 0 {
-			return false
-		}
-	}
-	span := int64(posts[len(posts)-1].Val) - int64(posts[0].Val) + 1
-	return span <= int64(len(posts))*bitsetMaxSpanPerPost
-}
-
 // decodePostings decodes one posting list from b at position i,
 // appending to dst (which may be nil). Returns the extended slice and
 // the new position; ok=false on malformed input.
 func decodePostings(b []byte, i int, dst []Post) ([]Post, int, bool) {
-	if i >= len(b) {
+	cnt, i, ok := uvarint(b, i)
+	if !ok || cnt > uint64(len(b)) { // each post needs ≥2 bytes
 		return nil, i, false
 	}
-	mode := b[i]
-	i++
-	switch mode {
-	case postPlain:
-		cnt, j, ok := uvarint(b, i)
-		if !ok || cnt > uint64(len(b)) { // each post needs ≥2 bytes
+	dst = slices.Grow(dst, int(cnt)) // one growth, not a chain of them
+	prev := int64(-1)
+	for k := uint64(0); k < cnt; k++ {
+		d, j, ok := uvarint(b, i)
+		if !ok || d == 0 {
 			return nil, i, false
 		}
 		i = j
-		dst = slices.Grow(dst, int(cnt)) // one growth, not a chain of them
-		prev := int64(-1)
-		for k := uint64(0); k < cnt; k++ {
-			d, j, ok := uvarint(b, i)
-			if !ok || d == 0 {
-				return nil, i, false
-			}
-			i = j
-			meta, j2, ok := uvarint(b, i)
-			if !ok {
-				return nil, i, false
-			}
-			i = j2
-			v := prev + int64(d)
-			if v > 1<<31-1 {
-				return nil, i, false
-			}
-			prev = v
-			dst = append(dst, Post{
-				Val:  int32(v),
-				Dist: uint32(meta >> 1),
-				Tomb: meta&1 != 0,
-			})
-		}
-		return dst, i, true
-	case postBitset:
-		first, j, ok := uvarint(b, i)
-		if !ok || first > 1<<31-1 {
+		meta, j2, ok := uvarint(b, i)
+		if !ok {
 			return nil, i, false
 		}
-		i = j
-		nWords, j, ok := uvarint(b, i)
-		if !ok || nWords == 0 || nWords > uint64(len(b)-i)/8+1 {
+		i = j2
+		v := prev + int64(d)
+		if v > 1<<31-1 {
 			return nil, i, false
 		}
-		i = j
-		if i+int(nWords)*8 > len(b) {
-			return nil, i, false
-		}
-		if int64(first)+int64(nWords)*64 > 1<<31 {
-			return nil, i, false
-		}
-		for w := 0; w < int(nWords); w++ {
-			word := uint64(b[i]) | uint64(b[i+1])<<8 | uint64(b[i+2])<<16 | uint64(b[i+3])<<24 |
-				uint64(b[i+4])<<32 | uint64(b[i+5])<<40 | uint64(b[i+6])<<48 | uint64(b[i+7])<<56
-			i += 8
-			base := int32(first) + int32(w*64)
-			for word != 0 {
-				bit := bits.TrailingZeros64(word)
-				word &^= 1 << bit
-				dst = append(dst, Post{Val: base + int32(bit)})
-			}
-		}
-		return dst, i, true
-	default:
-		return nil, i, false
+		prev = v
+		dst = append(dst, Post{
+			Val:  int32(v),
+			Dist: uint32(meta >> 1),
+			Tomb: meta&1 != 0,
+		})
 	}
+	return dst, i, true
 }
 
 // decodeBlock walks every record of a block payload, invoking fn for
@@ -246,41 +161,18 @@ func findInBlock(b []byte, e blockEntry, want int32, dst []Post) (res []Post, fo
 
 // skipPostings advances past one posting list without decoding values.
 func skipPostings(b []byte, i int) (int, bool) {
-	if i >= len(b) {
+	cnt, i, ok := uvarint(b, i)
+	if !ok || cnt > uint64(len(b)) {
 		return i, false
 	}
-	mode := b[i]
-	i++
-	switch mode {
-	case postPlain:
-		cnt, j, ok := uvarint(b, i)
-		if !ok || cnt > uint64(len(b)) {
+	for k := uint64(0); k < cnt; k++ {
+		var d uint64
+		if d, i, ok = uvarint(b, i); !ok || d == 0 { // as decodePostings rejects
 			return i, false
 		}
-		i = j
-		for k := uint64(0); k < cnt; k++ {
-			_, j, ok := uvarint(b, i)
-			if !ok {
-				return i, false
-			}
-			_, j2, ok2 := uvarint(b, j)
-			if !ok2 {
-				return i, false
-			}
-			i = j2
-		}
-		return i, true
-	case postBitset:
-		_, j, ok := uvarint(b, i)
-		if !ok {
+		if _, i, ok = uvarint(b, i); !ok {
 			return i, false
 		}
-		nWords, j2, ok := uvarint(b, j)
-		if !ok || nWords > uint64(len(b)-j2)/8 { // bounded before the multiply can wrap
-			return i, false
-		}
-		return j2 + int(nWords)*8, true
-	default:
-		return i, false
 	}
+	return i, true
 }

@@ -9,24 +9,22 @@ import (
 )
 
 // fuzzSeedBytes builds one small-but-representative valid segment
-// (all four families, distances, tombstones, and at least one dense
-// bitset-qualifying postings list) and returns its raw bytes.
+// (both families, distances, tombstones, and one long postings list)
+// and returns its raw bytes.
 func fuzzSeedBytes(f *testing.F) []byte {
 	f.Helper()
 	rng := rand.New(rand.NewSource(42))
 	var fams [NumFamilies][]Rec
 	for fam := Family(0); fam < NumFamilies; fam++ {
-		withDist := fam == FamLin || fam == FamLout
 		for key := int32(0); key < 20; key++ {
-			fams[fam] = append(fams[fam], Rec{Key: key * 3, Posts: randPosts(rng, 5+rng.Intn(20), withDist, withDist)})
+			fams[fam] = append(fams[fam], Rec{Key: key * 3, Posts: randPosts(rng, 5+rng.Intn(20), true, true)})
 		}
 	}
-	// dense run → bitset container
 	dense := make([]Post, 0, 64)
 	for v := int32(100); v < 164; v++ {
 		dense = append(dense, Post{Val: v})
 	}
-	fams[FamInOwn] = append(fams[FamInOwn], Rec{Key: 1000, Posts: dense})
+	fams[FamLout] = append(fams[FamLout], Rec{Key: 1000, Posts: dense})
 	path := filepath.Join(f.TempDir(), "seed.seg")
 	_, err := WriteFile(path, Meta{N: 64, WithDist: true, Seq: 7, Posts: 500, Tombs: 40}, func(w *Writer) error {
 		for fam := Family(0); fam < NumFamilies; fam++ {
@@ -120,7 +118,7 @@ func FuzzFindInBlock(f *testing.F) {
 		dense[i].Val = int32(100 + i)
 	}
 	f.Add(appendPostings(append(appendPostings(nil, dense), 2), []Post{{Val: 3, Dist: 1}}), int32(0), uint16(2), int32(2))
-	wrap := putUvarint(putUvarint([]byte{postBitset}, 0), 1<<60)
+	wrap := putUvarint(putUvarint([]byte{1}, 0), 1<<60)
 	f.Add(appendPostings(putUvarint(wrap, 5), []Post{{Val: 1}}), int32(0), uint16(2), int32(5))
 
 	f.Fuzz(func(t *testing.T, payload []byte, firstKey int32, nKeys uint16, want int32) {

@@ -156,7 +156,7 @@ func TestPostsMatchesLinearWalkOnBuiltStore(t *testing.T) {
 // TestPostsMatchesLinearWalkOnCraftedBlocks covers the shapes a built
 // store only has by luck: blocks of 1 to 10 records (a big record
 // closes a block, so the counts fall on both sides of every directory
-// boundary), bitset containers, tombstones, and adjacent keys.
+// boundary), long distance-free lists, tombstones, and adjacent keys.
 func TestPostsMatchesLinearWalkOnCraftedBlocks(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	plain := func(n int, withDist, withTombs bool) []segment.Post {
@@ -172,13 +172,6 @@ func TestPostsMatchesLinearWalkOnCraftedBlocks(t *testing.T) {
 		}
 		return posts
 	}
-	dense := func(n, step int) []segment.Post { // qualifies for the bitset container
-		posts := make([]segment.Post, n)
-		for i := range posts {
-			posts[i].Val = int32(1000 + step*i)
-		}
-		return posts
-	}
 	var fams [segment.NumFamilies][]segment.Rec
 	for fam := range fams {
 		key := int32(rng.Intn(3))
@@ -186,14 +179,12 @@ func TestPostsMatchesLinearWalkOnCraftedBlocks(t *testing.T) {
 			for k := 0; k < records; k++ {
 				var posts []segment.Post
 				switch {
-				case k == records-1 && fam >= int(segment.FamInOwn):
-					posts = dense(6000, 8) // 6,000 bytes of bitset words: closes the block
 				case k == records-1:
-					posts = plain(2500, true, true)
-				case fam >= int(segment.FamInOwn) && k%2 == 0:
-					posts = dense(40+rng.Intn(40), 2)
+					posts = plain(2500, true, true) // closes the block
+				case fam == int(segment.FamLout) && k%2 == 0:
+					posts = plain(40+rng.Intn(40), false, false)
 				default:
-					posts = plain(1+rng.Intn(6), fam < int(segment.FamInOwn), true)
+					posts = plain(1+rng.Intn(6), true, true)
 				}
 				fams[fam] = append(fams[fam], segment.Rec{Key: key, Posts: posts})
 				key += 1 + int32(rng.Intn(2))*int32(rng.Intn(50))

@@ -2,6 +2,7 @@ package segment
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"os"
@@ -104,7 +105,11 @@ func (s *Segment) load() error {
 	if binary.LittleEndian.Uint32(hdr[0:]) != magic {
 		return corruptf("%s: bad header magic", s.path)
 	}
-	if v := binary.LittleEndian.Uint32(hdr[4:]); v != version {
+	switch v := binary.LittleEndian.Uint32(hdr[4:]); v {
+	case version:
+	case 1:
+		return fmt.Errorf("segment: %s is a version-1 segment, which also stored owner postings, a format no longer read; the index is derived data: rebuild with hopibuild", s.path)
+	default:
 		return corruptf("%s: unsupported version %d", s.path, v)
 	}
 	foot, err := s.readRange(s.size-footerLen, footerLen, nil)

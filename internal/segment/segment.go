@@ -1,22 +1,20 @@
 // Package segment implements the immutable on-disk storage tier for
-// HOPI cover labels and center→owners postings: sorted, compressed,
-// CRC-protected segment files written in one streaming pass and read
-// through an mmap-backed zero-copy reader (with a plain ReadAt
-// fallback on platforms or files where mmap is unavailable).
+// HOPI cover labels: sorted, compressed, CRC-protected segment files
+// written in one streaming pass and read through an mmap-backed
+// zero-copy reader (with a plain ReadAt fallback on platforms or files
+// where mmap is unavailable).
 //
-// A segment holds four key families, each a sorted sequence of
+// A segment holds two key families, each a sorted sequence of
 // (key, postings) records:
 //
-//	FamLin    node   → Lin(node)  cover entries (center, dist, tomb)
-//	FamLout   node   → Lout(node) cover entries
-//	FamInOwn  center → owners v with center ∈ Lin(v)
-//	FamOutOwn center → owners u with center ∈ Lout(u)
+//	FamLin    node → Lin(node)  cover entries (center, dist, tomb)
+//	FamLout   node → Lout(node) cover entries
 //
-// Postings are encoded in varint-delta blocks of ~4 KiB with one skip
-// entry (family, key range, offset, length, CRC32) per block in an
-// index region referenced by a fixed-size footer. Dense tombstone-free
-// owner postings switch to a bitset container (roaring-style) when the
-// bitset is smaller than the delta encoding. Records carry no length,
+// The labels are the only index: no center→owners inversion is
+// stored. Postings are encoded in varint-delta blocks of ~4 KiB with
+// one skip entry (family, key range, offset, length, CRC32) per block
+// in an index region referenced by a fixed-size footer. Records carry
+// no length,
 // so Open derives a restart directory per block (key and offset of
 // every 4th record, kept in memory only) and a point lookup walks at
 // most four records.
@@ -41,39 +39,33 @@ import (
 	"fmt"
 )
 
-// Family identifies one of the four key families in a segment.
+// Family identifies one of the two key families in a segment.
 type Family uint8
 
 const (
-	FamLin    Family = 0 // node → Lin entries
-	FamLout   Family = 1 // node → Lout entries
-	FamInOwn  Family = 2 // center → owners with center in Lin(owner)
-	FamOutOwn Family = 3 // center → owners with center in Lout(owner)
+	FamLin  Family = 0 // node → Lin entries
+	FamLout Family = 1 // node → Lout entries
 
 	// NumFamilies is the number of key families per segment.
-	NumFamilies = 4
+	NumFamilies = 2
 )
 
 const (
-	magic     = 0x47455348 // "HSEG" little-endian
-	version   = 1
+	magic = 0x47455348 // "HSEG" little-endian
+	// version 1 also stored center→owners families and led each list
+	// with a container mode byte; Open rejects it.
+	version   = 2
 	headerLen = 8
 	footerLen = 24
 
 	// targetBlockSize is the soft payload size at which the writer cuts
 	// a block. Blocks never span families.
 	targetBlockSize = 4096
-
-	// bitset container heuristics: a posting list qualifies when it has
-	// no tombstones, carries no distances, is long enough, and is dense
-	// enough that the bitset beats the varint-delta encoding.
-	bitsetMinCount       = 32
-	bitsetMaxSpanPerPost = 16 // span/count ≤ 16 → bitset is smaller
 )
 
-// Post is one posting: a value (center or owner id) with an optional
-// distance and a tombstone flag. Tombstones only appear in non-
-// compacted segments; a full compaction drops them.
+// Post is one posting: a center with an optional distance and a
+// tombstone flag. Tombstones only appear in non-compacted segments; a
+// full compaction drops them.
 type Post struct {
 	Val  int32
 	Dist uint32
@@ -92,8 +84,7 @@ type Meta struct {
 	N        int    // node-id space covered (cover length)
 	WithDist bool   // distance-aware labels
 	Seq      uint64 // WAL sequence the segment state reflects
-	// Posts and Tombs count label postings (FamLin+FamLout only; the
-	// owner families mirror them) for live-size accounting.
+	// Posts and Tombs count label postings for live-size accounting.
 	Posts int64
 	Tombs int64
 }

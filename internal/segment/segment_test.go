@@ -78,16 +78,16 @@ func TestSegmentRoundTrip(t *testing.T) {
 				key := int32(0)
 				for k := 0; k < 300; k++ {
 					key += int32(rng.Intn(5) + 1)
-					posts := randPosts(rng, rng.Intn(40)+1, fam < 2, true)
+					posts := randPosts(rng, rng.Intn(40)+1, true, true)
 					fams[fam] = append(fams[fam], Rec{Key: key, Posts: posts})
 				}
 			}
-			// one dense record to exercise the bitset container
+			// one long record that spans most of a block
 			dense := make([]Post, 500)
 			for i := range dense {
 				dense[i] = Post{Val: int32(1000000 + i)}
 			}
-			fams[FamInOwn] = append(fams[FamInOwn], Rec{Key: 1 << 20, Posts: dense})
+			fams[FamLout] = append(fams[FamLout], Rec{Key: 1 << 20, Posts: dense})
 
 			path := filepath.Join(t.TempDir(), "x.seg")
 			writeSeg(t, path, Meta{N: 4096, WithDist: true, Seq: 42}, fams)
@@ -394,10 +394,12 @@ func TestInstallStoreWritesShippedFilesDurably(t *testing.T) {
 	}
 }
 
-// A bitset word count ≥ 2⁶⁰ used to wrap int(nWords)*8 to 0, so the
-// skip "succeeded" and the lookup went on reading inside the record.
+// A version-1 bitset record with a word count ≥ 2⁶⁰ once wrapped
+// int(nWords)*8 to 0, so the skip "succeeded" and the lookup went on
+// reading inside the record. Its bytes are no valid record now: the
+// lookup past it reports corruption.
 func TestFindInBlockRejectsWrappingBitsetLength(t *testing.T) {
-	b := []byte{postBitset}
+	b := []byte{1}           // the retired bitset mode byte
 	b = putUvarint(b, 0)     // firstVal
 	b = putUvarint(b, 1<<60) // nWords: ×8 wraps to 0
 	b = putUvarint(b, 5)     // read as the next record's key delta

@@ -26,7 +26,7 @@ type Writer struct {
 	haveFam  [NumFamilies]bool
 	lastKey  [NumFamilies]int32
 	index    []blockEntry
-	posts    int64 // label posts (FamLin+FamLout)
+	posts    int64 // label posts
 	tombs    int64
 	finished bool
 	err      error
@@ -76,13 +76,11 @@ func (sw *Writer) Append(fam Family, key int32, posts []Post) error {
 	sw.started = true
 	sw.haveFam[fam] = true
 	sw.lastKey[fam] = key
-	if fam == FamLin || fam == FamLout {
-		for _, p := range posts {
-			if p.Tomb {
-				sw.tombs++
-			} else {
-				sw.posts++
-			}
+	for _, p := range posts {
+		if p.Tomb {
+			sw.tombs++
+		} else {
+			sw.posts++
 		}
 	}
 	return nil

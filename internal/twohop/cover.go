@@ -15,8 +15,7 @@
 // Base (a stack of on-disk segments) beneath an in-memory delta, which
 // holds per-node entry lists above the base plus tombstones for the
 // sealed entries removed since. With no base the delta holds every
-// label. PostingIndex, the center→owners inversion, mirrors it: base
-// owners, plus delta owners, minus masked base owners.
+// label.
 //
 // Label lists are shared copy-on-write: Intern shares equal lists
 // between the owners of one cover, and Clone shares them between
@@ -103,7 +102,6 @@ const (
 
 var (
 	labelFam = [2]segment.Family{segment.FamLin, segment.FamLout}
-	ownerFam = [2]segment.Family{segment.FamInOwn, segment.FamOutOwn}
 	addKind  = [2]DeltaKind{DeltaAddIn, DeltaAddOut}
 	rmKind   = [2]DeltaKind{DeltaRemoveIn, DeltaRemoveOut}
 )

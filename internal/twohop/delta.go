@@ -1,6 +1,7 @@
 package twohop
 
 import (
+	"iter"
 	"slices"
 
 	"hopi/internal/graph"
@@ -44,12 +45,6 @@ type CoverDelta struct {
 	Dist   uint32
 }
 
-// Recording reports whether a delta recorder is installed. Owners of
-// derived structures use this to avoid double maintenance: when a
-// recorder is present, its installer is responsible for routing deltas
-// onward (core.Index fans them out to the posting index).
-func (c *Cover) Recording() bool { return c.rec != nil }
-
 // SetRecorder installs (or, with nil, removes) a callback invoked for
 // every effective label mutation. Only changes that actually alter the
 // cover are reported: re-adding an existing entry with an equal or
@@ -57,13 +52,6 @@ func (c *Cover) Recording() bool { return c.rec != nil }
 // builders (Finish, direct In/Out slice writes) bypass recording;
 // recording is meant for the maintenance path, which goes through the
 // mutator methods below.
-//
-// Contract: installing a recorder takes over responsibility for ALL
-// delta consumers of this cover — in particular, any PostingIndex
-// derived from it must receive every delta through the recorder
-// (core.Index.observeDelta fans out to the ChangeLog and the
-// postings). psg.CoverIndex relies on this: its own AddIn/AddOut skip
-// direct posting maintenance whenever Recording() is true.
 func (c *Cover) SetRecorder(fn func(CoverDelta)) { c.rec = fn }
 
 func (c *Cover) emit(kind DeltaKind, node, center int32, dist uint32) {
@@ -214,5 +202,29 @@ func (c *Cover) SetOut(u int32, entries []Entry) {
 			i++
 			j++
 		}
+	}
+}
+
+// IntegrateLink makes v the center of every connection a new link u→v
+// creates (§3.3, Fig. 2): v goes into Lout(a) at dist(a,u)+1 for u and
+// for every a that anc yields, and into Lin(d) at dist(v,d) for every d
+// that desc yields. anc yields the nodes with a path to u, desc those
+// v has a path to, each with the path's length, as graph.Walk does.
+// Entries already there stay valid, and shorter ones stay: the link
+// shortens no path into u or out of v. Without distances every entry
+// is written at 0.
+func (c *Cover) IntegrateLink(u, v int32, anc, desc iter.Seq2[int32, uint32]) {
+	dist := func(d uint32) uint32 {
+		if c.WithDist {
+			return d
+		}
+		return 0
+	}
+	c.AddOut(u, v, dist(1))
+	for a, d := range anc {
+		c.AddOut(a, v, dist(d+1))
+	}
+	for x, d := range desc {
+		c.AddIn(x, v, dist(d))
 	}
 }

@@ -11,11 +11,11 @@ import (
 	"hopi/internal/segment"
 )
 
-// Base is the sealed, immutable layer beneath a Cover and a
-// PostingIndex: a stack of on-disk segments read through mmap. A Base
-// is a value snapshot — sealing or compacting installs a new Base (see
-// Cover.SealSwap); existing snapshots keep theirs. A nil *Base is the
-// empty base: every read returns nil without touching a lock or cache.
+// Base is the sealed, immutable layer beneath a Cover: a stack of
+// on-disk segments read through mmap. A Base is a value snapshot —
+// sealing or compacting installs a new Base (see Cover.SealSwap);
+// existing snapshots keep theirs. A nil *Base is the empty base: every
+// read returns nil without touching a lock or cache.
 //
 // Reads decode varint blocks on every lookup, so the Base keeps a
 // bounded read-through cache of decoded lists (immutability makes it
@@ -37,10 +37,9 @@ type Base struct {
 
 	mu     sync.RWMutex
 	labelC map[uint64][]Entry // (fam,key) → merged live entries
-	ownerC map[uint64][]int32 // (fam,key) → merged live owners
 }
 
-// baseCacheMax bounds each decoded-list cache; on overflow the map is
+// baseCacheMax bounds the decoded-list cache; on overflow the map is
 // cleared rather than evicted piecemeal (immutable source, refilling
 // is cheap and the common working set is far smaller).
 const baseCacheMax = 1 << 15
@@ -55,7 +54,6 @@ func NewBase(st *segment.Stack, misses, scanned, errs *obs.Counter) *Base {
 		scanned: scanned,
 		errs:    errs,
 		labelC:  make(map[uint64][]Entry),
-		ownerC:  make(map[uint64][]int32),
 	}
 }
 
@@ -128,49 +126,6 @@ func (b *Base) Lin(v int32) []Entry { return b.label(sideIn, v) }
 // Lout returns the sealed Lout(v) entries.
 func (b *Base) Lout(v int32) []Entry { return b.label(sideOut, v) }
 
-func (b *Base) owners(fam segment.Family, center int32) []int32 {
-	k := cacheKey(fam, center)
-	b.mu.RLock()
-	out, ok := b.ownerC[k]
-	b.mu.RUnlock()
-	if ok {
-		return out
-	}
-	buf, ok := b.fetch(fam, center)
-	if posts := *buf; len(posts) > 0 {
-		out = make([]int32, len(posts))
-		for i, p := range posts {
-			out[i] = p.Val
-		}
-	}
-	postScratch.Put(buf)
-	if !ok {
-		return nil
-	}
-	b.mu.Lock()
-	if len(b.ownerC) >= baseCacheMax {
-		clear(b.ownerC)
-	}
-	b.ownerC[k] = out
-	b.mu.Unlock()
-	return out
-}
-
-// owner returns the sealed owners of center on side s: the nodes whose
-// label on that side holds it.
-func (b *Base) owner(s side, center int32) []int32 {
-	if b == nil {
-		return nil
-	}
-	return b.owners(ownerFam[s], center)
-}
-
-// InOwners returns the sealed owners v with center ∈ Lin(v).
-func (b *Base) InOwners(center int32) []int32 { return b.owner(sideIn, center) }
-
-// OutOwners returns the sealed owners u with center ∈ Lout(u).
-func (b *Base) OutOwners(center int32) []int32 { return b.owner(sideOut, center) }
-
 // look reports whether the sealed label of node key on side s holds
 // val, and its distance. Folded tombstones read as absent. It reads
 // through the label cache — the maintenance path probes the same few
@@ -204,15 +159,14 @@ func (c *Cover) SealSwap(b *Base, n, live int) {
 }
 
 // DeltaRecords flattens the delta into sorted per-family segment
-// records, ready to seal: the label families carry the delta entries
-// (with distances) and the tombstones, the owner families their
-// inversion. With no base the delta is every label, so this is the
+// records, ready to seal: the delta entries, with distances, and the
+// tombstones. With no base the delta is every label, so this is the
 // complete record set.
 func (c *Cover) DeltaRecords() [segment.NumFamilies][]segment.Rec {
 	var fams [segment.NumFamilies][]segment.Rec
 	for s := sideIn; s <= sideOut; s++ {
 		lists, tombs := *c.spine(s), c.tombs[s]
-		fams[labelFam[s]], fams[ownerFam[s]] = records(len(lists), func(v int32) []segment.Post {
+		fams[labelFam[s]] = records(len(lists), func(v int32) []segment.Post {
 			adds, dead := lists[v], tombsOf(tombs, v)
 			if len(adds)+len(dead) == 0 {
 				return nil
@@ -240,7 +194,7 @@ func (c *Cover) FullRecords() [segment.NumFamilies][]segment.Rec {
 	var fams [segment.NumFamilies][]segment.Rec
 	var buf []Entry
 	for s, view := range [2]func(int32, *[]Entry) []Entry{c.LinBuf, c.LoutBuf} {
-		fams[labelFam[s]], fams[ownerFam[s]] = records(c.n, func(v int32) []segment.Post {
+		fams[labelFam[s]] = records(c.n, func(v int32) []segment.Post {
 			list := view(v, &buf)
 			if len(list) == 0 {
 				return nil
@@ -256,22 +210,13 @@ func (c *Cover) FullRecords() [segment.NumFamilies][]segment.Rec {
 }
 
 // records collects the posting lists of nodes [0, n), by node, into
-// label records and inverts them into owner records: center → the nodes
-// whose list holds it, in ascending node order, tombstones kept.
-func records(n int, list func(v int32) []segment.Post) (labels, owners []segment.Rec) {
-	byCenter := map[int32][]segment.Post{}
+// label records.
+func records(n int, list func(v int32) []segment.Post) []segment.Rec {
+	var labels []segment.Rec
 	for v := int32(0); v < int32(n); v++ {
-		posts := list(v)
-		if len(posts) == 0 {
-			continue
-		}
-		labels = append(labels, segment.Rec{Key: v, Posts: posts})
-		for _, p := range posts {
-			byCenter[p.Val] = append(byCenter[p.Val], segment.Post{Val: v, Tomb: p.Tomb})
+		if posts := list(v); len(posts) > 0 {
+			labels = append(labels, segment.Rec{Key: v, Posts: posts})
 		}
 	}
-	for _, ctr := range sortedKeys(byCenter) {
-		owners = append(owners, segment.Rec{Key: ctr, Posts: byCenter[ctr]})
-	}
-	return labels, owners
+	return labels
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"hopi/internal/obs"
@@ -80,7 +79,7 @@ func entriesEqual(a, b []Entry) bool {
 // through a cover that never gets a base and a twin over a sealed base
 // (periodically sealing its delta, and once clearing everything,
 // re-adding and resealing in full) and checks that labels, size,
-// postings, Reaches and Distance stay identical throughout. Clones
+// Reaches and Distance stay identical throughout. Clones
 // taken along the way must still equal deep copies made when they were
 // taken.
 func TestSegCoverEquivalence(t *testing.T) {
@@ -95,13 +94,6 @@ func TestSegCoverEquivalence(t *testing.T) {
 			flat := randomCover(rng, n, withDist)
 			seg, store := sealCover(t, t.TempDir(), flat)
 			checkEqual(t, flat, seg, "initial")
-
-			fpost := NewPostingIndex(flat)
-			spost := NewPostingIndex(seg)
-			frec := func(d CoverDelta) { fpost.Apply(d) }
-			srec := func(d CoverDelta) { spost.Apply(d) }
-			flat.SetRecorder(frec)
-			seg.SetRecorder(srec)
 
 			apply := func(c *Cover, op int, v, ctr int32, d uint32, entries []Entry) {
 				switch op {
@@ -160,12 +152,8 @@ func TestSegCoverEquivalence(t *testing.T) {
 				if i == 1100 {
 					// drop everything, base included, and re-add: the
 					// replay of a rebuild; the next seal is a full one
-					for _, x := range []struct {
-						c *Cover
-						p *PostingIndex
-					}{{flat, fpost}, {seg, spost}} {
-						x.c.Apply([]CoverDelta{{Kind: DeltaClearAll}})
-						x.p.Apply(CoverDelta{Kind: DeltaClearAll})
+					for _, c := range []*Cover{flat, seg} {
+						c.Apply([]CoverDelta{{Kind: DeltaClearAll}})
 					}
 					checkEqual(t, flat, seg, "cleared")
 					re := rand.New(rand.NewSource(int64(i)))
@@ -194,7 +182,6 @@ func TestSegCoverEquivalence(t *testing.T) {
 					}
 					nb := NewBase(st, nil, nil, nil)
 					seg.SealSwap(nb, seg.N(), seg.Size())
-					spost.Rebase(nb)
 					checkEqual(t, flat, seg, "after seal")
 				}
 				if i%400 == 0 {
@@ -211,12 +198,6 @@ func TestSegCoverEquivalence(t *testing.T) {
 				}
 			}
 			checkEqual(t, flat, seg, "after churn")
-			if err := fpost.Equal(spost); err != nil {
-				t.Fatalf("after churn: %v", err)
-			}
-			if err := spost.Equal(NewPostingIndex(seg)); err != nil {
-				t.Fatalf("maintained postings vs derived: %v", err)
-			}
 			for k, h := range clones {
 				checkEqual(t, h.copy, h.clone, fmt.Sprintf("clone %d", k))
 			}
@@ -293,34 +274,6 @@ func TestSegCoverSealRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSegPostingIndexShare(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	flat := randomCover(rng, 30, false)
-	seg, _ := sealCover(t, t.TempDir(), flat)
-	post := NewPostingIndex(seg)
-	seg.SetRecorder(post.Apply)
-
-	before := map[int32][]int32{}
-	for c := int32(0); c < 30; c++ {
-		before[c] = append([]int32(nil), post.InOwners(c)...)
-	}
-	view := post.Share()
-	// mutate through the cover
-	for i := 0; i < 200; i++ {
-		v, ctr := int32(rng.Intn(30)), int32(rng.Intn(30))
-		if rng.Intn(2) == 0 {
-			seg.AddIn(v, ctr, 0)
-		} else {
-			seg.RemoveIn(v, ctr)
-		}
-	}
-	for c := int32(0); c < 30; c++ {
-		if !reflect.DeepEqual(append([]int32(nil), view.InOwners(c)...), before[c]) {
-			t.Fatalf("shared view changed for center %d", c)
-		}
-	}
-}
-
 // A decode-cache miss costs one allocation, the exact-size entry list;
 // the decode itself runs in a pooled buffer. (The cache map's own
 // growth is amortized over the misses and stays under one more.)
@@ -352,25 +305,17 @@ func TestBaseLinMissAllocs(t *testing.T) {
 	}
 }
 
-// Without a base a read is the delta list itself: Lin, LinBuf, Lout
-// and the owner lookups allocate nothing, and removes write no masks
-// that would send later owner reads through the allocating merge.
+// Without a base a read is the delta list itself: Lin, LinBuf and
+// Lout allocate nothing, before and after removes.
 func TestBaseLinEmptyAllocs(t *testing.T) {
 	const n = 200
 	c := randomCover(rand.New(rand.NewSource(9)), n, true)
-	post := NewPostingIndex(c)
-	c.SetRecorder(post.Apply)
 	for v := int32(0); v < n; v += 3 {
 		for _, e := range c.Lin(v) {
 			c.RemoveIn(v, e.Center)
 		}
 		if out := c.Lout(v); len(out) > 0 {
 			c.RemoveOut(v, out[0].Center)
-		}
-	}
-	for s := range post.neg {
-		if len(post.neg[s].m) != 0 {
-			t.Fatalf("removes without a base wrote masks: %v", post.neg[s].m)
 		}
 	}
 	var buf []Entry
@@ -381,13 +326,8 @@ func TestBaseLinEmptyAllocs(t *testing.T) {
 		_ = c.Lin(v)
 		_ = c.LinBuf(v, &buf)
 		_ = c.Lout(v)
-		_ = post.InOwners(v)
-		_ = post.OutOwners(v)
 	})
 	if allocs != 0 {
 		t.Fatalf("reads of a cover without a base allocate %.1f objects, want 0", allocs)
-	}
-	if err := post.Equal(NewPostingIndex(c)); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -2,6 +2,7 @@ package xmlmodel
 
 import (
 	"fmt"
+	"iter"
 	"maps"
 	"slices"
 	"sort"
@@ -19,19 +20,27 @@ type Link struct {
 // inter-document links between their elements. Global element IDs are
 // assigned densely per document and stay stable when documents are
 // removed (removal leaves a tombstone), so index labels never dangle.
+//
+// Links and the documents' intra links change only through AddLink,
+// RemoveLink and RemoveDocument, which keep the per-element link
+// adjacency that Walk follows in step with them.
 type Collection struct {
 	Docs  []*Document
 	Links []Link
 
+	// arcs[i] holds the links, intra and inter, that leave and enter
+	// the elements of document i (nil: none).
+	arcs   []*docArcs
 	base   []int32 // base[i] = first global ID of document i
 	alive  []bool
 	byName map[string]int
 	total  int32
 
 	// Copy-on-write state. shared is set by Clone on both collections:
-	// from then on the documents, Links, alive and byName may be the
-	// other collection's too. owned marks the fields and ownDocs the
-	// documents this collection has copied since.
+	// from then on the documents, their arcs, Links, alive and byName
+	// may be the other collection's too. owned marks the fields and
+	// ownDocs the documents (with their arcs) this collection has copied
+	// since.
 	shared  bool
 	owned   ownFields
 	ownDocs graph.Bitset
@@ -41,7 +50,7 @@ type Collection struct {
 type ownFields uint8
 
 const (
-	ownDocList ownFields = 1 << iota
+	ownDocList ownFields = 1 << iota // Docs and arcs
 	ownLinks
 	ownAlive
 	ownNames
@@ -55,9 +64,9 @@ func NewCollection() *Collection {
 // Clone returns a collection with the same documents, links and
 // ID-allocation bookkeeping that shares all of them with c
 // copy-on-write: each side's mutators copy what they are about to
-// write (a document, Links, alive, byName) on their first write after
-// the Clone, so one side can be maintained while the other serves
-// queries. Appends never copy: the clone's slices are clipped, so its
+// write (a document and its arcs, Links, alive, byName) on their first
+// write after the Clone, so one side can be maintained while the other
+// serves queries. Appends never copy: the clone's slices are clipped, so its
 // appends reallocate, while c's land past the end of every clone.
 // Clone costs O(1); callers serialize it against mutations of c.
 func (c *Collection) Clone() *Collection {
@@ -65,6 +74,7 @@ func (c *Collection) Clone() *Collection {
 	return &Collection{
 		Docs:   slices.Clip(c.Docs),
 		Links:  slices.Clip(c.Links),
+		arcs:   slices.Clip(c.arcs),
 		base:   slices.Clip(c.base),
 		alive:  slices.Clip(c.alive),
 		byName: c.byName,
@@ -83,18 +93,31 @@ func (c *Collection) own(f ownFields) bool {
 	return true
 }
 
-// writableDoc returns document idx ready for an in-place write of its
-// intra links, copying it first when it may be shared with a clone.
-func (c *Collection) writableDoc(idx int) *Document {
+// ownDocList readies the document and arc lists for an in-place write
+// of an entry, copying both when they may be shared with a clone.
+func (c *Collection) ownDocList() {
+	if c.own(ownDocList) {
+		c.Docs, c.arcs = slices.Clone(c.Docs), slices.Clone(c.arcs)
+	}
+}
+
+// writableDoc returns document idx and its arcs ready for an in-place
+// write of its links, copying both first when they may be shared with
+// a clone.
+func (c *Collection) writableDoc(idx int) (*Document, *docArcs) {
 	if c.shared && !c.ownDocs.Has(idx) {
-		if c.own(ownDocList) {
-			c.Docs = slices.Clone(c.Docs)
-		}
+		c.ownDocList()
 		c.Docs[idx] = c.Docs[idx].withOwnLinks()
+		if a := c.arcs[idx]; a != nil {
+			c.arcs[idx] = &docArcs{slices.Clone(a[outArcs]), slices.Clone(a[inArcs])}
+		}
 		c.ownDocs = c.ownDocs.Grow(len(c.Docs))
 		c.ownDocs.Set(idx)
 	}
-	return c.Docs[idx]
+	if c.arcs[idx] == nil {
+		c.arcs[idx] = &docArcs{}
+	}
+	return c.Docs[idx], c.arcs[idx]
 }
 
 // AddDocument appends d and returns its document index. Global IDs
@@ -107,8 +130,17 @@ func (c *Collection) AddDocument(d *Document) int {
 	d.Seal()
 	idx := len(c.Docs)
 	c.Docs = append(c.Docs, d)
+	c.arcs = append(c.arcs, nil)
 	c.base = append(c.base, c.total)
 	c.alive = append(c.alive, true)
+	if c.shared {
+		// no clone holds the new document or its arcs
+		c.ownDocs = c.ownDocs.Grow(idx + 1)
+		c.ownDocs.Set(idx)
+	}
+	for _, l := range d.IntraLinks {
+		c.addArcs(idx, l[0], idx, l[1])
+	}
 	if d.Name != "" {
 		if c.own(ownNames) {
 			c.byName = maps.Clone(c.byName)
@@ -134,8 +166,22 @@ func (c *Collection) RemoveDocument(idx int) {
 		c.Links = slices.Clone(c.Links)
 	}
 	c.Links = slices.DeleteFunc(c.Links, func(l Link) bool {
-		return c.DocOfID(l.From) == idx || c.DocOfID(l.To) == idx
+		fd, td := c.DocOfID(l.From), c.DocOfID(l.To)
+		switch {
+		case fd == idx && td == idx:
+		case fd == idx:
+			c.removeArc(td, inArcs, l.To, l.From)
+		case td == idx:
+			c.removeArc(fd, outArcs, l.From, l.To)
+		default:
+			return false
+		}
+		return true
 	})
+	if c.arcs[idx] != nil {
+		c.ownDocList()
+		c.arcs[idx] = nil
+	}
 	if name := c.Docs[idx].Name; name != "" {
 		if c.own(ownNames) {
 			c.byName = maps.Clone(c.byName)
@@ -233,10 +279,12 @@ func (c *Collection) AddLink(from, to int32) error {
 		return nil
 	}
 	if fd == td {
-		c.writableDoc(fd).AddIntraLink(fl, tl)
-		return nil
+		d, _ := c.writableDoc(fd)
+		d.AddIntraLink(fl, tl)
+	} else {
+		c.Links = append(c.Links, Link{From: from, To: to})
 	}
-	c.Links = append(c.Links, Link{From: from, To: to})
+	c.addArcs(fd, fl, td, tl)
 	return nil
 }
 
@@ -251,19 +299,135 @@ func (c *Collection) RemoveLink(from, to int32) bool {
 		if i < 0 {
 			return false
 		}
-		d := c.writableDoc(fd)
+		d, _ := c.writableDoc(fd)
 		d.IntraLinks = slices.Delete(d.IntraLinks, i, i+1)
-		return true
+	} else {
+		i := slices.Index(c.Links, Link{From: from, To: to})
+		if i < 0 {
+			return false
+		}
+		if c.own(ownLinks) {
+			c.Links = slices.Clone(c.Links)
+		}
+		c.Links = slices.Delete(c.Links, i, i+1)
 	}
-	i := slices.Index(c.Links, Link{From: from, To: to})
-	if i < 0 {
-		return false
-	}
-	if c.own(ownLinks) {
-		c.Links = slices.Clone(c.Links)
-	}
-	c.Links = slices.Delete(c.Links, i, i+1)
+	c.removeArc(fd, outArcs, from, to)
+	c.removeArc(td, inArcs, to, from)
 	return true
+}
+
+// arc is one link seen from one of its ends: that end's local index in
+// its document and the other end's global ID.
+type arc struct{ local, other int32 }
+
+// docArcs holds the links that leave (docArcs[outArcs]) and enter
+// (docArcs[inArcs]) the elements of one document, each side sorted by
+// local index; a link that appears twice has two arcs.
+type docArcs [2][]arc
+
+// The two sides of a docArcs.
+const (
+	outArcs = iota
+	inArcs
+)
+
+// arcsOf returns the arcs of element local in a sorted arc list.
+func arcsOf(arcs []arc, local int32) []arc {
+	i, j := 0, len(arcs) // → first arc of local or past it
+	for i < j {
+		if m := int(uint(i+j) >> 1); arcs[m].local < local {
+			i = m + 1
+		} else {
+			j = m
+		}
+	}
+	for j = i; j < len(arcs) && arcs[j].local == local; {
+		j++
+	}
+	return arcs[i:j]
+}
+
+// arcList returns one side of document doc's arcs ready for an
+// in-place write.
+func (c *Collection) arcList(doc, side int) *[]arc {
+	_, a := c.writableDoc(doc)
+	return &a[side]
+}
+
+// addArcs records the link from local element fl of document fd to
+// local element tl of document td at both of its ends. A self link
+// carries no connection and gets no arcs.
+func (c *Collection) addArcs(fd int, fl int32, td int, tl int32) {
+	if fd == td && fl == tl {
+		return
+	}
+	c.insertArc(fd, outArcs, fl, c.base[td]+tl)
+	c.insertArc(td, inArcs, tl, c.base[fd]+fl)
+}
+
+// insertArc records the arc of local element local of document doc
+// toward other on one side, after the element's other arcs.
+func (c *Collection) insertArc(doc, side int, local, other int32) {
+	list := c.arcList(doc, side)
+	i := sort.Search(len(*list), func(i int) bool { return (*list)[i].local > local })
+	*list = slices.Insert(*list, i, arc{local, other})
+}
+
+// removeArc drops one arc of element id toward other from one side of
+// document doc; a missing arc is a no-op.
+func (c *Collection) removeArc(doc, side int, id, other int32) {
+	if c.arcs[doc] == nil {
+		return
+	}
+	i := slices.Index(c.arcs[doc][side], arc{id - c.base[doc], other})
+	if i < 0 {
+		return
+	}
+	list := c.arcList(doc, side)
+	*list = slices.Delete(*list, i, i+1)
+}
+
+// Walk yields the elements that a path of G_E(X) of length ≥ 1 leads
+// to from element id, or, backward, leads from to id, each with the
+// length of the shortest such path: graph.Walk over the tree edges and
+// links of live documents, read from the collection itself. id comes
+// out only when it lies on a cycle. An element of a removed document
+// reaches nothing.
+func (c *Collection) Walk(id int32, backward bool) iter.Seq2[int32, uint32] {
+	return func(yield func(int32, uint32) bool) {
+		// the document last looked up and its ID range [base, end): a
+		// breadth-first walk expands runs of one document's elements
+		doc, base, end := -1, int32(0), int32(0)
+		graph.Walk(int(c.total), id, func(v int32, visit func(int32)) {
+			if v < base || v >= end {
+				if v < 0 || v >= c.total {
+					return
+				}
+				doc = c.DocOfID(v)
+				base = c.base[doc]
+				end = base + int32(c.Docs[doc].Len())
+			}
+			if !c.alive[doc] {
+				return
+			}
+			d, local, side := c.Docs[doc], v-base, outArcs
+			if backward {
+				if p := d.Elements[local].Parent; p >= 0 {
+					visit(base + p)
+				}
+				side = inArcs
+			} else {
+				for _, k := range d.Children[local] {
+					visit(base + k)
+				}
+			}
+			if a := c.arcs[doc]; a != nil {
+				for _, e := range arcsOf(a[side], local) {
+					visit(e.other)
+				}
+			}
+		})(yield)
+	}
 }
 
 // AddLinkByAnchor records a link from a source element to the element

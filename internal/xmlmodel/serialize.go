@@ -118,5 +118,10 @@ func DecodeCollectionMeta(r io.Reader) (*Collection, uint64, uint64, error) {
 		}
 	}
 	c.Links = dto.Links
+	for _, l := range c.Links {
+		fd, fl := c.LocalID(l.From)
+		td, tl := c.LocalID(l.To)
+		c.addArcs(fd, fl, td, tl)
+	}
 	return c, dto.Seq, dto.Scope, nil
 }

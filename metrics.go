@@ -114,7 +114,7 @@ func newIndexMetrics(ix *Index) *indexMetrics {
 		// The decode cache above the sealed stack. Both move only on a
 		// miss; misses per query is this over hopi_query_seconds_count.
 		segMisses: r.Counter("hopi_segment_cache_misses_total",
-			"Label and owner lookups that missed the decode cache and read a segment block."),
+			"Label lookups that missed the decode cache and read a segment block."),
 		segScanned: r.Counter("hopi_segment_block_records_scanned_total",
 			"Block records walked by the lookups that missed the decode cache."),
 		segErrs: r.Counter("hopi_segment_read_errors_total",

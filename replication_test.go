@@ -332,31 +332,38 @@ func TestReplicationPrimaryCrashRestart(t *testing.T) {
 
 // tapTransport records every byte a follower reads off each of its
 // streams. cut breaks the live stream and holds reconnects until
-// release.
+// release. From the moment cut returns until release, the follower
+// reads nothing: not the bytes a cancelled connection still had
+// buffered, nor a stream a reconnect already under way opens.
 type tapTransport struct {
 	mu     sync.Mutex
 	conns  []*bytes.Buffer
 	cancel context.CancelFunc
 	gate   chan struct{}
+	cuts   int // how many times cut has run
 }
 
 type tapBody struct {
 	io.ReadCloser
-	tt  *tapTransport
-	buf *bytes.Buffer
+	tt   *tapTransport
+	buf  *bytes.Buffer
+	cuts int // tt.cuts when the stream was asked for
 }
 
 func (b tapBody) Read(p []byte) (int, error) {
 	n, err := b.ReadCloser.Read(p)
 	b.tt.mu.Lock()
+	defer b.tt.mu.Unlock()
+	if b.tt.cuts != b.cuts {
+		return 0, errors.New("tap: stream cut")
+	}
 	b.buf.Write(p[:n])
-	b.tt.mu.Unlock()
 	return n, err
 }
 
 func (tt *tapTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	tt.mu.Lock()
-	gate := tt.gate
+	gate, cuts := tt.gate, tt.cuts
 	tt.mu.Unlock()
 	if gate != nil {
 		select {
@@ -376,13 +383,14 @@ func (tt *tapTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	tt.conns = append(tt.conns, buf)
 	tt.cancel = cancel
 	tt.mu.Unlock()
-	resp.Body = tapBody{ReadCloser: resp.Body, tt: tt, buf: buf}
+	resp.Body = tapBody{ReadCloser: resp.Body, tt: tt, buf: buf, cuts: cuts}
 	return resp, nil
 }
 
 func (tt *tapTransport) cut() {
 	tt.mu.Lock()
 	tt.gate = make(chan struct{})
+	tt.cuts++
 	tt.cancel()
 	tt.mu.Unlock()
 }

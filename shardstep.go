@@ -227,44 +227,35 @@ func (s *Snapshot) countMemo(table string, hit bool) {
 
 // deliveryTable lists the step candidates one cross-link target
 // reaches (reflexively — the arrival's cross edge keeps the path
-// proper), with the shard-local shortest distance on ranked tables.
-// It is memoized per (endpoint, tag, ranked); a tag no element of the
+// proper), with the shard-local shortest distance on ranked tables:
+// the hop count of a descendant walk over the shard's collection. It
+// is memoized per (endpoint, tag, ranked); a tag no element of the
 // snapshot carries has an empty table, which is not stored.
-func (s *Snapshot) deliveryTable(ctx context.Context, in int32, tag string, ranked bool) ([]reachEntry, error) {
+func (s *Snapshot) deliveryTable(in int32, tag string, ranked bool) []reachEntry {
 	if len(s.eng.Candidates(tag)) == 0 {
-		return nil, nil
+		return nil
 	}
-	tab, hit, err := s.memo.tables.Do(tableKey{in: in, tag: tag, ranked: ranked}, func() ([]reachEntry, error) {
-		var cands []int32
-		for _, c := range s.ix.Descendants(in) {
-			if tag == "*" || s.coll.c.Tag(c) == tag {
-				cands = append(cands, c)
-			}
-		}
-		var dists []uint32
-		if ranked && len(cands) > 0 {
-			var err error
-			if dists, err = s.eng.BulkClosure(ctx, []int32{in}, cands, true); err != nil {
-				return nil, err
-			}
-		}
-		out := make([]reachEntry, 0, len(cands))
-		for i, c := range cands {
-			e := reachEntry{id: c}
-			if ranked {
-				if dists[i] == graph.InfDist {
-					continue
+	tab, hit, _ := s.memo.tables.Do(tableKey{in: in, tag: tag, ranked: ranked}, func() ([]reachEntry, error) {
+		cands := s.eng.CandidateBits(tag)
+		var out []reachEntry
+		add := func(c int32, dist uint32) {
+			if cands.Has(int(c)) {
+				if !ranked {
+					dist = 0
 				}
-				e.dist = dists[i]
+				out = append(out, reachEntry{id: c, dist: dist})
 			}
-			out = append(out, e)
+		}
+		add(in, 0)
+		for c, dist := range s.coll.c.Walk(in, false) {
+			if c != in {
+				add(c, dist)
+			}
 		}
 		return out, nil
 	})
-	if err == nil {
-		s.countMemo("delivery", hit)
-	}
-	return tab, err
+	s.countMemo("delivery", hit)
+	return tab
 }
 
 func rankedToWire(m map[int32]float64) []shardrouter.FrontierElem {
@@ -293,11 +284,7 @@ func (s *Snapshot) ShardDeliver(ctx context.Context, req *shardrouter.DeliverReq
 		if err != nil {
 			continue // vanished under a racing delete; epoch pin reports it
 		}
-		tab, err := s.deliveryTable(ctx, in, req.Tag, req.Ranked)
-		if err != nil {
-			return nil, err
-		}
-		for _, e := range tab {
+		for _, e := range s.deliveryTable(in, req.Tag, req.Ranked) {
 			if !req.Ranked {
 				score[e.id] = 0
 				continue

@@ -43,12 +43,10 @@ type Snapshot struct {
 // the previous snapshot of the same live index; its engine is derived
 // rather than rebuilt.
 func newSnapshot(src *core.Index, prev *Snapshot, epoch uint64, seqEpoch bool, scope uint64) *Snapshot {
-	// Derive the posting index and cycle info on the live side first:
-	// maintenance keeps the postings warm through the delta stream and
-	// keeps the cycle info across batches that open or close no cycle,
-	// so the clone shares both (the postings as an immutable
-	// copy-on-write view, the cycle info by pointer). Warm only pays a
-	// full derivation after a Rebuild or a cycle-changing batch.
+	// Derive the cycle info on the live side first: maintenance keeps it
+	// across batches that open or close no cycle, so the clone shares
+	// it by pointer. Warm only pays a full derivation after a
+	// cycle-changing batch.
 	src.Warm()
 	cix := src.Clone()
 	var eng *query.Engine
