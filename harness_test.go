@@ -56,6 +56,10 @@ var harnessDraws = []string{
 	"break cycle", "delete link", "delete link", "separating delete", "general delete",
 }
 
+// deletionDraws is a deletion-only mix: every draw takes a document or
+// a link away, or replaces a document.
+var deletionDraws = []string{"general delete", "separating delete", "delete link", "break cycle", "modify"}
+
 // routerDraws are the draws the router's API expresses: no modify and
 // no rebuild.
 var routerDraws = slices.DeleteFunc(slices.Clone(harnessDraws), func(d string) bool {
@@ -241,6 +245,16 @@ func (g *generator) draw(kind string) (scriptOp, bool) {
 		g.closers = append(g.closers, op)
 		return op, true
 	case "break cycle":
+		if len(g.closers) == 0 {
+			// no closing link of this run: a link on a cycle of the
+			// collection
+			links := g.links()
+			for _, i := range g.rng.Perm(len(links)) {
+				if l := links[i]; c.Reach([]int32{l.To}, false).Has(int(l.From)) {
+					return link(3, l.From, l.To), true
+				}
+			}
+		}
 		for len(g.closers) > 0 {
 			op := g.closers[len(g.closers)-1]
 			g.closers = g.closers[:len(g.closers)-1]
@@ -254,13 +268,7 @@ func (g *generator) draw(kind string) (scriptOp, bool) {
 		}
 		return scriptOp{}, false
 	case "delete link": // inter- or intra-document
-		var links []xmlmodel.Link
-		links = append(links, c.Links...)
-		for _, d := range live {
-			for _, l := range c.Docs[d].IntraLinks {
-				links = append(links, xmlmodel.Link{From: c.GlobalID(d, l[0]), To: c.GlobalID(d, l[1])})
-			}
-		}
+		links := g.links()
 		if len(links) == 0 {
 			return scriptOp{}, false
 		}
@@ -299,6 +307,19 @@ func (g *generator) draw(kind string) (scriptOp, bool) {
 		return op, true
 	}
 	panic("unknown draw " + kind)
+}
+
+// links lists the model's links, inter-document ones first, then the
+// intra-document ones of every live document.
+func (g *generator) links() []xmlmodel.Link {
+	c := g.model
+	links := slices.Clone(c.Links)
+	for _, d := range c.LiveDocIndexes() {
+		for _, l := range c.Docs[d].IntraLinks {
+			links = append(links, xmlmodel.Link{From: c.GlobalID(d, l[0]), To: c.GlobalID(d, l[1])})
+		}
+	}
+	return links
 }
 
 // applyModel applies op to c as the shapes' documentation says they
@@ -632,6 +653,9 @@ type indexRun struct {
 	// watch subscribes 1-, 2- and 3-step and ranked mirrors on memory
 	// and one mirror on the follower.
 	watch bool
+	// draws is one round of the generator's draws; nil means
+	// harnessDraws.
+	draws []string
 }
 
 // runIndexShapes runs the harness over r's shapes. Beyond
@@ -696,8 +720,12 @@ func runIndexShapes(t *testing.T, r indexRun) {
 	}
 	ref := shapes[0].sys.index()
 	g := &generator{rng: rand.New(rand.NewSource(r.seed)), model: harnessCollection().c, sep: shapes[0].sys.(*indexSystem).w}
-	midway, reset := rounds*len(harnessDraws)/2, false
-	runDifferential(t, g, shapes, rounds, harnessDraws, func(step int, where string) {
+	draws := r.draws
+	if draws == nil {
+		draws = harnessDraws
+	}
+	midway, reset := rounds*len(draws)/2, false
+	runDifferential(t, g, shapes, rounds, draws, func(step int, where string) {
 		if fol != nil {
 			assertLabelEquality(t, fol, pri, where+": follower")
 		}
@@ -725,7 +753,7 @@ func runIndexShapes(t *testing.T, r indexRun) {
 					if i == 10*harnessTail {
 						t.Fatalf("%s: %d draws committed at most %d batches while the follower was cut", where, i, harnessTail)
 					}
-					kind := harnessDraws[i%len(harnessDraws)]
+					kind := draws[i%len(draws)]
 					if op, ok := g.draw(kind); ok {
 						applyOp(t, g, shapes, op, fmt.Sprintf("%s, follower cut, op %d (%s %+v)", where, i, kind, op))
 					}
@@ -818,6 +846,14 @@ func TestDifferential(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestDifferentialDeletions runs TestDifferential's index shapes on the
+// deletion-only mix: general and separating deletes, link deletes,
+// cycle breaks and modifies, which read the collection's link arcs
+// alone to find what a deletion touches.
+func TestDifferentialDeletions(t *testing.T) {
+	runIndexShapes(t, indexRun{seed: 47, memory: true, durable: true, follower: true, segmented: true, watch: true, draws: deletionDraws})
 }
 
 // The runs below put one shape, or one pair, under the harness on a

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
@@ -143,16 +144,70 @@ func assertWalksExact(t *testing.T, ix *Index, context string) {
 // over a segment base and seals at random steps (in full after a
 // rebuild), as a durable index does.
 func TestWalksUnderRandomMaintenance(t *testing.T) {
+	randomMaintenance(t, assertWalksExact)
+}
+
+// assertSeparatesExact checks the §6.2 separation test of every live
+// document, and the ancestor and descendant documents it hands to the
+// fast path, against the test run over DocGraph(), G_D(X) built from
+// scratch: the walks over the collection's link arcs must see exactly
+// the document-level edges the collection has.
+func assertSeparatesExact(t *testing.T, ix *Index, context string) {
+	t.Helper()
+	c := ix.Collection()
+	dg, _ := c.DocGraph()
+	for _, docIdx := range c.LiveDocIndexes() {
+		di := int32(docIdx)
+		anc, desc := dg.ReachingTo(di), dg.ReachableFrom(di)
+		anc.Clear(docIdx)
+		desc.Clear(docIdx)
+		want := true
+		if !anc.Empty() && !desc.Empty() {
+			// the same traversal over G_D(X) without di's edges
+			without := graph.NewDigraph(dg.N())
+			for u := int32(0); u < int32(dg.N()); u++ {
+				for _, v := range dg.Succ(u) {
+					if u != di && v != di {
+						without.AddEdge(u, v)
+					}
+				}
+			}
+			want = !anc.Intersects(desc) && !without.MultiSourceReachable(anc.Elements(nil)).Intersects(desc)
+		}
+		sep, gotAnc, gotDesc := ix.separation(docIdx)
+		if sep != want || ix.Separates(docIdx) != want {
+			t.Fatalf("%s: document %d separates = %v, want %v", context, docIdx, sep, want)
+		}
+		if !slices.Equal(gotAnc.Elements(nil), anc.Elements(nil)) || !slices.Equal(gotDesc.Elements(nil), desc.Elements(nil)) {
+			t.Fatalf("%s: document %d ancestors %v and descendants %v, want %v and %v", context, docIdx,
+				gotAnc.Elements(nil), gotDesc.Elements(nil), anc.Elements(nil), desc.Elements(nil))
+		}
+	}
+}
+
+// TestSeparatesMatchesDocGraph holds the separation test of every live
+// document to one over DocGraph() after every step of
+// TestWalksUnderRandomMaintenance's runs, sealed and not.
+func TestSeparatesMatchesDocGraph(t *testing.T) {
+	randomMaintenance(t, assertSeparatesExact)
+}
+
+// randomMaintenance runs walksRun with check, sealed and not, on five
+// seeds each.
+func randomMaintenance(t *testing.T, check func(*testing.T, *Index, string)) {
 	for _, sealed := range []bool{false, true} {
 		for seed := int64(0); seed < 5; seed++ {
 			t.Run(fmt.Sprintf("sealed=%v/seed=%d", sealed, seed), func(t *testing.T) {
-				walksRun(t, seed, sealed)
+				walksRun(t, seed, sealed, check)
 			})
 		}
 	}
 }
 
-func walksRun(t *testing.T, seed int64, sealed bool) {
+// walksRun drives the random run TestWalksUnderRandomMaintenance
+// describes and calls check after every op, on the live index, and at
+// the end on every clone.
+func walksRun(t *testing.T, seed int64, sealed bool, check func(*testing.T, *Index, string)) {
 	rng := rand.New(rand.NewSource(seed))
 	c := citeCollection(rng, 10)
 	ix := buildFor(t, c, seed%2 == 0, seed)
@@ -197,7 +252,7 @@ func walksRun(t *testing.T, seed int64, sealed bool) {
 		if err := ix.Validate(); err != nil {
 			t.Fatalf("%s: %v", ctx, err)
 		}
-		assertWalksExact(t, ix, ctx)
+		check(t, ix, ctx)
 		if sealRng.Intn(4) == 0 {
 			seal()
 		}
@@ -208,7 +263,7 @@ func walksRun(t *testing.T, seed int64, sealed bool) {
 		if err := cl.Validate(); err != nil {
 			t.Fatalf("seed %d clone %d: %v", seed, i, err)
 		}
-		assertWalksExact(t, cl, fmt.Sprintf("seed %d clone %d", seed, i))
+		check(t, cl, fmt.Sprintf("seed %d clone %d", seed, i))
 	}
 }
 
@@ -236,6 +291,7 @@ func TestModifyDocumentDocInternalLink(t *testing.T) {
 	if err := c.AddLink(c.GlobalID(1, 1), c.GlobalID(0, 2)); err != nil {
 		t.Fatal(err)
 	}
+	c = throughSidecar(t, c)
 	ix := buildFor(t, c, false, 7)
 
 	nd := xmlmodel.NewDocument("a.xml", "pub")
@@ -259,6 +315,24 @@ func TestModifyDocumentDocInternalLink(t *testing.T) {
 	}
 }
 
+// throughSidecar reads c back through Encode and DecodeCollection, the
+// only way a link-table entry inside one document can arrive (in a
+// sidecar written before AddLink stored such links as intra links).
+// Decoding gives every link-table entry its arcs, so deletions, which
+// read only the arcs, see a link planted in c.Links.
+func throughSidecar(t *testing.T, c *xmlmodel.Collection) *xmlmodel.Collection {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := c.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	back, err := xmlmodel.DecodeCollection(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return back
+}
+
 // TestModifyDocumentCollapsedLinkDropped: when both remapped endpoints
 // fall back to the root (the old locals no longer exist), the
 // degenerate self link is dropped instead of inserted.
@@ -271,6 +345,7 @@ func TestModifyDocumentCollapsedLinkDropped(t *testing.T) {
 	d1 := xmlmodel.NewDocument("b.xml", "pub")
 	c.AddDocument(d1)
 	c.Links = append(c.Links, xmlmodel.Link{From: c.GlobalID(0, a), To: c.GlobalID(0, b)})
+	c = throughSidecar(t, c)
 	ix := buildFor(t, c, false, 8)
 
 	nd := xmlmodel.NewDocument("a.xml", "pub") // root only: both locals vanish

@@ -58,14 +58,7 @@ func (ix *Index) InsertDocument(d *xmlmodel.Document) (int, error) {
 		// intra-document links can change the cycle info.
 		ix.invalidateCyclic()
 	}
-	var cov *twohop.Cover
-	if ix.cover.WithDist {
-		dc := graph.NewDistClosure(g)
-		cov, _ = twohop.BuildDistanceAware(dc, twohop.Options{Seed: ix.opts.Seed})
-	} else {
-		cl := graph.NewClosure(g)
-		cov, _ = twohop.Build(cl, twohop.Options{Seed: ix.opts.Seed})
-	}
+	cov := ix.coverOf(g)
 	base := ix.coll.GlobalID(docIdx, 0)
 	for local := int32(0); local < int32(d.Len()); local++ {
 		for _, e := range cov.Out[local] {
@@ -89,39 +82,47 @@ func docGraph(d *xmlmodel.Document) *graph.Digraph {
 	return g
 }
 
+// coverOf builds a fresh 2-hop cover for g, distance-aware when the
+// index is.
+func (ix *Index) coverOf(g *graph.Digraph) *twohop.Cover {
+	opts := twohop.Options{Seed: ix.opts.Seed}
+	if ix.cover.WithDist {
+		cov, _ := twohop.BuildDistanceAware(graph.NewDistClosure(g), opts)
+		return cov
+	}
+	cov, _ := twohop.Build(graph.NewClosure(g), opts)
+	return cov
+}
+
 // Separates implements the §6.2 test: document di separates the
 // document-level graph iff every path from an ancestor document to a
-// descendant document runs through di. The test is one multi-source
-// traversal of G_D(X) with di removed.
+// descendant document runs through di.
 func (ix *Index) Separates(docIdx int) bool {
-	dg, _ := ix.coll.DocGraph()
-	di := int32(docIdx)
-	ancDocs := dg.ReachingTo(di)
-	descDocs := dg.ReachableFrom(di)
-	ancDocs.Clear(int(di))
-	descDocs.Clear(int(di))
+	sep, _, _ := ix.separation(docIdx)
+	return sep
+}
+
+// separation runs the Separates test with walks over the collection's
+// link arcs and returns, beside its verdict, the ancestor and
+// descendant documents of di in G_D(X), di itself left out. The test is
+// one multi-source traversal from the ancestors with di removed.
+func (ix *Index) separation(docIdx int) (sep bool, ancDocs, descDocs graph.Bitset) {
+	di := []int32{int32(docIdx)}
+	ancDocs = ix.coll.DocReach(di, true, -1)
+	descDocs = ix.coll.DocReach(di, false, -1)
+	ancDocs.Clear(docIdx)
+	descDocs.Clear(docIdx)
 	if ancDocs.Empty() || descDocs.Empty() {
-		return true
+		return true, ancDocs, descDocs
 	}
 	// A document that is both ancestor and descendant (a document-level
 	// cycle through di) is connected to itself without di, so di cannot
 	// separate.
 	if ancDocs.Intersects(descDocs) {
-		return false
+		return false, ancDocs, descDocs
 	}
-	// remove di and check reachability from all ancestors at once
-	dg2 := dg.Clone()
-	for _, s := range append([]int32(nil), dg2.Succ(di)...) {
-		dg2.RemoveEdge(di, s)
-	}
-	for _, p := range append([]int32(nil), dg2.Pred(di)...) {
-		dg2.RemoveEdge(p, di)
-	}
-	var sources []int32
-	ancDocs.ForEach(func(a int) bool { sources = append(sources, int32(a)); return true })
-	reach := dg2.MultiSourceReachable(sources)
-	reach.And(descDocs)
-	return reach.Empty()
+	reach := ix.coll.DocReach(ancDocs.Elements(nil), false, docIdx)
+	return !reach.Intersects(descDocs), ancDocs, descDocs
 }
 
 // DeleteDocument removes a document and updates the cover. When the
@@ -133,8 +134,8 @@ func (ix *Index) DeleteDocument(docIdx int) (bool, error) {
 	if !ix.coll.Alive(docIdx) {
 		return false, fmt.Errorf("core: document %d already removed", docIdx)
 	}
-	if ix.Separates(docIdx) {
-		ix.deleteSeparating(docIdx)
+	if sep, ancDocs, descDocs := ix.separation(docIdx); sep {
+		ix.deleteSeparating(docIdx, ancDocs, descDocs)
 		return true, nil
 	}
 	ix.deleteGeneral(docIdx)
@@ -146,16 +147,10 @@ func (ix *Index) DeleteDocument(docIdx int) (bool, error) {
 //	for all a ∈ VA: L'out(a) := Lout(a) \ (Vdi ∪ VD)
 //	for all d ∈ VD: L'in(d)  := Lin(d)  \ (Vdi ∪ VA)
 //
-// where VA/VD are the elements of ancestor/descendant documents of di
-// in the document-level graph, and Vdi the elements of di itself.
-func (ix *Index) deleteSeparating(docIdx int) {
-	dg, _ := ix.coll.DocGraph()
-	di := int32(docIdx)
-	ancDocs := dg.ReachingTo(di)
-	descDocs := dg.ReachableFrom(di)
-	ancDocs.Clear(int(di))
-	descDocs.Clear(int(di))
-
+// where VA/VD are the elements of the ancestor/descendant documents
+// ancDocs/descDocs of di in the document-level graph, and Vdi the
+// elements of di itself.
+func (ix *Index) deleteSeparating(docIdx int, ancDocs, descDocs graph.Bitset) {
 	n := ix.coll.NumAllocatedIDs()
 	vdi := graph.NewBitset(n)
 	for _, id := range ix.coll.DocIDs(docIdx) {
@@ -213,65 +208,44 @@ func elementSet(c *xmlmodel.Collection, docs graph.Bitset, n int) graph.Bitset {
 //  3. splice: L'out(a) := L̂out(a) for a ∈ Adi,
 //     L'in(d) := (Lin(d) \ Adi) ∪ L̂in(d) for d ∈ Ddi.
 func (ix *Index) deleteGeneral(docIdx int) {
-	g := ix.coll.ElementGraph()
-	var vdi []int32 = ix.coll.DocIDs(docIdx)
-
-	// ancestors/descendants of the document's elements (element level)
-	adi := g.MultiSourceReachableReverse(vdi)
-	ddi := g.MultiSourceReachable(vdi)
-	for _, v := range vdi {
-		adi.Set(int(v))
-		ddi.Set(int(v))
-	}
-
-	// remove the document, rebuild the element graph
-	ix.coll.RemoveDocument(docIdx)
-	ix.recordColl(CollOp{Kind: CollRemoveDoc, DocIdx: docIdx})
-	g2 := ix.coll.ElementGraph()
-
-	// the region to recompute: rows for all surviving ancestors
-	vdiSet := graph.NewBitset(g.N())
+	vdi := ix.coll.DocIDs(docIdx)
+	vdiSet := graph.NewBitset(ix.coll.NumAllocatedIDs())
 	for _, v := range vdi {
 		vdiSet.Set(int(v))
 	}
-	var survivors []int32
-	adi.ForEach(func(a int) bool {
-		if !vdiSet.Has(a) {
-			survivors = append(survivors, int32(a))
-		}
-		return true
-	})
-	// restrict to the subgraph reachable from the surviving ancestors
-	region := g2.MultiSourceReachable(survivors)
-	for _, a := range survivors {
-		region.Set(int(a))
-	}
-	var regionNodes []int32
-	region.ForEach(func(v int) bool { regionNodes = append(regionNodes, int32(v)); return true })
-	sub, globals := g2.Subgraph(regionNodes)
+	// ancestors/descendants of the document's elements (element level)
+	adi := ix.coll.Reach(vdi, true)
+	ddi := ix.coll.Reach(vdi, false)
+	adi.Or(vdiSet)
+	ddi.Or(vdiSet)
 
-	// fresh cover for the region
-	var hat *twohop.Cover
-	if ix.cover.WithDist {
-		dc := graph.NewDistClosure(sub)
-		hat, _ = twohop.BuildDistanceAware(dc, twohop.Options{Seed: ix.opts.Seed})
-	} else {
-		cl := graph.NewClosure(sub)
-		hat, _ = twohop.Build(cl, twohop.Options{Seed: ix.opts.Seed})
-	}
+	ix.coll.RemoveDocument(docIdx)
+	ix.recordColl(CollOp{Kind: CollRemoveDoc, DocIdx: docIdx})
 
 	// Splice per Theorem 3: L' := L ∪ L̂, except
 	//   L'out(a) := L̂out(a)                 for a ∈ Adi, and
 	//   L'in(d)  := (Lin(d) \ Adi) ∪ L̂in(d) for d ∈ Ddi.
-	adiSurvivors := adi.Clone()
-	adiSurvivors.AndNot(vdiSet)
-	ix.spliceHat(hat, globals, adiSurvivors, adi, ddi, vdiSet)
+	// L̂ covers the region the surviving ancestors reach.
+	survivors := adi.Clone()
+	survivors.AndNot(vdiSet)
+	hat, globals := ix.regionCover(survivors)
+	ix.spliceHat(hat, globals, survivors, adi, ddi, vdiSet)
 	// rows of the deleted document vanish
 	for _, v := range vdi {
 		ix.cover.ClearOut(v)
 		ix.cover.ClearIn(v)
 	}
 	ix.dropCyclicIf(func(ci *cyclicInfo) bool { return ci.on.Intersects(vdiSet) })
+}
+
+// regionCover builds a fresh cover for the part of the collection that
+// sources reach, sources included, and returns it with the global ID of
+// each of its nodes, ascending.
+func (ix *Index) regionCover(sources graph.Bitset) (*twohop.Cover, []int32) {
+	region := ix.coll.Reach(sources.Elements(nil), false)
+	region.Or(sources)
+	globals := region.Elements(nil)
+	return ix.coverOf(ix.coll.Subgraph(globals)), globals
 }
 
 // spliceHat merges a freshly computed regional cover into the global
@@ -322,39 +296,17 @@ func (ix *Index) DeleteEdge(from, to int32) error {
 		return fmt.Errorf("core: link %d→%d not found", from, to)
 	}
 	ix.recordColl(CollOp{Kind: CollRemoveLink, From: from, To: to})
-	g2 := ix.coll.ElementGraph()
 
 	// A := ancestors of the source (incl.), D := descendants of the
-	// target (incl.) — in the *new* graph... ancestors must be taken
-	// from the old graph; compute on the new graph plus the deleted
-	// edge's effect: ancestors of `from` are identical in both graphs
-	// (removing from→to cannot disconnect anything from `from`
-	// upstream of it; a path a→*from does not use from→to unless it
-	// revisits from, in which case a shorter suffix exists).
-	aSet := g2.ReachingTo(from)
+	// target (incl.). Both are taken after the removal, and both are
+	// what they were before it: a path a→*from or to→*d that used
+	// from→to would revisit from or to, so a shorter one exists that
+	// does not.
+	aSet := ix.coll.Reach([]int32{from}, true)
 	aSet.Set(int(from))
-	// descendants of `to` are likewise identical in old and new graph.
-	dSet := g2.ReachableFrom(to)
+	dSet := ix.coll.Reach([]int32{to}, false)
 	dSet.Set(int(to))
-
-	var survivors []int32
-	aSet.ForEach(func(a int) bool { survivors = append(survivors, int32(a)); return true })
-	region := g2.MultiSourceReachable(survivors)
-	for _, a := range survivors {
-		region.Set(int(a))
-	}
-	var regionNodes []int32
-	region.ForEach(func(v int) bool { regionNodes = append(regionNodes, int32(v)); return true })
-	sub, globals := g2.Subgraph(regionNodes)
-
-	var hat *twohop.Cover
-	if ix.cover.WithDist {
-		dc := graph.NewDistClosure(sub)
-		hat, _ = twohop.BuildDistanceAware(dc, twohop.Options{Seed: ix.opts.Seed})
-	} else {
-		cl := graph.NewClosure(sub)
-		hat, _ = twohop.Build(cl, twohop.Options{Seed: ix.opts.Seed})
-	}
+	hat, globals := ix.regionCover(aSet)
 	ix.spliceHat(hat, globals, aSet, aSet, dSet, nil)
 	// only an edge inside a cycle's component can break or lengthen one
 	ix.dropCyclicIf(func(ci *cyclicInfo) bool { return ci.sameComp(from, to) })

@@ -50,28 +50,6 @@ func (g *Digraph) AddEdge(u, v int32) {
 	g.m++
 }
 
-// RemoveEdge deletes the edge u→v if present.
-func (g *Digraph) RemoveEdge(u, v int32) {
-	removed := false
-	for i, w := range g.succ[u] {
-		if w == v {
-			g.succ[u] = append(g.succ[u][:i], g.succ[u][i+1:]...)
-			removed = true
-			break
-		}
-	}
-	if !removed {
-		return
-	}
-	for i, w := range g.pred[v] {
-		if w == u {
-			g.pred[v] = append(g.pred[v][:i], g.pred[v][i+1:]...)
-			break
-		}
-	}
-	g.m--
-}
-
 // HasEdge reports whether the edge u→v exists.
 func (g *Digraph) HasEdge(u, v int32) bool {
 	for _, w := range g.succ[u] {
@@ -89,16 +67,6 @@ func (g *Digraph) Succ(u int32) []int32 { return g.succ[u] }
 // Pred returns the predecessors of u. The returned slice must not be
 // modified.
 func (g *Digraph) Pred(u int32) []int32 { return g.pred[u] }
-
-// Clone returns a deep copy of the graph.
-func (g *Digraph) Clone() *Digraph {
-	c := &Digraph{succ: make([][]int32, g.N()), pred: make([][]int32, g.N()), m: g.m}
-	for i := range g.succ {
-		c.succ[i] = append([]int32(nil), g.succ[i]...)
-		c.pred[i] = append([]int32(nil), g.pred[i]...)
-	}
-	return c
-}
 
 // Sort orders all adjacency lists ascending; useful for deterministic
 // iteration in tests and generators.
@@ -132,58 +100,19 @@ func (g *Digraph) Subgraph(nodes []int32) (*Digraph, []int32) {
 // following edges forward, excluding start itself unless it lies on a
 // cycle back to itself.
 func (g *Digraph) ReachableFrom(start int32) Bitset {
-	return g.reach(start, g.succ)
+	return Reach(g.N(), []int32{start}, g.next(false))
 }
 
 // ReachingTo returns the set of nodes that can reach start (its
 // ancestors), excluding start itself unless it lies on a cycle.
 func (g *Digraph) ReachingTo(start int32) Bitset {
-	return g.reach(start, g.pred)
-}
-
-func (g *Digraph) reach(start int32, adj [][]int32) Bitset {
-	seen := NewBitset(g.N())
-	stack := []int32{start}
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, v := range adj[u] {
-			if !seen.Has(int(v)) {
-				seen.Set(int(v))
-				stack = append(stack, v)
-			}
-		}
-	}
-	return seen
+	return Reach(g.N(), []int32{start}, g.next(true))
 }
 
 // MultiSourceReachable returns all nodes reachable from any of the
 // sources (sources themselves included only if re-reached).
 func (g *Digraph) MultiSourceReachable(sources []int32) Bitset {
-	return g.multiSource(sources, g.succ)
-}
-
-// MultiSourceReachableReverse returns all nodes that reach any of the
-// sources (sources themselves included only if they reach one another).
-func (g *Digraph) MultiSourceReachableReverse(sources []int32) Bitset {
-	return g.multiSource(sources, g.pred)
-}
-
-func (g *Digraph) multiSource(sources []int32, adj [][]int32) Bitset {
-	seen := NewBitset(g.N())
-	stack := make([]int32, 0, len(sources))
-	stack = append(stack, sources...)
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, v := range adj[u] {
-			if !seen.Has(int(v)) {
-				seen.Set(int(v))
-				stack = append(stack, v)
-			}
-		}
-	}
-	return seen
+	return Reach(g.N(), sources, g.next(false))
 }
 
 // BFSFrom returns, for every node, the length of the shortest directed

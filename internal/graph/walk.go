@@ -2,6 +2,7 @@ package graph
 
 import (
 	"iter"
+	"slices"
 	"sync"
 )
 
@@ -38,17 +39,43 @@ func Walk(n int, start int32, next func(v int32, visit func(w int32))) iter.Seq2
 	}
 }
 
+// Reach returns every node that a path of length ≥ 1 leads to from any
+// of sources; a source is in it only when such a path reaches it. next
+// is as for Walk.
+func Reach(n int, sources []int32, next func(v int32, visit func(w int32))) Bitset {
+	seen := NewBitset(n)
+	stack := slices.Clone(sources)
+	visit := func(w int32) {
+		if !seen.Has(int(w)) {
+			seen.Set(int(w))
+			stack = append(stack, w)
+		}
+	}
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		next(v, visit)
+	}
+	return seen
+}
+
 // Walk is graph.Walk over g's edges, forward or backward.
 func (g *Digraph) Walk(start int32, backward bool) iter.Seq2[int32, uint32] {
+	return Walk(g.N(), start, g.next(backward))
+}
+
+// next is the neighbour function of g's edges, forward or backward,
+// for Walk and Reach.
+func (g *Digraph) next(backward bool) func(v int32, visit func(int32)) {
 	adj := g.succ
 	if backward {
 		adj = g.pred
 	}
-	return Walk(g.N(), start, func(v int32, visit func(int32)) {
+	return func(v int32, visit func(int32)) {
 		for _, w := range adj[v] {
 			visit(w)
 		}
-	})
+	}
 }
 
 // hop is one reached node and its distance from the walk's start.

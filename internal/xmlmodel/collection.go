@@ -23,9 +23,13 @@ type Link struct {
 //
 // Links and the documents' intra links change only through AddLink,
 // RemoveLink and RemoveDocument, which keep the per-element link
-// adjacency that Walk follows in step with them.
+// adjacency that Walk, Reach, DocReach and Subgraph follow in step with
+// them.
 type Collection struct {
-	Docs  []*Document
+	Docs []*Document
+	// Links is the inter-document link table. It is read-only outside
+	// xmlmodel: an entry appended to it directly gets no arcs, so no
+	// walk, reach or deletion sees it.
 	Links []Link
 
 	// arcs[i] holds the links, intra and inter, that leave and enter
@@ -395,39 +399,97 @@ func (c *Collection) removeArc(doc, side int, id, other int32) {
 // reaches nothing.
 func (c *Collection) Walk(id int32, backward bool) iter.Seq2[int32, uint32] {
 	return func(yield func(int32, uint32) bool) {
-		// the document last looked up and its ID range [base, end): a
-		// breadth-first walk expands runs of one document's elements
-		doc, base, end := -1, int32(0), int32(0)
-		graph.Walk(int(c.total), id, func(v int32, visit func(int32)) {
-			if v < base || v >= end {
-				if v < 0 || v >= c.total {
-					return
-				}
-				doc = c.DocOfID(v)
-				base = c.base[doc]
-				end = base + int32(c.Docs[doc].Len())
+		graph.Walk(int(c.total), id, c.edges(backward))(yield)
+	}
+}
+
+// Reach returns the elements that a path of G_E(X) of length ≥ 1 leads
+// to from any of ids, or, backward, leads from to any of them: the
+// nodes of Walk from every id at once, without hop counts. An id is in
+// it only when such a path reaches it.
+func (c *Collection) Reach(ids []int32, backward bool) graph.Bitset {
+	return graph.Reach(int(c.total), ids, c.edges(backward))
+}
+
+// Subgraph returns the subgraph of G_E(X) induced by nodes, which must
+// not repeat: node i of it is element nodes[i], and its edges are the
+// tree edges and links between them.
+func (c *Collection) Subgraph(nodes []int32) *graph.Digraph {
+	local := make(map[int32]int32, len(nodes))
+	for i, v := range nodes {
+		local[v] = int32(i)
+	}
+	sub := graph.NewDigraph(len(nodes))
+	next := c.edges(false)
+	for i, v := range nodes {
+		next(v, func(w int32) {
+			if lw, ok := local[w]; ok {
+				sub.AddEdge(int32(i), lw)
 			}
-			if !c.alive[doc] {
+		})
+	}
+	return sub
+}
+
+// edges is the neighbour function of G_E(X) for graph.Walk and
+// graph.Reach: it visits the elements one tree edge or link leads to
+// from v (backward: leads from to v). An element of a removed document
+// has none.
+func (c *Collection) edges(backward bool) func(v int32, visit func(int32)) {
+	// the document last looked up and its ID range [base, end): a
+	// traversal expands runs of one document's elements
+	doc, base, end := -1, int32(0), int32(0)
+	return func(v int32, visit func(int32)) {
+		if v < base || v >= end {
+			if v < 0 || v >= c.total {
 				return
 			}
-			d, local, side := c.Docs[doc], v-base, outArcs
-			if backward {
-				if p := d.Elements[local].Parent; p >= 0 {
-					visit(base + p)
-				}
-				side = inArcs
-			} else {
-				for _, k := range d.Children[local] {
-					visit(base + k)
-				}
+			doc = c.DocOfID(v)
+			base = c.base[doc]
+			end = base + int32(c.Docs[doc].Len())
+		}
+		if !c.alive[doc] {
+			return
+		}
+		d, local, side := c.Docs[doc], v-base, outArcs
+		if backward {
+			if p := d.Elements[local].Parent; p >= 0 {
+				visit(base + p)
 			}
-			if a := c.arcs[doc]; a != nil {
-				for _, e := range arcsOf(a[side], local) {
-					visit(e.other)
-				}
+			side = inArcs
+		} else {
+			for _, k := range d.Children[local] {
+				visit(base + k)
 			}
-		})(yield)
+		}
+		if a := c.arcs[doc]; a != nil {
+			for _, e := range arcsOf(a[side], local) {
+				visit(e.other)
+			}
+		}
 	}
+}
+
+// DocReach returns the documents that a path of G_D(X) of length ≥ 1
+// leads to from any of docs, or, backward, leads from to any of them,
+// through the documents at the far ends of their link arcs. Document
+// skip (-1: none) is left out, as if its edges were removed; a document
+// is in the result only when such a path reaches it.
+func (c *Collection) DocReach(docs []int32, backward bool, skip int) graph.Bitset {
+	side := outArcs
+	if backward {
+		side = inArcs
+	}
+	return graph.Reach(len(c.Docs), docs, func(d int32, visit func(int32)) {
+		if int(d) == skip || c.arcs[d] == nil {
+			return
+		}
+		for _, e := range c.arcs[d][side] {
+			if o := c.DocOfID(e.other); o != int(d) && o != skip {
+				visit(int32(o))
+			}
+		}
+	})
 }
 
 // AddLinkByAnchor records a link from a source element to the element

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"hopi/internal/graph"
@@ -78,7 +79,109 @@ func checkWalks(t *testing.T, c *Collection, context string) [2][]map[int32]uint
 			break
 		}
 	}
+	checkReach(t, c, g, context)
 	return w
+}
+
+// bfs returns the nodes of g that a path of length ≥ 1 leads to from
+// any of sources, or, backward, leads from to any of them.
+func bfs(g *graph.Digraph, sources []int32, backward bool) []int32 {
+	next := g.Succ
+	if backward {
+		next = g.Pred
+	}
+	seen := map[int32]bool{}
+	queue := slices.Clone(sources)
+	for len(queue) > 0 {
+		u := queue[0]
+		queue = queue[1:]
+		for _, v := range next(u) {
+			if !seen[v] {
+				seen[v] = true
+				queue = append(queue, v)
+			}
+		}
+	}
+	return slices.Sorted(maps.Keys(seen))
+}
+
+// edgeSet lists g's edges.
+func edgeSet(g *graph.Digraph) map[[2]int32]bool {
+	s := map[[2]int32]bool{}
+	for u := int32(0); u < int32(g.N()); u++ {
+		for _, v := range g.Succ(u) {
+			s[[2]int32{u, v}] = true
+		}
+	}
+	return s
+}
+
+// checkReach holds Reach, DocReach and Subgraph to the same questions
+// asked of ElementGraph() (g) and DocGraph(): Reach from every live
+// document's elements and from every third element, both ways;
+// DocReach from every live document and from all of them, both ways,
+// with no document skipped and with one whose edges are removed from
+// DocGraph(); Subgraph over every element and over every other one.
+func checkReach(t *testing.T, c *Collection, g *graph.Digraph, context string) {
+	t.Helper()
+	var every3rd, everyID, everyOther []int32
+	for u := int32(0); u < int32(g.N()); u++ {
+		if u%3 == 0 {
+			every3rd = append(every3rd, u)
+		}
+		everyID = append(everyID, u)
+	}
+	live := c.LiveDocIndexes()
+	idSets := [][]int32{every3rd}
+	for _, d := range live {
+		idSets = append(idSets, c.DocIDs(d))
+	}
+	for _, ids := range idSets {
+		for _, backward := range []bool{false, true} {
+			if got, want := c.Reach(ids, backward).Elements(nil), bfs(g, ids, backward); !slices.Equal(got, want) {
+				t.Fatalf("%s: Reach(%v, backward=%v) = %v, want %v", context, ids, backward, got, want)
+			}
+		}
+	}
+
+	dg, _ := c.DocGraph()
+	all := make([]int32, len(live))
+	for i, d := range live {
+		all[i] = int32(d)
+	}
+	for i, skip := range append([]int{-1}, live...) {
+		without := graph.NewDigraph(dg.N()) // DocGraph() without skip's edges
+		for u := int32(0); u < int32(dg.N()); u++ {
+			for _, v := range dg.Succ(u) {
+				if int(u) != skip && int(v) != skip {
+					without.AddEdge(u, v)
+				}
+			}
+		}
+		sources := [][]int32{slices.DeleteFunc(slices.Clone(all), func(d int32) bool { return int(d) == skip })}
+		if i == 0 {
+			for _, d := range all {
+				sources = append(sources, []int32{d})
+			}
+		}
+		for _, docs := range sources {
+			for _, backward := range []bool{false, true} {
+				if got, want := c.DocReach(docs, backward, skip).Elements(nil), bfs(without, docs, backward); !slices.Equal(got, want) {
+					t.Fatalf("%s: DocReach(%v, backward=%v, skip %d) = %v, want %v", context, docs, backward, skip, got, want)
+				}
+			}
+		}
+	}
+
+	for u := int32(g.N()) - 1; u >= 0; u -= 2 { // descending: any order goes
+		everyOther = append(everyOther, u)
+	}
+	for _, nodes := range [][]int32{everyID, everyOther} {
+		want, _ := g.Subgraph(nodes)
+		if got := c.Subgraph(nodes); got.N() != len(nodes) || !maps.Equal(edgeSet(got), edgeSet(want)) {
+			t.Fatalf("%s: Subgraph(%v) edges %v, want %v", context, nodes, edgeSet(got), edgeSet(want))
+		}
+	}
 }
 
 // TestWalkMatchesElementGraph drives a collection through random link
