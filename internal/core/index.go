@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"iter"
-	"sync"
 
 	"hopi/internal/graph"
 	"hopi/internal/twohop"
@@ -18,8 +17,6 @@ import (
 type Index struct {
 	coll  *xmlmodel.Collection
 	cover *twohop.Cover
-	cycMu sync.Mutex  // guards the lazy init of cyc
-	cyc   *cyclicInfo // derived cycle info; nil after a mutation that can change it
 	opts  Options
 	stats BuildStats
 	log   *ChangeLog // active maintenance recording, nil outside StartRecording
@@ -120,53 +117,50 @@ func (ix *Index) SealSwapBase(b *twohop.Base) {
 	ix.cover.SealSwap(b, ix.cover.N(), ix.cover.Size())
 }
 
-// cyclic lazily derives the element-graph cycle information.
-func (ix *Index) cyclic() *cyclicInfo {
-	ix.cycMu.Lock()
-	defer ix.cycMu.Unlock()
-	if ix.cyc == nil {
-		ix.cyc = computeCyclic(ix.coll)
-	}
-	return ix.cyc
-}
-
-// invalidateCyclic drops the derived cycle info after a structural
-// mutation that can open or close a cycle.
-func (ix *Index) invalidateCyclic() {
-	ix.dropCyclicIf(func(*cyclicInfo) bool { return true })
-}
-
-// dropCyclicIf drops the derived cycle info when stale reports that a
-// structural mutation may have changed it. Kept info stays shared with
-// the snapshots that already hold it, so batches that open and close
-// no cycle spare the next snapshot a pass over the element graph.
-func (ix *Index) dropCyclicIf(stale func(*cyclicInfo) bool) {
-	ix.cycMu.Lock()
-	if ix.cyc != nil && stale(ix.cyc) {
-		ix.cyc = nil
-	}
-	ix.cycMu.Unlock()
-}
-
 // OnCycle reports whether element u lies on a cycle of the element
-// graph, i.e. whether a path of length ≥ 1 leads from u back to u.
-func (ix *Index) OnCycle(u int32) bool { return ix.cyclic().onCycle(u) }
+// graph, i.e. whether a path of length ≥ 1 leads from u back to u. The
+// cover cannot say so by itself (self entries are implicit, §3.4), but
+// tree edges only lead down: such a path ends with a link s → t into
+// u's tree path and the tree edges from t down to u, so u lies on a
+// cycle iff it reaches the source of one of those links.
+func (ix *Index) OnCycle(u int32) bool {
+	var lout, buf []twohop.Entry
+	read := false
+	for s := range ix.coll.LinksIntoPath(u) {
+		if !read {
+			lout, read = ix.cover.Lout(u), true
+		}
+		if twohop.ListReaches(u, lout, s, ix.cover.LinBuf(s, &buf)) {
+			return true
+		}
+	}
+	return false
+}
 
 // CycleDistance returns the length of the shortest cycle through u
-// (graph.InfDist when u is not on any cycle).
-func (ix *Index) CycleDistance(u int32) uint32 { return ix.cyclic().cycleDist(u) }
-
-// CyclicSet returns the bitset of elements lying on element-graph
-// cycles. The bitset is immutable — callers must not modify it; it
-// lets hot loops test many elements without per-call locking.
-func (ix *Index) CyclicSet() graph.Bitset { return ix.cyclic().on }
+// (graph.InfDist when u is not on any cycle): the minimum, over the
+// links s → t that OnCycle reads, of dist(u, s) + 1 + the tree edges
+// from t down to u. Like Distance it needs a distance-aware cover; on
+// a plain one the result is meaningless.
+func (ix *Index) CycleDistance(u int32) uint32 {
+	var lout, buf []twohop.Entry
+	read, best := false, graph.InfDist
+	for s, down := range ix.coll.LinksIntoPath(u) {
+		if !read {
+			lout, read = ix.cover.Lout(u), true
+		}
+		if d := twohop.ListDistance(u, lout, s, ix.cover.LinBuf(s, &buf)); d != graph.InfDist {
+			best = min(best, d+1+down)
+		}
+	}
+	return best
+}
 
 // Clone returns a copy of the index: the collection, the cover, and
 // the build metadata. Nothing is copied eagerly beyond the cover's
 // node spines and the collection's document list: the collection and
 // the cover share their documents, link arcs and label lists
-// copy-on-write (each side copies what it writes first), and the cycle
-// info — immutable once computed — is shared by pointer. Snapshot
+// copy-on-write (each side copies what it writes first). Snapshot
 // isolation builds on this: the clone can serve queries while the
 // original is maintained (or vice versa) with no shared mutable state.
 func (ix *Index) Clone() *Index {
@@ -176,16 +170,9 @@ func (ix *Index) Clone() *Index {
 		opts:  ix.opts,
 		stats: ix.stats,
 	}
-	ix.cycMu.Lock()
-	cl.cyc = ix.cyc
-	ix.cycMu.Unlock()
 	cl.cover.SetRecorder(cl.observeDelta)
 	return cl
 }
-
-// Warm eagerly derives the cycle info, so the first query after a
-// clone or rebuild does not pay for it inside a request.
-func (ix *Index) Warm() { ix.cyclic() }
 
 // Validate recomputes the ground-truth closure of the element graph
 // and checks the cover against it — completeness, soundness, and (for

@@ -28,10 +28,6 @@ func (ix *Index) InsertEdge(from, to int32) error {
 	// from or out of to, so they find the ancestors and descendants the
 	// cover had, at the distances it had.
 	ix.cover.IntegrateLink(from, to, ix.coll.Walk(from, true), ix.coll.Walk(to, false))
-	if ix.cover.Reaches(to, from) {
-		// the only way the edge changes cycles: it closes one
-		ix.invalidateCyclic()
-	}
 	return nil
 }
 
@@ -51,14 +47,7 @@ func (ix *Index) InsertDocument(d *xmlmodel.Document) (int, error) {
 	ix.cover.Grow(ix.coll.NumAllocatedIDs())
 
 	// cover for the document's own element-level graph
-	g := docGraph(d)
-	if len(d.IntraLinks) > 0 && hasCycle(g) {
-		// A new document over fresh (never reused) IDs has no edge to
-		// the rest of the graph yet, so only a cycle of its own
-		// intra-document links can change the cycle info.
-		ix.invalidateCyclic()
-	}
-	cov := ix.coverOf(g)
+	cov := ix.coverOf(docGraph(d))
 	base := ix.coll.GlobalID(docIdx, 0)
 	for local := int32(0); local < int32(d.Len()); local++ {
 		for _, e := range cov.Out[local] {
@@ -181,7 +170,6 @@ func (ix *Index) deleteSeparating(docIdx int, ancDocs, descDocs graph.Bitset) {
 	})
 	ix.coll.RemoveDocument(docIdx)
 	ix.recordColl(CollOp{Kind: CollRemoveDoc, DocIdx: docIdx})
-	ix.dropCyclicIf(func(ci *cyclicInfo) bool { return ci.on.Intersects(vdi) })
 }
 
 func elementSet(c *xmlmodel.Collection, docs graph.Bitset, n int) graph.Bitset {
@@ -235,7 +223,6 @@ func (ix *Index) deleteGeneral(docIdx int) {
 		ix.cover.ClearOut(v)
 		ix.cover.ClearIn(v)
 	}
-	ix.dropCyclicIf(func(ci *cyclicInfo) bool { return ci.on.Intersects(vdiSet) })
 }
 
 // regionCover builds a fresh cover for the part of the collection that
@@ -308,8 +295,6 @@ func (ix *Index) DeleteEdge(from, to int32) error {
 	dSet.Set(int(to))
 	hat, globals := ix.regionCover(aSet)
 	ix.spliceHat(hat, globals, aSet, aSet, dSet, nil)
-	// only an edge inside a cycle's component can break or lengthen one
-	ix.dropCyclicIf(func(ci *cyclicInfo) bool { return ci.sameComp(from, to) })
 	return nil
 }
 
@@ -400,6 +385,5 @@ func (ix *Index) Rebuild() error {
 		ix.log.Rebuilt = true
 	}
 	ix.cover.SetRecorder(ix.observeDelta)
-	// the cycle info survives: Rebuild does not touch the collection
 	return nil
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"encoding/gob"
-	"slices"
 
 	"hopi/internal/twohop"
 	"hopi/internal/xmlmodel"
@@ -84,13 +83,9 @@ func DecodeCollOps(b []byte) ([]CollOp, error) {
 // equivalent to the interleaved original execution.
 // Callers serialize ApplyLogged against all other maintenance.
 func (ix *Index) ApplyLogged(collOps []CollOp, cover []twohop.CoverDelta) error {
-	wholesale := slices.ContainsFunc(cover, func(d twohop.CoverDelta) bool { return d.Kind == twohop.DeltaClearAll })
 	if err := ReplayCollOps(ix.coll, collOps); err != nil {
 		return err
 	}
 	ix.cover.Apply(cover)
-	if len(collOps) > 0 || wholesale {
-		ix.invalidateCyclic() // documents and links can open or close cycles
-	}
 	return nil
 }

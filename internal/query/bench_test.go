@@ -8,11 +8,11 @@ import (
 	"hopi/internal/gen"
 )
 
-// benchEngine builds a moderate citation collection for the evaluator
-// benchmarks.
-func benchEngine(b *testing.B) *Engine {
+// benchEngine builds a distance-aware citation collection of docs
+// documents for the evaluator benchmarks.
+func benchEngine(b *testing.B, docs int) *Engine {
 	b.Helper()
-	c := gen.DBLP(gen.DefaultDBLP(120, 42))
+	c := gen.DBLP(gen.DefaultDBLP(docs, 42))
 	ix, err := core.Build(c, core.Options{
 		Partitioner: core.PartClosureBudget, ClosureBudget: 500_000,
 		Join: core.JoinNewHBar, WithDistance: true, Seed: 42,
@@ -20,12 +20,11 @@ func benchEngine(b *testing.B) *Engine {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ix.Warm()
 	return NewEngine(c, ix)
 }
 
 func benchEval(b *testing.B, expr string) {
-	e := benchEngine(b)
+	e := benchEngine(b, 120)
 	q, err := Parse(expr)
 	if err != nil {
 		b.Fatal(err)
@@ -51,8 +50,7 @@ func BenchmarkEvalThreeStep(b *testing.B) {
 	benchEval(b, "//article//cite//title")
 }
 
-func benchRanked(b *testing.B, expr string) {
-	e := benchEngine(b)
+func benchRanked(b *testing.B, e *Engine, expr string) {
 	q, err := Parse(expr)
 	if err != nil {
 		b.Fatal(err)
@@ -66,17 +64,25 @@ func benchRanked(b *testing.B, expr string) {
 }
 
 func BenchmarkEvalRanked(b *testing.B) {
-	benchRanked(b, "//article//author")
+	benchRanked(b, benchEngine(b, 120), "//article//author")
 }
 
 func BenchmarkEvalRankedWildcard(b *testing.B) {
-	benchRanked(b, "//*//author")
+	benchRanked(b, benchEngine(b, 120), "//*//author")
+}
+
+// BenchmarkRankedSelfMatch: the frontier holds the step's own
+// candidates, so a candidate scoring no more than a third of its own
+// score reads the links into its tree path and one label per link for
+// its shortest cycle.
+func BenchmarkRankedSelfMatch(b *testing.B) {
+	benchRanked(b, benchEngine(b, 300), "//article//article")
 }
 
 // benchStream drains a limited cursor, which stops where the
 // full-materialization benchmarks above go on.
 func benchStream(b *testing.B, ranked bool, expr string, limit int) {
-	e := benchEngine(b)
+	e := benchEngine(b, 120)
 	q, err := Parse(expr)
 	if err != nil {
 		b.Fatal(err)

@@ -27,11 +27,14 @@
 // containment test of region encoding). Only the first candidate the
 // tree does not answer marks X = centers(Lout(F)) and F ∪ X, reading
 // each Lout list the frontier shares once; from then on c is also kept
-// when c ∈ X (the direct c ∈ Lout(f) case), c ∈ F lies on a cycle (the
-// self-match), or Lin(c) meets F ∪ X (f ∈ Lin(c) and the Lout ∩ Lin
-// join). Cost is at most the frontier's distinct Lout mass plus the
-// candidates' Lin mass instead of |F|×|C| probes, and matches come out
-// sorted, so a limited cursor stops reading labels at its k-th match.
+// when c ∈ X (the direct c ∈ Lout(f) case) or Lin(c) meets F ∪ X
+// (f ∈ Lin(c) and the Lout ∩ Lin join). Last, a frontier candidate
+// nothing else matched is kept when it lies on a cycle (the
+// self-match): the cover stores no self entries, so Index.OnCycle asks
+// whether c reaches the source of a link into its tree path. Cost is
+// at most the frontier's distinct Lout mass plus the candidates' Lin
+// mass instead of |F|×|C| probes, and matches come out sorted, so a
+// limited cursor stops reading labels at its k-th match.
 package query
 
 import (
@@ -463,7 +466,6 @@ type stepScan struct {
 	xset     graph.Bitset // X, the frontier's Lout centers; nil until marked
 	fx       graph.Bitset // F ∪ X, what a candidate's Lin must meet
 	pooled   []graph.Bitset
-	cyclic   graph.Bitset
 	cov      *twohop.Cover
 	buf      []twohop.Entry // LoutBuf's and LinBuf's merge buffer
 	span     docSpan        // the last candidate's document
@@ -484,7 +486,7 @@ func (e *Engine) newScan(frontier []int32, step Step, seed bool, sp *StepPlan) *
 		if sc.child {
 			mode = ModeChild
 		} else {
-			sc.frontier, sc.cov, sc.cyclic = frontier, e.ix.Cover(), e.ix.CyclicSet()
+			sc.frontier, sc.cov = frontier, e.ix.Cover()
 		}
 		sc.n = e.scratchSize()
 		sc.fset = e.scratch.Get(sc.n)
@@ -541,9 +543,9 @@ func (sc *stepScan) next(cc *canceller) (int32, bool, error) {
 
 // matches is the per-candidate test. For a // step, c matches when a
 // proper tree ancestor of c is in F (a tree path), and otherwise iff it
-// is a frontier Lout center (c ∈ Lout(f)), a cyclic frontier element
-// (the self-match), or one of its Lin centers lies in F ∪ X
-// (f ∈ Lin(c), or the Lout ∩ Lin join): by the cover property, exactly
+// is a frontier Lout center (c ∈ Lout(f)), one of its Lin centers lies
+// in F ∪ X (f ∈ Lin(c), or the Lout ∩ Lin join), or it is a frontier
+// element on a cycle (the self-match): by the cover property, exactly
 // when some f ∈ F reaches c over a path of length ≥ 1.
 func (sc *stepScan) matches(c int32) bool {
 	switch {
@@ -561,7 +563,7 @@ func (sc *stepScan) matches(c int32) bool {
 	if sc.xset == nil {
 		sc.markX()
 	}
-	if sc.xset.Has(int(c)) || sc.fset.Has(int(c)) && sc.cyclic.Has(int(c)) {
+	if sc.xset.Has(int(c)) {
 		return true
 	}
 	in := sc.cov.LinBuf(c, &sc.buf)
@@ -571,7 +573,7 @@ func (sc *stepScan) matches(c int32) bool {
 			return true
 		}
 	}
-	return false
+	return sc.fset.Has(int(c)) && sc.e.ix.OnCycle(c)
 }
 
 // docSpan remembers the document the last resolved ID fell in, as its

@@ -244,7 +244,8 @@ func (a *kernelArena) arrive(x int32, ar arrival) {
 //   - direct, c ∈ Lout(f): the chain at center c;
 //   - joined, f ∈ Lin(c) or Lout(f) ∩ Lin(c): for each Lin(c) entry,
 //     the implicit arrival and the chain at its center;
-//   - cyclic self-match, c = f: f's shortest cycle.
+//   - cyclic self-match, c = f: f's shortest cycle, asked last and
+//     only while it can still win.
 //
 // The implicit arrival is kept out of the chain because it must not
 // serve its own element as a direct candidate — that would claim a
@@ -308,11 +309,6 @@ func (e *Engine) advanceRankedDescendant(f *rankedCols, step Step, cc *canceller
 				ar := &a.arr[t]
 				b.offer(ar.score/float64(1+ar.dist), ar.src)
 			}
-			if s := a.self[c]; s >= 0 {
-				if d := e.ix.CycleDistance(c); d != graph.InfDist && d != 0 {
-					b.offer(f.score[s]/float64(1+d), s)
-				}
-			}
 		}
 		lin := cov.LinBuf(c, &a.buf)
 		touched += len(lin)
@@ -327,6 +323,14 @@ func (e *Engine) advanceRankedDescendant(f *rankedCols, step Step, cc *canceller
 			for t := a.tail[x]; t >= 0; t = a.arr[t].prev {
 				ar := &a.arr[t]
 				b.offer(ar.score/float64(1+ar.dist+en.Dist), ar.src)
+			}
+		}
+		// A cycle has at least two edges, so the self-match scores at
+		// most f.score[s]/3: past a better offer it cannot win, and at
+		// an equal one it still can, on a smaller frontier index.
+		if s := a.self[c]; mark.Has(int(c)) && s >= 0 && b.score <= f.score[s]/3 {
+			if d := e.ix.CycleDistance(c); d != graph.InfDist {
+				b.offer(f.score[s]/float64(1+d), s)
 			}
 		}
 		if b.src >= 0 {

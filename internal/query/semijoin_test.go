@@ -12,6 +12,7 @@ import (
 	"hopi/internal/core"
 	"hopi/internal/gen"
 	"hopi/internal/graph"
+	"hopi/internal/twohop"
 	"hopi/internal/xmlmodel"
 )
 
@@ -222,6 +223,52 @@ func TestRankedSelfMatchScoresByCycleLength(t *testing.T) {
 	}
 }
 
+// TestRankedSelfMatchWinsTie: candidate c lies on a 2-cycle, and a
+// frontier element g with a larger index reaches c at distance 2 too.
+// Both score 1/3, so the tie goes to the smaller frontier index: c's
+// witness is c itself. The kernel offers the self-match only when the
+// score collected so far is at most a third of c's own, and this is
+// the case where it is exactly a third. The cover is c-centered, so
+// the labels alone never join c back to itself (Lout(c) and Lin(c) are
+// empty): only the self-match finds the cycle.
+func TestRankedSelfMatchWinsTie(t *testing.T) {
+	c := xmlmodel.NewCollection()
+	cd := xmlmodel.NewDocument("c.xml", "a")
+	cd.AddIntraLink(cd.AddElement(0, "x"), 0) // c → x → c
+	c.AddDocument(cd)
+	gd := xmlmodel.NewDocument("g.xml", "a")
+	gd.AddElement(0, "y")
+	c.AddDocument(gd)
+	const cID, x, g, y = 0, 1, 2, 3
+	if err := c.AddLink(y, cID); err != nil { // g → y → c
+		t.Fatal(err)
+	}
+	cov := twohop.NewCover(4, true)
+	cov.AddIn(x, cID, 1)
+	cov.AddOut(x, cID, 1)
+	cov.AddOut(y, cID, 1)
+	cov.AddOut(g, cID, 2)
+	cov.AddIn(y, g, 1)
+	ix := core.NewFromCover(c, cov)
+	if err := ix.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if d, _ := ix.Distance(g, cID); d != 2 || ix.CycleDistance(cID) != 2 {
+		t.Fatalf("fixture: dist(g, c) = %d, cycle through c %d, want 2 and 2", d, ix.CycleDistance(cID))
+	}
+	q, _ := Parse("//a//a")
+	matches, err := NewEngine(c, ix).EvalRanked(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(matches) != 1 || matches[0].Element != cID || matches[0].Score != 1.0/3.0 {
+		t.Fatalf("ranked //a//a = %+v, want c at 1/3", matches)
+	}
+	if w := matches[0].Path[0]; w != cID {
+		t.Errorf("c's witness is %d, want c itself", w)
+	}
+}
+
 // TestSemijoinConcurrentReaders hammers one shared engine from many
 // goroutines (meaningful under -race): the scratch pools and shared
 // postings must hold up, and every result must stay equal to the
@@ -235,7 +282,6 @@ func TestSemijoinConcurrentReaders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix.Warm()
 	e := NewEngine(c, ix)
 	exprs := []string{"//article//author", "//article//cite", "//*//para", "//abstract//para"}
 	type answer struct {

@@ -162,7 +162,6 @@ func TestStreamConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix.Warm()
 	e := NewEngine(c, ix)
 	exprs := []string{"//article//author", "//abstract//para", "//*//cite"}
 	want := map[string][]int32{}
@@ -225,7 +224,6 @@ func TestExplainPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix.Warm()
 	e := NewEngine(c, ix)
 	q, _ := Parse("//article//author")
 

@@ -569,14 +569,13 @@ func dead(tombs map[int32]struct{}, center int32) bool {
 // Lout(u) ∩ Lin(v) ≠ ∅. This mirrors the paper's SQL test plus its
 // "simple additional queries" for the omitted self entries.
 func (c *Cover) Reaches(u, v int32) bool {
-	if u == v {
-		return true
-	}
-	lout, lin := c.Lout(u), c.Lin(v)
-	if hasCenter(lout, v) || hasCenter(lin, u) {
-		return true
-	}
-	return intersects(lout, lin)
+	return u == v || ListReaches(u, c.Lout(u), v, c.Lin(v))
+}
+
+// ListReaches is Reaches over labels the caller already fetched: lout
+// is Lout(u) and lin is Lin(v); see ListDistance.
+func ListReaches(u int32, lout []Entry, v int32, lin []Entry) bool {
+	return u == v || hasCenter(lout, v) || hasCenter(lin, u) || intersects(lout, lin)
 }
 
 // Distance returns the shortest-path length u → v implied by the cover

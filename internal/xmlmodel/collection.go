@@ -23,8 +23,8 @@ type Link struct {
 //
 // Links and the documents' intra links change only through AddLink,
 // RemoveLink and RemoveDocument, which keep the per-element link
-// adjacency that Walk, Reach, DocReach and Subgraph follow in step with
-// them.
+// adjacency that Walk, Reach, DocReach, Subgraph and LinksIntoPath
+// follow in step with them.
 type Collection struct {
 	Docs []*Document
 	// Links is the inter-document link table. It is read-only outside
@@ -429,6 +429,35 @@ func (c *Collection) Subgraph(nodes []int32) *graph.Digraph {
 		})
 	}
 	return sub
+}
+
+// LinksIntoPath yields the links, intra and inter, that enter element
+// id or one of its tree ancestors: for each link s → t, its source s
+// and the number of tree edges from t down to id. id's own incoming
+// links come first (at 0), then its parent's, up to the root. Tree
+// edges only lead down, so every path of length ≥ 1 from id back to
+// itself ends with one of these links and the tree path from t down
+// to id. An element of a removed document yields nothing.
+func (c *Collection) LinksIntoPath(id int32) iter.Seq2[int32, uint32] {
+	return func(yield func(int32, uint32) bool) {
+		if id < 0 || id >= c.total {
+			return
+		}
+		doc := c.DocOfID(id)
+		a := c.arcs[doc]
+		if !c.alive[doc] || a == nil {
+			return
+		}
+		els, down := c.Docs[doc].Elements, uint32(0)
+		for t := id - c.base[doc]; t >= 0; t = els[t].Parent {
+			for _, e := range arcsOf(a[inArcs], t) {
+				if !yield(e.other, down) {
+					return
+				}
+			}
+			down++
+		}
+	}
 }
 
 // edges is the neighbour function of G_E(X) for graph.Walk and

@@ -80,7 +80,55 @@ func checkWalks(t *testing.T, c *Collection, context string) [2][]map[int32]uint
 		}
 	}
 	checkReach(t, c, g, context)
+	checkLinksIntoPath(t, c, context)
 	return w
+}
+
+// checkLinksIntoPath holds every element's LinksIntoPath to the link
+// tables: each link of a live document whose target is the element or
+// one of its tree ancestors, with the tree edges from that target down
+// to the element, nearest target first.
+func checkLinksIntoPath(t *testing.T, c *Collection, context string) {
+	t.Helper()
+	for u := int32(0); u < int32(c.NumAllocatedIDs()); u++ {
+		var got, want [][2]int32
+		for s, down := range c.LinksIntoPath(u) {
+			if n := len(got); n > 0 && uint32(got[n-1][1]) > down {
+				t.Fatalf("%s: LinksIntoPath(%d) yields %d after %d", context, u, down, got[n-1][1])
+			}
+			got = append(got, [2]int32{s, int32(down)})
+		}
+		doc, local := c.LocalID(u)
+		into := func(from, to int32) {
+			down := int32(0)
+			for a := local; a >= 0; a = c.Docs[doc].Elements[a].Parent {
+				if from != to && c.GlobalID(doc, a) == to {
+					want = append(want, [2]int32{from, down})
+				}
+				down++
+			}
+		}
+		if c.Alive(doc) {
+			for _, l := range c.Links {
+				into(l.From, l.To)
+			}
+			for _, l := range c.Docs[doc].IntraLinks {
+				into(c.GlobalID(doc, l[0]), c.GlobalID(doc, l[1]))
+			}
+		}
+		if !slices.Equal(sortedPairs(got), sortedPairs(want)) {
+			t.Fatalf("%s: LinksIntoPath(%d) = %v, want %v", context, u, got, want)
+		}
+	}
+}
+
+func sortedPairs(ps [][2]int32) [][2]int32 {
+	return slices.SortedFunc(slices.Values(ps), func(a, b [2]int32) int {
+		if a[1] != b[1] {
+			return int(a[1] - b[1])
+		}
+		return int(a[0] - b[0])
+	})
 }
 
 // bfs returns the nodes of g that a path of length ≥ 1 leads to from

@@ -43,11 +43,6 @@ type Snapshot struct {
 // the previous snapshot of the same live index; its engine is derived
 // rather than rebuilt.
 func newSnapshot(src *core.Index, prev *Snapshot, epoch uint64, seqEpoch bool, scope uint64) *Snapshot {
-	// Derive the cycle info on the live side first: maintenance keeps it
-	// across batches that open or close no cycle, so the clone shares
-	// it by pointer. Warm only pays a full derivation after a
-	// cycle-changing batch.
-	src.Warm()
 	cix := src.Clone()
 	var eng *query.Engine
 	if prev != nil {
