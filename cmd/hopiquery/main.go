@@ -10,8 +10,9 @@
 //
 // Path expressions run as cursors with limit pushdown: -limit stops
 // the evaluation, not just the printing. -explain prints the per-step
-// execution plan (evaluator chosen, frontier sizes, postings touched)
-// instead of the results.
+// execution plan (evaluator chosen, frontier sizes, candidates the tree
+// and the link-arc walk decided, postings touched) instead of the
+// results.
 //
 // Elements are addressed as "docname", "docname:localIndex" or
 // "docname#anchor".
@@ -152,11 +153,12 @@ func printPlan(p *hopi.Plan) {
 		fmt.Printf(", limit %d", p.Limit)
 	}
 	fmt.Printf("): %d results in %s\n", p.Matches, p.Elapsed)
-	fmt.Printf("%-4s %-5s %-12s %-16s %10s %10s %10s %10s %9s\n",
-		"step", "axis", "tag", "mode", "candidates", "frontier", "matches", "postings", "centers")
+	fmt.Printf("%-4s %-5s %-12s %-16s %10s %10s %10s %8s %8s %8s %10s %9s\n",
+		"step", "axis", "tag", "mode", "candidates", "frontier", "matches", "tree", "walk", "walked", "postings", "centers")
 	for i, sp := range p.Steps {
-		fmt.Printf("%-4d %-5s %-12s %-16s %10d %10d %10d %10d %9d\n",
-			i, sp.Axis, sp.Tag, sp.Mode, sp.Candidates, sp.FrontierIn, sp.FrontierOut, sp.Postings, sp.Centers)
+		fmt.Printf("%-4d %-5s %-12s %-16s %10d %10d %10d %8d %8d %8d %10d %9d\n",
+			i, sp.Axis, sp.Tag, sp.Mode, sp.Candidates, sp.FrontierIn, sp.FrontierOut,
+			sp.TreeMatches, sp.WalkMatches, sp.Walked, sp.Postings, sp.Centers)
 	}
 }
 

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -206,8 +207,8 @@ func TestServerQueryStream(t *testing.T) {
 }
 
 // TestServerExplain: the endpoint reports per-step modes, the tree
-// answers //article//author with no label read, and where the final
-// step reads labels the limited run reads fewer than the full one.
+// answers //article//author and the link-arc walk //cite//title with no
+// label read, and the limited run walks fewer nodes than the full one.
 func TestServerExplain(t *testing.T) {
 	h, _ := newTestServer(t, 40)
 	var tree hopi.Plan
@@ -218,18 +219,28 @@ func TestServerExplain(t *testing.T) {
 	if st := tree.Steps[1]; st.Postings != 0 || st.TreeMatches != tree.Matches {
 		t.Fatalf("//article//author plan: %+v, want 0 postings and %d tree matches", st, tree.Matches)
 	}
+	// a title is no cite's tree descendant: the link-arc walk decides
+	// it, and the body carries the walk's counters
 	var full hopi.Plan
-	getInto(t, h, "/explain?expr=//cite//title", http.StatusOK, &full)
+	body := getInto(t, h, "/explain?expr=//cite//title", http.StatusOK, &full)
 	if len(full.Steps) != 2 || full.Steps[1].Mode != "descendant" || full.Matches == 0 {
 		t.Fatalf("full plan: %+v", full)
+	}
+	if st := full.Steps[1]; st.Postings != 0 || st.WalkMatches != st.Candidates || st.Walked == 0 {
+		t.Fatalf("//cite//title plan: %+v, want every title decided by the walk and no label read", st)
+	}
+	for _, field := range []string{`"walkMatches":`, `"walked":`} {
+		if !bytes.Contains(body, []byte(field)) {
+			t.Fatalf("explain body lacks %s: %s", field, body)
+		}
 	}
 	var lim hopi.Plan
 	getInto(t, h, "/explain?expr=//cite//title&limit=5", http.StatusOK, &lim)
 	if lim.Steps[1].Mode != "descendant" || lim.Matches != 5 {
 		t.Fatalf("limited plan: %+v", lim)
 	}
-	if lim.Steps[1].Postings >= full.Steps[1].Postings {
-		t.Fatalf("limited explain touched %d postings, full %d", lim.Steps[1].Postings, full.Steps[1].Postings)
+	if lim.Steps[1].Walked >= full.Steps[1].Walked {
+		t.Fatalf("limited explain walked %d nodes, full %d", lim.Steps[1].Walked, full.Steps[1].Walked)
 	}
 	var ranked hopi.Plan
 	getInto(t, h, "/explain?expr=//article//author&limit=5&ranked=1", http.StatusOK, &ranked)

@@ -254,7 +254,8 @@ func mustRun(t *testing.T, s *Snapshot, ctx context.Context, pq *PreparedQuery, 
 }
 
 // TestSnapshotExplain: the public Explain surface reports the tree
-// test and the pushdown.
+// test, the link-arc walk and the pushdown, and a closed cursor adds its
+// plan's label entries and walked nodes to the index's counters.
 func TestSnapshotExplain(t *testing.T) {
 	ix := genIndex(t, 40)
 	snap := ix.Snapshot()
@@ -270,7 +271,8 @@ func TestSnapshotExplain(t *testing.T) {
 		t.Fatalf("//article//author plan: %+v, want 0 postings and %d tree matches", tree, tree.Matches)
 	}
 
-	// titles are no cite's tree descendants: the final step reads labels
+	// titles are no cite's tree descendants: the link-arc walk decides
+	// them, with no label read, and a limited run walks less
 	pq, _ := Prepare("//cite//title")
 	full, err := snap.Explain(ctx, pq)
 	if err != nil {
@@ -286,18 +288,37 @@ func TestSnapshotExplain(t *testing.T) {
 	if lim.Matches != 5 || full.Matches <= 5 {
 		t.Fatalf("matches: full %d, limited %d", full.Matches, lim.Matches)
 	}
-	if lim.Steps[1].Postings >= full.Steps[1].Postings {
-		t.Fatalf("limited run touched %d postings, full %d — pushdown missing", lim.Steps[1].Postings, full.Steps[1].Postings)
+	if st := full.Steps[1]; st.Postings != 0 || st.WalkMatches != st.Candidates || st.Walked == 0 {
+		t.Fatalf("//cite//title plan: %+v, want every title decided by the walk and no label read", st)
 	}
-	// a cursor adds its run's label entries to the counter at Close
-	entries := ix.metrics().queryLabelEntries
-	was := entries.Value()
-	cur := mustRun(t, snap, ctx, pq)
-	for cur.Next() {
+	if lim.Steps[1].Walked >= full.Steps[1].Walked {
+		t.Fatalf("limited run walked %d nodes, full %d — pushdown missing", lim.Steps[1].Walked, full.Steps[1].Walked)
 	}
-	cur.Close()
-	if got := entries.Value() - was; got != uint64(full.LabelEntries()) || got == 0 {
+	// a cursor adds its run's label entries and walked nodes to the
+	// counters at Close: the walk's run reads no label, a ranked run does
+	met := ix.metrics()
+	drained := func(opts ...QueryOption) {
+		cur := mustRun(t, snap, ctx, pq, opts...)
+		for cur.Next() {
+		}
+		cur.Close()
+	}
+	entries, walked := met.queryLabelEntries.Value(), met.queryWalkNodes.Value()
+	drained()
+	if got := met.queryWalkNodes.Value() - walked; got != uint64(full.WalkNodes()) || got == 0 {
+		t.Errorf("hopi_query_walk_nodes_total rose by %d over one run, want the plan's %d", got, full.WalkNodes())
+	}
+	if got := met.queryLabelEntries.Value() - entries; got != uint64(full.LabelEntries()) {
 		t.Errorf("hopi_query_label_entries_total rose by %d over one run, want the plan's %d", got, full.LabelEntries())
+	}
+	ranked, err := snap.Explain(ctx, pq, QueryRanked())
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries = met.queryLabelEntries.Value()
+	drained(QueryRanked())
+	if got := met.queryLabelEntries.Value() - entries; got != uint64(ranked.LabelEntries()) || got == 0 {
+		t.Errorf("hopi_query_label_entries_total rose by %d over one ranked run, want the plan's %d", got, ranked.LabelEntries())
 	}
 	if _, err := snap.Explain(ctx, pq, QueryRanked(), QueryLimit(5)); err != nil {
 		t.Fatal(err)

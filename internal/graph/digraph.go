@@ -77,25 +77,6 @@ func (g *Digraph) Sort() {
 	}
 }
 
-// Subgraph returns the induced subgraph on the given nodes together
-// with the mapping local→global. Nodes must not repeat.
-func (g *Digraph) Subgraph(nodes []int32) (*Digraph, []int32) {
-	local := make(map[int32]int32, len(nodes))
-	for i, v := range nodes {
-		local[v] = int32(i)
-	}
-	sub := NewDigraph(len(nodes))
-	for i, v := range nodes {
-		for _, w := range g.succ[v] {
-			if lw, ok := local[w]; ok {
-				sub.AddEdge(int32(i), lw)
-			}
-		}
-	}
-	globals := append([]int32(nil), nodes...)
-	return sub, globals
-}
-
 // ReachableFrom returns the set of nodes reachable from start by
 // following edges forward, excluding start itself unless it lies on a
 // cycle back to itself.

@@ -98,27 +98,6 @@ func TestBFSDistances(t *testing.T) {
 	}
 }
 
-func TestSubgraph(t *testing.T) {
-	g := NewDigraph(6)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 4)
-	g.AddEdge(4, 5)
-	g.AddEdge(1, 2)
-	sub, globals := g.Subgraph([]int32{1, 4, 5})
-	if sub.N() != 3 {
-		t.Fatalf("sub N = %d", sub.N())
-	}
-	if !sub.HasEdge(0, 1) || !sub.HasEdge(1, 2) {
-		t.Error("sub edges wrong")
-	}
-	if sub.M() != 2 {
-		t.Errorf("sub M = %d, want 2 (edge into 0 and out to 2 dropped)", sub.M())
-	}
-	if globals[0] != 1 || globals[1] != 4 || globals[2] != 5 {
-		t.Errorf("globals = %v", globals)
-	}
-}
-
 // Property: ReachableFrom agrees with a naive DFS on random graphs.
 func TestReachableQuickVsNaive(t *testing.T) {
 	f := func(seed int64) bool {

@@ -44,10 +44,17 @@ func BenchmarkEvalWildcard(b *testing.B) {
 }
 
 // BenchmarkEvalThreeStep: a title is no cite's tree descendant, so the
-// final step marks X — the one step of these queries the tree test
-// does not answer.
+// final step is the one step of these queries the tree test does not
+// answer; the link-arc walk does, one link from a citing cite.
 func BenchmarkEvalThreeStep(b *testing.B) {
 	benchEval(b, "//article//cite//title")
+}
+
+// BenchmarkEvalNoMatch: no cite is a title's descendant, and a cite's
+// backward walk over the citation links never meets a title, so the
+// walk spends its budget and the step falls back to X and the labels.
+func BenchmarkEvalNoMatch(b *testing.B) {
+	benchEval(b, "//title//cite")
 }
 
 func benchRanked(b *testing.B, e *Engine, expr string) {
@@ -117,8 +124,8 @@ func BenchmarkStreamRankedLimit10Mixed(b *testing.B) {
 	benchStream(b, true, "//article//cite//author", 10)
 }
 
-// BenchmarkStreamThreeStepLimit25: a limit-25 page of the step that
-// still builds X.
+// BenchmarkStreamThreeStepLimit25: a limit-25 page of the step the
+// link-arc walk answers.
 func BenchmarkStreamThreeStepLimit25(b *testing.B) {
 	benchStream(b, false, "//article//cite//title", 25)
 }

@@ -41,6 +41,11 @@ type StepPlan struct {
 	// tree test accepted: a proper tree ancestor in the frontier, no
 	// label read.
 	TreeMatches int `json:"treeMatches,omitempty"`
+	// WalkMatches counts the candidates of an unranked // step that the
+	// walk over the collection's link arcs decided, matched or not, with
+	// no label read; Walked counts the nodes those walks visited.
+	WalkMatches int `json:"walkMatches,omitempty"`
+	Walked      int `json:"walked,omitempty"`
 }
 
 // LabelEntries sums the steps' Postings: the label entries the run read.
@@ -51,6 +56,19 @@ func (p *Plan) LabelEntries() int {
 	n := 0
 	for i := range p.Steps {
 		n += p.Steps[i].Postings
+	}
+	return n
+}
+
+// WalkNodes sums the steps' Walked: the nodes the run's link-arc
+// walks visited.
+func (p *Plan) WalkNodes() int {
+	if p == nil {
+		return 0
+	}
+	n := 0
+	for i := range p.Steps {
+		n += p.Steps[i].Walked
 	}
 	return n
 }

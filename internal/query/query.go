@@ -22,19 +22,26 @@
 // A // step is the §5.1 label join driven from the side that can be
 // pruned, the tag's candidates (the staircase-join idea): mark the
 // frontier F in a bitset, then walk the candidates in ascending ID order.
-// The tree answers first: tree edges are graph edges, so c matches when
-// a proper tree ancestor of c is in F, with no label read (the
-// containment test of region encoding). Only the first candidate the
-// tree does not answer marks X = centers(Lout(F)) and F ∪ X, reading
-// each Lout list the frontier shares once; from then on c is also kept
-// when c ∈ X (the direct c ∈ Lout(f) case) or Lin(c) meets F ∪ X
-// (f ∈ Lin(c) and the Lout ∩ Lin join). Last, a frontier candidate
-// nothing else matched is kept when it lies on a cycle (the
-// self-match): the cover stores no self entries, so Index.OnCycle asks
-// whether c reaches the source of a link into its tree path. Cost is
-// at most the frontier's distinct Lout mass plus the candidates' Lin
-// mass instead of |F|×|C| probes, and matches come out sorted, so a
-// limited cursor stops reading labels at its k-th match.
+// Three layers test a candidate c, cheapest first, each exactly. The
+// tree: tree edges are graph edges, so c matches when a proper tree
+// ancestor of c is in F, with no label read (the containment test of
+// region encoding). The link arcs: every other path into c ends with a
+// link into c's tree path, so a backward walk over the collection's
+// link arcs — the sources of the links into c's tree path, their tree
+// paths, the links into those — stops at the first source that is in F
+// or has a tree ancestor in F, and a walk that runs out of sources is
+// an exact non-match; a frontier element on a cycle meets itself. The
+// labels: only when the step's walk budget (set once from |F| and the
+// cover's mean Lout length) runs out does the scan mark X =
+// centers(Lout(F)) and F ∪ X, reading each Lout list the frontier
+// shares once; from then on c is kept when c ∈ X (the direct c ∈
+// Lout(f) case) or Lin(c) meets F ∪ X (f ∈ Lin(c) and the Lout ∩ Lin
+// join), and last, a frontier candidate nothing else matched is kept
+// when it lies on a cycle (the self-match): the cover stores no self
+// entries, so Index.OnCycle asks whether c reaches the source of a
+// link into its tree path. A step that gives up pays at most its walk
+// budget over the label join; matches come out sorted, so a limited
+// cursor stops walking and reading labels at its k-th match.
 package query
 
 import (
@@ -49,7 +56,6 @@ import (
 
 	"hopi/internal/core"
 	"hopi/internal/graph"
-	"hopi/internal/twohop"
 	"hopi/internal/xmlmodel"
 )
 
@@ -451,7 +457,6 @@ func (e *Engine) advance(frontier []int32, step Step, cc *canceller, sp *StepPla
 // labels of the candidates up to the k-th. A materialized step is the
 // scan drained into a slice.
 type stepScan struct {
-	e     *Engine
 	cands []int32
 	idx   int
 
@@ -460,56 +465,28 @@ type stepScan struct {
 	root  bool // a seed under a leading "/": document roots only
 	child bool // a "/" step: the parent is in the frontier
 
-	frontier []int32      // F, kept to mark X when a candidate first needs it
-	n        int          // the scratch bitsets' capacity
-	fset     graph.Bitset // F
-	xset     graph.Bitset // X, the frontier's Lout centers; nil until marked
-	fx       graph.Bitset // F ∪ X, what a candidate's Lin must meet
-	pooled   []graph.Bitset
-	cov      *twohop.Cover
-	buf      []twohop.Entry // LoutBuf's and LinBuf's merge buffer
-	span     docSpan        // the last candidate's document
-	sp       *StepPlan
+	reachTest // F, and for a // step the candidate test over it
 }
 
 // newScan starts the scan of step over frontier; seed marks the query's
 // first step, which has none.
 func (e *Engine) newScan(frontier []int32, step Step, seed bool, sp *StepPlan) *stepScan {
-	sc := &stepScan{e: e, cands: e.candidates(step.Tag), sp: sp}
+	sc := &stepScan{cands: e.candidates(step.Tag)}
+	sc.e, sc.sp = e, sp
 	mode := ModeDescendant
 	switch {
 	case seed:
 		sc.seed, sc.root = true, step.Axis == AxisChild
 		mode = ModeSeed
+	case step.Axis == AxisChild:
+		sc.child = true
+		mode = ModeChild
+		sc.markF(frontier)
 	default:
-		sc.child = step.Axis == AxisChild
-		if sc.child {
-			mode = ModeChild
-		} else {
-			sc.frontier, sc.cov = frontier, e.ix.Cover()
-		}
-		sc.n = e.scratchSize()
-		sc.fset = e.scratch.Get(sc.n)
-		sc.pooled = []graph.Bitset{sc.fset}
-		for _, f := range frontier {
-			sc.fset.Set(int(f))
-		}
+		sc.start(frontier)
 	}
 	sp.record(mode, len(sc.cands), len(frontier), 0)
 	return sc
-}
-
-// markX marks X = centers(Lout(F)) and F ∪ X, once, for the first
-// candidate the tree test does not answer.
-func (sc *stepScan) markX() {
-	sc.xset, sc.fx = sc.e.scratch.Get(sc.n), sc.e.scratch.Get(sc.n)
-	sc.pooled = append(sc.pooled, sc.xset, sc.fx)
-	sc.sp.touch(sc.cov.MarkOutCenters(sc.frontier, sc.xset, &sc.buf))
-	sc.fx.Or(sc.fset)
-	sc.fx.Or(sc.xset)
-	if sc.sp != nil {
-		sc.sp.Centers = sc.xset.Count()
-	}
 }
 
 // skipPast resumes the scan strictly after element after.
@@ -530,7 +507,13 @@ func (sc *stepScan) next(cc *canceller) (int32, bool, error) {
 		}
 		c := sc.cands[sc.idx]
 		sc.idx++
-		if sc.matches(c) {
+		var ok bool
+		if sc.seed || sc.child {
+			ok = sc.matches(c)
+		} else {
+			ok = sc.reaches(c)
+		}
+		if ok {
 			if sc.sp != nil {
 				sc.sp.FrontierOut++
 			}
@@ -541,39 +524,14 @@ func (sc *stepScan) next(cc *canceller) (int32, bool, error) {
 	return 0, false, nil
 }
 
-// matches is the per-candidate test. For a // step, c matches when a
-// proper tree ancestor of c is in F (a tree path), and otherwise iff it
-// is a frontier Lout center (c ∈ Lout(f)), one of its Lin centers lies
-// in F ∪ X (f ∈ Lin(c), or the Lout ∩ Lin join), or it is a frontier
-// element on a cycle (the self-match): by the cover property, exactly
-// when some f ∈ F reaches c over a path of length ≥ 1.
+// matches is the candidate test of a seed (the root test) or a "/"
+// step (the parent test); a // step tests with reachTest.reaches.
 func (sc *stepScan) matches(c int32) bool {
-	switch {
-	case sc.seed:
+	if sc.seed {
 		return !sc.root || sc.e.isRoot(c)
-	case sc.child:
-		p := sc.e.parentOf(c)
-		return p >= 0 && sc.fset.Has(int(p))
-	case sc.e.treeReached(c, sc.fset, &sc.span):
-		if sc.sp != nil {
-			sc.sp.TreeMatches++
-		}
-		return true
 	}
-	if sc.xset == nil {
-		sc.markX()
-	}
-	if sc.xset.Has(int(c)) {
-		return true
-	}
-	in := sc.cov.LinBuf(c, &sc.buf)
-	sc.sp.touch(len(in))
-	for _, en := range in {
-		if sc.fx.Has(int(en.Center)) {
-			return true
-		}
-	}
-	return sc.fset.Has(int(c)) && sc.e.ix.OnCycle(c)
+	p := sc.e.parentOf(c)
+	return p >= 0 && sc.fset.Has(int(p))
 }
 
 // docSpan remembers the document the last resolved ID fell in, as its
@@ -641,12 +599,4 @@ func (sc *stepScan) drain(cc *canceller) ([]int32, error) {
 		}
 		out = append(out, c)
 	}
-}
-
-// release returns the scan's scratch bitsets to the pool. Idempotent.
-func (sc *stepScan) release() {
-	for _, b := range sc.pooled {
-		sc.e.scratch.Put(b)
-	}
-	sc.pooled = nil
 }

@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"hopi/internal/graph"
-	"hopi/internal/twohop"
 )
 
 // Exported single-step evaluation primitives. The distributed query
@@ -147,52 +146,24 @@ func (e *Engine) BulkClosure(ctx context.Context, from, to []int32, withDist boo
 
 // ReachesAny reports, per to[j], whether some element of from reaches
 // it (reflexively: from[i] == to[j] counts) — the OR of BulkClosure's
-// column j without materializing the |from|×|to| matrix. One scratch
-// bitset holds the frontier; t is reached when t or a proper tree
-// ancestor of t is set. Only the first t the tree does not answer adds
-// the frontier's Lout centers to the bitset (each shared list read
-// once); t is then reached exactly when t itself or a center of Lin(t)
-// is set, the same meeting cases BulkClosure enumerates. A tree
-// ancestor found set after that is still a witness: an ancestor in X is
-// reached from the frontier.
+// column j without materializing the |from|×|to| matrix. t is reached
+// when it is in from, or else when the // candidate test over from
+// accepts it: the tree, the link-arc walk, and only when the walk's
+// budget runs out the frontier's Lout centers and Lin(t), the meeting
+// cases BulkClosure enumerates.
 func (e *Engine) ReachesAny(ctx context.Context, from, to []int32) ([]bool, error) {
 	out := make([]bool, len(to))
 	if len(from) == 0 || len(to) == 0 {
 		return out, nil
 	}
-	cov := e.ix.Cover()
-	centers := e.scratch.Get(e.scratchSize())
-	defer e.scratch.Put(centers)
-	for _, f := range from {
-		centers.Set(int(f))
-	}
-	marked := false
-	var (
-		buf  []twohop.Entry
-		span docSpan
-	)
+	rt := reachTest{e: e}
+	rt.start(from)
+	defer rt.release()
 	for j, t := range to {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if centers.Has(int(t)) || e.treeReached(t, centers, &span) {
-			out[j] = true
-			continue
-		}
-		if !marked {
-			marked = true
-			cov.MarkOutCenters(from, centers, &buf)
-			if centers.Has(int(t)) {
-				out[j] = true
-				continue
-			}
-		}
-		for _, en := range cov.LinBuf(t, &buf) {
-			if centers.Has(int(en.Center)) {
-				out[j] = true
-				break
-			}
-		}
+		out[j] = rt.fset.Has(int(t)) || rt.reaches(t)
 	}
 	return out, nil
 }

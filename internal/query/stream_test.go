@@ -212,9 +212,9 @@ func TestStreamConcurrent(t *testing.T) {
 
 // TestExplainPlan: the per-step report reflects the actual execution —
 // the candidate test with and without a limit, every author answered by
-// the tree with no label read, fewer label entries read under the limit
-// where the final step needs labels, and the ranked kernel limited or
-// not.
+// the tree and every title under //cite by the link-arc walk with no
+// label read, fewer nodes walked under the limit, and the ranked kernel
+// limited or not.
 func TestExplainPlan(t *testing.T) {
 	c := gen.DBLP(gen.DefaultDBLP(120, 9))
 	ix, err := core.Build(c, core.Options{
@@ -245,15 +245,18 @@ func TestExplainPlan(t *testing.T) {
 		t.Fatalf("//article//author read labels: %+v, want 0 postings, 0 centers, %d tree matches", st, full.Matches)
 	}
 
-	// a title is no cite's descendant in the tree: the final step marks
-	// X and reads Lin, and a limited run stops reading at its 10th match
+	// a title is no cite's descendant in the tree, and a cite reaches it
+	// over one link into its article: the link-arc walk decides every
+	// title with no label read, and a limited run stops walking at its
+	// 10th match
 	qc, _ := Parse("//cite//title")
 	fullC, err := e.Explain(context.Background(), qc, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fullC.Matches <= 10 || fullC.Steps[1].Postings == 0 || fullC.Steps[1].Centers == 0 {
-		t.Fatalf("//cite//title plan missing stats: %+v", fullC)
+	if st := fullC.Steps[1]; fullC.Matches <= 10 || st.Postings != 0 || st.Centers != 0 ||
+		st.WalkMatches != st.Candidates || st.Walked < fullC.Matches {
+		t.Fatalf("//cite//title plan: %+v, want every title decided by the walk, at least one walked node per match, no label read", fullC)
 	}
 	lim, err := e.Explain(context.Background(), qc, false, 10)
 	if err != nil {
@@ -265,9 +268,9 @@ func TestExplainPlan(t *testing.T) {
 	if lim.Matches != 10 {
 		t.Fatalf("limited plan: %d matches, want 10", lim.Matches)
 	}
-	if lim.Steps[1].Postings >= fullC.Steps[1].Postings {
-		t.Fatalf("limited run read %d label entries, full run %d — no early termination",
-			lim.Steps[1].Postings, fullC.Steps[1].Postings)
+	if l, f := lim.Steps[1], fullC.Steps[1]; l.Walked >= f.Walked || l.WalkMatches >= f.WalkMatches || l.Postings != 0 {
+		t.Fatalf("limited run walked %d nodes for %d candidates, full run %d for %d — no early termination",
+			l.Walked, l.WalkMatches, f.Walked, f.WalkMatches)
 	}
 
 	// every ranked // step, limited or not, runs the one label kernel

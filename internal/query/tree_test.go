@@ -96,13 +96,16 @@ func treeIndex(t *testing.T, seed int64) *core.Index {
 	return ix.Clone()
 }
 
-// TestTreeShortcutLazyX pins when X is built. //a//e over a document
-// whose first three e's sit under the a, and a second document whose e
-// only a link reaches: a scan that stops within the first three reads
-// no label and marks no center, a scan resumed after the second e
-// builds X at its first tree-failing candidate, past the resume point,
-// and both answer as Reference. The tree test takes proper ancestors
-// only: no e is its own descendant, so //e//e is empty.
+// TestTreeShortcutLazyX pins the order of the // test's layers. //a//e
+// over a document whose first three e's sit under the a, and a second
+// document whose e only a link reaches: the tree answers the first
+// three with no walk and no label read, and the link-arc walk answers
+// the fourth, one node from the a, so X is never built. A scan that
+// stops within the first three walks nothing; a scan resumed after the
+// second e walks only past the resume point, and less than a full one.
+// All answer as Reference. The tree test takes proper ancestors only:
+// no e is its own descendant, so //e//e is empty. When the walk gives
+// up and X is built: TestWalkBudgetLazyX.
 func TestTreeShortcutLazyX(t *testing.T) {
 	c := xmlmodel.NewCollection()
 	d0 := xmlmodel.NewDocument("d0.xml", "r")
@@ -133,16 +136,20 @@ func TestTreeShortcutLazyX(t *testing.T) {
 	}
 
 	got, st := run(StreamOpts{Limit: 3})
-	if !slices.Equal(got, es[:3]) || st.Postings != 0 || st.Centers != 0 || st.TreeMatches != 3 {
-		t.Fatalf("limit 3: %v, plan %+v; want %v, no label read, 3 tree matches", got, st, es[:3])
+	if !slices.Equal(got, es[:3]) || st.Postings != 0 || st.Centers != 0 || st.TreeMatches != 3 || st.WalkMatches != 0 || st.Walked != 0 {
+		t.Fatalf("limit 3: %v, plan %+v; want %v, 3 tree matches, no walk, no label read", got, st, es[:3])
 	}
-	got, st = run(StreamOpts{Limit: 2, HasAfter: true, After: es[1]})
-	if !slices.Equal(got, es[2:]) || st.TreeMatches != 1 || st.Centers == 0 || st.Postings == 0 {
-		t.Fatalf("resumed after %d: %v, plan %+v; want %v, 1 tree match, then X built", es[1], got, st, es[2:])
+	resumed, st := run(StreamOpts{Limit: 2, HasAfter: true, After: es[1]})
+	if !slices.Equal(resumed, es[2:]) || st.TreeMatches != 1 || st.WalkMatches != 1 || st.Walked != 1 || st.Centers != 0 || st.Postings != 0 {
+		t.Fatalf("resumed after %d: %v, plan %+v; want %v, 1 tree match, then 1 walk of 1 node, no label read", es[1], resumed, st, es[2:])
 	}
-	got, st = run(StreamOpts{})
-	if !slices.Equal(got, es) || st.TreeMatches != 3 || st.Centers == 0 {
-		t.Fatalf("unlimited: %v, plan %+v; want %v, 3 tree matches and X", got, st, es)
+	got, full := run(StreamOpts{})
+	if !slices.Equal(got, es) || full.TreeMatches != 3 || full.WalkMatches != 1 || full.Centers != 0 || full.Postings != 0 {
+		t.Fatalf("unlimited: %v, plan %+v; want %v, 3 tree matches, 1 walk match, no label read", got, full, es)
+	}
+	if st.TreeMatches+st.WalkMatches >= full.TreeMatches+full.WalkMatches {
+		t.Fatalf("resumed run decided %d candidates, full run %d — the resume point was not used",
+			st.TreeMatches+st.WalkMatches, full.TreeMatches+full.WalkMatches)
 	}
 
 	ee, _ := Parse("//e//e")

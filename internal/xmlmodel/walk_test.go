@@ -225,9 +225,21 @@ func checkReach(t *testing.T, c *Collection, g *graph.Digraph, context string) {
 		everyOther = append(everyOther, u)
 	}
 	for _, nodes := range [][]int32{everyID, everyOther} {
-		want, _ := g.Subgraph(nodes)
-		if got := c.Subgraph(nodes); got.N() != len(nodes) || !maps.Equal(edgeSet(got), edgeSet(want)) {
-			t.Fatalf("%s: Subgraph(%v) edges %v, want %v", context, nodes, edgeSet(got), edgeSet(want))
+		// g's edges between nodes, node i renumbered i
+		local := make(map[int32]int32, len(nodes))
+		for i, u := range nodes {
+			local[u] = int32(i)
+		}
+		want := map[[2]int32]bool{}
+		for i, u := range nodes {
+			for _, v := range g.Succ(u) {
+				if j, ok := local[v]; ok {
+					want[[2]int32{int32(i), j}] = true
+				}
+			}
+		}
+		if got := c.Subgraph(nodes); got.N() != len(nodes) || !maps.Equal(edgeSet(got), want) {
+			t.Fatalf("%s: Subgraph(%v) edges %v, want %v", context, nodes, edgeSet(got), want)
 		}
 	}
 }

@@ -31,7 +31,10 @@ type indexMetrics struct {
 	// queryLabelEntries sums the label entries the closed cursors' plans
 	// read (query.Plan.LabelEntries).
 	queryLabelEntries *obs.Counter
-	applySeconds      *obs.Histogram
+	// queryWalkNodes sums the nodes the closed cursors' link-arc walks
+	// visited (query.Plan.WalkNodes).
+	queryWalkNodes *obs.Counter
+	applySeconds   *obs.Histogram
 	// snapshotPublish times Snapshot's miss path: the first read after
 	// a batch pays it, so it is the write cost a reader sees.
 	snapshotPublish *obs.Histogram
@@ -92,6 +95,8 @@ func newIndexMetrics(ix *Index) *indexMetrics {
 			obs.DefLatencyBuckets, "mode"),
 		queryLabelEntries: r.Counter("hopi_query_label_entries_total",
 			"Label entries (Lout and Lin) the query cursors read, added at Close: the run's summed per-step postings."),
+		queryWalkNodes: r.Counter("hopi_query_walk_nodes_total",
+			"Nodes the query cursors' // candidate tests walked over the collection's link arcs, added at Close: the run's summed per-step walked nodes."),
 		applySeconds: r.Histogram("hopi_apply_seconds",
 			"Maintenance batch latency through Apply, commit included.",
 			obs.DefLatencyBuckets),

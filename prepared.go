@@ -322,6 +322,7 @@ func (c *Cursor) Close() {
 		c.observed = true
 		c.snap.met.queryLatency.With(c.plan.DominantMode()).ObserveSince(c.start)
 		c.snap.met.queryLabelEntries.Add(uint64(c.plan.LabelEntries()))
+		c.snap.met.queryWalkNodes.Add(uint64(c.plan.WalkNodes()))
 	}
 }
 
